@@ -102,8 +102,8 @@ def make_batches(n_events: int, batch: int, seed: int) -> list[EventBatch]:
 
 
 def feed(specs: list[str], batches: list[EventBatch],
-         *, sharing: bool) -> tuple[float, dict[str, str]]:
-    """One engine lifetime; returns (wall_s, per-query fingerprints).
+         *, sharing: bool) -> tuple[float, MultiQueryEngine]:
+    """One engine lifetime; returns (wall_s, the fed engine).
 
     Admission is setup, not steady state, so only the feed is timed.
     """
@@ -114,7 +114,17 @@ def feed(specs: list[str], batches: list[EventBatch],
     for events in batches:
         engine.append(STREAM, events)
     wall = time.perf_counter() - start_s
-    return wall, engine.fingerprints()
+    return wall, engine
+
+
+def shared_ratio(curve: list[dict], n_hi: int,
+                 n_lo: int) -> float | None:
+    """``shared_s`` at ``n_hi`` queries over ``n_lo`` (``None`` when
+    the reduced mode skips one of them)."""
+    at = {point["queries"]: point["shared_s"] for point in curve}
+    if n_hi not in at or n_lo not in at:
+        return None
+    return round(at[n_hi] / at[n_lo], 2)
 
 
 def main() -> int:
@@ -132,9 +142,9 @@ def main() -> int:
     # timing: every query's result stream is bit-identical across
     # modes (fingerprints digest each (index, result) pair).
     check_specs = make_specs(100)
-    _, shared_fp = feed(check_specs, batches, sharing=True)
-    _, unshared_fp = feed(check_specs, batches, sharing=False)
-    if shared_fp != unshared_fp:
+    _, shared_engine = feed(check_specs, batches, sharing=True)
+    _, unshared_engine = feed(check_specs, batches, sharing=False)
+    if shared_engine.fingerprints() != unshared_engine.fingerprints():
         print("FAIL: shared per-query fingerprints diverge from "
               "unshared", file=sys.stderr)
         return 1
@@ -145,7 +155,7 @@ def main() -> int:
         specs = make_specs(n)
         best = {}
         for _ in range(ROUNDS):
-            wall, _ = feed(specs, batches, sharing=True)
+            wall, engine = feed(specs, batches, sharing=True)
             best["shared"] = min(best.get("shared", float("inf")),
                                  wall)
             if n <= UNSHARED_CAP:
@@ -156,6 +166,13 @@ def main() -> int:
             "queries": n,
             "shared_s": round(best["shared"], 6),
             "shared_eps": round(n_events / best["shared"], 1),
+            # Heap heads examined over the whole feed and the windows
+            # it closed: their difference is one per group per batch
+            # at every N (the count behind the scaling curve).
+            "head_checks": engine.stats()["head_checks"],
+            "windows": sum(a.windows
+                           for a in engine.accounts().values()
+                           if a.deduped_into is None),
         }
         if "unshared" in best:
             point["unshared_s"] = round(best["unshared"], 6)
@@ -184,6 +201,7 @@ def main() -> int:
         "floor_n": FLOOR_N,
         "min_speedup_required": floor,
         "speedup_at_floor_n": floor_speedup,
+        "shared_s_10k_over_1k": shared_ratio(curve, 10_000, 1000),
         "curve": curve,
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -34,7 +34,7 @@ buffer.  :class:`~repro.core.buffers.PositionBuffer` gates on
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, MutableMapping
+from collections.abc import Callable
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
@@ -98,8 +98,7 @@ class RangeAggregateIndex:
                  *, base: int = 0,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  caching: bool = True,
-                 edge_cache: MutableMapping[tuple[int, int], Any]
-                 | None = None) -> None:
+                 edge_memo: bool = False) -> None:
         if chunk_size <= 0 or chunk_size & (chunk_size - 1):
             raise ConfigurationError(
                 f"chunk_size must be a positive power of two, got "
@@ -108,13 +107,21 @@ class RangeAggregateIndex:
         self.chunk_size = chunk_size
         self.caching = caching
         self._fetch = fetch
-        #: Optional memo for sub-chunk remainder lifts, keyed
+        #: Optional memo of sub-chunk remainder lifts, per chunk, keyed
         #: ``(start, end)``.  A remainder lift is a pure function of its
         #: span, so the memo changes host wall-clock only — when many
         #: standing queries share one stream, their window edges repeat
-        #: and the multi-query slice store passes a shared mapping here
-        #: so each edge slice is lifted once.
-        self._edge_cache = edge_cache if caching else None
+        #: and the multi-query slice store asks for the memo so each
+        #: edge slice is lifted once.  Evicted chunk by chunk with the
+        #: leaves.
+        self._edges: dict[int, dict[tuple[int, int], Any]] | None = \
+            {} if edge_memo and caching else None
+        #: With an edge memo only: per completed chunk, the event block
+        #: :meth:`extend` fetched for it and that block's absolute start
+        #: — an edge miss slices it instead of going back to ``fetch``.
+        self._blocks: dict[int, tuple[EventBatch, int]] = {}
+        #: Lowest chunk whose memo and block are not yet evicted.
+        self._edge_floor = base // chunk_size
         #: Per-level node partials; ``_levels[k][i]`` covers chunk run
         #: ``[i * 2**k, (i + 1) * 2**k)``.
         self._levels: list[dict[int, Any]] = [{}]
@@ -130,6 +137,10 @@ class RangeAggregateIndex:
         self.cache_misses = 0
         self.edge_hits = 0
         self.edge_misses = 0
+        #: Parts folded / sub-chunk remainder events lifted by the most
+        #: recent :meth:`lift_range` — what that call cost its caller.
+        self.last_width = 0
+        self.last_edge_events = 0
 
     # -- maintenance -------------------------------------------------------
 
@@ -152,17 +163,20 @@ class RangeAggregateIndex:
         n_new = end // size - first
         if n_new <= 0:
             return
+        block = self._fetch(first * size, (first + n_new) * size)
         if n_new == 1:
-            self._set_leaf(first, self.fn.lift(
-                self._fetch(first * size, (first + 1) * size)))
+            self._set_leaf(first, self.fn.lift(block))
         else:
-            block = self._fetch(first * size, (first + n_new) * size)
             starts = [i * size for i in range(n_new)]
             ends = [(i + 1) * size for i in range(n_new)]
             for c, partial in enumerate(
                     self.fn.lift_ranges(block, starts, ends),
                     start=first):
                 self._set_leaf(c, partial)
+        if self._edges is not None:
+            held = (block, first * size)
+            for c in range(first, first + n_new):
+                self._blocks[c] = held
         self._next_leaf = first + n_new
 
     def _set_leaf(self, chunk: int, partial: Any) -> None:
@@ -197,6 +211,14 @@ class RangeAggregateIndex:
         if not self.caching:
             return
         span = self.chunk_size
+        if self._edges is not None:
+            # A partly released chunk still serves the remainders at or
+            # after ``position``; only chunks wholly before it go.
+            whole = position // span
+            for i in range(self._edge_floor, whole):
+                self._edges.pop(i, None)
+                self._blocks.pop(i, None)
+            self._edge_floor = max(self._edge_floor, whole)
         for level, nodes in enumerate(self._levels):
             floor = -(-position // span)
             old = self._floors[level]
@@ -221,6 +243,7 @@ class RangeAggregateIndex:
         """
         fn = self.fn
         if end <= start:
+            self.last_width = self.last_edge_events = 0
             return fn.identity()
         size = self.chunk_size
         head_end = min(end, -(-start // size) * size)
@@ -229,29 +252,53 @@ class RangeAggregateIndex:
         if start < head_end:
             parts.append(self._edge_lift(start, head_end))
         c0, c1 = head_end // size, tail_start // size
+        levels = self._levels
+        n_levels = len(levels)
+        hits = 0
         while c0 < c1:
             # Largest aligned block starting at c0 that fits in [c0, c1).
             block = c0 & -c0 if c0 else 1 << ((c1 - c0).bit_length() - 1)
             while c0 + block > c1:
                 block >>= 1
             level = block.bit_length() - 1
-            parts.append(self._node(level, c0 >> level))
+            node = (levels[level].get(c0 >> level)
+                    if level < n_levels else None)
+            if node is None:
+                node = self._node(level, c0 >> level)
+            else:
+                hits += 1
+            parts.append(node)
             c0 += block
         if tail_start < end:
             parts.append(self._edge_lift(tail_start, end))
+        self.cache_hits += hits
+        self.last_width = len(parts)
+        self.last_edge_events = (head_end - start) + (end - tail_start)
         return fn.combine_many(parts)
 
     def _edge_lift(self, start: int, end: int) -> Any:
-        """Sub-chunk remainder lift, memoized when an edge cache is
-        attached (identical bits either way — the lift is pure)."""
-        cache = self._edge_cache
-        if cache is None:
+        """Sub-chunk remainder lift, memoized when the index carries an
+        edge memo (identical bits either way — the lift is pure).  A
+        remainder lies inside one chunk by construction, so a miss
+        slices that chunk's resident block; only a chunk that never
+        completed here (the trailing one, or the one the index was
+        based inside) goes back to ``fetch``."""
+        edges = self._edges
+        if edges is None:
             return self.fn.lift(self._fetch(start, end))
-        key = (start, end)
-        partial = cache.get(key)
+        chunk = start // self.chunk_size
+        memo = edges.get(chunk)
+        if memo is None:
+            memo = edges[chunk] = {}
+        partial = memo.get((start, end))
         if partial is None:
-            partial = self.fn.lift(self._fetch(start, end))
-            cache[key] = partial
+            held = self._blocks.get(chunk)
+            if held is None:
+                events = self._fetch(start, end)
+            else:
+                events = held[0].slice_range(start - held[1],
+                                             end - held[1])
+            partial = memo[start, end] = self.fn.lift(events)
             self.edge_misses += 1
         else:
             self.edge_hits += 1
@@ -279,6 +326,11 @@ class RangeAggregateIndex:
     def nodes_cached(self) -> int:
         """Nodes currently held (memory-bound checks in tests)."""
         return sum(len(nodes) for nodes in self._levels)
+
+    @property
+    def edges_cached(self) -> int:
+        """Edge-slice partials currently memoized."""
+        return sum(len(memo) for memo in (self._edges or {}).values())
 
     def __repr__(self) -> str:
         return (f"RangeAggregateIndex(fn={self.fn.name!r}, "

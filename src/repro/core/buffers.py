@@ -18,7 +18,6 @@ and the bit-identity contract of the ``REPRO_AGG_INDEX`` A/B switch.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import MutableMapping
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
@@ -41,15 +40,16 @@ class PositionBuffer:
     stores) may omit it.  ``use_index=None`` reads the
     ``REPRO_AGG_INDEX`` environment switch; passing ``False`` keeps the
     canonical chunked decomposition but recomputes every partial from
-    raw events (the bit-identical naive baseline).
+    raw events (the bit-identical naive baseline).  ``edge_memo`` asks
+    the index to memoize sub-chunk remainder lifts (the multi-query
+    slice store, where many windows repeat the same edges).
     """
 
     def __init__(self, base: int = 0,
                  fn: AggregateFunction | None = None, *,
                  use_index: bool | None = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 edge_cache: MutableMapping[tuple[int, int], Any]
-                 | None = None) -> None:
+                 edge_memo: bool = False) -> None:
         self._base = base  # absolute position of the first retained event
         self._batches: list[EventBatch] = []
         #: Absolute start position of each stored batch (bisect key).
@@ -65,7 +65,7 @@ class PositionBuffer:
                        else use_index)
             self._index = RangeAggregateIndex(
                 fn, self.get_range, base=base, chunk_size=chunk_size,
-                caching=caching, edge_cache=edge_cache)
+                caching=caching, edge_memo=edge_memo)
 
     # -- state --------------------------------------------------------------
 

@@ -20,10 +20,18 @@ Shared slice store (per ``(stream, aggregate)`` group)
     answers ``lift_range`` for *every* query of the group.  Aligned
     chunks are computed once in the tree; the sub-chunk remainders —
     the *union of all registered windows' edges* — land in a shared
-    edge-slice memo (:mod:`repro.core.agg_index`'s ``edge_cache``), so
+    edge-slice memo (:mod:`repro.core.agg_index`'s ``edge_memo``), so
     each edge slice is lifted once no matter how many windows touch it.
     The grid those edges live on is the Scotty-style
     :func:`~repro.windows.slicer.union_slice_size` of the group.
+
+Event-driven emission
+    Each group keeps a heap of its evaluations keyed ``(next window
+    end, admission seq)``; a batch pops only the windows it closes —
+    O(windows that close x log N), not O(registered queries).  A second,
+    lazily refreshed heap yields the eviction horizon; removal is lazy
+    deletion from both.  Cross-query emission order is in no
+    fingerprint: each account digests its own windows in index order.
 
 Bit-identity contract (``REPRO_QUERY_SHARING``)
     Every window value is ``fn.lower(buffer.lift_range(start, end))``
@@ -51,6 +59,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
@@ -160,6 +169,8 @@ class _QueryEval:
     step: int
     from_position: int
     next_window: int = 0
+    #: Empty once every subscriber was removed; the heaps drop such an
+    #: evaluation when it next reaches their head.
     subscribers: list[QueryAccount] = field(default_factory=list)
 
     @property
@@ -175,19 +186,53 @@ class _StreamGroup:
                  base: int, chunk_size: int) -> None:
         self.stream = stream
         self.fn = fn
-        self.edge_slices: dict[tuple[int, int], Any] = {}
         self.buffer = PositionBuffer(
-            base, fn, chunk_size=chunk_size, edge_cache=self.edge_slices)
-        #: Evaluations keyed (query_key, from_position), admission
-        #: order — iteration order is the deterministic emission order.
+            base, fn, chunk_size=chunk_size, edge_memo=True)
+        #: Live evaluations keyed (query_key, from_position).
         self.evals: dict[tuple[str, int], _QueryEval] = {}
-        #: Registered window specs (for the union-of-edges slice grid).
-        self.specs: list[TumblingCountWindow | SlidingCountWindow] = []
+        #: Min-heap of ``(next window end, seq, evaluation)``: its head
+        #: is the next window of the group to close.
+        self.closing: list[tuple[int, int, _QueryEval]] = []
+        #: Min-heap of ``(next window start, seq, evaluation)``.  Starts
+        #: only grow, so a stored key is a lower bound of the true one
+        #: and is refreshed only when it reaches the head.
+        self.starts: list[tuple[int, int, _QueryEval]] = []
+        #: Next ``seq``: the heaps' deterministic tie-break.
+        self._admitted = 0
+
+    def add(self, ekey: tuple[str, int], length: int,
+            step: int) -> _QueryEval:
+        """Register the evaluation of one new (spec, position)."""
+        start = ekey[1]
+        ev = self.evals[ekey] = _QueryEval(length, step, start)
+        heappush(self.closing, (start + length, self._admitted, ev))
+        heappush(self.starts, (start, self._admitted, ev))
+        self._admitted += 1
+        return ev
+
+    def horizon(self, end: int) -> int:
+        """Min next window start over live evaluations, at most
+        ``end`` — everything before it can be evicted."""
+        starts = self.starts
+        while starts:
+            start, seq, ev = starts[0]
+            if not ev.subscribers:
+                heappop(starts)
+            elif start != ev.next_start:
+                heapreplace(starts, (ev.next_start, seq, ev))
+            else:
+                return min(start, end)
+        return end
 
     @property
     def slice_grid(self) -> int:
-        """Scotty-style union-of-edges slice size of the group."""
-        return union_slice_size(self.specs)
+        """Scotty-style union-of-edges slice size of the group's live
+        evaluations."""
+        specs: list[TumblingCountWindow | SlidingCountWindow] = [
+            SlidingCountWindow(ev.length, ev.step) if ev.step < ev.length
+            else TumblingCountWindow(ev.length)
+            for ev in self.evals.values()]
+        return union_slice_size(specs)
 
     def stats(self) -> dict[str, Any]:
         index = self.buffer.index
@@ -198,7 +243,7 @@ class _StreamGroup:
             "evals": len(self.evals),
             "slice_grid": self.slice_grid,
             "retained": self.buffer.retained,
-            "edge_slices": len(self.edge_slices),
+            "edge_slices": 0 if index is None else index.edges_cached,
         }
         if index is not None:
             out["nodes_cached"] = index.nodes_cached
@@ -285,11 +330,15 @@ class MultiQueryEngine:
         self.tracer = tracer
         self.keep_results = keep_results
         self.registry = QueryRegistry()
-        self._groups: dict[tuple[str, str], _StreamGroup] = {}
+        #: Shared groups, stream -> aggregate name -> group.
+        self._groups: dict[str, dict[str, _StreamGroup]] = {}
         self._query_pipes: dict[str, list[_PrivatePipeline]] = {}
-        #: Shared-mode reverse route: qid -> (group key, eval key).
-        self._routes: dict[str, tuple[tuple[str, str], tuple[str, int]]] = {}
+        #: Shared-mode reverse route: qid -> (aggregate name, eval key).
+        self._routes: dict[str, tuple[str, tuple[str, int]]] = {}
         self._stream_end: dict[str, int] = {}
+        #: Heap heads examined by shared emission: one per window closed
+        #: (or removed evaluation dropped) plus one per group feed.
+        self.head_checks = 0
 
     # -- admission / removal -----------------------------------------------
 
@@ -337,24 +386,20 @@ class MultiQueryEngine:
                       fn: AggregateFunction, length: int, step: int,
                       start: int) -> None:
         stream = account.stream
-        gkey = (stream, fn.name)
-        group = self._groups.get(gkey)
+        groups = self._groups.setdefault(stream, {})
+        group = groups.get(fn.name)
         if group is None:
-            group = _StreamGroup(
+            group = groups[fn.name] = _StreamGroup(
                 stream, fn, base=self._stream_end.get(stream, 0),
                 chunk_size=self.chunk_size)
-            self._groups[gkey] = group
         ekey = (query.query_key, start)
         ev = group.evals.get(ekey)
         if ev is None:
-            ev = _QueryEval(length, step, start)
-            group.evals[ekey] = ev
+            ev = group.add(ekey, length, step)
         else:
             account.deduped_into = ev.subscribers[0].qid
         ev.subscribers.append(account)
-        group.specs.append(SlidingCountWindow(length, step)
-                           if step < length else TumblingCountWindow(length))
-        self._routes[account.qid] = (gkey, ekey)
+        self._routes[account.qid] = (fn.name, ekey)
 
     def remove(self, qid: str) -> QueryAccount:
         """Stop a standing query; its account (and fingerprint over the
@@ -367,14 +412,16 @@ class MultiQueryEngine:
         stream = account.stream
         account.removed_at = self._stream_end.get(stream, 0)
         if self.sharing:
-            gkey, ekey = self._routes.pop(qid)
-            group = self._groups[gkey]
+            agg, ekey = self._routes.pop(qid)
+            groups = self._groups[stream]
+            group = groups[agg]
             ev = group.evals[ekey]
             ev.subscribers = [a for a in ev.subscribers if a.qid != qid]
             if not ev.subscribers:
+                # Lazy deletion: the heaps drop ``ev`` at their head.
                 del group.evals[ekey]
             if not group.evals:
-                del self._groups[gkey]
+                del groups[agg]
         else:
             pipes = self._query_pipes.get(stream, [])
             self._query_pipes[stream] = [
@@ -394,9 +441,8 @@ class MultiQueryEngine:
             return
         self._stream_end[stream] = self._stream_end.get(stream, 0) + n
         if self.sharing:
-            for (s, _agg), group in self._groups.items():
-                if s == stream:
-                    self._feed_group(group, batch)
+            for group in self._groups.get(stream, {}).values():
+                self._feed_group(group, batch)
             return
         # A/B baseline: with sharing disabled every standing query pays
         # its own buffer append, tree extension, and range lift — the
@@ -421,31 +467,54 @@ class MultiQueryEngine:
                 buf.release_before(horizon)
 
     def _feed_group(self, group: _StreamGroup, batch: EventBatch) -> None:
+        """Append to the group's slice store and emit, in ``(end,
+        admission)`` order, every window the batch closes."""
         buf = group.buffer
         buf.append(batch)
         end = buf.end
         fn = group.fn
-        horizon = end
-        for ev in group.evals.values():
-            while ev.next_start + ev.length <= end:
-                s = ev.next_start
-                e = s + ev.length
-                value = float(fn.lower(buf.lift_range(s, e)))
-                self._charge(ev.subscribers[0], s, e, fn)
-                for account in ev.subscribers:
-                    account.record(ev.next_window, value)
-                    self._trace_window(account)
-                ev.next_window += 1
-            horizon = min(horizon, ev.next_start)
+        index = buf.index
+        closing = group.closing
+        tracer = self.tracer
+        checks = 0
+        while closing:
+            checks += 1
+            e, seq, ev = closing[0]
+            if e > end:
+                break
+            subscribers = ev.subscribers
+            if not subscribers:
+                heappop(closing)
+                continue
+            value = float(fn.lower(buf.lift_range(e - ev.length, e)))
+            # The owner pays what the lift just folded: parts minus one
+            # combines and the head + tail remainder events (holistic
+            # windows re-lift their whole span).
+            if index is None:
+                combines, edge_events = 0, ev.length
+            else:
+                combines = index.last_width - 1
+                edge_events = index.last_edge_events
+            owner = subscribers[0]
+            owner.combines += combines
+            owner.edge_events += edge_events
+            if tracer is not None and tracer.enabled:
+                tracer.inc("mq_combines", owner.qid, combines)
+            for account in subscribers:
+                account.record(ev.next_window, value)
+                if tracer is not None and tracer.enabled:
+                    tracer.inc("mq_windows", account.qid)
+            ev.next_window += 1
+            heapreplace(closing, (e + ev.step, seq, ev))
+        self.head_checks += checks
+        horizon = group.horizon(end)
         if horizon > buf.base:
             buf.release_before(horizon)
-            dead = [k for k in group.edge_slices if k[0] < horizon]
-            for k in dead:
-                del group.edge_slices[k]
 
     def _charge(self, account: QueryAccount, start: int, end: int,
                 fn: AggregateFunction) -> None:
-        """Book the evaluation cost of one window lift to ``account``."""
+        """Book one window lift to ``account`` (unshared oracle:
+        recomputed from the span, not read back from the index)."""
         if fn.is_decomposable:
             width = decomposition_width(start, end, self.chunk_size)
             combines = max(0, width - 1)
@@ -497,11 +566,13 @@ class MultiQueryEngine:
         """Engine-level storage statistics (benchmarks, tests)."""
         return {
             "sharing": self.sharing,
-            "groups": [g.stats() for g in self._groups.values()],
+            "groups": [g.stats() for groups in self._groups.values()
+                       for g in groups.values()],
             "pipelines": sum(len(p) for p in self._query_pipes.values()),
+            "head_checks": self.head_checks,
         }
 
     def __repr__(self) -> str:
         return (f"MultiQueryEngine(sharing={self.sharing}, "
                 f"queries={len(self.registry)}, "
-                f"groups={len(self._groups)})")
+                f"groups={sum(map(len, self._groups.values()))})")

@@ -388,11 +388,11 @@ def save_workload_mmap(path: Path, workload: Workload) -> None:
 def load_workload_mmap(path: Path) -> Workload:
     """Map a ``.wlm`` spill read-only; streams are zero-copy views.
 
-    All returned arrays are views over one shared ``np.memmap`` (kept
-    alive through their ``base`` chain); stream columns go through
-    ``EventBatch._view``, so N processes loading the same spill share
-    one page-cache copy of the workload.  Corrupted or truncated
-    containers raise :class:`~repro.errors.StreamError`.
+    All returned arrays are plain ``ndarray`` views over one shared
+    ``np.memmap`` (their ``base``, which keeps it alive); stream columns
+    go through ``EventBatch._view``, so N processes loading the same
+    spill share one page-cache copy of the workload.  Corrupted or
+    truncated containers raise :class:`~repro.errors.StreamError`.
     """
     path = Path(path)
     try:
@@ -427,8 +427,12 @@ def load_workload_mmap(path: Path) -> Workload:
             raise StreamError(
                 f"corrupt workload spill entry {entry['name']!r} in "
                 f"{path}")
-        arrays[entry["name"]] = \
-            mm[offset:offset + nbytes].view(dtype).reshape(shape)
+        # A base-class view of the mapping, not a slice of the
+        # ``np.memmap`` subclass: every later slice of a stream would
+        # otherwise run numpy's Python-level ``memmap.__getitem__`` /
+        # ``__array_finalize__`` (~10x a plain slice).
+        arrays[entry["name"]] = np.ndarray(
+            shape, dtype=dtype, buffer=mm, offset=offset)
     try:
         window_size, n_windows, n_nodes = arrays["meta"].tolist()
         streams = [EventBatch._view(arrays[f"ids_{i}"],

@@ -20,6 +20,7 @@ import repro.core  # noqa: F401
 from repro.aggregates import available_aggregates, get_aggregate
 from repro.analysis.determinism import Fingerprint
 from repro.core.agg_index import (INDEX_ENV_VAR, RangeAggregateIndex,
+                                  decomposition_width,
                                   index_enabled_default)
 from repro.core.buffers import PositionBuffer
 from repro.core.runner import RunConfig, run_scheme
@@ -108,17 +109,22 @@ class TestIndexedLiftProperty:
     @PROPERTY
     @given(script=buffer_scripts())
     def test_on_off_bit_identity_and_oracle(self, name, script):
-        """Indexed lifts equal the cache-off run bit-for-bit and the
+        """Indexed lifts equal the cache-off run bit-for-bit — with or
+        without the edge memo and its chunk-resident blocks — and the
         per-event ``scalar_lift`` oracle within 1e-9."""
         seed, ops = script
         fn = get_aggregate(name)
         on = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK)
         off = PositionBuffer(fn=fn, use_index=False, chunk_size=CHUNK)
+        memo = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK,
+                              edge_memo=True)
         oracle = PositionBuffer(fn=fn)  # raw events for scalar_lift
         got_on = run_script(on, seed, ops)
         got_off = run_script(off, seed, ops)
         assert [(r, bits(p)) for r, p in got_on] == \
             [(r, bits(p)) for r, p in got_off]
+        assert [(r, bits(p)) for r, p in run_script(memo, seed, ops)] \
+            == [(r, bits(p)) for r, p in got_off]
         run_script(oracle, seed, [op for op in ops
                                   if op[0] != "release"])
         for (start, end), partial in got_on:
@@ -180,6 +186,40 @@ class TestIndexMechanics:
         fresh.append(buf.get_range(60 * CHUNK, 64 * CHUNK))
         assert bits(live) == bits(fresh.lift_range(60 * CHUNK,
                                                    64 * CHUNK))
+
+    def test_edge_memo_blocks_and_per_chunk_eviction(self):
+        rng = np.random.default_rng(4)
+        fn = get_aggregate("sum")
+        plain = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK)
+        memo = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK,
+                              edge_memo=True)
+        for n in (7, 3 * CHUNK, 11):  # no-, multi- and one-leaf appends
+            batch = value_batch(rng, n, start=plain.end)
+            plain.append(batch)
+            memo.append(batch)
+        # Only an index with an edge memo keeps the leaf blocks.
+        assert plain.index._blocks == {}
+        assert sorted(memo.index._blocks) == [0, 1, 2, 3]
+        start, end = 5, 4 * CHUNK + 1
+        for buf in (plain, memo):
+            assert bits(buf.lift_range(start, end)) == \
+                bits(plain.lift_range(start, end))
+            assert buf.index.last_width == \
+                decomposition_width(start, end, CHUNK)
+            assert buf.index.last_edge_events == (CHUNK - 5) + 1
+        # Head from chunk 0's block, tail from the incomplete chunk 4.
+        assert (memo.index.edge_misses, memo.index.edge_hits) == (2, 0)
+        memo.lift_range(start, end)
+        assert (memo.index.edge_misses, memo.index.edge_hits) == (2, 2)
+        assert memo.index.edges_cached == 2
+        # A partly released chunk still serves the remainders past the
+        # release point; chunks wholly before it take memo and block
+        # with them.
+        memo.release_before(CHUNK + 3)
+        assert sorted(memo.index._blocks) == [1, 2, 3]
+        assert memo.index.edges_cached == 1
+        assert bits(memo.lift_range(CHUNK + 5, 2 * CHUNK)) == \
+            bits(fn.lift(plain.get_range(CHUNK + 5, 2 * CHUNK)))
 
     def test_holistic_functions_bypass_the_index(self):
         buf = PositionBuffer(fn=get_aggregate("median"))

@@ -1,5 +1,6 @@
-"""Shared multi-query engine: identity, dedup, admission/removal, and
-the ``REPRO_QUERY_SHARING`` A/B bit-identity gate.
+"""Shared multi-query engine: identity, dedup, admission/removal,
+heap-driven emission, and the ``REPRO_QUERY_SHARING`` A/B bit-identity
+gate.
 
 The engine (``repro.core.multiquery``) must be invisible except for
 memory and host wall-clock: for every query population, every
@@ -171,6 +172,42 @@ class TestEngineBasics:
                 if g["aggregate"] == "avg"][0]["slice_grid"]
         assert grid == 16
 
+    def test_slice_grid_follows_removal(self):
+        """The union-of-edges grid covers live evaluations only: a
+        removed query's edges leave it."""
+        engine = MultiQueryEngine(sharing=True)
+        engine.admit(STREAM, "sum:4096")
+        victim = engine.admit(STREAM, "sum:1000:24")
+        assert engine.stats()["groups"][0]["slice_grid"] == 8
+        engine.remove(victim)
+        assert engine.stats()["groups"][0]["slice_grid"] == 4096
+
+    def test_head_checks_independent_of_query_count(self):
+        """The scaling guard, as a count: a feed examines one heap head
+        per window it closes plus one per group, however many queries
+        are registered."""
+        feeds, batch = 64, 64
+        slack = {}
+        for n in (100, 2000):
+            rng = np.random.default_rng(7)
+            engine = MultiQueryEngine(sharing=True, chunk_size=64)
+            for i in range(n):
+                agg = ("sum", "avg", "max")[i % 3]
+                length = 256 + 8 * (i % 97)
+                engine.admit(STREAM, f"{agg}:{length}:{length // 2}"
+                             if i % 2 else f"{agg}:{length}")
+            for k in range(feeds):
+                engine.append(STREAM, value_batch(rng, batch,
+                                                  start=k * batch))
+            stats = engine.stats()
+            emitted = sum(a.windows for a in engine.accounts().values()
+                          if a.deduped_into is None)
+            assert emitted > n
+            assert stats["head_checks"] <= \
+                emitted + feeds * len(stats["groups"])
+            slack[n] = stats["head_checks"] - emitted
+        assert slack[100] == slack[2000] == feeds * 3
+
 
 #: Query populations mixing tumbling/sliding shapes and decomposable/
 #: holistic aggregates.
@@ -256,6 +293,91 @@ class TestSharingBitIdentity:
                 fp for qid, fp in removed_run.fingerprints().items()
                 if qid != f"q{victim}"]
             assert survivors == list(baseline.fingerprints().values())
+
+
+#: One engine lifetime as a list of steps, mirrored onto a shared and
+#: an unshared engine: feeds of 1..5000 events, admissions from a small
+#: spec pool (so identical specs at one position dedupe) at the current
+#: position or ahead of it (the evaluation waits in the heap before its
+#: first window can close), and removals of a live query.  The whole
+#: pool is admitted at position 0 before the drawn steps run.
+lifetime_specs = st.builds(
+    lambda aggs, shapes: [f"{aggs[i % len(aggs)]}:{shape}"
+                          for i, shape in enumerate(shapes)],
+    # One or two aggregates per lifetime, so queries share groups.
+    st.lists(st.sampled_from(["sum", "avg", "max", "median"]),
+             min_size=1, max_size=2),
+    st.lists(
+        st.builds(
+            lambda length, div: f"{length}" if div is None
+            else f"{length}:{max(16, length // div)}",
+            st.integers(min_value=16, max_value=600),
+            st.one_of(st.none(), st.integers(min_value=1, max_value=8))),
+        min_size=1, max_size=4))
+
+lifetime_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("feed"), st.one_of(
+            st.integers(min_value=1, max_value=200),
+            st.integers(min_value=1, max_value=5000))),
+        st.tuples(st.just("admit"), st.integers(min_value=0, max_value=3),
+                  st.sampled_from([0, 0, 37, 700])),
+        st.tuples(st.just("remove"), st.integers(min_value=0,
+                                                 max_value=50))),
+    min_size=2, max_size=12)
+
+
+class TestEventDrivenEmission:
+    @given(pool=lifetime_specs, steps=lifetime_steps)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_shared_lifetime_matches_unshared_oracle(self, pool, steps):
+        rng = np.random.default_rng(7)
+        shared = MultiQueryEngine(sharing=True, chunk_size=64)
+        oracle = MultiQueryEngine(sharing=False, chunk_size=64)
+        live, pos = [], 0
+        everything = [("admit", i, 0) for i in range(len(pool))]
+        for step in (*everything, *steps):
+            if step[0] == "admit":
+                spec = pool[step[1] % len(pool)]
+                qid = shared.admit(STREAM, spec, at=pos + step[2])
+                assert oracle.admit(STREAM, spec,
+                                    at=pos + step[2]) == qid
+                live.append((qid, *spec.split(":")[:2]))
+            elif step[0] == "remove" and live:
+                qid = live.pop(step[1] % len(live))[0]
+                shared.remove(qid)
+                oracle.remove(qid)
+            elif step[0] == "feed":
+                batch = value_batch(rng, step[1], start=pos)
+                pos += step[1]
+                shared.append(STREAM, batch)
+                oracle.append(STREAM, batch)
+                # Eviction keeps up: every live evaluation's next
+                # window ends past the stream, so no group holds as
+                # much as its longest live window (a removed one must
+                # not pin the horizon).
+                for group in shared.stats()["groups"]:
+                    longest = max(int(length)
+                                  for _, agg, length in live
+                                  if agg == group["aggregate"])
+                    assert group["retained"] < longest
+        got, want = shared.accounts(), oracle.accounts()
+        assert list(got) == list(want)
+        classes = {}
+        for qid, acct in got.items():
+            ref = want[qid]
+            assert (acct.fingerprint, acct.windows, acct.last_result) \
+                == (ref.fingerprint, ref.windows, ref.last_result)
+            classes.setdefault((acct.query_key, acct.from_position),
+                               []).append(qid)
+        # A dedup class pays for each window once (whichever member
+        # owns the evaluation at the time); unshared, every member pays
+        # for its own, so the longest-lived member's bill is the total.
+        for members in classes.values():
+            for cost in ("combines", "edge_events"):
+                assert sum(getattr(got[q], cost) for q in members) == \
+                    max(getattr(want[q], cost) for q in members)
 
 
 class TestSchemeFingerprints:

@@ -65,6 +65,25 @@ class TestRoundTrip:
                 assert np.shares_memory(col, mm)
         assert loaded.bounds.base is mm
 
+    def test_stream_columns_are_base_class_arrays(self, tmp_path,
+                                                  workload):
+        """Columns (and every slice of them) are exactly ``ndarray``,
+        not the ``np.memmap`` subclass whose Python-level
+        ``__getitem__`` would tax each ``slice_range`` — yet still
+        zero-copy, read-only views that keep the mapping alive."""
+        path = tmp_path / "w.wlm"
+        wl.save_workload_mmap(path, workload)
+        loaded = wl.load_workload_mmap(path)
+        for stream in loaded.streams:
+            part = stream.slice_range(1, 5)
+            for col in (stream.ids, stream.values, stream.ts,
+                        part.ids, part.values, part.ts):
+                assert type(col) is np.ndarray
+                assert not col.flags.writeable
+                assert np.shares_memory(col, loaded.streams[0].ids.base)
+        assert type(loaded.bounds) is np.ndarray
+        assert isinstance(loaded.streams[0].ids.base, np.memmap)
+
     def test_offsets_are_aligned(self, tmp_path, workload):
         path = tmp_path / "w.wlm"
         wl.save_workload_mmap(path, workload)
