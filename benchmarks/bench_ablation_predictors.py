@@ -12,8 +12,8 @@ import pytest
 from repro.core import RunConfig, run_scheme
 from repro.core.prediction import PREDICTORS
 from repro.core.query import tumbling_count_query
-from repro.core.runner import build_run, run_simulation
 from repro.core.workload import generate_workload
+from repro.runtime.driver import build_run, run_simulation
 
 HEADERS = ["predictor", "corrections", "network bytes"]
 

@@ -7,9 +7,9 @@ fig7/fig9 experiments) — against three implementations of the same
 query:
 
 * ``indexed``   — :class:`~repro.core.agg_index.RangeAggregateIndex`
-  with partial caching on (``REPRO_AGG_INDEX=1``, the default),
+  with partial caching on (the production path),
 * ``uncached``  — the identical canonical decomposition with caching
-  off (``REPRO_AGG_INDEX=0``): the bit-identical A/B baseline,
+  off (``use_index=False``): the bit-identical reference,
 * ``naive``     — the pre-index path: copy the range out of the buffer
   and re-lift it whole, O(range) per query.
 

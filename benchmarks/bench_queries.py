@@ -5,10 +5,9 @@ while it serves ``N`` standing queries, for ``N`` on a 1 -> 10k scaling
 curve, in both execution modes:
 
 * ``shared``   — one slice store + one partial tree per (stream,
-  aggregate) serves every query (``REPRO_QUERY_SHARING=1``, the
-  default),
+  aggregate) serves every query (the production path),
 * ``unshared`` — one private buffer/index pipeline per query
-  (``REPRO_QUERY_SHARING=0``): the bit-identical A/B baseline.
+  (``sharing=False``): the bit-identical reference.
 
 Per-query result fingerprints are asserted identical between the two
 modes (the A/B contract); the recorded speedup is

@@ -15,8 +15,8 @@ Run:  python examples/failure_drill.py
 
 from repro.aggregates import Sum
 from repro.core import RunConfig
-from repro.core.runner import build_run, run_simulation
 from repro.metrics import results_match
+from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector, crash_node_at, \
     recover_node_at
 from repro.sim.topology import ROOT_NAME, local_name

@@ -1,11 +1,11 @@
-"""Small-scope interleaving model checker for epoch-mode serve.
+"""Small-scope interleaving model checker for the serve run loop.
 
-DESIGN §12 argues epoch-mode serve is bit-identical to the simulator
-because (a) the conservative horizon makes sub-horizon events
-cross-node independent and (b) the K-way canonical-key merge
+DESIGN §12 argues the serve epoch loop is bit-identical to the
+simulator because (a) the conservative horizon makes sub-horizon
+events cross-node independent and (b) the K-way canonical-key merge
 reconstructs kernel order regardless of reply arrival order.  This
 module *executes* that argument for small scopes: it drives the real
-``Coordinator(mode="epoch")`` logic against in-process
+:class:`~repro.serve.coordinator.Coordinator` logic against in-process
 :class:`~repro.serve.worker.WorkerRuntime` models (no sockets, no
 subprocesses) and exhaustively enumerates the runtime's two genuine
 interleaving freedoms —
@@ -13,7 +13,9 @@ interleaving freedoms —
 * **epoch-boundary placement**: any horizon in ``(t0, t0+lookahead]``
   is a sound conservative choice (the TCP runtime always picks the
   largest); each distinct pending event time below the natural bound
-  yields a distinct partition of work into epochs;
+  yields a distinct partition of work into epochs, down to one epoch
+  per distinct event time (on a zero-lookahead fabric the only
+  candidate is ``t0`` itself: one event per epoch);
 * **reply arrival order**: the order worker replies reach the merge,
   which is the order its head-selection scan iterates queues.
 
@@ -132,7 +134,7 @@ class ModelCoordinator(Coordinator):
 
     def __init__(self, config: RunConfig,
                  tracer: RunTracer | None = None) -> None:
-        super().__init__(config, tracer, mode="epoch")
+        super().__init__(config, tracer)
         worker_config = config
         if self.tracer is not None and not config.trace:
             worker_config = replace(config, trace=True)
@@ -158,7 +160,7 @@ class ModelCoordinator(Coordinator):
             header["f"] = self._frame_seq
             self._causal(FRAME_SEND, fseq=self._frame_seq,
                          dst=name, fkind=kind)
-        ops, blob = worker.dispatch(kind, header, b"")
+        ops, blob = worker.dispatch(kind, header)
         tag = worker.reply_frame_tag(framing.OPS)
         if self.tracer is not None:
             self.tracer.inc("serve_frames_recv", name)
@@ -289,7 +291,8 @@ class ModelCoordinator(Coordinator):
         if signature is None and schedule.exhausted:
             signature = self.state_signature()
         for name in self.node_names:
-            self.finals[name] = self.workers[name].final_payload()
+            self.finals[name] = self.workers[name].final_payload(
+                self.applied_items[name])
         return signature
 
 

@@ -219,7 +219,7 @@ def _check_emit_apply(per: dict[str, list[_CausalEvent]],
             if cev.event.kind == OP_EMIT:
                 data = cev.event.data
                 if int(data.get("epoch", -1)) < 0:
-                    continue  # lockstep rpc batches carry no ref id
+                    continue  # control rpc batches carry no ref id
                 emits[(proc, int(data["epoch"]),
                        str(data["ref"]))] = cev
     for cev in per.get(COORD_PROCESS, ()):

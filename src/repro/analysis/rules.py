@@ -844,16 +844,18 @@ class NoViewMutation(LintRule):
 
 
 class NoEnvReadOutsideBootstrap(LintRule):
-    """DL009: ``REPRO_*`` environment reads are config/bootstrap-only.
+    """DL009: ``REPRO_*`` environment reads are bootstrap-only.
 
-    Behaviour flags (``REPRO_WIRE_CODEC``, ``REPRO_AGG_INDEX``, …) are
-    read *once*, at a sanctioned bootstrap point, and propagated
-    explicitly (run configs, :data:`repro.sweep.PROPAGATED_ENV`, serve
-    worker spawn env).  An ``os.environ`` read of a ``REPRO_*`` key
-    anywhere else creates hidden config: two "identical" runs diverge
-    because some deep module consulted the environment mid-run, which
-    neither the determinism harness nor the sweep propagation list
-    knows about.
+    No ``REPRO_*`` variable selects a code path: the package has one
+    production path per layer, and the reference implementations the
+    tests compare against are reached by constructor argument.  What
+    the environment may still carry is deployment (a cache directory,
+    a worker count) and test fault injection, each read once at a
+    sanctioned bootstrap point.  An ``os.environ`` read of a
+    ``REPRO_*`` key anywhere else creates hidden config — two
+    "identical" runs diverge because some deep module consulted the
+    environment mid-run, which the determinism harness cannot see —
+    and is how a behaviour switch would come back.
     """
 
     code = "DL009"
@@ -862,17 +864,16 @@ class NoEnvReadOutsideBootstrap(LintRule):
                "config/bootstrap modules create hidden run config")
     scope = ()  # in-package only (see applies_to)
 
-    #: The sanctioned read sites: each owns one flag, reads it at
-    #: construction/bootstrap time, and documents it.
-    EXEMPT = ("repro/wire/codec", "repro/core/agg_index",
-              "repro/core/workload", "repro/core/multiquery",
-              "repro/sweep", "repro/serve/worker",
-              "repro/serve/bench")
+    #: The sanctioned read sites: ``REPRO_WORKLOAD_CACHE`` (a path),
+    #: ``REPRO_JOBS`` (a worker count) and ``REPRO_SERVE_CRASH_AFTER``
+    #: (fault injection for tests).  None selects a behaviour.
+    EXEMPT = ("repro/core/workload", "repro/sweep",
+              "repro/serve/worker")
 
     def applies_to(self, ctx: FileContext) -> bool:
         # Out-of-package scripts/benchmarks read REPRO_* on purpose
-        # (that is what the flags are for); the rule polices the
-        # package internals only.
+        # (scale and quick-mode knobs); the rule polices the package
+        # internals only.
         if not ctx.in_package():
             return False
         pkg = ctx.package_path()
@@ -1042,8 +1043,8 @@ class NoPerQueryLiftLoops(LintRule):
     the O(queries x events) shape the shared substrate replaces.
     Route per-query windows through the engine's shared group instead;
     the only sanctioned per-query loop is the engine's own unshared
-    fallback (``REPRO_QUERY_SHARING=0``), which carries an explicit
-    suppression as the A/B oracle.
+    reference (``MultiQueryEngine(sharing=False)``), which carries an
+    explicit suppression as the bit-identity oracle.
 
     Heuristic: a ``for`` statement is per-query when any name in its
     target or iterable contains ``quer`` (``query``, ``queries``,

@@ -11,12 +11,10 @@ Subcommands:
 * ``serve`` — run one scheme on the serve runtime: every node a real
   OS process speaking the binary wire codec over TCP, results
   bit-identical to the simulator, plus wall-clock latency/throughput.
-* ``bench-serve`` — the serve load benchmark; writes
-  ``BENCH_serve.json``.
 * ``lint`` — run deco-lint, the repo-specific static-analysis pass
   (rules DL001-DL011; see :mod:`repro.analysis`).
 * ``check`` — the concurrency verifier: small-scope interleaving model
-  checking of epoch-mode serve and happens-before analysis of captured
+  checking of the serve run loop and happens-before analysis of captured
   serve traces (see :mod:`repro.analysis.check`).
 """
 
@@ -103,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rate-change", type=float, default=0.01,
                        help="rate-change fraction (0.01 = 1%%)")
         p.add_argument("--aggregate", default="sum")
-        # ``serve`` names this --load (its --mode picks the
-        # coordination mode); everywhere else it stays --mode.
+        # ``serve`` names this --load; everywhere else it is --mode.
         p.add_argument(load_flag, dest="load",
                        choices=("throughput", "latency"),
                        default="throughput",
@@ -119,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "stream (repeatable; e.g. --queries "
                             "sum:1000 --queries avg:700:350).  All "
                             "queries share one slice store + partial "
-                            "tree per stream (REPRO_QUERY_SHARING=0 "
-                            "falls back to per-query pipelines with "
-                            "bit-identical results); one --queries "
+                            "tree per stream; one --queries "
                             "flag is the single-query degenerate case "
                             "of the same path")
         p.add_argument("--jobs", type=int, default=None,
@@ -169,35 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run one scheme as real node processes over TCP")
     serve_p.add_argument("scheme")
     add_run_args(serve_p, load_flag="--load")
-    serve_p.add_argument("--mode", choices=("epoch", "lockstep"),
-                         default="epoch",
-                         help="epoch = concurrent conservative-"
-                              "lookahead batches (default); lockstep = "
-                              "one kernel event per round-trip (the "
-                              "verification oracle's pace)")
     serve_p.add_argument("--sources", type=int, default=1,
                          help="concurrent paced source clients per "
                               "local node (--load latency only)")
     serve_p.add_argument("--verify", action="store_true",
                          help="also run the simulator and assert the "
                               "serve fingerprint matches it")
-
-    bench_p = sub.add_parser(
-        "bench-serve",
-        help="serve load benchmark: latency + throughput per scheme; "
-             "writes BENCH_serve.json")
-    bench_p.add_argument("--schemes", default=None,
-                         help="comma-separated scheme list (default: "
-                              "deco_sync,deco_async,central)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small workload (also $REPRO_BENCH_QUICK)")
-    bench_p.add_argument("--out", default=None,
-                         help="output path (default: BENCH_serve.json "
-                              "at the repo root)")
-    bench_p.add_argument("--floor", type=float, default=None,
-                         help="minimum epoch/lockstep saturated-"
-                              "throughput ratio per scheme; below it "
-                              "the benchmark fails (CI perf gate)")
 
     lint_p = sub.add_parser(
         "lint", help="run deco-lint (rules DL001-DL011)")
@@ -361,12 +333,12 @@ def main(argv: list[str] | None = None) -> int:
         config = _make_config(args.scheme,
                               sources_per_node=args.sources,
                               **_run_kwargs(args))
-        report = run_scheme_served(config, mode=args.mode)
+        report = run_scheme_served(config)
         pct = report.latency_percentiles()
         print(format_table(
-            ["scheme", "mode", "windows", "wall s", "throughput ev/s",
+            ["scheme", "windows", "wall s", "throughput ev/s",
              "p50 ms", "p95 ms", "p99 ms"],
-            [[args.scheme, args.mode, str(report.result.n_windows),
+            [[args.scheme, str(report.result.n_windows),
               f"{report.wall_seconds:.3f}",
               format_si(report.throughput_eps, ""),
               f"{pct['p50_s'] * 1e3:.3f}",
@@ -374,21 +346,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{pct['p99_s'] * 1e3:.3f}"]]))
         _print_queries(report.result.queries)
         if args.verify:
-            from repro.serve.bench import verify_against_simulator
+            from repro.serve.harness import verify_against_simulator
             verify_against_simulator(config, report.result)
             print("verified: serve fingerprint == simulator oracle")
-        return 0
-
-    if args.command == "bench-serve":
-        from pathlib import Path
-
-        from repro.serve.bench import BENCH_SCHEMES, run_bench
-        schemes = (tuple(args.schemes.split(","))
-                   if args.schemes else BENCH_SCHEMES)
-        quick = args.quick or None
-        out = Path(args.out) if args.out else None
-        run_bench(schemes=schemes, quick=quick, out_path=out,
-                  floor=args.floor)
         return 0
 
     if args.command == "compare":

@@ -19,11 +19,11 @@ left-to-right — no event arrays are copied for the interior.
 
 Bit-identity contract: the decomposition and the combine association
 depend only on ``(start, end)`` and ``chunk_size`` — never on what
-happens to be cached.  With caching disabled (``REPRO_AGG_INDEX=0``)
-the same node partials are recomputed from raw events through the same
-recursion, so window results, flows, bytes, and determinism
-fingerprints are bit-identical with the index on or off.  Caching can
-only change *host* wall-clock, never a partial's bits.
+happens to be cached.  With ``caching=False`` (the reference the
+tests compare against) the same node partials are recomputed from raw
+events through the same recursion, so window results, flows, bytes,
+and determinism fingerprints are bit-identical with caching on or off.
+Caching can only change *host* wall-clock, never a partial's bits.
 
 Non-decomposable (holistic) functions must not use the tree — their
 partials are the collected values, so caching them would duplicate the
@@ -33,7 +33,6 @@ buffer.  :class:`~repro.core.buffers.PositionBuffer` gates on
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from typing import Any
 
@@ -45,18 +44,6 @@ from repro.streams.batch import EventBatch
 #: spans nest exactly; 512 keeps leaf lifts comfortably vectorized
 #: while bounding the sub-chunk remainder work of a query.
 DEFAULT_CHUNK_SIZE = 512
-
-#: Environment escape hatch for A/B benchmarking: ``REPRO_AGG_INDEX=0``
-#: disables partial caching (the decomposition itself still runs, so
-#: results stay bit-identical — only host wall-clock changes).
-INDEX_ENV_VAR = "REPRO_AGG_INDEX"
-
-
-def index_enabled_default() -> bool:
-    """Whether new buffers cache partials (``REPRO_AGG_INDEX``)."""
-    raw = os.environ.get(INDEX_ENV_VAR, "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
 
 def decomposition_width(start: int, end: int,
                         chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:

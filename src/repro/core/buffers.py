@@ -12,7 +12,7 @@ When bound to an aggregate function, the buffer also maintains a
 :meth:`PositionBuffer.lift_range` answers range aggregations from
 precomputed partials in O(log n) combines instead of re-lifting
 O(range) events — see :mod:`repro.core.agg_index` for the structure
-and the bit-identity contract of the ``REPRO_AGG_INDEX`` A/B switch.
+and the bit-identity contract between cached and uncached partials.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from bisect import bisect_right
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
-from repro.core.agg_index import (DEFAULT_CHUNK_SIZE,
-                                  RangeAggregateIndex,
-                                  index_enabled_default)
+from repro.core.agg_index import DEFAULT_CHUNK_SIZE, RangeAggregateIndex
 from repro.errors import WindowError
 from repro.streams.batch import EventBatch
 
@@ -37,17 +35,16 @@ class PositionBuffer:
 
     ``fn`` binds the buffer to the run's aggregate function and enables
     indexed :meth:`lift_range`; position-only users (tests, generic
-    stores) may omit it.  ``use_index=None`` reads the
-    ``REPRO_AGG_INDEX`` environment switch; passing ``False`` keeps the
-    canonical chunked decomposition but recomputes every partial from
-    raw events (the bit-identical naive baseline).  ``edge_memo`` asks
-    the index to memoize sub-chunk remainder lifts (the multi-query
-    slice store, where many windows repeat the same edges).
+    stores) may omit it.  ``use_index=False`` keeps the canonical
+    chunked decomposition but recomputes every partial from raw events
+    (the bit-identical naive reference).  ``edge_memo`` asks the index
+    to memoize sub-chunk remainder lifts (the multi-query slice store,
+    where many windows repeat the same edges).
     """
 
     def __init__(self, base: int = 0,
                  fn: AggregateFunction | None = None, *,
-                 use_index: bool | None = None,
+                 use_index: bool = True,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  edge_memo: bool = False) -> None:
         self._base = base  # absolute position of the first retained event
@@ -61,11 +58,9 @@ class PositionBuffer:
         self.fn = fn
         self._index: RangeAggregateIndex | None = None
         if fn is not None and fn.is_decomposable:
-            caching = (index_enabled_default() if use_index is None
-                       else use_index)
             self._index = RangeAggregateIndex(
                 fn, self.get_range, base=base, chunk_size=chunk_size,
-                caching=caching, edge_memo=edge_memo)
+                caching=use_index, edge_memo=edge_memo)
 
     # -- state --------------------------------------------------------------
 
@@ -191,7 +186,7 @@ class PositionBuffer:
         (O(log n) combines over precomputed partials, no event-array
         copies); non-decomposable/holistic functions fall back to a
         direct lift of the extracted range.  Results are bit-identical
-        whether or not the index caches (``REPRO_AGG_INDEX``).
+        whether or not the index caches.
         """
         fn = self.fn
         if fn is None:

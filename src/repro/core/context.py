@@ -54,11 +54,11 @@ class SchemeContext:
         """Construct a scheme-owned :class:`PositionBuffer`.
 
         Root and local behaviours build their raw-event buffers through
-        this one point so the whole run shares one buffer policy (index
-        switch, chunk size).  Scheme buffers are never shared with the
-        multi-query engine's slice store — sharing them would couple
-        standing queries into ``retained``-driven backpressure and
-        change scheme results.
+        this one point so the whole run shares one buffer policy (and
+        a test can substitute the uncached reference for all of them).
+        Scheme buffers are never shared with the multi-query engine's
+        slice store — sharing them would couple standing queries into
+        ``retained``-driven backpressure and change scheme results.
         """
         from repro.core.buffers import PositionBuffer
         return PositionBuffer(base, fn)

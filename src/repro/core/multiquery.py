@@ -33,31 +33,30 @@ Event-driven emission
     deletion from both.  Cross-query emission order is in no
     fingerprint: each account digests its own windows in index order.
 
-Bit-identity contract (``REPRO_QUERY_SHARING``)
+Bit-identity contract
     Every window value is ``fn.lower(buffer.lift_range(start, end))``
     where the decomposition and combine association are pure functions
     of ``(start, end, chunk_size)`` — never of what other queries are
-    registered or what happens to be memoized.  With sharing disabled
-    (``REPRO_QUERY_SHARING=0``) each query runs a fully independent
-    pipeline (private buffer, private tree, no dedup, no edge memo) and
-    computes the *same* decomposition, so per-query results and
-    fingerprints are bit-identical in both modes; sharing changes only
-    memory and host wall-clock.
+    registered or what happens to be memoized.  The reference
+    ``MultiQueryEngine(sharing=False)`` runs each query as a fully
+    independent pipeline (private buffer, private tree, no dedup, no
+    edge memo) and computes the *same* decomposition, so per-query
+    results and fingerprints are bit-identical to the shared engine's;
+    sharing changes only memory and host wall-clock.
 
 Cost accounting
     Each admitted query owns a :class:`QueryAccount`: windows emitted,
     a streaming result fingerprint, and the combine/edge-lift cost its
-    evaluation actually paid.  In shared mode a deduped duplicate pays
-    nothing (``deduped_into`` names the owning query); in unshared mode
-    it pays full freight — the delta *is* the sharing benefit.  When a
-    tracer is enabled the same quantities surface as ``mq_*`` counters
-    scoped per query id.
+    evaluation actually paid.  A deduped duplicate pays nothing
+    (``deduped_into`` names the owning query); under the unshared
+    reference it pays full freight — the delta *is* the sharing
+    benefit.  When a tracer is enabled the same quantities surface as
+    ``mq_*`` counters scoped per query id.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
 from typing import Any
@@ -70,19 +69,6 @@ from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
 from repro.windows.base import SlidingCountWindow, TumblingCountWindow
 from repro.windows.slicer import union_slice_size
-
-#: Environment escape hatch for A/B benchmarking: with
-#: ``REPRO_QUERY_SHARING=0`` every standing query runs an independent
-#: pipeline (private buffer + tree, no dedup).  Results stay
-#: bit-identical — only memory and host wall-clock change.
-QUERY_SHARING_ENV = "REPRO_QUERY_SHARING"
-
-
-def query_sharing_default() -> bool:
-    """Whether new engines share storage (``REPRO_QUERY_SHARING``)."""
-    raw = os.environ.get(QUERY_SHARING_ENV, "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
 
 def _count_window(query: Query) -> tuple[int, int]:
     """(length, step) of a count-window query; rejects other measures."""
@@ -108,8 +94,8 @@ class QueryAccount:
     """Per-query results fingerprint and cost ledger.
 
     ``fingerprint`` streams over ``(window_index, result-bits)`` pairs
-    in emission order — the quantity the ``REPRO_QUERY_SHARING`` A/B
-    gate compares.  ``combines``/``edge_events`` record the evaluation
+    in emission order — the quantity compared against the unshared
+    reference.  ``combines``/``edge_events`` record the evaluation
     cost this query actually paid: a deduped duplicate in shared mode
     pays nothing and points at its owner via ``deduped_into``.
     """
@@ -318,14 +304,14 @@ class MultiQueryEngine:
     completed window into the owning accounts.  Admission and removal
     are positional: a query admitted at stream position ``p`` sees
     exactly the windows ``[p + k*step, p + k*step + length)``, so
-    simulator, lockstep, and epoch runtimes agree bit-for-bit.
+    the simulator and serve runtimes agree bit-for-bit.
     """
 
-    def __init__(self, *, sharing: bool | None = None,
+    def __init__(self, *, sharing: bool = True,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  tracer: Any = None,
                  keep_results: bool = False) -> None:
-        self.sharing = query_sharing_default() if sharing is None else sharing
+        self.sharing = sharing
         self.chunk_size = chunk_size
         self.tracer = tracer
         self.keep_results = keep_results
@@ -444,10 +430,10 @@ class MultiQueryEngine:
             for group in self._groups.get(stream, {}).values():
                 self._feed_group(group, batch)
             return
-        # A/B baseline: with sharing disabled every standing query pays
-        # its own buffer append, tree extension, and range lift — the
-        # per-query loop DL011 exists to flag, kept deliberately as the
-        # bit-identity oracle for the shared path.
+        # Reference path: with sharing disabled every standing query
+        # pays its own buffer append, tree extension, and range lift —
+        # the per-query loop DL011 exists to flag, kept deliberately as
+        # the bit-identity oracle for the shared path.
         for pipe in self._query_pipes.get(stream, ()):  # decolint: disable=DL011
             buf = pipe.buffer
             buf.append(batch)
@@ -558,7 +544,7 @@ class MultiQueryEngine:
                 for qid, a in self.registry.accounts().items()}
 
     def fingerprints(self) -> dict[str, str]:
-        """Per-query result fingerprints (A/B gate convenience)."""
+        """Per-query result fingerprints (shared-vs-reference checks)."""
         return {qid: a.fingerprint
                 for qid, a in self.registry.accounts().items()}
 

@@ -11,16 +11,15 @@ while the *how* lives behind the runtime driver interface
   speaking the binary wire codec on TCP.
 
 :func:`run_scheme` (the public entry used by the API, the examples, and
-every benchmark) dispatches to the simulator driver; the moved builder
+every benchmark) dispatches to the simulator driver; the builder
 helpers (``build_run``, ``inject_sources``, ``run_simulation``, ...)
-are re-exported here for existing importers.
+live in :mod:`repro.runtime.driver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from collections.abc import Callable
-from typing import TYPE_CHECKING
 
 from repro.core.context import SchemeContext
 from repro.core.query import tumbling_count_query
@@ -31,9 +30,6 @@ from repro.obs.tracer import NULL_TRACER, RunTracer
 from repro.runtime.api import DEFAULT_LATENCY_S, ETHERNET_25G
 from repro.runtime.node import INTEL_XEON, NodeProfile
 from repro.runtime.serialization import WireFormat
-
-if TYPE_CHECKING:
-    from repro.sim.topology import StarTopology
 
 
 @dataclass(frozen=True)
@@ -253,42 +249,3 @@ def run_scheme(config: RunConfig,
     """
     from repro.runtime.driver import run_scheme_simulated
     return run_scheme_simulated(config, workload, tracer)
-
-
-# -- moved builder helpers (re-exported for existing importers) ------------
-
-def build_run(config: RunConfig,
-              workload: Workload | None = None,
-              tracer: RunTracer | None = None
-              ) -> "tuple[StarTopology, SchemeContext]":
-    """See :func:`repro.runtime.driver.build_run`."""
-    from repro.runtime.driver import build_run as _impl
-    return _impl(config, workload, tracer)
-
-
-def inject_sources(topo: "StarTopology", ctx: SchemeContext,
-                   batch_size: int, saturated: bool,
-                   sources: int = 1) -> None:
-    """See :func:`repro.runtime.driver.inject_sources`."""
-    from repro.runtime.driver import inject_sources as _impl
-    _impl(topo, ctx, batch_size, saturated, sources)
-
-
-def collect(topo: "StarTopology", ctx: SchemeContext) -> RunResult:
-    """See :func:`repro.runtime.driver.collect`."""
-    from repro.runtime.driver import collect as _impl
-    return _impl(topo, ctx)
-
-
-def simulation_cap_s(ctx: SchemeContext) -> float:
-    """See :func:`repro.runtime.driver.simulation_cap_s`."""
-    from repro.runtime.driver import simulation_cap_s as _impl
-    return _impl(ctx)
-
-
-def run_simulation(topo: "StarTopology", ctx: SchemeContext,
-                   batch_size: int, saturated: bool,
-                   sources: int = 1) -> RunResult:
-    """See :func:`repro.runtime.driver.run_simulation`."""
-    from repro.runtime.driver import run_simulation as _impl
-    return _impl(topo, ctx, batch_size, saturated, sources)

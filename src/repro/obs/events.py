@@ -53,8 +53,9 @@ comes only from frame identity.
 ``op_emit``
     A worker finishing one executed item (slot or epoch-local timer)
     and emitting its op batch.  ``data``: ``seq``, ``ref``
-    (``"slot:3"`` / ``"timer:7"`` / ``"rpc"`` in lockstep), ``epoch``
-    (coordinator round ordinal, ``-1`` for lockstep), ``windows``
+    (``"slot:3"`` / ``"timer:7"``, or ``"rpc"`` for a control
+    dispatch), ``epoch`` (coordinator round ordinal, ``-1`` for a
+    control dispatch), ``windows``
     (comma-joined window indices emitted by the item, often empty).
 ``op_apply``
     The coordinator applying one merged op batch onto the kernel.

@@ -60,13 +60,12 @@ def build_run(config: RunConfig,
     # Imported here, not at module top: repro.wire.codec itself imports
     # repro.core.protocol, so a top-level import would cycle whenever
     # the codec is the first repro module loaded.
-    from repro.wire.codec import MessageCodec, wire_codec_enabled_default
-    if wire_codec_enabled_default():
-        # Real encode/decode on the message path: receivers only see
-        # what survived the binary frame.  Bit-identical to the
-        # modelled path (REPRO_WIRE_CODEC=0) by construction — the
-        # size model derives from the frame layout.
-        topo.network.codec = MessageCodec(spec.fmt)
+    from repro.wire.codec import MessageCodec
+    # Real encode/decode on the message path: receivers only see what
+    # survived the binary frame.  Bit-identical to the modelled path
+    # (``network.codec = None``) by construction — the size model
+    # derives from the frame layout.
+    topo.network.codec = MessageCodec(spec.fmt)
     if tracer is not None:
         topo.sim.tracer = tracer
         tracer.meta.setdefault("scheme", config.scheme)

@@ -14,9 +14,9 @@ messages" (Section 5.1); we model that with two wire formats:
 Sizes are what a real implementation of each system would put on the
 wire, which is all the network-utilization experiments measure.  The
 binary constants are not hand-maintained: they are the actual framed
-sizes of :mod:`repro.wire.format`, the codec that (behind
-``REPRO_WIRE_CODEC``) really encodes every message on the simulated
-message path — so the model cannot drift from real bytes.  The string
+sizes of :mod:`repro.wire.format`, the codec that really encodes
+every message on the simulated message path — so the model cannot
+drift from real bytes.  The string
 format is modelled as a uniform 3x expansion of the same structure
 (decimal text plus separators for every 8-byte field).
 """

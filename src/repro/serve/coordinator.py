@@ -4,30 +4,23 @@ The coordinator owns exactly what the simulator driver owns — the
 event kernel, the :class:`~repro.sim.network.Network` with its links
 and NIC reservations, and the run loop — but every node is a
 :class:`ProxyNode`: delivering to it (or firing a timer a worker
-scheduled) becomes one lockstep RPC to the real node process, whose
-reply is the ordered op list to apply back onto the kernel.
+scheduled) is forwarded to the real node process, whose reply is the
+ordered op list to apply back onto the kernel.
 
-Two execution modes share the kernel and fabric (DESIGN §12):
-
-* **lockstep** — one kernel event pops at a time; its dispatch
-  round-trips to one worker; the worker's ops are applied in emission
-  order.  That is the whole bit-identity argument: the kernel assigns
-  the same sequence numbers to the same schedules as the in-process
-  oracle, so same-time ordering — and everything downstream of it —
-  matches by construction.  This is the verification mode (``serve
-  --mode lockstep``, and what ``--verify`` compares implicitly through
-  the shared oracle fingerprint).
-* **epoch** (default) — conservative parallel execution.  Timers are
-  strictly worker-local and only sends cross nodes, so every kernel
-  event below the safe horizon ``t0 + min-link-latency`` is
-  independent across workers: any send one of them emits arrives at or
-  after the horizon.  The coordinator pops that whole prefix, ships
-  each worker its share as ONE batched EPOCH frame, lets all workers
-  execute concurrently, then replays the returned op batches in
-  canonical ``(time, phase, rank)`` order.  Results are fingerprint-
-  identical to the oracle (emission order within an equal-key class is
-  covered by the same invariance contract as the tie-break salt), at a
-  fraction of the lockstep round-trip count.
+One run loop, conservative parallel execution (DESIGN §12).  Timers
+are strictly worker-local and only sends cross nodes, so every kernel
+event below the safe horizon ``t0 + min-link-latency`` is independent
+across workers: any send one of them emits arrives at or after the
+horizon.  Each round the coordinator pops the head event and that
+whole prefix, ships each worker its share as ONE batched EPOCH frame,
+lets all workers execute concurrently, then replays the returned op
+batches in canonical ``(time, phase, rank)`` order.  Results are
+fingerprint-identical to the oracle (emission order within an
+equal-key class is covered by the same invariance contract as the
+tie-break salt).  A fabric whose minimum link latency is zero has no
+lookahead: the horizon is the head event's own time and every round
+is that one event — the kernel then assigns the same sequence numbers
+to the same schedules as the in-process oracle by construction.
 
 Pacing: a *paced* run (``config.saturated=False``) throttles the event
 loop to the virtual clock (one virtual second per wall second), so
@@ -62,7 +55,7 @@ from repro.serve.protocol import (OP_CANCEL, OP_OUTCOME, OP_SCHEDULE,
 from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
 from repro.sim.topology import StarTopology, build_star, peer_mesh
-from repro.wire.codec import MessageCodec, wire_codec_enabled_default
+from repro.wire.codec import MessageCodec
 
 #: Seconds to wait for every worker process to connect and HELLO.
 HANDSHAKE_TIMEOUT_S = 30.0
@@ -105,13 +98,7 @@ class Coordinator:
     """Drives one serve run over already-spawned worker processes."""
 
     def __init__(self, config: RunConfig,
-                 tracer: RunTracer | None = None,
-                 mode: str = "epoch") -> None:
-        if mode not in ("epoch", "lockstep"):
-            raise ServeError(
-                f"unknown serve mode {mode!r}; expected 'epoch' or "
-                f"'lockstep'")
-        self.mode = mode
+                 tracer: RunTracer | None = None) -> None:
         self.config = config
         spec, ctx, tracer = make_context(config, None, tracer)
         self.ctx: SchemeContext = ctx
@@ -134,15 +121,12 @@ class Coordinator:
             tiebreak_salt=config.tiebreak_salt, node_factory=proxy)
         if spec.needs_peer_mesh:
             peer_mesh(self.topo)
-        senders = sender_table(n)
-        if wire_codec_enabled_default():
-            codec = MessageCodec(spec.fmt)
-            codec.seed_senders(senders)
-            self.topo.network.codec = codec
-        #: Control-channel codec: always present (frames cross process
-        #: boundaries regardless of the fabric's codec setting).
+        #: Control-channel codec.  The fabric itself carries none:
+        #: every message it routes was just decoded off a real socket
+        #: and is re-encoded for the destination worker, so the
+        #: structural sizer already gives the frame's length.
         self.transport_codec = MessageCodec(spec.fmt)
-        self.transport_codec.seed_senders(senders)
+        self.transport_codec.seed_senders(sender_table(n))
         if tracer is not None:
             self.topo.sim.tracer = tracer
             tracer.meta.setdefault("scheme", config.scheme)
@@ -155,15 +139,11 @@ class Coordinator:
                                          for i in range(n)]
         #: Conservative lookahead: an event at ``t`` can only affect
         #: another node at ``t + link latency`` or later, so everything
-        #: below ``t0 + lookahead`` is cross-node independent.
+        #: below ``t0 + lookahead`` is cross-node independent.  Zero on
+        #: a zero-latency fabric: each round is then the head event.
         self._lookahead = min(
             link.latency
             for link in self.topo.network.links().values())
-        if mode == "epoch" and self._lookahead <= 0.0:
-            raise ServeError(
-                "epoch mode needs a positive minimum link latency for "
-                "its conservative lookahead horizon; use "
-                "mode='lockstep' for zero-latency fabrics")
         self._conns: dict[
             str, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
         self._all_connected = asyncio.Event()
@@ -171,9 +151,9 @@ class Coordinator:
         self._dispatch: tuple[str, str, Any] | None = None
         self._stop = False
         self.windows: list[WindowSample] = []
-        #: Epoch mode's result of record: outcomes in applied (merge)
-        #: order.  A worker's FINAL may include post-stop work the
-        #: merge discarded, so FINALs are not authoritative there.
+        #: The result of record: outcomes in applied (merge) order.  A
+        #: worker's FINAL may include post-stop work the merge
+        #: discarded, so FINALs are not authoritative.
         self.applied_outcomes: list[WindowOutcome] = []
         #: Per-node running counter snapshot (``counters_snapshot``
         #: order), cut at the node's last *applied* op batch.
@@ -183,10 +163,19 @@ class Coordinator:
         #: per node, aligned with the slot lists (class 0; tie-break is
         #: global kernel pop position).
         self._slot_keys: dict[str, list[MergeKey]] = {}
+        #: Slots shipped so far.  Counted across epochs, so same-key
+        #: events a zero-lookahead fabric splits over successive
+        #: one-event epochs still carry strictly increasing keys.
+        self._slot_pos = 0
         #: When set (the model checker sets it to ``[]``), every merge
         #: application appends ``(worker, canonical key)`` here across
         #: epochs — the global applied order the checker asserts on.
         self.applied_log: list[tuple[str, MergeKey]] | None = None
+        #: Per node, how many batches of its latest epoch the merge
+        #: applied; FINISH carries it so a worker that ran past a
+        #: mid-epoch stop cuts its standing-query feed at the same item.
+        self.applied_items: dict[str, int] = {
+            name: 0 for name in self.node_names}
         self.finals: dict[str, dict[str, Any]] = {}
         #: Standing-query admissions applied right after START (each a
         #: ``(stream, spec, at)`` tuple; ``at`` may be None for "now").
@@ -212,11 +201,14 @@ class Coordinator:
         except ServeError:
             writer.close()
             return
-        if kind != framing.HELLO or header.get("node") not in \
-                self.node_names:
+        name = header.get("node")
+        # A second HELLO for a connected node is refused: replacing the
+        # live connection would orphan the real worker's socket and the
+        # run would block on a frame that never comes.
+        if kind != framing.HELLO or name not in self.node_names \
+                or name in self._conns:
             writer.close()
             return
-        name = header["node"]
         self._conns[name] = (reader, writer)
         await framing.send_frame_async(writer, framing.ACK, {})
         if len(self._conns) == len(self.node_names):
@@ -233,7 +225,7 @@ class Coordinator:
                 f"workers never connected within {timeout:.0f}s: "
                 f"{missing}") from None
 
-    # -- lockstep RPC ------------------------------------------------------
+    # -- control RPC -------------------------------------------------------
 
     def stash_dispatch(self, dispatch: tuple[str, str, Any]) -> None:
         """Record the worker dispatch the current kernel event needs.
@@ -257,9 +249,9 @@ class Coordinator:
                           seq=self._causal_seq, **data)
 
     async def _rpc(self, name: str, kind: int,
-                   header: dict[str, Any],
-                   blob: bytes = b"") -> None:
-        """One lockstep round-trip: instruct, await ops, apply them."""
+                   header: dict[str, Any]) -> None:
+        """One control round-trip (INJECT/START/QUERY): instruct, await
+        the op list, apply it."""
         try:
             reader, writer = self._conns[name]
         except KeyError:
@@ -272,7 +264,7 @@ class Coordinator:
             self._causal(FRAME_SEND, fseq=self._frame_seq, dst=name,
                          fkind=kind)
         try:
-            await framing.send_frame_async(writer, kind, header, blob)
+            await framing.send_frame_async(writer, kind, header)
             reply_kind, reply, reply_blob = \
                 await framing.recv_frame_async(reader)
         except (ServeError, ConnectionError) as exc:
@@ -350,7 +342,7 @@ class Coordinator:
     # -- run loop ----------------------------------------------------------
 
     async def run(self) -> None:
-        """Init, lockstep to completion, collect FINAL payloads."""
+        """Init, run epochs to completion, collect FINAL payloads."""
         # Replicate run_simulation's order exactly: inject every local
         # stream (0..n-1), then start root, then start the locals.
         for i in range(self.ctx.workload.n_nodes):
@@ -360,15 +352,13 @@ class Coordinator:
             await self._rpc(name, framing.START, {"now": 0.0})
         for stream, spec, at in self.admissions:
             await self.admit_query(stream, spec, at=at)
-        if self.mode == "epoch":
-            await self._epoch_loop()
-        else:
-            await self._lockstep()
+        await self._epoch_loop()
         for name in self.node_names:
             reader, writer = self._conns[name]
             try:
-                await framing.send_frame_async(writer, framing.FINISH,
-                                               {})
+                await framing.send_frame_async(
+                    writer, framing.FINISH,
+                    {"applied": self.applied_items[name]})
                 kind, header, _ = await framing.recv_frame_async(reader)
             except (ServeError, ConnectionError) as exc:
                 raise ServeError(
@@ -406,40 +396,6 @@ class Coordinator:
         for name in self.node_names:
             await self._rpc(name, framing.QUERY, dict(header))
 
-    async def _lockstep(self) -> None:
-        sim = self.topo.sim
-        cap = simulation_cap_s(self.ctx)
-        paced = not self.config.saturated
-        self._wall_start = time.monotonic()
-        while not self._stop:
-            event = self._peek_live()
-            if event is None:
-                # Mirror run(until=cap) on a drained queue: the clock
-                # still advances to the cap.
-                sim._now = max(sim._now, cap)
-                break
-            if event.time > cap:
-                sim._now = cap
-                break
-            if paced:
-                delay = (self._wall_start + event.time
-                         - time.monotonic())
-                if delay > 0:
-                    await asyncio.sleep(delay)
-            self._dispatch = None
-            sim.run(until=cap, max_events=1)
-            if self._dispatch is not None:
-                verb, name, payload = self._dispatch
-                self._dispatch = None
-                if verb == "run":
-                    await self._rpc(name, framing.RUN,
-                                    {"now": sim.now, "token": payload})
-                else:
-                    frame = self.transport_codec.encode_message(payload)
-                    await self._rpc(name, framing.DELIVER,
-                                    {"now": sim.now}, frame)
-        self.wall_seconds = time.monotonic() - self._wall_start
-
     def _peek_live(self) -> Any:
         """Next non-cancelled kernel event (drops lazy-deleted heads)."""
         queue = self.topo.sim._queue
@@ -452,12 +408,13 @@ class Coordinator:
     async def _epoch_loop(self) -> None:
         """Conservative-parallel run loop (DESIGN §12).
 
-        Each round pops every kernel event below the safe horizon
-        ``t0 + lookahead``, ships each worker its whole share as one
-        EPOCH frame, gathers the concurrent replies, and replays the
-        op batches in canonical global order.  Progress is guaranteed:
-        the head event is always below its own horizon, so every round
-        executes at least one event.
+        Each round pops the head kernel event and every further event
+        below the safe horizon ``t0 + lookahead``, ships each worker
+        its whole share as one EPOCH frame, gathers the concurrent
+        replies, and replays the op batches in canonical global order.
+        Progress is guaranteed: the head event is always taken, so
+        every round executes at least one event (exactly one when the
+        fabric has no lookahead).
         """
         sim = self.topo.sim
         cap = simulation_cap_s(self.ctx)
@@ -494,8 +451,10 @@ class Coordinator:
     def _collect_epoch(
             self, horizon: float, cap: float
     ) -> tuple[dict[str, list[list[Any]]], dict[str, bytearray]]:
-        """Pop every live kernel event below ``horizon`` into per-node
-        slot lists (kernel pop order is the canonical global order).
+        """Pop the head event, then every live kernel event below
+        ``horizon``, into per-node slot lists (kernel pop order is the
+        canonical global order).  The caller has checked the head is
+        live and within ``cap``.
 
         Also records each slot's canonical merge key (class 0,
         tie-broken by global pop position) into ``_slot_keys``.
@@ -506,32 +465,31 @@ class Coordinator:
         blobs: dict[str, bytearray] = {
             name: bytearray() for name in self.node_names}
         self._slot_keys = {name: [] for name in self.node_names}
-        pos = 0
+        event = self._peek_live()
         while True:
+            key = (event.time, event.phase, event.rank)
+            self._dispatch = None
+            sim.run(until=cap, max_events=1)
+            if self._dispatch is not None:
+                verb, name, payload = self._dispatch
+                self._dispatch = None
+                if verb == "run":
+                    slots[name].append(
+                        ["run", key[0], key[1], list(key[2]), payload])
+                else:
+                    frame = self.transport_codec.encode_message(payload)
+                    offset = len(blobs[name])
+                    blobs[name] += frame
+                    slots[name].append(
+                        ["deliver", key[0], key[1], list(key[2]),
+                         offset, len(frame)])
+                self._slot_keys[name].append(
+                    slot_key(key[0], key[1], key[2], self._slot_pos))
+                self._slot_pos += 1
             event = self._peek_live()
             if event is None or event.time >= horizon \
                     or event.time > cap:
                 break
-            key = (event.time, event.phase, event.rank)
-            self._dispatch = None
-            sim.run(until=cap, max_events=1)
-            if self._dispatch is None:
-                continue
-            verb, name, payload = self._dispatch
-            self._dispatch = None
-            if verb == "run":
-                slots[name].append(
-                    ["run", key[0], key[1], list(key[2]), payload])
-            else:
-                frame = self.transport_codec.encode_message(payload)
-                offset = len(blobs[name])
-                blobs[name] += frame
-                slots[name].append(
-                    ["deliver", key[0], key[1], list(key[2]), offset,
-                     len(frame)])
-            self._slot_keys[name].append(
-                slot_key(key[0], key[1], key[2], pos))
-            pos += 1
         return slots, blobs
 
     async def _epoch_rpc(
@@ -594,6 +552,8 @@ class Coordinator:
         queues = {name: deque(batches)
                   for name, (batches, _) in replies.items()}
         blobs = {name: blob for name, (_, blob) in replies.items()}
+        for name in replies:
+            self.applied_items[name] = 0
         while not self._stop:
             popped = epoch.pop_next(queues)
             if popped is None:
@@ -616,6 +576,7 @@ class Coordinator:
             self._apply_ops(best, batch["ops"], blobs[best],
                             epoch=epoch)
             self.worker_counters[best] = batch["c"]
+            self.applied_items[best] += 1
         # On stop, every remaining batch is discarded unapplied:
         # kernel semantics run nothing past the stopping callback, and
         # the per-batch counter snapshots cut each worker's counter

@@ -41,14 +41,11 @@ ACK = 2
 INJECT = 3
 #: Coordinator -> worker: run the behaviour's start hook.
 START = 4
-#: Coordinator -> worker: execute scheduled callback ``token`` at
-#: virtual time ``now``.
-RUN = 5
-#: Coordinator -> worker: deliver the wire frame in the blob at ``now``.
-DELIVER = 6
-#: Worker -> coordinator reply: the ordered op list one dispatch emitted.
+#: Worker -> coordinator reply: the ordered op list one control
+#: dispatch (INJECT/START/QUERY) emitted.  (Kinds 5 and 6 are retired.)
 OPS = 7
-#: Coordinator -> worker: the run is over; reply FINAL and exit.
+#: Coordinator -> worker: the run is over (``{"applied": n}``: how many
+#: items of the worker's last epoch were applied); reply FINAL and exit.
 FINISH = 8
 #: Worker -> coordinator: results, metrics, and trace payload.
 FINAL = 9

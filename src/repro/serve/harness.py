@@ -26,17 +26,15 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.records import RunResult
-from repro.core.runner import RunConfig
+from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import Workload
 from repro.errors import ServeError
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import RunTracer
-from repro.runtime.api import ROOT_NAME
 from repro.runtime.driver import collect
 from repro.serve.coordinator import (HANDSHAKE_TIMEOUT_S, Coordinator,
                                      WindowSample)
-from repro.serve.protocol import (SUMMED_FIELDS, config_to_json,
-                                  outcome_from_json)
+from repro.serve.protocol import SUMMED_FIELDS, config_to_json
 
 #: Seconds to wait for worker processes to exit after FINAL.
 SHUTDOWN_TIMEOUT_S = 15.0
@@ -121,7 +119,7 @@ def worker_argv(host: str, port: int, node: str,
 def worker_env() -> dict[str, str]:
     """Worker process environment: parent env + this interpreter's
     import path, so ``python -m repro.serve.worker`` resolves the same
-    package tree (and the ``REPRO_*`` behaviour flags) as the parent."""
+    package tree as the parent."""
     env = dict(os.environ)
     paths = [p for p in sys.path if p]
     existing = env.get("PYTHONPATH")
@@ -174,43 +172,25 @@ def _merge_queries(coord: Coordinator, result: RunResult) -> None:
 def _merge_results(coord: Coordinator) -> RunResult:
     """One :class:`RunResult` from the coordinator's applied state.
 
-    Lockstep merges from worker FINAL payloads (each worker executed
-    exactly the dispatched events, so its final record is exact).
-    Epoch mode is coordinator-authoritative instead: a worker executes
-    its whole epoch optimistically, so after a mid-epoch stop its
-    FINAL can include outcomes and counter increments from batches the
-    merge discarded — the applied-op stream and the per-batch counter
+    The coordinator is authoritative: a worker executes its whole
+    epoch optimistically, so after a mid-epoch stop its FINAL can
+    include outcomes and counter increments from batches the merge
+    discarded — the applied-op stream and the per-batch counter
     snapshots are the record of what actually ran.
     """
     # Network/byte accounting lives coordinator-side on the real
     # fabric; collect() fills it exactly as the simulator driver does.
     result = collect(coord.topo, coord.ctx)
-    if coord.mode == "epoch":
-        counters = coord.worker_counters
-        result.outcomes = list(coord.applied_outcomes)
-        for i, fieldname in enumerate(SUMMED_FIELDS):
-            setattr(result, fieldname,
-                    sum(c[i] for c in counters.values()))
-        result.node_busy_s = {
-            name: counters[name][len(SUMMED_FIELDS)]
-            for name in coord.node_names}
-        result.sim_time = max(
-            c[len(SUMMED_FIELDS) + 1] for c in counters.values())
-        _merge_queries(coord, result)
-        return result
-    finals = coord.finals
-    result.outcomes = [
-        outcome_from_json(o)
-        for name in coord.node_names
-        for o in finals[name]["result"]["outcomes"]]
-    for fieldname in SUMMED_FIELDS:
+    counters = coord.worker_counters
+    result.outcomes = list(coord.applied_outcomes)
+    for i, fieldname in enumerate(SUMMED_FIELDS):
         setattr(result, fieldname,
-                sum(f["result"][fieldname] for f in finals.values()))
-    result.sim_time = max(
-        f["result"]["sim_time"] for f in finals.values())
+                sum(c[i] for c in counters.values()))
     result.node_busy_s = {
-        name: finals[name]["result"]["busy_s"]
+        name: counters[name][len(SUMMED_FIELDS)]
         for name in coord.node_names}
+    result.sim_time = max(
+        c[len(SUMMED_FIELDS) + 1] for c in counters.values())
     _merge_queries(coord, result)
     return result
 
@@ -250,7 +230,6 @@ def run_scheme_served(
         config: RunConfig,
         tracer: RunTracer | None = None,
         host: str = "127.0.0.1",
-        mode: str = "epoch",
         admissions: Sequence[tuple[str, str, int | None]] = (),
 ) -> ServeReport:
     """Run one scheme on a real-process cluster; returns the report.
@@ -258,10 +237,7 @@ def run_scheme_served(
     Spawns one worker process per node (root + locals), runs the
     coordinator over TCP on ``host`` (ephemeral port), and merges
     worker results into a :class:`RunResult` bit-identical to the
-    simulator driver's.  ``mode`` picks the run loop: ``"epoch"``
-    (default) executes conservative-lookahead epochs concurrently
-    across workers; ``"lockstep"`` round-trips one kernel event at a
-    time (the verification oracle's pace).
+    simulator driver's.
 
     ``admissions`` are runtime standing-query admissions — ``(stream,
     spec, at)`` triples the coordinator broadcasts to every worker
@@ -270,7 +246,7 @@ def run_scheme_served(
     ``config.queries`` need no entry here; they are admitted by every
     worker's own :func:`~repro.core.runner.make_context`.
     """
-    coord = Coordinator(config, tracer, mode=mode)
+    coord = Coordinator(config, tracer)
     coord.admissions = list(admissions)
     # Workers build their own tracer from the shipped config; a caller
     # who passed a tracer expects worker-side events too, so the flag
@@ -350,3 +326,16 @@ def _terminate(procs: dict[str, subprocess.Popen]) -> None:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
+
+
+def verify_against_simulator(config: RunConfig,
+                             result: RunResult) -> None:
+    """Raise unless the serve result matches the oracle bit-for-bit."""
+    # Imported here: repro.analysis imports this module (the model
+    # checker), and worker start-up should not pay for the analyzers.
+    from repro.analysis.determinism import Fingerprint
+    sim_result, _ = run_scheme(config)
+    if Fingerprint.of(sim_result) != Fingerprint.of(result):
+        raise ServeError(
+            f"serve run of {config.scheme!r} diverged from the "
+            f"simulator oracle")

@@ -120,21 +120,11 @@ SUMMED_FIELDS = ("correction_steps", "prediction_errors",
                  "recomputed_events", "retransmissions")
 
 
-def result_to_json(result: RunResult, busy_s: float) -> dict[str, Any]:
-    """One worker's FINAL result payload."""
-    return {
-        "outcomes": [outcome_to_json(o) for o in result.outcomes],
-        "sim_time": result.sim_time,
-        "busy_s": busy_s,
-        **{name: getattr(result, name) for name in SUMMED_FIELDS},
-    }
-
-
 def counters_snapshot(result: RunResult, busy_s: float) -> list[Any]:
     """One worker's running counter vector, in :data:`SUMMED_FIELDS`
     order plus ``[busy_s, sim_time]``.
 
-    Shipped with every op reply (per dispatch in lockstep, per executed
+    Shipped with every op reply (per control dispatch, per executed
     item in an epoch batch) so the coordinator can cut a worker's
     counter contribution exactly at its last *applied* item: after a
     mid-epoch stop the merge discards the remaining batches, and the

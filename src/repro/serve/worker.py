@@ -4,13 +4,14 @@ A worker owns exactly one node's *state* — its behaviour instance, its
 CPU-queue arithmetic (:class:`ServeNode`, a
 :class:`~repro.runtime.node.RuntimeNode` driver), and its source feeder
 — while the coordinator owns the shared virtual clock and the fabric.
-The split is lockstep RPC: the coordinator tells the worker *what runs
-now* (a scheduled callback token, or a delivered wire frame), the
-worker executes it against real behaviour code, and replies with the
-ordered list of scheduling side effects (:mod:`repro.serve.protocol`
-ops).  Because the ops are applied to the coordinator's kernel in
-emission order — the order the simulator would have made the same
-calls inline — the global schedule is bit-identical to the oracle's.
+The coordinator tells the worker *what runs* (one EPOCH frame of
+scheduled callback tokens and delivered wire frames, in canonical
+order), the worker executes it against real behaviour code, and
+replies with the ordered scheduling side effects of each item
+(:mod:`repro.serve.protocol` ops).  The coordinator merges every
+worker's batches back into canonical global order — the order the
+simulator would have made the same calls inline — so the global
+schedule is bit-identical to the oracle's.
 
 Run as a module::
 
@@ -22,9 +23,8 @@ Environment:
 * ``REPRO_SERVE_CRASH_AFTER=<n>`` — deterministic fault injection for
   tests: the process hard-exits before replying to its ``n``-th
   dispatch, simulating a node crash mid-window.
-* ``REPRO_WIRE_CODEC`` / ``REPRO_AGG_INDEX`` / ``REPRO_WORKLOAD_CACHE``
-  / ``REPRO_QUERY_SHARING`` are honoured exactly as in the simulator
-  (the harness forwards them).
+* ``REPRO_WORKLOAD_CACHE`` is honoured exactly as in the simulator
+  (workers inherit the harness's environment).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import os
 import socket
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.runner import RunConfig, make_context
 from repro.core.workload import Workload
@@ -52,8 +52,12 @@ from repro.serve import framing
 from repro.serve.protocol import (OP_CANCEL, OP_OUTCOME, OP_SCHEDULE,
                                   OP_SEND, OP_STOP, config_from_json,
                                   counters_snapshot, outcome_to_json,
-                                  result_to_json, sender_table)
+                                  sender_table)
 from repro.wire.codec import MessageCodec
+
+if TYPE_CHECKING:
+    from repro.core.multiquery import MultiQueryEngine
+    from repro.streams.batch import EventBatch
 
 #: Fault-injection hook: hard-exit before replying to dispatch #n.
 CRASH_ENV = "REPRO_SERVE_CRASH_AFTER"
@@ -190,6 +194,14 @@ class WorkerRuntime:
                                      int, int]] = []
         self._epoch_counter = 0
         self._epoch_cancelled: set[int] = set()
+        #: The standing-query engine, fed through :meth:`append`.
+        self.engine: MultiQueryEngine | None = None
+        #: Engine appends of the latest frame's items, not yet known
+        #: to be applied: ``(item ordinal, stream, events)``.
+        self._held: list[tuple[int, str, EventBatch]] = []
+        self._item = 0
+        if ctx.engine is not None:
+            self._own_engine(ctx.engine)
         # Causal instrumentation (active only when tracing): own
         # program order, outgoing frame numbering, and the epoch round
         # ordinal the coordinator stamps on each EPOCH frame.
@@ -249,11 +261,43 @@ class WorkerRuntime:
         self.opblob += frame
         self.ops.append([OP_SEND, dst, offset, len(frame)])
 
+    # -- standing-query feed (called from behaviours) ----------------------
+
+    def _own_engine(self, engine: MultiQueryEngine) -> None:
+        """Keep ``engine`` here and stand in for it on the context:
+        ``append`` is all a behaviour calls on ``ctx.engine``."""
+        self.engine = engine
+        self.ctx.engine = cast("MultiQueryEngine", self)
+
+    def append(self, stream: str, events: EventBatch) -> None:
+        """Hold one ingest-path engine append until its item applies.
+
+        A worker executes its whole epoch optimistically, and after a
+        mid-epoch stop the merge discards its later items; the engine
+        is a pure observer, so feeding it late is safe.  The next frame
+        says how much was applied (:meth:`_release`), which cuts the
+        FINAL accounts exactly where the simulator stopped.
+        """
+        self._held.append((self._item, stream, events))
+
+    def _release(self, applied: int | None = None) -> None:
+        """Feed the engine the held appends of applied items: all of
+        them, unless FINISH names how many items the merge applied."""
+        engine = self.engine
+        if engine is None:  # nothing is held before an engine exists
+            return
+        held, self._held = self._held, []
+        for item, stream, events in held:
+            if applied is None or item < applied:
+                engine.append(stream, events)
+
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, kind: int, header: dict[str, Any],
-                 blob: bytes) -> tuple[list[list[Any]], bytes]:
-        """Execute one coordinator instruction; returns (ops, blob)."""
+    def dispatch(self, kind: int, header: dict[str, Any]
+                 ) -> tuple[list[list[Any]], bytes]:
+        """Execute one control instruction (INJECT/START/QUERY);
+        returns (ops, blob)."""
+        self._release()
         self.ops = []
         self.opblob = bytearray()
         self.now = header.get("now", self.now)
@@ -272,10 +316,6 @@ class WorkerRuntime:
                           self.config.saturated,
                           sender=f"source-{self.local_index}",
                           sources=self.config.sources_per_node)
-        elif kind == framing.RUN:
-            self._run_timer(header["token"])
-        elif kind == framing.DELIVER:
-            self.node.deliver(self.codec.decode_message(bytes(blob)))
         elif kind == framing.QUERY:
             self._apply_query_op(header)
         else:
@@ -301,10 +341,10 @@ class WorkerRuntime:
         engine and only the owner ships the account in FINAL.
         """
         from repro.core.multiquery import MultiQueryEngine
-        engine = self.ctx.engine
+        engine = self.engine
         if engine is None:
             engine = MultiQueryEngine(tracer=self.tracer)
-            self.ctx.engine = engine
+            self._own_engine(engine)
         qop = header.get("qop")
         if qop == "admit":
             engine.admit(header["stream"], header["spec"],
@@ -349,6 +389,7 @@ class WorkerRuntime:
         stream in canonical global order and cut each worker exactly at
         its last applied item.
         """
+        self._release()
         slots = header["slots"]
         self._epoch_idx = header.get("e", -1)
         if self.tracer.enabled and "f" in header:
@@ -364,6 +405,7 @@ class WorkerRuntime:
         idx = 0
         try:
             while idx < len(slots) or self._epoch_heap:
+                self._item = len(batches)
                 use_slot = idx < len(slots)
                 if use_slot and self._epoch_heap:
                     slot = slots[idx]
@@ -426,15 +468,19 @@ class WorkerRuntime:
             self._epoch_cancelled = set()
         return batches, bytes(self.opblob)
 
-    def final_payload(self) -> dict[str, Any]:
-        """The FINAL frame header: results, metrics, trace."""
+    def final_payload(self, applied: int) -> dict[str, Any]:
+        """The FINAL frame header: standing-query accounts and trace
+        (results and counters travel with every applied batch).
+
+        ``applied`` is how many items of this worker's last epoch the
+        coordinator's merge applied (FINISH carries it).
+        """
+        self._release(applied)
         payload: dict[str, Any] = {
             "node": self.node_name,
-            "result": result_to_json(self.ctx.result,
-                                     busy_s=self.node.metrics.busy_s),
             "trace": None,
         }
-        engine = self.ctx.engine
+        engine = self.engine
         if engine is not None:
             # Ship only the accounts whose stream this worker owns:
             # replicas on other workers were registered (construction
@@ -467,7 +513,8 @@ def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
     while True:
         kind, header, blob = framing.recv_frame(sock)
         if kind == framing.FINISH:
-            framing.send_frame(sock, framing.FINAL, rt.final_payload())
+            framing.send_frame(sock, framing.FINAL,
+                               rt.final_payload(header["applied"]))
             return
         dispatches += 1
         if crash_after and dispatches >= crash_after:
@@ -480,7 +527,7 @@ def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
                 rkind: int = framing.EPOCH_OPS
                 rheader: dict[str, Any] = {"batches": batches}
             else:
-                ops, rblob = rt.dispatch(kind, header, blob)
+                ops, rblob = rt.dispatch(kind, header)
                 rkind = framing.OPS
                 rheader = {"ops": ops,
                            "c": counters_snapshot(

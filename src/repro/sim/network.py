@@ -119,7 +119,7 @@ class Network:
         #: When set, every message is encoded to a binary frame and
         #: delivered decoded; binary formats are then sized from the
         #: actual frame instead of the structural model.  Installed by
-        #: the runner behind ``REPRO_WIRE_CODEC``.
+        #: the simulator driver (:func:`repro.runtime.driver.build_run`).
         self.codec: MessageCodec | None = None
 
     # -- topology -----------------------------------------------------------

@@ -23,10 +23,7 @@ debuggable (breakpoints, pdb, exceptions with full local state).
 
 Standing queries sweep too: a :class:`RunConfig` with ``queries`` set
 admits those specs on every local stream, and each result carries the
-per-query accounts (``RunResult.queries``).  The sharing toggle
-(``REPRO_QUERY_SHARING``) is part of the propagated environment, so an
-A/B sweep of shared vs. unshared multi-query execution parallelizes
-like any other.
+per-query accounts (``RunResult.queries``).
 """
 
 from __future__ import annotations
@@ -46,30 +43,6 @@ from repro.obs.tracer import RunTracer
 
 #: Environment variable setting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Behaviour-selecting environment variables replayed into every pool
-#: worker.  Child processes inherit the parent's environment at fork /
-#: spawn time, but that snapshot is taken when the *pool* starts — a
-#: caller who flips one of these after constructing a
-#: :class:`SweepExecutor` (or who relies on a mutation made between
-#: sweeps on a long-lived executor) would silently race the pool's
-#: start-up.  The initializer pins the contract instead: every worker
-#: starts from the parent's values as of the moment the sweep ran.
-PROPAGATED_ENV = ("REPRO_WIRE_CODEC", "REPRO_AGG_INDEX",
-                  "REPRO_WORKLOAD_CACHE", "REPRO_QUERY_SHARING")
-
-
-def snapshot_env() -> dict[str, str]:
-    """The parent-side values of :data:`PROPAGATED_ENV` (unset = absent)."""
-    return {key: os.environ[key]
-            for key in PROPAGATED_ENV if key in os.environ}
-
-
-def _init_worker(env: dict[str, str]) -> None:
-    """Pool-worker initializer: replay the parent's env snapshot."""
-    for key in PROPAGATED_ENV:
-        os.environ.pop(key, None)
-    os.environ.update(env)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -199,9 +172,7 @@ class SweepExecutor:
             else:
                 payloads[spec] = workload
         max_workers = min(self.jobs, len(configs))
-        with ProcessPoolExecutor(max_workers=max_workers,
-                                 initializer=_init_worker,
-                                 initargs=(snapshot_env(),)) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = [
                 pool.submit(_run_one, config,
                             payloads[config.workload_key()])

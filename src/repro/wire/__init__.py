@@ -22,13 +22,11 @@ __all__ = [
     "WIRE_SCALAR_BYTES", "WIRE_EVENT_BYTES", "frame_size",
     "partial_wire_slots", "register_partial_type",
     # lazily re-exported from repro.wire.codec:
-    "MessageCodec", "encode_batch", "decode_batch", "WIRE_ENV_VAR",
-    "wire_codec_enabled_default",
+    "MessageCodec", "encode_batch", "decode_batch",
 ]
 
 _CODEC_EXPORTS = frozenset((
-    "MessageCodec", "encode_batch", "decode_batch", "WIRE_ENV_VAR",
-    "wire_codec_enabled_default"))
+    "MessageCodec", "encode_batch", "decode_batch"))
 
 
 def __getattr__(name: str) -> Any:

@@ -8,16 +8,17 @@ from the :class:`~repro.streams.batch.EventBatch` arrays — and decode
 returns :class:`EventBatch` views over the received buffer via
 ``np.frombuffer``: no per-event objects, no column copies.
 
-The codec is threaded through :meth:`repro.sim.network.Network.send`
-behind the ``REPRO_WIRE_CODEC`` environment flag (default on).  With
-the codec active, every message is encoded, *sized from the actual
-frame* (binary formats), and delivered decoded; with it off, messages
-are delivered as-is and sized by the structural model.  Both paths are
-bit-identical in results, flows, bytes, and determinism fingerprints —
-the model derives its constants from this layout and counts scalars
-with the same :func:`~repro.wire.format.partial_wire_slots` helper, so
+The simulator driver installs the codec on
+:attr:`repro.sim.network.Network.codec`, so every message through
+:meth:`~repro.sim.network.Network.send` is encoded, *sized from the
+actual frame* (binary formats), and delivered decoded; a fabric with
+``codec = None`` delivers messages as-is and sizes them by the
+structural model.  Both paths are bit-identical in results, flows,
+bytes, and determinism fingerprints — the model derives its constants
+from this layout and counts scalars with the same
+:func:`~repro.wire.format.partial_wire_slots` helper, so
 ``len(encode_message(msg)) == sizeof_message(msg, BINARY)`` for every
-message (asserted in tests and CI).
+message (asserted in tests).
 
 Sender names are interned per codec (dictionary encoding, one ``int32``
 routing slot in the header); a real transport would replay the name
@@ -29,7 +30,6 @@ misparse into a different valid message.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from collections.abc import Callable
@@ -47,19 +47,6 @@ from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
                                WIRE_MAGIC, WIRE_VERSION, append_columns,
                                decode_columns, decode_partial,
                                encode_partial, frame_size)
-
-#: Environment escape hatch for A/B benchmarking: ``REPRO_WIRE_CODEC=0``
-#: delivers messages without the encode/decode round-trip (sizes then
-#: come from the structural model, which is codec-derived — results
-#: stay bit-identical; only host wall-clock changes).
-WIRE_ENV_VAR = "REPRO_WIRE_CODEC"
-
-
-def wire_codec_enabled_default() -> bool:
-    """Whether new runs round-trip messages (``REPRO_WIRE_CODEC``)."""
-    raw = os.environ.get(WIRE_ENV_VAR, "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
 
 #: Frame type ids (one per protocol message, plus the bare-batch frame).
 FRAME_BATCH = 0

@@ -1,11 +1,11 @@
-"""Range-aggregation index: property tests and the A/B bit-identity gate.
+"""Range-aggregation index: property tests and the bit-identity gate.
 
 The index (``repro.core.agg_index``) must be invisible except for host
 wall-clock: for every registered aggregate, every append/release/query
 interleaving, and every scheme, results are bit-identical with partial
-caching on (``REPRO_AGG_INDEX=1``, the default) or off.  Hypothesis
-drives the interleavings; the scheme-level test compares full
-determinism fingerprints.
+caching on (the production path) or off (``use_index=False``, the
+uncached reference).  Hypothesis drives the interleavings; the
+scheme-level test compares full determinism fingerprints.
 """
 
 import math
@@ -19,12 +19,12 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.aggregates import available_aggregates, get_aggregate
 from repro.analysis.determinism import Fingerprint
-from repro.core.agg_index import (INDEX_ENV_VAR, RangeAggregateIndex,
-                                  decomposition_width,
-                                  index_enabled_default)
+from repro.core.agg_index import RangeAggregateIndex, decomposition_width
 from repro.core.buffers import PositionBuffer
-from repro.core.runner import RunConfig, run_scheme
+from repro.core.context import SchemeContext
+from repro.core.runner import RunConfig
 from repro.errors import ConfigurationError, WindowError
+from repro.runtime.driver import build_run, run_simulation
 from repro.streams.batch import EventBatch
 
 #: Every registered aggregate plus a parameterized quantile; holistic
@@ -236,16 +236,6 @@ class TestIndexMechanics:
         with pytest.raises(WindowError):
             buf.lift_range(0, 10)
 
-    def test_env_switch_controls_default(self, monkeypatch):
-        monkeypatch.setenv(INDEX_ENV_VAR, "0")
-        assert not index_enabled_default()
-        assert PositionBuffer(fn=get_aggregate("sum")).index.caching \
-            is False
-        monkeypatch.setenv(INDEX_ENV_VAR, "1")
-        assert index_enabled_default()
-        assert PositionBuffer(fn=get_aggregate("sum")).index.caching \
-            is True
-
 
 class TestZeroCopyPaths:
     def test_get_range_within_one_batch_is_a_view(self):
@@ -292,10 +282,28 @@ class TestSchemeBitIdentity:
                                                       monkeypatch):
         """The acceptance gate: window results, spans, flows, bytes and
         message counts are bit-identical with the index on or off."""
-        def fingerprint(env_value):
-            monkeypatch.setenv(INDEX_ENV_VAR, env_value)
-            result, _ = run_scheme(RunConfig(scheme=scheme, **TINY))
+        uncached = []
+
+        def reference_buffer(self, fn=None, base=0):
+            buf = PositionBuffer(base, fn, use_index=False)
+            uncached.append(buf)
+            return buf
+
+        def fingerprint():
+            config = RunConfig(scheme=scheme, **TINY)
+            topo, ctx = build_run(config)
+            result = run_simulation(
+                topo, ctx, config.resolved_batch_size(),
+                config.saturated)
+            assert result.n_windows == ctx.n_windows
             return Fingerprint.of(result)
 
-        on, off = fingerprint("1"), fingerprint("0")
+        on = fingerprint()
+        # Every scheme buffer is built through this one point.
+        monkeypatch.setattr(SchemeContext, "new_buffer",
+                            reference_buffer)
+        off = fingerprint()
+        assert uncached and not any(
+            buf.index is not None and buf.index.caching
+            for buf in uncached)
         assert on == off, "\n".join(on.diff(off))

@@ -8,6 +8,8 @@ scope; and the deliberately seeded ``drop-phase`` merge bug is caught
 — the checker's own regression canary.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro.baselines  # noqa: F401
@@ -80,6 +82,15 @@ class TestExplore:
                                            budget=60)
         assert violations == []
         assert stats["runs"] > 1, "DFS must explore real siblings"
+
+    def test_zero_lookahead_scope_is_clean(self):
+        # No lookahead: the only sound horizon is the head event's own
+        # time, so every epoch of the same loop is one event.
+        config = replace(small_config("deco_sync", 2), latency=0.0)
+        violations, stats = explore_config(config, epochs=2,
+                                           budget=20)
+        assert violations == []
+        assert stats["runs"] == 1, "one event per epoch: no choices"
 
     def test_budget_truncates(self):
         config = small_config("deco_sync", 2)

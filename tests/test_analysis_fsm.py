@@ -82,11 +82,11 @@ class TestConformance:
 
 
 class TestEpochServeConformance:
-    """Epoch-mode serve runs obey the same per-scheme protocol FSMs.
+    """Serve runs obey the same per-scheme protocol FSMs.
 
     The concurrent epoch runtime reorders *execution*, never protocol
-    *content*: the merged trace of an epoch run must drive each FSM
-    exactly like the lockstep/sim traces above.  Model traces (the
+    *content*: the merged trace of a serve run must drive each FSM
+    exactly like the simulator traces above.  Model traces (the
     in-process epoch runtime from :mod:`repro.analysis.explore`) cover
     every scheme cheaply; one real TCP serve run anchors the claim on
     the wire path.
@@ -107,7 +107,7 @@ class TestEpochServeConformance:
         run_scheme_served(
             RunConfig(scheme="deco_sync", n_nodes=2, window_size=400,
                       n_windows=3, rate_per_node=20_000.0, seed=7),
-            tracer=tracer, mode="epoch")
+            tracer=tracer)
         assert tracer.events_of(MSG_SEND)
         assert check_fsm("deco_sync", tracer) == []
 

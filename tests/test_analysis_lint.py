@@ -508,10 +508,24 @@ class TestDL009EnvReads:
         assert lint_source(src, self.SERVE_PATH) == []
 
     def test_bootstrap_modules_exempt(self):
+        from repro.analysis.rules import NoEnvReadOutsideBootstrap
+        # A path, a worker count and test fault injection: no entry
+        # selects a behaviour, and none may be added that does.
+        assert NoEnvReadOutsideBootstrap.EXEMPT == (
+            "repro/core/workload", "repro/sweep", "repro/serve/worker")
         src = ("import os\n"
-               "flag = os.environ.get('REPRO_WIRE_CODEC')\n")
-        assert lint_source(src, "src/repro/wire/codec.py") == []
+               "jobs = os.environ.get('REPRO_JOBS')\n")
+        assert lint_source(src, "src/repro/core/workload.py") == []
         assert lint_source(src, "src/repro/sweep.py") == []
+        assert lint_source(src, "src/repro/serve/worker.py") == []
+
+    def test_behaviour_switch_in_core_fires(self):
+        src = ("import os\n"
+               "caching = os.environ.get('REPRO_AGG_INDEX') != '0'\n")
+        for path in ("src/repro/core/agg_index.py",
+                     "src/repro/core/multiquery.py",
+                     "src/repro/wire/codec.py"):
+            assert codes(lint_source(src, path)) == ["DL009"]
 
     def test_out_of_package_scripts_exempt(self):
         src = ("import os\n"

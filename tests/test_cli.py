@@ -77,15 +77,7 @@ class TestServe:
         assert code == 0
         out = capsys.readouterr().out
         assert "deco_sync" in out
-        assert "epoch" in out  # default coordination mode column
         assert "p99 ms" in out
-
-    def test_serve_lockstep_mode(self, capsys):
-        code = main(["serve", "central", "--nodes", "2", "--window",
-                     "400", "--windows", "3", "--rate", "20000",
-                     "--seed", "7", "--mode", "lockstep"])
-        assert code == 0
-        assert "lockstep" in capsys.readouterr().out
 
     def test_serve_sources_need_paced_load(self, capsys):
         code = main(["serve", "central", "--nodes", "2", "--window",
@@ -117,22 +109,6 @@ class TestServe:
         payload = json.loads(out.read_text())
         assert payload["traceEvents"]
 
-    def test_bench_serve_writes_json(self, capsys, tmp_path,
-                                     monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-        out_path = tmp_path / "BENCH_serve.json"
-        code = main(["bench-serve", "--schemes", "central",
-                     "--out", str(out_path)])
-        assert code == 0
-        import json
-        payload = json.loads(out_path.read_text())
-        assert payload["fingerprints_verified"] is True
-        for mode in ("epoch", "lockstep"):
-            assert payload[f"central_{mode}_throughput_eps"] > 0
-            assert payload[f"central_{mode}_latency_p99_ms"] >= \
-                payload[f"central_{mode}_latency_p50_ms"]
-        assert payload["central_speedup_x"] > 0
-
 
 class TestParser:
     def test_requires_command(self):
@@ -148,7 +124,11 @@ class TestParser:
     def test_serve_mode_flags(self):
         args = build_parser().parse_args(
             ["serve", "central", "--load", "latency",
-             "--mode", "lockstep", "--sources", "4"])
+             "--sources", "4"])
         assert args.load == "latency"
-        assert args.mode == "lockstep"
         assert args.sources == 4
+        # ``serve`` has one run loop: no coordination-mode flag, and
+        # the load shape is spelled --load there.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "central", "--mode", "latency"])

@@ -8,8 +8,8 @@ from repro.core import RunConfig, run_scheme
 from repro.core.deco_async import (MAX_SPECULATION_AHEAD, SYNC_WINDOW,
                                    DecoAsyncRoot)
 from repro.core.deco_sync import BOOTSTRAP_WINDOWS
-from repro.core.runner import build_run, inject_sources
 from repro.metrics import results_match
+from repro.runtime.driver import build_run, inject_sources
 
 
 def build(scheme, **overrides):

@@ -6,9 +6,10 @@ import pytest
 import repro.baselines  # noqa: F401
 from repro.aggregates import Sum
 from repro.core import RunConfig, run_scheme
-from repro.core.runner import build_run, inject_sources
 from repro.errors import SimulationError
 from repro.metrics import results_match
+from repro.runtime.driver import (build_run, inject_sources,
+                                  run_simulation)
 from repro.sim import (MessageFaultInjector, crash_node_at,
                        recover_node_at)
 from repro.sim.topology import ROOT_NAME, local_name
@@ -26,7 +27,6 @@ def build(scheme, *, timeout=0.02, **overrides):
 
 
 def run_to_completion(config, topo, ctx):
-    from repro.core.runner import run_simulation
     run_simulation(topo, ctx, config.resolved_batch_size(),
                    config.saturated)
     if ctx.result.n_windows < ctx.n_windows:

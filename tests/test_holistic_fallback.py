@@ -8,9 +8,9 @@ import pytest
 import repro.baselines  # noqa: F401
 from repro.aggregates import Median, Quantile, get_aggregate
 from repro.core import RunConfig, run_scheme
-from repro.core.runner import build_run
 from repro.baselines.central import CentralLocal, CentralRoot
 from repro.metrics import results_match
+from repro.runtime.driver import build_run
 
 
 def config_for(scheme, aggregate):

@@ -1,12 +1,12 @@
 """Shared multi-query engine: identity, dedup, admission/removal,
-heap-driven emission, and the ``REPRO_QUERY_SHARING`` A/B bit-identity
-gate.
+heap-driven emission, and the bit-identity gate against the unshared
+reference (``MultiQueryEngine(sharing=False)``).
 
 The engine (``repro.core.multiquery``) must be invisible except for
 memory and host wall-clock: for every query population, every
 admission/removal point, and every scheme, each query's full result
-stream is bit-identical with sharing on (``REPRO_QUERY_SHARING=1``,
-the default) or off.  Hypothesis drives populations and admission
+stream is bit-identical with sharing on (the production path) or
+off.  Hypothesis drives populations and admission
 points; the scheme-level tests compare full determinism fingerprints.
 """
 
@@ -19,12 +19,13 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.determinism import Fingerprint, check_determinism
 from repro.analysis.fsm import assert_fsm_conformance
-from repro.core.multiquery import (MultiQueryEngine, QUERY_SHARING_ENV,
-                                   query_sharing_default)
+from repro.core.multiquery import MultiQueryEngine
 from repro.core.query import Query, parse_query_spec
 from repro.core.runner import RunConfig, run_scheme
 from repro.errors import ConfigurationError
 from repro.obs.tracer import RunTracer
+from repro.runtime.api import local_name
+from repro.runtime.driver import build_run, run_simulation
 from repro.streams.batch import EventBatch
 from repro.windows.base import SlidingCountWindow, TumblingCountWindow
 
@@ -110,12 +111,6 @@ class TestQueryIdentity:
 
 
 class TestEngineBasics:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(QUERY_SHARING_ENV, raising=False)
-        assert query_sharing_default()
-        monkeypatch.setenv(QUERY_SHARING_ENV, "0")
-        assert not query_sharing_default()
-
     def test_dedup_shares_one_evaluation(self):
         engine = feed_engine(["sum:96", "sum:96", "avg:96:32"],
                              [256, 256], sharing=True)
@@ -382,18 +377,29 @@ class TestEventDrivenEmission:
 
 class TestSchemeFingerprints:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
-    def test_fingerprint_invariant_under_sharing_toggle(self, scheme,
-                                                        monkeypatch):
+    def test_fingerprint_invariant_under_sharing_toggle(self, scheme):
         """The acceptance gate: per-query result streams AND scheme
         results are bit-identical with sharing on or off, for every
         scheme."""
-        def fingerprint(env_value):
-            monkeypatch.setenv(QUERY_SHARING_ENV, env_value)
-            result, _ = run_scheme(
-                RunConfig(scheme=scheme, queries=QUERIES, **TINY))
+        def fingerprint(sharing):
+            config = RunConfig(scheme=scheme, queries=QUERIES, **TINY)
+            topo, ctx = build_run(config)
+            assert ctx.engine.sharing
+            if not sharing:
+                # The unshared reference, admitted exactly as
+                # make_context admits the shared engine.
+                ctx.engine = MultiQueryEngine(sharing=False,
+                                              tracer=ctx.tracer)
+                for i in range(ctx.n_nodes):
+                    for spec in config.queries:
+                        ctx.engine.admit(local_name(i), spec, at=0)
+            result = run_simulation(
+                topo, ctx, config.resolved_batch_size(),
+                config.saturated)
+            assert result.n_windows == ctx.n_windows
             return Fingerprint.of(result)
 
-        on, off = fingerprint("1"), fingerprint("0")
+        on, off = fingerprint(True), fingerprint(False)
         assert on.queries, "no standing-query accounts in fingerprint"
         assert on == off, "\n".join(on.diff(off))
 
@@ -447,21 +453,21 @@ class TestServeQueryOps:
         from repro.serve.worker import WorkerRuntime
         config = RunConfig(scheme="central", **TINY)
         rt = WorkerRuntime("local-0", config)
-        assert rt.ctx.engine is None
+        assert rt.engine is None
         ops, blob = rt.dispatch(framing.QUERY, {
             "now": 0.0, "qop": "admit", "stream": "local-0",
-            "spec": "sum:256", "qid": "rq0", "at": None}, b"")
+            "spec": "sum:256", "qid": "rq0", "at": None})
         assert ops == [] and blob == b""
-        assert rt.ctx.engine is not None
-        assert rt.ctx.engine.account("rq0").from_position == 0
+        assert rt.engine is not None
+        assert rt.engine.account("rq0").from_position == 0
         rt.dispatch(framing.QUERY, {
             "now": 0.0, "qop": "admit", "stream": "local-1",
-            "spec": "sum:256", "qid": "rq1", "at": None}, b"")
-        payload = rt.final_payload()
+            "spec": "sum:256", "qid": "rq1", "at": None})
+        payload = rt.final_payload(0)
         assert set(payload["queries"]) == {"rq0"}
         rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "remove",
-                                    "qid": "rq0"}, b"")
-        assert rt.ctx.engine.account("rq0").removed_at is not None
+                                    "qid": "rq0"})
+        assert rt.engine.account("rq0").removed_at is not None
 
     def test_worker_rejects_unknown_query_op(self):
         from repro.errors import ServeError
@@ -470,20 +476,22 @@ class TestServeQueryOps:
         rt = WorkerRuntime("local-0", RunConfig(scheme="central",
                                                 **TINY))
         with pytest.raises(ServeError, match="unknown query op"):
-            rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "evict"},
-                        b"")
+            rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "evict"})
 
 
 class TestServeParity:
-    def test_lockstep_serve_accounts_match_simulator(self):
+    @pytest.mark.parametrize("scheme", ("deco_sync", "central"))
+    def test_serve_accounts_match_simulator(self, scheme):
         """Worker-side query accounts merged from FINAL payloads are
-        bit-identical to the simulator oracle's (lockstep mode)."""
+        bit-identical to the simulator oracle's — also for a scheme
+        (central) whose locals keep ingesting in the epoch the root
+        stops in: their feed is cut at the last applied item."""
         from repro.serve.harness import run_scheme_served
-        config = RunConfig(scheme="deco_sync", queries=("sum:500",
-                                                        "avg:300:100"),
+        config = RunConfig(scheme=scheme, queries=("sum:500",
+                                                   "avg:300:100"),
                            **TINY)
         sim_result, _ = run_scheme(config)
-        report = run_scheme_served(config, mode="lockstep")
+        report = run_scheme_served(config)
         assert report.result.queries == sim_result.queries
 
     def test_runtime_admission_via_coordinator(self):
@@ -493,8 +501,7 @@ class TestServeParity:
         config = RunConfig(scheme="central", queries=("sum:500",),
                            **TINY)
         report = run_scheme_served(
-            config, mode="lockstep",
-            admissions=[("local-1", "max:400:200", None)])
+            config, admissions=[("local-1", "max:400:200", None)])
         queries = report.result.queries
         assert "rq0" in queries
         assert queries["rq0"]["stream"] == "local-1"

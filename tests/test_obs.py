@@ -17,7 +17,7 @@ import pytest
 import repro.baselines  # noqa: F401
 import repro.core.workload as wl
 from repro.api import run
-from repro.core.runner import RunConfig, build_run, run_scheme
+from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import default_cache
 from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        MSG_SEND, QUEUE, STATE, WINDOW, NullTracer,
@@ -25,6 +25,7 @@ from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        format_summary, merge_summaries, resolve_tracer,
                        summary_table, to_chrome_trace,
                        write_chrome_trace, write_jsonl)
+from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector
 from repro.sweep import SweepExecutor
 
@@ -83,7 +84,6 @@ class TestZeroInterference:
             topo, ctx = build_run(config, tracer=tracer)
             injector = MessageFaultInjector(
                 topo, drop_probability=0.2, seed=5)
-            from repro.core.runner import run_simulation
             run_simulation(topo, ctx, config.resolved_batch_size(),
                            config.saturated)
             stats.append((injector.stats.dropped,
@@ -136,7 +136,6 @@ class TestTracerRecording:
         tracer = RunTracer()
         topo, ctx = build_run(config, tracer=tracer)
         MessageFaultInjector(topo, drop_probability=0.2, seed=5)
-        from repro.core.runner import run_simulation
         run_simulation(topo, ctx, config.resolved_batch_size(),
                        config.saturated)
         assert ctx.result.retransmissions > 0

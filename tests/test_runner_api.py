@@ -5,7 +5,7 @@ import pytest
 from repro.api import ALL_SCHEMES, RunSummary, compare, run
 from repro.core import RunConfig, available_schemes, get_scheme, \
     register_scheme, run_scheme
-from repro.core.runner import SchemeSpec, build_run, inject_sources
+from repro.core.runner import SchemeSpec
 from repro.errors import ConfigurationError
 
 

@@ -170,7 +170,7 @@ class TestMemoryBounds:
     def test_local_buffers_released(self, scheme):
         """DESIGN.md / Section 4.3: local memory stays bounded — events
         of verified windows are dropped."""
-        from repro.core.runner import build_run, inject_sources
+        from repro.runtime.driver import build_run, inject_sources
         config = small_config(scheme, n_windows=15)
         topo, ctx = build_run(config)
         inject_sources(topo, ctx, config.resolved_batch_size(), True)

@@ -97,21 +97,21 @@ class TestWorkerRuntimeUnits:
             WorkerRuntime("local-9", tiny_config("deco_sync"))
 
     def test_run_with_unknown_token_rejected(self):
-        from repro.serve import framing
         rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
         with pytest.raises(ServeError, match="token"):
-            rt.dispatch(framing.RUN, {"now": 0.0, "token": 123}, b"")
+            rt.dispatch_epoch(
+                {"h": 1.0, "slots": [["run", 0.0, 0, [], 123]]}, b"")
 
     def test_inject_to_root_rejected(self):
         from repro.serve import framing
         rt = WorkerRuntime(ROOT_NAME, tiny_config("deco_sync"))
         with pytest.raises(ServeError, match="root"):
-            rt.dispatch(framing.INJECT, {"now": 0.0}, b"")
+            rt.dispatch(framing.INJECT, {"now": 0.0})
 
     def test_inject_emits_schedule_ops(self):
         from repro.serve import framing
         rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
-        ops, _ = rt.dispatch(framing.INJECT, {"now": 0.0}, b"")
+        ops, _ = rt.dispatch(framing.INJECT, {"now": 0.0})
         assert ops, "injecting a stream must schedule arrivals"
         assert all(op[0] == "schedule" for op in ops)
 
@@ -140,14 +140,6 @@ class TestServeMatchesSimulator:
         pct = report.latency_percentiles()
         assert pct["p50_s"] <= pct["p95_s"] <= pct["p99_s"]
         assert math.isfinite(pct["p99_s"])
-
-    def test_wire_codec_disabled_still_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "0")
-        config = tiny_config("deco_async", n_nodes=3)
-        sim_result, _ = run_scheme(config)
-        report = run_scheme_served(config)
-        assert Fingerprint.of(report.result) == \
-            Fingerprint.of(sim_result)
 
     def test_throughput_reported(self):
         report = run_scheme_served(tiny_config("central"))

@@ -1,11 +1,12 @@
-"""Tests for epoch-mode serve coordination (DESIGN §12).
+"""Tests for the serve coordinator's epoch loop (DESIGN §12).
 
-Epoch mode executes whole conservative-lookahead epochs concurrently
-across worker processes and merges the emitted ops back in canonical
-``(time, phase, rank)`` order.  The contract under test: for every
-scheme and workload shape, the merged result's determinism fingerprint
-is bit-identical to the in-process simulator's AND to the lockstep
-(one event per round-trip) oracle's — concurrency must be free.
+The coordinator executes whole conservative-lookahead epochs
+concurrently across worker processes and merges the emitted ops back
+in canonical ``(time, phase, rank)`` order.  The contract under test:
+for every scheme and workload shape — including a zero-latency fabric,
+where each epoch is one event — the merged result's determinism
+fingerprint is bit-identical to the in-process simulator's:
+concurrency must be free.
 """
 
 import time
@@ -18,7 +19,6 @@ from repro.analysis.determinism import DEFAULT_SALTS, Fingerprint
 from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.errors import ConfigurationError, ServeError
 from repro.serve import run_scheme_served
-from repro.serve.coordinator import Coordinator
 from repro.serve.worker import CRASH_ENV
 
 import repro.core  # noqa: F401  (registers deco_* schemes)
@@ -35,31 +35,42 @@ def tiny_config(scheme, **overrides):
 
 
 class TestEpochMatchesOracles:
-    """Three-way bit-identity: simulator == lockstep == epoch."""
+    """Bit-identity: simulator == serve."""
 
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
     def test_fingerprint_identity_all_schemes(self, scheme):
-        config = tiny_config(scheme)
+        # Three locals: epochs with more than two concurrent repliers
+        # (tests/test_serve.py covers the two-local shape).
+        config = tiny_config(scheme, n_nodes=3)
         oracle = Fingerprint.of(run_scheme(config)[0])
-        for mode in ("epoch", "lockstep"):
-            served = run_scheme_served(config, mode=mode)
-            assert Fingerprint.of(served.result) == oracle, \
-                f"{scheme} diverged from the simulator in {mode} mode"
+        served = run_scheme_served(config)
+        assert Fingerprint.of(served.result) == oracle, \
+            f"{scheme} diverged from the simulator"
+
+    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    def test_zero_latency_fabric_matches_simulator(self, scheme):
+        # No lookahead: the horizon is the head event's own time, so
+        # the same loop runs one event per epoch.
+        config = tiny_config(scheme, latency=0.0)
+        oracle = Fingerprint.of(run_scheme(config)[0])
+        served = run_scheme_served(config)
+        assert Fingerprint.of(served.result) == oracle, \
+            f"{scheme} diverged from the simulator at zero latency"
 
     def test_epoch_paced_matches_oracle(self):
         config = tiny_config("deco_async", saturated=False)
         oracle = Fingerprint.of(run_scheme(config)[0])
-        served = run_scheme_served(config, mode="epoch")
+        served = run_scheme_served(config)
         assert Fingerprint.of(served.result) == oracle
 
     def test_epoch_is_salt_invariant(self):
         # The merge order inside an equal-(time, phase, rank) class is
-        # epoch mode's only freedom; the tie-break salt exercises the
+        # the epoch loop's only freedom; the tie-break salt exercises the
         # same freedom on the simulator, so a salted epoch run must
         # still fingerprint-match the unsalted oracle.
         oracle = Fingerprint.of(run_scheme(tiny_config("deco_sync"))[0])
         salted = tiny_config("deco_sync", tiebreak_salt=0x5A5A)
-        served = run_scheme_served(salted, mode="epoch")
+        served = run_scheme_served(salted)
         assert Fingerprint.of(served.result) == oracle
 
 
@@ -75,7 +86,7 @@ class TestEpochBoundaryProperties:
            n_nodes=st.integers(min_value=1, max_value=3),
            window=st.sampled_from([300, 500, 800]),
            n_windows=st.integers(min_value=2, max_value=4),
-           latency=st.sampled_from([20e-6, 100e-6, 2e-3]),
+           latency=st.sampled_from([0.0, 20e-6, 100e-6, 2e-3]),
            saturated=st.booleans(),
            seed=st.integers(min_value=0, max_value=50))
     def test_epoch_always_matches_simulator(self, scheme, n_nodes,
@@ -86,18 +97,18 @@ class TestEpochBoundaryProperties:
                            rate_per_node=20_000.0, latency=latency,
                            saturated=saturated, seed=seed)
         oracle = Fingerprint.of(run_scheme(config)[0])
-        served = run_scheme_served(config, mode="epoch")
+        served = run_scheme_served(config)
         assert Fingerprint.of(served.result) == oracle
 
 
 class TestEpochCrash:
     def test_crash_mid_epoch_raises_and_cleans_up(self, monkeypatch):
         # Each worker hard-exits before replying to its third dispatch;
-        # in epoch mode that lands inside an EPOCH frame, so the death
+        # that lands inside an EPOCH frame, so the death
         # surfaces through the concurrent gather path.
         monkeypatch.setenv(CRASH_ENV, "3")
         with pytest.raises(ServeError) as excinfo:
-            run_scheme_served(tiny_config("deco_sync"), mode="epoch")
+            run_scheme_served(tiny_config("deco_sync"))
         message = str(excinfo.value)
         assert "died" in message
         assert "exited 1" in message
@@ -105,19 +116,6 @@ class TestEpochCrash:
         while lingering_workers() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert lingering_workers() == []
-
-
-class TestEpochModeGuards:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ServeError, match="unknown serve mode"):
-            Coordinator(tiny_config("deco_sync"), mode="warp")
-
-    def test_zero_latency_fabric_needs_lockstep(self):
-        config = tiny_config("deco_sync", latency=0.0)
-        with pytest.raises(ServeError, match="lockstep"):
-            Coordinator(config, mode="epoch")
-        # Lockstep has no lookahead requirement.
-        Coordinator(config, mode="lockstep")
 
 
 class TestConcurrentSources:
@@ -129,7 +127,7 @@ class TestConcurrentSources:
         config = tiny_config("deco_sync", saturated=False,
                              sources_per_node=3)
         oracle = Fingerprint.of(run_scheme(config)[0])
-        served = run_scheme_served(config, mode="epoch")
+        served = run_scheme_served(config)
         assert Fingerprint.of(served.result) == oracle
 
     def test_sources_are_salt_invariant(self):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.runner import RunConfig
 from repro.errors import ServeError
-from repro.serve import run_scheme_served
+from repro.serve import framing, run_scheme_served
 from repro.serve.coordinator import Coordinator
 from repro.serve.framing import connect_with_retry
 from repro.serve.worker import CRASH_ENV
@@ -112,6 +112,48 @@ class TestHandshakeTimeout:
         coord = Coordinator(tiny_config())
         with pytest.raises(ServeError, match="local-1"):
             asyncio.run(coord.wait_for_workers(timeout=0.05))
+
+    def test_second_hello_for_connected_node_refused(self):
+        # A newcomer claiming a connected node's name must not replace
+        # the live connection (that would orphan the real worker).
+        coord = Coordinator(tiny_config())
+
+        async def hello(port):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            await framing.send_frame_async(
+                writer, framing.HELLO, {"node": "local-0"})
+            return reader, writer
+
+        async def scenario():
+            server = await asyncio.start_server(
+                coord.on_connect, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await hello(port)
+                kind, _, _ = await asyncio.wait_for(
+                    framing.recv_frame_async(reader), 5.0)
+                assert kind == framing.ACK
+                first = coord._conns["local-0"]
+                late_reader, late_writer = await hello(port)
+                with pytest.raises(ServeError):  # closed, never ACKed
+                    await asyncio.wait_for(
+                        framing.recv_frame_async(late_reader), 5.0)
+                assert coord._conns["local-0"] is first
+                # The first connection still carries coordinator frames.
+                await framing.send_frame_async(
+                    first[1], framing.START, {"now": 0.0})
+                kind, _, _ = await asyncio.wait_for(
+                    framing.recv_frame_async(reader), 5.0)
+                assert kind == framing.START
+                writer.close()
+                late_writer.close()
+                first[1].close()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
 
 class TestSpawnFailure:

@@ -20,8 +20,7 @@ from repro.core.workload import (WorkloadCache, WorkloadSpec,
                                  load_workload, save_workload)
 from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
-from repro.sweep import (JOBS_ENV, PROPAGATED_ENV, SweepExecutor,
-                         _init_worker, resolve_jobs, snapshot_env)
+from repro.sweep import JOBS_ENV, SweepExecutor, resolve_jobs
 
 
 @pytest.fixture
@@ -45,57 +44,6 @@ def _tiny_configs():
 def _fingerprint(result):
     return (result.scheme, result.results, result.total_bytes,
             result.messages, result.sim_time, result.correction_steps)
-
-
-class TestEnvPropagation:
-    """Behaviour flags must reach pool workers as of sweep time."""
-
-    def test_propagated_env_matches_canonical_flags(self):
-        from repro.core.agg_index import INDEX_ENV_VAR
-        from repro.core.multiquery import QUERY_SHARING_ENV
-        from repro.core.workload import SPILL_DIR_ENV
-        from repro.wire.codec import WIRE_ENV_VAR
-        assert set(PROPAGATED_ENV) == {WIRE_ENV_VAR, INDEX_ENV_VAR,
-                                       SPILL_DIR_ENV,
-                                       QUERY_SHARING_ENV}
-
-    def test_snapshot_env_captures_only_set_flags(self, monkeypatch):
-        for key in PROPAGATED_ENV:
-            monkeypatch.delenv(key, raising=False)
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "0")
-        assert snapshot_env() == {"REPRO_WIRE_CODEC": "0"}
-
-    def test_init_worker_replays_snapshot(self, monkeypatch):
-        # A worker whose inherited env disagrees with the snapshot
-        # (stale pool, or spawn after a flag flip) gets corrected.
-        for key in PROPAGATED_ENV:
-            monkeypatch.delenv(key, raising=False)
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "1")
-        monkeypatch.setenv("REPRO_AGG_INDEX", "stale")
-        _init_worker({"REPRO_WIRE_CODEC": "0"})
-        import os
-        assert os.environ["REPRO_WIRE_CODEC"] == "0"
-        assert "REPRO_AGG_INDEX" not in os.environ
-
-    def test_pool_workers_see_parent_flags(self, spill_dir,
-                                           monkeypatch):
-        # End to end: flip the codec flag in the parent only, then
-        # check a real pool worker observed it via the initializer.
-        monkeypatch.setenv("REPRO_WIRE_CODEC", "0")
-        from concurrent.futures import ProcessPoolExecutor
-        import multiprocessing as mp
-        ctx = mp.get_context("spawn")
-        with ProcessPoolExecutor(
-                max_workers=1, mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(snapshot_env(),)) as pool:
-            seen = pool.submit(_read_flag, "REPRO_WIRE_CODEC").result()
-        assert seen == "0"
-
-
-def _read_flag(key):
-    import os
-    return os.environ.get(key)
 
 
 class TestResolveJobs:

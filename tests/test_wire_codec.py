@@ -1,4 +1,4 @@
-"""Wire-codec round-trip, corruption, zero-copy and A/B identity tests.
+"""Wire-codec round-trip, corruption, zero-copy and identity tests.
 
 Every protocol message must survive ``encode_message`` →
 ``decode_message`` bit-exactly (Hypothesis drives the field space,
@@ -6,7 +6,8 @@ including empty batches, NaN/±inf values and int64 extremes), every
 frame's length must equal the structural size model, decoded columns
 must be views over the received buffer, damaged frames must raise
 :class:`StreamError`, and — the acceptance gate — every scheme's
-determinism fingerprint must be invariant under ``REPRO_WIRE_CODEC``.
+determinism fingerprint must equal the structurally sized reference's
+(a fabric with ``codec = None``).
 """
 
 import math
@@ -24,12 +25,12 @@ from repro.core.protocol import (CorrectionReport, CorrectionRequest,
                                  RateReport, RawEvents, ResendRequest,
                                  SourceBatch, StartWindow,
                                  WindowAssignment, sizeof_message)
-from repro.core.runner import RunConfig, run_scheme
+from repro.core.runner import RunConfig
 from repro.errors import StreamError
+from repro.runtime.driver import build_run, run_simulation
 from repro.sim.serialization import WireFormat
 from repro.streams.batch import EventBatch
-from repro.wire.codec import (WIRE_ENV_VAR, MessageCodec, decode_batch,
-                              encode_batch, wire_codec_enabled_default)
+from repro.wire.codec import MessageCodec, decode_batch, encode_batch
 from repro.wire.format import (WIRE_HEADER_BYTES, decode_partial,
                                encode_partial, partial_wire_slots)
 
@@ -331,27 +332,25 @@ TINY = dict(n_nodes=2, window_size=800, n_windows=3,
 
 class TestSchemeBitIdentity:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
-    def test_fingerprint_invariant_under_codec_toggle(self, scheme,
-                                                      monkeypatch):
+    def test_fingerprint_invariant_under_codec_toggle(self, scheme):
         """The acceptance gate: window results, spans, flows, bytes and
         message counts are bit-identical with the real binary codec on
-        the message path (REPRO_WIRE_CODEC=1) or off (=0)."""
-        def fingerprint(env_value):
-            monkeypatch.setenv(WIRE_ENV_VAR, env_value)
-            result, _ = run_scheme(RunConfig(scheme=scheme, **TINY))
+        the message path (what ``build_run`` installs) or off (the
+        structural sizer alone)."""
+        def fingerprint(with_codec):
+            config = RunConfig(scheme=scheme, **TINY)
+            topo, ctx = build_run(config)
+            assert topo.network.codec is not None
+            if not with_codec:
+                topo.network.codec = None
+            result = run_simulation(
+                topo, ctx, config.resolved_batch_size(),
+                config.saturated)
+            assert result.n_windows == ctx.n_windows
             return Fingerprint.of(result)
 
-        on, off = fingerprint("1"), fingerprint("0")
+        on, off = fingerprint(True), fingerprint(False)
         assert on == off, "\n".join(on.diff(off))
-
-    def test_env_flag_parsing(self, monkeypatch):
-        for raw, expected in (("1", True), ("", True), ("yes", True),
-                              ("0", False), ("false", False),
-                              ("off", False), ("No", False)):
-            monkeypatch.setenv(WIRE_ENV_VAR, raw)
-            assert wire_codec_enabled_default() is expected
-        monkeypatch.delenv(WIRE_ENV_VAR)
-        assert wire_codec_enabled_default() is True
 
 
 class TestSizeModelDerivation:
