@@ -206,8 +206,8 @@ class ModelCoordinator(Coordinator):
         :data:`MAX_HORIZONS`.
         """
         bound = t0 + self._lookahead
-        times = sorted({e.time for e in self.topo.sim._queue
-                        if not e.cancelled and t0 < e.time < bound})
+        times = sorted({e.time for e in self.topo.sim.live_events()
+                        if t0 < e.time < bound})
         candidates = [bound] + times
         if len(candidates) > MAX_HORIZONS:
             self.truncated_horizons += 1
@@ -241,7 +241,7 @@ class ModelCoordinator(Coordinator):
         assert self.applied_log is not None
         kernel = tuple(sorted(
             (e.time, e.phase, e.rank, e.sort_seq)
-            for e in self.topo.sim._queue if not e.cancelled))
+            for e in self.topo.sim.live_events()))
         return (tuple(self.applied_log), kernel)
 
     def run_model(self, schedule: _Schedule) -> tuple[Any, ...] | None:
@@ -261,7 +261,7 @@ class ModelCoordinator(Coordinator):
         sim = self.topo.sim
         cap = simulation_cap_s(self.ctx)
         while not self._stop:
-            event = self._peek_live()
+            event = sim.peek()
             if event is None:
                 sim._now = max(sim._now, cap)
                 break
@@ -283,7 +283,7 @@ class ModelCoordinator(Coordinator):
                 for name in order}
             self._merge_epoch(replies, horizon)
             if not self._stop:
-                head = self._peek_live()
+                head = sim.peek()
                 if head is not None and head.time < horizon:
                     raise ServeError(
                         f"conservative soundness broken: live event at "

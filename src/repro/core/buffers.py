@@ -17,6 +17,7 @@ and the bit-identity contract between cached and uncached partials.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from typing import Any
 
@@ -58,8 +59,13 @@ class PositionBuffer:
         self.fn = fn
         self._index: RangeAggregateIndex | None = None
         if fn is not None and fn.is_decomposable:
+            # The index reads raw events back through a weak reference:
+            # buffer <-> index must not be a cycle, or a dropped buffer
+            # pins its event runs until the cycle collector runs.
+            fetch = weakref.WeakMethod(self.get_range)
             self._index = RangeAggregateIndex(
-                fn, self.get_range, base=base, chunk_size=chunk_size,
+                fn, lambda start, end: fetch()(start, end),
+                base=base, chunk_size=chunk_size,
                 caching=use_index, edge_memo=edge_memo)
 
     # -- state --------------------------------------------------------------

@@ -251,10 +251,13 @@ class DecoSyncRoot(RootBehaviorBase):
         nodes... the root node then starts the correction step" — here
         realized as a retransmission, which also covers dropped
         down-flows)."""
+        if self.ctx.retransmit_timeout_s is None:
+            # Reliable fabric: nothing will ever fire the hook, and
+            # holding it would make this behaviour reference itself
+            # (the closure captures ``self``).
+            return
         self._rebroadcast = rebroadcast
         self._timeout_node = node
-        if self.ctx.retransmit_timeout_s is None:
-            return
         if self._timeout is None:
             from repro.runtime.node import Timeout
             self._timeout = Timeout(node, self._fire_timeout)

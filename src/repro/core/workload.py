@@ -19,6 +19,7 @@ boundaries serve two purposes:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -524,6 +525,12 @@ class WorkloadCache:
             workload = load_spilled(path)
             self.spill_hits += 1
         else:
+            # A finished run's cyclic garbage pins workload-sized numpy
+            # buffers, and the cycle collector cannot see them: its
+            # thresholds count container objects, not array bytes.
+            # Collect before allocating the next workload so a cold
+            # miss does not stack it on top of a dead one.
+            gc.collect()
             workload = spec.generate()
             self.generated += 1
             if self.spill:

@@ -79,14 +79,16 @@ def build_run(config: RunConfig,
 def inject_sources(topo: StarTopology, ctx: SchemeContext,
                    batch_size: int, saturated: bool,
                    sources: int = 1) -> None:
-    """Schedule every node's stream as SourceBatch deliveries.
+    """Start every node's source feeder(s).
 
-    Injection is trimmed to what the measured windows need plus a small
-    tail (prediction buffers extend past the last boundary), so that
-    byte/CPU accounting is comparable across schemes instead of
-    depending on when each scheme's simulation happens to stop.
-    ``sources`` fans each paced stream out to that many concurrent
-    clients (see :func:`repro.runtime.feeder.inject_stream`).
+    Injection is demand-driven: this arms one timer per source client
+    (a node's whole generated stream stays reachable, because a
+    speculative scheme may read past the last measured boundary), and
+    each feeder slices, wraps and schedules its next batch only when
+    the previous one fires — the run stops at the last emission and
+    pays for nothing beyond it.  ``sources`` fans each paced stream
+    out to that many concurrent clients (see
+    :func:`repro.runtime.feeder.inject_stream`).
     """
     for i, stream in enumerate(ctx.workload.streams):
         inject_stream(topo.local(i), stream, batch_size, saturated,
@@ -136,14 +138,36 @@ def run_simulation(topo: StarTopology, ctx: SchemeContext,
     return collect(topo, ctx)
 
 
+def release_run(topo: StarTopology) -> None:
+    """Break a finished run's kernel <-> nodes <-> fabric cycle.
+
+    Pending kernel events hold callbacks bound to nodes and behaviours,
+    nodes hold the fabric, the fabric holds the nodes: left alone, the
+    run's buffers and workload views live until the cycle collector
+    happens to run — and numpy buffers do not count towards its
+    allocation thresholds, so that can be several runs later.  After
+    this, dropping ``topo`` frees them by reference count alone.  The
+    :class:`RunResult` and the workload are not touched.
+    """
+    topo.sim.clear()
+    for name, node in topo.network.nodes().items():
+        node.behavior = None
+        node.network = None
+        topo.network.detach(name)
+
+
 def run_scheme_simulated(config: RunConfig,
                          workload: Workload | None = None,
                          tracer: RunTracer | None = None,
                          ) -> tuple[RunResult, Workload]:
     """Run one scheme on the simulator; returns result + workload."""
     topo, ctx = build_run(config, workload, tracer)
-    result = run_simulation(topo, ctx, config.resolved_batch_size(),
-                            config.saturated, config.sources_per_node)
+    try:
+        result = run_simulation(topo, ctx, config.resolved_batch_size(),
+                                config.saturated,
+                                config.sources_per_node)
+    finally:
+        release_run(topo)
     if result.n_windows < ctx.n_windows:
         raise SimulationError(
             f"scheme {config.scheme!r} stalled: emitted "

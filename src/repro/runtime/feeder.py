@@ -21,11 +21,17 @@ from repro.streams.event import ticks_to_seconds
 def inject_stream(node: RuntimeNode, stream: EventBatch,
                   batch_size: int, saturated: bool,
                   sender: str, sources: int = 1) -> None:
-    """Schedule one node's stream as SourceBatch deliveries.
+    """Start feeding one node's stream as SourceBatch deliveries.
 
-    The whole generated stream is injected: speculative schemes (and
+    Injection is demand-driven on both load shapes: a saturated node
+    gets one backpressured :class:`SourceFeeder`, a paced node one
+    :class:`PacedSource` per client, and each holds a single pending
+    timer that re-arms itself for its next batch.  Nothing is sliced,
+    wrapped or scheduled ahead of the clock, so a run that stops after
+    the measured windows never pays for the rest of the generated
+    stream — which stays available, because speculative schemes (and
     Approx's drifting static split) may need events well past the last
-    measured boundary, and the run stops at the last emission anyway.
+    measured boundary.
 
     ``sources`` splits a *paced* stream into that many concurrent
     clients (strided substreams ``stream[k::sources]``), each batching
@@ -42,32 +48,63 @@ def inject_stream(node: RuntimeNode, stream: EventBatch,
     if sources < 1:
         raise ConfigurationError(
             f"sources must be >= 1, got {sources}")
-    limit = len(stream)
     if saturated:
         if sources != 1:
             raise ConfigurationError(
                 "concurrent sources require a paced run "
                 "(saturated mode is one closed loop per node)")
-        SourceFeeder(node, stream, limit, batch_size, sender).start()
+        SourceFeeder(node, stream, len(stream), batch_size,
+                     sender).start()
     elif sources == 1:
-        for start in range(0, limit, batch_size):
-            batch = stream.slice_range(
-                start, min(start + batch_size, limit))
-            msg = SourceBatch(sender=sender, events=batch)
-            node.schedule_at(ticks_to_seconds(batch.last_ts),
-                             lambda n=node, m=msg: n.deliver(m),
-                             phase=PHASE_SOURCE)
+        PacedSource(node, stream, batch_size, sender).arm()
     else:
         for k in range(sources):
-            substream = stream[k::sources]
             client = f"{sender}.{k}"
-            for start in range(0, len(substream), batch_size):
-                batch = substream.slice_range(
-                    start, min(start + batch_size, len(substream)))
-                msg = SourceBatch(sender=client, events=batch)
-                node.schedule_at(ticks_to_seconds(batch.last_ts),
-                                 lambda n=node, m=msg: n.deliver(m),
-                                 phase=PHASE_SOURCE, rank=(client,))
+            PacedSource(node, stream[k::sources], batch_size, client,
+                        rank=(client,)).arm()
+
+
+class PacedSource:
+    """One paced source client: arrival time = event time.
+
+    Holds exactly one pending timer — its current batch, due at the
+    batch's last timestamp — and arms the next one from inside the
+    firing callback, the way an open-loop load generator follows its
+    schedule instead of queueing it up front.  It keeps firing while
+    the node is crashed (the node drops the delivery), so a recovered
+    node resumes at the stream position the clock has reached.
+    """
+
+    __slots__ = ("_node", "_stream", "_batch_size", "_sender", "_rank",
+                 "_pos", "_msg")
+
+    def __init__(self, node: RuntimeNode, stream: EventBatch,
+                 batch_size: int, sender: str,
+                 rank: tuple[str, ...] = ()) -> None:
+        self._node = node
+        self._stream = stream
+        self._batch_size = batch_size
+        self._sender = sender
+        self._rank = rank
+        self._pos = 0
+        self._msg: SourceBatch | None = None
+
+    def arm(self) -> None:
+        """Slice the next batch and schedule its delivery."""
+        start = self._pos
+        limit = len(self._stream)
+        if start >= limit:
+            return
+        self._pos = end = min(start + self._batch_size, limit)
+        batch = self._stream.slice_range(start, end)
+        self._msg = SourceBatch(sender=self._sender, events=batch)
+        self._node.schedule_at(ticks_to_seconds(batch.last_ts),
+                               self._fire, phase=PHASE_SOURCE,
+                               rank=self._rank)
+
+    def _fire(self) -> None:
+        self._node.deliver(self._msg)
+        self.arm()
 
 
 class SourceFeeder:

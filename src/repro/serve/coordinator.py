@@ -31,7 +31,6 @@ lets virtual time free-run and measures sustained pipeline throughput.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import time
 from collections import deque
 from typing import Any
@@ -396,13 +395,6 @@ class Coordinator:
         for name in self.node_names:
             await self._rpc(name, framing.QUERY, dict(header))
 
-    def _peek_live(self) -> Any:
-        """Next non-cancelled kernel event (drops lazy-deleted heads)."""
-        queue = self.topo.sim._queue
-        while queue and queue[0].cancelled:
-            heapq.heappop(queue)
-        return queue[0] if queue else None
-
     # -- epoch execution ---------------------------------------------------
 
     async def _epoch_loop(self) -> None:
@@ -421,7 +413,7 @@ class Coordinator:
         paced = not self.config.saturated
         self._wall_start = time.monotonic()
         while not self._stop:
-            event = self._peek_live()
+            event = sim.peek()
             if event is None:
                 sim._now = max(sim._now, cap)
                 break
@@ -465,8 +457,8 @@ class Coordinator:
         blobs: dict[str, bytearray] = {
             name: bytearray() for name in self.node_names}
         self._slot_keys = {name: [] for name in self.node_names}
-        event = self._peek_live()
-        while True:
+        event = sim.peek()
+        while event is not None:
             key = (event.time, event.phase, event.rank)
             self._dispatch = None
             sim.run(until=cap, max_events=1)
@@ -486,9 +478,9 @@ class Coordinator:
                 self._slot_keys[name].append(
                     slot_key(key[0], key[1], key[2], self._slot_pos))
                 self._slot_pos += 1
-            event = self._peek_live()
-            if event is None or event.time >= horizon \
-                    or event.time > cap:
+            event = sim.peek()
+            if event is not None and (event.time >= horizon
+                                      or event.time > cap):
                 break
         return slots, blobs
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable
-from typing import Any
+from collections.abc import Callable, Iterator
 
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
@@ -68,10 +67,6 @@ class ScheduledEvent:
             if self._sim is not None:
                 self._sim._live -= 1
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return ((self.time, self.phase, self.rank, self.sort_seq)
-                < (other.time, other.phase, other.rank, other.sort_seq))
-
 
 class Simulator:
     """The simulation clock and event loop.
@@ -94,7 +89,12 @@ class Simulator:
                 f"tiebreak_salt must be >= 0, got {tiebreak_salt}")
         self.tiebreak_salt = tiebreak_salt
         self._now = 0.0
-        self._queue: list[ScheduledEvent] = []
+        #: Heap of ``(time, phase, rank, sort_seq, event)`` entries:
+        #: native tuples, so every heap comparison runs in C, and
+        #: ``sort_seq`` is unique, so the events themselves are never
+        #: compared.
+        self._queue: list[tuple[float, int, tuple[str, ...], int,
+                                ScheduledEvent]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -139,11 +139,12 @@ class Simulator:
                 f"cannot schedule at {time} < now {self._now}")
         if not math.isfinite(time):
             raise SimulationError(f"non-finite schedule time {time}")
+        sort_seq = self._seq ^ self.tiebreak_salt
         event = ScheduledEvent(time, self._seq, callback, self,
-                               sort_seq=self._seq ^ self.tiebreak_salt,
-                               phase=phase, rank=rank)
+                               sort_seq=sort_seq, phase=phase, rank=rank)
         self._seq += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue,
+                       (time, phase, rank, sort_seq, event))
         self._live += 1
         return event
 
@@ -166,7 +167,7 @@ class Simulator:
         heappop = heapq.heappop
         try:
             while queue and not self._stopped:
-                event = queue[0]
+                event = queue[0][4]
                 if event.cancelled:
                     heappop(queue)
                     continue
@@ -190,6 +191,37 @@ class Simulator:
         finally:
             self._running = False
         return self._now
+
+    def peek(self) -> ScheduledEvent | None:
+        """The next live event, or None when nothing is scheduled.
+
+        Drops lazily-deleted (cancelled) heads on the way, so the heap
+        never surfaces one; :meth:`pending` is unaffected — a cancelled
+        event left the live count when it was cancelled.
+        """
+        queue = self._queue
+        while queue:
+            event = queue[0][4]
+            if not event.cancelled:
+                return event
+            heapq.heappop(queue)
+        return None
+
+    def live_events(self) -> Iterator[ScheduledEvent]:
+        """Every live scheduled event, in no particular order."""
+        return (entry[4] for entry in self._queue
+                if not entry[4].cancelled)
+
+    def clear(self) -> None:
+        """Drop every scheduled event (teardown of a finished run).
+
+        The dropped events are marked cancelled, so a handle someone
+        still holds stays inert and ``pending()`` consistent.
+        """
+        for entry in self._queue:
+            entry[4].cancelled = True
+        self._queue.clear()
+        self._live = 0
 
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled events.

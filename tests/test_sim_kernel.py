@@ -69,6 +69,51 @@ class TestSimulator:
         a.cancel()
         assert sim.pending() == 1
 
+    def test_peek_skips_cancelled_heads(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, lambda: fired.append(1))
+        second = sim.schedule(2.0, lambda: fired.append(2))
+        third = sim.schedule(3.0, lambda: fired.append(3))
+        assert sim.peek() is first
+        first.cancel()
+        second.cancel()
+        assert sim.pending() == 1
+        # Dropping the dead heads leaves the live count alone, and
+        # peeking does not consume the event.
+        assert sim.peek() is third
+        assert sim.peek() is third
+        assert sim.pending() == 1
+        assert list(sim.live_events()) == [third]
+        sim.run()
+        assert fired == [3]
+        assert sim.peek() is None
+        assert sim.pending() == 0
+
+    def test_same_key_events_never_compare_handles(self):
+        # Equal (time, phase, rank): the unique sort_seq decides, under
+        # a salt too, so the heap never falls through to the event.
+        for salt in (0, 5):
+            sim = Simulator(tiebreak_salt=salt)
+            fired = []
+            for i in range(8):
+                sim.schedule_at(1.0, lambda i=i: fired.append(i))
+            sim.run()
+            assert fired == sorted(range(8), key=lambda i: i ^ salt)
+
+    def test_clear_drops_everything_and_disarms_handles(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.clear()
+        assert sim.pending() == 0
+        assert sim.peek() is None
+        handle.cancel()  # already inert: no second decrement
+        assert sim.pending() == 0
+        sim.run()
+        assert fired == []
+
     def test_scheduling_from_callback(self):
         sim = Simulator()
         times = []
