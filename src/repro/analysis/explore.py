@@ -43,9 +43,7 @@ stay at a few dozen runs.
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
-from dataclasses import replace
 from itertools import permutations
 from typing import Any
 
@@ -53,15 +51,10 @@ from repro.analysis.determinism import Fingerprint
 from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import Workload
 from repro.errors import ServeError
-from repro.obs.events import FRAME_RECV, FRAME_SEND
 from repro.obs.tracer import RunTracer
-from repro.runtime.api import local_name
-from repro.runtime.driver import simulation_cap_s
-from repro.serve import framing
 from repro.serve.coordinator import Coordinator
 from repro.serve.harness import _merge_results, _merge_trace
 from repro.serve.merge import EpochMerge, MergeKey, slot_key
-from repro.serve.protocol import counters_snapshot
 from repro.serve.worker import WorkerRuntime
 
 #: Most horizon placements tried per epoch (beyond this the checker
@@ -122,80 +115,54 @@ class _Schedule:
         return len(self.trace) >= len(self.prefix)
 
 
-class ModelCoordinator(Coordinator):
-    """The real epoch coordinator run against in-process workers.
+class _InProcessTransport:
+    """Direct calls into :class:`~repro.serve.worker.WorkerRuntime`:
+    ``send`` runs the worker's request -> reply mapping on the spot and
+    ``recv`` hands the reply over."""
 
-    Uses the production ``_collect_epoch`` / ``_merge_epoch`` /
-    ``_apply_ops`` / :class:`~repro.serve.merge.EpochMerge` code paths;
-    only the transport is replaced — worker dispatches are direct
-    method calls on :class:`~repro.serve.worker.WorkerRuntime`, whose
-    docstring promises exactly this drivability.
+    def __init__(self, workers: dict[str, WorkerRuntime]) -> None:
+        self.workers = workers
+        self._replies: dict[str, tuple[int, dict[str, Any], bytes]] = {}
+
+    def send(self, name: str, kind: int, header: dict[str, Any],
+             blob: bytes) -> None:
+        self._replies[name] = self.workers[name].handle(
+            kind, header, blob)
+
+    def recv(self, name: str) -> tuple[int, dict[str, Any], bytes]:
+        return self._replies.pop(name)
+
+
+class ModelCoordinator(Coordinator):
+    """The production coordinator run against in-process workers.
+
+    ``run``, the epoch loop, collect, merge and op application are the
+    inherited production code; the transport is in-process calls, and
+    the only overrides are the runtime's two interleaving freedoms,
+    which :attr:`schedule` scripts.
     """
 
     def __init__(self, config: RunConfig,
                  tracer: RunTracer | None = None) -> None:
-        super().__init__(config, tracer)
-        worker_config = config
-        if self.tracer is not None and not config.trace:
-            worker_config = replace(config, trace=True)
-        self.workers = {
-            name: WorkerRuntime(name, worker_config,
-                                self.ctx.workload)
-            for name in self.node_names}
+        workers: dict[str, WorkerRuntime] = {}
+        super().__init__(config, _InProcessTransport(workers), tracer)
+        for name in self.node_names:
+            workers[name] = WorkerRuntime(name, self.worker_config,
+                                          self.ctx.workload)
         self.applied_log = []
-        #: Interleaving stats for the last run (set by run_model).
+        # Model time is virtual only: a paced config differs in its
+        # injection schedule, never in wall-clock throttling.
+        self._paced = False
+        self.schedule = _Schedule(())
+        self._signature: tuple[Any, ...] | None = None
+        self._last_horizon = 0.0
+        #: How many choice points of the run were sampled, not exhausted.
         self.truncated_horizons = 0
         self.truncated_orders = 0
 
-    # -- transport replacement ---------------------------------------------
-
-    def _model_rpc(self, name: str, kind: int,
-                   header: dict[str, Any]) -> None:
-        """In-process twin of ``Coordinator._rpc``."""
-        worker = self.workers[name]
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_sent", name)
-            self._frame_seq += 1
-            header = dict(header)
-            header["f"] = self._frame_seq
-            self._causal(FRAME_SEND, fseq=self._frame_seq,
-                         dst=name, fkind=kind)
-        ops, blob = worker.dispatch(kind, header)
-        tag = worker.reply_frame_tag(framing.OPS)
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_recv", name)
-            if tag is not None:
-                self._causal(FRAME_RECV, fseq=tag, edge=name,
-                             fkind=framing.OPS)
-        self.worker_counters[name] = counters_snapshot(
-            worker.ctx.result, worker.node.metrics.busy_s)
-        self._apply_ops(name, ops, blob)
-
-    def _model_epoch_rpc(self, name: str, horizon: float,
-                         slots: list[list[Any]], blob: bytearray
-                         ) -> tuple[list[dict[str, Any]], bytes]:
-        """In-process twin of ``Coordinator._epoch_rpc``."""
-        worker = self.workers[name]
-        header: dict[str, Any] = {
-            "h": horizon, "slots": slots, "e": self._epoch_idx}
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_sent", name)
-            self._frame_seq += 1
-            header["f"] = self._frame_seq
-            self._causal(FRAME_SEND, fseq=self._frame_seq,
-                         dst=name, fkind=framing.EPOCH)
-        batches, eblob = worker.dispatch_epoch(header, bytes(blob))
-        tag = worker.reply_frame_tag(framing.EPOCH_OPS)
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_recv", name)
-            if tag is not None:
-                self._causal(FRAME_RECV, fseq=tag, edge=name,
-                             fkind=framing.EPOCH_OPS)
-        return batches, eblob
-
     # -- scripted run loop -------------------------------------------------
 
-    def _horizon_candidates(self, t0: float, cap: float) -> list[float]:
+    def _horizon_candidates(self, t0: float) -> list[float]:
         """Sound horizon placements for the epoch starting at ``t0``.
 
         The natural bound ``t0 + lookahead`` first (the TCP runtime's
@@ -230,6 +197,26 @@ class ModelCoordinator(Coordinator):
             orders.append(tuple(swapped))
         return orders
 
+    def _pick_horizon(self, t0: float) -> float:
+        """Choice point 1, scripted; also where each epoch's entry
+        checks run (the production loop calls this once per epoch,
+        with the live head event's time)."""
+        if t0 < self._last_horizon:
+            raise ServeError(
+                f"conservative soundness broken: live event at "
+                f"{t0} below executed horizon {self._last_horizon}")
+        if self._signature is None and self.schedule.exhausted:
+            self._signature = self.state_signature()
+        candidates = self._horizon_candidates(t0)
+        self._last_horizon = candidates[
+            self.schedule.pick(len(candidates))]
+        return self._last_horizon
+
+    def _reply_order(self, names: list[str]) -> list[str]:
+        """Choice point 2, scripted."""
+        orders = self._order_candidates(names)
+        return list(orders[self.schedule.pick(len(orders))])
+
     def state_signature(self) -> tuple[Any, ...]:
         """Complete run-state signature for the convergence prune.
 
@@ -245,55 +232,17 @@ class ModelCoordinator(Coordinator):
         return (tuple(self.applied_log), kernel)
 
     def run_model(self, schedule: _Schedule) -> tuple[Any, ...] | None:
-        """Execute one full run under ``schedule``.
+        """Execute one full production ``run()`` under ``schedule``.
 
         Returns the state signature captured at the first unscripted
         decision (None if the run ended inside the scripted prefix) —
         the key the explorer's convergence prune deduplicates on.
         """
-        self._wall_start = _time.monotonic()
-        for i in range(self.ctx.workload.n_nodes):
-            self._model_rpc(local_name(i), framing.INJECT,
-                            {"now": 0.0})
-        for name in self.node_names:
-            self._model_rpc(name, framing.START, {"now": 0.0})
-        signature: tuple[Any, ...] | None = None
-        sim = self.topo.sim
-        cap = simulation_cap_s(self.ctx)
-        while not self._stop:
-            event = sim.peek()
-            if event is None:
-                sim._now = max(sim._now, cap)
-                break
-            if event.time > cap:
-                sim._now = cap
-                break
-            if signature is None and schedule.exhausted:
-                signature = self.state_signature()
-            self._epoch_idx += 1
-            candidates = self._horizon_candidates(event.time, cap)
-            horizon = candidates[schedule.pick(len(candidates))]
-            slots, blobs = self._collect_epoch(horizon, cap)
-            names = [n for n in self.node_names if slots[n]]
-            orders = self._order_candidates(names)
-            order = orders[schedule.pick(len(orders))]
-            replies = {
-                name: self._model_epoch_rpc(name, horizon, slots[name],
-                                            blobs[name])
-                for name in order}
-            self._merge_epoch(replies, horizon)
-            if not self._stop:
-                head = sim.peek()
-                if head is not None and head.time < horizon:
-                    raise ServeError(
-                        f"conservative soundness broken: live event at "
-                        f"{head.time} below executed horizon {horizon}")
-        if signature is None and schedule.exhausted:
-            signature = self.state_signature()
-        for name in self.node_names:
-            self.finals[name] = self.workers[name].final_payload(
-                self.applied_items[name])
-        return signature
+        self.schedule = schedule
+        self.run()
+        if self._signature is None and schedule.exhausted:
+            self._signature = self.state_signature()
+        return self._signature
 
 
 def check_applied_order(applied: list[tuple[str, MergeKey]]

@@ -953,11 +953,15 @@ class NoBlockingInMergeSections(LintRule):
     ``Coordinator._merge_epoch`` runs, which is what makes the K-way
     merge a pure, deterministic function of its queues — the property
     the model checker (``repro check --explore``) exhaustively
-    verifies.  A blocking call inside a merge section —
-    ``time.sleep``, a socket operation, a framing send/recv, an
-    ``await`` — reintroduces arrival-order timing into the merge
-    decision, invalidating the small-scope proof and deadlocking the
-    serve loop under slow links.
+    verifies.  The coordinator is one sequential loop over blocking
+    sockets, so what this rule keeps out of a merge section is a wait
+    or a *transfer*: ``time.sleep``, a socket operation, a framing
+    send/recv, or one of the coordinator's own transport calls
+    (``transport.send``/``recv``, ``_send``/``_recv``/``_rpc``).  Any
+    of them reintroduces arrival-order timing into the merge decision,
+    invalidating the small-scope proof, and breaks the
+    write-all-then-read-all discipline that keeps the loop
+    deadlock-free.
 
     Applies to all of :mod:`repro.serve.merge` (the extracted merge
     core) and to ``_merge*``/``_apply*`` methods of the coordinator.
@@ -965,7 +969,7 @@ class NoBlockingInMergeSections(LintRule):
 
     code = "DL010"
     name = "no-blocking-in-merge-sections"
-    summary = ("blocking calls (sleep/socket/framing/await) inside "
+    summary = ("blocking calls (sleep/socket/framing/transport) inside "
                "coordinator merge sections break merge determinism")
     scope = ("repro/serve/coordinator", "repro/serve/merge")
 
@@ -975,10 +979,10 @@ class NoBlockingInMergeSections(LintRule):
         "socket.socket", "subprocess.run", "subprocess.check_call",
         "subprocess.check_output", "subprocess.Popen",
     })
-    #: Any framing-layer transfer, sync or async, by suffix.
+    #: Any framing-layer or coordinator-transport transfer, by suffix.
     BLOCKING_SUFFIXES = ("send_frame", "recv_frame",
-                         "send_frame_async", "recv_frame_async",
-                         "connect_with_retry")
+                         "connect_with_retry", "transport.send",
+                         "transport.recv", "._send", "._recv", "._rpc")
 
     def applies_to(self, ctx: FileContext) -> bool:
         # Scripts outside the package have no merge sections.
@@ -994,8 +998,7 @@ class NoBlockingInMergeSections(LintRule):
         whole_module = ctx.package_path().startswith(
             "repro/serve/merge")
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
+            if not isinstance(node, ast.FunctionDef):
                 continue
             if not whole_module and not node.name.startswith(
                     ("_merge", "_apply")):
@@ -1005,13 +1008,6 @@ class NoBlockingInMergeSections(LintRule):
     def _check_section(self, ctx: FileContext, fn: ast.AST,
                        aliases: dict[str, str]) -> Iterable[Finding]:
         for node in ast.walk(fn):
-            if isinstance(node, ast.Await):
-                yield self.finding(
-                    ctx, node,
-                    "`await` inside a merge section yields to the "
-                    "event loop mid-merge; collect all replies "
-                    "before merging")
-                continue
             if not isinstance(node, ast.Call):
                 continue
             chain = _resolve_chain(node.func, aliases)
@@ -1026,7 +1022,7 @@ class NoBlockingInMergeSections(LintRule):
             elif chain.endswith(self.BLOCKING_SUFFIXES):
                 yield self.finding(
                     ctx, node,
-                    f"framing transfer `{chain}(...)` inside a merge "
+                    f"transfer `{chain}(...)` inside a merge "
                     f"section; collect all replies before merging")
 
 

@@ -21,14 +21,35 @@ from __future__ import annotations
 from repro.core.context import SchemeContext
 from repro.core.protocol import make_sizer
 from repro.core.records import RunResult
-from repro.core.runner import RunConfig, make_context
+from repro.core.runner import RunConfig, SchemeSpec, make_context
 from repro.core.workload import Workload
 from repro.errors import SimulationError
 from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME, local_name
 from repro.runtime.feeder import inject_stream
+from repro.runtime.node import NodeProfile
 from repro.sim.topology import StarTopology, build_star, peer_mesh
 from repro.streams.event import ticks_to_seconds
+
+
+def resolved_profiles(config: RunConfig, spec: SchemeSpec
+                      ) -> tuple[NodeProfile, NodeProfile]:
+    """``(root_profile, local_profile)`` after the scheme's transform."""
+    transform = spec.profile_transform
+    if transform is None:
+        return config.root_profile, config.local_profile
+    return (transform(config.root_profile),
+            transform(config.local_profile))
+
+
+def stamp_run_meta(tracer: RunTracer, config: RunConfig,
+                   n_nodes: int) -> None:
+    """Record the run's identifying parameters on its tracer."""
+    tracer.meta.setdefault("scheme", config.scheme)
+    tracer.meta.setdefault("n_nodes", n_nodes)
+    tracer.meta.setdefault("window_size", config.window_size)
+    tracer.meta.setdefault("n_windows", config.n_windows)
+    tracer.meta.setdefault("seed", config.seed)
 
 
 def build_run(config: RunConfig,
@@ -43,11 +64,7 @@ def build_run(config: RunConfig,
     """
     spec, ctx, tracer = make_context(config, workload, tracer)
     workload = ctx.workload
-    local_profile = config.local_profile
-    root_profile = config.root_profile
-    if spec.profile_transform is not None:
-        local_profile = spec.profile_transform(local_profile)
-        root_profile = spec.profile_transform(root_profile)
+    root_profile, local_profile = resolved_profiles(config, spec)
     topo = build_star(
         workload.n_nodes, sizer=make_sizer(spec.fmt),
         root_profile=root_profile, local_profile=local_profile,
@@ -68,11 +85,7 @@ def build_run(config: RunConfig,
     topo.network.codec = MessageCodec(spec.fmt)
     if tracer is not None:
         topo.sim.tracer = tracer
-        tracer.meta.setdefault("scheme", config.scheme)
-        tracer.meta.setdefault("n_nodes", workload.n_nodes)
-        tracer.meta.setdefault("window_size", config.window_size)
-        tracer.meta.setdefault("n_windows", config.n_windows)
-        tracer.meta.setdefault("seed", config.seed)
+        stamp_run_meta(tracer, config, workload.n_nodes)
     return topo, ctx
 
 

@@ -13,9 +13,10 @@ event below the safe horizon ``t0 + min-link-latency`` is independent
 across workers: any send one of them emits arrives at or after the
 horizon.  Each round the coordinator pops the head event and that
 whole prefix, ships each worker its share as ONE batched EPOCH frame,
-lets all workers execute concurrently, then replays the returned op
-batches in canonical ``(time, phase, rank)`` order.  Results are
-fingerprint-identical to the oracle (emission order within an
+reads the replies once every frame is written (the workers are
+separate processes, so they execute concurrently), then replays the
+returned op batches in canonical ``(time, phase, rank)`` order.
+Results are fingerprint-identical to the oracle (emission order within an
 equal-key class is covered by the same invariance contract as the
 tie-break salt).  A fabric whose minimum link latency is zero has no
 lookahead: the horizon is the head event's own time and every round
@@ -30,10 +31,11 @@ lets virtual time free-run and measures sustained pipeline throughput.
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import time
 from collections import deque
-from typing import Any
+from dataclasses import replace
+from typing import Any, Protocol
 
 from repro.core.context import SchemeContext
 from repro.core.protocol import make_sizer
@@ -44,7 +46,8 @@ from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_APPLY)
 from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME, local_name
-from repro.runtime.driver import simulation_cap_s
+from repro.runtime.driver import (resolved_profiles, simulation_cap_s,
+                                  stamp_run_meta)
 from repro.runtime.node import Behavior, NodeProfile
 from repro.serve import framing
 from repro.serve.merge import EpochMerge, MergeKey, slot_key
@@ -58,6 +61,56 @@ from repro.wire.codec import MessageCodec
 
 #: Seconds to wait for every worker process to connect and HELLO.
 HANDSHAKE_TIMEOUT_S = 30.0
+#: Seconds an accepted connection has to say HELLO (a worker sends it
+#: at once; this bounds what a silent stranger costs the accept loop).
+HELLO_TIMEOUT_S = 2.0
+#: Seconds a connected worker has to move one frame: one that is alive
+#: but never replies fails the run instead of hanging it.
+REPLY_TIMEOUT_S = 120.0
+
+
+class Transport(Protocol):
+    """The coordinator's whole view of its workers: two calls."""
+
+    def send(self, name: str, kind: int, header: dict[str, Any],
+             blob: bytes) -> None: ...
+
+    def recv(self, name: str) -> tuple[int, dict[str, Any], bytes]: ...
+
+
+class SocketTransport:
+    """The production transport: each node's accepted blocking socket,
+    framed by the same two functions the workers use."""
+
+    def __init__(self) -> None:
+        self.socks: dict[str, socket.socket] = {}
+
+    def adopt(self, conn: socket.socket, names: list[str]) -> None:
+        """HELLO/ACK one freshly accepted connection, or close it."""
+        conn.settimeout(HELLO_TIMEOUT_S)
+        try:
+            kind, header, _ = framing.recv_frame(conn)
+            name = header.get("node")
+            # A second HELLO for a connected node is refused: replacing
+            # the live connection would orphan the real worker's socket
+            # and the run would block on a frame that never comes.
+            if kind != framing.HELLO or name not in names \
+                    or name in self.socks:
+                raise ServeError(f"refused HELLO from {name!r}")
+            framing.send_frame(conn, framing.ACK, {})
+        except (ServeError, OSError):
+            conn.close()
+            return
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.settimeout(REPLY_TIMEOUT_S)
+        self.socks[name] = conn
+
+    def send(self, name: str, kind: int, header: dict[str, Any],
+             blob: bytes) -> None:
+        framing.send_frame(self.socks[name], kind, header, blob)
+
+    def recv(self, name: str) -> tuple[int, dict[str, Any], bytes]:
+        return framing.recv_frame(self.socks[name])
 
 
 class ProxyNode(SimNode):
@@ -96,17 +149,18 @@ class WindowSample:
 class Coordinator:
     """Drives one serve run over already-spawned worker processes."""
 
-    def __init__(self, config: RunConfig,
+    def __init__(self, config: RunConfig, transport: Transport,
                  tracer: RunTracer | None = None) -> None:
-        self.config = config
+        #: A :class:`SocketTransport` in every real run; the seam
+        #: exists so the model checker can substitute in-process calls.
+        self.transport = transport
         spec, ctx, tracer = make_context(config, None, tracer)
         self.ctx: SchemeContext = ctx
         self.tracer = tracer
-        local_profile = config.local_profile
-        root_profile = config.root_profile
-        if spec.profile_transform is not None:
-            local_profile = spec.profile_transform(local_profile)
-            root_profile = spec.profile_transform(root_profile)
+        #: What every worker runs.  Workers build their own tracer from
+        #: this, so they trace exactly when the coordinator does.
+        self.worker_config = replace(config, trace=tracer is not None)
+        root_profile, local_profile = resolved_profiles(config, spec)
         n = ctx.workload.n_nodes
 
         def proxy(sim: Simulator, name: str, profile: NodeProfile,
@@ -128,14 +182,9 @@ class Coordinator:
         self.transport_codec.seed_senders(sender_table(n))
         if tracer is not None:
             self.topo.sim.tracer = tracer
-            tracer.meta.setdefault("scheme", config.scheme)
-            tracer.meta.setdefault("n_nodes", n)
-            tracer.meta.setdefault("window_size", config.window_size)
-            tracer.meta.setdefault("n_windows", config.n_windows)
-            tracer.meta.setdefault("seed", config.seed)
+            stamp_run_meta(tracer, config, n)
             tracer.meta["runtime"] = "serve"
-        self.node_names = [ROOT_NAME] + [local_name(i)
-                                         for i in range(n)]
+        self.node_names = sender_table(n)
         #: Conservative lookahead: an event at ``t`` can only affect
         #: another node at ``t + link latency`` or later, so everything
         #: below ``t0 + lookahead`` is cross-node independent.  Zero on
@@ -143,9 +192,8 @@ class Coordinator:
         self._lookahead = min(
             link.latency
             for link in self.topo.network.links().values())
-        self._conns: dict[
-            str, tuple[asyncio.StreamReader, asyncio.StreamWriter]] = {}
-        self._all_connected = asyncio.Event()
+        #: Whether the run loop throttles to the wall clock.
+        self._paced = not config.saturated
         self._tokens: dict[tuple[str, int], Any] = {}
         self._dispatch: tuple[str, str, Any] | None = None
         self._stop = False
@@ -190,40 +238,6 @@ class Coordinator:
         self._frame_seq = 0
         self._epoch_idx = -1
 
-    # -- connection management ---------------------------------------------
-
-    async def on_connect(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        """``asyncio.start_server`` callback: HELLO/ACK handshake."""
-        try:
-            kind, header, _ = await framing.recv_frame_async(reader)
-        except ServeError:
-            writer.close()
-            return
-        name = header.get("node")
-        # A second HELLO for a connected node is refused: replacing the
-        # live connection would orphan the real worker's socket and the
-        # run would block on a frame that never comes.
-        if kind != framing.HELLO or name not in self.node_names \
-                or name in self._conns:
-            writer.close()
-            return
-        self._conns[name] = (reader, writer)
-        await framing.send_frame_async(writer, framing.ACK, {})
-        if len(self._conns) == len(self.node_names):
-            self._all_connected.set()
-
-    async def wait_for_workers(
-            self, timeout: float = HANDSHAKE_TIMEOUT_S) -> None:
-        """Block until every expected node process has connected."""
-        try:
-            await asyncio.wait_for(self._all_connected.wait(), timeout)
-        except asyncio.TimeoutError:
-            missing = sorted(set(self.node_names) - set(self._conns))
-            raise ServeError(
-                f"workers never connected within {timeout:.0f}s: "
-                f"{missing}") from None
-
     # -- control RPC -------------------------------------------------------
 
     def stash_dispatch(self, dispatch: tuple[str, str, Any]) -> None:
@@ -247,42 +261,56 @@ class Coordinator:
         self.tracer.event(kind, self.topo.sim.now, COORD_PROCESS,
                           seq=self._causal_seq, **data)
 
-    async def _rpc(self, name: str, kind: int,
-                   header: dict[str, Any]) -> None:
-        """One control round-trip (INJECT/START/QUERY): instruct, await
-        the op list, apply it."""
-        try:
-            reader, writer = self._conns[name]
-        except KeyError:
-            raise ServeError(f"no connection for node {name!r}") from None
-        if self.tracer is not None:
+    #: A transport fault: EOF or reset (the process died) or the reply
+    #: deadline (it is alive but silent; ``exc`` reads "timed out").
+    _LOST = "node {!r} process died or hung mid-run: {}"
+
+    def _send(self, name: str, kind: int, header: dict[str, Any],
+              blob: bytes = b"") -> None:
+        """Write one request frame to ``name`` (``header`` is the
+        caller's to give away: a traced run tags it)."""
+        # FINISH/FINAL sit outside the causal model: FINAL *carries*
+        # the worker's trace.
+        if self.tracer is not None and kind != framing.FINISH:
             self.tracer.inc("serve_frames_sent", name)
             self._frame_seq += 1
-            header = dict(header)
             header["f"] = self._frame_seq
             self._causal(FRAME_SEND, fseq=self._frame_seq, dst=name,
                          fkind=kind)
         try:
-            await framing.send_frame_async(writer, kind, header)
-            reply_kind, reply, reply_blob = \
-                await framing.recv_frame_async(reader)
-        except (ServeError, ConnectionError) as exc:
-            raise ServeError(
-                f"node {name!r} process died mid-run: {exc}") from None
-        if reply_kind == framing.ERROR:
+            self.transport.send(name, kind, header, blob)
+        except (ServeError, OSError) as exc:
+            raise ServeError(self._LOST.format(name, exc)) from None
+
+    def _recv(self, name: str,
+              expect: int) -> tuple[dict[str, Any], bytes]:
+        """Read ``name``'s reply frame, which must be of kind
+        ``expect``; returns its (header, blob)."""
+        try:
+            kind, reply, blob = self.transport.recv(name)
+        except (ServeError, OSError) as exc:
+            raise ServeError(self._LOST.format(name, exc)) from None
+        if kind == framing.ERROR:
             raise ServeError(
                 f"node {name!r} failed: {reply.get('error')}")
-        if reply_kind != framing.OPS:
+        if kind != expect:
             raise ServeError(
-                f"unexpected reply kind {reply_kind} from {name!r}")
-        if self.tracer is not None:
+                f"unexpected reply kind {kind} from {name!r}")
+        # A traced worker tags every op reply (never its FINAL).
+        if self.tracer is not None and "f" in reply:
             self.tracer.inc("serve_frames_recv", name)
-            if "f" in reply:
-                self._causal(FRAME_RECV, fseq=reply["f"], edge=name,
-                             fkind=reply_kind)
-        if "c" in reply:
-            self.worker_counters[name] = reply["c"]
-        self._apply_ops(name, reply["ops"], reply_blob)
+            self._causal(FRAME_RECV, fseq=reply["f"], edge=name,
+                         fkind=kind)
+        return reply, blob
+
+    def _rpc(self, name: str, kind: int,
+             header: dict[str, Any]) -> None:
+        """One control round-trip (INJECT/START/QUERY): instruct, read
+        the op list, apply it."""
+        self._send(name, kind, header)
+        reply, blob = self._recv(name, framing.OPS)
+        self.worker_counters[name] = reply["c"]
+        self._apply_ops(name, reply["ops"], blob)
 
     def _apply_ops(self, name: str, ops: list[list[Any]],
                    blob: bytes,
@@ -340,39 +368,26 @@ class Coordinator:
 
     # -- run loop ----------------------------------------------------------
 
-    async def run(self) -> None:
+    def run(self) -> None:
         """Init, run epochs to completion, collect FINAL payloads."""
         # Replicate run_simulation's order exactly: inject every local
         # stream (0..n-1), then start root, then start the locals.
         for i in range(self.ctx.workload.n_nodes):
-            await self._rpc(local_name(i), framing.INJECT,
-                            {"now": 0.0})
+            self._rpc(local_name(i), framing.INJECT, {"now": 0.0})
         for name in self.node_names:
-            await self._rpc(name, framing.START, {"now": 0.0})
+            self._rpc(name, framing.START, {"now": 0.0})
         for stream, spec, at in self.admissions:
-            await self.admit_query(stream, spec, at=at)
-        await self._epoch_loop()
+            self.admit_query(stream, spec, at)
+        self._epoch_loop()
         for name in self.node_names:
-            reader, writer = self._conns[name]
-            try:
-                await framing.send_frame_async(
-                    writer, framing.FINISH,
-                    {"applied": self.applied_items[name]})
-                kind, header, _ = await framing.recv_frame_async(reader)
-            except (ServeError, ConnectionError) as exc:
-                raise ServeError(
-                    f"node {name!r} died before FINAL: {exc}") from None
-            if kind != framing.FINAL:
-                raise ServeError(
-                    f"expected FINAL from {name!r}, got kind {kind}")
-            self.finals[name] = header
-            writer.close()
+            self._send(name, framing.FINISH,
+                       {"applied": self.applied_items[name]})
+            self.finals[name], _ = self._recv(name, framing.FINAL)
 
     # -- standing-query ops ------------------------------------------------
 
-    async def admit_query(self, stream: str, spec: str, *,
-                          at: int | None = None,
-                          qid: str | None = None) -> str:
+    def admit_query(self, stream: str, spec: str,
+                    at: int | None = None) -> str:
         """Broadcast a standing-query admission; returns its id.
 
         Every worker registers the query (so registries agree); only
@@ -380,37 +395,31 @@ class Coordinator:
         Config-admitted queries take ids ``q<N>`` on the workers, so
         runtime admissions use a disjoint ``rq<N>`` namespace.
         """
-        if qid is None:
-            qid = f"rq{self._next_qid}"
-            self._next_qid += 1
+        qid = f"rq{self._next_qid}"
+        self._next_qid += 1
         header = {"now": self.topo.sim.now, "qop": "admit",
                   "stream": stream, "spec": spec, "qid": qid, "at": at}
         for name in self.node_names:
-            await self._rpc(name, framing.QUERY, dict(header))
+            self._rpc(name, framing.QUERY, dict(header))
         return qid
-
-    async def remove_query(self, qid: str) -> None:
-        """Broadcast removal of a standing query to every worker."""
-        header = {"now": self.topo.sim.now, "qop": "remove", "qid": qid}
-        for name in self.node_names:
-            await self._rpc(name, framing.QUERY, dict(header))
 
     # -- epoch execution ---------------------------------------------------
 
-    async def _epoch_loop(self) -> None:
+    def _epoch_loop(self) -> None:
         """Conservative-parallel run loop (DESIGN §12).
 
         Each round pops the head kernel event and every further event
-        below the safe horizon ``t0 + lookahead``, ships each worker
-        its whole share as one EPOCH frame, gathers the concurrent
-        replies, and replays the op batches in canonical global order.
+        below the safe horizon, writes each worker its whole share as
+        one EPOCH frame, then reads the replies and replays the op
+        batches in canonical global order.  Every request is written
+        before any reply is read, and a worker reads its whole request
+        before it executes, so neither side can block the other.
         Progress is guaranteed: the head event is always taken, so
         every round executes at least one event (exactly one when the
         fabric has no lookahead).
         """
         sim = self.topo.sim
         cap = simulation_cap_s(self.ctx)
-        paced = not self.config.saturated
         self._wall_start = time.monotonic()
         while not self._stop:
             event = sim.peek()
@@ -420,25 +429,39 @@ class Coordinator:
             if event.time > cap:
                 sim._now = cap
                 break
-            if paced:
+            if self._paced:
                 delay = (self._wall_start + event.time
                          - time.monotonic())
                 if delay > 0:
-                    await asyncio.sleep(delay)
+                    time.sleep(delay)
             self._epoch_idx += 1
-            horizon = event.time + self._lookahead
+            horizon = self._pick_horizon(event.time)
             slots, blobs = self._collect_epoch(horizon, cap)
             names = [n for n in self.node_names if slots[n]]
-            replies = await asyncio.gather(
-                *(self._epoch_rpc(n, horizon, slots[n], blobs[n])
-                  for n in names), return_exceptions=True)
-            for got in replies:
-                if isinstance(got, BaseException):
-                    raise got
-            self._merge_epoch(
-                {name: got for name, got in zip(names, replies)},
-                horizon)
+            for name in names:
+                self._send(name, framing.EPOCH,
+                           {"h": horizon, "slots": slots[name],
+                            "e": self._epoch_idx}, bytes(blobs[name]))
+            replies: dict[str, tuple[list[dict[str, Any]], bytes]] = {}
+            for name in self._reply_order(names):
+                reply, blob = self._recv(name, framing.EPOCH_OPS)
+                replies[name] = (reply["batches"], blob)
+            self._merge_epoch(replies, horizon)
         self.wall_seconds = time.monotonic() - self._wall_start
+
+    # The runtime's two interleaving freedoms.  Production always takes
+    # the first choice; the model checker (repro.analysis.explore)
+    # overrides exactly these two to enumerate the rest.
+
+    def _pick_horizon(self, t0: float) -> float:
+        """The epoch boundary for a head event at ``t0``: any value in
+        ``(t0, t0 + lookahead]`` is sound; the widest does most work."""
+        return t0 + self._lookahead
+
+    def _reply_order(self, names: list[str]) -> list[str]:
+        """The order replies are read, hence the order the merge scans
+        its queues; the merged result must not depend on it."""
+        return names
 
     def _collect_epoch(
             self, horizon: float, cap: float
@@ -483,44 +506,6 @@ class Coordinator:
                                       or event.time > cap):
                 break
         return slots, blobs
-
-    async def _epoch_rpc(
-            self, name: str, horizon: float, slots: list[list[Any]],
-            blob: bytearray) -> tuple[list[dict[str, Any]], bytes]:
-        """Ship one worker its epoch; return its (batches, blob)."""
-        try:
-            reader, writer = self._conns[name]
-        except KeyError:
-            raise ServeError(
-                f"no connection for node {name!r}") from None
-        header: dict[str, Any] = {
-            "h": horizon, "slots": slots, "e": self._epoch_idx}
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_sent", name)
-            self._frame_seq += 1
-            header["f"] = self._frame_seq
-            self._causal(FRAME_SEND, fseq=self._frame_seq, dst=name,
-                         fkind=framing.EPOCH)
-        try:
-            await framing.send_frame_async(
-                writer, framing.EPOCH, header, bytes(blob))
-            kind, reply, reply_blob = \
-                await framing.recv_frame_async(reader)
-        except (ServeError, ConnectionError) as exc:
-            raise ServeError(
-                f"node {name!r} process died mid-run: {exc}") from None
-        if kind == framing.ERROR:
-            raise ServeError(
-                f"node {name!r} failed: {reply.get('error')}")
-        if kind != framing.EPOCH_OPS:
-            raise ServeError(
-                f"unexpected reply kind {kind} from {name!r}")
-        if self.tracer is not None:
-            self.tracer.inc("serve_frames_recv", name)
-            if "f" in reply:
-                self._causal(FRAME_RECV, fseq=reply["f"], edge=name,
-                             fkind=kind)
-        return reply["batches"], reply_blob
 
     def _merge_epoch(
             self, replies: dict[str, tuple[list[dict[str, Any]],

@@ -12,17 +12,16 @@ binary wire-codec frames verbatim, referenced from the header by
 ``[offset, length]`` pairs so protocol payloads are never re-encoded
 as text.
 
-Both transports are provided: blocking sockets for workers (a worker
-is a plain sequential process — one request, one reply) and asyncio
-streams for the coordinator (which multiplexes every worker
-connection).  :func:`connect_with_retry` gives workers their
-exponential-backoff connection bootstrap, so start order between the
-coordinator and its workers does not matter.
+One transport: blocking sockets on both ends.  A worker is a plain
+sequential process (one request in, one reply out) and the coordinator
+a plain sequential loop that writes every worker's request before it
+reads any reply (DESIGN §12, "transport").  :func:`connect_with_retry`
+gives workers their exponential-backoff connection bootstrap, so start
+order between the coordinator and its workers does not matter.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
@@ -79,22 +78,7 @@ def encode_frame(kind: int, header: dict[str, Any],
                      head, blob))
 
 
-def _parse(kind_head_blob: bytes) -> tuple[int, dict[str, Any], bytes]:
-    kind, head_len = _HEAD.unpack_from(kind_head_blob, 0)
-    at = _HEAD.size
-    try:
-        header = json.loads(kind_head_blob[at:at + head_len])
-    except ValueError as exc:
-        raise ServeError(f"undecodable control header: {exc}") from None
-    return kind, header, kind_head_blob[at + head_len:]
-
-
-def _check_len(total: int) -> None:
-    if total < _HEAD.size or total > MAX_FRAME_BYTES:
-        raise ServeError(f"implausible control frame length {total}")
-
-
-# -- blocking transport (workers) ----------------------------------------------
+# -- transport -----------------------------------------------------------------
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     parts = []
@@ -103,7 +87,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
         chunk = sock.recv(remaining)
         if not chunk:
             raise ServeError(
-                "control connection closed mid-frame (coordinator gone)")
+                "control connection closed mid-frame (peer gone)")
         parts.append(chunk)
         remaining -= len(chunk)
     return b"".join(parts)
@@ -118,8 +102,18 @@ def send_frame(sock: socket.socket, kind: int, header: dict[str, Any],
 def recv_frame(sock: socket.socket) -> tuple[int, dict[str, Any], bytes]:
     """Read one frame from a blocking socket."""
     total = _LEN.unpack(_recv_exactly(sock, _LEN.size))[0]
-    _check_len(total)
-    return _parse(_recv_exactly(sock, total))
+    if total < _HEAD.size or total > MAX_FRAME_BYTES:
+        raise ServeError(f"implausible control frame length {total}")
+    body = _recv_exactly(sock, total)
+    kind, head_len = _HEAD.unpack_from(body, 0)
+    at = _HEAD.size
+    try:
+        header = json.loads(body[at:at + head_len])
+    except ValueError as exc:
+        raise ServeError(f"undecodable control header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ServeError("control header is not a JSON object")
+    return kind, header, body[at + head_len:]
 
 
 def connect_with_retry(host: str, port: int, attempts: int = 8,
@@ -150,27 +144,3 @@ def connect_with_retry(host: str, port: int, attempts: int = 8,
         f"could not connect to coordinator at {host}:{port} after "
         f"{attempts} attempts: {last}")
 
-
-# -- asyncio transport (coordinator) -------------------------------------------
-
-async def send_frame_async(writer: asyncio.StreamWriter, kind: int,
-                           header: dict[str, Any], blob: bytes = b"") -> None:
-    """Write one frame to an asyncio stream."""
-    writer.write(encode_frame(kind, header, blob))
-    await writer.drain()
-
-
-async def recv_frame_async(
-        reader: asyncio.StreamReader) -> tuple[int, dict[str, Any], bytes]:
-    """Read one frame from an asyncio stream.
-
-    Raises :class:`ServeError` on EOF — a worker connection closing
-    outside the FINISH handshake means its process died.
-    """
-    try:
-        total = _LEN.unpack(await reader.readexactly(_LEN.size))[0]
-        _check_len(total)
-        return _parse(await reader.readexactly(total))
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
-        raise ServeError(
-            f"worker connection lost mid-frame: {exc}") from None

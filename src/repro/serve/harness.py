@@ -14,15 +14,15 @@ serve smoke tests and CI assert fingerprint equality on every run.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.records import RunResult
@@ -33,7 +33,7 @@ from repro.obs.events import TraceEvent
 from repro.obs.tracer import RunTracer
 from repro.runtime.driver import collect
 from repro.serve.coordinator import (HANDSHAKE_TIMEOUT_S, Coordinator,
-                                     WindowSample)
+                                     SocketTransport, WindowSample)
 from repro.serve.protocol import SUMMED_FIELDS, config_to_json
 
 #: Seconds to wait for worker processes to exit after FINAL.
@@ -195,20 +195,19 @@ def _merge_results(coord: Coordinator) -> RunResult:
     return result
 
 
-async def _await_workers(coord: Coordinator,
-                         procs: dict[str, subprocess.Popen],
-                         timeout: float | None = None) -> None:
-    """Wait for every worker's HELLO, failing fast if one dies first.
+def _accept_workers(listener: socket.socket,
+                    transport: SocketTransport, names: list[str],
+                    procs: dict[str, subprocess.Popen]) -> None:
+    """HELLO/ACK every node in ``names`` onto ``transport``.
 
-    A worker that exits before connecting (import error, bad argv, a
-    port race) would otherwise leave the harness blocked for the full
-    handshake timeout with the surviving workers orphaned; polling the
-    process table between short waits surfaces the death immediately.
+    One loop bounded by the handshake deadline; between short accepts
+    it polls the process table, so a worker that exits before
+    connecting (import error, bad argv, a port race) surfaces at once
+    instead of leaving the survivors orphaned until the deadline.
     """
-    if timeout is None:
-        timeout = HANDSHAKE_TIMEOUT_S
-    deadline = time.monotonic() + timeout
-    while True:
+    deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
+    listener.settimeout(0.05)
+    while len(transport.socks) < len(names):
         dead = {name: proc.returncode for name, proc in procs.items()
                 if proc.poll() is not None and proc.returncode != 0}
         if dead:
@@ -216,14 +215,16 @@ async def _await_workers(coord: Coordinator,
                                 for name, code in sorted(dead.items()))
             raise ServeError(
                 f"worker process died before handshake: {details}")
-        remaining = deadline - time.monotonic()
+        if time.monotonic() >= deadline:
+            missing = sorted(set(names) - set(transport.socks))
+            raise ServeError(
+                f"workers never connected within "
+                f"{HANDSHAKE_TIMEOUT_S:g}s: {missing}")
         try:
-            await coord.wait_for_workers(
-                timeout=min(0.05, max(0.0, remaining)))
-            return
-        except ServeError:
-            if remaining <= 0:
-                raise
+            conn, _ = listener.accept()
+        except TimeoutError:
+            continue
+        transport.adopt(conn, names)
 
 
 def run_scheme_served(
@@ -246,32 +247,20 @@ def run_scheme_served(
     ``config.queries`` need no entry here; they are admitted by every
     worker's own :func:`~repro.core.runner.make_context`.
     """
-    coord = Coordinator(config, tracer)
+    transport = SocketTransport()
+    coord = Coordinator(config, transport, tracer)
     coord.admissions = list(admissions)
-    # Workers build their own tracer from the shipped config; a caller
-    # who passed a tracer expects worker-side events too, so the flag
-    # travels with the worker command line.
-    worker_config = (replace(config, trace=True)
-                     if coord.tracer is not None else config)
     procs: dict[str, subprocess.Popen] = {}
-
-    async def _run() -> None:
-        server = await asyncio.start_server(coord.on_connect, host, 0)
-        port = server.sockets[0].getsockname()[1]
-        try:
-            env = worker_env()
-            for name in coord.node_names:
-                procs[name] = subprocess.Popen(
-                    worker_argv(host, port, name, worker_config),
-                    env=env)
-            await _await_workers(coord, procs)
-            await coord.run()
-        finally:
-            server.close()
-            await server.wait_closed()
-
+    listener = socket.create_server((host, 0))
     try:
-        asyncio.run(_run())
+        port = listener.getsockname()[1]
+        env = worker_env()
+        for name in coord.node_names:
+            procs[name] = subprocess.Popen(
+                worker_argv(host, port, name, coord.worker_config),
+                env=env)
+        _accept_workers(listener, transport, coord.node_names, procs)
+        coord.run()
     except ServeError as exc:
         # Reap everything first: a worker that just crashed may not be
         # wait()-able in the instant its EOF reaches the coordinator.
@@ -288,6 +277,10 @@ def run_scheme_served(
     except BaseException:
         _terminate(procs)
         raise
+    finally:
+        listener.close()
+        for sock in transport.socks.values():
+            sock.close()
     # Graceful shutdown: every worker replied FINAL and must now exit
     # cleanly on its own.
     for name, proc in procs.items():

@@ -36,6 +36,7 @@ import math
 import os
 import socket
 import sys
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.runner import RunConfig, make_context
@@ -46,6 +47,7 @@ from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.api import (PHASE_PROTOCOL, ROOT_NAME, TimerHandle,
                                local_name)
+from repro.runtime.driver import resolved_profiles
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
 from repro.serve import framing
@@ -150,11 +152,7 @@ class WorkerRuntime:
         spec, ctx, tracer = make_context(config, workload)
         self.ctx = ctx
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        local_profile = config.local_profile
-        root_profile = config.root_profile
-        if spec.profile_transform is not None:
-            local_profile = spec.profile_transform(local_profile)
-            root_profile = spec.profile_transform(root_profile)
+        root_profile, local_profile = resolved_profiles(config, spec)
         # Construct every behaviour in the simulator's order (root,
         # then locals): constructors may touch shared context state,
         # and each worker's context replica must see the exact same
@@ -217,16 +215,6 @@ class WorkerRuntime:
         self._causal_seq += 1
         self.tracer.event(kind, self.now, self.node_name,
                           seq=self._causal_seq, **data)
-
-    def reply_frame_tag(self, kind: int) -> int | None:
-        """Allocate and record this reply frame's causal id; None when
-        untraced (the socket loop then omits the ``f`` header)."""
-        if not self.tracer.enabled:
-            return None
-        self._frame_seq += 1
-        self._causal(FRAME_SEND, fseq=self._frame_seq,
-                     dst=COORD_PROCESS, fkind=kind)
-        return self._frame_seq
 
     # -- op emission (called from ServeNode) -------------------------------
 
@@ -320,17 +308,24 @@ class WorkerRuntime:
             self._apply_query_op(header)
         else:
             raise ServeError(f"unexpected control frame kind {kind}")
-        # Detect window emissions by result delta: behaviours append
-        # outcomes to the shared result record exactly as on the
-        # simulator, so no scheme code needs serve-specific hooks.
-        for outcome in self.ctx.result.outcomes[before:]:
+        self._emit_outcomes(before, ("rpc",), -1)
+        return self.ops, bytes(self.opblob)
+
+    def _emit_outcomes(self, before: int, ref: Sequence[Any],
+                       epoch: int) -> None:
+        """Close one executed item: its window emissions become ops.
+
+        Detected by result delta: behaviours append outcomes to the
+        shared result record exactly as on the simulator, so no scheme
+        code needs serve-specific hooks.
+        """
+        emitted = self.ctx.result.outcomes[before:]
+        for outcome in emitted:
             self.ops.append([OP_OUTCOME, outcome_to_json(outcome)])
         if self.tracer.enabled:
-            self._causal(OP_EMIT, ref="rpc", epoch=-1,
-                         windows=",".join(
-                             str(o.index) for o in
-                             self.ctx.result.outcomes[before:]))
-        return self.ops, bytes(self.opblob)
+            self._causal(OP_EMIT, ref=":".join(map(str, ref)),
+                         epoch=epoch, windows=",".join(
+                             str(o.index) for o in emitted))
 
     def _apply_query_op(self, header: dict[str, Any]) -> None:
         """Admit or remove a standing query on this worker's engine.
@@ -442,16 +437,7 @@ class WorkerRuntime:
                     self.now = at
                     before = len(self.ctx.result.outcomes)
                     self._run_timer(token)
-                for outcome in self.ctx.result.outcomes[before:]:
-                    self.ops.append([OP_OUTCOME,
-                                     outcome_to_json(outcome)])
-                if self.tracer.enabled:
-                    self._causal(
-                        OP_EMIT, ref=f"{ref[0]}:{ref[1]}",
-                        epoch=self._epoch_idx,
-                        windows=",".join(
-                            str(o.index) for o in
-                            self.ctx.result.outcomes[before:]))
+                self._emit_outcomes(before, ref, self._epoch_idx)
                 batches.append({
                     "ref": ref, "ops": self.ops,
                     "c": counters_snapshot(
@@ -467,6 +453,31 @@ class WorkerRuntime:
             self._epoch_heap = []
             self._epoch_cancelled = set()
         return batches, bytes(self.opblob)
+
+    def handle(self, kind: int, header: dict[str, Any], blob: bytes
+               ) -> tuple[int, dict[str, Any], bytes]:
+        """One request frame in, its reply frame out: the whole
+        request -> reply mapping, shared by the socket loop and the
+        model checker's in-process transport."""
+        if kind == framing.FINISH:
+            return (framing.FINAL,
+                    self.final_payload(header["applied"]), b"")
+        if kind == framing.EPOCH:
+            batches, rblob = self.dispatch_epoch(header, blob)
+            rkind = framing.EPOCH_OPS
+            reply: dict[str, Any] = {"batches": batches}
+        else:
+            ops, rblob = self.dispatch(kind, header)
+            rkind = framing.OPS
+            reply = {"ops": ops,
+                     "c": counters_snapshot(self.ctx.result,
+                                            self.node.metrics.busy_s)}
+        if self.tracer.enabled:
+            self._frame_seq += 1
+            reply["f"] = self._frame_seq
+            self._causal(FRAME_SEND, fseq=self._frame_seq,
+                         dst=COORD_PROCESS, fkind=rkind)
+        return rkind, reply, rblob
 
     def final_payload(self, applied: int) -> dict[str, Any]:
         """The FINAL frame header: standing-query accounts and trace
@@ -512,35 +523,21 @@ def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
         raise ServeError(f"expected ACK from coordinator, got {kind}")
     while True:
         kind, header, blob = framing.recv_frame(sock)
-        if kind == framing.FINISH:
-            framing.send_frame(sock, framing.FINAL,
-                               rt.final_payload(header["applied"]))
-            return
         dispatches += 1
         if crash_after and dispatches >= crash_after:
             # Fault injection: die without replying, as a real crashed
             # process would.  os._exit skips atexit/socket teardown.
             os._exit(1)
         try:
-            if kind == framing.EPOCH:
-                batches, rblob = rt.dispatch_epoch(header, blob)
-                rkind: int = framing.EPOCH_OPS
-                rheader: dict[str, Any] = {"batches": batches}
-            else:
-                ops, rblob = rt.dispatch(kind, header)
-                rkind = framing.OPS
-                rheader = {"ops": ops,
-                           "c": counters_snapshot(
-                               rt.ctx.result, rt.node.metrics.busy_s)}
-            tag = rt.reply_frame_tag(rkind)
-            if tag is not None:
-                rheader["f"] = tag
+            reply = rt.handle(kind, header, blob)
         except Exception as exc:  # surface worker bugs to the harness
             framing.send_frame(sock, framing.ERROR, {
                 "node": rt.node_name, "error": f"{type(exc).__name__}: "
                 f"{exc}"})
             raise
-        framing.send_frame(sock, rkind, rheader, rblob)
+        framing.send_frame(sock, *reply)
+        if kind == framing.FINISH:
+            return
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -556,11 +553,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config = config_from_json(json.loads(args.config))
     rt = WorkerRuntime(args.node, config)
-    sock = framing.connect_with_retry(args.host, args.port)
-    try:
+    with framing.connect_with_retry(args.host, args.port) as sock:
         serve_forever(sock, rt)
-    finally:
-        sock.close()
     return 0
 
 

@@ -74,6 +74,30 @@ class TestModelCoordinator:
         assert Fingerprint.of(_merge_results(coord)) == oracle
         assert check_applied_order(coord.applied_log) is None
 
+    def test_model_runs_the_production_loop(self):
+        # The checker must exercise production code: the only methods
+        # it may replace are the two interleaving choice points.
+        for name in ("run", "_epoch_loop", "_collect_epoch",
+                     "_merge_epoch", "_apply_ops", "_rpc", "_send",
+                     "_recv"):
+            assert name not in vars(ModelCoordinator), name
+        assert {"_pick_horizon", "_reply_order"} <= \
+            set(vars(ModelCoordinator))
+
+    def test_paced_config_is_explored_without_sleeping(
+            self, monkeypatch):
+        import time
+
+        def no_sleep(delay):
+            raise AssertionError(f"model run slept {delay}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        config = replace(small_config("deco_sync", 2),
+                         saturated=False)
+        violations, stats = explore_config(config, epochs=1, budget=6)
+        assert violations == []
+        assert stats["runs"] > 1
+
 
 class TestExplore:
     def test_small_scope_is_clean(self):

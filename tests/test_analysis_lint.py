@@ -551,10 +551,10 @@ class TestDL010BlockingInMerge:
                "        framing.send_frame(sock, 1, {}, b'')\n")
         assert codes(lint_source(src, self.COORD_PATH)) == ["DL010"]
 
-    def test_await_fires(self):
+    def test_transport_recv_fires(self):
         src = ("class C:\n"
-               "    async def _merge_epoch(self, fut):\n"
-               "        await fut\n")
+               "    def _merge_epoch(self, name):\n"
+               "        return self.transport.recv(name)\n")
         assert codes(lint_source(src, self.COORD_PATH)) == ["DL010"]
 
     def test_non_merge_methods_pass_in_coordinator(self):

@@ -8,8 +8,8 @@ must drain gracefully — every worker exits 0 on its own, no process
 left behind.
 """
 
-import asyncio
 import socket
+import sys
 import threading
 import time
 
@@ -17,8 +17,8 @@ import pytest
 
 from repro.core.runner import RunConfig
 from repro.errors import ServeError
-from repro.serve import framing, run_scheme_served
-from repro.serve.coordinator import Coordinator
+from repro.serve import coordinator, framing, harness, run_scheme_served
+from repro.serve.coordinator import SocketTransport
 from repro.serve.framing import connect_with_retry
 from repro.serve.worker import CRASH_ENV
 
@@ -107,53 +107,119 @@ class TestConnectRetry:
         assert time.monotonic() - start >= 0.03
 
 
-class TestHandshakeTimeout:
-    def test_missing_workers_named(self):
-        coord = Coordinator(tiny_config())
-        with pytest.raises(ServeError, match="local-1"):
-            asyncio.run(coord.wait_for_workers(timeout=0.05))
+NAMES = ["root", "local-0", "local-1"]
 
-    def test_second_hello_for_connected_node_refused(self):
+
+def say_hello(listener, node):
+    """A client socket whose HELLO for ``node`` is already in flight
+    (connect completes against the backlog, before any accept)."""
+    sock = socket.create_connection(listener.getsockname())
+    sock.settimeout(5.0)
+    framing.send_frame(sock, framing.HELLO, {"node": node})
+    return sock
+
+
+@pytest.fixture
+def listener():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        yield server
+
+
+class TestHandshakeTimeout:
+    def test_missing_workers_named(self, listener, monkeypatch):
+        monkeypatch.setattr(harness, "HANDSHAKE_TIMEOUT_S", 0.2)
+        transport = SocketTransport()
+        clients = [say_hello(listener, "root"),
+                   say_hello(listener, "local-0")]
+        with pytest.raises(ServeError, match=r"\['local-1'\]"):
+            harness._accept_workers(listener, transport, NAMES, {})
+        assert sorted(transport.socks) == ["local-0", "root"]
+        for sock in [*clients, *transport.socks.values()]:
+            sock.close()
+
+    def test_second_hello_for_connected_node_refused(self, listener):
         # A newcomer claiming a connected node's name must not replace
         # the live connection (that would orphan the real worker).
-        coord = Coordinator(tiny_config())
+        transport = SocketTransport()
+        first = say_hello(listener, "local-0")
+        late = say_hello(listener, "local-0")
+        rest = [say_hello(listener, "root"),
+                say_hello(listener, "local-1")]
+        harness._accept_workers(listener, transport, NAMES, {})
+        assert framing.recv_frame(first)[0] == framing.ACK
+        with pytest.raises(ServeError):  # closed, never ACKed
+            framing.recv_frame(late)
+        # The first connection is the registered one and still
+        # carries coordinator frames.
+        transport.send("local-0", framing.START, {"now": 0.0}, b"")
+        assert framing.recv_frame(first)[0] == framing.START
+        for sock in [first, late, *rest, *transport.socks.values()]:
+            sock.close()
 
-        async def hello(port):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", port)
-            await framing.send_frame_async(
-                writer, framing.HELLO, {"node": "local-0"})
-            return reader, writer
+    def test_silent_connection_does_not_block_the_cluster(
+            self, listener, monkeypatch):
+        # A stranger that connects first and never says HELLO costs
+        # the accept loop its short HELLO deadline, not the handshake.
+        monkeypatch.setattr(coordinator, "HELLO_TIMEOUT_S", 0.1)
+        transport = SocketTransport()
+        silent = socket.create_connection(listener.getsockname())
+        clients = [say_hello(listener, name) for name in NAMES]
+        start = time.monotonic()
+        harness._accept_workers(listener, transport, NAMES, {})
+        assert time.monotonic() - start < 5.0
+        assert sorted(transport.socks) == sorted(NAMES)
+        for sock in clients:
+            assert framing.recv_frame(sock)[0] == framing.ACK
+        for sock in [silent, *clients, *transport.socks.values()]:
+            sock.close()
 
-        async def scenario():
-            server = await asyncio.start_server(
-                coord.on_connect, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                reader, writer = await hello(port)
-                kind, _, _ = await asyncio.wait_for(
-                    framing.recv_frame_async(reader), 5.0)
-                assert kind == framing.ACK
-                first = coord._conns["local-0"]
-                late_reader, late_writer = await hello(port)
-                with pytest.raises(ServeError):  # closed, never ACKed
-                    await asyncio.wait_for(
-                        framing.recv_frame_async(late_reader), 5.0)
-                assert coord._conns["local-0"] is first
-                # The first connection still carries coordinator frames.
-                await framing.send_frame_async(
-                    first[1], framing.START, {"now": 0.0})
-                kind, _, _ = await asyncio.wait_for(
-                    framing.recv_frame_async(reader), 5.0)
-                assert kind == framing.START
-                writer.close()
-                late_writer.close()
-                first[1].close()
-            finally:
-                server.close()
-                await server.wait_closed()
+    def test_garbage_hello_is_closed(self, listener, monkeypatch):
+        monkeypatch.setattr(harness, "HANDSHAKE_TIMEOUT_S", 0.2)
+        transport = SocketTransport()
+        junk = socket.create_connection(listener.getsockname())
+        junk.sendall(framing.encode_frame(framing.HELLO, {})[:-2]
+                     + b"[]")
+        with pytest.raises(ServeError, match="never connected"):
+            harness._accept_workers(listener, transport, NAMES, {})
+        assert transport.socks == {}
+        junk.close()
 
-        asyncio.run(scenario())
+
+#: Stands in for ``python -m repro.serve.worker``: completes the
+#: handshake, then never answers a request.
+SILENT_WORKER = """
+import sys, time
+from repro.serve import framing
+sock = framing.connect_with_retry(sys.argv[1], int(sys.argv[2]))
+framing.send_frame(sock, framing.HELLO, {"node": sys.argv[3]})
+framing.recv_frame(sock)
+time.sleep(60)  # repro.serve.worker would reply here
+"""
+
+
+class TestReplyDeadline:
+    def test_silent_worker_fails_the_run_by_name(self, monkeypatch):
+        # local-0 is alive and connected but never replies to INJECT:
+        # the read must hit its deadline, not hang the run.
+        monkeypatch.setattr(coordinator, "REPLY_TIMEOUT_S", 0.5)
+        real_argv = harness.worker_argv
+
+        def argv(host, port, node, config):
+            if node != "local-0":
+                return real_argv(host, port, node, config)
+            return [sys.executable, "-c", SILENT_WORKER, host,
+                    str(port), node]
+
+        monkeypatch.setattr(harness, "worker_argv", argv)
+        start = time.monotonic()
+        with pytest.raises(ServeError, match="'local-0'.*hung.*timed out"):
+            run_scheme_served(tiny_config())
+        assert time.monotonic() - start < \
+            coordinator.HANDSHAKE_TIMEOUT_S / 2
+        deadline = time.monotonic() + 10.0
+        while lingering_workers() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert lingering_workers() == []
 
 
 class TestSpawnFailure:
