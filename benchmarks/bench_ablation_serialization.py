@@ -8,8 +8,9 @@ otherwise-identical centralized runs.
 """
 
 from repro.api import compare
-from repro.sim.serialization import (EVENT_BYTES, WireFormat,
-                                     event_payload_size, message_size)
+from repro.runtime.serialization import (EVENT_BYTES, WireFormat,
+                                         event_payload_size,
+                                         message_size)
 
 HEADERS_MODEL = ["format", "bytes/event", "1M-event message"]
 HEADERS_E2E = ["system (format)", "total bytes", "bytes/event"]

@@ -539,7 +539,7 @@ class NoSharedMutableState(LintRule):
 class NoWireSizeArithmetic(LintRule):
     """DL006: wire-size constants may only enter arithmetic inside the
     wire layer (``repro/wire``) and the size model it derives
-    (``repro/sim/serialization``).
+    (``repro/runtime/serialization``).
 
     Expressions like ``3 * EVENT_BYTES[fmt]`` or
     ``HEADER_BYTES[fmt] + 24 * n`` sprinkled through scheme or analysis
@@ -547,15 +547,16 @@ class NoWireSizeArithmetic(LintRule):
     (new header field, new scalar slot) those copies silently go stale
     and the byte accounting drifts from what the codec actually frames.
     Size questions go through :func:`repro.core.protocol.sizeof_message`
-    / :func:`repro.sim.serialization.message_size` instead.  Deliberate
-    exceptions (e.g. a benchmark explaining the string-expansion factor)
-    carry a per-line suppression with the justification next to it.
+    / :func:`repro.runtime.serialization.message_size` instead.
+    Deliberate exceptions (e.g. a benchmark explaining the
+    string-expansion factor) carry a per-line suppression with the
+    justification next to it.
     """
 
     code = "DL006"
     name = "no-wire-size-arithmetic"
     summary = ("wire-size constant arithmetic outside repro/wire and "
-               "repro/sim/serialization duplicates the frame layout")
+               "repro/runtime/serialization duplicates the frame layout")
     scope = ()  # applies everywhere; the wire layer itself is exempted
 
     #: The derived size-model tables and the layout constants they come
@@ -567,10 +568,8 @@ class NoWireSizeArithmetic(LintRule):
     })
 
     #: Package paths allowed to do layout arithmetic: the layout's
-    #: single source of truth and the size model derived from it
-    #: (``repro/sim/serialization`` is its back-compat shim).
-    EXEMPT = ("repro/wire", "repro/runtime/serialization",
-              "repro/sim/serialization")
+    #: single source of truth and the size model derived from it.
+    EXEMPT = ("repro/wire", "repro/runtime/serialization")
 
     def applies_to(self, ctx: FileContext) -> bool:
         if ctx.in_package():

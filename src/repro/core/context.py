@@ -36,7 +36,7 @@ class SchemeContext:
     #: When set, blocked nodes re-send their last message after this
     #: long without progress, recovering from dropped messages and
     #: transient crashes.
-    retransmit_timeout_s: float = None
+    retransmit_timeout_s: float | None = None
     #: Observability sink for protocol-level events (predictions,
     #: corrections, retransmits, window emissions).  The runner keeps
     #: this in lock-step with ``sim.tracer``; behaviours guard every

@@ -14,7 +14,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.core.context import SchemeContext
-from repro.core.protocol import Message, SourceBatch
+from repro.core.protocol import Message, SourceBatch, raw_event_count
 from repro.runtime.node import RuntimeNode
 from repro.runtime.api import ROOT_NAME, local_name
 from repro.streams.event import TICKS_PER_SECOND
@@ -196,7 +196,7 @@ class LocalBehaviorBase:
     def send_up(self, node: RuntimeNode, msg: Message) -> None:
         """Send a message to the root, charging serialization CPU for
         any raw events it carries."""
-        n_raw = _raw_event_count(msg)
+        n_raw = raw_event_count(msg)
         if n_raw:
             node.occupy(n_raw * node.profile.per_event_serialize_s())
         node.send(ROOT_NAME, msg)
@@ -206,13 +206,3 @@ class LocalBehaviorBase:
         callers' job via ``release_before``)."""
         if watermark > self.watermark.current:
             self.watermark.advance(watermark)
-
-
-def _raw_event_count(msg: Message) -> int:
-    """Raw events carried by a protocol message (for CPU costing)."""
-    total = 0
-    for attr in ("events", "buffer", "fbuffer", "ebuffer", "last_event"):
-        batch = getattr(msg, attr, None)
-        if batch is not None:
-            total += len(batch)
-    return total

@@ -5,16 +5,19 @@ up-flows carry raw events, partial results, and event rates from local
 nodes to the root; down-flows carry window assignments (types, measures,
 sizes, deltas, watermarks) from the root to local nodes.
 
-Message wire sizes are computed structurally from their content by
-:func:`sizeof_message`, in the system's wire format (binary for
-everything except the Disco baseline, which uses strings).
+Every message carries exactly one :class:`Wire` declaration, next to
+its dataclass: the frame layout :mod:`repro.wire.codec` encodes and
+decodes it with, and the content :func:`sizeof_message` sizes it from,
+in the system's wire format (binary for everything except the Disco
+baseline, which uses strings).  Adding a message is one dataclass, one
+declaration and one :data:`MESSAGE_TYPES` entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.runtime.serialization import WireFormat, message_size
 from repro.streams.batch import EventBatch
@@ -22,10 +25,40 @@ from repro.wire.format import partial_wire_slots
 
 
 @dataclass(frozen=True)
+class Wire:
+    """The wire layout of one message kind, in frame order.
+
+    The scalar section is the fixed ``slots`` (``kinds`` gives one
+    struct code per slot: ``q`` int64, ``d`` float64), then one int64
+    length slot per ``optional`` batch (``-1`` = absent, as opposed to
+    present but empty), then the tagged encoding of the ``partial``
+    field, if one is named.  The event columns are the ``batch``
+    field, which holds whatever the frame's event count leaves after
+    the optional lengths, then each present ``optional`` batch.
+    """
+
+    kinds: str = ""
+    slots: tuple[str, ...] = ()
+    partial: str | None = None
+    batch: str | None = None
+    optional: tuple[str, ...] = ()
+    #: Modelled at zero bytes (still framed when it meets a codec).
+    free: bool = False
+
+    def __post_init__(self) -> None:
+        if (len(self.kinds) != len(self.slots)
+                or not set(self.kinds) <= set("qd")):
+            raise ValueError(f"bad slot declaration {self.kinds!r} for "
+                             f"{self.slots}")
+
+
+@dataclass(frozen=True)
 class Message:
-    """Base class; every message names its sender."""
+    """Base class; every message names its sender and declares its
+    wire layout."""
 
     sender: str
+    WIRE: ClassVar[Wire]
 
 
 # -- source injection (data stream node -> local node, zero network cost) --
@@ -37,6 +70,9 @@ class SourceBatch(Message):
     generator runs on the node itself (Section 5, Data Generators)."""
 
     events: EventBatch
+
+    # Free on the wire because the generator is co-located.
+    WIRE: ClassVar[Wire] = Wire(batch="events", free=True)
 
 
 # -- up-flows ----------------------------------------------------------------
@@ -55,12 +91,17 @@ class RawEvents(Message):
     events: EventBatch
     start: int = -1
 
+    WIRE: ClassVar[Wire] = Wire("qq", ("window_index", "start"),
+                                batch="events")
+
 
 @dataclass(frozen=True)
 class ResendRequest(Message):
     """Down-flow NACK: re-send raw events from ``from_position``."""
 
     from_position: int
+
+    WIRE: ClassVar[Wire] = Wire("q", ("from_position",))
 
 
 @dataclass(frozen=True)
@@ -70,6 +111,9 @@ class RateReport(Message):
     window_index: int
     event_rate: float
     events_seen: int
+
+    WIRE: ClassVar[Wire] = Wire(
+        "qdq", ("window_index", "event_rate", "events_seen"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +140,12 @@ class LocalWindowReport(Message):
     first_ts: int = -1
     last_ts: int = -1
 
+    WIRE: ClassVar[Wire] = Wire(
+        "qqqdqqqq",
+        ("window_index", "epoch", "slice_count", "event_rate",
+         "spec_start", "slice_start", "first_ts", "last_ts"),
+        partial="partial", batch="buffer", optional=("fbuffer", "ebuffer"))
+
 
 @dataclass(frozen=True)
 class FrontBuffer(Message):
@@ -114,6 +164,9 @@ class FrontBuffer(Message):
     spec_start: int
     events: EventBatch
 
+    WIRE: ClassVar[Wire] = Wire(
+        "qqq", ("window_index", "epoch", "spec_start"), batch="events")
+
 
 @dataclass(frozen=True)
 class CorrectionReport(Message):
@@ -126,6 +179,10 @@ class CorrectionReport(Message):
     partial: Any
     count: int
     last_event: EventBatch
+
+    WIRE: ClassVar[Wire] = Wire(
+        "qqq", ("window_index", "epoch", "count"), partial="partial",
+        batch="last_event")
 
 
 # -- down-flows ---------------------------------------------------------------
@@ -149,6 +206,11 @@ class WindowAssignment(Message):
     release_before: int = -1
     watermark: int = -1
 
+    WIRE: ClassVar[Wire] = Wire(
+        "qqqqqqq",
+        ("window_index", "epoch", "predicted_size", "delta",
+         "start_position", "release_before", "watermark"))
+
 
 @dataclass(frozen=True)
 class CorrectionRequest(Message):
@@ -162,6 +224,10 @@ class CorrectionRequest(Message):
     start_position: int = -1
     watermark: int = -1
 
+    WIRE: ClassVar[Wire] = Wire(
+        "qqqqq", ("window_index", "epoch", "actual_size",
+                  "start_position", "watermark"))
+
 
 @dataclass(frozen=True)
 class StartWindow(Message):
@@ -172,56 +238,56 @@ class StartWindow(Message):
     epoch: int
     watermark: int = -1
 
+    WIRE: ClassVar[Wire] = Wire(
+        "qqq", ("window_index", "epoch", "watermark"))
 
-def _batch_len(batch: EventBatch | None) -> int:
-    return 0 if batch is None else len(batch)
+
+#: Every protocol message, in frame-type order: a message's wire type id
+#: is its index here plus one (0 is the bare-batch frame), so entries are
+#: appended, never reordered.
+MESSAGE_TYPES: tuple[type[Message], ...] = (
+    SourceBatch, RawEvents, ResendRequest, RateReport,
+    LocalWindowReport, FrontBuffer, CorrectionReport, WindowAssignment,
+    CorrectionRequest, StartWindow)
+
+
+def wire_of(msg: Message) -> Wire:
+    """The wire declaration of a registered message."""
+    cls = type(msg)
+    if cls not in MESSAGE_TYPES:
+        raise TypeError(f"unknown message type {cls.__name__}")
+    return cls.WIRE
+
+
+def raw_event_count(msg: Message) -> int:
+    """Raw events a message carries, over all its batches."""
+    wire = wire_of(msg)
+    total = 0 if wire.batch is None else len(getattr(msg, wire.batch))
+    for name in wire.optional:
+        batch = getattr(msg, name)
+        if batch is not None:
+            total += len(batch)
+    return total
 
 
 def sizeof_message(msg: Message,
                    fmt: WireFormat = WireFormat.BINARY) -> int:
     """Structural wire size of a protocol message.
 
-    The per-type scalar counts mirror the frame schemas of
-    :mod:`repro.wire.codec` slot for slot (partials counted through the
-    shared :func:`repro.wire.format.partial_wire_slots`), so for binary
+    Counted from the same :class:`Wire` declaration the codec frames
+    the message with (partials through the shared
+    :func:`repro.wire.format.partial_wire_slots`), so for binary
     formats ``sizeof_message(msg) == len(codec.encode_message(msg))``
     exactly — a property pinned by the wire tests and CI gate.
     """
-    if isinstance(msg, SourceBatch):
-        return 0  # generator is co-located with the node
-    if isinstance(msg, RawEvents):
-        # window_index + start
-        return message_size(n_events=len(msg.events), n_scalars=2,
-                            fmt=fmt)
-    if isinstance(msg, ResendRequest):
-        return message_size(n_scalars=1, fmt=fmt)
-    if isinstance(msg, RateReport):
-        # window_index + event_rate + events_seen
-        return message_size(n_scalars=3, fmt=fmt)
-    if isinstance(msg, LocalWindowReport):
-        n_events = (_batch_len(msg.buffer) + _batch_len(msg.fbuffer)
-                    + _batch_len(msg.ebuffer))
-        # window/epoch ids + count + rate + spec/slice starts +
-        # first/last ts + fbuffer/ebuffer length slots + the partial.
-        n_scalars = 10 + partial_wire_slots(msg.partial)
-        return message_size(n_events=n_events, n_scalars=n_scalars,
-                            fmt=fmt)
-    if isinstance(msg, FrontBuffer):
-        # window_index + epoch + spec_start
-        return message_size(n_events=len(msg.events), n_scalars=3,
-                            fmt=fmt)
-    if isinstance(msg, CorrectionReport):
-        # window_index + epoch + count + the partial.
-        n_scalars = 3 + partial_wire_slots(msg.partial)
-        return message_size(n_events=len(msg.last_event),
-                            n_scalars=n_scalars, fmt=fmt)
-    if isinstance(msg, WindowAssignment):
-        return message_size(n_scalars=7, fmt=fmt)
-    if isinstance(msg, CorrectionRequest):
-        return message_size(n_scalars=5, fmt=fmt)
-    if isinstance(msg, StartWindow):
-        return message_size(n_scalars=3, fmt=fmt)
-    raise TypeError(f"unknown message type {type(msg).__name__}")
+    wire = wire_of(msg)
+    if wire.free:
+        return 0
+    n_scalars = len(wire.slots) + len(wire.optional)
+    if wire.partial is not None:
+        n_scalars += partial_wire_slots(getattr(msg, wire.partial))
+    return message_size(n_events=raw_event_count(msg),
+                        n_scalars=n_scalars, fmt=fmt)
 
 
 def make_sizer(

@@ -7,9 +7,6 @@ from repro.sim.network import (DEFAULT_LATENCY_S, ETHERNET_1G,
                                ETHERNET_25G, Link, LinkStats, Network)
 from repro.sim.node import (INTEL_XEON, RASPBERRY_PI_4B, Behavior,
                             NodeMetrics, NodeProfile, SimNode)
-from repro.sim.serialization import (EVENT_BYTES, HEADER_BYTES,
-                                     SCALAR_BYTES, WireFormat,
-                                     event_payload_size, message_size)
 from repro.sim.topology import (ROOT_NAME, StarTopology, build_rpi_star,
                                 build_star, local_name, peer_mesh)
 
@@ -29,12 +26,6 @@ __all__ = [
     "Behavior",
     "INTEL_XEON",
     "RASPBERRY_PI_4B",
-    "WireFormat",
-    "EVENT_BYTES",
-    "HEADER_BYTES",
-    "SCALAR_BYTES",
-    "event_payload_size",
-    "message_size",
     "StarTopology",
     "build_star",
     "build_rpi_star",

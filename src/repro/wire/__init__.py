@@ -1,16 +1,14 @@
 """Zero-copy binary wire codec (frame layout + message codec).
 
 Layout constants and the partial/column helpers live in
-:mod:`repro.wire.format`; the message codec proper lives in
-:mod:`repro.wire.codec`.  The codec symbols are re-exported lazily:
-:mod:`repro.sim.serialization` imports the layout from this package at
-interpreter startup, and an eager ``codec`` import at that point would
-re-enter ``repro.core.protocol`` while it is still initializing.
+:mod:`repro.wire.format` and are re-exported here; the message codec
+proper is :mod:`repro.wire.codec`, imported by its full name
+(:mod:`repro.runtime.serialization` imports the layout while
+``repro.core.protocol`` — which the codec needs — is still
+initializing, so this package cannot import the codec eagerly).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.wire.format import (WIRE_EVENT_BYTES, WIRE_HEADER_BYTES,
                                WIRE_MAGIC, WIRE_SCALAR_BYTES,
@@ -21,17 +19,4 @@ __all__ = [
     "WIRE_MAGIC", "WIRE_VERSION", "WIRE_HEADER_BYTES",
     "WIRE_SCALAR_BYTES", "WIRE_EVENT_BYTES", "frame_size",
     "partial_wire_slots", "register_partial_type",
-    # lazily re-exported from repro.wire.codec:
-    "MessageCodec", "encode_batch", "decode_batch",
 ]
-
-_CODEC_EXPORTS = frozenset((
-    "MessageCodec", "encode_batch", "decode_batch"))
-
-
-def __getattr__(name: str) -> Any:
-    if name in _CODEC_EXPORTS:
-        from repro.wire import codec
-        return getattr(codec, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

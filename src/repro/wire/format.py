@@ -6,8 +6,8 @@ accounting must not drift from what a real implementation would put on
 the wire.  This module defines the *actual* frame layout — the header
 struct, the 8-byte scalar slot, the 24-byte columnar event record, and
 the tagged partial-aggregate encoding — and exports the framed sizes
-that :mod:`repro.sim.serialization` derives its size model from.  The
-codec in :mod:`repro.wire.codec` and the structural sizer in
+that :mod:`repro.runtime.serialization` derives its size model from.
+The codec in :mod:`repro.wire.codec` and the structural sizer in
 :mod:`repro.core.protocol` both compute sizes through the helpers here,
 so a frame's ``len()`` and its modelled size cannot disagree.
 

@@ -318,7 +318,7 @@ class TestDL006WireSizeArithmetic:
         assert codes(lint_source(src, CORE_PATH)) == ["DL006"]
 
     def test_attribute_access_arithmetic_fires(self):
-        src = ("import repro.sim.serialization as ser\n"
+        src = ("import repro.runtime.serialization as ser\n"
                "x = 3 * ser.SCALAR_BYTES\n")
         assert codes(lint_source(src, SIM_PATH)) == ["DL006"]
 
@@ -333,12 +333,12 @@ class TestDL006WireSizeArithmetic:
                "def frame_size(n):\n"
                "    return WIRE_HEADER_BYTES + 24 * n\n")
         assert lint_source(src, "src/repro/wire/format.py") == []
-        assert lint_source(src,
-                           "src/repro/sim/serialization.py") == []
+        assert lint_source(
+            src, "src/repro/runtime/serialization.py") == []
 
     def test_fires_in_out_of_package_scripts(self):
-        src = ("from repro.sim.serialization import EVENT_BYTES\n"
-               "from repro.sim.serialization import WireFormat\n"
+        src = ("from repro.runtime.serialization import EVENT_BYTES\n"
+               "from repro.runtime.serialization import WireFormat\n"
                "x = 3 * EVENT_BYTES[WireFormat.BINARY]\n")
         assert codes(lint_source(src, SCRIPT_PATH)) == ["DL006"]
 

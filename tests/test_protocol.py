@@ -8,7 +8,7 @@ from repro.core.protocol import (CorrectionReport, CorrectionRequest,
                                  RateReport, RawEvents, SourceBatch,
                                  StartWindow, WindowAssignment,
                                  make_sizer, sizeof_message)
-from repro.sim.serialization import WireFormat
+from repro.runtime.serialization import WireFormat
 from repro.streams.batch import EventBatch
 
 

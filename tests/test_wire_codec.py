@@ -10,8 +10,13 @@ determinism fingerprint must equal the structurally sized reference's
 (a fabric with ``codec = None``).
 """
 
+import dataclasses
+import hashlib
+import inspect
+import itertools
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,22 +25,24 @@ from hypothesis import strategies as st
 
 from repro.aggregates.algebraic import Moments, SumCount
 from repro.analysis.determinism import Fingerprint
-from repro.core.protocol import (CorrectionReport, CorrectionRequest,
-                                 FrontBuffer, LocalWindowReport,
-                                 RateReport, RawEvents, ResendRequest,
-                                 SourceBatch, StartWindow,
-                                 WindowAssignment, sizeof_message)
+from repro.core import protocol
+from repro.core.protocol import (MESSAGE_TYPES, CorrectionReport,
+                                 CorrectionRequest, FrontBuffer,
+                                 LocalWindowReport, Message, RateReport,
+                                 RawEvents, ResendRequest, SourceBatch,
+                                 StartWindow, WindowAssignment,
+                                 sizeof_message)
 from repro.core.runner import RunConfig
 from repro.errors import StreamError
 from repro.runtime.driver import build_run, run_simulation
-from repro.sim.serialization import WireFormat
+from repro.runtime.serialization import WireFormat
 from repro.streams.batch import EventBatch
 from repro.wire.codec import MessageCodec, decode_batch, encode_batch
-from repro.wire.format import (WIRE_HEADER_BYTES, decode_partial,
+from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
+                               WIRE_VERSION, decode_partial,
                                encode_partial, partial_wire_slots)
 
 I64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
-SMALL_I = st.integers(min_value=-10, max_value=10 ** 12)
 FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
 SENDERS = st.sampled_from(["root", "local-0", "local-1", "local-17"])
 
@@ -68,58 +75,29 @@ partials = st.one_of(
 )
 
 
-@st.composite
-def messages(draw):
+#: What each declared slot kind holds.
+SLOT_VALUES = {"q": I64, "d": FLOATS}
+
+
+def message_strategy(cls):
+    """Arbitrary messages of one kind, built from its wire declaration
+    (so a new message kind is fuzzed without touching this file)."""
+    wire = cls.WIRE
+    fields = {"sender": SENDERS}
+    for name, kind in zip(wire.slots, wire.kinds, strict=True):
+        fields[name] = SLOT_VALUES[kind]
+    if wire.partial is not None:
+        fields[wire.partial] = partials
+    if wire.batch is not None:
+        fields[wire.batch] = batches()
+    for name in wire.optional:
+        fields[name] = st.none() | batches(max_size=5)
+    return st.builds(cls, **fields)
+
+
+def messages():
     """One arbitrary protocol message of any wire-framed type."""
-    sender = draw(SENDERS)
-    kind = draw(st.integers(min_value=0, max_value=9))
-    if kind == 0:
-        return SourceBatch(sender=sender, events=draw(batches()))
-    if kind == 1:
-        return RawEvents(sender=sender, window_index=draw(SMALL_I),
-                         events=draw(batches()), start=draw(SMALL_I))
-    if kind == 2:
-        return ResendRequest(sender=sender, from_position=draw(I64))
-    if kind == 3:
-        return RateReport(sender=sender, window_index=draw(SMALL_I),
-                          event_rate=draw(FLOATS),
-                          events_seen=draw(SMALL_I))
-    if kind == 4:
-        return LocalWindowReport(
-            sender=sender, window_index=draw(SMALL_I),
-            epoch=draw(SMALL_I), partial=draw(partials),
-            slice_count=draw(SMALL_I), event_rate=draw(FLOATS),
-            buffer=draw(batches()),
-            fbuffer=draw(st.none() | batches(max_size=5)),
-            ebuffer=draw(st.none() | batches(max_size=5)),
-            spec_start=draw(I64), slice_start=draw(I64),
-            first_ts=draw(I64), last_ts=draw(I64))
-    if kind == 5:
-        return FrontBuffer(sender=sender, window_index=draw(SMALL_I),
-                           epoch=draw(SMALL_I), spec_start=draw(I64),
-                           events=draw(batches()))
-    if kind == 6:
-        return CorrectionReport(sender=sender, window_index=draw(SMALL_I),
-                                epoch=draw(SMALL_I),
-                                partial=draw(partials),
-                                count=draw(SMALL_I),
-                                last_event=draw(batches(max_size=2)))
-    if kind == 7:
-        return WindowAssignment(sender=sender, window_index=draw(SMALL_I),
-                                epoch=draw(SMALL_I),
-                                predicted_size=draw(I64),
-                                delta=draw(I64),
-                                start_position=draw(I64),
-                                release_before=draw(I64),
-                                watermark=draw(I64))
-    if kind == 8:
-        return CorrectionRequest(sender=sender, window_index=draw(SMALL_I),
-                                 epoch=draw(SMALL_I),
-                                 actual_size=draw(I64),
-                                 start_position=draw(I64),
-                                 watermark=draw(I64))
-    return StartWindow(sender=sender, window_index=draw(SMALL_I),
-                       epoch=draw(SMALL_I), watermark=draw(I64))
+    return st.one_of([message_strategy(cls) for cls in MESSAGE_TYPES])
 
 
 def batch_bits(batch):
@@ -149,7 +127,7 @@ def partial_bits(p):
 def message_bits(msg):
     """Every field of a message, bit-exact and NaN-safe."""
     out = [type(msg).__name__, msg.sender]
-    for name in msg.__dataclass_fields__:
+    for name in (f.name for f in dataclasses.fields(msg)):
         if name == "sender":
             continue
         value = getattr(msg, name)
@@ -216,6 +194,121 @@ class TestMessageRoundTrip:
             StartWindow(sender="root", window_index=0, epoch=0))
         with pytest.raises(StreamError, match="sender"):
             MessageCodec().decode_message(frame)
+
+    def test_unregistered_message_type_has_no_frame(self):
+        @dataclasses.dataclass(frozen=True)
+        class Strange(StartWindow):
+            pass
+
+        with pytest.raises(StreamError, match="no wire frame"):
+            MessageCodec().encode_message(
+                Strange(sender="root", window_index=0, epoch=0))
+
+
+class TestDeclarations:
+    def test_every_protocol_message_is_registered_once(self):
+        """A message left out of ``MESSAGE_TYPES`` has no frame type id:
+        every concrete ``Message`` subclass the protocol module defines
+        is in the registry exactly once."""
+        defined = [cls for _, cls in inspect.getmembers(
+            protocol, inspect.isclass)
+            if issubclass(cls, Message) and cls is not Message
+            and cls.__module__ == protocol.__name__]
+        assert sorted(defined, key=lambda c: c.__name__) == \
+            sorted(MESSAGE_TYPES, key=lambda c: c.__name__)
+
+    @pytest.mark.parametrize("cls", MESSAGE_TYPES)
+    def test_declaration_names_each_field_once(self, cls):
+        """The declaration covers the dataclass: every field but the
+        sender travels in exactly one place of the frame."""
+        wire = cls.WIRE
+        declared = [*wire.slots, *wire.optional, wire.partial, wire.batch]
+        assert sorted(name for name in declared if name) == sorted(
+            f.name for f in dataclasses.fields(cls) if f.name != "sender")
+
+
+def golden_corpus():
+    """A fixed, seeded corpus: every message kind, every partial shape,
+    and absent / empty / non-empty ``fbuffer`` and ``ebuffer``."""
+    state = [19]
+
+    def i64():
+        # A 64-bit LCG (Knuth's MMIX constants), not a library RNG: the
+        # corpus must not move when numpy or Python change a generator.
+        state[0] = (state[0] * 6364136223846793005
+                    + 1442695040888963407) % 2 ** 64
+        return state[0] - 2 ** 63
+
+    def f64():
+        return i64() / 2 ** 40
+
+    def batch(n):
+        if n == 0:
+            return EventBatch.empty()
+        return EventBatch(np.array([i64() for _ in range(n)], np.int64),
+                          np.array([f64() for _ in range(n)], np.float64),
+                          np.array([i64() for _ in range(n)], np.int64))
+
+    shapes = (None, 1.5, -0.0, 7, SumCount(2.5, 3),
+              Moments(4, 1.25, 0.5), (1.0, 2),
+              np.array([0.5, -1.5, float("inf")], np.float64),
+              np.array([3, -4, 2 ** 40], np.int64),
+              np.array([], np.float64))
+    optional = (lambda: None, lambda: batch(0), lambda: batch(3))
+    corpus = [
+        SourceBatch(sender="local-0", events=batch(5)),
+        SourceBatch(sender="local-1", events=batch(0)),
+        RawEvents(sender="local-0", window_index=3, events=batch(4),
+                  start=-1),
+        RawEvents(sender="local-1", window_index=0, events=batch(0),
+                  start=i64()),
+        ResendRequest(sender="root", from_position=i64()),
+        RateReport(sender="local-1", window_index=2,
+                   event_rate=f64(), events_seen=i64()),
+        FrontBuffer(sender="local-0", window_index=9, epoch=1,
+                    spec_start=i64(), events=batch(6)),
+        WindowAssignment(sender="root", window_index=4, epoch=2,
+                         predicted_size=i64(), delta=i64(),
+                         start_position=i64(), release_before=i64(),
+                         watermark=i64()),
+        WindowAssignment(sender="root", window_index=5, epoch=0,
+                         predicted_size=800, delta=12),
+        CorrectionRequest(sender="root", window_index=6, epoch=3,
+                          actual_size=i64(), start_position=i64(),
+                          watermark=i64()),
+        StartWindow(sender="root", window_index=7, epoch=4,
+                    watermark=i64()),
+    ]
+    for k, partial in enumerate(shapes):
+        corpus.append(CorrectionReport(
+            sender="local-1", window_index=k, epoch=k % 3,
+            partial=partial, count=i64(), last_event=batch(k % 2)))
+    for k, (partial, (fbuf, ebuf)) in enumerate(zip(
+            itertools.cycle(shapes),
+            itertools.product(optional, optional))):
+        corpus.append(LocalWindowReport(
+            sender=f"local-{k % 2}", window_index=k, epoch=k % 4,
+            partial=partial, slice_count=i64(), event_rate=f64(),
+            buffer=batch(k % 3), fbuffer=fbuf(), ebuffer=ebuf(),
+            spec_start=i64(), slice_start=i64(), first_ts=i64(),
+            last_ts=i64()))
+    return corpus
+
+
+class TestGoldenFrames:
+    def test_wire_layout_is_pinned(self):
+        """Bytes on the wire are a measured result (Fig. 8): the frames
+        of the golden corpus hash to the digest taken before the codec
+        became declaration-driven.  A deliberate layout change must
+        bump ``WIRE_VERSION`` and this digest together."""
+        corpus = golden_corpus()
+        assert {type(msg) for msg in corpus} == set(MESSAGE_TYPES)
+        codec = MessageCodec()
+        frames = b"".join(codec.encode_message(msg) for msg in corpus)
+        assert WIRE_VERSION == 1
+        assert hashlib.sha256(frames).hexdigest() == (
+            "63d32ec5874548601ed794e360685e90"
+            "b9e83d6a8db70bead23a60217b75e46f")
 
 
 class TestBatchFrames:
@@ -319,6 +412,47 @@ class TestCorruption:
             encode_partial({"not": "wire-safe"}, bytearray())
         with pytest.raises(StreamError, match="1-d"):
             partial_wire_slots(np.zeros((2, 2)))
+
+
+def resealed(frame, n_events=None):
+    """``frame`` with its header made consistent with its (edited)
+    payload again — payload length and CRC recomputed, the event count
+    optionally replaced — so only a content check can reject it."""
+    head = list(HEADER_STRUCT.unpack_from(frame, 0))
+    payload = bytes(frame[WIRE_HEADER_BYTES:])
+    if n_events is not None:
+        head[5] = n_events
+    head[6:] = [len(payload), zlib.crc32(payload)]
+    return HEADER_STRUCT.pack(*head) + payload
+
+
+class TestContentChecks:
+    """Checks on a frame's content that its envelope cannot vouch for:
+    each frame below has a consistent header and a valid CRC."""
+
+    def test_bad_optional_length_slot_rejected(self):
+        """A length slot is -1 (absent) or a count: -2 with every
+        envelope count and the CRC consistent is still refused."""
+        codec = MessageCodec()
+        msg = LocalWindowReport(
+            sender="local-0", window_index=1, epoch=0, partial=None,
+            slice_count=0, event_rate=1.0)
+        damaged = bytearray(codec.encode_message(msg))
+        fbuffer_slot = WIRE_HEADER_BYTES + 8 * len(msg.WIRE.slots)
+        assert struct.unpack_from("<q", damaged, fbuffer_slot) == (-1,)
+        struct.pack_into("<q", damaged, fbuffer_slot, -2)
+        with pytest.raises(StreamError, match="length slot"):
+            codec.decode_message(resealed(damaged))
+
+    def test_events_on_a_batchless_message_rejected(self):
+        """A kind that declares no batch carries no events, even when
+        the envelope accounts for the extra columns exactly."""
+        codec = MessageCodec()
+        frame = codec.encode_message(
+            StartWindow(sender="root", window_index=0, epoch=0))
+        with pytest.raises(StreamError, match="declared batches"):
+            codec.decode_message(
+                resealed(bytearray(frame) + bytes(24), n_events=1))
 
 
 #: Everything the runner registers, including the ablation variant.
