@@ -13,7 +13,7 @@ Parallelism: the experiment drivers fan their independent scheme runs
 out over ``REPRO_JOBS`` worker processes (default: CPU count; set
 ``REPRO_JOBS=1`` to force the serial in-process path).  Workloads are
 generated once per distinct parameter tuple and shared through the
-``.npz`` cache (``REPRO_WORKLOAD_CACHE`` overrides its directory).
+``.wlm`` cache (``REPRO_WORKLOAD_CACHE`` overrides its directory).
 """
 
 import os
