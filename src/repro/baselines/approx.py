@@ -19,13 +19,14 @@ from repro.core.local import LocalBehaviorBase
 from repro.core.protocol import (LocalWindowReport, Message, RawEvents,
                                  SourceBatch, WindowAssignment)
 from repro.core.root import ReportCollector, RootBehaviorBase
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.node import RuntimeNode
 
 
 class ApproxLocal(LocalBehaviorBase):
     """Forwards raw events for window 0, then loops on a static size."""
 
-    def __init__(self, index: int, ctx: SchemeContext):
+    def __init__(self, index: int, ctx: SchemeContext) -> None:
         super().__init__(index, ctx)
         self._forwarded = 0
         self._static_size = None
@@ -53,8 +54,9 @@ class ApproxLocal(LocalBehaviorBase):
         if self._static_size is None:
             batch = self.buffer.get_range(self._forwarded, self.available)
             if len(batch):
-                node.send("root", RawEvents(sender=node.name,
-                                            window_index=0, events=batch))
+                node.send(ROOT_NAME, RawEvents(sender=node.name,
+                                               window_index=0,
+                                               events=batch))
                 self._forwarded = self.available
             return
         self._drain(node)
@@ -88,25 +90,16 @@ class ApproxRoot(RootBehaviorBase):
 
     RAW_EVENT_FACTOR = 1.0
 
-    def __init__(self, ctx: SchemeContext):
+    def __init__(self, ctx: SchemeContext) -> None:
         super().__init__(ctx)
         self.raw = self.new_raw_buffers()
         self.reports = ReportCollector(self.n_nodes)
         #: Static per-node sizes, fixed after window 0.
         self.static_sizes: dict[int, int] = {}
 
-    def service_time(self, node: RuntimeNode, msg: Message) -> float:
-        if isinstance(msg, RawEvents) and self.static_sizes:
-            # Late initialization forwardings after the static split was
-            # broadcast: dequeue and drop, no aggregation.
-            return (node.profile.message_overhead_s
-                    + 0.05 * len(msg.events)
-                    * node.profile.per_event_process_s())
-        return super().service_time(node, msg)
-
     def handle(self, node: RuntimeNode, msg: Message) -> None:
         if isinstance(msg, RawEvents):
-            if self.static_sizes:
+            if self.raw_closed:
                 return  # late initialization forwardings; dropped
             a = self.node_index(msg.sender)
             self.raw[a].append(msg.events)
@@ -122,21 +115,19 @@ class ApproxRoot(RootBehaviorBase):
     def _try_emit_first(self, node: RuntimeNode) -> None:
         if self.next_emit != 0:
             return
-        spans = self.actual_spans(0)
-        if not all(self.raw[a].end >= end
-                   for a, (_, end) in spans.items()):
+        aggregated = self.aggregate_raw_window(0)
+        if aggregated is None:
             return
-        partial = self.fn.identity()
-        for a, (start, end) in spans.items():
-            partial = self.fn.combine(
-                partial, self.raw[a].lift_range(start, end))
+        spans, partial = aggregated
 
-        def assign():
-            # One-time static split from window 0's observed sizes.
+        def assign() -> None:
+            # One-time static split from window 0's observed sizes;
+            # forwardings still in flight are only dropped from here on.
+            self.raw_closed = True
             for a, (start, end) in spans.items():
                 self.static_sizes[a] = end - start
             self.broadcast(node, lambda a: WindowAssignment(
-                sender="root", window_index=1, epoch=0,
+                sender=ROOT_NAME, window_index=1, epoch=0,
                 predicted_size=self.static_sizes[a], delta=0,
                 start_position=spans[a][1]))
 
@@ -150,8 +141,7 @@ class ApproxRoot(RootBehaviorBase):
                and self.reports.complete(self.next_emit)):
             g = self.next_emit
             reports = self.reports.pop(g)
-            partial = self.fn.combine_all(
-                r.partial for _, r in sorted(reports.items()))
+            partial = self.combine_reports(reports)
             # The spans Approx actually aggregated: static splits, which
             # drift from the ground truth as rates change.
             spans = {a: (r.spec_start, r.spec_start + r.slice_count)

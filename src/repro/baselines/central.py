@@ -16,15 +16,16 @@ from typing import Any
 
 from repro.core.context import SchemeContext
 from repro.core.local import LocalBehaviorBase
-from repro.core.protocol import RawEvents, SourceBatch
+from repro.core.protocol import Message, RawEvents, SourceBatch
 from repro.core.root import RootBehaviorBase
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.node import RuntimeNode
 
 
 class CentralLocal(LocalBehaviorBase):
     """Forwards every arriving event to the root, unaggregated."""
 
-    def __init__(self, index: int, ctx: SchemeContext):
+    def __init__(self, index: int, ctx: SchemeContext) -> None:
         super().__init__(index, ctx)
         self._forwarded = 0
 
@@ -41,8 +42,8 @@ class CentralLocal(LocalBehaviorBase):
             return
         # send_up would double-charge serialization (it is this message's
         # service time already), so send directly.
-        node.send("root", RawEvents(sender=node.name, window_index=-1,
-                                    events=batch))
+        node.send(ROOT_NAME, RawEvents(sender=node.name, window_index=-1,
+                                       events=batch))
         self._forwarded = self.available
         self.buffer.release_before(self._forwarded)
 
@@ -56,11 +57,11 @@ class CentralRoot(RootBehaviorBase):
     #: (cache-cold) and apply the aggregation function.
     EMIT_BURST_FACTOR = 2.0
 
-    def __init__(self, ctx: SchemeContext):
+    def __init__(self, ctx: SchemeContext) -> None:
         super().__init__(ctx)
         self.raw = self.new_raw_buffers()
 
-    def handle(self, node: RuntimeNode, msg) -> None:
+    def handle(self, node: RuntimeNode, msg: Message) -> None:
         if not isinstance(msg, RawEvents):  # pragma: no cover - defensive
             raise TypeError(f"Central root got {type(msg).__name__}")
         a = self.node_index(msg.sender)
@@ -68,21 +69,13 @@ class CentralRoot(RootBehaviorBase):
         node.account_events(len(msg.events))
         self._try_emit(node)
 
-    def _window_ready(self, window: int) -> bool:
-        return all(
-            self.raw[a].end >= self.workload.bounds[window + 1, a]
-            for a in range(self.n_nodes))
-
     def _try_emit(self, node: RuntimeNode) -> None:
-        while (self.next_emit < self.ctx.n_windows
-               and self._window_ready(self.next_emit)):
-            g = self.next_emit
-            spans = self.actual_spans(g)
-            partial = self.fn.identity()
-            for a, (start, end) in spans.items():
-                partial = self.fn.combine(
-                    partial, self.raw[a].lift_range(start, end))
+        while self.next_emit < self.ctx.n_windows:
+            aggregated = self.aggregate_raw_window(self.next_emit)
+            if aggregated is None:
+                return
+            spans, partial = aggregated
             for a, (_, end) in spans.items():
                 self.raw[a].release_before(end)
-            self.emit(node, g, self.fn.lower(partial), spans,
+            self.emit(node, self.next_emit, self.fn.lower(partial), spans,
                       up_flows=1, down_flows=0)

@@ -24,31 +24,32 @@ parameters arrive — "once the prediction is wrong, Deco_async has to
 recalculate all windows after the wrong one, which affects throughput
 significantly" (Section 5.2).
 
-Windows 0-1 bootstrap centrally and window 2 runs synchronously, like
-Deco_sync ("the first three global windows are processed similarly to
-Deco_sync").
+"The first three global windows are processed similarly to Deco_sync":
+windows 0-1 bootstrap centrally, window 2 runs one prediction ->
+calculation -> verification round, and every correction is the
+Section 4.3 round.  None of that is restated here — it is inherited
+from :class:`~repro.core.deco_sync.PredictingLocal` and
+:class:`~repro.core.deco_sync.PredictingRoot`, the classes Deco_sync
+itself extends.  This module holds what Section 4.2.3 adds: Algorithm 4
+(:meth:`DecoAsyncLocal._speculate`), Algorithm 5
+(:meth:`DecoAsyncRoot._verify_async` and its assignments), and the
+epoch bump with its rollback.
 """
 
 from __future__ import annotations
 
-
-from typing import Any
-
 from repro.core.context import SchemeContext
-from repro.core.deco_sync import BOOTSTRAP_WINDOWS
-from repro.core.local import LocalBehaviorBase
-from repro.core.prediction import PREDICTORS
-from repro.core.protocol import (CorrectionReport, CorrectionRequest,
-                                 FrontBuffer, LocalWindowReport, Message,
-                                 RawEvents, ResendRequest,
+from repro.core.deco_sync import (BOOTSTRAP_WINDOWS, PredictingLocal,
+                                  PredictingRoot)
+from repro.core.protocol import (CorrectionRequest, FrontBuffer,
+                                 LocalWindowReport, Message,
                                  WindowAssignment)
-from repro.core.root import ReportCollector, RootBehaviorBase
 from repro.core.segments import SegmentStore
-from repro.core.slicing import (AsyncLayout, SyncLayout, async_layout,
-                                sync_layout)
+from repro.core.slicing import AsyncLayout, async_layout
 from repro.core.verification import (AsyncGlobalCheck,
                                      async_global_check)
 from repro.obs import events as ev
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.node import RuntimeNode
 
 #: Windows 0..SYNC_WINDOW-1 bootstrap centrally; window SYNC_WINDOW is
@@ -63,69 +64,42 @@ SYNC_WINDOW = BOOTSTRAP_WINDOWS  # window index 2
 MAX_SPECULATION_AHEAD = 4
 
 
-class DecoAsyncLocal(LocalBehaviorBase):
+class DecoAsyncLocal(PredictingLocal):
     """Local node of Deco_async: speculate, never block."""
+
+    #: Windows 0-2 are coordinated centrally.
+    INITIAL_WINDOWS = SYNC_WINDOW + 1
 
     def __init__(self, index: int, ctx: SchemeContext) -> None:
         super().__init__(index, ctx)
-        self._forwarded = 0
-        self._bootstrapping = True
-        self.epoch = 0
         #: Parameters adopted from the root: (valid-from-window, l-hat,
         #: delta); None right after a rollback (the correction step's
         #: fresh assignment restarts speculation).
         self._params: tuple[int, int, int] | None = None
         #: Next speculative window index and its start position.
-        self._next_window = SYNC_WINDOW
+        #: Speculation begins after the sync-style window, once the
+        #: root's first async assignment provides its verified start.
+        self._next_window = SYNC_WINDOW + 1
         self._position = -1
-        #: The sync-style window-2 assignment, if pending.
-        self._sync_assignment: tuple[int, int, SyncLayout] | None = None
-        self._correction: tuple[int, int, int] | None = None
         #: Whether the current speculative window's front buffer has
         #: already been shipped, and the layout frozen for that window.
         self._fb_sent = False
         self._window_layout: AsyncLayout | None = None
 
-    # -- event arrival ---------------------------------------------------------
-
-    def retention_budget(self) -> int:
-        if self._bootstrapping:
-            # Forwarding phase: windows 0-2 are coordinated centrally.
-            return self.bootstrap_budget(SYNC_WINDOW + 1)
-        return super().retention_budget()
-
     def on_events(self, node: RuntimeNode) -> None:
-        if self._bootstrapping:
-            self._forward_bootstrap(node)
-            return
-        self._try_correct(node)
-        self._try_sync_window(node)
+        super().on_events(node)
         self._speculate(node)
-
-    def _forward_bootstrap(self, node: RuntimeNode) -> None:
-        batch = self.buffer.get_range(self._forwarded, self.available)
-        if len(batch):
-            self.send_up(node, RawEvents(sender=node.name,
-                                         window_index=-1, events=batch,
-                                         start=self._forwarded))
-            self._forwarded = self.available
 
     # -- control -------------------------------------------------------------------
 
     def handle_control(self, node: RuntimeNode, msg: Message) -> None:
-        if isinstance(msg, WindowAssignment):
+        if (isinstance(msg, WindowAssignment)
+                and msg.window_index > SYNC_WINDOW):
             if msg.epoch < self.epoch:
                 return  # stale pre-rollback assignment
-            self._bootstrapping = False
             self.apply_watermark(msg.watermark)
             if msg.release_before >= 0:
                 self.buffer.release_before(msg.release_before)
-            if msg.window_index == SYNC_WINDOW:
-                self._sync_assignment = (
-                    msg.window_index, msg.start_position,
-                    sync_layout(msg.predicted_size, msg.delta))
-                self._try_sync_window(node)
-                return
             # Speculative parameters for windows >= msg.window_index.
             if (self._params is None
                     or msg.window_index > self._params[0]):
@@ -135,59 +109,31 @@ class DecoAsyncLocal(LocalBehaviorBase):
                     msg.window_index == self._next_window:
                 self._position = msg.start_position
             self._speculate(node)
-        elif isinstance(msg, CorrectionRequest):
-            # Roll back: discard local speculation state, recompute the
-            # failed window from its actual boundary, and wait for fresh
-            # parameters before speculating again.
-            self.epoch = msg.epoch
-            self._correction = (msg.window_index, msg.start_position,
-                                msg.actual_size)
-            self._sync_assignment = None
+            return
+        if isinstance(msg, CorrectionRequest):
+            # Roll back: discard local speculation state, and resume
+            # from the failed window's actual boundary once fresh
+            # parameters arrive (the correction step's follow-up
+            # assignment).  The shared round recomputes the window.
             self._params = None
+            self._position = msg.start_position + msg.actual_size
+            self._next_window = msg.window_index + 1
+            self._fb_sent = False
+            self._window_layout = None
             tracer = self.ctx.tracer
             if tracer.enabled:
                 tracer.event(ev.STATE, node.now, node.name,
                              transition="rollback",
                              window=msg.window_index, epoch=msg.epoch)
                 tracer.inc("rollbacks", node.name)
-            self.apply_watermark(msg.watermark)
-            self._try_correct(node)
-        elif isinstance(msg, ResendRequest):
-            if self._bootstrapping:
-                self._forwarded = min(self._forwarded,
-                                      msg.from_position)
-                self._forward_bootstrap(node)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"Deco_async local got {type(msg).__name__}")
-
-    # -- the sync-style window 2 ------------------------------------------------------
-
-    def _try_sync_window(self, node: RuntimeNode) -> None:
-        if self._sync_assignment is None:
-            return
-        window, start, layout = self._sync_assignment
-        if self.available < start + layout.total:
-            return
-        self._sync_assignment = None
-        slice_end = start + layout.slice_size
-        partial = self.lift_range(start, slice_end)
-        self.send_up(node, LocalWindowReport(
-            sender=node.name, window_index=window, epoch=self.epoch,
-            partial=partial, slice_count=layout.slice_size,
-            event_rate=self.take_rate(),
-            buffer=self.buffer.get_range(slice_end,
-                                         slice_end + layout.buffer_size),
-            spec_start=start))
-        # Speculation begins with the next window, once the root's first
-        # async assignment provides its verified start position.
-        self._next_window = window + 1
+        super().handle_control(node, msg)
 
     # -- speculation (Algorithm 4) ----------------------------------------------------
 
     def _speculate(self, node: RuntimeNode) -> None:
         if (self._params is None or self._position < 0
                 or self._correction is not None
-                or self._sync_assignment is not None):
+                or self._assignment is not None):
             return
         while True:
             params_window, predicted, delta = self._params
@@ -231,230 +177,88 @@ class DecoAsyncLocal(LocalBehaviorBase):
             self._fb_sent = False
             self._window_layout = None
 
-    # -- correction --------------------------------------------------------------------
 
-    def _try_correct(self, node: RuntimeNode) -> None:
-        if self._correction is None:
-            return
-        window, start, actual = self._correction
-        if self.available < start + actual:
-            return
-        self._correction = None
-        end = start + actual
-        self.ctx.result.recomputed_events += actual
-        last_event = (self.buffer.get_range(end - 1, end) if actual > 0
-                      else self.buffer.get_range(end, end))
-        epoch = self.epoch
-
-        def send(partial: Any) -> None:
-            self.send_up(node, CorrectionReport(
-                sender=node.name, window_index=window, epoch=epoch,
-                partial=partial, count=actual, last_event=last_event))
-
-        # Recomputing the window span is real (wasted) work.
-        self.aggregate_then(node, start, end, send)
-        # Resume speculation from the corrected boundary once fresh
-        # parameters arrive (the correction step's follow-up assignment).
-        self._position = end
-        self._next_window = window + 1
-        self._fb_sent = False
-        self._window_layout = None
-
-
-class DecoAsyncRoot(RootBehaviorBase):
+class DecoAsyncRoot(PredictingRoot):
     """Root of Deco_async: verify speculative windows, roll back on
     mispredictions (Algorithm 5)."""
 
     def __init__(self, ctx: SchemeContext) -> None:
         super().__init__(ctx)
-        self.raw = self.new_raw_buffers()
-        self.reports = ReportCollector(self.n_nodes)
-        self.corrections = ReportCollector(self.n_nodes)
-        predictor_cls = PREDICTORS[ctx.query.predictor]
-        self.predictors = [
-            predictor_cls(m=ctx.query.delta_m,
-                          min_delta=ctx.query.min_delta)
-            for _ in range(self.n_nodes)]
-        self.epoch = 0
         #: Per-node raw coverage (the previous + current root buffers).
         self.stores: dict[int, SegmentStore] = {}
-        #: Sync-style assignment bookkeeping for window 2.
-        self._sync_assigned: dict[int, tuple[int, int, int]] = {}
-        self._correcting: int | None = None
         #: Highest window whose front buffer arrived, per node.
         self._fb_seen: dict[int, int] = {}
-        #: Once the sync assignment goes out, late bootstrap raw events
-        #: are merely discarded (cheap), not aggregated.
-        self._bootstrap_done = False
         #: The last Eq. 14-15 global check, for inspection/tests.
         self.last_global_check: AsyncGlobalCheck | None = None
 
     # -- dispatch -------------------------------------------------------------
 
-    def service_time(self, node: RuntimeNode, msg: Message) -> float:
-        if isinstance(msg, RawEvents) and self._bootstrap_done:
-            # Stale bootstrap forwardings after the switch to
-            # decentralized mode: dequeue and drop, no aggregation.
-            return (node.profile.message_overhead_s
-                    + 0.05 * len(msg.events)
-                    * node.profile.per_event_process_s())
-        return super().service_time(node, msg)
-
     def handle(self, node: RuntimeNode, msg: Message) -> None:
-        if isinstance(msg, RawEvents):
-            if self._bootstrap_done:
-                return  # late bootstrap forwardings; dropped
-            a = self.node_index(msg.sender)
-            if not self.ingest_positioned_raw(node, msg, self.raw[a]):
-                return
-            node.account_events(len(msg.events))
-            self._try_emit_bootstrap(node)
-        elif isinstance(msg, FrontBuffer):
+        if isinstance(msg, FrontBuffer):
             if msg.epoch < self.epoch:
                 return
             a = self.node_index(msg.sender)
             self.stores[a].insert(msg.spec_start, msg.events)
             self._fb_seen[a] = max(self._fb_seen.get(a, -1),
                                    msg.window_index)
-            self._progress(node)
-        elif isinstance(msg, LocalWindowReport):
-            if msg.epoch < self.epoch:
-                return  # speculative report from before a rollback
-            a = self.node_index(msg.sender)
-            if msg.window_index > SYNC_WINDOW \
-                    and msg.ebuffer is not None and len(msg.ebuffer):
-                # End-buffer events are usable the moment they arrive,
-                # whatever window they were speculated for.
-                self.stores[a].insert(
-                    msg.slice_start + msg.slice_count, msg.ebuffer)
-            self.reports.add(msg.window_index, a, msg)
-            self._progress(node)
-        elif isinstance(msg, CorrectionReport):
-            if msg.epoch < self.epoch:
-                return
-            self.corrections.add(msg.window_index,
-                                 self.node_index(msg.sender), msg)
-            self._try_finish_correction(node)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"Deco_async root got {type(msg).__name__}")
-
-    def _progress(self, node: RuntimeNode) -> None:
-        if self._correcting is not None:
+            self._try_verify(node)
             return
-        if self.next_emit == SYNC_WINDOW:
-            self._try_verify_sync(node)
+        if (isinstance(msg, LocalWindowReport)
+                and msg.epoch >= self.epoch
+                and msg.window_index > SYNC_WINDOW
+                and msg.ebuffer is not None and len(msg.ebuffer)):
+            # End-buffer events are usable the moment they arrive,
+            # whatever window they were speculated for.
+            self.stores[self.node_index(msg.sender)].insert(
+                msg.slice_start + msg.slice_count, msg.ebuffer)
+        super().handle(node, msg)
+
+    def _try_verify(self, node: RuntimeNode) -> None:
+        """Windows up to ``SYNC_WINDOW`` are verified the shared way
+        (Algorithm 3), every later one by Algorithm 5."""
+        if self.next_emit <= SYNC_WINDOW:
+            super()._try_verify(node)
         while (self._correcting is None
                and SYNC_WINDOW < self.next_emit < self.ctx.n_windows
                and self.reports.complete(self.next_emit)):
             if not self._verify_async(node):
                 return
 
-    # -- bootstrap (windows 0-1) -------------------------------------------------
-
-    def _try_emit_bootstrap(self, node: RuntimeNode) -> None:
-        while self.next_emit < min(BOOTSTRAP_WINDOWS,
-                                   self.ctx.n_windows):
-            g = self.next_emit
-            spans = self.actual_spans(g)
-            if not all(self.raw[a].end >= end
-                       for a, (_, end) in spans.items()):
-                return
-            partial = self.fn.identity()
-            for a, (start, end) in spans.items():
-                partial = self.fn.combine(
-                    partial, self.raw[a].lift_range(start, end))
-                self.predictors[a].observe(end - start)
-            last = g == BOOTSTRAP_WINDOWS - 1 or \
-                g == self.ctx.n_windows - 1
-            self.emit(node, g, self.fn.lower(partial), spans,
-                      up_flows=1, down_flows=0,
-                      after=(lambda: self._send_sync_assignment(node))
-                      if last else None)
-
-    # -- window 2, sync-style -----------------------------------------------------
-
-    def _send_sync_assignment(self, node: RuntimeNode) -> None:
-        g = self.next_emit
-        self._bootstrap_done = True
-        if g >= self.ctx.n_windows or g != SYNC_WINDOW:
-            return
-        watermark = self.watermark.current
-        for a in range(self.n_nodes):
-            predicted, delta = self.predictors[a].predict()
-            start = int(self.workload.bounds[g, a])
-            self._sync_assigned[a] = (start, predicted, delta)
-        self.broadcast(node, lambda a: WindowAssignment(
-            sender="root", window_index=g, epoch=self.epoch,
-            predicted_size=self._sync_assigned[a][1],
-            delta=self._sync_assigned[a][2],
-            start_position=self._sync_assigned[a][0],
-            release_before=self._sync_assigned[a][0],
-            watermark=watermark))
-
-    def _try_verify_sync(self, node: RuntimeNode) -> None:
-        from repro.core.verification import sync_prediction_ok
-        g = SYNC_WINDOW
-        if g >= self.ctx.n_windows or not self.reports.complete(g):
-            return
-        reports = self.reports.pop(g)
-        ok = all(
-            sync_prediction_ok(self.workload.actual_size(g, a),
-                               self._sync_assigned[a][1],
-                               self._sync_assigned[a][2])
-            for a in range(self.n_nodes))
-        if not ok:
-            self.result.prediction_errors += 1
-            tracer = self.ctx.tracer
-            if tracer.enabled:
-                tracer.event(ev.STATE, node.now, node.name,
-                             transition="verify_failed", window=g,
-                             epoch=self.epoch)
-            self._start_correction(node, g)
-            return
-        partial = self.fn.identity()
-        for a in sorted(reports):
-            report = reports[a]
-            start = self._sync_assigned[a][0]
-            slice_end = start + report.slice_count
-            _, actual_end = self.workload.span(g, a)
-            partial = self.fn.combine(partial, report.partial)
-            needed = report.buffer.take(actual_end - slice_end)
-            if len(needed):
-                partial = self.fn.combine(partial, self.fn.lift(needed))
-            self.predictors[a].observe(actual_end - start)
-            # Speculation starts at the verified boundary.
-            self.stores[a] = SegmentStore(base=actual_end)
-        self.emit(node, g, self.fn.lower(partial), self.actual_spans(g),
-                  up_flows=1, down_flows=1,
-                  after=lambda: self._send_async_assignment(
-                      node, first=True))
-
     # -- speculative verification (Algorithm 5) --------------------------------------
 
+    def _send_prediction(self, node: RuntimeNode) -> None:
+        """The sync-style window is assigned the shared way
+        (Algorithm 1).  A window after it that follows a shared round
+        — the sync-style window or a correction — (re)starts
+        speculation at the boundary that round verified."""
+        if self.next_emit <= SYNC_WINDOW:
+            super()._send_prediction(node)
+        else:
+            self._send_async_assignment(node, restart=True)
+
     def _send_async_assignment(self, node: RuntimeNode,
-                               first: bool = False) -> None:
+                               restart: bool = False) -> None:
         g = self.next_emit
         if g >= self.ctx.n_windows:
             return
+        if restart:
+            # Locals resume from the actual boundary; no carried raw.
+            self._fb_seen = {}
+            for a in range(self.n_nodes):
+                self.stores[a] = SegmentStore(
+                    base=int(self.workload.bounds[g, a]))
         watermark = self.watermark.current
-        params = {}
-        for a in range(self.n_nodes):
-            predicted, delta = self.predictors[a].predict()
-            params[a] = (predicted, delta)
-        start_positions = {
-            a: int(self.workload.bounds[g, a]) if first else -1
-            for a in range(self.n_nodes)}
-        release = {a: int(self.stores[a].base)
-                   for a in range(self.n_nodes)}
-        tracer = self.ctx.tracer
-        if tracer.enabled:
-            tracer.event(ev.STATE, node.now, node.name,
-                         transition="predict", window=g,
-                         epoch=self.epoch)
+        params = [self.predictors[a].predict()
+                  for a in range(self.n_nodes)]
+        release = [int(self.stores[a].base)
+                   for a in range(self.n_nodes)]
+        self._trace_state(node, "predict", g)
+        # A speculating local keeps its own position (-1); one that
+        # restarts is told the verified boundary.
         self.broadcast(node, lambda a: WindowAssignment(
-            sender="root", window_index=g, epoch=self.epoch,
+            sender=ROOT_NAME, window_index=g, epoch=self.epoch,
             predicted_size=params[a][0], delta=params[a][1],
-            start_position=start_positions[a],
+            start_position=release[a] if restart else -1,
             release_before=release[a], watermark=watermark))
 
     def _verify_async(self, node: RuntimeNode) -> bool:
@@ -502,12 +306,7 @@ class DecoAsyncRoot(RootBehaviorBase):
             return False
         if not ok:
             self.result.prediction_errors += 1
-            tracer = self.ctx.tracer
-            if tracer.enabled:
-                tracer.event(ev.STATE, node.now, node.name,
-                             transition="verify_failed", window=g,
-                             epoch=self.epoch)
-            self.reports.drop_at_or_after(g)
+            self._trace_state(node, "verify_failed", g)
             self._start_correction(node, g)
             return True
         partial = self.fn.identity()
@@ -534,41 +333,9 @@ class DecoAsyncRoot(RootBehaviorBase):
     # -- correction (Section 4.3.2) -----------------------------------------------------
 
     def _start_correction(self, node: RuntimeNode, window: int) -> None:
+        """A misprediction invalidates every speculative report at or
+        after the failed window: bump the epoch so stragglers are
+        filtered, then run the shared correction round."""
         self.epoch += 1
-        self._correcting = window
-        spans = self.actual_spans(window)
-        watermark = self.watermark.current
-        tracer = self.ctx.tracer
-        if tracer.enabled:
-            tracer.event(ev.STATE, node.now, node.name,
-                         transition="correction_start", window=window,
-                         epoch=self.epoch)
-            tracer.inc("corrections", node.name)
-        self.broadcast(node, lambda a: CorrectionRequest(
-            sender="root", window_index=window, epoch=self.epoch,
-            actual_size=spans[a][1] - spans[a][0],
-            start_position=spans[a][0], watermark=watermark))
-
-    def _try_finish_correction(self, node: RuntimeNode) -> None:
-        g = self._correcting
-        if g is None or not self.corrections.complete(g):
-            return
-        self._correcting = None
-        tracer = self.ctx.tracer
-        if tracer.enabled:
-            tracer.event(ev.STATE, node.now, node.name,
-                         transition="correction_done", window=g,
-                         epoch=self.epoch)
-        reports = self.corrections.pop(g)
-        partial = self.fn.combine_all(
-            r.partial for _, r in sorted(reports.items()))
-        spans = self.actual_spans(g)
-        self._fb_seen = {}
-        for a in range(self.n_nodes):
-            self.predictors[a].observe(spans[a][1] - spans[a][0])
-            # Locals resume from the actual boundary; no carried raw.
-            self.stores[a] = SegmentStore(base=spans[a][1])
-        self.emit(node, g, self.fn.lower(partial), spans,
-                  corrected=True, up_flows=2, down_flows=2,
-                  after=lambda: self._send_async_assignment(node))
-        self._progress(node)
+        self.reports.drop_at_or_after(window)
+        super()._start_correction(node, window)

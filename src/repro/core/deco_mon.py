@@ -24,6 +24,7 @@ from repro.core.protocol import (LocalWindowReport, Message, RateReport,
                                  WindowAssignment)
 from repro.core.root import ReportCollector, RootBehaviorBase
 from repro.obs import events as ev
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.node import RuntimeNode
 
 
@@ -118,7 +119,7 @@ class DecoMonRoot(RootBehaviorBase):
             tracer.event(ev.STATE, node.now, node.name,
                          transition="assign", window=g)
         self.broadcast(node, lambda a: WindowAssignment(
-            sender="root", window_index=g, epoch=0,
+            sender=ROOT_NAME, window_index=g, epoch=0,
             predicted_size=spans[a][1] - spans[a][0], delta=0,
             start_position=spans[a][0], release_before=spans[a][0],
             watermark=watermark))
@@ -127,9 +128,7 @@ class DecoMonRoot(RootBehaviorBase):
         g = self.next_emit
         if g >= self.ctx.n_windows or not self.reports.complete(g):
             return
-        reports = self.reports.pop(g)
-        partial = self.fn.combine_all(
-            r.partial for _, r in sorted(reports.items()))
+        partial = self.combine_reports(self.reports.pop(g))
         self.emit(node, g, self.fn.lower(partial), self.actual_spans(g),
                   up_flows=2, down_flows=1,
                   after=lambda: self._maybe_assign(node))

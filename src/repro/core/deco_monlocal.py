@@ -28,8 +28,8 @@ from repro.core.protocol import (LocalWindowReport, Message, RateReport,
                                  StartWindow)
 from repro.core.root import ReportCollector, RootBehaviorBase
 from repro.core.slicing import mon_local_sizes
+from repro.runtime.api import ROOT_NAME, local_index, local_name
 from repro.runtime.node import RuntimeNode
-from repro.runtime.api import local_name
 
 
 class DecoMonLocalPeerLocal(LocalBehaviorBase):
@@ -70,16 +70,13 @@ class DecoMonLocalPeerLocal(LocalBehaviorBase):
         if isinstance(msg, RateReport):
             if msg.window_index != self._window:
                 return  # stale exchange from a previous window
-            self._rates[self.node_index(msg.sender)] = msg.event_rate
+            self._rates[local_index(msg.sender)] = msg.event_rate
             self._maybe_size(node)
         elif isinstance(msg, StartWindow):
             # The root's confirmation: begin the next window's exchange.
             self._window = msg.window_index
             self._rates = {}
             self._broadcast_rate(node)
-
-    def node_index(self, sender: str) -> int:
-        return int(sender.rsplit("-", 1)[1])
 
     # -- verification moved to the local node -----------------------------------
 
@@ -134,8 +131,7 @@ class DecoMonLocalPeerRoot(RootBehaviorBase):
         if g >= self.ctx.n_windows or not self.reports.complete(g):
             return
         reports = self.reports.pop(g)
-        partial = self.fn.combine_all(
-            r.partial for _, r in sorted(reports.items()))
+        partial = self.combine_reports(reports)
         # Spans are rate-derived (not oracle boundaries): record what the
         # locals actually aggregated.
         spans = {a: (r.spec_start, r.spec_start + r.slice_count)
@@ -145,6 +141,6 @@ class DecoMonLocalPeerRoot(RootBehaviorBase):
                   up_flows=2, down_flows=1,
                   after=lambda: self.broadcast(
                       node, lambda a: StartWindow(
-                          sender="root", window_index=next_window,
+                          sender=ROOT_NAME, window_index=next_window,
                           epoch=0,
                           watermark=self.watermark.current)))

@@ -20,7 +20,7 @@ from repro.core.protocol import (CorrectionReport, LocalWindowReport,
 from repro.core.records import WindowOutcome
 from repro.obs import events as ev
 from repro.runtime.node import RuntimeNode
-from repro.runtime.api import local_name
+from repro.runtime.api import local_index, local_name
 from repro.streams.watermark import WatermarkTracker
 
 
@@ -36,6 +36,10 @@ class RootBehaviorBase:
     #: incremental systems).
     EMIT_BURST_FACTOR = 0.0
 
+    #: Per-node raw buffers of the roots that aggregate windows
+    #: centrally (``self.raw = self.new_raw_buffers()``).
+    raw: list[PositionBuffer]
+
     def __init__(self, ctx: SchemeContext) -> None:
         self.ctx = ctx
         self.workload = ctx.workload
@@ -45,6 +49,9 @@ class RootBehaviorBase:
         self.watermark = WatermarkTracker()
         #: Index of the next window to emit (strictly in order).
         self.next_emit = 0
+        #: Set by a root when it stops accepting raw events (the switch
+        #: to decentralized mode); later forwardings are only dropped.
+        self.raw_closed = False
 
     # -- Behaviour protocol ---------------------------------------------------
 
@@ -56,6 +63,10 @@ class RootBehaviorBase:
         per_event = node.profile.per_event_process_s()
         overhead = node.profile.message_overhead_s
         if isinstance(msg, RawEvents):
+            if self.raw_closed:
+                # Stale forwardings after the switch to decentralized
+                # mode: dequeue and drop, no aggregation.
+                return overhead + 0.05 * len(msg.events) * per_event
             return overhead + len(msg.events) * per_event * \
                 self.RAW_EVENT_FACTOR
         if isinstance(msg, LocalWindowReport):
@@ -84,7 +95,7 @@ class RootBehaviorBase:
 
     def node_index(self, sender: str) -> int:
         """Local node index from a message's sender name."""
-        return int(sender.rsplit("-", 1)[1])
+        return local_index(sender)
 
     def actual_spans(self, window: int) -> dict[int, tuple[int, int]]:
         """Ground-truth per-node spans of one global window."""
@@ -104,6 +115,33 @@ class RootBehaviorBase:
         """
         return [self.ctx.new_buffer(fn=self.fn)
                 for _ in range(self.n_nodes)]
+
+    def aggregate_raw_window(
+            self, window: int
+    ) -> tuple[dict[int, tuple[int, int]], Any] | None:
+        """Centrally aggregate one global window from :attr:`raw`.
+
+        Returns the window's ground-truth spans and the combined
+        partial over them, or None while some node's forwarded events
+        end short of its span.
+        """
+        # Checked on every raw message: cheap, and stops at the first
+        # node that is short.
+        ends = self.workload.bounds[window + 1]
+        if not all(self.raw[a].end >= ends[a]
+                   for a in range(self.n_nodes)):
+            return None
+        spans = self.actual_spans(window)
+        partial = self.fn.identity()
+        for a, (start, end) in spans.items():
+            partial = self.fn.combine(
+                partial, self.raw[a].lift_range(start, end))
+        return spans, partial
+
+    def combine_reports(self, reports: dict[int, Any]) -> Any:
+        """Combine one window's reported partials in node order."""
+        return self.fn.combine_all(
+            r.partial for _, r in sorted(reports.items()))
 
     def ingest_positioned_raw(self, node: RuntimeNode, msg: RawEvents,
                               store: PositionBuffer) -> bool:

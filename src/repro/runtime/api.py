@@ -38,6 +38,11 @@ def local_name(i: int) -> str:
     return f"local-{i}"
 
 
+def local_index(name: str) -> int:
+    """Index ``i`` of the local node named ``local_name(i)``."""
+    return int(name.rsplit("-", 1)[1])
+
+
 #: 25 Gbit/s Ethernet of the paper's Intel cluster (bytes/s).
 ETHERNET_25G = 25e9 / 8
 #: 1 Gbit/s Ethernet of the Raspberry Pi cluster ("49 MB per second" is

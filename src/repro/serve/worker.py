@@ -46,7 +46,7 @@ from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_EMIT, TIMER_FIRE, TIMER_SCHED)
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.api import (PHASE_PROTOCOL, ROOT_NAME, TimerHandle,
-                               local_name)
+                               local_index, local_name)
 from repro.runtime.driver import resolved_profiles
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
@@ -165,7 +165,7 @@ class WorkerRuntime:
                 f"unknown node {node_name!r} for a "
                 f"{ctx.workload.n_nodes}-node cluster")
         self.local_index = (-1 if node_name == ROOT_NAME
-                            else int(node_name.split("-")[1]))
+                            else local_index(node_name))
         profile = (root_profile if node_name == ROOT_NAME
                    else local_profile)
         self.node = ServeNode(node_name, profile, behaviors[node_name],
