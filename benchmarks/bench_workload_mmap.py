@@ -1,4 +1,4 @@
-"""Workload-spill benchmark: memory-mapped ``.wlm`` vs ``.npz`` loads.
+"""Workload-spill benchmark: memory-mapped ``.wlm`` vs archive loads.
 
 Replays the parallel sweep's cold-start pattern: ``N_WORKERS`` fresh
 worker processes each load the same spilled workload and take one full
@@ -9,8 +9,9 @@ in, not just promised).  Two spill formats of the same workload:
   :func:`repro.core.workload.save_workload_mmap`: raw aligned columns,
   loaded as read-only ``np.memmap`` views (one OS page-cache copy
   shared by every worker),
-* ``npz``  — the legacy archive: every worker decompresses and copies
-  the full multi-million-event stream into its own heap.
+* ``npz``  — the baseline this file carries itself (``np.savez`` /
+  ``np.load`` of the same columns): every worker reads and copies the
+  full multi-million-event stream into its own heap.
 
 Loaded workloads are asserted bit-identical across formats; the
 recorded speedup is ``npz / mmap`` total wall-clock, which must reach
@@ -36,11 +37,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.workload import (generate_workload, load_spilled,
-                                 save_workload, save_workload_mmap)
+from repro.core.workload import (Workload, generate_workload,
+                                 load_workload_mmap, save_workload_mmap)
+from repro.streams.batch import EventBatch
 
 #: Acceptance floor: N workers cold-starting from the mapped container
-#: must beat the per-worker ``.npz`` decompress+copy by this factor.
+#: must beat the per-worker archive read+copy by this factor.
 MIN_SPEEDUP = 2.0
 
 #: Reduced-mode floor for CI smoke runs: tiny workloads make process
@@ -63,14 +65,43 @@ def quick_mode() -> bool:
         ("", "0")
 
 
-def _worker_load(path: str) -> tuple[float, float]:
+# -- the archive baseline ------------------------------------------------------
+
+def save_npz(path: Path, workload: Workload) -> None:
+    """What a naive spill does: one ``np.savez`` of every column."""
+    arrays = {"meta": np.array([workload.window_size,
+                                workload.n_windows, workload.n_nodes]),
+              "bounds": workload.bounds,
+              "boundary_ts": workload.boundary_ts}
+    for i, stream in enumerate(workload.streams):
+        arrays[f"ids_{i}"] = stream.ids
+        arrays[f"values_{i}"] = stream.values
+        arrays[f"ts_{i}"] = stream.ts
+    np.savez(path, **arrays)
+
+
+def load_npz(path: Path) -> Workload:
+    with np.load(path, allow_pickle=False) as archive:
+        window_size, n_windows, n_nodes = archive["meta"].tolist()
+        streams = [EventBatch(archive[f"ids_{i}"], archive[f"values_{i}"],
+                              archive[f"ts_{i}"])
+                   for i in range(n_nodes)]
+        return Workload(streams=streams, window_size=window_size,
+                        n_windows=n_windows, bounds=archive["bounds"],
+                        boundary_ts=archive["boundary_ts"])
+
+
+LOADERS = {"mmap": load_workload_mmap, "npz": load_npz}
+
+
+def _worker_load(mode: str, path: str) -> tuple[float, float]:
     """One sweep worker's cold start: load the spill, touch the data.
 
     Timed inside the worker so pool/interpreter startup (identical for
     both formats) stays out of the measurement.
     """
     start_s = time.perf_counter()
-    workload = load_spilled(Path(path))
+    workload = LOADERS[mode](Path(path))
     # One full pass over every column a run would consume, so mapped
     # pages are faulted in rather than merely promised.
     total = 0.0
@@ -89,10 +120,11 @@ def workload_bits(workload) -> tuple:
         workload.bounds.tobytes(), workload.boundary_ts.tobytes())
 
 
-def timed_pool_load(path: Path) -> tuple[float, float]:
+def timed_pool_load(mode: str, path: Path) -> tuple[float, float]:
     """Total load seconds for N fresh workers cold-starting ``path``."""
     with ProcessPoolExecutor(max_workers=N_WORKERS) as pool:
-        out = list(pool.map(_worker_load, [str(path)] * N_WORKERS))
+        out = list(pool.map(_worker_load, [mode] * N_WORKERS,
+                            [str(path)] * N_WORKERS))
     return sum(wall for wall, _ in out), out[0][1]
 
 
@@ -110,12 +142,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-wlm-") as tmp:
         npz_path = Path(tmp) / "workload.npz"
         wlm_path = Path(tmp) / "workload.wlm"
-        save_workload(npz_path, workload)
+        save_npz(npz_path, workload)
         save_workload_mmap(wlm_path, workload)
 
         # Bit-identity across formats before timing anything.
-        if workload_bits(load_spilled(npz_path)) != \
-                workload_bits(load_spilled(wlm_path)):
+        if workload_bits(load_npz(npz_path)) != \
+                workload_bits(load_workload_mmap(wlm_path)):
             print("FAIL: spill formats disagree bit-wise",
                   file=sys.stderr)
             return 1
@@ -124,7 +156,7 @@ def main() -> int:
         checks = set()
         for _ in range(ROUNDS):
             for mode, path in (("mmap", wlm_path), ("npz", npz_path)):
-                wall, check = timed_pool_load(path)
+                wall, check = timed_pool_load(mode, path)
                 best[mode] = min(best.get(mode, float("inf")), wall)
                 checks.add(check)
         if len(checks) != 1:

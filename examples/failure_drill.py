@@ -16,10 +16,10 @@ Run:  python examples/failure_drill.py
 from repro.aggregates import Sum
 from repro.core import RunConfig
 from repro.metrics import results_match
+from repro.runtime import ROOT_NAME, local_name
 from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector, crash_node_at, \
     recover_node_at
-from repro.sim.topology import ROOT_NAME, local_name
 
 N_NODES = 2
 WINDOW = 2_000

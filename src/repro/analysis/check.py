@@ -166,8 +166,6 @@ def main(argv: list[str] | None = None) -> int:
               "--trace PATH", file=sys.stderr)
         return 2
 
-    import repro.baselines  # noqa: F401  (registers baselines)
-    import repro.core  # noqa: F401  (registers deco_* schemes)
     from repro.serve import merge
 
     if args.seed_bug is not None and \

@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.obs.events import MSG_SEND
 from repro.obs.tracer import RunTracer
-from repro.sim.topology import ROOT_NAME
+from repro.runtime import ROOT_NAME
 
 #: One token: (direction, message class name).
 Token = tuple[str, str]

@@ -96,7 +96,7 @@ class LintRule:
     :attr:`scope`, and implement :meth:`check`.  ``scope`` is a tuple
     of path prefixes under the ``repro`` package (e.g. ``"repro/sim"``);
     an empty scope applies everywhere.  Out-of-package files (example
-    and benchmark scripts) always get every rule.
+    and benchmark scripts) get every rule but the ``package_only`` ones.
     """
 
     code: str = "DL000"
@@ -104,13 +104,19 @@ class LintRule:
     #: One-line description shown by ``repro lint --list-rules``.
     summary: str = ""
     scope: tuple[str, ...] = ()
+    #: The rule polices package internals only, never a file outside it.
+    package_only: bool = False
+    #: Package path prefixes the rule skips (its sanctioned sites).
+    exempt: tuple[str, ...] = ()
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on ``ctx``'s file."""
-        if not self.scope or not ctx.in_package():
-            return True
+        if not ctx.in_package():
+            return not self.package_only
         pkg = ctx.package_path()
-        return any(pkg.startswith(prefix) for prefix in self.scope)
+        if pkg.startswith(self.exempt):
+            return False
+        return not self.scope or pkg.startswith(self.scope)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Yield findings for one parsed file."""

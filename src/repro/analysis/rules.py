@@ -170,6 +170,24 @@ class NoWallClockOrUnseededRandom(LintRule):
                     f"use a seeded `numpy.random.default_rng(seed)`")
 
 
+def _scope_walk(scope: ast.AST) -> Iterable[ast.AST]:
+    """Walk a scope without descending into nested functions."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef,
+                                 ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _scopes(tree: ast.Module) -> list[ast.AST]:
+    """The module scope, then every function scope in it."""
+    return [tree, *(node for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)))]
+
+
 def _is_set_expr(node: ast.AST) -> bool:
     """Whether ``node`` evaluates to a set (syntactically)."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -206,22 +224,14 @@ class NoUnorderedIteration(LintRule):
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         # Track simple local `name = <set expr>` bindings per scope so
         # `s = set(...); for x in s:` is caught too.
-        for scope_node, set_names in self._scopes(ctx.tree):
-            for node in self._scope_walk(scope_node):
+        for scope_node in _scopes(ctx.tree):
+            set_names = self._set_bindings(scope_node)
+            for node in _scope_walk(scope_node):
                 yield from self._check_node(ctx, node, set_names)
-
-    def _scopes(self, tree: ast.Module
-                ) -> list[tuple[ast.AST, set[str]]]:
-        scopes: list[tuple[ast.AST, set[str]]] = [
-            (tree, self._set_bindings(tree))]
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node, self._set_bindings(node)))
-        return scopes
 
     def _set_bindings(self, scope: ast.AST) -> set[str]:
         names: set[str] = set()
-        for node in self._scope_walk(scope):
+        for node in _scope_walk(scope):
             if isinstance(node, ast.Assign) and _is_set_expr(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -232,16 +242,6 @@ class NoUnorderedIteration(LintRule):
                   and isinstance(node.target, ast.Name)):
                 names.add(node.target.id)
         return names
-
-    def _scope_walk(self, scope: ast.AST) -> Iterable[ast.AST]:
-        """Walk a scope without descending into nested functions."""
-        stack = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef, ast.Lambda)):
-                stack.extend(ast.iter_child_nodes(node))
 
     def _check_node(self, ctx: FileContext, node: ast.AST,
                     set_names: set[str]) -> Iterable[Finding]:
@@ -557,7 +557,7 @@ class NoWireSizeArithmetic(LintRule):
     name = "no-wire-size-arithmetic"
     summary = ("wire-size constant arithmetic outside repro/wire and "
                "repro/runtime/serialization duplicates the frame layout")
-    scope = ()  # applies everywhere; the wire layer itself is exempted
+    scope = ()  # applies everywhere but the wire layer itself
 
     #: The derived size-model tables and the layout constants they come
     #: from.  Any of these appearing inside arithmetic re-encodes the
@@ -569,14 +569,7 @@ class NoWireSizeArithmetic(LintRule):
 
     #: Package paths allowed to do layout arithmetic: the layout's
     #: single source of truth and the size model derived from it.
-    EXEMPT = ("repro/wire", "repro/runtime/serialization")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.in_package():
-            pkg = ctx.package_path()
-            return not any(pkg.startswith(prefix)
-                           for prefix in self.EXEMPT)
-        return True
+    exempt = ("repro/wire", "repro/runtime/serialization")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         yield from self._visit(ctx, ctx.tree)
@@ -634,15 +627,10 @@ class NoSimImportsInProtocolCore(LintRule):
     summary = ("repro.core/repro.baselines must import the runtime "
                "driver interface, never repro.sim directly")
     scope = ("repro/core", "repro/baselines")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # Unlike the determinism rules, the boundary only exists for
-        # in-package protocol code; scripts and tests drive the
-        # simulator on purpose.
-        if not ctx.in_package():
-            return False
-        pkg = ctx.package_path()
-        return any(pkg.startswith(prefix) for prefix in self.scope)
+    # Unlike the determinism rules, the boundary only exists for
+    # in-package protocol code; scripts and tests drive the simulator
+    # on purpose.
+    package_only = True
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         yield from self._visit(ctx, ctx.tree)
@@ -728,14 +716,12 @@ class NoViewMutation(LintRule):
     })
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        walker = NoUnorderedIteration()
-        for scope_node, _ in walker._scopes(ctx.tree):
-            tainted = self._tainted_names(walker, scope_node)
-            for node in walker._scope_walk(scope_node):
+        for scope_node in _scopes(ctx.tree):
+            tainted = self._tainted_names(scope_node)
+            for node in _scope_walk(scope_node):
                 yield from self._check_node(ctx, node, tainted)
 
-    def _tainted_names(self, walker: NoUnorderedIteration,
-                       scope: ast.AST) -> set[str]:
+    def _tainted_names(self, scope: ast.AST) -> set[str]:
         """Fixpoint over assignments: names holding view-derived data.
 
         Statement order is ignored (a lint over-approximation): a name
@@ -746,7 +732,7 @@ class NoViewMutation(LintRule):
         changed = True
         while changed:
             changed = False
-            for node in walker._scope_walk(scope):
+            for node in _scope_walk(scope):
                 value: ast.AST | None = None
                 targets: list[ast.AST] = []
                 if isinstance(node, ast.Assign):
@@ -849,34 +835,25 @@ class NoEnvReadOutsideBootstrap(LintRule):
     production path per layer, and the reference implementations the
     tests compare against are reached by constructor argument.  What
     the environment may still carry is deployment (a cache directory,
-    a worker count) and test fault injection, each read once at a
-    sanctioned bootstrap point.  An ``os.environ`` read of a
-    ``REPRO_*`` key anywhere else creates hidden config — two
-    "identical" runs diverge because some deep module consulted the
-    environment mid-run, which the determinism harness cannot see —
-    and is how a behaviour switch would come back.
+    a worker count), each read once at a sanctioned bootstrap point.
+    An ``os.environ`` read of a ``REPRO_*`` key anywhere else creates
+    hidden config — two "identical" runs diverge because some deep
+    module consulted the environment mid-run, which the determinism
+    harness cannot see — and is how a behaviour switch would come back.
     """
 
     code = "DL009"
     name = "no-env-read-outside-bootstrap"
     summary = ("REPRO_* environment reads outside the sanctioned "
                "config/bootstrap modules create hidden run config")
-    scope = ()  # in-package only (see applies_to)
+    # Out-of-package scripts/benchmarks read REPRO_* on purpose (scale
+    # and quick-mode knobs); the rule polices the package internals
+    # only.
+    package_only = True
 
-    #: The sanctioned read sites: ``REPRO_WORKLOAD_CACHE`` (a path),
-    #: ``REPRO_JOBS`` (a worker count) and ``REPRO_SERVE_CRASH_AFTER``
-    #: (fault injection for tests).  None selects a behaviour.
-    EXEMPT = ("repro/core/workload", "repro/sweep",
-              "repro/serve/worker")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # Out-of-package scripts/benchmarks read REPRO_* on purpose
-        # (scale and quick-mode knobs); the rule polices the package
-        # internals only.
-        if not ctx.in_package():
-            return False
-        pkg = ctx.package_path()
-        return not any(pkg.startswith(prefix) for prefix in self.EXEMPT)
+    #: The sanctioned read sites: ``REPRO_WORKLOAD_CACHE`` (a path) and
+    #: ``REPRO_JOBS`` (a worker count).  Neither selects a behaviour.
+    exempt = ("repro/core/workload", "repro/sweep")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         env_consts = self._env_constants(ctx.tree)
@@ -971,6 +948,7 @@ class NoBlockingInMergeSections(LintRule):
     summary = ("blocking calls (sleep/socket/framing/transport) inside "
                "coordinator merge sections break merge determinism")
     scope = ("repro/serve/coordinator", "repro/serve/merge")
+    package_only = True  # scripts outside it have no merge sections
 
     #: Resolved call targets that block on the host OS.
     BLOCKING_EXACT = frozenset({
@@ -982,13 +960,6 @@ class NoBlockingInMergeSections(LintRule):
     BLOCKING_SUFFIXES = ("send_frame", "recv_frame",
                          "connect_with_retry", "transport.send",
                          "transport.recv", "._send", "._recv", "._rpc")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # Scripts outside the package have no merge sections.
-        if not ctx.in_package():
-            return False
-        pkg = ctx.package_path()
-        return any(pkg.startswith(prefix) for prefix in self.scope)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         collector = _AliasCollector()
@@ -1053,15 +1024,10 @@ class NoPerQueryLiftLoops(LintRule):
                "shared data once per query; use the shared multi-"
                "query engine")
     scope = ("repro/core", "repro/baselines")
+    package_only = True
 
     #: Method names that lift/aggregate a raw range.
     LIFT_CALLS = frozenset({"lift_range", "scalar_lift"})
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if not ctx.in_package():
-            return False
-        pkg = ctx.package_path()
-        return any(pkg.startswith(prefix) for prefix in self.scope)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

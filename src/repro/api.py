@@ -39,10 +39,6 @@ from repro.metrics.throughput import sustainable_throughput
 from repro.obs.tracer import RunTracer, TraceFlag, resolve_tracer
 from repro.sweep import SweepExecutor
 
-# Ensure every built-in scheme is registered on import.
-import repro.core  # noqa: F401  (registers deco_* schemes)
-import repro.baselines  # noqa: F401  (registers baselines)
-
 #: All schemes the evaluation compares, in the paper's order.
 ALL_SCHEMES = ("central", "scotty", "disco", "approx", "deco_mon",
                "deco_sync", "deco_async")

@@ -119,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "tree per stream; one --queries "
                             "flag is the single-query degenerate case "
                             "of the same path")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for sweeps (default: "
-                            "$REPRO_JOBS, then CPU count; 1 = serial)")
 
     run_p = sub.add_parser("run", help="run one scheme")
     run_p.add_argument("scheme")
@@ -150,6 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run several schemes, same workload")
     cmp_p.add_argument("schemes_list", nargs="+", metavar="scheme")
     add_run_args(cmp_p)
+    cmp_p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes for the sweep (default: "
+                            "$REPRO_JOBS, then CPU count; 1 = serial)")
 
     exp_p = sub.add_parser("experiment",
                            help="regenerate a paper figure")
@@ -171,29 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the simulator and assert the "
                               "serve fingerprint matches it")
 
-    lint_p = sub.add_parser(
-        "lint", help="run deco-lint (rules DL001-DL011)")
-    lint_p.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories (default: src/repro)")
-    lint_p.add_argument("--select", default=None,
-                        help="comma-separated rule codes to run")
-    lint_p.add_argument("--report-only", action="store_true",
-                        help="print findings but always exit 0")
-    lint_p.add_argument("--list-rules", action="store_true",
-                        help="list rules and exit")
-
-    check_p = sub.add_parser(
+    # Listed for ``repro --help`` only: ``main`` hands these two to
+    # the parsers that own their flags before this one runs.
+    sub.add_parser("lint", help="run deco-lint (rules DL001-DL011)")
+    sub.add_parser(
         "check",
         help="concurrency verifier: interleaving model checking "
              "(--explore) and happens-before trace analysis (--trace)")
-    check_p.add_argument("--explore", action="store_true")
-    check_p.add_argument("--trace", metavar="PATH", default=None)
-    check_p.add_argument("--schemes", default=None)
-    check_p.add_argument("--nodes", default=None)
-    check_p.add_argument("--epochs", type=int, default=None)
-    check_p.add_argument("--budget", type=int, default=None)
-    check_p.add_argument("--seed-bug", default=None)
-    check_p.add_argument("--expect-violations", action="store_true")
     return parser
 
 
@@ -234,43 +218,16 @@ def _summary_row(name: str, summary) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.lint import main as lint_main
+        return lint_main(argv[1:])
+    if argv[:1] == ["check"]:
+        from repro.analysis.check import main as check_main
+        return check_main(argv[1:])
     args = build_parser().parse_args(argv)
 
-    if args.command == "lint":
-        from repro.analysis.lint import main as lint_main
-        lint_argv = list(args.paths)
-        if args.select:
-            lint_argv += ["--select", args.select]
-        if args.report_only:
-            lint_argv.append("--report-only")
-        if args.list_rules:
-            lint_argv.append("--list-rules")
-        return lint_main(lint_argv)
-
-    if args.command == "check":
-        from repro.analysis.check import main as check_main
-        check_argv = []
-        if args.explore:
-            check_argv.append("--explore")
-        if args.trace is not None:
-            check_argv += ["--trace", args.trace]
-        if args.schemes is not None:
-            check_argv += ["--schemes", args.schemes]
-        if args.nodes is not None:
-            check_argv += ["--nodes", args.nodes]
-        if args.epochs is not None:
-            check_argv += ["--epochs", str(args.epochs)]
-        if args.budget is not None:
-            check_argv += ["--budget", str(args.budget)]
-        if args.seed_bug is not None:
-            check_argv += ["--seed-bug", args.seed_bug]
-        if args.expect_violations:
-            check_argv.append("--expect-violations")
-        return check_main(check_argv)
-
     if args.command == "schemes":
-        import repro.baselines  # noqa: F401
-        import repro.core  # noqa: F401
         for name in available_schemes():
             print(name)
         return 0
@@ -298,12 +255,10 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs.tracer import RunTracer
             from repro.serve import run_scheme_served
             tracer = RunTracer()
-            report = run_scheme_served(
-                _make_config(args.scheme, **_run_kwargs(args)),
-                tracer=tracer)
-            summary = _summarize(
-                _make_config(args.scheme, **_run_kwargs(args)),
-                args.load, report.result, report.workload)
+            config = _make_config(args.scheme, **_run_kwargs(args))
+            report = run_scheme_served(config, tracer=tracer)
+            summary = _summarize(config, args.load, report.result,
+                                 report.workload)
         else:
             summary = run(args.scheme, trace=True, **_run_kwargs(args))
             tracer = summary.trace

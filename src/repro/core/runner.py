@@ -63,7 +63,8 @@ def register_scheme(spec: SchemeSpec) -> SchemeSpec:
 
 
 def available_schemes() -> list[str]:
-    """Names of all registered schemes."""
+    """Names of all registered schemes (the built-in ones included)."""
+    import repro.baselines  # noqa: F401 -- registers baselines
     return sorted(_SCHEMES)
 
 
@@ -78,11 +79,11 @@ def get_scheme(name: str) -> SchemeSpec:
     """Look up a registered scheme.
 
     Built-in schemes register on package import; looking one up before
-    its package was imported triggers the import.
+    its package was imported triggers the import (the Deco schemes
+    register with this module's own package, :mod:`repro.core`).
     """
     if name not in _SCHEMES:
         import repro.baselines  # noqa: F401 -- registers baselines
-        import repro.core  # noqa: F401 -- registers deco schemes
     try:
         return _SCHEMES[name]
     except KeyError:

@@ -198,8 +198,8 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
 # multi-million-event streams (generation is seed-deterministic).  The
 # cache keys a workload by its full generation-parameter tuple so each
 # distinct workload is generated once per process (in-memory LRU) and
-# once per machine (``.npz`` spill files that parallel sweep workers —
-# and later processes — load with ``np.load`` instead of regenerating).
+# once per machine (``.wlm`` spill files that parallel sweep workers —
+# and later processes — memory-map instead of regenerating).
 
 #: Environment variable overriding the spill directory.
 SPILL_DIR_ENV = "REPRO_WORKLOAD_CACHE"
@@ -269,9 +269,9 @@ def _atomic_write(path: Path,
                   write: Callable[[IO[bytes]], None]) -> None:
     """Write ``path`` through a same-directory temp file + rename.
 
-    Shared by both spill formats: concurrent sweep workers may race to
-    spill the same workload, and ``os.replace`` makes the last writer
-    win without any reader ever seeing a half-written file.
+    Concurrent sweep workers may race to spill the same workload, and
+    ``os.replace`` makes the last writer win without any reader ever
+    seeing a half-written file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -302,34 +302,10 @@ def _workload_arrays(workload: Workload) -> dict[str, np.ndarray]:
     return arrays
 
 
-def save_workload(path: Path, workload: Workload) -> None:
-    """Persist a workload as an ``.npz`` archive (atomic replace)."""
-    arrays = _workload_arrays(workload)
-    _atomic_write(Path(path), lambda fh: np.savez(fh, **arrays))
-
-
-def load_workload(path: Path) -> Workload:
-    """Load a workload spilled by :func:`save_workload`.
-
-    Round-trips exactly: ``.npz`` stores the raw int64/float64 columns,
-    so a loaded workload drives a bit-identical simulation.
-    """
-    with np.load(path, allow_pickle=False) as archive:
-        window_size, n_windows, n_nodes = archive["meta"].tolist()
-        streams = [EventBatch._view(archive[f"ids_{i}"],
-                                    archive[f"values_{i}"],
-                                    archive[f"ts_{i}"])
-                   for i in range(n_nodes)]
-        return Workload(streams=streams, window_size=int(window_size),
-                        n_windows=int(n_windows),
-                        bounds=archive["bounds"],
-                        boundary_ts=archive["boundary_ts"])
-
-
 # -- memory-mapped spill container ---------------------------------------------
 #
-# ``.npz`` spills force every sweep worker to decompress and copy the
-# full multi-million-event stream into its own heap.  The ``.wlm``
+# An archive that each sweep worker reads into its own heap costs a
+# full copy of the multi-million-event streams per worker.  The ``.wlm``
 # container instead lays the raw little-endian arrays out 64-byte
 # aligned after a small JSON table of contents, so every worker maps
 # the *same* OS page-cache copy read-only (``np.memmap``) and hands the
@@ -449,24 +425,16 @@ def load_workload_mmap(path: Path) -> Workload:
             f"workload spill {path} is missing array {exc}") from None
 
 
-def load_spilled(path: Path) -> Workload:
-    """Load a spill file of either format (dispatch on suffix)."""
-    path = Path(path)
-    if path.suffix == ".npz":
-        return load_workload(path)
-    return load_workload_mmap(path)
-
-
 #: Current spill-file generation; part of every spill filename so a
 #: layout change orphans old files instead of misparsing them.
 SPILL_FORMAT_VERSION = 2
 
-#: Suffix of the current (memory-mapped) spill format.
+#: Suffix of the (memory-mapped) spill format.
 SPILL_SUFFIX = ".wlm"
 
 #: Everything ``clear(spill=True)`` must sweep: every spill generation
-#: (the ``.npz`` era included) plus temp files from crashed writers.
-_SPILL_GLOBS = ("wl*_*.npz", f"wl*_*{SPILL_SUFFIX}", f"{_TMP_PREFIX}*")
+#: plus temp files from crashed writers.
+_SPILL_GLOBS = (f"wl*_*{SPILL_SUFFIX}", f"{_TMP_PREFIX}*")
 
 
 def spill_filename(key: str) -> str:
@@ -491,15 +459,13 @@ class WorkloadCache:
     """
 
     def __init__(self, capacity: int = 8,
-                 spill_dir: Path | None = None,
-                 spill: bool = True) -> None:
+                 spill_dir: Path | None = None) -> None:
         if capacity < 1:
             raise ConfigurationError(
                 f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.spill_dir = Path(spill_dir) if spill_dir is not None \
             else default_spill_dir()
-        self.spill = spill
         self._lru: "OrderedDict[str, Workload]" = OrderedDict()
         #: Satisfied from the in-process LRU.
         self.memory_hits = 0
@@ -521,8 +487,8 @@ class WorkloadCache:
             self.memory_hits += 1
             return cached
         path = self.path(spec)
-        if self.spill and path.exists():
-            workload = load_spilled(path)
+        if path.exists():
+            workload = load_workload_mmap(path)
             self.spill_hits += 1
         else:
             # A finished run's cyclic garbage pins workload-sized numpy
@@ -533,8 +499,7 @@ class WorkloadCache:
             gc.collect()
             workload = spec.generate()
             self.generated += 1
-            if self.spill:
-                save_workload_mmap(path, workload)
+            save_workload_mmap(path, workload)
         self._lru[key] = workload
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)
@@ -546,10 +511,8 @@ class WorkloadCache:
         The spill file is re-written if it has gone missing since the
         workload entered the in-memory LRU (deleted spill dir, tmpfs
         cleanup): an in-memory hit alone does not prove the path that
-        workers will ``np.load`` still exists.
+        workers will map still exists.
         """
-        if not self.spill:
-            raise ConfigurationError("cache has spilling disabled")
         workload = self.get(spec)
         path = self.path(spec)
         if not path.exists():

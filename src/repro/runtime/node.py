@@ -144,18 +144,26 @@ class RuntimeNode(abc.ABC):
         """Run ``callback`` at absolute runtime ``time``."""
 
     @abc.abstractmethod
-    def schedule(self, delay: float, callback: Any,
-                 phase: int = PHASE_PROTOCOL,
-                 rank: tuple[str, ...] = ()) -> TimerHandle:
-        """Run ``callback`` after ``delay`` seconds of runtime time."""
-
-    @abc.abstractmethod
     def request_stop(self) -> None:
         """Ask the driver to end the run (root emission complete)."""
 
     @abc.abstractmethod
     def _transmit(self, dst: str, msg: Any) -> None:
         """Hand ``msg`` to the fabric for transmission to ``dst``."""
+
+    def schedule(self, delay: float, callback: Any,
+                 phase: int = PHASE_PROTOCOL,
+                 rank: tuple[str, ...] = ()) -> TimerHandle:
+        """Run ``callback`` after ``delay`` seconds of runtime time."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: {delay}")
+        return self.schedule_at(self.now + delay, callback, phase=phase,
+                                rank=rank)
+
+    def start(self) -> None:
+        """Run the behaviour's start hook."""
+        if self.behavior is not None:
+            self.behavior.on_start(self)
 
     # -- message handling --------------------------------------------------
 

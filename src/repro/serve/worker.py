@@ -18,13 +18,8 @@ Run as a module::
     python -m repro.serve.worker --host H --port P --node local-0 \
         --config '<json>'
 
-Environment:
-
-* ``REPRO_SERVE_CRASH_AFTER=<n>`` — deterministic fault injection for
-  tests: the process hard-exits before replying to its ``n``-th
-  dispatch, simulating a node crash mid-window.
-* ``REPRO_WORKLOAD_CACHE`` is honoured exactly as in the simulator
-  (workers inherit the harness's environment).
+Environment: ``REPRO_WORKLOAD_CACHE`` is honoured exactly as in the
+simulator (workers inherit the harness's environment).
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import argparse
 import heapq
 import json
 import math
-import os
 import socket
 import sys
 from collections.abc import Sequence
@@ -60,9 +54,6 @@ from repro.wire.codec import MessageCodec
 if TYPE_CHECKING:
     from repro.core.multiquery import MultiQueryEngine
     from repro.streams.batch import EventBatch
-
-#: Fault-injection hook: hard-exit before replying to dispatch #n.
-CRASH_ENV = "REPRO_SERVE_CRASH_AFTER"
 
 
 class _ServeTimer:
@@ -117,25 +108,12 @@ class ServeNode(RuntimeNode):
             raise SimulationError(f"non-finite schedule time {time}")
         return self._rt.add_timer(time, callback, phase, rank)
 
-    def schedule(self, delay: float, callback: Any,
-                 phase: int = PHASE_PROTOCOL,
-                 rank: tuple[str, ...] = ()) -> TimerHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        return self.schedule_at(self._rt.now + delay, callback,
-                                phase=phase, rank=rank)
-
     def request_stop(self) -> None:
         self._rt.ops.append([OP_STOP])
         self._rt.stop_requested = True
 
     def _transmit(self, dst: str, msg: Any) -> None:
         self._rt.transmit(dst, msg)
-
-    def start(self) -> None:
-        """Run the behaviour's start hook."""
-        if self.behavior is not None:
-            self.behavior.on_start(self)
 
 
 class WorkerRuntime:
@@ -514,20 +492,13 @@ class WorkerRuntime:
 
 
 def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
-    """The worker request loop: dispatch until FINISH (or crash)."""
-    crash_after = int(os.environ.get(CRASH_ENV, "0") or "0")
-    dispatches = 0
+    """The worker request loop: dispatch until FINISH."""
     framing.send_frame(sock, framing.HELLO, {"node": rt.node_name})
     kind, _, _ = framing.recv_frame(sock)
     if kind != framing.ACK:
         raise ServeError(f"expected ACK from coordinator, got {kind}")
     while True:
         kind, header, blob = framing.recv_frame(sock)
-        dispatches += 1
-        if crash_after and dispatches >= crash_after:
-            # Fault injection: die without replying, as a real crashed
-            # process would.  os._exit skips atexit/socket teardown.
-            os._exit(1)
         try:
             reply = rt.handle(kind, header, blob)
         except Exception as exc:  # surface worker bugs to the harness

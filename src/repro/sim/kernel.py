@@ -14,14 +14,9 @@ from collections.abc import Callable, Iterator
 
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
-# Scheduling phases are part of the driver-agnostic runtime interface
-# (both the simulator and the serve coordinator order same-time events
-# by them); re-exported here because the kernel is their executor.
-from repro.runtime.api import (PHASE_DELIVER, PHASE_PROTOCOL,
-                               PHASE_SOURCE)
+from repro.runtime.api import PHASE_PROTOCOL
 
-__all__ = ["PHASE_PROTOCOL", "PHASE_DELIVER", "PHASE_SOURCE",
-           "ScheduledEvent", "Simulator", "Timeout"]
+__all__ = ["ScheduledEvent", "Simulator"]
 
 
 class ScheduledEvent:
@@ -129,8 +124,8 @@ class Simulator:
         """Run ``callback`` at absolute simulation ``time``.
 
         ``phase`` orders same-time events across scheduling domains
-        (see :data:`PHASE_PROTOCOL` / :data:`PHASE_DELIVER` /
-        :data:`PHASE_SOURCE`); ``rank`` canonically orders same-phase
+        (``PHASE_PROTOCOL`` / ``PHASE_DELIVER`` / ``PHASE_SOURCE`` of
+        :mod:`repro.runtime.api`); ``rank`` canonically orders same-phase
         events that contend for a shared resource.  The tie-break salt
         only permutes within an equal (time, phase, rank) class.
         """
@@ -231,37 +226,3 @@ class Simulator:
         cancelled entries).
         """
         return self._live
-
-
-class Timeout:
-    """A restartable timeout built on the kernel.
-
-    Deco sets "timeouts for all local windows to deal with delayed
-    events and missing messages" (Section 4.3.4); this helper gives the
-    nodes a timer they can arm, re-arm, and cancel.
-    """
-
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._handle: ScheduledEvent | None = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timeout is currently pending."""
-        return self._handle is not None and not self._handle.cancelled
-
-    def arm(self, delay: float) -> None:
-        """(Re)arm the timeout ``delay`` seconds from now."""
-        self.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm without firing."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._callback()

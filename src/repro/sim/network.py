@@ -14,16 +14,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import events as ev
-from repro.runtime.api import (DEFAULT_LATENCY_S, ETHERNET_1G,
-                               ETHERNET_25G)
-from repro.sim.kernel import PHASE_DELIVER, Simulator
+from repro.runtime import DEFAULT_LATENCY_S, ETHERNET_25G, PHASE_DELIVER
+from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
 
 if TYPE_CHECKING:
     from repro.wire.codec import MessageCodec
 
-__all__ = ["DEFAULT_LATENCY_S", "ETHERNET_1G", "ETHERNET_25G",
-           "Link", "LinkStats", "Network"]
+__all__ = ["Link", "LinkStats", "Network"]
 
 
 @dataclass

@@ -6,9 +6,6 @@ binds it to the discrete-event kernel — the clock is
 :attr:`Simulator.now <repro.sim.kernel.Simulator.now>`, timers are
 kernel events, and transmission hands off to the attached
 :class:`~repro.sim.network.Network`.
-
-``NodeProfile``/``Behavior``/``NodeMetrics`` and the calibrated
-profiles are re-exported from the runtime layer for existing importers.
 """
 
 from __future__ import annotations
@@ -18,12 +15,10 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.obs import events as ev
 from repro.runtime.api import PHASE_PROTOCOL
-from repro.runtime.node import (INTEL_XEON, RASPBERRY_PI_4B, Behavior,
-                                NodeMetrics, NodeProfile, RuntimeNode)
+from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
 from repro.sim.kernel import ScheduledEvent, Simulator
 
-__all__ = ["INTEL_XEON", "RASPBERRY_PI_4B", "Behavior", "NodeMetrics",
-           "NodeProfile", "SimNode"]
+__all__ = ["SimNode"]
 
 
 class SimNode(RuntimeNode):
@@ -34,9 +29,6 @@ class SimNode(RuntimeNode):
         super().__init__(name, profile, behavior)
         self.sim = sim
         self.network = None  # wired by Network.attach
-
-    def __repr__(self) -> str:
-        return f"SimNode({self.name!r}, profile={self.profile.name!r})"
 
     # -- driver interface --------------------------------------------------
 
@@ -57,12 +49,6 @@ class SimNode(RuntimeNode):
         return self.sim.schedule_at(time, callback, phase=phase,
                                     rank=rank)
 
-    def schedule(self, delay: float, callback: Any,
-                 phase: int = PHASE_PROTOCOL,
-                 rank: tuple[str, ...] = ()) -> ScheduledEvent:
-        """Schedule ``callback`` on the kernel after ``delay``."""
-        return self.sim.schedule(delay, callback, phase=phase, rank=rank)
-
     def request_stop(self) -> None:
         """Stop the kernel's run loop (root emission complete)."""
         self.sim.stop()
@@ -80,11 +66,6 @@ class SimNode(RuntimeNode):
         self.network.send(self.name, dst, msg)
 
     # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        """Invoke the behaviour's start hook."""
-        if self.behavior is not None:
-            self.behavior.on_start(self)
 
     def crash(self) -> None:
         """Fail-stop this node; it silently drops everything afterwards."""

@@ -14,17 +14,14 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.errors import ConfigurationError
-# Node identity is part of the driver-agnostic runtime interface;
-# re-exported here for existing importers.
-from repro.runtime.api import ROOT_NAME, local_name
+from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_1G, ETHERNET_25G,
+                           INTEL_XEON, RASPBERRY_PI_4B, ROOT_NAME,
+                           Behavior, NodeProfile, local_name)
 from repro.sim.kernel import Simulator
-from repro.sim.network import (DEFAULT_LATENCY_S, ETHERNET_1G,
-                               ETHERNET_25G, Network)
-from repro.sim.node import (INTEL_XEON, RASPBERRY_PI_4B, Behavior,
-                            NodeProfile, SimNode)
+from repro.sim.network import Network
+from repro.sim.node import SimNode
 
-__all__ = ["ROOT_NAME", "local_name", "StarTopology", "build_star",
-           "build_rpi_star", "peer_mesh"]
+__all__ = ["StarTopology", "build_star", "build_rpi_star", "peer_mesh"]
 
 
 @dataclass

@@ -13,8 +13,8 @@ the results bit-identical to a serial run:
   order).
 * Workloads are pre-generated once per distinct parameter tuple via the
   content-addressed cache in :mod:`repro.core.workload` and shipped to
-  workers as ``.npz`` spill paths, so a 7-scheme sweep generates (and
-  pickles) each multi-million-event workload once instead of 7 times.
+  workers as ``.wlm`` spill paths, so a 7-scheme sweep generates each
+  multi-million-event workload once instead of 7 times, pickling none.
 
 ``jobs`` resolves from the explicit argument, then the ``REPRO_JOBS``
 environment variable, then ``os.cpu_count()``.  ``jobs=1`` bypasses the
@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, get_scheme, run_scheme
 from repro.core.workload import (Workload, WorkloadCache, WorkloadSpec,
-                                 default_cache, load_spilled)
+                                 default_cache, load_workload_mmap)
 from repro.errors import ConfigurationError
 from repro.obs.summary import TraceSummary
 from repro.obs.tracer import RunTracer
@@ -75,24 +75,22 @@ _WORKER_MEMO_CAPACITY = 4
 
 
 def _run_one(config: RunConfig,
-             payload: None | str | Workload
+             payload: str | Workload
              ) -> tuple[RunResult, TraceSummary | None]:
     """Worker entry point: run one config over a shipped workload.
 
-    ``payload`` is a spill-file path (the normal case — workers load
-    the pre-generated workload with ``np.load`` instead of regenerating
-    it), an in-memory :class:`Workload` (spilling disabled), or ``None``
-    (generate locally).
+    ``payload`` is a spill-file path in a pool worker (it maps the
+    pre-generated workload instead of regenerating it) and the
+    in-memory :class:`Workload` itself on the in-process serial path.
 
     Returns the run result plus a picklable
     :class:`~repro.obs.summary.TraceSummary` when ``config.trace`` is
     set (full event lists stay worker-side; only the rollup ships back).
     """
-    workload: Workload | None
     if isinstance(payload, str):
         workload = _WORKER_WORKLOADS.get(payload)
         if workload is None:
-            workload = load_spilled(payload)
+            workload = load_workload_mmap(payload)
             while len(_WORKER_WORKLOADS) >= _WORKER_MEMO_CAPACITY:
                 _WORKER_WORKLOADS.popitem(last=False)
             _WORKER_WORKLOADS[payload] = workload
@@ -162,15 +160,10 @@ class SweepExecutor:
                 self.trace_summaries.append(summary)
                 out.append((result, workload))
             return out
-        # Ship workloads as spill paths when possible (workers memmap
-        # the shared file — one page-cache copy for all of them) and
-        # fall back to pickling the workload.
-        payloads: dict[WorkloadSpec, str | Workload] = {}
-        for spec, workload in workloads.items():
-            if self.cache.spill:
-                payloads[spec] = str(self.cache.ensure_spilled(spec))
-            else:
-                payloads[spec] = workload
+        # Ship workloads as spill paths: workers memmap the shared
+        # file — one page-cache copy for all of them.
+        payloads = {spec: str(self.cache.ensure_spilled(spec))
+                    for spec in workloads}
         max_workers = min(self.jobs, len(configs))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             futures = [

@@ -509,15 +509,16 @@ class TestDL009EnvReads:
 
     def test_bootstrap_modules_exempt(self):
         from repro.analysis.rules import NoEnvReadOutsideBootstrap
-        # A path, a worker count and test fault injection: no entry
-        # selects a behaviour, and none may be added that does.
-        assert NoEnvReadOutsideBootstrap.EXEMPT == (
-            "repro/core/workload", "repro/sweep", "repro/serve/worker")
+        # A path and a worker count: neither selects a behaviour, and
+        # no entry may be added that does.
+        assert NoEnvReadOutsideBootstrap.exempt == (
+            "repro/core/workload", "repro/sweep")
         src = ("import os\n"
                "jobs = os.environ.get('REPRO_JOBS')\n")
         assert lint_source(src, "src/repro/core/workload.py") == []
         assert lint_source(src, "src/repro/sweep.py") == []
-        assert lint_source(src, "src/repro/serve/worker.py") == []
+        assert codes(lint_source(src, "src/repro/serve/worker.py")) \
+            == ["DL009"]
 
     def test_behaviour_switch_in_core_fires(self):
         src = ("import os\n"

@@ -50,6 +50,38 @@ class TestCompare:
         assert "deco_async" in out
 
 
+class TestJobsFlag:
+    ARGS = ["--nodes", "2", "--window", "1000", "--windows", "6",
+            "--rate", "10000"]
+
+    def test_single_run_commands_reject_jobs(self, capsys):
+        # One run has nothing to fan out: --jobs is a usage error, not
+        # a flag that is accepted and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "central", *self.ARGS, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_compare_takes_jobs(self, capsys):
+        assert main(["compare", "central", "deco_async", *self.ARGS,
+                     "--jobs", "1"]) == 0
+        assert "deco_async" in capsys.readouterr().out
+
+
+class TestOwnedParsers:
+    """``lint`` and ``check`` parse their own command lines."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("lint", "--list-rules"), ("check", "--seed-bug")])
+    def test_help_is_the_owning_parsers(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert f"usage: repro {command}" in out
+        assert flag in out
+
+
 class TestExperiment:
     def test_experiment_list(self, capsys):
         assert main(["experiment", "list"]) == 0

@@ -8,11 +8,11 @@ from repro.aggregates import Sum
 from repro.core import RunConfig, run_scheme
 from repro.errors import SimulationError
 from repro.metrics import results_match
+from repro.runtime import INTEL_XEON, ROOT_NAME, local_name
 from repro.runtime.driver import (build_run, inject_sources,
                                   run_simulation)
 from repro.sim import (MessageFaultInjector, crash_node_at,
                        recover_node_at)
-from repro.sim.topology import ROOT_NAME, local_name
 
 
 def build(scheme, *, timeout=0.02, **overrides):
@@ -102,7 +102,6 @@ class TestMembershipChanges:
         wires the new node to the root."""
         config, topo, ctx = build("central", timeout=None)
         from repro.baselines.central import CentralLocal
-        from repro.sim.node import INTEL_XEON
         node = topo.add_local(INTEL_XEON, CentralLocal(2, ctx))
         assert topo.n_locals == 3
         assert topo.network.link(node.name, ROOT_NAME) is not None

@@ -26,9 +26,9 @@ import repro.baselines  # noqa: F401 -- registers baseline schemes
 from repro.core import RunConfig, run_scheme
 from repro.core.runner import available_schemes, get_scheme
 from repro.core.workload import build_workload
+from repro.runtime import ROOT_NAME, local_name
 from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector
-from repro.sim.topology import ROOT_NAME, local_name
 from repro.streams.batch import EventBatch
 
 N_NODES = 3

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from repro.analysis.determinism import DEFAULT_SALTS, Fingerprint
 from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.errors import ConfigurationError, ServeError
-from repro.serve import run_scheme_served
-from repro.serve.worker import CRASH_ENV
+from repro.serve import harness, run_scheme_served
 
 import repro.core  # noqa: F401  (registers deco_* schemes)
 import repro.baselines  # noqa: F401  (registers baselines)
 
-from tests.test_serve_failures import lingering_workers
+from tests.test_serve_failures import (crashing_worker_argv,
+                                       lingering_workers)
 
 
 def tiny_config(scheme, **overrides):
@@ -121,7 +121,8 @@ class TestEpochCrash:
         # Each worker hard-exits before replying to its third dispatch;
         # that lands inside an EPOCH frame, so the death
         # surfaces through the concurrent gather path.
-        monkeypatch.setenv(CRASH_ENV, "3")
+        monkeypatch.setattr(harness, "worker_argv",
+                            crashing_worker_argv(3))
         with pytest.raises(ServeError) as excinfo:
             run_scheme_served(tiny_config("deco_sync"))
         message = str(excinfo.value)

@@ -20,7 +20,6 @@ from repro.errors import ServeError
 from repro.serve import coordinator, framing, harness, run_scheme_served
 from repro.serve.coordinator import SocketTransport
 from repro.serve.framing import connect_with_retry
-from repro.serve.worker import CRASH_ENV
 
 import repro.core  # noqa: F401  (registers deco_* schemes)
 import repro.baselines  # noqa: F401  (registers baselines)
@@ -50,11 +49,40 @@ def lingering_workers():
     return pids
 
 
+CRASHING_WORKER = """
+import os, sys
+import repro.serve.worker as worker
+handle, left = worker.WorkerRuntime.handle, [int(sys.argv[1])]
+def crashing(self, kind, header, blob):
+    left[0] -= 1
+    if not left[0]:
+        # Die without replying, as a real crashed process would;
+        # os._exit skips atexit/socket teardown.
+        os._exit(1)
+    return handle(self, kind, header, blob)
+worker.WorkerRuntime.handle = crashing
+sys.exit(worker.main(sys.argv[2:]))
+"""
+
+
+def crashing_worker_argv(n):
+    """A ``harness.worker_argv`` stand-in: the real worker, except that
+    it hard-exits before its ``n``-th ``WorkerRuntime.handle``."""
+    real_argv = harness.worker_argv
+
+    def argv(host, port, node, config):
+        _python, _m, _module, *args = real_argv(host, port, node, config)
+        return [sys.executable, "-c", CRASHING_WORKER, str(n), *args]
+
+    return argv
+
+
 class TestNodeCrash:
     def test_crash_mid_window_raises_and_cleans_up(self, monkeypatch):
         # Every worker self-destructs before replying to its third
         # dispatch (INJECT, START, first timer) — a crash mid-window.
-        monkeypatch.setenv(CRASH_ENV, "3")
+        monkeypatch.setattr(harness, "worker_argv",
+                            crashing_worker_argv(3))
         with pytest.raises(ServeError) as excinfo:
             run_scheme_served(tiny_config())
         message = str(excinfo.value)

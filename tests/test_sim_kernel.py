@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import Simulator, Timeout
+from repro.runtime import INTEL_XEON, Timeout
+from repro.sim.kernel import Simulator
+from repro.sim.node import SimNode
 
 
 class TestSimulator:
@@ -166,10 +168,17 @@ class TestSimulator:
 
 
 class TestTimeout:
-    def test_fires(self):
+    """The Section 4.3.4 timer, on the simulator's node driver."""
+
+    @staticmethod
+    def node():
         sim = Simulator()
+        return sim, SimNode(sim, "n", INTEL_XEON)
+
+    def test_fires(self):
+        sim, node = self.node()
         fired = []
-        t = Timeout(sim, lambda: fired.append(sim.now))
+        t = Timeout(node, lambda: fired.append(sim.now))
         t.arm(2.5)
         assert t.armed
         sim.run()
@@ -177,18 +186,18 @@ class TestTimeout:
         assert not t.armed
 
     def test_rearm_resets(self):
-        sim = Simulator()
+        sim, node = self.node()
         fired = []
-        t = Timeout(sim, lambda: fired.append(sim.now))
+        t = Timeout(node, lambda: fired.append(sim.now))
         t.arm(1.0)
         t.arm(5.0)  # re-arm before firing
         sim.run()
         assert fired == [5.0]
 
     def test_cancel(self):
-        sim = Simulator()
+        sim, node = self.node()
         fired = []
-        t = Timeout(sim, lambda: fired.append(1))
+        t = Timeout(node, lambda: fired.append(1))
         t.arm(1.0)
         t.cancel()
         assert not t.armed
@@ -196,7 +205,7 @@ class TestTimeout:
         assert fired == []
 
     def test_cancel_idempotent(self):
-        sim = Simulator()
-        t = Timeout(sim, lambda: None)
+        _, node = self.node()
+        t = Timeout(node, lambda: None)
         t.cancel()
         t.cancel()

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.runtime import (ETHERNET_1G, INTEL_XEON, RASPBERRY_PI_4B,
+                           ROOT_NAME, local_name)
 from repro.runtime.serialization import (WireFormat, event_payload_size,
                                          message_size)
-from repro.sim import (ETHERNET_1G, INTEL_XEON, RASPBERRY_PI_4B,
-                       MessageFaultInjector, Network, NodeProfile,
-                       SimNode, Simulator, build_rpi_star, build_star,
-                       crash_node_at, peer_mesh, recover_node_at)
+from repro.sim import (MessageFaultInjector, Network, SimNode, Simulator,
+                       build_rpi_star, build_star, crash_node_at,
+                       peer_mesh, recover_node_at)
 from repro.sim.network import Link
-from repro.sim.topology import ROOT_NAME, local_name
 
 
 class Recorder:

@@ -16,8 +16,7 @@ import repro.core.workload as wl
 from repro.aggregates.registry import get_aggregate
 from repro.api import compare, compare_grid
 from repro.core.runner import RunConfig
-from repro.core.workload import (WorkloadCache, WorkloadSpec,
-                                 load_workload, save_workload)
+from repro.core.workload import WorkloadCache, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
 from repro.sweep import JOBS_ENV, SweepExecutor, resolve_jobs
@@ -178,7 +177,7 @@ class TestWorkloadCache:
         generated = cache.get(self.SPEC)
         cache.get(self.SPEC)
         assert calls["n"] == 1
-        # A fresh cache over the same spill dir loads the .npz instead
+        # A fresh cache over the same spill dir maps the spill instead
         # of re-invoking the generator, and the workload is equal.
         cache2 = WorkloadCache(spill_dir=tmp_path)
         loaded = cache2.get(self.SPEC)
@@ -211,26 +210,13 @@ class TestWorkloadCache:
             import dataclasses
             assert dataclasses.replace(base, **tweak).key() != base.key()
 
-    def test_npz_roundtrip_exact(self, tmp_path):
-        workload = wl.generate_workload(2, 300, 3,
-                                        rate_per_node=10_000.0, seed=3)
-        path = tmp_path / "w.npz"
-        save_workload(path, workload)
-        loaded = load_workload(path)
-        assert loaded.window_size == workload.window_size
-        assert loaded.n_windows == workload.n_windows
-        assert all(a == b for a, b in zip(loaded.streams,
-                                          workload.streams,
-                                          strict=True))
-        assert np.array_equal(loaded.bounds, workload.bounds)
-
     def test_clear_spill(self, tmp_path):
         cache = WorkloadCache(spill_dir=tmp_path)
         cache.get(self.SPEC)
         assert list(tmp_path.iterdir())
         # Stale files from older spill generations and crashed writers
         # are swept too — nothing the cache wrote may leak.
-        (tmp_path / "wl1_deadbeef.npz").write_bytes(b"legacy")
+        (tmp_path / "wl1_deadbeef.wlm").write_bytes(b"legacy")
         (tmp_path / ".wlspill-abc123.wlm").write_bytes(b"crashed")
         cache.clear(spill=True)
         assert not list(tmp_path.iterdir())
@@ -251,15 +237,10 @@ class TestWorkloadCache:
         assert returned == path
         assert path.exists(), \
             "ensure_spilled returned a path with no file behind it"
-        reloaded = wl.load_spilled(path)
+        reloaded = wl.load_workload_mmap(path)
         assert all(a == b for a, b in zip(reloaded.streams,
                                           workload.streams,
                                           strict=True))
-
-    def test_ensure_spilled_rejects_spill_disabled(self, tmp_path):
-        cache = WorkloadCache(spill_dir=tmp_path, spill=False)
-        with pytest.raises(ConfigurationError):
-            cache.ensure_spilled(self.SPEC)
 
 
 class TestWorkerMemoLRU:
@@ -277,13 +258,13 @@ class TestWorkerMemoLRU:
         monkeypatch.setattr(sweep_mod, "_WORKER_WORKLOADS",
                             OrderedDict())
         loads = {}
-        real = sweep_mod.load_spilled
+        real = sweep_mod.load_workload_mmap
 
         def counting(path):
             loads[path] = loads.get(path, 0) + 1
             return real(path)
 
-        monkeypatch.setattr(sweep_mod, "load_spilled", counting)
+        monkeypatch.setattr(sweep_mod, "load_workload_mmap", counting)
         cache = WorkloadCache(spill_dir=tmp_path / "c", capacity=8)
         kwargs = dict(n_nodes=1, window_size=300, n_windows=2,
                       rate_per_node=5_000.0)

@@ -1,9 +1,8 @@
 """Memory-mapped ``.wlm`` spill container: round-trip and corruption.
 
 The container must round-trip workloads bit-exactly, hand back
-zero-copy views over one shared ``np.memmap``, refuse corrupted or
-truncated files with :class:`StreamError`, and dispatch correctly from
-:func:`load_spilled` next to the legacy ``.npz`` format.
+zero-copy views over one shared ``np.memmap``, and refuse corrupted or
+truncated files with :class:`StreamError`.
 """
 
 import fnmatch
@@ -36,23 +35,6 @@ class TestRoundTrip:
         wl.save_workload_mmap(path, workload)
         assert workload_bits(wl.load_workload_mmap(path)) == \
             workload_bits(workload)
-
-    def test_matches_npz_format_bit_for_bit(self, tmp_path, workload):
-        npz, wlm = tmp_path / "w.npz", tmp_path / "w.wlm"
-        wl.save_workload(npz, workload)
-        wl.save_workload_mmap(wlm, workload)
-        assert workload_bits(wl.load_spilled(npz)) == \
-            workload_bits(wl.load_spilled(wlm))
-
-    def test_load_spilled_dispatches_on_suffix(self, tmp_path, workload):
-        npz, wlm = tmp_path / "w.npz", tmp_path / "w.wlm"
-        wl.save_workload(npz, workload)
-        wl.save_workload_mmap(wlm, workload)
-        # .npz loads through the archive reader, .wlm through the map.
-        assert not isinstance(wl.load_spilled(npz).streams[0].ids.base,
-                              np.memmap)
-        loaded = wl.load_spilled(wlm)
-        assert isinstance(loaded.streams[0].ids.base, np.memmap)
 
     def test_streams_are_views_over_one_map(self, tmp_path, workload):
         path = tmp_path / "w.wlm"
@@ -180,7 +162,7 @@ class TestSpillHygiene:
         cache = wl.WorkloadCache(spill_dir=tmp_path)
         cache.get(wl.WorkloadSpec(n_nodes=2, window_size=30,
                                   n_windows=2, rate_per_node=2_000.0))
-        (tmp_path / "wl1_deadbeef.npz").write_bytes(b"legacy")
+        (tmp_path / "wl1_deadbeef.wlm").write_bytes(b"legacy")
         (tmp_path / f"{wl._TMP_PREFIX}crashed.wlm").write_bytes(b"tmp")
         cache.clear(spill=True)
         assert not list(tmp_path.iterdir())
