@@ -3,7 +3,7 @@
 from repro.aggregates.algebraic import (Average, Moments, StdDev, SumCount,
                                         Variance)
 from repro.aggregates.base import (AggregateFunction, Decomposability,
-                                   GrayKind, IncrementalAggregator)
+                                   GrayKind)
 from repro.aggregates.distributive import Count, Max, Min, Sum
 from repro.aggregates.holistic import Median, Quantile
 from repro.aggregates.registry import (available_aggregates, get_aggregate,
@@ -11,7 +11,6 @@ from repro.aggregates.registry import (available_aggregates, get_aggregate,
 
 __all__ = [
     "AggregateFunction",
-    "IncrementalAggregator",
     "GrayKind",
     "Decomposability",
     "Sum",

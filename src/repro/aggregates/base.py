@@ -23,7 +23,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import AggregationError
 from repro.streams.batch import EventBatch
 
 
@@ -171,55 +170,3 @@ class AggregateFunction(ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-class IncrementalAggregator:
-    """Running partial aggregate over an event slice.
-
-    This is the "incremental aggregation" the evaluation credits Scotty
-    and Deco with (Section 5.1): events are folded into the partial as
-    they arrive instead of being buffered until the window ends.
-    """
-
-    def __init__(self, fn: AggregateFunction):
-        self.fn = fn
-        self._partial = fn.identity()
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Number of events folded in so far."""
-        return self._count
-
-    @property
-    def partial(self) -> Any:
-        """The current partial aggregate."""
-        return self._partial
-
-    def add_batch(self, batch: EventBatch) -> None:
-        """Fold one batch into the running partial."""
-        if len(batch) == 0:
-            return
-        self._partial = self.fn.combine(self._partial, self.fn.lift(batch))
-        self._count += len(batch)
-
-    def merge(self, other: "IncrementalAggregator") -> None:
-        """Fold another aggregator's partial into this one."""
-        if other.fn is not self.fn and type(other.fn) is not type(self.fn):
-            raise AggregationError(
-                f"cannot merge {other.fn.name} into {self.fn.name}")
-        self._partial = self.fn.combine(self._partial, other._partial)
-        self._count += other._count
-
-    def merge_partial(self, partial: Any, count: int) -> None:
-        """Fold a raw partial (e.g. from a protocol message)."""
-        self._partial = self.fn.combine(self._partial, partial)
-        self._count += count
-
-    def result(self) -> float:
-        """The final aggregate of everything folded in so far."""
-        return self.fn.lower(self._partial)
-
-    def reset(self) -> None:
-        """Clear state for the next window."""
-        self._partial = self.fn.identity()
-        self._count = 0

@@ -49,7 +49,7 @@ def get_aggregate(name: str) -> AggregateFunction:
     except KeyError:
         raise AggregationError(
             f"unknown aggregate {name!r}; "
-            f"known: {sorted(_FACTORIES)}") from None
+            f"known: {available_aggregates()}") from None
 
 
 def available_aggregates() -> list[str]:

@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, run_scheme
-from repro.core.workload import Workload, generate_workload
+from repro.core.workload import Workload
 from repro.errors import ConfigurationError
 from repro.metrics.correctness import correctness as _correctness
 from repro.metrics.latency import percentile_latency

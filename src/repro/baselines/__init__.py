@@ -8,17 +8,17 @@ from repro.baselines.scotty import ScottyLocal, ScottyRoot
 from repro.core.runner import SchemeSpec, register_scheme
 from repro.runtime.serialization import WireFormat
 
-CENTRAL = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="central", root_cls=CentralRoot, local_cls=CentralLocal))
 
-SCOTTY = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="scotty", root_cls=ScottyRoot, local_cls=ScottyLocal))
 
-DISCO = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="disco", root_cls=DiscoRoot, local_cls=DiscoLocal,
     fmt=WireFormat.STRING, profile_transform=single_threaded))
 
-APPROX = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="approx", root_cls=ApproxRoot, local_cls=ApproxLocal))
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "ScottyLocal", "ScottyRoot",
     "DiscoLocal", "DiscoRoot", "single_threaded",
     "ApproxLocal", "ApproxRoot",
-    "CENTRAL", "SCOTTY", "DISCO", "APPROX",
 ]

@@ -24,8 +24,9 @@ import argparse
 import os
 import sys
 
-from repro.api import ALL_SCHEMES, compare, run
+from repro.api import compare, run
 from repro.core.runner import available_schemes
+from repro.errors import ConfigurationError
 from repro.metrics.report import format_si, format_table
 
 #: Experiment name -> (headers, rows-callable(scale)).  Written once,
@@ -218,7 +219,15 @@ def _summary_row(name: str, summary) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one command; a bad argument is one line on stderr, exit 2."""
+    try:
+        return _dispatch(sys.argv[1:] if argv is None else list(argv))
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: list[str]) -> int:
     if argv[:1] == ["lint"]:
         from repro.analysis.lint import main as lint_main
         return lint_main(argv[1:])
@@ -280,11 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         from repro.api import _make_config
         from repro.serve import run_scheme_served
+        if args.sources < 1:
+            raise ConfigurationError(
+                f"--sources must be >= 1, got {args.sources}")
         if args.sources > 1 and args.load != "latency":
-            print("--sources needs --load latency (paced arrivals); "
-                  "a saturated feed has no arrival schedule to split",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                "--sources needs --load latency (paced arrivals); a "
+                "saturated feed has no arrival schedule to split")
         config = _make_config(args.scheme,
                               sources_per_node=args.sources,
                               **_run_kwargs(args))

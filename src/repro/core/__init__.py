@@ -20,16 +20,16 @@ from repro.core.verification import (async_global_check, async_node_ok,
 from repro.core.workload import Workload, build_workload, \
     generate_workload
 
-DECO_MON = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="deco_mon", root_cls=DecoMonRoot, local_cls=DecoMonLocal))
 
-DECO_SYNC = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="deco_sync", root_cls=DecoSyncRoot, local_cls=DecoSyncLocal))
 
-DECO_ASYNC = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="deco_async", root_cls=DecoAsyncRoot, local_cls=DecoAsyncLocal))
 
-DECO_MONLOCAL = register_scheme(SchemeSpec(
+register_scheme(SchemeSpec(
     name="deco_monlocal", root_cls=DecoMonLocalPeerRoot,
     local_cls=DecoMonLocalPeerLocal, needs_peer_mesh=True))
 

@@ -102,20 +102,6 @@ class PositionBuffer:
         if self._index is not None:
             self._index.extend(self._base + self._length)
 
-    def insert_at(self, position: int, batch: EventBatch) -> None:
-        """Append events known to start at absolute ``position``.
-
-        The root uses this when buffer messages carry their span: runs
-        must stay contiguous (the protocol ships contiguous ranges).
-        """
-        if len(batch) == 0:
-            return
-        if position != self.end:
-            raise WindowError(
-                f"non-contiguous insert at {position}, buffer ends at "
-                f"{self.end}")
-        self.append(batch)
-
     def release_before(self, position: int) -> int:
         """Drop events before absolute ``position``; returns #dropped.
 

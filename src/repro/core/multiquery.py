@@ -71,15 +71,11 @@ from repro.windows.base import SlidingCountWindow, TumblingCountWindow
 from repro.windows.slicer import union_slice_size
 
 def _count_window(query: Query) -> tuple[int, int]:
-    """(length, step) of a count-window query; rejects other measures."""
+    """(length, step) of a count-window query."""
     win = query.window
     if isinstance(win, SlidingCountWindow):
         return win.length, win.step
-    if isinstance(win, TumblingCountWindow):
-        return win.length, win.length
-    raise ConfigurationError(
-        "the multi-query engine serves count windows (tumbling or "
-        f"sliding); got {type(win).__name__}")
+    return win.length, win.length
 
 
 def _aggregate_of(query: Query) -> AggregateFunction:

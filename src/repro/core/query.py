@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import hashlib
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.registry import get_aggregate
 from repro.errors import ConfigurationError
-from repro.windows.base import (SlidingCountWindow, TumblingCountWindow,
-                                WindowSpec)
+from repro.windows.base import SlidingCountWindow, TumblingCountWindow
 
 
 @dataclass(eq=False)
@@ -20,9 +19,9 @@ class Query:
     """A count-based window aggregation query.
 
     Args:
-        window: The window specification.  Deco's decentralized schemes
-            target tumbling count windows; other specs are served by the
-            substrate operators.
+        window: A tumbling or sliding count window.  Deco's
+            decentralized schemes target tumbling count windows; the
+            multi-query engine also serves sliding ones.
         aggregate: An :class:`AggregateFunction` or a registry name
             (e.g. ``"sum"``).
         delta_m: The paper's ``m`` parameter — how many past deltas are
@@ -33,14 +32,19 @@ class Query:
             paper's; others exist for ablations).
     """
 
-    window: WindowSpec
+    window: TumblingCountWindow | SlidingCountWindow
     aggregate: str | AggregateFunction = "sum"
     delta_m: int = 1
     min_delta: int = 0
     predictor: str = "last-value"
 
     def __post_init__(self) -> None:
-        self.window.validate()
+        window: object = self.window  # callers may pass anything
+        if not isinstance(window, (TumblingCountWindow, SlidingCountWindow)):
+            raise ConfigurationError(
+                "a query needs a tumbling or sliding count window; got "
+                f"{type(window).__name__}")
+        window.validate()
         if isinstance(self.aggregate, str):
             self.aggregate = get_aggregate(self.aggregate)
         if self.delta_m < 1:
@@ -90,9 +94,7 @@ class Query:
         win = self.window
         if isinstance(win, SlidingCountWindow):
             return f"{agg_name}:{win.length}:{win.step}"
-        if isinstance(win, TumblingCountWindow):
-            return f"{agg_name}:{win.length}"
-        return f"{agg_name}:{type(win).__name__}"
+        return f"{agg_name}:{win.length}"
 
     @property
     def window_size(self) -> int:
@@ -139,6 +141,7 @@ def parse_query_spec(spec: str) -> Query:
     except ValueError as exc:
         raise ConfigurationError(
             f"query spec has non-integer window in {spec!r}") from exc
-    window: WindowSpec = (TumblingCountWindow(length) if step == length
-                          else SlidingCountWindow(length, step))
+    window: TumblingCountWindow | SlidingCountWindow = (
+        TumblingCountWindow(length) if step == length
+        else SlidingCountWindow(length, step))
     return Query(window=window, aggregate=parts[0])

@@ -155,6 +155,8 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
     """
     if n_nodes < 1:
         raise ConfigurationError(f"need >= 1 node, got {n_nodes}")
+    if n_windows < 1:
+        raise ConfigurationError(f"need >= 1 window, got {n_windows}")
     if streams_per_node < 1:
         raise ConfigurationError(
             f"streams_per_node must be >= 1, got {streams_per_node}")
@@ -163,6 +165,8 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
     if len(rates) != n_nodes:
         raise ConfigurationError(
             f"got {len(rates)} rates for {n_nodes} nodes")
+    if min(rates) <= 0:
+        raise ConfigurationError(f"rates must be > 0, got {list(rates)}")
     total_rate = float(sum(rates))
     needed = n_windows * window_size
     if margin is None:

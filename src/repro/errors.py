@@ -27,10 +27,6 @@ class AggregationError(ReproError):
     """An aggregation function was applied to an unsupported input."""
 
 
-class ProtocolError(ReproError):
-    """A Deco protocol message arrived in an unexpected state."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
 
@@ -40,6 +36,3 @@ class ServeError(ReproError):
     process died, a connection could not be established, or the ops
     protocol was violated."""
 
-
-class VerificationFailed(ReproError):
-    """Internal invariant check failed; indicates a bug, not a prediction error."""

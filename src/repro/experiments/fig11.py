@@ -14,7 +14,6 @@ from collections.abc import Sequence
 from repro.api import RunSummary, compare, compare_grid
 from repro.experiments.config import (END_TO_END_SCHEMES, common_kwargs,
                                       scaled)
-from repro.metrics.network import mean_bandwidth_bytes_per_s
 from repro.runtime import ETHERNET_1G, INTEL_XEON, RASPBERRY_PI_4B
 
 RATE_CHANGE = 0.01

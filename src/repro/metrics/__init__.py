@@ -3,38 +3,24 @@
 from repro.metrics.correctness import (correctness, per_window_correctness,
                                        results_match, window_overlap)
 from repro.metrics.latency import (dropped_windows, latency_summary,
-                                   mean_latency, percentile_latency,
-                                   trigger_times, window_latencies)
-from repro.metrics.network import (bytes_per_event,
-                                   mean_bandwidth_bytes_per_s,
-                                   network_saving, total_network_bytes)
-from repro.metrics.report import (format_si, format_table,
-                                  print_experiment)
-from repro.metrics.throughput import (bottleneck_throughput,
-                                      coordination_overhead,
-                                      per_node_utilization,
-                                      sustainable_throughput)
+                                   percentile_latency, trigger_times,
+                                   window_latencies)
+from repro.metrics.network import network_saving
+from repro.metrics.report import format_si, format_table
+from repro.metrics.throughput import sustainable_throughput
 
 __all__ = [
     "sustainable_throughput",
-    "bottleneck_throughput",
-    "per_node_utilization",
-    "coordination_overhead",
-    "mean_latency",
     "percentile_latency",
     "window_latencies",
     "latency_summary",
     "dropped_windows",
     "trigger_times",
-    "total_network_bytes",
-    "bytes_per_event",
     "network_saving",
-    "mean_bandwidth_bytes_per_s",
     "correctness",
     "per_window_correctness",
     "window_overlap",
     "results_match",
     "format_si",
     "format_table",
-    "print_experiment",
 ]

@@ -136,14 +136,6 @@ def latency_summary(result: RunResult, workload: Workload,
     }
 
 
-def mean_latency(result: RunResult, workload: Workload,
-                 batch_size: int, skip_bootstrap: int = 3,
-                 missing: str = "error") -> float:
-    """Mean steady-state window latency in seconds."""
-    return float(np.mean(window_latencies(result, workload, batch_size,
-                                          skip_bootstrap, missing)))
-
-
 def percentile_latency(result: RunResult, workload: Workload,
                        batch_size: int, q: float,
                        skip_bootstrap: int = 3,

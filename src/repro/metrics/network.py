@@ -12,19 +12,6 @@ from repro.core.records import RunResult
 from repro.errors import ConfigurationError
 
 
-def total_network_bytes(result: RunResult) -> int:
-    """All bytes the scheme put on the wire (up + down + peer)."""
-    return result.total_bytes
-
-
-def bytes_per_event(result: RunResult) -> float:
-    """Average wire bytes per processed window event."""
-    events = result.n_windows * result.window_size
-    if events == 0:
-        raise ConfigurationError("run emitted no windows")
-    return result.total_bytes / events
-
-
 def network_saving(result: RunResult, baseline: RunResult) -> float:
     """Fraction of the baseline's network cost avoided (0..1).
 
@@ -35,9 +22,3 @@ def network_saving(result: RunResult, baseline: RunResult) -> float:
         raise ConfigurationError("baseline moved no bytes")
     return 1.0 - result.total_bytes / baseline.total_bytes
 
-
-def mean_bandwidth_bytes_per_s(result: RunResult) -> float:
-    """Average network bandwidth the run consumed (B/s of makespan)."""
-    if result.sim_time <= 0:
-        raise ConfigurationError("run has no makespan")
-    return result.total_bytes / result.sim_time

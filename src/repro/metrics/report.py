@@ -42,9 +42,3 @@ def _fmt(cell: Cell) -> str:
         return f"{cell:.4g}"
     return str(cell)
 
-
-def print_experiment(title: str, headers: Sequence[str],
-                     rows: Iterable[Sequence[Cell]]) -> None:
-    """Print one experiment block with its title."""
-    print(f"\n== {title} ==")
-    print(format_table(headers, rows))

@@ -65,28 +65,3 @@ def sustainable_throughput(result: RunResult,
         raise ConfigurationError("degenerate steady-state interval")
     return len(steady) * result.window_size / (t1 - t0)
 
-
-def bottleneck_throughput(result: RunResult) -> float:
-    """Capacity upper bound: events divided by the busiest node's CPU
-    time.  Ignores blocking; the gap to
-    :func:`sustainable_throughput` is the coordination overhead."""
-    busiest = max(result.node_busy_s.values(), default=0.0)
-    if busiest <= 0:
-        raise ConfigurationError("run recorded no CPU work")
-    return result.n_windows * result.window_size / busiest
-
-
-def per_node_utilization(result: RunResult) -> dict[str, float]:
-    """Fraction of the makespan each node's CPU was busy."""
-    if result.sim_time <= 0:
-        return {name: 0.0 for name in result.node_busy_s}
-    return {name: busy / result.sim_time
-            for name, busy in result.node_busy_s.items()}
-
-
-def coordination_overhead(result: RunResult) -> float:
-    """Fraction of achievable capacity lost to blocking/coordination:
-    ``1 - sustainable / bottleneck``.  Near zero for Deco_async and the
-    centralized streaming baselines; larger for the blocking schemes."""
-    return 1.0 - (sustainable_throughput(result)
-                  / bottleneck_throughput(result))

@@ -19,22 +19,21 @@ Enable per run with ``repro.api.run(..., trace=True)``, the ``--trace``
 CLI flag, or the ``repro trace`` subcommand.
 """
 
-from repro.obs.events import (ALL_KINDS, CPU, MSG_DELAY, MSG_DROP,
-                              MSG_RECV, MSG_RETRANSMIT, MSG_SEND, QUEUE,
-                              STATE, WINDOW, TraceEvent)
+from repro.obs.events import (CPU, MSG_DELAY, MSG_DROP, MSG_RECV,
+                              MSG_RETRANSMIT, MSG_SEND, QUEUE, STATE,
+                              WINDOW, TraceEvent)
 from repro.obs.exporters import (event_to_dict, summary_table,
                                  to_chrome_trace, write_chrome_trace,
                                  write_jsonl)
-from repro.obs.summary import (TraceSummary, format_summary,
-                               merge_summaries)
+from repro.obs.summary import TraceSummary, merge_summaries
 from repro.obs.tracer import (GLOBAL_SCOPE, NULL_TRACER, NullTracer,
                               RunTracer, TraceFlag, resolve_tracer)
 
 __all__ = [
-    "ALL_KINDS", "CPU", "MSG_DELAY", "MSG_DROP", "MSG_RECV",
-    "MSG_RETRANSMIT", "MSG_SEND", "QUEUE", "STATE", "WINDOW",
-    "TraceEvent", "event_to_dict", "summary_table", "to_chrome_trace",
+    "CPU", "MSG_DELAY", "MSG_DROP", "MSG_RECV", "MSG_RETRANSMIT",
+    "MSG_SEND", "QUEUE", "STATE", "WINDOW", "TraceEvent",
+    "event_to_dict", "summary_table", "to_chrome_trace",
     "write_chrome_trace", "write_jsonl", "TraceSummary",
-    "format_summary", "merge_summaries", "GLOBAL_SCOPE", "NULL_TRACER",
-    "NullTracer", "RunTracer", "TraceFlag", "resolve_tracer",
+    "merge_summaries", "GLOBAL_SCOPE", "NULL_TRACER", "NullTracer",
+    "RunTracer", "TraceFlag", "resolve_tracer",
 ]

@@ -85,11 +85,6 @@ TIMER_FIRE = "timer_fire"
 OP_EMIT = "op_emit"
 OP_APPLY = "op_apply"
 
-#: Every kind a tracer may record, in display order.
-ALL_KINDS = (MSG_SEND, MSG_RECV, MSG_DROP, MSG_DELAY, MSG_RETRANSMIT,
-             CPU, QUEUE, WINDOW, STATE, FRAME_SEND, FRAME_RECV,
-             TIMER_SCHED, TIMER_FIRE, OP_EMIT, OP_APPLY)
-
 #: The set of kinds carrying causal ``seq``/frame-id fields.
 CAUSAL_KINDS = frozenset((FRAME_SEND, FRAME_RECV, TIMER_SCHED,
                           TIMER_FIRE, OP_EMIT, OP_APPLY))

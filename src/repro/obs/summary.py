@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from repro.obs.events import ALL_KINDS
 from repro.obs.tracer import RunTracer
 
 
@@ -72,17 +71,3 @@ def merge_summaries(
         merged = summary if merged is None else merged.merge(summary)
     return merged
 
-
-def format_summary(summary: TraceSummary) -> str:
-    """Render a summary as an aligned text table."""
-    from repro.metrics.report import format_table
-    rows = [["runs", summary.runs], ["events", summary.events]]
-    rows += [[f"events:{kind}", summary.by_kind[kind]]
-             for kind in ALL_KINDS if kind in summary.by_kind]
-    for (name, scope), value in sorted(summary.counters.items()):
-        label = f"{name}[{scope}]" if scope else name
-        rows.append([label, value])
-    for (name, scope), value in sorted(summary.gauge_max.items()):
-        label = f"max {name}[{scope}]" if scope else f"max {name}"
-        rows.append([label, value])
-    return format_table(["metric", "value"], rows)

@@ -8,7 +8,7 @@ from the per-link byte counters collected here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
@@ -270,10 +270,6 @@ class Network:
     def total_messages(self) -> int:
         """Messages put on the wire across all links."""
         return sum(l.stats.messages_sent for l in self._links.values())
-
-    def bytes_between(self, src: str, dst: str) -> int:
-        """Bytes sent on the directed ``src -> dst`` link."""
-        return self.link(src, dst).stats.bytes_sent
 
     def bytes_from(self, src: str) -> int:
         """Bytes sent by ``src`` on all its outgoing links."""

@@ -48,29 +48,6 @@ class StarTopology:
         for node in self.locals:
             node.start()
 
-    def add_local(self, profile: NodeProfile,
-                  behavior: Behavior | None = None,
-                  bandwidth: float | None = None,
-                  latency: float | None = None) -> SimNode:
-        """Add a local node at runtime (Section 4.3.4 membership change).
-
-        The caller must inform the root behaviour; this only wires the
-        fabric.
-        """
-        node = SimNode(self.sim, local_name(len(self.locals)), profile,
-                       behavior)
-        self.network.attach(node)
-        self.network.connect(node.name, ROOT_NAME, bandwidth=bandwidth,
-                             latency=latency)
-        self.locals.append(node)
-        return node
-
-    def remove_local(self, i: int) -> SimNode:
-        """Remove local node ``i`` from the fabric."""
-        node = self.locals.pop(i)
-        self.network.detach(node.name)
-        return node
-
 
 def build_star(n_locals: int, sizer: Callable[[Any], int], *,
                root_profile: NodeProfile = INTEL_XEON,

@@ -3,26 +3,18 @@
 from repro.streams.batch import EventBatch
 from repro.streams.debs import (ReplayValues, SoccerTraceGenerator,
                                 replay_dataset)
-from repro.streams.event import (Event, TICKS_PER_SECOND, seconds_to_ticks,
-                                 ticks_to_seconds)
-from repro.streams.generator import (BurstyGenerator, ConstantValues,
-                                     GaussianValues, RateChangeGenerator,
+from repro.streams.event import Event, TICKS_PER_SECOND, ticks_to_seconds
+from repro.streams.generator import (GaussianValues, RateChangeGenerator,
                                      UniformValues, replayed_offsets)
-from repro.streams.lateness import disorder_magnitude, inject_disorder
-from repro.streams.merge import (actual_local_sizes, global_windows,
-                                 merge_batches,
-                                 window_boundaries_per_source)
+from repro.streams.merge import merge_batches
 from repro.streams.watermark import WatermarkTracker
 
 __all__ = [
     "Event",
     "EventBatch",
     "TICKS_PER_SECOND",
-    "seconds_to_ticks",
     "ticks_to_seconds",
     "RateChangeGenerator",
-    "BurstyGenerator",
-    "ConstantValues",
     "UniformValues",
     "GaussianValues",
     "replayed_offsets",
@@ -30,10 +22,5 @@ __all__ = [
     "ReplayValues",
     "replay_dataset",
     "merge_batches",
-    "actual_local_sizes",
-    "window_boundaries_per_source",
-    "global_windows",
     "WatermarkTracker",
-    "inject_disorder",
-    "disorder_magnitude",
 ]

@@ -10,7 +10,7 @@ view is retained for small-scale tests and examples.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -74,19 +74,6 @@ class EventBatch:
         and per out-of-range ``get_range``.
         """
         return _EMPTY
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "EventBatch":
-        """Build a batch from an iterable of :class:`Event`."""
-        events = list(events)
-        if not events:
-            return cls.empty()
-        ids, values, ts = zip(*events, strict=True)
-        # Columns are equal-length 1-d with explicit dtypes by
-        # construction; skip __init__'s re-validation.
-        return cls._view(np.array(ids, ID_DTYPE),
-                         np.array(values, VALUE_DTYPE),
-                         np.array(ts, TS_DTYPE))
 
     @classmethod
     def concat(cls, batches: Sequence["EventBatch"]) -> "EventBatch":
@@ -182,10 +169,6 @@ class EventBatch:
         return len(self) < 2 or bool(np.all(np.diff(self.ts) >= 0))
 
     # -- views ------------------------------------------------------------
-
-    def to_events(self) -> list[Event]:
-        """Materialize per-event objects (small batches only)."""
-        return list(self)
 
     @property
     def first_ts(self) -> int:

@@ -3,9 +3,9 @@
 The paper draws event *values* from the DEBS 2013 dataset [53], collected
 by a real-time locating system on a soccer field.  The dataset itself is
 not redistributable here, so this module synthesizes an equivalent trace:
-sensors attached to players and the ball report positions inside the field
-bounds at the sensor frequencies described in the challenge (players
-200 Hz, ball 2 kHz), and the emitted *value* is the sensor's speed —
+sensors attached to players and the ball report at the sensor
+frequencies described in the challenge (players 200 Hz, ball 2 kHz),
+and the emitted *value* is the sensor's speed —
 statistically similar to the |v| column of the original dataset.
 
 The substitution is sound because the evaluation uses the dataset only as
@@ -20,10 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-# Field dimensions from the DEBS 2013 challenge description, millimetres.
-FIELD_X_MM = (0, 52_483)
-FIELD_Y_MM = (-33_960, 33_965)
 
 #: Sensor frequencies (Hz) from the DEBS 2013 setup.
 PLAYER_SENSOR_HZ = 200
@@ -50,8 +46,8 @@ def default_sensors(n_players: int = 16) -> list[Sensor]:
 class SoccerTraceGenerator:
     """A :class:`~repro.streams.generator.ValueSource` with soccer dynamics.
 
-    Positions follow a bounded random walk inside the field; the produced
-    value is the instantaneous speed in m/s (players bounded near sprint
+    Speed follows a bounded random walk; the produced value is the
+    instantaneous speed in m/s (players bounded near sprint
     speed, the ball substantially faster), matching the value magnitudes
     of the original trace.
     """

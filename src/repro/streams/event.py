@@ -9,7 +9,6 @@ increasing per source.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 #: Number of timestamp units per second of stream time.
@@ -30,44 +29,7 @@ class Event(NamedTuple):
     ts: int
 
 
-def seconds_to_ticks(seconds: float) -> int:
-    """Convert seconds of stream time to integer timestamp ticks."""
-    return int(round(seconds * TICKS_PER_SECOND))
-
-
 def ticks_to_seconds(ticks: int) -> float:
     """Convert integer timestamp ticks back to seconds of stream time."""
     return ticks / TICKS_PER_SECOND
 
-
-def validate_monotonic(events: Iterable[Event]) -> None:
-    """Raise :class:`~repro.errors.StreamError` if timestamps decrease.
-
-    Per the data stream model, every source produces events in order, so
-    timestamps must be non-decreasing within one source's stream.
-    """
-    from repro.errors import StreamError
-
-    last_ts = None
-    for event in events:
-        if last_ts is not None and event.ts < last_ts:
-            raise StreamError(
-                f"non-monotonic timestamp: {event.ts} after {last_ts} "
-                f"(event id {event.id})"
-            )
-        last_ts = event.ts
-
-
-def iter_events(ids, values, ts) -> Iterator[Event]:
-    """Yield :class:`Event` objects from three parallel sequences."""
-    for i, v, t in zip(ids, values, ts, strict=True):
-        yield Event(int(i), float(v), int(t))
-
-
-def events_from_values(values: Iterable[float], start_ts: int = 0,
-                       spacing: int = 1) -> list[Event]:
-    """Build an evenly spaced event list from raw values (test helper)."""
-    return [
-        Event(i, float(v), start_ts + i * spacing)
-        for i, v in enumerate(values)
-    ]

@@ -14,7 +14,6 @@ drawn uniformly from ``[base * (1 - change), base * (1 + change)]``.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from typing import Protocol
 
@@ -44,16 +43,6 @@ class UniformValues:
 
     def values(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.low, self.high, size=n)
-
-
-class ConstantValues:
-    """Constant payload values (makes expected aggregates trivial)."""
-
-    def __init__(self, value: float = 1.0):
-        self.value = value
-
-    def values(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, self.value, dtype=np.float64)
 
 
 class GaussianValues:
@@ -126,11 +115,6 @@ class RateChangeGenerator:
 
     # -- public ------------------------------------------------------------
 
-    @property
-    def next_id(self) -> int:
-        """The id the next generated event will get."""
-        return self._next_id
-
     def generate(self, n_events: int) -> EventBatch:
         """Generate the next ``n_events`` events of this stream."""
         if n_events < 0:
@@ -196,44 +180,6 @@ class RateChangeGenerator:
                 f"batch_size must be > 0, got {batch_size}")
         while True:
             yield self.generate(batch_size)
-
-
-class BurstyGenerator:
-    """An on/off (bursty) source built on :class:`RateChangeGenerator`.
-
-    During *on* phases it behaves like the underlying generator; during
-    *off* phases it is silent.  Used by failure-injection tests to model
-    sources whose delivery pauses (e.g. assembly schedule delays from the
-    paper's motivating example).
-    """
-
-    def __init__(self, base_rate: float, *, on_seconds: float = 1.0,
-                 off_seconds: float = 1.0, change_fraction: float = 0.0,
-                 seed: int = 0, value_source: ValueSource | None = None):
-        if on_seconds <= 0 or off_seconds < 0:
-            raise ConfigurationError(
-                f"need on_seconds > 0 and off_seconds >= 0, got "
-                f"{on_seconds}/{off_seconds}")
-        self.on_seconds = on_seconds
-        self.off_seconds = off_seconds
-        self._inner = RateChangeGenerator(
-            base_rate, change_fraction, epoch_seconds=on_seconds,
-            value_source=value_source, seed=seed)
-        self._off_ticks = int(round(off_seconds * TICKS_PER_SECOND))
-
-    def generate(self, n_events: int) -> EventBatch:
-        """Generate ``n_events``, inserting silent gaps between bursts."""
-        parts = []
-        remaining = n_events
-        while remaining > 0:
-            burst = self._inner.generate_seconds(self.on_seconds)
-            if len(burst) > remaining:
-                burst = burst.take(remaining)
-            parts.append(burst)
-            remaining -= len(burst)
-            # Advance the inner generator's clock over the silent phase.
-            self._inner._epoch_start_ts += self._off_ticks
-        return EventBatch.concat(parts)
 
 
 def replayed_offsets(n_streams: int, dataset_len: int,

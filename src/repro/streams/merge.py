@@ -1,12 +1,10 @@
-"""Stable timestamp merges and ground-truth window splits.
+"""Stable timestamp merge of per-source streams.
 
 The global count-based window of size ``L`` comprises the first ``L``
 events of the merged stream in stable timestamp order (Section 3: windows
 use a stable sort; on ties at the window edge the first event wins).  The
-*actual local window size* of node ``a`` for global window ``g`` is the
-number of those events that node ``a`` contributed — the quantity Deco's
-root computes from event rates and that our trace executor computes
-exactly from the merge.
+ground-truth window boundaries built on this order live in
+:func:`repro.core.workload.build_workload`.
 """
 
 from __future__ import annotations
@@ -45,51 +43,3 @@ def merge_batches(
                               combined.ts[order])
     return merged, source[order]
 
-
-def actual_local_sizes(source: np.ndarray, window_size: int,
-                       n_sources: int) -> np.ndarray:
-    """Per-window, per-source event counts of the ground-truth split.
-
-    Args:
-        source: Merged-order source indices from :func:`merge_batches`.
-        window_size: The global window size ``L``.
-        n_sources: Number of contributing sources (local nodes).
-
-    Returns:
-        An ``(n_windows, n_sources)`` int array; row ``g`` holds the
-        actual local window sizes of global window ``g``.  Trailing
-        events that do not fill a complete window are ignored (the
-        stream is conceptually infinite).
-    """
-    if window_size <= 0:
-        raise ConfigurationError(
-            f"window_size must be > 0, got {window_size}")
-    n_windows = len(source) // window_size
-    sizes = np.zeros((n_windows, n_sources), dtype=np.int64)
-    for g in range(n_windows):
-        chunk = source[g * window_size:(g + 1) * window_size]
-        sizes[g] = np.bincount(chunk, minlength=n_sources)
-    return sizes
-
-
-def window_boundaries_per_source(source: np.ndarray, window_size: int,
-                                 n_sources: int) -> np.ndarray:
-    """Cumulative per-source positions at each global window boundary.
-
-    Row ``g`` holds, for each source, how many of its events fall into
-    global windows ``0..g`` combined — i.e. the source-local offset where
-    global window ``g + 1`` starts.
-    """
-    sizes = actual_local_sizes(source, window_size, n_sources)
-    return np.cumsum(sizes, axis=0)
-
-
-def global_windows(merged: EventBatch,
-                   window_size: int) -> list[EventBatch]:
-    """Split a merged stream into complete tumbling count windows."""
-    if window_size <= 0:
-        raise ConfigurationError(
-            f"window_size must be > 0, got {window_size}")
-    n_windows = len(merged) // window_size
-    return [merged.slice_range(g * window_size, (g + 1) * window_size)
-            for g in range(n_windows)]

@@ -3,13 +3,13 @@
 Deco "selects the timestamp of the last event in the global window as the
 watermark.  When starting a new global window the root sends the
 watermark to local nodes.  Local nodes drop all events that have
-timestamps earlier than the watermark" (Section 4.3.4).
+timestamps earlier than the watermark" (Section 4.3.4).  Root and
+local nodes track the watermark here; no scheme drops late events yet.
 """
 
 from __future__ import annotations
 
 from repro.errors import StreamError
-from repro.streams.batch import EventBatch
 
 
 class WatermarkTracker:
@@ -37,21 +37,3 @@ class WatermarkTracker:
                 f"watermark cannot regress from {self._watermark} to {ts}")
         self._watermark = ts
         return self._watermark
-
-    def is_late(self, ts: int) -> bool:
-        """Whether an event at ``ts`` arrives behind the watermark.
-
-        Late events belong to an already-emitted window and are dropped
-        by local nodes.
-        """
-        return int(ts) < self._watermark
-
-    def filter_late(self, batch: EventBatch) -> EventBatch:
-        """Drop events strictly behind the watermark from a batch."""
-        if len(batch) == 0 or self._watermark <= 0:
-            return batch
-        keep = batch.ts >= self._watermark
-        if keep.all():
-            return batch
-        return EventBatch._view(batch.ids[keep], batch.values[keep],
-                                batch.ts[keep])

@@ -1,31 +1,11 @@
-"""Window substrate: specs, operators, and Scotty-style slicing."""
+"""Count window specs and Scotty-style slicing."""
 
-from repro.windows.base import (SessionWindow, SlidingCountWindow,
-                                SlidingTimeWindow, TumblingCountWindow,
-                                TumblingTimeWindow, WindowKind,
-                                WindowMeasure, WindowSpec)
-from repro.windows.count import SlidingCountOperator, TumblingCountOperator
-from repro.windows.session import SessionOperator
-from repro.windows.slicer import (CountSlicer, WindowResult,
-                                  naive_window_cost, slicing_window_cost)
-from repro.windows.time import SlidingTimeOperator, TumblingTimeOperator
+from repro.windows.base import SlidingCountWindow, TumblingCountWindow
+from repro.windows.slicer import CountSlicer, WindowResult
 
 __all__ = [
-    "WindowSpec",
-    "WindowKind",
-    "WindowMeasure",
     "TumblingCountWindow",
     "SlidingCountWindow",
-    "TumblingTimeWindow",
-    "SlidingTimeWindow",
-    "SessionWindow",
-    "TumblingCountOperator",
-    "SlidingCountOperator",
-    "TumblingTimeOperator",
-    "SlidingTimeOperator",
-    "SessionOperator",
     "CountSlicer",
     "WindowResult",
-    "naive_window_cost",
-    "slicing_window_cost",
 ]

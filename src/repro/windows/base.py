@@ -1,118 +1,42 @@
-"""Window type and measure definitions (paper Sections 2.1-2.2).
+"""Count-based window specifications (paper Sections 2.1-2.2).
 
-Window *types*: tumbling, sliding, session (plus user-defined, which we
-model as session-with-predicate).  Window *measures*: count and time.
-Deco's contribution targets count-based windows; time-based types are
-implemented as the substrate baseline systems (Disco, Scotty) natively
-support them.
+Deco's contribution targets count-based windows, and the Scotty and
+Disco baselines stand in here only as count-window communication
+patterns, so tumbling and sliding count windows are the two specs.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 
-class WindowMeasure(enum.Enum):
-    """How window extent is measured."""
-
-    COUNT = "count"
-    TIME = "time"
-
-
-class WindowKind(enum.Enum):
-    """The window type taxonomy of Section 2.1."""
-
-    TUMBLING = "tumbling"
-    SLIDING = "sliding"
-    SESSION = "session"
-
-
 @dataclass(frozen=True)
-class WindowSpec:
-    """Base class for window specifications."""
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on inconsistent parameters."""
-
-
-@dataclass(frozen=True)
-class TumblingCountWindow(WindowSpec):
+class TumblingCountWindow:
     """Groups of ``length`` successive events — Deco's target window."""
 
     length: int
-    kind = WindowKind.TUMBLING
-    measure = WindowMeasure.COUNT
 
     def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on inconsistent parameters."""
         if self.length <= 0:
             raise ConfigurationError(
                 f"window length must be > 0, got {self.length}")
 
 
 @dataclass(frozen=True)
-class SlidingCountWindow(WindowSpec):
+class SlidingCountWindow:
     """Fixed ``length`` with a count ``step`` between window starts."""
 
     length: int
     step: int
-    kind = WindowKind.SLIDING
-    measure = WindowMeasure.COUNT
 
     def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on inconsistent parameters."""
         if self.length <= 0 or self.step <= 0:
             raise ConfigurationError(
                 f"length and step must be > 0, got {self.length}/{self.step}")
         if self.step > self.length:
             raise ConfigurationError(
                 f"step {self.step} > length {self.length} would drop events")
-
-
-@dataclass(frozen=True)
-class TumblingTimeWindow(WindowSpec):
-    """Fixed time extent windows, measured in timestamp ticks."""
-
-    length_ticks: int
-    kind = WindowKind.TUMBLING
-    measure = WindowMeasure.TIME
-
-    def validate(self) -> None:
-        if self.length_ticks <= 0:
-            raise ConfigurationError(
-                f"length_ticks must be > 0, got {self.length_ticks}")
-
-
-@dataclass(frozen=True)
-class SlidingTimeWindow(WindowSpec):
-    """Fixed time extent with a time step between window starts."""
-
-    length_ticks: int
-    step_ticks: int
-    kind = WindowKind.SLIDING
-    measure = WindowMeasure.TIME
-
-    def validate(self) -> None:
-        if self.length_ticks <= 0 or self.step_ticks <= 0:
-            raise ConfigurationError(
-                f"length_ticks and step_ticks must be > 0, got "
-                f"{self.length_ticks}/{self.step_ticks}")
-        if self.step_ticks > self.length_ticks:
-            raise ConfigurationError(
-                f"step {self.step_ticks} > length {self.length_ticks} "
-                f"would drop events")
-
-
-@dataclass(frozen=True)
-class SessionWindow(WindowSpec):
-    """Terminated by a gap of ``gap_ticks`` without events."""
-
-    gap_ticks: int
-    kind = WindowKind.SESSION
-    measure = WindowMeasure.TIME
-
-    def validate(self) -> None:
-        if self.gap_ticks <= 0:
-            raise ConfigurationError(
-                f"gap_ticks must be > 0, got {self.gap_ticks}")

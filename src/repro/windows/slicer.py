@@ -123,17 +123,3 @@ def union_slice_size(
         g = math.gcd(g, math.gcd(spec.length, step))
     return g
 
-
-def naive_window_cost(n_events: int, length: int, step: int) -> int:
-    """Events processed by a non-sharing implementation (every window
-    re-aggregates all its events); baseline for the sharing benefit."""
-    n_windows = max(0, (n_events - length) // step + 1)
-    return n_windows * length
-
-
-def slicing_window_cost(n_events: int, length: int, step: int) -> int:
-    """Work units for the slicing implementation: one lift per event plus
-    one combine per slice per window."""
-    g = math.gcd(length, step)
-    n_windows = max(0, (n_events - length) // step + 1)
-    return n_events + n_windows * (length // g)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates import (AggregateFunction, Average, Count,
-                              Decomposability, GrayKind,
-                              IncrementalAggregator, Max, Median, Min,
+                              Decomposability, GrayKind, Max, Median, Min,
                               Quantile, StdDev, Sum, Variance,
                               available_aggregates, get_aggregate,
                               register)
@@ -115,48 +114,6 @@ class TestHolistic:
     def test_decomposable_partial_size_constant(self):
         s = Sum()
         assert s.partial_size_bytes(s.lift(value_batch(range(1000)))) == 16
-
-
-class TestIncrementalAggregator:
-    def test_incremental_equals_direct(self):
-        agg = IncrementalAggregator(Sum())
-        agg.add_batch(value_batch([1, 2]))
-        agg.add_batch(value_batch([3, 4]))
-        assert agg.result() == 10.0
-        assert agg.count == 4
-
-    def test_empty_add_noop(self):
-        agg = IncrementalAggregator(Sum())
-        agg.add_batch(EventBatch.empty())
-        assert agg.count == 0
-
-    def test_merge(self):
-        a = IncrementalAggregator(Average())
-        b = IncrementalAggregator(Average())
-        a.add_batch(value_batch([2, 4]))
-        b.add_batch(value_batch([6]))
-        a.merge(b)
-        assert a.result() == 4.0
-        assert a.count == 3
-
-    def test_merge_partial(self):
-        a = IncrementalAggregator(Sum())
-        a.merge_partial(5.0, 3)
-        assert a.result() == 5.0
-        assert a.count == 3
-
-    def test_merge_type_mismatch_rejected(self):
-        a = IncrementalAggregator(Sum())
-        b = IncrementalAggregator(Count())
-        with pytest.raises(AggregationError):
-            a.merge(b)
-
-    def test_reset(self):
-        a = IncrementalAggregator(Sum())
-        a.add_batch(value_batch([1, 2]))
-        a.reset()
-        assert a.count == 0
-        assert a.result() == 0.0
 
 
 class TestRegistry:

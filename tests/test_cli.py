@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import harness
 
 
 class TestSchemes:
@@ -140,6 +145,44 @@ class TestServe:
         import json
         payload = json.loads(out.read_text())
         assert payload["traceEvents"]
+
+
+class TestBadArguments:
+    """A bad value is one ``repro: error:`` line and exit 2, never a
+    traceback, and never a spawned worker."""
+
+    ARGS = ["--window", "400", "--windows", "3", "--rate", "20000"]
+
+    @pytest.fixture(autouse=True)
+    def no_workers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a repro.serve.worker was spawned")
+        monkeypatch.setattr(harness, "worker_argv", refuse)
+
+    @pytest.mark.parametrize("bad", [
+        ["--nodes", "0"], ["--queries", "sum:10:20"], ["--delta-m", "0"],
+        ["--rate-change", "-2"], ["--windows", "0"], ["--rate", "0"]])
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_usage_error_without_traceback(self, capsys, command, bad):
+        assert main([command, "central", *self.ARGS, *bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_serve_rejects_zero_sources_before_spawning(self, capsys):
+        assert main(["serve", "central", *self.ARGS, "--load", "latency",
+                     "--sources", "0"]) == 2
+        assert "--sources must be >= 1" in capsys.readouterr().err
+
+    def test_entry_point_exit_code(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "central",
+             "--windows", "0"],
+            cwd=Path(__file__).resolve().parent.parent,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "repro: error: need >= 1 window, got 0\n"
 
 
 class TestParser:

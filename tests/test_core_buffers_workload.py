@@ -5,7 +5,7 @@ import pytest
 
 from repro.aggregates import Average, Sum
 from repro.core.buffers import PositionBuffer
-from repro.core.query import Query, tumbling_count_query
+from repro.core.query import Query, parse_query_spec, tumbling_count_query
 from repro.core.workload import build_workload, generate_workload
 from repro.errors import ConfigurationError, WindowError
 from repro.streams.batch import EventBatch
@@ -71,18 +71,6 @@ class TestPositionBuffer:
         buf.append(make_batch(5))
         assert len(buf.get_range(3, 3)) == 0
 
-    def test_insert_at_contiguous(self):
-        buf = PositionBuffer(base=10)
-        buf.insert_at(10, make_batch(5, start_id=10))
-        buf.insert_at(15, make_batch(5, start_id=15))
-        assert buf.end == 20
-
-    def test_insert_gap_rejected(self):
-        buf = PositionBuffer()
-        buf.insert_at(0, make_batch(5))
-        with pytest.raises(WindowError, match="non-contiguous"):
-            buf.insert_at(7, make_batch(2))
-
     def test_has_range(self):
         buf = PositionBuffer()
         buf.append(make_batch(10))
@@ -94,7 +82,6 @@ class TestPositionBuffer:
     def test_empty_appends_ignored(self):
         buf = PositionBuffer()
         buf.append(EventBatch.empty())
-        buf.insert_at(0, EventBatch.empty())
         assert buf.retained == 0
 
     def test_many_release_cycles_compact_dead_prefix(self):
@@ -141,6 +128,18 @@ class TestQuery:
         q = Query(window=SlidingCountWindow(10, 5))
         with pytest.raises(ConfigurationError):
             q.window_size
+
+    @pytest.mark.parametrize("window", [None, 1000, "sum:1000",
+                                        (1000, 500)])
+    def test_non_count_window_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="count window"):
+            Query(window=window)
+
+    def test_query_keys_pinned(self):
+        # The key hashes the window's class name and fields, so it
+        # moves if either count spec is renamed or restructured.
+        assert parse_query_spec("sum:1000").query_key == "f52b12f22fb9"
+        assert parse_query_spec("avg:700:350").query_key == "cbc0057fd90a"
 
     def test_decomposable(self):
         assert tumbling_count_query(10, "sum").decomposable
@@ -221,6 +220,16 @@ class TestWorkload:
             generate_workload(0, 10, 1)
         with pytest.raises(ConfigurationError):
             generate_workload(2, 10, 1, rates=[1.0])
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((0, 10, 1), {}),
+        ((2, 0, 1), {}),
+        ((2, 10, 0), {}),
+        ((2, 10, 1), {"rate_per_node": 0}),
+    ], ids=["nodes", "window", "windows", "rate"])
+    def test_bad_inputs_raise_configuration_error(self, args, kwargs):
+        with pytest.raises(ConfigurationError):
+            generate_workload(*args, **kwargs)
 
     def test_deterministic(self):
         a = generate_workload(2, 100, 3, rate_per_node=1000, seed=9)

@@ -8,19 +8,15 @@ import pytest
 from repro.core.records import RunResult, WindowOutcome
 from repro.core.workload import generate_workload
 from repro.errors import ConfigurationError
-from repro.metrics import (bottleneck_throughput, bytes_per_event,
-                           coordination_overhead, correctness,
-                           format_si, format_table,
-                           mean_bandwidth_bytes_per_s, mean_latency,
-                           network_saving, per_node_utilization,
-                           per_window_correctness, percentile_latency,
-                           results_match, sustainable_throughput,
-                           trigger_times, window_latencies,
-                           window_overlap)
+from repro.metrics import (correctness, format_si, format_table,
+                           network_saving, per_window_correctness,
+                           percentile_latency, results_match,
+                           sustainable_throughput, trigger_times,
+                           window_latencies, window_overlap)
 
 
 def make_result(n_windows=6, window_size=100, spacing=1.0,
-                spans=None, busy=None):
+                spans=None):
     result = RunResult(scheme="test", n_nodes=2,
                        window_size=window_size)
     for g in range(n_windows):
@@ -28,7 +24,6 @@ def make_result(n_windows=6, window_size=100, spacing=1.0,
             index=g, result=float(g), emit_time=(g + 1) * spacing,
             spans=spans[g] if spans else {}))
     result.sim_time = n_windows * spacing
-    result.node_busy_s = busy or {"root": 1.0, "local-0": 2.0}
     return result
 
 
@@ -58,22 +53,6 @@ class TestThroughput:
         result = RunResult(scheme="x", n_nodes=1, window_size=10)
         with pytest.raises(ConfigurationError):
             sustainable_throughput(result)
-
-    def test_bottleneck_uses_busiest_node(self):
-        result = make_result(n_windows=5, window_size=100,
-                             busy={"root": 1.0, "local-0": 2.5})
-        assert bottleneck_throughput(result) == pytest.approx(500 / 2.5)
-
-    def test_utilization(self):
-        result = make_result(n_windows=5, spacing=1.0,
-                             busy={"root": 2.5})
-        assert per_node_utilization(result)["root"] == pytest.approx(0.5)
-
-    def test_coordination_overhead_bounds(self):
-        result = make_result(n_windows=10, window_size=100,
-                             busy={"root": 5.0})
-        overhead = coordination_overhead(result)
-        assert 0.0 <= overhead < 1.0
 
 
 class TestThroughputSkipsByIndex:
@@ -160,8 +139,6 @@ class TestLatency:
                 index=g, result=0.0, emit_time=triggers[g] + 0.01))
         lat = window_latencies(result, self.workload, 64)
         assert np.allclose(lat, 0.01)
-        assert mean_latency(result, self.workload, 64) == \
-            pytest.approx(0.01)
         assert percentile_latency(result, self.workload, 64, 99) == \
             pytest.approx(0.01)
 
@@ -254,11 +231,6 @@ class TestLatency:
 
 
 class TestNetworkMetrics:
-    def test_bytes_per_event(self):
-        result = make_result(n_windows=4, window_size=100)
-        result.bytes_up = 4_000
-        assert bytes_per_event(result) == pytest.approx(10.0)
-
     def test_network_saving(self):
         deco = make_result()
         deco.bytes_up = 100
@@ -269,11 +241,6 @@ class TestNetworkMetrics:
     def test_saving_zero_baseline_rejected(self):
         with pytest.raises(ConfigurationError):
             network_saving(make_result(), make_result())
-
-    def test_mean_bandwidth(self):
-        result = make_result(n_windows=4, spacing=1.0)
-        result.bytes_up = 400
-        assert mean_bandwidth_bytes_per_s(result) == pytest.approx(100.0)
 
 
 class TestCorrectness:

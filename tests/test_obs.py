@@ -22,9 +22,8 @@ from repro.core.workload import default_cache
 from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        MSG_SEND, QUEUE, STATE, WINDOW, NullTracer,
                        RunTracer, TraceSummary, event_to_dict,
-                       format_summary, merge_summaries, resolve_tracer,
-                       summary_table, to_chrome_trace,
-                       write_chrome_trace, write_jsonl)
+                       merge_summaries, resolve_tracer, summary_table,
+                       to_chrome_trace, write_chrome_trace, write_jsonl)
 from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector
 from repro.sweep import SweepExecutor
@@ -240,10 +239,8 @@ class TestSummaries:
         assert merge_summaries([None, None]) is None
         assert merge_summaries([]) is None
 
-    def test_format_summary_and_table(self):
+    def test_summary_table(self):
         _, tracer = _traced("deco_sync")
-        text = format_summary(TraceSummary.from_tracer(tracer))
-        assert "events" in text
         table = summary_table(tracer)
         assert "root" in table and "max queue" in table
 

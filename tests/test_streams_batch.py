@@ -20,14 +20,7 @@ class TestConstruction:
     def test_empty(self):
         b = EventBatch.empty()
         assert len(b) == 0
-        assert b.to_events() == []
-
-    def test_from_events_round_trip(self):
-        events = [Event(1, 2.0, 3), Event(4, 5.0, 6)]
-        assert EventBatch.from_events(events).to_events() == events
-
-    def test_from_empty_events(self):
-        assert len(EventBatch.from_events([])) == 0
+        assert list(b) == []
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(StreamError, match="equally sized"):
@@ -77,7 +70,7 @@ class TestSlicing:
 
     def test_getitem_int(self):
         b = make_batch(5)
-        assert b[2].to_events() == [Event(2, 1.0, 2)]
+        assert list(b[2]) == [Event(2, 1.0, 2)]
 
 
 class TestOrdering:

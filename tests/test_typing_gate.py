@@ -2,9 +2,8 @@
 
 CI runs the same gate directly (`typecheck-mypy`); this test keeps a
 local `pytest` run aligned with it instead of silently diverging.  The
-gate's scope and strictness flags live in ``[tool.mypy]`` in
-pyproject.toml: `repro.sim`, `repro.core`, `repro.windows`, and
-`repro.obs` must pass ``mypy --strict``.
+gate's scope (the ``packages`` list) and strictness flags live in
+``[tool.mypy]`` in pyproject.toml.
 """
 
 import subprocess

@@ -1,18 +1,14 @@
-"""Unit and property tests for the window substrate."""
+"""Unit and property tests for the count window specs and slicer."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, StreamError
+from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
-from repro.windows import (CountSlicer, SessionOperator, SessionWindow,
-                           SlidingCountOperator, SlidingCountWindow,
-                           SlidingTimeOperator, SlidingTimeWindow,
-                           TumblingCountOperator, TumblingCountWindow,
-                           TumblingTimeOperator, TumblingTimeWindow,
-                           naive_window_cost, slicing_window_cost)
+from repro.windows import (CountSlicer, SlidingCountWindow,
+                           TumblingCountWindow)
 from repro.aggregates import Sum
 
 
@@ -28,10 +24,6 @@ class TestSpecsValidation:
         SlidingCountWindow(0, 1),
         SlidingCountWindow(4, 0),
         SlidingCountWindow(4, 5),
-        TumblingTimeWindow(0),
-        SlidingTimeWindow(0, 1),
-        SlidingTimeWindow(10, 20),
-        SessionWindow(0),
     ])
     def test_invalid(self, spec):
         with pytest.raises(ConfigurationError):
@@ -40,134 +32,6 @@ class TestSpecsValidation:
     def test_valid(self):
         TumblingCountWindow(5).validate()
         SlidingCountWindow(6, 2).validate()
-        SessionWindow(100).validate()
-
-
-class TestTumblingCount:
-    def test_exact_windows(self):
-        op = TumblingCountOperator(TumblingCountWindow(3))
-        windows = op.add(batch_of(9))
-        assert [len(w) for w in windows] == [3, 3, 3]
-        assert op.buffered == 0
-
-    def test_across_batches(self):
-        op = TumblingCountOperator(TumblingCountWindow(5))
-        assert op.add(batch_of(3)) == []
-        assert op.buffered == 3
-        windows = op.add(batch_of(4, start_id=3))
-        assert len(windows) == 1
-        assert list(windows[0].ids) == [0, 1, 2, 3, 4]
-        assert op.buffered == 2
-
-    def test_flush(self):
-        op = TumblingCountOperator(TumblingCountWindow(5))
-        op.add(batch_of(3))
-        tail = op.flush()
-        assert len(tail) == 3
-        assert op.buffered == 0
-
-    def test_large_batch_many_windows(self):
-        op = TumblingCountOperator(TumblingCountWindow(7))
-        windows = op.add(batch_of(100))
-        assert len(windows) == 14
-        assert all(len(w) == 7 for w in windows)
-
-
-class TestSlidingCount:
-    def test_overlapping(self):
-        op = SlidingCountOperator(SlidingCountWindow(4, 2))
-        windows = op.add(batch_of(8))
-        assert [list(w.ids) for w in windows] == [
-            [0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]]
-
-    def test_step_equals_length_is_tumbling(self):
-        op = SlidingCountOperator(SlidingCountWindow(3, 3))
-        windows = op.add(batch_of(9))
-        assert [list(w.ids) for w in windows] == [
-            [0, 1, 2], [3, 4, 5], [6, 7, 8]]
-
-    def test_incremental_feeding(self):
-        op = SlidingCountOperator(SlidingCountWindow(4, 2))
-        out = []
-        for i in range(8):
-            out.extend(op.add(batch_of(1, ts=[i], start_id=i)))
-        assert [list(w.ids) for w in out] == [
-            [0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]]
-
-    def test_memory_bounded(self):
-        op = SlidingCountOperator(SlidingCountWindow(10, 5))
-        op.add(batch_of(1000))
-        assert len(op._tail) <= 10
-
-
-class TestTumblingTime:
-    def test_windows_by_time(self):
-        op = TumblingTimeOperator(TumblingTimeWindow(10))
-        out = op.add(batch_of(6, ts=[1, 2, 11, 12, 25, 31]))
-        indices = [k for k, _ in out]
-        sizes = [len(w) for _, w in out]
-        assert indices == [0, 1, 2]
-        assert sizes == [2, 2, 1]
-
-    def test_unsorted_rejected(self):
-        op = TumblingTimeOperator(TumblingTimeWindow(10))
-        with pytest.raises(StreamError):
-            op.add(batch_of(2, ts=[5, 3]))
-
-    def test_flush_open_window(self):
-        op = TumblingTimeOperator(TumblingTimeWindow(10))
-        op.add(batch_of(2, ts=[1, 2]))
-        k, window = op.flush()
-        assert k == 0
-        assert len(window) == 2
-
-    def test_empty_windows_skipped(self):
-        op = TumblingTimeOperator(TumblingTimeWindow(10))
-        out = op.add(batch_of(2, ts=[5, 95]))
-        assert [k for k, _ in out] == [0]
-        k, w = op.flush()
-        assert k == 9
-        assert len(w) == 1
-
-
-class TestSlidingTime:
-    def test_overlapping_time(self):
-        op = SlidingTimeOperator(SlidingTimeWindow(10, 5))
-        out = op.add(batch_of(5, ts=[1, 6, 11, 16, 21]))
-        assert [(k, len(w)) for k, w in out] == [
-            (0, 2), (1, 2), (2, 2)]
-
-    def test_unsorted_rejected(self):
-        op = SlidingTimeOperator(SlidingTimeWindow(10, 5))
-        with pytest.raises(StreamError):
-            op.add(batch_of(2, ts=[9, 2]))
-
-
-class TestSession:
-    def test_gap_splits_sessions(self):
-        op = SessionOperator(SessionWindow(10))
-        out = op.add(batch_of(6, ts=[1, 2, 3, 20, 21, 40]))
-        assert [len(s) for s in out] == [3, 2]
-        assert len(op.flush()) == 1
-
-    def test_no_gap_single_session(self):
-        op = SessionOperator(SessionWindow(100))
-        assert op.add(batch_of(10)) == []
-        assert op.open_session
-        assert len(op.flush()) == 10
-        assert not op.open_session
-
-    def test_session_across_batches(self):
-        op = SessionOperator(SessionWindow(10))
-        assert op.add(batch_of(2, ts=[1, 2])) == []
-        out = op.add(batch_of(2, ts=[5, 30], start_id=2))
-        assert len(out) == 1
-        assert list(out[0].ids) == [0, 1, 2]
-
-    def test_unsorted_rejected(self):
-        op = SessionOperator(SessionWindow(10))
-        with pytest.raises(StreamError):
-            op.add(batch_of(2, ts=[5, 1]))
 
 
 class TestCountSlicer:
@@ -193,11 +57,6 @@ class TestCountSlicer:
         slicer.add(batch_of(100))
         assert slicer.events_lifted == 100
 
-    def test_sharing_cheaper_than_naive(self):
-        n, length, step = 10_000, 1000, 100
-        assert (slicing_window_cost(n, length, step)
-                < naive_window_cost(n, length, step))
-
     def test_incremental_feed_equivalence(self):
         spec = SlidingCountWindow(6, 3)
         big = CountSlicer(spec, Sum()).add(batch_of(60))
@@ -213,19 +72,6 @@ class TestCountSlicer:
 
 
 class TestWindowProperties:
-    @given(st.integers(min_value=1, max_value=20),
-           st.integers(min_value=0, max_value=200),
-           st.integers(min_value=1, max_value=17))
-    @settings(max_examples=50, deadline=None)
-    def test_tumbling_count_partition(self, length, n, chunk):
-        op = TumblingCountOperator(TumblingCountWindow(length))
-        windows = []
-        for i in range(0, n, chunk):
-            windows.extend(op.add(batch_of(min(chunk, n - i), start_id=i)))
-        assert len(windows) == n // length
-        seen = [int(i) for w in windows for i in w.ids]
-        assert seen == list(range((n // length) * length))
-
     @given(st.integers(min_value=2, max_value=12),
            st.integers(min_value=1, max_value=12),
            st.integers(min_value=0, max_value=120))
