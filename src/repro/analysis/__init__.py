@@ -4,8 +4,8 @@ Three enforcement layers for the reproduction's core invariant (every
 run is a single-threaded, reproducible computation):
 
 * :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` — deco-lint,
-  the repo-specific AST rules (DL001-DL010) run by ``repro lint`` and
-  CI.
+  the repo-specific AST rules run by ``repro lint`` and CI
+  (``repro lint --list-rules`` names them).
 * :mod:`repro.analysis.determinism` — the schedule-determinism harness:
   re-runs a config under permuted kernel tie-break salts and asserts
   bit-identical outcomes.
@@ -16,35 +16,7 @@ run is a single-threaded, reproducible computation):
   (``repro check``): small-scope interleaving model checking of
   epoch-mode serve, and happens-before analysis of serve traces via
   vector clocks.
+
+Import each from its own module; this package re-exports nothing, so
+importing one layer loads no other.
 """
-
-from repro.analysis.determinism import (DEFAULT_SALTS,
-                                        DeterminismViolation,
-                                        Fingerprint, check_all_schemes,
-                                        check_determinism,
-                                        fingerprint_run)
-from repro.analysis.explore import (ModelCoordinator, Violation,
-                                    explore_config, model_trace,
-                                    synthetic_merge_violations)
-from repro.analysis.fsm import (SCHEME_FSMS, FsmViolation, ProtocolFSM,
-                                ProtocolViolation,
-                                assert_fsm_conformance, check_fsm,
-                                extract_token_streams)
-from repro.analysis.hb import (HbReport, HbViolation, analyze,
-                               analyze_events, analyze_jsonl)
-from repro.analysis.lint import (Finding, LintRule, all_rules,
-                                 lint_source, main, run_lint)
-from repro.analysis.rules import DEFAULT_RULES
-
-__all__ = [
-    "DEFAULT_SALTS", "DeterminismViolation", "Fingerprint",
-    "check_all_schemes", "check_determinism", "fingerprint_run",
-    "SCHEME_FSMS", "FsmViolation", "ProtocolFSM", "ProtocolViolation",
-    "assert_fsm_conformance", "check_fsm", "extract_token_streams",
-    "Finding", "LintRule", "all_rules", "lint_source", "main",
-    "run_lint", "DEFAULT_RULES",
-    "ModelCoordinator", "Violation", "explore_config", "model_trace",
-    "synthetic_merge_violations",
-    "HbReport", "HbViolation", "analyze", "analyze_events",
-    "analyze_jsonl",
-]

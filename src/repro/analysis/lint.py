@@ -10,8 +10,10 @@ CLI as ``repro lint`` and into CI as a required job.
 
 Framework pieces:
 
-* :class:`LintRule` — one check, with a stable ``DLxxx`` code, a scope
-  (package prefixes it applies to inside ``repro``), and an AST visitor.
+* :class:`LintRule` — one record per check: a stable ``DLxxx`` code, a
+  scope (package prefixes it applies to inside ``repro``), and a check
+  function over the file's AST.  :mod:`repro.analysis.rules` holds the
+  table of them.
 * :class:`Finding` — one diagnostic, pointing at ``path:line:col``.
 * Suppression — ``# decolint: disable=DL001`` on the offending line, or
   ``# decolint: disable-file=DL001`` anywhere in the file.  Suppression
@@ -31,9 +33,10 @@ import argparse
 import ast
 import re
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from collections.abc import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -43,6 +46,18 @@ _DISABLE_RE = re.compile(
 #: Lines matching this suppress codes for the whole file.
 _DISABLE_FILE_RE = re.compile(
     r"#\s*decolint:\s*disable-file=([A-Za-z0-9, ]+)")
+
+
+def dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,35 @@ class FileContext:
         """Whether the file lives inside the ``repro`` package."""
         return "repro" in self.parts
 
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Local name -> the dotted path it was imported as, collected
+        once per file."""
+        aliases: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".")[0]
+                    aliases[alias.asname or root] = (
+                        alias.name if alias.asname else root)
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and not node.level):
+                # Relative imports never alias stdlib modules.
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = (
+                        f"{node.module}.{alias.name}")
+        return aliases
+
+    def resolve(self, node: ast.AST) -> str | None:
+        """``a.b.c`` for a Name/Attribute chain, its root resolved
+        through this file's imports; None for any other expression."""
+        chain = dotted(node)
+        if chain is None:
+            return None
+        root, _, rest = chain.partition(".")
+        resolved = self.aliases.get(root, root)
+        return f"{resolved}.{rest}" if rest else resolved
+
     def package_path(self) -> str:
         """Posix path from the ``repro`` package root (or the full
         display path for out-of-package scripts)."""
@@ -89,20 +133,23 @@ class FileContext:
         return "/".join(self.parts)
 
 
+@dataclass(frozen=True)
 class LintRule:
-    """Base class of one deco-lint rule.
+    """One deco-lint rule: a row of :data:`repro.analysis.rules.RULES`.
 
-    Subclasses set :attr:`code`, :attr:`name`, :attr:`summary`, and
-    :attr:`scope`, and implement :meth:`check`.  ``scope`` is a tuple
-    of path prefixes under the ``repro`` package (e.g. ``"repro/sim"``);
-    an empty scope applies everywhere.  Out-of-package files (example
-    and benchmark scripts) get every rule but the ``package_only`` ones.
+    ``check`` yields ``(node, message)`` for each violation in one
+    parsed file, and its docstring is the rule's rationale.  ``scope``
+    is a tuple of path prefixes under the ``repro`` package (e.g.
+    ``"repro/sim"``); an empty scope applies everywhere.  Out-of-package
+    files (example and benchmark scripts) get every rule but the
+    ``package_only`` ones.
     """
 
-    code: str = "DL000"
-    name: str = "abstract"
+    code: str
+    name: str
     #: One-line description shown by ``repro lint --list-rules``.
-    summary: str = ""
+    summary: str
+    check: Callable[[FileContext], Iterable[tuple[ast.AST, str]]]
     scope: tuple[str, ...] = ()
     #: The rule polices package internals only, never a file outside it.
     package_only: bool = False
@@ -117,18 +164,6 @@ class LintRule:
         if pkg.startswith(self.exempt):
             return False
         return not self.scope or pkg.startswith(self.scope)
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Yield findings for one parsed file."""
-        raise NotImplementedError
-
-    def finding(self, ctx: FileContext, node: ast.AST,
-                message: str) -> Finding:
-        """Build a finding anchored at ``node``."""
-        return Finding(path=ctx.display,
-                       line=getattr(node, "lineno", 1),
-                       col=getattr(node, "col_offset", 0) + 1,
-                       code=self.code, message=message)
 
 
 def _parse_suppressions(
@@ -165,8 +200,8 @@ def _suppressed(finding: Finding, per_line: dict[int, set[str]],
 
 def all_rules() -> list[LintRule]:
     """Every registered deco-lint rule, in code order."""
-    from repro.analysis.rules import DEFAULT_RULES
-    return [cls() for cls in DEFAULT_RULES]
+    from repro.analysis.rules import RULES
+    return list(RULES)
 
 
 def select_rules(select: Sequence[str] | None = None) -> list[LintRule]:
@@ -197,10 +232,14 @@ def iter_python_files(paths: Sequence[Path]) -> list[Path]:
     for path in paths:
         if path.is_dir():
             out.update(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            out.add(path)
         elif not path.exists():
             raise ConfigurationError(f"no such file or directory: {path}")
+        elif path.suffix != ".py":
+            # Dropping it would report a clean run over nothing.
+            raise ConfigurationError(f"not a .py file or a directory: "
+                                     f"{path}")
+        else:
+            out.add(path)
     return sorted(out)
 
 
@@ -222,7 +261,11 @@ def lint_source(source: str, path: str = "<string>",
     for rule in (rules if rules is not None else all_rules()):
         if not rule.applies_to(ctx):
             continue
-        for finding in rule.check(ctx):
+        for node, message in rule.check(ctx):
+            finding = Finding(path=ctx.display,
+                              line=getattr(node, "lineno", 1),
+                              col=getattr(node, "col_offset", 0) + 1,
+                              code=rule.code, message=message)
             if not _suppressed(finding, per_line, whole_file):
                 findings.append(finding)
     return sorted(findings, key=Finding.sort_key)
@@ -270,7 +313,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="deco-lint: repo-specific determinism and "
-                    "correctness rules (DL001-DL011)")
+                    "correctness rules (see --list-rules)")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories (default: src/repro)")
     parser.add_argument("--select", default=None,

@@ -12,7 +12,8 @@ Subcommands:
   OS process speaking the binary wire codec over TCP, results
   bit-identical to the simulator, plus wall-clock latency/throughput.
 * ``lint`` — run deco-lint, the repo-specific static-analysis pass
-  (rules DL001-DL011; see :mod:`repro.analysis`).
+  (``repro lint --list-rules`` names the rules; see
+  :mod:`repro.analysis.rules`).
 * ``check`` — the concurrency verifier: small-scope interleaving model
   checking of the serve run loop and happens-before analysis of captured
   serve traces (see :mod:`repro.analysis.check`).
@@ -28,6 +29,7 @@ from repro.api import compare, run
 from repro.core.runner import available_schemes
 from repro.errors import ConfigurationError
 from repro.metrics.report import format_si, format_table
+from repro.sweep import JOBS_ENV
 
 #: Experiment name -> (headers, rows-callable(scale)).  Written once,
 #: lazily, by ``_register_experiments`` in the CLI process — never from
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Listed for ``repro --help`` only: ``main`` hands these two to
     # the parsers that own their flags before this one runs.
-    sub.add_parser("lint", help="run deco-lint (rules DL001-DL011)")
+    sub.add_parser("lint", help="run deco-lint (see --list-rules)")
     sub.add_parser(
         "check",
         help="concurrency verifier: interleaving model checking "
@@ -225,6 +227,22 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+
+
+def _experiment(name: str, scale: float) -> int:
+    _register_experiments()
+    if name == "list":
+        for known in sorted(_EXPERIMENTS):
+            print(known)
+        return 0
+    if name not in _EXPERIMENTS:
+        print(f"unknown experiment {name!r}; try 'experiment list'",
+              file=sys.stderr)
+        return 2
+    headers, rows_fn = _EXPERIMENTS[name]
+    print(f"== {name} (scale {scale}) ==")
+    print(format_table(headers, rows_fn(scale)))
+    return 0
 
 
 def _dispatch(argv: list[str]) -> int:
@@ -326,22 +344,18 @@ def _dispatch(argv: list[str]) -> int:
         return 0
 
     if args.command == "experiment":
+        # The figure drivers resolve workers from $REPRO_JOBS; --jobs
+        # sets it for this command only.
+        prior = os.environ.get(JOBS_ENV)
         if args.jobs is not None:
-            # The figure drivers resolve workers from $REPRO_JOBS.
-            os.environ["REPRO_JOBS"] = str(args.jobs)
-        _register_experiments()
-        if args.name == "list":
-            for name in sorted(_EXPERIMENTS):
-                print(name)
-            return 0
-        if args.name not in _EXPERIMENTS:
-            print(f"unknown experiment {args.name!r}; try "
-                  f"'experiment list'", file=sys.stderr)
-            return 2
-        headers, rows_fn = _EXPERIMENTS[args.name]
-        print(f"== {args.name} (scale {args.scale}) ==")
-        print(format_table(headers, rows_fn(args.scale)))
-        return 0
+            os.environ[JOBS_ENV] = str(args.jobs)
+        try:
+            return _experiment(args.name, args.scale)
+        finally:
+            if prior is None:
+                os.environ.pop(JOBS_ENV, None)
+            else:
+                os.environ[JOBS_ENV] = prior
 
     return 2  # pragma: no cover - argparse enforces commands
 

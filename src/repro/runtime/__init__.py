@@ -12,8 +12,9 @@ concrete execution engine.  Two drivers implement the interface:
   process speaking the binary wire codec over TCP while reproducing the
   oracle's event schedule bit-for-bit (see DESIGN §11).
 
-``deco-lint`` rule DL007 enforces the boundary: protocol code must
-import this package, not :mod:`repro.sim`.
+The ``sim-free-core`` row of ``tests/test_layout.py`` enforces the
+boundary: protocol code must import this package, not
+:mod:`repro.sim`.
 """
 
 from repro.runtime.api import (DEFAULT_LATENCY_S, ETHERNET_1G,

@@ -6,6 +6,10 @@ divergence means some outcome depends on incidental same-time event
 ordering.
 """
 
+import re
+import subprocess
+import sys
+
 import pytest
 
 import repro.baselines  # noqa: F401
@@ -144,3 +148,14 @@ class TestHarness:
     def test_requires_salts(self):
         with pytest.raises(ValueError):
             check_determinism(small_config("central"), salts=())
+
+
+
+def test_import_loads_no_other_analysis_layer():
+    # Benchmarks import Fingerprint: no linter, model checker or serve.
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.analysis.determinism; "
+         "print(*sys.modules)"], capture_output=True, text=True).stdout
+    assert "repro.analysis.determinism" in loaded
+    assert not re.findall(r"repro\.(analysis\.(rules|explore)|serve)\b",
+                          loaded)

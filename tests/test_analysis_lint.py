@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.lint import (Finding, all_rules, lint_source,
                                  main, run_lint, select_rules)
 from repro.errors import ConfigurationError
+from tests.test_layout import LAYOUT, violations
 
 SIM_PATH = "src/repro/sim/fixture.py"
 CORE_PATH = "src/repro/core/fixture.py"
@@ -28,19 +29,31 @@ def codes(findings):
     return [f.code for f in findings]
 
 
+def _ported(cls_name, row, cases):
+    """A retired rule's test class: each method checks ``(path,
+    source, breaks)`` triples against one row of test_layout.py."""
+    def method(checks):
+        def test(self):
+            for path, src, breaks in checks:
+                found = violations(LAYOUT[row], path, src)
+                assert bool(found) is breaks, (path, src)
+        return test
+    return type(cls_name, (), {name: method(checks)
+                               for name, checks in cases.items()})
+
+
 class TestFramework:
     def test_rules_are_registered_in_code_order(self):
         rule_codes = [r.code for r in all_rules()]
         assert rule_codes == sorted(rule_codes)
         assert rule_codes == ["DL001", "DL002", "DL003", "DL004",
-                              "DL005", "DL006", "DL007", "DL008",
-                              "DL009", "DL010", "DL011"]
+                              "DL005", "DL006", "DL008", "DL011"]
 
     def test_every_rule_has_docs(self):
         for rule in all_rules():
             assert rule.summary, rule.code
-            assert rule.__doc__, rule.code
-            assert rule.code in rule.__doc__
+            assert rule.check.__doc__, rule.code
+            assert rule.code in rule.check.__doc__
 
     def test_select_unknown_code_raises(self):
         with pytest.raises(ConfigurationError, match="DL999"):
@@ -58,9 +71,12 @@ class TestFramework:
         rules = select_rules(["DL001", ""])
         assert [r.code for r in rules] == ["DL001"]
 
-    def test_syntax_error_reports_dl000(self):
-        findings = run_lint([str(REPO / "tests" / "__init__.py")])
-        assert findings == []
+    def test_syntax_error_reports_dl000(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text("def f(:\n")
+        findings = run_lint([str(bad)])
+        assert [(f.code, f.line) for f in findings] == [("DL000", 1)]
+        assert main([str(bad)]) == 1
 
     def test_finding_format(self):
         f = Finding(path="a.py", line=3, col=7, code="DL001",
@@ -355,53 +371,26 @@ class TestDL006WireSizeArithmetic:
         assert lint_source(src, CORE_PATH) == []
 
 
-class TestDL007SimImportBoundary:
-    BASELINES_PATH = "src/repro/baselines/fixture.py"
-
-    def test_import_from_fires_in_core(self):
-        src = ("from repro.sim.kernel import Simulator\n"
-               "def build():\n"
-               "    return Simulator()\n")
-        assert codes(lint_source(src, CORE_PATH)) == ["DL007"]
-
-    def test_plain_import_fires_in_baselines(self):
-        src = "import repro.sim.topology as topo\n"
-        assert codes(lint_source(
-            src, self.BASELINES_PATH)) == ["DL007"]
-
-    def test_package_import_fires(self):
-        src = "from repro.sim import topology\n"
-        assert codes(lint_source(src, CORE_PATH)) == ["DL007"]
-
-    def test_runtime_imports_pass(self):
-        src = ("from repro.runtime.api import ROOT_NAME\n"
-               "from repro.runtime.node import RuntimeNode, Timeout\n"
-               "from repro.runtime.serialization import message_size\n")
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_similar_prefix_passes(self):
-        # `repro.simulate` is not `repro.sim` — prefix matching must
-        # respect the module boundary.
-        src = "from repro.simulate import thing\n"
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_sim_and_scripts_are_out_of_scope(self):
-        src = "from repro.sim.kernel import Simulator\n"
-        assert lint_source(src, SIM_PATH) == []
-        assert lint_source(src, SCRIPT_PATH) == []
-
-    def test_type_checking_imports_pass(self):
-        src = ("from typing import TYPE_CHECKING\n"
-               "if TYPE_CHECKING:\n"
-               "    from repro.sim.topology import StarTopology\n"
-               "def f(t: 'StarTopology') -> None:\n"
-               "    pass\n")
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_suppression(self):
-        src = ("from repro.sim.kernel import Simulator"
-               "  # decolint: disable=DL007\n")
-        assert lint_source(src, CORE_PATH) == []
+SIM_IMPORT = "from repro.sim.kernel import Simulator\n"
+TestDL007SimImportBoundary = _ported(
+    "TestDL007SimImportBoundary", "sim-free-core", {
+        "test_import_from_fires_in_core": [(CORE_PATH, SIM_IMPORT, True)],
+        "test_plain_import_fires_in_baselines": [
+            ("src/repro/baselines/x.py", "import repro.sim.topology\n", True)],
+        "test_package_import_fires": [
+            (CORE_PATH, "from repro.sim import topology\n", True)],
+        "test_runtime_imports_pass": [
+            (CORE_PATH, "from repro.runtime import Timeout\n", False)],
+        "test_similar_prefix_passes": [
+            (CORE_PATH, "from repro.simulate import thing\n", False)],
+        "test_sim_and_scripts_are_out_of_scope": [
+            (SIM_PATH, SIM_IMPORT, False), (SCRIPT_PATH, SIM_IMPORT, False)],
+        "test_type_checking_imports_pass": [
+            (CORE_PATH, "if TYPE_CHECKING:\n    " + SIM_IMPORT, False)],
+        # Stricter than DL007: a layout row has no suppression.
+        "test_suppression": [
+            (CORE_PATH, "import repro.sim  # decolint: disable=DL007\n", True)],
+    })
 
 
 class TestDL008ViewMutation:
@@ -472,118 +461,58 @@ class TestDL008ViewMutation:
         assert lint_source(src, CORE_PATH) == []
 
 
-class TestDL009EnvReads:
-    SERVE_PATH = "src/repro/serve/coordinator.py"
+COORD = "src/repro/serve/coordinator.py"
+GET = "os.environ.get('REPRO_JOBS')\n"
+STORE = "os.environ['REPRO_JOBS'] = '2'\n"
+SWITCH = "on = os.environ.get('REPRO_AGG_INDEX') != '0'\n"
+# Stricter than DL009: any `REPRO_*` string outside the two bootstrap
+# modules fails, a store or a bare constant included.
+TestDL009EnvReads = _ported(
+    "TestDL009EnvReads", "repro-env-at-bootstrap", {
+        "test_environ_get_fires": [(COORD, GET, True)],
+        "test_getenv_through_constant_fires": [
+            (COORD, "FLAG = 'REPRO_FOO'\nx = os.getenv(FLAG)\n", True)],
+        "test_subscript_read_fires": [
+            (COORD, "j = os.environ['REPRO_JOBS']\n", True)],
+        "test_membership_probe_fires": [
+            (COORD, "j = 'REPRO_JOBS' in os.environ\n", True)],
+        "test_store_passes": [("src/repro/sweep.py", STORE, False),
+                              (COORD, STORE, True)],
+        "test_non_repro_key_passes": [
+            (COORD, "p = os.environ.get('PATH')\n", False)],
+        "test_bootstrap_modules_exempt": [
+            ("src/repro/core/workload.py", GET, False),
+            ("src/repro/sweep.py", GET, False),
+            ("src/repro/serve/worker.py", GET, True)],
+        "test_behaviour_switch_in_core_fires": [
+            (f"src/repro/{path}", SWITCH, True) for path in
+            ("core/agg_index.py", "core/multiquery.py", "wire/codec.py")],
+        "test_out_of_package_scripts_exempt": [(SCRIPT_PATH, GET, False)],
+    })
 
-    def test_environ_get_fires(self):
-        src = ("import os\n"
-               "flag = os.environ.get('REPRO_WIRE_CODEC')\n")
-        assert codes(lint_source(src, self.SERVE_PATH)) == ["DL009"]
-
-    def test_getenv_through_constant_fires(self):
-        src = ("import os\n"
-               "FLAG = 'REPRO_FOO'\n"
-               "def f():\n"
-               "    return os.getenv(FLAG)\n")
-        assert codes(lint_source(src, self.SERVE_PATH)) == ["DL009"]
-
-    def test_subscript_read_fires(self):
-        src = ("import os\n"
-               "jobs = os.environ['REPRO_JOBS']\n")
-        assert codes(lint_source(src, self.SERVE_PATH)) == ["DL009"]
-
-    def test_membership_probe_fires(self):
-        src = ("import os\n"
-               "have = 'REPRO_JOBS' in os.environ\n")
-        assert codes(lint_source(src, self.SERVE_PATH)) == ["DL009"]
-
-    def test_store_passes(self):
-        src = ("import os\n"
-               "os.environ['REPRO_JOBS'] = '2'\n")
-        assert lint_source(src, self.SERVE_PATH) == []
-
-    def test_non_repro_key_passes(self):
-        src = ("import os\n"
-               "path = os.environ.get('PATH')\n")
-        assert lint_source(src, self.SERVE_PATH) == []
-
-    def test_bootstrap_modules_exempt(self):
-        from repro.analysis.rules import NoEnvReadOutsideBootstrap
-        # A path and a worker count: neither selects a behaviour, and
-        # no entry may be added that does.
-        assert NoEnvReadOutsideBootstrap.exempt == (
-            "repro/core/workload", "repro/sweep")
-        src = ("import os\n"
-               "jobs = os.environ.get('REPRO_JOBS')\n")
-        assert lint_source(src, "src/repro/core/workload.py") == []
-        assert lint_source(src, "src/repro/sweep.py") == []
-        assert codes(lint_source(src, "src/repro/serve/worker.py")) \
-            == ["DL009"]
-
-    def test_behaviour_switch_in_core_fires(self):
-        src = ("import os\n"
-               "caching = os.environ.get('REPRO_AGG_INDEX') != '0'\n")
-        for path in ("src/repro/core/agg_index.py",
-                     "src/repro/core/multiquery.py",
-                     "src/repro/wire/codec.py"):
-            assert codes(lint_source(src, path)) == ["DL009"]
-
-    def test_out_of_package_scripts_exempt(self):
-        src = ("import os\n"
-               "quick = os.environ.get('REPRO_BENCH_QUICK')\n")
-        assert lint_source(src, SCRIPT_PATH) == []
-
-
-class TestDL010BlockingInMerge:
-    COORD_PATH = "src/repro/serve/coordinator.py"
-    MERGE_PATH = "src/repro/serve/merge.py"
-
-    def test_sleep_in_merge_method_fires(self):
-        src = ("import time\n"
-               "class C:\n"
-               "    def _merge_epoch(self, queues):\n"
-               "        time.sleep(0.1)\n")
-        assert codes(lint_source(src, self.COORD_PATH)) == ["DL010"]
-
-    def test_framing_transfer_fires(self):
-        src = ("from repro.serve import framing\n"
-               "class C:\n"
-               "    def _apply_ops(self, sock):\n"
-               "        framing.send_frame(sock, 1, {}, b'')\n")
-        assert codes(lint_source(src, self.COORD_PATH)) == ["DL010"]
-
-    def test_transport_recv_fires(self):
-        src = ("class C:\n"
-               "    def _merge_epoch(self, name):\n"
-               "        return self.transport.recv(name)\n")
-        assert codes(lint_source(src, self.COORD_PATH)) == ["DL010"]
-
-    def test_non_merge_methods_pass_in_coordinator(self):
-        src = ("import time\n"
-               "class C:\n"
-               "    def _collect_epoch(self):\n"
-               "        time.sleep(0.1)\n")
-        assert lint_source(src, self.COORD_PATH) == []
-
-    def test_whole_merge_module_is_a_merge_section(self):
-        src = ("import time\n"
-               "def pop_next(queues):\n"
-               "    time.sleep(0.1)\n")
-        assert codes(lint_source(src, self.MERGE_PATH)) == ["DL010"]
-
-    def test_pure_merge_code_passes(self):
-        src = ("def _merge_epoch(queues):\n"
-               "    return min(queues, key=lambda q: q[0])\n")
-        assert lint_source(src, self.COORD_PATH) == []
-
-    def test_other_modules_out_of_scope(self):
-        # time.sleep still trips DL001 in sim scope / scripts; DL010
-        # itself must stay silent outside the serve merge path.
-        src = ("import time\n"
-               "def _merge_epoch():\n"
-               "    time.sleep(0.1)\n")
-        assert "DL010" not in codes(lint_source(src, SIM_PATH))
-        assert "DL010" not in codes(lint_source(src, SCRIPT_PATH))
+SLEEP = "def _merge_epoch():\n    time.sleep(0.1)\n"
+TestDL010BlockingInMerge = _ported(
+    "TestDL010BlockingInMerge", "no-blocking-in-merge", {
+        "test_sleep_in_merge_method_fires": [
+            (COORD, "class C:\n    def _merge_epoch(self, q):\n"
+             "        time.sleep(0.1)\n", True)],
+        "test_framing_transfer_fires": [
+            (COORD, "from repro.serve import framing\n"
+             "def _apply_ops(sock):\n    framing.send_frame(sock)\n",
+             True)],
+        "test_transport_recv_fires": [
+            (COORD, "def _merge_epoch(self):\n"
+             "    return self.transport.recv('n')\n", True)],
+        "test_non_merge_methods_pass_in_coordinator": [
+            (COORD, SLEEP.replace("_merge", "_collect"), False)],
+        "test_whole_merge_module_is_a_merge_section": [
+            ("src/repro/serve/merge.py", SLEEP.replace("_merge_epoch",
+                                                       "pop_next"), True)],
+        "test_pure_merge_code_passes": [
+            (COORD, "def _merge_epoch(q):\n    return min(q)\n", False)],
+        "test_other_modules_out_of_scope": [
+            (SIM_PATH, SLEEP, False), (SCRIPT_PATH, SLEEP, False)],
+    })
 
 
 class TestDL011PerQueryLiftLoops:
@@ -677,6 +606,10 @@ class TestCli:
     def test_usage_error_exits_two(self, tmp_path):
         assert main([str(tmp_path / "missing"), "--select",
                      "DL123"]) == 2
+
+    def test_non_python_file_is_a_usage_error(self, capsys):
+        assert main([str(REPO / "README.md")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0

@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.serve import harness
+from repro.sweep import JOBS_ENV
 
 
 class TestSchemes:
@@ -71,6 +74,19 @@ class TestJobsFlag:
         assert main(["compare", "central", "deco_async", *self.ARGS,
                      "--jobs", "1"]) == 0
         assert "deco_async" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("prior", [None, "5"])
+    def test_experiment_jobs_lasts_one_command(self, monkeypatch, prior):
+        # The figure drivers see --jobs; the caller's $REPRO_JOBS, or
+        # its absence, survives the command.
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        if prior:
+            monkeypatch.setenv(JOBS_ENV, prior)
+        seen = []
+        monkeypatch.setattr(cli, "_experiment", lambda name, scale: (
+            seen.append(os.environ.get(JOBS_ENV)) or 0))
+        assert main(["experiment", "list", "--jobs", "3"]) == 0
+        assert (seen, os.environ.get(JOBS_ENV)) == (["3"], prior)
 
 
 class TestOwnedParsers:
