@@ -18,7 +18,8 @@ merge variant (see :data:`repro.serve.merge.SEED_BUG`) for the
 verifier's own regression canary: with ``--expect-violations`` the
 exit code inverts, so CI asserts the checker *does* fire.  Under the
 seed bug, ``--explore`` additionally runs the HB analyzer over a
-traced model run, proving both layers catch the same defect.
+traced production merge of an epoch where phase decides the order,
+proving both layers catch the same defect.
 
 Exit codes: 0 clean, 1 violations found (inverted by
 ``--expect-violations``), 2 usage errors.
@@ -112,11 +113,12 @@ def run_trace(path: str) -> int:
 
 
 def run_bug_hb_canary(scheme: str, n_nodes: int) -> int:
-    """HB-analyze a traced model run under the active seed bug."""
-    from repro.analysis.explore import model_trace
+    """HB-analyze a traced phase-inversion merge under the active seed
+    bug (see :func:`repro.analysis.explore.phase_inversion_trace`)."""
+    from repro.analysis.explore import phase_inversion_trace
     from repro.analysis.hb import analyze
-    report = analyze(model_trace(small_config(scheme, n_nodes)))
-    print(f"hb analysis of seeded-bug model trace ({scheme} "
+    report = analyze(phase_inversion_trace(small_config(scheme, n_nodes)))
+    print(f"hb analysis of seeded-bug merge trace ({scheme} "
           f"n={n_nodes}): "
           + ("ok" if report.ok
              else f"{len(report.violations)} violations"))

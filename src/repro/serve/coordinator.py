@@ -1,27 +1,30 @@
 """Serve coordinator: the shared virtual clock and fabric over TCP.
 
-The coordinator owns exactly what the simulator driver owns — the
-event kernel, the :class:`~repro.sim.network.Network` with its links
-and NIC reservations, and the run loop — but every node is a
-:class:`ProxyNode`: delivering to it (or firing a timer a worker
-scheduled) is forwarded to the real node process, whose reply is the
-ordered op list to apply back onto the kernel.
+The coordinator owns the fabric — the :class:`~repro.sim.network.
+Network` with its links and NIC reservations, and an event kernel that
+holds exactly the fabric's deliveries — plus the run loop.  Every node
+is a :class:`ProxyNode`: a delivery to it is forwarded to the real node
+process.  Timers never come here: each worker keeps all of its node's
+timers in one local heap and reports, with every reply, when its next
+one is due.  What crosses the control channel is what crosses nodes:
+deliveries out, and sends, outcomes and the stop back.
 
-One run loop, conservative parallel execution (DESIGN §12).  Timers
-are strictly worker-local and only sends cross nodes, so every kernel
-event below the safe horizon ``t0 + min-link-latency`` is independent
-across workers: any send one of them emits arrives at or after the
-horizon.  Each round the coordinator pops the head event and that
-whole prefix, ships each worker its share as ONE batched EPOCH frame,
-reads the replies once every frame is written (the workers are
+One run loop, conservative parallel execution (DESIGN §12).  Only sends
+cross nodes, and a send emitted at ``t`` arrives no earlier than
+``t + min-link-latency``, so with ``t0`` the earliest pending event
+anywhere (the kernel head or any worker's next timer) everything below
+the horizon ``t0 + lookahead`` is independent across workers.  Each
+round the coordinator pops every delivery below the horizon, ships
+each worker that has a delivery or a timer below it ONE batched EPOCH
+frame, reads the replies once every frame is written (the workers are
 separate processes, so they execute concurrently), then replays the
 returned op batches in canonical ``(time, phase, rank)`` order.
-Results are fingerprint-identical to the oracle (emission order within an
-equal-key class is covered by the same invariance contract as the
+Results are fingerprint-identical to the oracle (emission order within
+an equal-key class is covered by the same invariance contract as the
 tie-break salt).  A fabric whose minimum link latency is zero has no
-lookahead: the horizon is the head event's own time and every round
-is that one event — the kernel then assigns the same sequence numbers
-to the same schedules as the in-process oracle by construction.
+lookahead: each round is then the single instant ``t0``, which still
+makes progress because every frame has at least 32 bytes and so
+arrives strictly after it was sent.
 
 Pacing: a *paced* run (``config.saturated=False``) throttles the event
 loop to the virtual clock (one virtual second per wall second), so
@@ -31,6 +34,7 @@ lets virtual time free-run and measures sustained pipeline throughput.
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from collections import deque
@@ -51,8 +55,7 @@ from repro.runtime.driver import (resolved_profiles, simulation_cap_s,
 from repro.runtime.node import Behavior, NodeProfile
 from repro.serve import framing
 from repro.serve.merge import EpochMerge, MergeKey, slot_key
-from repro.serve.protocol import (OP_CANCEL, OP_OUTCOME, OP_SCHEDULE,
-                                  OP_SEND, OP_STOP, ZERO_COUNTERS,
+from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
                                   outcome_from_json, sender_table)
 from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
@@ -63,10 +66,8 @@ from repro.wire.codec import MessageCodec
 HANDSHAKE_TIMEOUT_S = 30.0
 #: Seconds an accepted connection has to say HELLO (a worker sends it
 #: at once; this bounds what a silent stranger costs the accept loop).
+#: Once it has, its reads carry :data:`framing.REPLY_TIMEOUT_S`.
 HELLO_TIMEOUT_S = 2.0
-#: Seconds a connected worker has to move one frame: one that is alive
-#: but never replies fails the run instead of hanging it.
-REPLY_TIMEOUT_S = 120.0
 
 
 class Transport(Protocol):
@@ -102,7 +103,7 @@ class SocketTransport:
             conn.close()
             return
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(REPLY_TIMEOUT_S)
+        conn.settimeout(framing.REPLY_TIMEOUT_S)
         self.socks[name] = conn
 
     def send(self, name: str, kind: int, header: dict[str, Any],
@@ -118,7 +119,7 @@ class ProxyNode(SimNode):
 
     Attached to the real :class:`~repro.sim.network.Network` so link
     and NIC accounting is exactly the simulator's; delivery is
-    intercepted and forwarded to the owning worker process instead of
+    intercepted and shipped to the owning worker process instead of
     running a behaviour locally.
     """
 
@@ -129,7 +130,7 @@ class ProxyNode(SimNode):
         self._coordinator = coordinator
 
     def deliver(self, msg: Any) -> None:  # type: ignore[override]
-        self._coordinator.stash_dispatch(("deliver", self.name, msg))
+        self._coordinator.ship(self.name, msg)
 
 
 class WindowSample:
@@ -185,44 +186,46 @@ class Coordinator:
             stamp_run_meta(tracer, config, n)
             tracer.meta["runtime"] = "serve"
         self.node_names = sender_table(n)
+        self._order = {name: i for i, name in enumerate(self.node_names)}
         #: Conservative lookahead: an event at ``t`` can only affect
         #: another node at ``t + link latency`` or later, so everything
         #: below ``t0 + lookahead`` is cross-node independent.  Zero on
-        #: a zero-latency fabric: each round is then the head event.
+        #: a zero-latency fabric: each round is then one instant.
         self._lookahead = min(
             link.latency
             for link in self.topo.network.links().values())
         #: Whether the run loop throttles to the wall clock.
         self._paced = not config.saturated
-        self._tokens: dict[tuple[str, int], Any] = {}
-        self._dispatch: tuple[str, str, Any] | None = None
+        #: When each worker's next own timer is due (from its latest
+        #: reply; ``inf`` when it has none).
+        self._next_timer: dict[str, float] = {
+            name: math.inf for name in self.node_names}
         self._stop = False
+        #: The canonical key of the batch whose stop op applied (None
+        #: until one does); FINISH carries it so every worker cuts its
+        #: counters and standing-query feed at the same item.
+        self.stop_key: MergeKey | None = None
         self.windows: list[WindowSample] = []
         #: The result of record: outcomes in applied (merge) order.  A
         #: worker's FINAL may include post-stop work the merge
         #: discarded, so FINALs are not authoritative.
         self.applied_outcomes: list[WindowOutcome] = []
-        #: Per-node running counter snapshot (``counters_snapshot``
-        #: order), cut at the node's last *applied* op batch.
-        self.worker_counters: dict[str, list[Any]] = {
-            name: list(ZERO_COUNTERS) for name in self.node_names}
-        #: Canonical merge keys of the current epoch's shipped slots,
-        #: per node, aligned with the slot lists (class 0; tie-break is
-        #: global kernel pop position).
+        # The current epoch's shipment, per node: slot lists, the wire
+        # frames they reference, and their canonical merge keys (class
+        # 0; tie-break is global kernel pop position).
+        self._slots: dict[str, list[list[Any]]] = {}
+        self._blobs: dict[str, bytearray] = {}
         self._slot_keys: dict[str, list[MergeKey]] = {}
-        #: Slots shipped so far.  Counted across epochs, so same-key
-        #: events a zero-lookahead fabric splits over successive
-        #: one-event epochs still carry strictly increasing keys.
+        #: The ``(time, phase, rank)`` of the kernel event being popped.
+        self._event_key: tuple[float, int, tuple[str, ...]] = (
+            0.0, 0, ())
+        #: Slots shipped so far.  Counted across epochs, so every slot
+        #: key of the run is distinct.
         self._slot_pos = 0
         #: When set (the model checker sets it to ``[]``), every merge
         #: application appends ``(worker, canonical key)`` here across
         #: epochs — the global applied order the checker asserts on.
         self.applied_log: list[tuple[str, MergeKey]] | None = None
-        #: Per node, how many batches of its latest epoch the merge
-        #: applied; FINISH carries it so a worker that ran past a
-        #: mid-epoch stop cuts its standing-query feed at the same item.
-        self.applied_items: dict[str, int] = {
-            name: 0 for name in self.node_names}
         self.finals: dict[str, dict[str, Any]] = {}
         #: Standing-query admissions applied right after START (each a
         #: ``(stream, spec, at)`` tuple; ``at`` may be None for "now").
@@ -240,17 +243,18 @@ class Coordinator:
 
     # -- control RPC -------------------------------------------------------
 
-    def stash_dispatch(self, dispatch: tuple[str, str, Any]) -> None:
-        """Record the worker dispatch the current kernel event needs.
-
-        Every kernel event in a serve run resolves to at most one
-        dispatch (a proxy delivery or a worker timer); the run loop
-        forwards it after the event's callback returns.
-        """
-        if self._dispatch is not None:
-            raise ServeError(
-                "one kernel event produced two worker dispatches")
-        self._dispatch = dispatch
+    def ship(self, name: str, msg: Any) -> None:
+        """Add one delivery to ``name``'s EPOCH frame (called by its
+        :class:`ProxyNode` while the run loop pops the delivery)."""
+        at, phase, rank = self._event_key
+        frame = self.transport_codec.encode_message(msg)
+        blob = self._blobs[name]
+        self._slots[name].append(
+            [at, phase, rank, self._slot_pos, len(blob), len(frame)])
+        blob += frame
+        self._slot_keys[name].append(
+            slot_key(at, phase, rank, self._slot_pos))
+        self._slot_pos += 1
 
     def _causal(self, kind: str, **data: Any) -> None:
         """Record one coordinator causal event (see repro.obs.events):
@@ -285,7 +289,8 @@ class Coordinator:
     def _recv(self, name: str,
               expect: int) -> tuple[dict[str, Any], bytes]:
         """Read ``name``'s reply frame, which must be of kind
-        ``expect``; returns its (header, blob)."""
+        ``expect``; returns its (header, blob).  An op reply's ``"n"``
+        updates the worker's next timer time."""
         try:
             kind, reply, blob = self.transport.recv(name)
         except (ServeError, OSError) as exc:
@@ -296,6 +301,9 @@ class Coordinator:
         if kind != expect:
             raise ServeError(
                 f"unexpected reply kind {kind} from {name!r}")
+        if "n" in reply:
+            due = reply["n"]
+            self._next_timer[name] = math.inf if due is None else due
         # A traced worker tags every op reply (never its FINAL).
         if self.tracer is not None and "f" in reply:
             self.tracer.inc("serve_frames_recv", name)
@@ -309,34 +317,14 @@ class Coordinator:
         the op list, apply it."""
         self._send(name, kind, header)
         reply, blob = self._recv(name, framing.OPS)
-        self.worker_counters[name] = reply["c"]
         self._apply_ops(name, reply["ops"], blob)
 
     def _apply_ops(self, name: str, ops: list[list[Any]],
-                   blob: bytes,
-                   epoch: EpochMerge | None = None) -> None:
-        """Apply one op list; ``epoch`` keeps sub-horizon timers (which
-        already ran worker-locally) out of the kernel during a merge."""
-        sim = self.topo.sim
+                   blob: bytes) -> None:
+        """Apply one item's cross-node effects in emission order."""
         for op in ops:
             tag = op[0]
-            if tag == OP_SCHEDULE:
-                _, at, phase, rank, token = op
-                if epoch is not None and at < epoch.horizon:
-                    epoch.record_timer(name, at, phase, tuple(rank),
-                                       token)
-                    continue
-                handle = sim.schedule_at(
-                    at, self._marker(name, token), phase=phase,
-                    rank=tuple(rank))
-                self._tokens[(name, token)] = handle
-            elif tag == OP_CANCEL:
-                if epoch is not None and epoch.drop_timer(name, op[1]):
-                    continue
-                handle = self._tokens.pop((name, op[1]), None)
-                if handle is not None:
-                    handle.cancel()
-            elif tag == OP_SEND:
+            if tag == OP_SEND:
                 _, dst, offset, length = op
                 msg = self.transport_codec.decode_message(
                     bytes(blob[offset:offset + length]))
@@ -360,12 +348,6 @@ class Coordinator:
                 "serve_window_latency_s", ROOT_NAME,
                 max(0.0, wall - outcome.emit_time))
 
-    def _marker(self, name: str, token: int) -> Any:
-        def fire() -> None:
-            self._tokens.pop((name, token), None)
-            self.stash_dispatch(("run", name, token))
-        return fire
-
     # -- run loop ----------------------------------------------------------
 
     def run(self) -> None:
@@ -380,8 +362,7 @@ class Coordinator:
             self.admit_query(stream, spec, at)
         self._epoch_loop()
         for name in self.node_names:
-            self._send(name, framing.FINISH,
-                       {"applied": self.applied_items[name]})
+            self._send(name, framing.FINISH, {"stop": self.stop_key})
             self.finals[name], _ = self._recv(name, framing.FINAL)
 
     # -- standing-query ops ------------------------------------------------
@@ -408,40 +389,51 @@ class Coordinator:
     def _epoch_loop(self) -> None:
         """Conservative-parallel run loop (DESIGN §12).
 
-        Each round pops the head kernel event and every further event
-        below the safe horizon, writes each worker its whole share as
-        one EPOCH frame, then reads the replies and replays the op
-        batches in canonical global order.  Every request is written
-        before any reply is read, and a worker reads its whole request
-        before it executes, so neither side can block the other.
-        Progress is guaranteed: the head event is always taken, so
-        every round executes at least one event (exactly one when the
-        fabric has no lookahead).
+        Each round takes the earliest pending time ``t0`` over the
+        kernel's deliveries and every worker's next timer, pops every
+        delivery below the horizon, writes one EPOCH frame to each
+        worker with a delivery or a timer below it, then reads the
+        replies and replays the op batches in canonical global order.
+        Every request is written before any reply is read, and a
+        worker reads its whole request before it executes, so neither
+        side can block the other.  Progress is guaranteed: the horizon
+        is above ``t0``, so every round runs at least the work due at
+        ``t0``, and nothing the round creates for another node can land
+        below the horizon — which the loop checks on the next round.
         """
         sim = self.topo.sim
         cap = simulation_cap_s(self.ctx)
+        # Events at exactly the cap still run, as under
+        # Simulator.run(until=cap).
+        end = math.nextafter(cap, math.inf)
+        horizon = -math.inf
         self._wall_start = time.monotonic()
         while not self._stop:
             event = sim.peek()
-            if event is None:
-                sim._now = max(sim._now, cap)
-                break
-            if event.time > cap:
+            t0 = min(self._next_timer.values())
+            if event is not None:
+                t0 = min(t0, event.time)
+            if t0 < horizon:
+                raise ServeError(
+                    f"conservative soundness broken: event at {t0} "
+                    f"below executed horizon {horizon}")
+            if t0 > cap:
                 sim._now = cap
                 break
             if self._paced:
-                delay = (self._wall_start + event.time
-                         - time.monotonic())
+                delay = self._wall_start + t0 - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
             self._epoch_idx += 1
-            horizon = self._pick_horizon(event.time)
-            slots, blobs = self._collect_epoch(horizon, cap)
-            names = [n for n in self.node_names if slots[n]]
+            horizon = min(self._pick_horizon(t0), end)
+            self._collect_epoch(horizon)
+            names = [n for n in self.node_names
+                     if self._slots[n] or self._next_timer[n] < horizon]
             for name in names:
                 self._send(name, framing.EPOCH,
-                           {"h": horizon, "slots": slots[name],
-                            "e": self._epoch_idx}, bytes(blobs[name]))
+                           {"h": horizon, "slots": self._slots[name],
+                            "e": self._epoch_idx},
+                           bytes(self._blobs[name]))
             replies: dict[str, tuple[list[dict[str, Any]], bytes]] = {}
             for name in self._reply_order(names):
                 reply, blob = self._recv(name, framing.EPOCH_OPS)
@@ -454,58 +446,32 @@ class Coordinator:
     # overrides exactly these two to enumerate the rest.
 
     def _pick_horizon(self, t0: float) -> float:
-        """The epoch boundary for a head event at ``t0``: any value in
-        ``(t0, t0 + lookahead]`` is sound; the widest does most work."""
-        return t0 + self._lookahead
+        """The epoch's exclusive bound for earliest pending time ``t0``:
+        any value in ``(t0, t0 + lookahead]`` is sound; the widest does
+        most work.  Without lookahead it is the next float after
+        ``t0``, so the round is the instant ``t0`` itself."""
+        if self._lookahead > 0:
+            return t0 + self._lookahead
+        return math.nextafter(t0, math.inf)
 
     def _reply_order(self, names: list[str]) -> list[str]:
         """The order replies are read, hence the order the merge scans
         its queues; the merged result must not depend on it."""
         return names
 
-    def _collect_epoch(
-            self, horizon: float, cap: float
-    ) -> tuple[dict[str, list[list[Any]]], dict[str, bytearray]]:
-        """Pop the head event, then every live kernel event below
-        ``horizon``, into per-node slot lists (kernel pop order is the
-        canonical global order).  The caller has checked the head is
-        live and within ``cap``.
-
-        Also records each slot's canonical merge key (class 0,
-        tie-broken by global pop position) into ``_slot_keys``.
-        """
+    def _collect_epoch(self, horizon: float) -> None:
+        """Pop every live kernel delivery below ``horizon`` into the
+        per-node slot lists (kernel pop order is the canonical global
+        order); :meth:`ship` records each one with its merge key."""
         sim = self.topo.sim
-        slots: dict[str, list[list[Any]]] = {
-            name: [] for name in self.node_names}
-        blobs: dict[str, bytearray] = {
-            name: bytearray() for name in self.node_names}
+        self._slots = {name: [] for name in self.node_names}
+        self._blobs = {name: bytearray() for name in self.node_names}
         self._slot_keys = {name: [] for name in self.node_names}
         event = sim.peek()
-        while event is not None:
-            key = (event.time, event.phase, event.rank)
-            self._dispatch = None
-            sim.run(until=cap, max_events=1)
-            if self._dispatch is not None:
-                verb, name, payload = self._dispatch
-                self._dispatch = None
-                if verb == "run":
-                    slots[name].append(
-                        ["run", key[0], key[1], list(key[2]), payload])
-                else:
-                    frame = self.transport_codec.encode_message(payload)
-                    offset = len(blobs[name])
-                    blobs[name] += frame
-                    slots[name].append(
-                        ["deliver", key[0], key[1], list(key[2]),
-                         offset, len(frame)])
-                self._slot_keys[name].append(
-                    slot_key(key[0], key[1], key[2], self._slot_pos))
-                self._slot_pos += 1
+        while event is not None and event.time < horizon:
+            self._event_key = (event.time, event.phase, event.rank)
+            sim.run(max_events=1)
             event = sim.peek()
-            if event is not None and (event.time >= horizon
-                                      or event.time > cap):
-                break
-        return slots, blobs
 
     def _merge_epoch(
             self, replies: dict[str, tuple[list[dict[str, Any]],
@@ -513,24 +479,20 @@ class Coordinator:
             horizon: float) -> None:
         """Replay the epoch's op batches in canonical global order.
 
-        Per-worker batches are FIFO (each worker executed them in its
-        local merged order), so a K-way merge on the head keys
-        reproduces the canonical global order; a timer batch's key was
-        recorded when its creating schedule op applied, which — being
-        an earlier item of the same worker — is always already merged.
-        The clock is pinned to each item's execution time while its
-        ops apply, so kernel validation and fabric reservations see
-        the same ``now`` the oracle would have.
+        Per-worker batches are FIFO (each worker executed its items in
+        canonical order), so a K-way merge on the head keys reproduces
+        the canonical global order.  The clock is pinned to each item's
+        execution time while its ops apply, so fabric reservations see
+        the same ``now`` the oracle would have.  On a stop op every
+        remaining batch is discarded unapplied: kernel semantics run
+        nothing past the stopping callback, and FINISH hands the stop
+        key to the workers so they cut their own accounts there too.
         """
         sim = self.topo.sim
-        epoch = EpochMerge(
-            horizon, {n: i for i, n in enumerate(self.node_names)},
-            self._slot_keys)
+        epoch = EpochMerge(horizon, self._order, self._slot_keys)
         queues = {name: deque(batches)
                   for name, (batches, _) in replies.items()}
         blobs = {name: blob for name, (_, blob) in replies.items()}
-        for name in replies:
-            self.applied_items[name] = 0
         while not self._stop:
             popped = epoch.pop_next(queues)
             if popped is None:
@@ -550,11 +512,6 @@ class Coordinator:
                     windows=",".join(
                         str(op[1]["index"]) for op in batch["ops"]
                         if op[0] == OP_OUTCOME))
-            self._apply_ops(best, batch["ops"], blobs[best],
-                            epoch=epoch)
-            self.worker_counters[best] = batch["c"]
-            self.applied_items[best] += 1
-        # On stop, every remaining batch is discarded unapplied:
-        # kernel semantics run nothing past the stopping callback, and
-        # the per-batch counter snapshots cut each worker's counter
-        # contribution at its last applied item.
+            self._apply_ops(best, batch["ops"], blobs[best])
+            if self._stop:
+                self.stop_key = best_key

@@ -7,15 +7,27 @@ One control frame on the coordinator<->worker TCP connection is::
 ``total_len`` covers everything after itself, so a reader always knows
 exactly how many bytes to pull off the stream — partial reads can never
 misparse into a different frame.  The JSON header carries the small
-structured part (op lists, tokens, virtual times); the blob carries
+structured part (op lists, slot keys, virtual times); the blob carries
 binary wire-codec frames verbatim, referenced from the header by
 ``[offset, length]`` pairs so protocol payloads are never re-encoded
 as text.
 
+The epoch round (DESIGN §12) in frame shapes::
+
+    EPOCH      {"h": horizon, "e": round, "slots": [[t, phase, rank,
+                pos, offset, length], ...]}          blob: wire frames
+    EPOCH_OPS  {"batches": [{"ref": ["slot", i] | ["timer", seq],
+                "k": [t, phase, rank] (timers only), "ops": [...]}],
+                "n": next timer time | null}         blob: sent frames
+    FINISH     {"stop": canonical key of the stop batch | null}
+    FINAL      {"node", "c": counters at the stop cut, "queries",
+                "trace"}
+
 One transport: blocking sockets on both ends.  A worker is a plain
 sequential process (one request in, one reply out) and the coordinator
 a plain sequential loop that writes every worker's request before it
-reads any reply (DESIGN §12, "transport").  :func:`connect_with_retry`
+reads any reply (DESIGN §12, "transport").  Both sides read with the
+one deadline :data:`REPLY_TIMEOUT_S`.  :func:`connect_with_retry`
 gives workers their exponential-backoff connection bootstrap, so start
 order between the coordinator and its workers does not matter.
 """
@@ -41,20 +53,19 @@ INJECT = 3
 #: Coordinator -> worker: run the behaviour's start hook.
 START = 4
 #: Worker -> coordinator reply: the ordered op list one control
-#: dispatch (INJECT/START/QUERY) emitted.  (Kinds 5 and 6 are retired.)
+#: dispatch (INJECT/START/QUERY) emitted, plus ``"n"`` as in EPOCH_OPS.
+#: (Kinds 5 and 6 are retired.)
 OPS = 7
-#: Coordinator -> worker: the run is over (``{"applied": n}``: how many
-#: items of the worker's last epoch were applied); reply FINAL and exit.
+#: Coordinator -> worker: the run is over; reply FINAL and exit.
 FINISH = 8
-#: Worker -> coordinator: results, metrics, and trace payload.
+#: Worker -> coordinator: counters, query accounts, and trace payload.
 FINAL = 9
 #: Either direction: fatal error description.
 ERROR = 10
-#: Coordinator -> worker: one whole epoch of deliveries/timer fires
-#: (``{"h": horizon, "slots": [...]}``; blob = wire frames).
+#: Coordinator -> worker: run every delivery and own timer below the
+#: horizon.
 EPOCH = 11
-#: Worker -> coordinator reply to EPOCH: per-item op batches
-#: (``{"batches": [...]}``; blob = emitted wire frames).
+#: Worker -> coordinator reply to EPOCH.
 EPOCH_OPS = 12
 #: Coordinator -> worker: standing-query admission/removal against the
 #: worker's multi-query engine (``{"qop": "admit"|"remove", ...}``);
@@ -67,6 +78,12 @@ _HEAD = struct.Struct("<BI")
 #: Control frames are small (ops + refs); a frame beyond this is a
 #: corrupted stream, not a workload.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+
+#: Seconds a connected peer has to move one frame, on either side: a
+#: worker that is alive but never replies fails the run, and so does a
+#: coordinator that never sends (a paced one is silent for one pacing
+#: sleep at most, far below this).
+REPLY_TIMEOUT_S = 120.0
 
 
 def encode_frame(kind: int, header: dict[str, Any],
@@ -84,7 +101,12 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     parts = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        try:
+            chunk = sock.recv(remaining)
+        except TimeoutError:
+            raise ServeError(
+                f"control connection timed out after "
+                f"{sock.gettimeout():g}s (peer silent)") from None
         if not chunk:
             raise ServeError(
                 "control connection closed mid-frame (peer gone)")
@@ -107,6 +129,10 @@ def recv_frame(sock: socket.socket) -> tuple[int, dict[str, Any], bytes]:
     body = _recv_exactly(sock, total)
     kind, head_len = _HEAD.unpack_from(body, 0)
     at = _HEAD.size
+    if head_len > total - at:
+        raise ServeError(
+            f"control header length {head_len} runs past the "
+            f"{total}-byte frame")
     try:
         header = json.loads(body[at:at + head_len])
     except ValueError as exc:

@@ -172,16 +172,17 @@ def _merge_queries(coord: Coordinator, result: RunResult) -> None:
 def _merge_results(coord: Coordinator) -> RunResult:
     """One :class:`RunResult` from the coordinator's applied state.
 
-    The coordinator is authoritative: a worker executes its whole
-    epoch optimistically, so after a mid-epoch stop its FINAL can
-    include outcomes and counter increments from batches the merge
-    discarded — the applied-op stream and the per-batch counter
-    snapshots are the record of what actually ran.
+    The coordinator is authoritative for outcomes: a worker executes
+    its whole epoch optimistically, so after a mid-epoch stop its
+    result can include outcomes from batches the merge discarded — the
+    applied-op stream is the record of what actually ran.  Counters
+    come from FINAL, which each worker cut at the stop key FINISH
+    named.
     """
     # Network/byte accounting lives coordinator-side on the real
     # fabric; collect() fills it exactly as the simulator driver does.
     result = collect(coord.topo, coord.ctx)
-    counters = coord.worker_counters
+    counters = {name: final["c"] for name, final in coord.finals.items()}
     result.outcomes = list(coord.applied_outcomes)
     for i, fieldname in enumerate(SUMMED_FIELDS):
         setattr(result, fieldname,

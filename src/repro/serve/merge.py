@@ -1,18 +1,21 @@
 """Canonical-key epoch merge: the ordering core of epoch-mode serve.
 
 One epoch's replay is a K-way merge over per-worker FIFO queues of op
-batches: every batch carries a *ref* naming the item that produced it
-(a shipped slot or an epoch-created timer), every ref resolves to one
-canonical merge key, and the coordinator always applies the batch with
-the smallest key next.  Keys are
+batches.  A worker ships a batch only for an item with cross-node
+effects (a send, an outcome, the stop); every batch carries a *ref*
+naming the item that produced it, every ref resolves to one canonical
+merge key, and the coordinator always applies the batch with the
+smallest key next.  Keys are
 
 ``(time, phase, rank, class, tie)``
 
-where ``class`` separates shipped slots (0 — popped from the kernel
-before the epoch, so their pre-epoch sequence numbers are smaller than
-anything assigned mid-epoch) from epoch-created timers (1), and ``tie``
-is the global kernel pop position for slots or ``(node order, per-node
-creation counter)`` for timers.
+where ``class`` separates deliveries the coordinator shipped as slots
+(0) from the worker's own timers (1), and ``tie`` is the global kernel
+pop position for slots or ``(node order, the worker's timer seq)`` for
+timers.  A slot's key is looked up from what the coordinator recorded
+when it shipped the slot; a timer's ``(time, phase, rank)`` arrives
+with its batch (``"k"``), since the worker's heap is the only place
+that timer ever lived.
 
 This module is deliberately transport-free and is driven by *both* the
 live TCP coordinator (:mod:`repro.serve.coordinator`) and the
@@ -31,7 +34,8 @@ from repro.errors import ServeError
 #: One canonical merge key: ``(time, phase, rank, class, tie)``.
 MergeKey = tuple[float, int, tuple[str, ...], int, tuple[int, ...]]
 
-#: One worker's epoch reply: FIFO of ``{"ref", "ops", "c"}`` batches.
+#: One worker's epoch reply: FIFO of ``{"ref", "ops"}`` batches (plus
+#: ``"k"`` on a timer batch).
 BatchQueue = deque[dict[str, Any]]
 
 #: Test-only fault injection for the verifier's own regression tests
@@ -51,6 +55,19 @@ def slot_key(time: float, phase: int, rank: tuple[str, ...],
     return (time, phase, rank, 0, (pos,))
 
 
+def timer_key(time: float, phase: int, rank: tuple[str, ...],
+              order: int, seq: int) -> MergeKey:
+    """Class-1 key for a worker timer (``order`` = the node's place in
+    the sender table, ``seq`` = the worker's scheduling order)."""
+    return (time, phase, rank, 1, (order, seq))
+
+
+def key_from_json(raw: list[Any]) -> MergeKey:
+    """A merge key back from its JSON list form."""
+    time, phase, rank, cls, tie = raw
+    return (time, phase, tuple(rank), cls, tuple(tie))
+
+
 def effective_key(key: MergeKey, bug: str | None) -> tuple[Any, ...]:
     """The comparison key the merge actually sorts by.
 
@@ -65,64 +82,40 @@ def effective_key(key: MergeKey, bug: str | None) -> tuple[Any, ...]:
 
 
 class EpochMerge:
-    """Merge bookkeeping and head selection for one epoch replay.
+    """Head selection for one epoch replay.
 
-    Tracks the timers workers created *inside* the epoch below the
-    horizon: they fired (or were cancelled) worker-locally, so they
-    must never enter the coordinator's kernel — instead each gets a
-    canonical merge key, class 1 so same-``(time, phase, rank)``
-    shipped slots (class 0, smaller pre-epoch kernel sequence numbers)
-    sort first, tie-broken by node order + per-node creation counter.
-
-    ``applied`` records the full canonical key of every popped batch in
-    application order — the executable trace the model checker asserts
-    canonical (it stays truthful even under a seeded comparison bug).
+    ``horizon`` is the epoch's exclusive bound: a worker may run only
+    timers below it, so a timer batch at or past it is a bookkeeping
+    bug and raises.  The keys :meth:`pop_next` reports stay truthful
+    even under a seeded comparison bug.
     """
 
-    __slots__ = ("horizon", "timer_keys", "slot_keys", "applied",
-                 "_order", "_created", "_bug")
+    __slots__ = ("horizon", "slot_keys", "_order", "_bug")
 
     def __init__(self, horizon: float, node_order: dict[str, int],
                  slot_keys: dict[str, list[MergeKey]],
                  bug: str | None = None) -> None:
         self.horizon = horizon
-        self.timer_keys: dict[tuple[str, int], MergeKey] = {}
         self.slot_keys = slot_keys
-        self.applied: list[tuple[str, MergeKey]] = []
         self._order = node_order
-        self._created: dict[str, int] = {}
         self._bug = SEED_BUG if bug is None else bug
 
-    def record_timer(self, name: str, at: float, phase: int,
-                     rank: tuple[str, ...], token: int) -> None:
-        """Key an epoch-created sub-horizon timer (it ran worker-side)."""
-        n = self._created.get(name, 0)
-        self._created[name] = n + 1
-        self.timer_keys[(name, token)] = (
-            at, phase, rank, 1, (self._order[name], n))
-
-    def drop_timer(self, name: str, token: int) -> bool:
-        """Forget a cancelled epoch-local timer; False if unknown."""
-        return self.timer_keys.pop((name, token), None) is not None
-
-    def head_key(self, name: str,
-                 ref: tuple[str, int] | list[Any]) -> MergeKey:
-        """The canonical key of one batch ref (slot index or timer
-        token).
+    def head_key(self, name: str, batch: dict[str, Any]) -> MergeKey:
+        """The canonical key of one batch.
 
         Raises:
-            ServeError: for a timer token the merge never saw a
-                schedule op for — a worker/merge bookkeeping mismatch.
+            ServeError: for a timer batch at or past the horizon — the
+                worker ran work the epoch did not cover.
         """
-        kind, idx = ref
+        kind, idx = batch["ref"]
         if kind == "slot":
             return self.slot_keys[name][idx]
-        try:
-            return self.timer_keys[(name, idx)]
-        except KeyError:
+        time, phase, rank = batch["k"]
+        if not time < self.horizon:
             raise ServeError(
-                f"node {name!r} fired unknown epoch timer "
-                f"{idx}") from None
+                f"node {name!r} ran timer {idx} at {time}, past the "
+                f"epoch horizon {self.horizon}")
+        return timer_key(time, phase, tuple(rank), self._order[name], idx)
 
     def pop_next(self, queues: dict[str, BatchQueue]
                  ) -> tuple[str, dict[str, Any], MergeKey] | None:
@@ -140,12 +133,10 @@ class EpochMerge:
         for name, queue in queues.items():
             if not queue:
                 continue
-            key = self.head_key(name, queue[0]["ref"])
+            key = self.head_key(name, queue[0])
             cmp = effective_key(key, self._bug)
             if best_cmp is None or cmp < best_cmp:
                 best, best_key, best_cmp = name, key, cmp
         if best is None or best_key is None:
             return None
-        batch = queues[best].popleft()
-        self.applied.append((best, best_key))
-        return best, batch, best_key
+        return best, queues[best].popleft(), best_key

@@ -24,16 +24,14 @@ from repro.runtime.node import NodeProfile
 
 # -- op vocabulary -------------------------------------------------------------
 #
-# A worker dispatch replies with an *ordered* list of ops; the
-# coordinator applies them in emission order, which is exactly the
-# order the equivalent simulator callback would have made the same
-# calls — so kernel sequence numbers (and therefore same-time event
-# ordering) match the oracle by construction.
+# Ops are the cross-node effects of one executed item, and nothing
+# else: timers never leave their worker (each keeps its node's timers
+# in one local heap), so an item whose effects are all node-local
+# ships no batch at all.  The coordinator applies an item's ops in
+# emission order — the order the equivalent simulator callback would
+# have made the same calls — so fabric reservations and delivery
+# sequence numbers match the oracle by construction.
 
-#: ``["schedule", time, phase, [rank...], token]`` — kernel timer.
-OP_SCHEDULE = "schedule"
-#: ``["cancel", token]`` — cancel a previously scheduled timer.
-OP_CANCEL = "cancel"
 #: ``["send", dst, offset, length]`` — transmit the wire frame at
 #: ``blob[offset:offset+length]`` to ``dst`` over the fabric.
 OP_SEND = "send"
@@ -124,17 +122,12 @@ def counters_snapshot(result: RunResult, busy_s: float) -> list[Any]:
     """One worker's running counter vector, in :data:`SUMMED_FIELDS`
     order plus ``[busy_s, sim_time]``.
 
-    Shipped with every op reply (per control dispatch, per executed
-    item in an epoch batch) so the coordinator can cut a worker's
-    counter contribution exactly at its last *applied* item: after a
-    mid-epoch stop the merge discards the remaining batches, and the
-    discarded work's counter increments must not leak into the merged
-    result (local nodes do increment fingerprinted counters such as
+    A worker keeps one per executed item of its latest epoch and ships
+    the one cut at the run's stop key in FINAL: after a mid-epoch stop
+    the merge discards every later batch, and the discarded work's
+    counter increments must not leak into the merged result (local
+    nodes do increment fingerprinted counters such as
     ``prediction_errors``).
     """
     return [*(getattr(result, name) for name in SUMMED_FIELDS),
             busy_s, result.sim_time]
-
-
-#: A fresh worker's :func:`counters_snapshot` (all zeros).
-ZERO_COUNTERS = [0, 0, 0, 0, 0.0, 0.0]

@@ -2,16 +2,17 @@
 
 A worker owns exactly one node's *state* — its behaviour instance, its
 CPU-queue arithmetic (:class:`ServeNode`, a
-:class:`~repro.runtime.node.RuntimeNode` driver), and its source feeder
-— while the coordinator owns the shared virtual clock and the fabric.
-The coordinator tells the worker *what runs* (one EPOCH frame of
-scheduled callback tokens and delivered wire frames, in canonical
-order), the worker executes it against real behaviour code, and
-replies with the ordered scheduling side effects of each item
-(:mod:`repro.serve.protocol` ops).  The coordinator merges every
-worker's batches back into canonical global order — the order the
-simulator would have made the same calls inline — so the global
-schedule is bit-identical to the oracle's.
+:class:`~repro.runtime.node.RuntimeNode` driver), its source feeder and
+every timer the node schedules, kept in one persistent local heap
+keyed ``(time, phase, rank, seq)`` — while the coordinator owns the
+shared virtual clock and the fabric.  The coordinator tells the worker
+how far it may run (one EPOCH frame: the horizon plus the deliveries
+below it, in canonical order); the worker runs its deliveries and its
+own timers below the horizon in one merged order, and replies with the
+cross-node effects (:mod:`repro.serve.protocol` ops) of each item that
+had any, plus the time of its next pending timer.  The coordinator
+merges every worker's batches back into canonical global order, so
+fabric reservations are made in the order the simulator makes them.
 
 Run as a module::
 
@@ -25,6 +26,7 @@ simulator (workers inherit the harness's environment).
 from __future__ import annotations
 
 import argparse
+import bisect
 import heapq
 import json
 import math
@@ -45,10 +47,10 @@ from repro.runtime.driver import resolved_profiles
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
 from repro.serve import framing
-from repro.serve.protocol import (OP_CANCEL, OP_OUTCOME, OP_SCHEDULE,
-                                  OP_SEND, OP_STOP, config_from_json,
-                                  counters_snapshot, outcome_to_json,
-                                  sender_table)
+from repro.serve.merge import MergeKey, key_from_json, slot_key, timer_key
+from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
+                                  config_from_json, counters_snapshot,
+                                  outcome_to_json, sender_table)
 from repro.wire.codec import MessageCodec
 
 if TYPE_CHECKING:
@@ -57,29 +59,32 @@ if TYPE_CHECKING:
 
 
 class _ServeTimer:
-    """Worker-side handle mirroring a kernel :class:`ScheduledEvent`."""
+    """Worker-side handle mirroring a kernel :class:`ScheduledEvent`:
+    cancelling is lazy, the heap entry is dropped when it surfaces."""
 
-    __slots__ = ("token", "cancelled", "_rt")
+    __slots__ = ("callback", "cancelled")
 
-    def __init__(self, token: int, rt: "WorkerRuntime") -> None:
-        self.token = token
+    def __init__(self, callback: Any) -> None:
+        self.callback = callback
         self.cancelled = False
-        self._rt = rt
 
     def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._rt.cancel_timer(self.token)
+        self.cancelled = True
+
+
+#: One heap entry: ``(time, phase, rank, seq, handle)``; ``seq`` is
+#: unique, so handles are never compared.
+_Entry = tuple[float, int, tuple[str, ...], int, _ServeTimer]
 
 
 class ServeNode(RuntimeNode):
     """The serve driver of :class:`~repro.runtime.node.RuntimeNode`.
 
-    The clock is the coordinator's virtual time (delivered with every
-    dispatch); timers and transmissions become protocol ops instead of
-    direct kernel/fabric calls.  All CPU-queue arithmetic is the
-    inherited driver-agnostic code, so timing cannot drift from the
-    simulator's.
+    The clock is the coordinator's virtual time (each executed item's
+    own time); timers go to the worker's heap and transmissions become
+    protocol ops instead of direct fabric calls.  All CPU-queue
+    arithmetic is the inherited driver-agnostic code, so timing cannot
+    drift from the simulator's.
     """
 
     def __init__(self, name: str, profile: NodeProfile,
@@ -148,34 +153,37 @@ class WorkerRuntime:
                    else local_profile)
         self.node = ServeNode(node_name, profile, behaviors[node_name],
                               self)
+        senders = sender_table(ctx.workload.n_nodes)
+        #: This node's place in the sender table: the first half of
+        #: its timers' merge tie-break.
+        self.order = senders.index(node_name)
         self.codec = MessageCodec(spec.fmt)
-        self.codec.seed_senders(sender_table(ctx.workload.n_nodes))
+        self.codec.seed_senders(senders)
         self.now = 0.0
-        self._next_token = 0
-        self._timers: dict[int, tuple[Any, _ServeTimer]] = {}
-        # Per-dispatch op buffer (reset by dispatch()).
+        #: The node's only timer store, with lazy cancel.  Restricted to
+        #: one node, the kernel's global sequence is program order, so
+        #: ``seq`` reproduces the simulator's order of this node's
+        #: timers (salt 0).
+        self._heap: list[_Entry] = []
+        self._next_seq = 0
+        # Per-item op buffer (reset for every executed item).
         self.ops: list[list[Any]] = []
         self.opblob = bytearray()
         #: Set by :meth:`ServeNode.request_stop`; an epoch dispatch
         #: halts after the item that raised it (mirroring the kernel,
         #: which stops after the stopping callback returns).
         self.stop_requested = False
-        # Epoch-execution state (active only inside dispatch_epoch):
-        # the horizon, the local heap of sub-horizon timers created
-        # during the epoch, and the tokens cancelled mid-epoch (so a
-        # shipped-but-unreached slot is skipped symmetrically with the
-        # coordinator's merge).
-        self._epoch_h: float | None = None
-        self._epoch_heap: list[tuple[float, int, tuple[str, ...],
-                                     int, int]] = []
-        self._epoch_counter = 0
-        self._epoch_cancelled: set[int] = set()
         #: The standing-query engine, fed through :meth:`append`.
         self.engine: MultiQueryEngine | None = None
-        #: Engine appends of the latest frame's items, not yet known
-        #: to be applied: ``(item ordinal, stream, events)``.
+        # The stop cut (see final_payload): engine appends not yet
+        # known to be applied, as ``(item ordinal, stream, events)``;
+        # the canonical key of each item of the latest epoch; and the
+        # counter vector after each of its items (index 0: before the
+        # first).
         self._held: list[tuple[int, str, EventBatch]] = []
-        self._item = 0
+        self._item_keys: list[MergeKey] = []
+        self._item_counters: list[list[Any]] = []
+        self._open_frame()
         if ctx.engine is not None:
             self._own_engine(ctx.engine)
         # Causal instrumentation (active only when tracing): own
@@ -194,32 +202,35 @@ class WorkerRuntime:
         self.tracer.event(kind, self.now, self.node_name,
                           seq=self._causal_seq, **data)
 
-    # -- op emission (called from ServeNode) -------------------------------
+    # -- timers and ops (called from ServeNode) ----------------------------
 
     def add_timer(self, time: float, callback: Any, phase: int,
                   rank: tuple[str, ...]) -> _ServeTimer:
-        token = self._next_token
-        self._next_token += 1
-        handle = _ServeTimer(token, self)
-        self._timers[token] = (callback, handle)
-        self.ops.append([OP_SCHEDULE, time, phase, list(rank), token])
+        seq = self._next_seq
+        self._next_seq += 1
+        handle = _ServeTimer(callback)
+        heapq.heappush(self._heap, (time, phase, rank, seq, handle))
         if self.tracer.enabled:
-            self._causal(TIMER_SCHED, token=token, at=time)
-        if self._epoch_h is not None and time < self._epoch_h:
-            # Sub-horizon timer created mid-epoch: it fires locally in
-            # this same epoch (the coordinator tracks it from the
-            # schedule op and never enters it into the kernel).
-            heapq.heappush(self._epoch_heap,
-                           (time, phase, rank, self._epoch_counter,
-                            token))
-            self._epoch_counter += 1
+            self._causal(TIMER_SCHED, token=seq, at=time)
         return handle
 
-    def cancel_timer(self, token: int) -> None:
-        self._timers.pop(token, None)
-        self.ops.append([OP_CANCEL, token])
-        if self._epoch_h is not None:
-            self._epoch_cancelled.add(token)
+    def _head(self) -> _Entry | None:
+        """The earliest live timer entry (cancelled heads dropped)."""
+        heap = self._heap
+        while heap and heap[0][4].cancelled:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def next_timer(self) -> float | None:
+        """When this node's next live timer is due (None: none is)."""
+        head = self._head()
+        return None if head is None else head[0]
+
+    def live_timers(self) -> list[tuple[float, int, tuple[str, ...],
+                                        int]]:
+        """Every live timer as ``(time, phase, rank, seq)``, unordered."""
+        return [entry[:4] for entry in self._heap
+                if not entry[4].cancelled]
 
     def transmit(self, dst: str, msg: Any) -> None:
         frame = self.codec.encode_message(msg)
@@ -241,14 +252,15 @@ class WorkerRuntime:
         A worker executes its whole epoch optimistically, and after a
         mid-epoch stop the merge discards its later items; the engine
         is a pure observer, so feeding it late is safe.  The next frame
-        says how much was applied (:meth:`_release`), which cuts the
-        FINAL accounts exactly where the simulator stopped.
+        implies everything so far applied (:meth:`_open_frame`); FINISH
+        names the stop key, which cuts the FINAL accounts exactly where
+        the simulator stopped.
         """
-        self._held.append((self._item, stream, events))
+        self._held.append((len(self._item_keys), stream, events))
 
     def _release(self, applied: int | None = None) -> None:
         """Feed the engine the held appends of applied items: all of
-        them, unless FINISH names how many items the merge applied."""
+        them, or those of the first ``applied`` items."""
         engine = self.engine
         if engine is None:  # nothing is held before an engine exists
             return
@@ -257,13 +269,24 @@ class WorkerRuntime:
             if applied is None or item < applied:
                 engine.append(stream, events)
 
+    def _counters(self) -> list[Any]:
+        return counters_snapshot(self.ctx.result, self.node.metrics.busy_s)
+
+    def _open_frame(self) -> None:
+        """Everything executed so far is applied: feed the held appends
+        and restart the stop-cut bookkeeping from the current state."""
+        self._release()
+        self._item_keys = []
+        self._item_counters = [self._counters()]
+
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, kind: int, header: dict[str, Any]
                  ) -> tuple[list[list[Any]], bytes]:
         """Execute one control instruction (INJECT/START/QUERY);
-        returns (ops, blob)."""
-        self._release()
+        returns (ops, blob).  A control dispatch is always applied in
+        full, so it ends with a fresh stop-cut base."""
+        self._open_frame()
         self.ops = []
         self.opblob = bytearray()
         self.now = header.get("now", self.now)
@@ -287,6 +310,7 @@ class WorkerRuntime:
         else:
             raise ServeError(f"unexpected control frame kind {kind}")
         self._emit_outcomes(before, ("rpc",), -1)
+        self._open_frame()
         return self.ops, bytes(self.opblob)
 
     def _emit_outcomes(self, before: int, ref: Sequence[Any],
@@ -295,12 +319,13 @@ class WorkerRuntime:
 
         Detected by result delta: behaviours append outcomes to the
         shared result record exactly as on the simulator, so no scheme
-        code needs serve-specific hooks.
+        code needs serve-specific hooks.  Only an item that ships a
+        batch is recorded as emitted.
         """
         emitted = self.ctx.result.outcomes[before:]
         for outcome in emitted:
             self.ops.append([OP_OUTCOME, outcome_to_json(outcome)])
-        if self.tracer.enabled:
+        if self.tracer.enabled and self.ops:
             self._causal(OP_EMIT, ref=":".join(map(str, ref)),
                          epoch=epoch, windows=",".join(
                              str(o.index) for o in emitted))
@@ -329,117 +354,93 @@ class WorkerRuntime:
 
     # -- epoch dispatch ----------------------------------------------------
 
-    def _run_timer(self, token: int) -> None:
-        """Fire one owned timer (kernel consumed-timer semantics)."""
-        try:
-            callback, handle = self._timers.pop(token)
-        except KeyError:
-            raise ServeError(
-                f"unknown or consumed timer token {token} on "
-                f"{self.node_name}") from None
-        # The kernel marks an executing event cancelled so a late
-        # cancel() is a no-op; mirror that on the worker handle.
-        handle.cancelled = True
-        if self.tracer.enabled:
-            self._causal(TIMER_FIRE, token=token)
-        callback()
-
     def dispatch_epoch(self, header: dict[str, Any],
                        blob: bytes) -> tuple[list[dict[str, Any]],
                                              bytes]:
         """Execute one whole epoch locally; returns (batches, blob).
 
-        The coordinator ships every pre-epoch event below the horizon
-        as a *slot* (a delivery or a timer fire) in kernel pop order,
-        already sorted by the canonical ``(time, phase, rank)`` key.
-        Timers this worker creates *during* the epoch below the horizon
-        fire here too; they merge into the slot sequence by the same
-        key, shipped slots winning ties (pre-epoch kernel sequence
-        numbers are smaller than any assigned mid-epoch).  Each
-        executed item becomes one op batch tagged with its origin
-        (``["slot", i]`` or ``["timer", token]``) plus a running
-        counter snapshot, so the coordinator can replay the merged op
-        stream in canonical global order and cut each worker exactly at
-        its last applied item.
+        The coordinator ships every delivery below the horizon ``h`` as
+        a slot ``[time, phase, rank, pos, offset, length]`` in kernel
+        pop order (``pos`` is the global pop position, the wire frame
+        is ``blob[offset:offset+length]``).  They merge with this
+        node's own timers below ``h`` by ``(time, phase, rank)``: only
+        the fabric schedules ``PHASE_DELIVER`` events, so a delivery
+        never ties a timer.  Each executed item with cross-node effects
+        becomes one batch: its ref (``["slot", i]`` or ``["timer",
+        seq]``, a timer adding ``"k": [time, phase, rank]``) and its
+        ordered ops.  An item with only node-local effects ships
+        nothing.
         """
-        self._release()
+        self._open_frame()
         slots = header["slots"]
+        horizon = header["h"]
+        # Slots come in kernel pop order, so the last is the latest.
+        if slots and not slots[-1][0] < horizon:
+            raise ServeError(
+                f"delivery at {slots[-1][0]} shipped past the epoch "
+                f"horizon {horizon}")
         self._epoch_idx = header.get("e", -1)
         if self.tracer.enabled and "f" in header:
             self._causal(FRAME_RECV, fseq=header["f"],
                          edge=COORD_PROCESS, fkind=framing.EPOCH)
-        self._epoch_h = header["h"]
-        self._epoch_heap = []
-        self._epoch_counter = 0
-        self._epoch_cancelled = set()
         self.stop_requested = False
         self.opblob = bytearray()
+        result = self.ctx.result
+        slot_keys = [slot_key(at, phase, tuple(rank), pos)
+                     for at, phase, rank, pos, _, _ in slots]
         batches: list[dict[str, Any]] = []
         idx = 0
-        try:
-            while idx < len(slots) or self._epoch_heap:
-                self._item = len(batches)
-                use_slot = idx < len(slots)
-                if use_slot and self._epoch_heap:
-                    slot = slots[idx]
-                    ht, hph, hrk, _hc, _htok = self._epoch_heap[0]
-                    use_slot = ((slot[1], slot[2], tuple(slot[3]), 0)
-                                <= (ht, hph, hrk, 1))
-                if use_slot:
-                    slot = slots[idx]
-                    ref: list[Any] = ["slot", idx]
-                    idx += 1
-                    verb, at = slot[0], slot[1]
-                    if verb == "run" and slot[4] in \
-                            self._epoch_cancelled:
-                        continue
-                    self.ops = []
-                    self.now = at
-                    before = len(self.ctx.result.outcomes)
-                    if verb == "run":
-                        self._run_timer(slot[4])
-                    elif verb == "deliver":
-                        off, length = slot[4], slot[5]
-                        self.node.deliver(self.codec.decode_message(
-                            bytes(blob[off:off + length])))
-                    else:
-                        raise ServeError(
-                            f"unknown epoch slot verb {verb!r}")
-                else:
-                    at, _ph, _rk, _cnt, token = heapq.heappop(
-                        self._epoch_heap)
-                    if token in self._epoch_cancelled:
-                        continue
-                    ref = ["timer", token]
-                    self.ops = []
-                    self.now = at
-                    before = len(self.ctx.result.outcomes)
-                    self._run_timer(token)
-                self._emit_outcomes(before, ref, self._epoch_idx)
-                batches.append({
-                    "ref": ref, "ops": self.ops,
-                    "c": counters_snapshot(
-                        self.ctx.result, self.node.metrics.busy_s)})
-                if self.stop_requested:
-                    # Kernel semantics: stop() halts the loop after
-                    # the stopping callback returns; later events (and
-                    # their side effects) never run.  The coordinator
-                    # cuts every worker at the stop batch the same way.
-                    break
-        finally:
-            self._epoch_h = None
-            self._epoch_heap = []
-            self._epoch_cancelled = set()
+        while not self.stop_requested:
+            entry = self._head()
+            if entry is not None and not entry[0] < horizon:
+                entry = None
+            handle: _ServeTimer | None = None
+            if idx < len(slots) and (
+                    entry is None or slot_keys[idx][:3] <= entry[:3]):
+                at, phase, rank, _, off, length = slots[idx]
+                ref: list[Any] = ["slot", idx]
+                key = slot_keys[idx]
+                idx += 1
+            elif entry is not None:
+                heapq.heappop(self._heap)
+                at, phase, rank, seq, handle = entry
+                ref = ["timer", seq]
+                key = timer_key(at, phase, rank, self.order, seq)
+            else:
+                break
+            self.ops = []
+            self.now = at
+            before = len(result.outcomes)
+            if handle is None:
+                self.node.deliver(self.codec.decode_message(
+                    bytes(blob[off:off + length])))
+            else:
+                # Consumed, as the kernel marks an executing event: a
+                # late cancel() is a no-op.
+                handle.cancelled = True
+                if self.tracer.enabled:
+                    self._causal(TIMER_FIRE, token=seq)
+                handle.callback()
+            self._emit_outcomes(before, ref, self._epoch_idx)
+            self._item_keys.append(key)
+            self._item_counters.append(self._counters())
+            if self.ops:
+                batch = {"ref": ref, "ops": self.ops}
+                if ref[0] == "timer":
+                    batch["k"] = [at, phase, rank]
+                batches.append(batch)
         return batches, bytes(self.opblob)
 
     def handle(self, kind: int, header: dict[str, Any], blob: bytes
                ) -> tuple[int, dict[str, Any], bytes]:
         """One request frame in, its reply frame out: the whole
         request -> reply mapping, shared by the socket loop and the
-        model checker's in-process transport."""
+        model checker's in-process transport.  Every op reply carries
+        ``"n"``, the time of this node's next pending timer."""
         if kind == framing.FINISH:
-            return (framing.FINAL,
-                    self.final_payload(header["applied"]), b"")
+            stop = header.get("stop")
+            return (framing.FINAL, self.final_payload(
+                None if stop is None else key_from_json(stop)), b"")
         if kind == framing.EPOCH:
             batches, rblob = self.dispatch_epoch(header, blob)
             rkind = framing.EPOCH_OPS
@@ -447,9 +448,8 @@ class WorkerRuntime:
         else:
             ops, rblob = self.dispatch(kind, header)
             rkind = framing.OPS
-            reply = {"ops": ops,
-                     "c": counters_snapshot(self.ctx.result,
-                                            self.node.metrics.busy_s)}
+            reply = {"ops": ops}
+        reply["n"] = self.next_timer()
         if self.tracer.enabled:
             self._frame_seq += 1
             reply["f"] = self._frame_seq
@@ -457,16 +457,23 @@ class WorkerRuntime:
                          dst=COORD_PROCESS, fkind=rkind)
         return rkind, reply, rblob
 
-    def final_payload(self, applied: int) -> dict[str, Any]:
-        """The FINAL frame header: standing-query accounts and trace
-        (results and counters travel with every applied batch).
+    def final_payload(self, stop: MergeKey | None) -> dict[str, Any]:
+        """The FINAL frame header: counters, standing-query accounts
+        and trace, all cut at the run's stop.
 
-        ``applied`` is how many items of this worker's last epoch the
-        coordinator's merge applied (FINISH carries it).
+        ``stop`` is the canonical key of the batch whose stop op the
+        coordinator applied (None: the run ended without one).  Every
+        earlier epoch applied in full, so only the latest epoch's items
+        are cut: those keyed at or below ``stop`` applied, the rest ran
+        past the stop and are discarded.
         """
+        keys = self._item_keys
+        applied = (len(keys) if stop is None
+                   else bisect.bisect_right(keys, stop))
         self._release(applied)
         payload: dict[str, Any] = {
             "node": self.node_name,
+            "c": self._item_counters[applied],
             "trace": None,
         }
         engine = self.engine
@@ -492,7 +499,14 @@ class WorkerRuntime:
 
 
 def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
-    """The worker request loop: dispatch until FINISH."""
+    """The worker request loop: dispatch until FINISH.
+
+    Every read carries :data:`framing.REPLY_TIMEOUT_S`, the same
+    deadline the coordinator holds its workers to, so a coordinator
+    that goes silent fails the worker with a :class:`ServeError`
+    instead of hanging it.
+    """
+    sock.settimeout(framing.REPLY_TIMEOUT_S)
     framing.send_frame(sock, framing.HELLO, {"node": rt.node_name})
     kind, _, _ = framing.recv_frame(sock)
     if kind != framing.ACK:

@@ -15,9 +15,10 @@ import pytest
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.check import main, small_config
-from repro.analysis.explore import (ModelCoordinator, Violation,
-                                    _Schedule, check_applied_order,
+from repro.analysis.explore import (ModelCoordinator, _Schedule,
+                                    check_applied_order,
                                     explore_config,
+                                    phase_inversion_trace,
                                     synthetic_merge_violations)
 from repro.analysis.determinism import Fingerprint
 from repro.core.runner import run_scheme
@@ -108,13 +109,18 @@ class TestExplore:
         assert stats["runs"] > 1, "DFS must explore real siblings"
 
     def test_zero_lookahead_scope_is_clean(self):
-        # No lookahead: the only sound horizon is the head event's own
-        # time, so every epoch of the same loop is one event.
+        # No lookahead: the only sound horizon is just past the earliest
+        # pending time, so every epoch of the same loop is one instant
+        # and the only choice left is the reply order.
         config = replace(small_config("deco_sync", 2), latency=0.0)
         violations, stats = explore_config(config, epochs=2,
                                            budget=20)
         assert violations == []
-        assert stats["runs"] == 1, "one event per epoch: no choices"
+        coord = ModelCoordinator(config)
+        schedule = _Schedule(())
+        coord.run_model(schedule)
+        assert all(n == 1 for _, n in schedule.trace[0::2]), \
+            "one instant per epoch: no horizon choices"
 
     def test_budget_truncates(self):
         config = small_config("deco_sync", 2)
@@ -123,10 +129,15 @@ class TestExplore:
         assert stats["budget_hit"]
 
     def test_seeded_bug_is_caught(self, seed_bug):
+        # Every cross-node batch of a real run is a PHASE_PROTOCOL
+        # timer, so the bug cannot move a real run; an epoch where the
+        # phase decides must show it through the production merge.
+        from repro.analysis.hb import analyze
         config = small_config("deco_sync", 2)
+        report = analyze(phase_inversion_trace(config))
+        assert [v.kind for v in report.violations] == ["merge-order"]
         violations, _ = explore_config(config, epochs=2, budget=60)
-        assert violations
-        assert all(isinstance(v, Violation) for v in violations)
+        assert violations == []
 
 
 class TestCli:
@@ -167,7 +178,7 @@ class TestCli:
         assert main(["--explore", "--nodes", "two"]) == 2
 
     def test_trace_mode(self, tmp_path, capsys):
-        from repro.analysis.explore import model_trace
+        from tests.test_analysis_hb import model_trace
         from repro.obs.exporters import write_jsonl
         path = tmp_path / "run.jsonl"
         write_jsonl(path, model_trace(small_config("deco_sync", 2)))

@@ -95,7 +95,7 @@ class TestEpochServeConformance:
     @pytest.mark.parametrize("scheme", sorted(SCHEME_FSMS))
     def test_epoch_model_trace_conforms(self, scheme):
         from repro.analysis.check import small_config
-        from repro.analysis.explore import model_trace
+        from tests.test_analysis_hb import model_trace
         tracer = model_trace(small_config(scheme, 3))
         assert tracer.events_of(MSG_SEND), "run must actually trace"
         assert check_fsm(scheme, tracer) == []

@@ -12,12 +12,25 @@ import pytest
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.check import small_config
-from repro.analysis.explore import model_trace
+from repro.analysis.explore import (ModelCoordinator, _Schedule,
+                                    phase_inversion_trace)
 from repro.analysis.hb import (analyze, analyze_events, analyze_jsonl,
                                applied_key, load_jsonl)
 from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_APPLY, OP_EMIT, TraceEvent)
+from repro.obs.tracer import RunTracer
 from repro.serve import merge
+from repro.serve.harness import _merge_trace
+
+
+def model_trace(config):
+    """One traced reference-interleaving model run, worker traces
+    merged in (what ``repro trace --runtime serve`` would capture)."""
+    tracer = RunTracer()
+    coord = ModelCoordinator(config, tracer)
+    coord.run_model(_Schedule(()))
+    _merge_trace(tracer, coord.finals)
+    return tracer
 
 
 def ev(kind, t, node, **data):
@@ -133,11 +146,14 @@ class TestModelTraces:
         assert report.n_frames > 0
 
     def test_seeded_bug_shows_merge_order_violations(self):
+        # A real run ships only PHASE_PROTOCOL timers, so the phase
+        # decides only in the hand-built epoch of the canary trace.
+        config = small_config("deco_sync", 2)
+        assert analyze(phase_inversion_trace(config)).ok
         previous = merge.SEED_BUG
         merge.SEED_BUG = "drop-phase"
         try:
-            report = analyze(
-                model_trace(small_config("deco_sync", 2)))
+            report = analyze(phase_inversion_trace(config))
         finally:
             merge.SEED_BUG = previous
         assert "merge-order" in kinds(report)

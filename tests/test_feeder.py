@@ -178,12 +178,12 @@ class TestCountGuards:
         assert topo.sim.pending() == config.n_nodes * sources
 
     @pytest.mark.parametrize("sources", [1, 3])
-    def test_worker_inject_reply_is_one_op_per_client(self, sources):
+    def test_worker_inject_holds_one_timer_per_client(self, sources):
         config = paced("deco_async", sources_per_node=sources)
         rt = WorkerRuntime("local-1", config)
         ops, blob = rt.dispatch(framing.INJECT, {"now": 0.0})
-        assert len(ops) == sources
-        assert blob == b""
+        assert ops == [] and blob == b""
+        assert len(rt.live_timers()) == sources
 
     def test_paced_run_keeps_a_few_live_events_per_node(self):
         config = paced("deco_async", n_nodes=4, window_size=4_000)

@@ -463,7 +463,7 @@ class TestServeQueryOps:
         rt.dispatch(framing.QUERY, {
             "now": 0.0, "qop": "admit", "stream": "local-1",
             "spec": "sum:256", "qid": "rq1", "at": None})
-        payload = rt.final_payload(0)
+        payload = rt.final_payload(None)
         assert set(payload["queries"]) == {"rq0"}
         rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "remove",
                                     "qid": "rq0"})

@@ -96,11 +96,13 @@ class TestWorkerRuntimeUnits:
         with pytest.raises(ServeError, match="unknown node"):
             WorkerRuntime("local-9", tiny_config("deco_sync"))
 
-    def test_run_with_unknown_token_rejected(self):
+    def test_slot_past_horizon_rejected(self):
+        # A delivery at or past the horizon means the coordinator
+        # broke conservative soundness; the worker refuses to run it.
         rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
-        with pytest.raises(ServeError, match="token"):
+        with pytest.raises(ServeError, match="horizon"):
             rt.dispatch_epoch(
-                {"h": 1.0, "slots": [["run", 0.0, 0, [], 123]]}, b"")
+                {"h": 1.0, "slots": [[1.0, 1, [], 0, 0, 0]]}, b"")
 
     def test_inject_to_root_rejected(self):
         from repro.serve import framing
@@ -108,12 +110,16 @@ class TestWorkerRuntimeUnits:
         with pytest.raises(ServeError, match="root"):
             rt.dispatch(framing.INJECT, {"now": 0.0})
 
-    def test_inject_emits_schedule_ops(self):
+    def test_inject_keeps_timers_local(self):
+        # The feeder's timer stays in the worker's heap: the reply
+        # carries no op, only when the node's next timer is due.
         from repro.serve import framing
         rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
-        ops, _ = rt.dispatch(framing.INJECT, {"now": 0.0})
-        assert ops, "injecting a stream must schedule arrivals"
-        assert all(op[0] == "schedule" for op in ops)
+        kind, reply, blob = rt.handle(framing.INJECT, {"now": 0.0}, b"")
+        assert kind == framing.OPS
+        assert reply["ops"] == [] and blob == b""
+        assert reply["n"] == 0.0
+        assert len(rt.live_timers()) == 1
 
 
 class TestServeMatchesSimulator:

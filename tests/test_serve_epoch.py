@@ -116,6 +116,108 @@ class TestEpochBoundaryProperties:
         assert Fingerprint.of(served.result) == oracle
 
 
+class TestCrossNodeTrafficOnly:
+    """Workers own their timers: the coordinator ships deliveries only
+    and applies only batches with cross-node effects."""
+
+    @staticmethod
+    def observed_run(monkeypatch):
+        """One traced saturated deco_async run; returns (tracer, EPOCH
+        slots shipped, op tags of every op list applied)."""
+        from repro.obs.tracer import RunTracer
+        from repro.serve import framing
+        from repro.serve.coordinator import Coordinator
+        slots, applied = [], []
+        real_send, real_apply = Coordinator._send, Coordinator._apply_ops
+
+        def send(self, name, kind, header, blob=b""):
+            if kind == framing.EPOCH:
+                slots.extend(header["slots"])
+            real_send(self, name, kind, header, blob)
+
+        def apply_ops(self, name, ops, *args, **kwargs):
+            applied.append({op[0] for op in ops})
+            real_apply(self, name, ops, *args, **kwargs)
+
+        monkeypatch.setattr(Coordinator, "_send", send)
+        monkeypatch.setattr(Coordinator, "_apply_ops", apply_ops)
+        tracer = RunTracer()
+        run_scheme_served(tiny_config("deco_async", n_nodes=3), tracer)
+        return tracer, slots, applied
+
+    def test_only_cross_node_batches_are_applied(self, monkeypatch):
+        tracer, _, applied = self.observed_run(monkeypatch)
+        # INJECT per local and START per node come first.
+        merged = applied[2 * 3 + 1:]
+        carrying = [tags for tags in merged
+                    if tags & {"send", "outcome", "stop"}]
+        assert tracer.counts_by_kind()["op_apply"] == len(merged) \
+            == len(carrying)
+
+    def test_every_epoch_slot_is_a_delivery(self, monkeypatch):
+        from repro.runtime.api import PHASE_DELIVER
+        _, slots, _ = self.observed_run(monkeypatch)
+        assert slots
+        assert all(slot[1] == PHASE_DELIVER for slot in slots)
+
+
+#: One scheduling step: a timer ``(time, phase, rank, child delay)``
+#: (the child, if any, is scheduled by the timer when it fires) or a
+#: cancel of the n-th handle made so far.
+TIMER_STEPS = st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 1.0, 2.0]),
+              st.sampled_from([0, 2]),
+              st.sampled_from([(), ("a",), ("b",)]),
+              st.sampled_from([None, 0.0, 1.0])),
+    st.tuples(st.just("cancel"), st.integers(min_value=0,
+                                             max_value=12)))
+
+
+def fire_order(schedule_at, run, program):
+    """Labels of the timers ``program`` creates, in firing order."""
+    fired, handles = [], []
+
+    def timer(label, at, phase, rank, child):
+        def fire():
+            fired.append(label)
+            if child is not None:
+                handles.append(schedule_at(
+                    at + child, timer(f"{label}c", at + child, phase,
+                                      rank, None),
+                    phase=phase, rank=rank))
+        return fire
+
+    for i, step in enumerate(program):
+        if step[0] == "schedule":
+            _, at, phase, rank, child = step
+            handles.append(schedule_at(at, timer(str(i), at, phase,
+                                                 rank, child),
+                                       phase=phase, rank=rank))
+        elif step[1] < len(handles):
+            handles[step[1]].cancel()
+    run()
+    return fired
+
+
+class TestWorkerTimerOrder:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(program=st.lists(TIMER_STEPS, max_size=24))
+    def test_worker_heap_fires_in_kernel_order(self, program):
+        # One node's timers, ties on (time, phase, rank) included, fire
+        # in the same order from the worker's heap as from the kernel.
+        from repro.serve.worker import WorkerRuntime
+        from repro.sim.kernel import Simulator
+        sim = Simulator()
+        expect = fire_order(sim.schedule_at, sim.run, program)
+        rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
+        got = fire_order(
+            rt.node.schedule_at,
+            lambda: rt.dispatch_epoch({"h": 10.0, "slots": []}, b""),
+            program)
+        assert got == expect
+
+
 class TestEpochCrash:
     def test_crash_mid_epoch_raises_and_cleans_up(self, monkeypatch):
         # Each worker hard-exits before replying to its third dispatch;

@@ -229,7 +229,7 @@ class TestReplyDeadline:
     def test_silent_worker_fails_the_run_by_name(self, monkeypatch):
         # local-0 is alive and connected but never replies to INJECT:
         # the read must hit its deadline, not hang the run.
-        monkeypatch.setattr(coordinator, "REPLY_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(framing, "REPLY_TIMEOUT_S", 0.5)
         real_argv = harness.worker_argv
 
         def argv(host, port, node, config):
@@ -248,6 +248,35 @@ class TestReplyDeadline:
         while lingering_workers() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert lingering_workers() == []
+
+
+class TestWorkerReadDeadline:
+    def test_silent_coordinator_fails_the_worker(self, listener,
+                                                 monkeypatch):
+        # A coordinator that ACKs and then never sends must not hang
+        # the worker: its reads carry the same deadline.
+        from repro.serve.worker import WorkerRuntime, serve_forever
+        monkeypatch.setattr(framing, "REPLY_TIMEOUT_S", 0.5)
+        rt = WorkerRuntime("local-0", tiny_config())
+        accepted = []
+
+        def silent_coordinator():
+            conn, _ = listener.accept()
+            conn.settimeout(5.0)
+            framing.recv_frame(conn)  # HELLO
+            framing.send_frame(conn, framing.ACK, {})
+            accepted.append(conn)  # held open, never written again
+
+        thread = threading.Thread(target=silent_coordinator, daemon=True)
+        thread.start()
+        start = time.monotonic()
+        with socket.create_connection(listener.getsockname()) as sock:
+            with pytest.raises(ServeError, match="timed out after 0.5s"):
+                serve_forever(sock, rt)
+        assert time.monotonic() - start < 5.0
+        thread.join(timeout=5.0)
+        for conn in accepted:
+            conn.close()
 
 
 class TestSpawnFailure:
