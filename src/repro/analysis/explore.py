@@ -125,7 +125,7 @@ class _InProcessTransport:
         self._replies: dict[str, tuple[int, dict[str, Any], bytes]] = {}
 
     def send(self, name: str, kind: int, header: dict[str, Any],
-             blob: bytes) -> None:
+             blob: bytes | bytearray) -> None:
         self._replies[name] = self.workers[name].handle(
             kind, header, blob)
 

@@ -7,7 +7,11 @@ is a :class:`ProxyNode`: a delivery to it is forwarded to the real node
 process.  Timers never come here: each worker keeps all of its node's
 timers in one local heap and reports, with every reply, when its next
 one is due.  What crosses the control channel is what crosses nodes:
-deliveries out, and sends, outcomes and the stop back.
+deliveries out, and sends, outcomes and the stop back.  The fabric
+carries wire frames, not messages: a send's frame is checked at its
+envelope (:func:`~repro.wire.codec.read_envelope`, CRC included),
+sized, routed and traced from it, and delivered as the sender's own
+bytes, so only the sending and receiving workers ever code it.
 
 One run loop, conservative parallel execution (DESIGN §12).  Only sends
 cross nodes, and a send emitted at ``t`` arrives no earlier than
@@ -42,10 +46,9 @@ from dataclasses import replace
 from typing import Any, Protocol
 
 from repro.core.context import SchemeContext
-from repro.core.protocol import make_sizer
 from repro.core.records import WindowOutcome
 from repro.core.runner import RunConfig, make_context
-from repro.errors import ServeError
+from repro.errors import ConfigurationError, ServeError, StreamError
 from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_APPLY)
 from repro.obs.tracer import RunTracer
@@ -60,7 +63,7 @@ from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
 from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
 from repro.sim.topology import StarTopology, build_star, peer_mesh
-from repro.wire.codec import MessageCodec
+from repro.wire.codec import Envelope, read_envelope
 
 #: Seconds to wait for every worker process to connect and HELLO.
 HANDSHAKE_TIMEOUT_S = 30.0
@@ -74,7 +77,7 @@ class Transport(Protocol):
     """The coordinator's whole view of its workers: two calls."""
 
     def send(self, name: str, kind: int, header: dict[str, Any],
-             blob: bytes) -> None: ...
+             blob: bytes | bytearray) -> None: ...
 
     def recv(self, name: str) -> tuple[int, dict[str, Any], bytes]: ...
 
@@ -107,7 +110,7 @@ class SocketTransport:
         self.socks[name] = conn
 
     def send(self, name: str, kind: int, header: dict[str, Any],
-             blob: bytes) -> None:
+             blob: bytes | bytearray) -> None:
         framing.send_frame(self.socks[name], kind, header, blob)
 
     def recv(self, name: str) -> tuple[int, dict[str, Any], bytes]:
@@ -168,19 +171,16 @@ class Coordinator:
                   behavior: Behavior | None) -> ProxyNode:
             return ProxyNode(sim, name, profile, behavior, self)
 
+        # The fabric routes frames unopened (see _forward): it sizes
+        # each from its envelope, which equals sizeof_message of the
+        # message inside, in either wire format.
         self.topo: StarTopology = build_star(
-            n, sizer=make_sizer(spec.fmt), root_profile=root_profile,
-            local_profile=local_profile, bandwidth=config.bandwidth,
-            latency=config.latency,
+            n, sizer=lambda envelope: envelope.size(spec.fmt),
+            root_profile=root_profile, local_profile=local_profile,
+            bandwidth=config.bandwidth, latency=config.latency,
             tiebreak_salt=config.tiebreak_salt, node_factory=proxy)
         if spec.needs_peer_mesh:
             peer_mesh(self.topo)
-        #: Control-channel codec.  The fabric itself carries none:
-        #: every message it routes was just decoded off a real socket
-        #: and is re-encoded for the destination worker, so the
-        #: structural sizer already gives the frame's length.
-        self.transport_codec = MessageCodec(spec.fmt)
-        self.transport_codec.seed_senders(sender_table(n))
         if tracer is not None:
             self.topo.sim.tracer = tracer
             stamp_run_meta(tracer, config, n)
@@ -243,15 +243,15 @@ class Coordinator:
 
     # -- control RPC -------------------------------------------------------
 
-    def ship(self, name: str, msg: Any) -> None:
+    def ship(self, name: str, envelope: Envelope) -> None:
         """Add one delivery to ``name``'s EPOCH frame (called by its
-        :class:`ProxyNode` while the run loop pops the delivery)."""
+        :class:`ProxyNode` while the run loop pops the delivery): the
+        sender's frame, byte for byte."""
         at, phase, rank = self._event_key
-        frame = self.transport_codec.encode_message(msg)
         blob = self._blobs[name]
-        self._slots[name].append(
-            [at, phase, rank, self._slot_pos, len(blob), len(frame)])
-        blob += frame
+        self._slots[name].append([at, phase, rank, self._slot_pos,
+                                  len(blob), len(envelope.frame)])
+        blob += envelope.frame
         self._slot_keys[name].append(
             slot_key(at, phase, rank, self._slot_pos))
         self._slot_pos += 1
@@ -270,7 +270,7 @@ class Coordinator:
     _LOST = "node {!r} process died or hung mid-run: {}"
 
     def _send(self, name: str, kind: int, header: dict[str, Any],
-              blob: bytes = b"") -> None:
+              blob: bytes | bytearray = b"") -> None:
         """Write one request frame to ``name`` (``header`` is the
         caller's to give away: a traced run tags it)."""
         # FINISH/FINAL sit outside the causal model: FINAL *carries*
@@ -317,18 +317,15 @@ class Coordinator:
         the op list, apply it."""
         self._send(name, kind, header)
         reply, blob = self._recv(name, framing.OPS)
-        self._apply_ops(name, reply["ops"], blob)
+        self._apply_ops(name, reply["ops"], memoryview(blob))
 
     def _apply_ops(self, name: str, ops: list[list[Any]],
-                   blob: bytes) -> None:
+                   blob: memoryview) -> None:
         """Apply one item's cross-node effects in emission order."""
         for op in ops:
             tag = op[0]
             if tag == OP_SEND:
-                _, dst, offset, length = op
-                msg = self.transport_codec.decode_message(
-                    bytes(blob[offset:offset + length]))
-                self.topo.network.send(name, dst, msg)
+                self._forward(name, op, blob)
             elif tag == OP_STOP:
                 self._stop = True
             elif tag == OP_OUTCOME:
@@ -336,6 +333,28 @@ class Coordinator:
             else:
                 raise ServeError(
                     f"unknown op {tag!r} from node {name!r}")
+
+    def _forward(self, name: str, op: list[Any],
+                 blob: memoryview) -> None:
+        """Put one ``send`` op's wire frame on the fabric, unopened.
+
+        Only the envelope is read, and checked (CRC included): the
+        fabric routes, sizes and traces the message from it, and
+        :meth:`ship` hands the destination the sender's own bytes, a
+        view into ``blob``.  A bad frame, a slice past the blob or a
+        destination without a link is the sending node's fault, and
+        fails the run naming it.
+        """
+        _, dst, offset, length = op
+        try:
+            if not 0 <= offset <= offset + length <= len(blob):
+                raise StreamError(
+                    f"slice runs past the {len(blob)}-byte blob")
+            self.topo.network.send(
+                name, dst, read_envelope(blob[offset:offset + length]))
+        except (StreamError, ConfigurationError) as exc:
+            raise ServeError(
+                f"node {name!r} sent a bad op {op!r}: {exc}") from None
 
     def _record_outcome(self, outcome: WindowOutcome) -> None:
         wall = time.monotonic() - self._wall_start
@@ -433,7 +452,7 @@ class Coordinator:
                 self._send(name, framing.EPOCH,
                            {"h": horizon, "slots": self._slots[name],
                             "e": self._epoch_idx},
-                           bytes(self._blobs[name]))
+                           self._blobs[name])
             replies: dict[str, tuple[list[dict[str, Any]], bytes]] = {}
             for name in self._reply_order(names):
                 reply, blob = self._recv(name, framing.EPOCH_OPS)
@@ -492,7 +511,8 @@ class Coordinator:
         epoch = EpochMerge(horizon, self._order, self._slot_keys)
         queues = {name: deque(batches)
                   for name, (batches, _) in replies.items()}
-        blobs = {name: blob for name, (_, blob) in replies.items()}
+        blobs = {name: memoryview(blob)
+                 for name, (_, blob) in replies.items()}
         while not self._stop:
             popped = epoch.pop_next(queues)
             if popped is None:

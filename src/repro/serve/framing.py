@@ -9,8 +9,9 @@ exactly how many bytes to pull off the stream — partial reads can never
 misparse into a different frame.  The JSON header carries the small
 structured part (op lists, slot keys, virtual times); the blob carries
 binary wire-codec frames verbatim, referenced from the header by
-``[offset, length]`` pairs so protocol payloads are never re-encoded
-as text.
+``[offset, length]`` pairs.  A frame crosses the coordinator unopened:
+the sender's bytes in EPOCH_OPS are the receiver's bytes in EPOCH, so
+a protocol payload is encoded once and decoded once.
 
 The epoch round (DESIGN §12) in frame shapes::
 
@@ -87,7 +88,7 @@ REPLY_TIMEOUT_S = 120.0
 
 
 def encode_frame(kind: int, header: dict[str, Any],
-                 blob: bytes = b"") -> bytes:
+                 blob: bytes | bytearray = b"") -> bytes:
     """Serialize one control frame."""
     head = json.dumps(header, separators=(",", ":")).encode()
     total = _HEAD.size + len(head) + len(blob)
@@ -116,7 +117,7 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 
 def send_frame(sock: socket.socket, kind: int, header: dict[str, Any],
-               blob: bytes = b"") -> None:
+               blob: bytes | bytearray = b"") -> None:
     """Write one frame to a blocking socket."""
     sock.sendall(encode_frame(kind, header, blob))
 

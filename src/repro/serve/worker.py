@@ -355,8 +355,8 @@ class WorkerRuntime:
     # -- epoch dispatch ----------------------------------------------------
 
     def dispatch_epoch(self, header: dict[str, Any],
-                       blob: bytes) -> tuple[list[dict[str, Any]],
-                                             bytes]:
+                       blob: bytes | bytearray
+                       ) -> tuple[list[dict[str, Any]], bytes]:
         """Execute one whole epoch locally; returns (batches, blob).
 
         The coordinator ships every delivery below the horizon ``h`` as
@@ -431,7 +431,8 @@ class WorkerRuntime:
                 batches.append(batch)
         return batches, bytes(self.opblob)
 
-    def handle(self, kind: int, header: dict[str, Any], blob: bytes
+    def handle(self, kind: int, header: dict[str, Any],
+               blob: bytes | bytearray
                ) -> tuple[int, dict[str, Any], bytes]:
         """One request frame in, its reply frame out: the whole
         request -> reply mapping, shared by the socket loop and the

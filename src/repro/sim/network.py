@@ -24,6 +24,14 @@ if TYPE_CHECKING:
 __all__ = ["Link", "LinkStats", "Network"]
 
 
+def _msg_name(msg: Any) -> str:
+    """The message class a trace names.  A frame the serve fabric
+    routes unopened (a :class:`repro.wire.codec.Envelope`) names the
+    class of the message it holds."""
+    cls: type = getattr(msg, "message_type", type(msg))
+    return cls.__name__
+
+
 @dataclass
 class LinkStats:
     """Accumulated per-link traffic counters."""
@@ -215,7 +223,7 @@ class Network:
             link.stats.messages_dropped += 1
             if tracer.enabled:
                 tracer.event(ev.MSG_DROP, self.sim.now, src, dst=dst,
-                             msg=type(msg).__name__, size=size)
+                             msg=_msg_name(msg), size=size)
                 tracer.inc("messages_dropped", src)
             return
         dst_node = self.node(dst)
@@ -223,14 +231,14 @@ class Network:
                  if self.delay_fn is not None else 0.0)
         if tracer.enabled:
             tracer.event(ev.MSG_SEND, self.sim.now, src, dst=dst,
-                         msg=type(msg).__name__, size=size,
+                         msg=_msg_name(msg), size=size,
                          window=getattr(msg, "window_index", None))
             tracer.inc("messages_sent", src)
             tracer.inc("bytes", f"{src}->{dst}", size)
             tracer.inc("messages", f"{src}->{dst}")
             if extra > 0:
                 tracer.event(ev.MSG_DELAY, self.sim.now, src, dst=dst,
-                             msg=type(msg).__name__, extra_s=extra)
+                             msg=_msg_name(msg), extra_s=extra)
                 tracer.inc("messages_delayed", src)
 
         def deliver() -> None:

@@ -25,19 +25,25 @@ table during its handshake.  Truncated or corrupted buffers raise
 :class:`~repro.errors.StreamError` — a CRC32 over the payload plus
 strict length accounting means a damaged frame can never silently
 misparse into a different valid message.
+
+A hop that only routes a message reads its :func:`read_envelope`: the
+same checks, the message kind, its counts and its window, and the
+modelled size — without building the message.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from typing import NamedTuple
 
 from repro.core.protocol import MESSAGE_TYPES, Message, Wire
 from repro.errors import StreamError
-from repro.runtime.serialization import WireFormat
+from repro.runtime.serialization import WireFormat, message_size
 from repro.streams.batch import EventBatch
 from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
-                               WIRE_MAGIC, WIRE_VERSION, append_columns,
+                               WIRE_MAGIC, WIRE_SCALAR_BYTES,
+                               WIRE_VERSION, append_columns,
                                decode_columns, decode_partial,
                                encode_partial, frame_size)
 
@@ -52,6 +58,14 @@ _LAYOUTS: dict[type, tuple[int, Wire, struct.Struct]] = {
     cls: (i + 1, cls.WIRE, struct.Struct(
         "<" + cls.WIRE.kinds + "q" * len(cls.WIRE.optional)))
     for i, cls in enumerate(MESSAGE_TYPES)}
+
+#: The int64 ``window_index`` slot: its unpacker, and its byte offset
+#: in the frame of each message type that declares one.
+_WINDOW_SLOT = struct.Struct("<q")
+_WINDOW_AT: dict[type, int] = {
+    cls: WIRE_HEADER_BYTES
+    + WIRE_SCALAR_BYTES * cls.WIRE.slots.index("window_index")
+    for cls in MESSAGE_TYPES if "window_index" in cls.WIRE.slots}
 
 #: No-sender sentinel for bare batch frames.
 _NO_SENDER = -1
@@ -164,17 +178,11 @@ class MessageCodec:
 
     def decode_message(self, buf: bytes) -> Message:
         """Rebuild the message from one frame (zero-copy event views)."""
-        msgtype, sender_id, view, scalars_end, n_events = \
-            _parse_header(buf)
-        if msgtype == FRAME_BATCH or msgtype > len(MESSAGE_TYPES):
-            raise StreamError(f"unexpected frame type {msgtype} for a "
-                              f"protocol message")
-        cls = MESSAGE_TYPES[msgtype - 1]
+        cls, sender_id, view, scalars_end, n_events = \
+            _parse_message_header(buf)
         _, wire, packer = _LAYOUTS[cls]
         sender = self._sender_name(sender_id)
         at = WIRE_HEADER_BYTES + packer.size
-        if at > scalars_end:
-            raise StreamError("truncated scalar section")
         values = packer.unpack_from(view, WIRE_HEADER_BYTES)
         fields = dict(zip(wire.slots, values))
         if wire.partial is not None:
@@ -215,6 +223,48 @@ class MessageCodec:
                 f"frames={self.frames_encoded})")
 
 
+# -- envelopes -----------------------------------------------------------------
+
+class Envelope(NamedTuple):
+    """One checked protocol-message frame and what its envelope says.
+
+    Everything a hop that only routes the message needs — its kind, its
+    window and its modelled size — read without building the message,
+    so the frame can be forwarded as the very bytes its sender encoded.
+    """
+
+    frame: bytes | memoryview
+    message_type: type[Message]
+    n_events: int
+    n_scalars: int
+    #: The ``window_index`` slot, when the kind declares one.
+    window_index: int | None
+
+    def size(self, fmt: WireFormat) -> int:
+        """The message's modelled wire size, ``sizeof_message(msg,
+        fmt)`` of the message the frame holds (0 for a free kind)."""
+        if self.message_type.WIRE.free:
+            return 0
+        return message_size(self.n_events, self.n_scalars, fmt)
+
+
+def read_envelope(buf: bytes | memoryview) -> Envelope:
+    """Check one protocol-message frame's envelope and read it.
+
+    The same checks :meth:`MessageCodec.decode_message` starts with —
+    length, magic, version, length accounting, CRC32, a known message
+    type and a whole fixed scalar run — so a frame this accepts has
+    its sender's exact bytes.  Raises :class:`StreamError` otherwise.
+    """
+    cls, _, view, scalars_end, n_events = _parse_message_header(buf)
+    at = _WINDOW_AT.get(cls)
+    window = (None if at is None
+              else _WINDOW_SLOT.unpack_from(view, at)[0])
+    return Envelope(buf, cls, n_events,
+                    (scalars_end - WIRE_HEADER_BYTES) // WIRE_SCALAR_BYTES,
+                    window)
+
+
 # -- standalone batch frames ---------------------------------------------------
 
 def encode_batch(batch: EventBatch) -> bytes:
@@ -253,7 +303,24 @@ def _scalars_done(at: int, end: int) -> None:
             f"after decode")
 
 
-def _parse_header(buf: bytes) -> tuple[int, int, memoryview, int, int]:
+def _parse_message_header(
+        buf: bytes | memoryview
+) -> tuple[type[Message], int, memoryview, int, int]:
+    """:func:`_parse_header` for a protocol message: also checks the
+    frame type names one and that its fixed scalar run is whole;
+    returns the message class in place of the frame type."""
+    msgtype, sender_id, view, scalars_end, n_events = _parse_header(buf)
+    if msgtype == FRAME_BATCH or msgtype > len(MESSAGE_TYPES):
+        raise StreamError(f"unexpected frame type {msgtype} for a "
+                          f"protocol message")
+    cls = MESSAGE_TYPES[msgtype - 1]
+    if WIRE_HEADER_BYTES + _LAYOUTS[cls][2].size > scalars_end:
+        raise StreamError("truncated scalar section")
+    return cls, sender_id, view, scalars_end, n_events
+
+
+def _parse_header(
+        buf: bytes | memoryview) -> tuple[int, int, memoryview, int, int]:
     """Validate one frame's envelope; returns its parsed geometry
     (frame type, sender id, view, end of the scalar section, events).
 

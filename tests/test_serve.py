@@ -9,20 +9,25 @@ the oracle; any divergence is a serve bug by definition.
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.analysis.determinism import Fingerprint
+from repro.core.protocol import RawEvents
 from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.errors import ServeError, StreamError
 from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME
 from repro.serve import percentile, run_scheme_served
 from repro.runtime.serialization import WireFormat
+from repro.serve.coordinator import Coordinator
 from repro.serve.protocol import (config_from_json, config_to_json,
                                   outcome_from_json, outcome_to_json,
                                   sender_table)
 from repro.serve.worker import WorkerRuntime
+from repro.streams.batch import EventBatch
 from repro.wire.codec import MessageCodec
 
 import repro.core  # noqa: F401  (registers deco_* schemes)
@@ -122,6 +127,54 @@ class TestWorkerRuntimeUnits:
         assert len(rt.live_timers()) == 1
 
 
+class TestMalformedSendOp:
+    """A ``send`` op is the sender's to get right: a bad frame, a slice
+    past the reply blob or a destination without a link fails the run
+    with a :class:`ServeError` that names the node and the op."""
+
+    @staticmethod
+    def apply(op, blob):
+        # The transport is never touched: ops are applied locally.
+        coord = Coordinator(tiny_config("central"), transport=None)
+        coord._apply_ops("local-0", [op], memoryview(blob))
+
+    @staticmethod
+    def frame():
+        codec = MessageCodec()
+        codec.seed_senders(sender_table(2))
+        return codec.encode_message(RawEvents(
+            sender="local-0", window_index=0,
+            events=EventBatch(np.arange(3), np.ones(3), np.arange(3))))
+
+    @staticmethod
+    def names(op):
+        return "local-0.*" + re.escape(repr(op))
+
+    def test_bad_envelope(self):
+        op = ["send", ROOT_NAME, 0, 40]
+        with pytest.raises(ServeError, match=self.names(op) + ".*magic"):
+            self.apply(op, b"\x00" * 40)
+
+    def test_slice_past_the_blob(self):
+        op = ["send", ROOT_NAME, 0, 40]
+        with pytest.raises(ServeError, match=self.names(op) + ".*past"):
+            self.apply(op, b"\x00" * 10)
+
+    def test_unknown_destination(self):
+        frame = self.frame()
+        op = ["send", "local-9", 0, len(frame)]
+        with pytest.raises(ServeError, match=self.names(op) + ".*link"):
+            self.apply(op, frame)
+
+    def test_good_op_is_routed(self):
+        frame = self.frame()
+        coord = Coordinator(tiny_config("central"), transport=None)
+        coord._apply_ops("local-0", [["send", ROOT_NAME, 0, len(frame)]],
+                         memoryview(frame))
+        link = coord.topo.network.link("local-0", ROOT_NAME)
+        assert link.stats.bytes_sent == len(frame)
+
+
 class TestServeMatchesSimulator:
     """The tentpole assertion: serve ≡ simulator, every scheme."""
 
@@ -172,3 +225,20 @@ class TestServeTracing:
         assert ("serve_window_latency_s", ROOT_NAME) in tracer.gauges
         times = [e.time for e in tracer.events]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("scheme", ["deco_sync", "central"])
+    def test_msg_sends_equal_the_simulators(self, scheme):
+        """The fabric routes unopened frames, yet traces every send as
+        the simulator does: what ``repro check --trace`` and the scheme
+        FSMs replay."""
+        def sends(tracer):
+            return [(e.time, e.node, e.data["dst"], e.data["msg"],
+                     e.data["window"], e.data["size"])
+                    for e in tracer.events if e.kind == "msg_send"]
+
+        config = tiny_config(scheme)
+        sim_tracer, serve_tracer = RunTracer(), RunTracer()
+        run_scheme(config, tracer=sim_tracer)
+        run_scheme_served(config, tracer=serve_tracer)
+        assert sends(sim_tracer)
+        assert sends(serve_tracer) == sends(sim_tracer)

@@ -161,6 +161,54 @@ class TestCrossNodeTrafficOnly:
         assert all(slot[1] == PHASE_DELIVER for slot in slots)
 
 
+class TestFramesForwardedVerbatim:
+    """Each protocol message is encoded once, by its sender, and decoded
+    once, by its receiver: the coordinator reads envelopes only and
+    forwards the sender's bytes."""
+
+    @pytest.mark.parametrize("scheme", ["central", "deco_async"])
+    def test_coordinator_never_codes_a_message(self, scheme,
+                                               monkeypatch):
+        from collections import Counter
+
+        from repro.serve import framing
+        from repro.serve.coordinator import SocketTransport
+        from repro.wire.codec import MessageCodec
+        # Counted in this process, which is the coordinator's: the
+        # workers are separate processes.
+        calls = Counter()
+        for method in ("encode_message", "decode_message"):
+            def counted(self, arg, _real=getattr(MessageCodec, method),
+                        _method=method):
+                calls[_method] += 1
+                return _real(self, arg)
+            monkeypatch.setattr(MessageCodec, method, counted)
+        shipped, forwarded = Counter(), Counter()
+        real_recv, real_send = SocketTransport.recv, SocketTransport.send
+
+        def recv(self, name):
+            kind, header, blob = real_recv(self, name)
+            batches = header.get("batches", [header])
+            for op in (op for b in batches for op in b.get("ops", ())):
+                if op[0] == "send":
+                    shipped[blob[op[2]:op[2] + op[3]]] += 1
+            return kind, header, blob
+
+        def send(self, name, kind, header, blob):
+            if kind == framing.EPOCH:
+                for *_, offset, length in header["slots"]:
+                    forwarded[bytes(blob[offset:offset + length])] += 1
+            real_send(self, name, kind, header, blob)
+
+        monkeypatch.setattr(SocketTransport, "recv", recv)
+        monkeypatch.setattr(SocketTransport, "send", send)
+        report = run_scheme_served(tiny_config(scheme, n_nodes=3))
+        assert report.result.n_windows == 3
+        assert calls == Counter()
+        # Every EPOCH slot is, byte for byte, a frame a sender shipped.
+        assert forwarded and not forwarded - shipped
+
+
 #: One scheduling step: a timer ``(time, phase, rank, child delay)``
 #: (the child, if any, is scheduled by the timer when it fires) or a
 #: cancel of the n-th handle made so far.

@@ -37,7 +37,8 @@ from repro.errors import StreamError
 from repro.runtime.driver import build_run, run_simulation
 from repro.runtime.serialization import WireFormat
 from repro.streams.batch import EventBatch
-from repro.wire.codec import MessageCodec, decode_batch, encode_batch
+from repro.wire.codec import (MessageCodec, decode_batch, encode_batch,
+                              read_envelope)
 from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
                                WIRE_VERSION, decode_partial,
                                encode_partial, partial_wire_slots)
@@ -412,6 +413,45 @@ class TestCorruption:
             encode_partial({"not": "wire-safe"}, bytearray())
         with pytest.raises(StreamError, match="1-d"):
             partial_wire_slots(np.zeros((2, 2)))
+
+
+class TestEnvelope:
+    """A routing hop reads a frame's envelope instead of decoding it, so
+    what the envelope says must be what the message would say."""
+
+    @given(msg=messages(), fmt=st.sampled_from(list(WireFormat)))
+    @settings(max_examples=200, deadline=None)
+    def test_envelope_equals_the_model(self, msg, fmt):
+        frame = MessageCodec().encode_message(msg)
+        envelope = read_envelope(frame)
+        assert envelope.frame is frame
+        assert envelope.message_type is type(msg)
+        assert envelope.size(fmt) == sizeof_message(msg, fmt)
+        assert envelope.window_index == getattr(msg, "window_index",
+                                                None)
+        # A view into a larger buffer (a reply blob) reads the same.
+        view = memoryview(b"pad" + frame)[3:]
+        assert read_envelope(view)[1:] == envelope[1:]
+
+    @given(msg=messages(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_damaged_frame_rejected(self, msg, data):
+        frame = MessageCodec().encode_message(msg)
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        with pytest.raises(StreamError):
+            read_envelope(frame[:cut])
+        if len(frame) > WIRE_HEADER_BYTES:
+            at = data.draw(st.integers(WIRE_HEADER_BYTES, len(frame) - 1))
+            damaged = bytearray(frame)
+            damaged[at] ^= 0x40
+            with pytest.raises(StreamError, match="CRC"):
+                read_envelope(bytes(damaged))
+
+    def test_batch_frame_has_no_envelope(self):
+        frame = encode_batch(EventBatch(np.arange(2), np.ones(2),
+                                        np.arange(2)))
+        with pytest.raises(StreamError, match="frame type"):
+            read_envelope(frame)
 
 
 def resealed(frame, n_events=None):
