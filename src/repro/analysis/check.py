@@ -7,8 +7,8 @@ Two entry modes (at least one required):
   the real :class:`~repro.serve.merge.EpochMerge`, then exhaustive
   DFS over epoch-boundary placements and reply arrival orders for
   every requested scheme × node count, asserting each interleaving
-  merges to kernel-canonical order and fingerprints identically to the
-  simulator oracle.
+  merges to kernel-canonical order and matches the simulator oracle's
+  ``TimedFingerprint``.
 * ``--trace PATH`` — happens-before analysis
   (:mod:`repro.analysis.hb`) of a captured serve trace
   (``repro trace --runtime serve --format jsonl``).

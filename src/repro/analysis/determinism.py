@@ -15,14 +15,18 @@ order (iteration over a set feeding ``schedule_at``, a handler racing a
 feeder, ...) shows up as a diverging fingerprint under some salt,
 with no need to guess where the dependence lives.
 
-Fingerprints hash *bit* representations of floats (``float.hex``), not
-rounded reprs — the contract is bit-identity, not tolerance.
+"Same run" is defined once (DESIGN §8): :class:`TimedFingerprint` is
+everything a run reports, :class:`Fingerprint` its salt-invariant
+projection.  Both hold floats as ``float.hex`` bits, not rounded reprs:
+the contract is bit-identity, not tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import hashlib
+import json
 from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from repro.core.records import RunResult
@@ -35,88 +39,113 @@ DEFAULT_SALTS = (0, 1, 0x5A5A, 0xFFFF_FFFF)
 
 
 @dataclass(frozen=True)
-class Fingerprint:
-    """The run-outcome signature that must be salt-invariant."""
+class _Digest:
+    def diff(self, other: "_Digest") -> list[str]:
+        """Field-level differences, empty if equal.  A field labelled
+        ``item`` holds ``(key, ...)`` tuples: name the first that differs."""
+        out: list[str] = []
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if mine == theirs:
+                continue
+            item = f.metadata.get("item")
+            if item is None:
+                out.append(f"{f.name}: {mine} != {theirs}")
+            elif len(mine) != len(theirs):
+                out.append(f"{f.name}: {len(mine)} != {len(theirs)} "
+                           f"{item}s")
+            else:
+                a, b = next(pair for pair in zip(mine, theirs, strict=True)
+                            if pair[0] != pair[1])
+                out.append(f"{f.name}: {item} {a[0]}: {a} != {b}")
+        return out
 
-    #: Per-window tuples: (index, result-bits, spans, corrected,
-    #: up_flows, down_flows).  Emission *times* are deliberately NOT
-    #: fingerprinted: which of two same-instant deliveries queues first
-    #: on a CPU shifts downstream micro-timing, and that order is
-    #: exactly what the salt permutes.  The contract covers *what* was
-    #: computed and communicated, bit for bit — not the sub-microsecond
-    #: schedule it was computed on.
-    windows: tuple[tuple, ...]
-    bytes_up: int
-    bytes_down: int
-    bytes_peer: int
+
+@dataclass(frozen=True)
+class Fingerprint(_Digest):
+    """The ``what`` projection: the run-outcome signature that must be
+    salt-invariant."""
+
+    #: Per-window tuples, by index: (index, result-bits, sorted
+    #: (agent, start, end) spans, corrected, up_flows, down_flows).
+    #: Emission *times* are deliberately NOT fingerprinted: which of two
+    #: same-instant deliveries queues first on a CPU shifts downstream
+    #: micro-timing, and that order is exactly what the salt permutes.
+    windows: tuple[tuple, ...] = field(metadata={"item": "window"})
+    #: (correction_steps, prediction_errors, recomputed_events,
+    #: retransmissions).
+    counters: tuple[int, ...]
+    #: (bytes_up, bytes_down, bytes_peer).
+    bytes: tuple[int, ...]
     messages: int
-    retransmissions: int
-    correction_steps: int
-    prediction_errors: int
-    recomputed_events: int
     #: Standing-query result digests, as sorted (qid, fingerprint)
     #: pairs: every query's full result stream must be salt-invariant
     #: too (empty for runs without queries).
-    queries: tuple[tuple[str, str], ...] = ()
+    queries: tuple[tuple[str, str], ...] = field(
+        default=(), metadata={"item": "query"})
 
     @classmethod
     def of(cls, result: RunResult) -> "Fingerprint":
-        windows = tuple(
-            (o.index, o.result.hex(),
-             tuple(sorted(o.spans.items())), o.corrected,
-             o.up_flows, o.down_flows)
-            for o in sorted(result.outcomes, key=lambda o: o.index))
-        queries = tuple(sorted(
-            (qid, acct["fingerprint"])
-            for qid, acct in result.queries.items()))
-        return cls(windows=windows, bytes_up=result.bytes_up,
-                   bytes_down=result.bytes_down,
-                   bytes_peer=result.bytes_peer,
-                   messages=result.messages,
-                   retransmissions=result.retransmissions,
-                   correction_steps=result.correction_steps,
-                   prediction_errors=result.prediction_errors,
-                   recomputed_events=result.recomputed_events,
-                   queries=queries)
+        return TimedFingerprint.of(result).what()
 
-    def diff(self, other: "Fingerprint") -> list[str]:
-        """Human-readable field-level differences (empty if equal)."""
-        out: list[str] = []
-        for name in ("bytes_up", "bytes_down", "bytes_peer", "messages",
-                     "retransmissions", "correction_steps",
-                     "prediction_errors", "recomputed_events"):
-            a, b = getattr(self, name), getattr(other, name)
-            if a != b:
-                out.append(f"{name}: {a} != {b}")
-        if len(self.windows) != len(other.windows):
-            out.append(f"window count: {len(self.windows)} != "
-                       f"{len(other.windows)}")
-        else:
-            for a, b in zip(self.windows, other.windows,
-                            strict=True):
-                if a != b:
-                    out.append(f"window {a[0]}: {a} != {b}")
-                    break
-        if self.queries != other.queries:
-            mine, theirs = dict(self.queries), dict(other.queries)
-            for qid in sorted(set(mine) | set(theirs)):
-                if mine.get(qid) != theirs.get(qid):
-                    out.append(
-                        f"query {qid}: {mine.get(qid)} != "
-                        f"{theirs.get(qid)}")
-        return out
+
+@dataclass(frozen=True)
+class TimedFingerprint(_Digest):
+    """The ``timed`` record: everything a run reports.  Every gate that
+    does not permute the tie-break salt compares at this level."""
+
+    #: Per-window tuples in emission order: the ``Fingerprint`` window
+    #: with the emission-time bits after the result bits.
+    outcomes: tuple[tuple, ...] = field(metadata={"item": "window"})
+    sim_time: str
+    counters: tuple[int, ...]
+    bytes: tuple[int, ...]
+    messages: int
+    node_busy_s: tuple[tuple[str, str], ...] = field(
+        metadata={"item": "node"})
+    queries: tuple[tuple[str, str], ...] = field(
+        default=(), metadata={"item": "query"})
+
+    @classmethod
+    def of(cls, result: RunResult) -> "TimedFingerprint":
+        return cls(
+            outcomes=tuple(
+                (o.index, float(o.result).hex(), float(o.emit_time).hex(),
+                 tuple(sorted((a, s, e) for a, (s, e) in o.spans.items())),
+                 o.corrected, o.up_flows, o.down_flows)
+                for o in result.outcomes),
+            sim_time=float(result.sim_time).hex(),
+            counters=(result.correction_steps, result.prediction_errors,
+                      result.recomputed_events, result.retransmissions),
+            bytes=(result.bytes_up, result.bytes_down, result.bytes_peer),
+            messages=result.messages,
+            node_busy_s=tuple(sorted(
+                (name, float(busy).hex())
+                for name, busy in result.node_busy_s.items())),
+            queries=tuple(sorted(
+                (qid, acct["fingerprint"])
+                for qid, acct in result.queries.items())))
+
+    def what(self) -> Fingerprint:
+        """The salt-invariant projection: no times, windows by index."""
+        windows = sorted((o[:2] + o[3:] for o in self.outcomes),
+                         key=lambda w: w[0])
+        return Fingerprint(windows=tuple(windows), counters=self.counters,
+                           bytes=self.bytes, messages=self.messages,
+                           queries=self.queries)
+
+    def hexdigest(self) -> str:
+        """SHA-256 of the record as canonical JSON; ``queries`` is
+        left out of runs without standing queries."""
+        record = asdict(self) | {"node_busy_s": dict(self.node_busy_s)}
+        if not self.queries:
+            del record["queries"]
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 class DeterminismViolation(AssertionError):
     """A run's outcome depended on same-time event ordering."""
-
-
-def fingerprint_run(config: RunConfig,
-                    workload: Workload | None = None,
-                    ) -> tuple[Fingerprint, Workload]:
-    """Run a config once and fingerprint the outcome."""
-    result, used = run_scheme(config, workload)
-    return Fingerprint.of(result), used
 
 
 def check_determinism(config: RunConfig,
@@ -136,17 +165,16 @@ def check_determinism(config: RunConfig,
     if not salts:
         raise ValueError("need at least one salt")
     baseline: Fingerprint | None = None
-    base_salt = salts[0]
     for salt in salts:
-        fp, workload = fingerprint_run(
+        result, workload = run_scheme(
             replace(config, tiebreak_salt=salt), workload)
+        fp = Fingerprint.of(result)
         if baseline is None:
             baseline = fp
-        elif fp != baseline:
-            diff = "; ".join(baseline.diff(fp)) or "(unequal)"
+        elif diff := baseline.diff(fp):
             raise DeterminismViolation(
                 f"scheme {config.scheme!r} diverged under tie-break "
-                f"salt {salt:#x} (vs {base_salt:#x}): {diff}")
+                f"salt {salt:#x} (vs {salts[0]:#x}): {'; '.join(diff)}")
     assert baseline is not None
     return baseline
 

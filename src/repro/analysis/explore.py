@@ -23,7 +23,7 @@ Every explored interleaving must (1) apply op batches in strictly
 increasing canonical ``(time, phase, rank, class, tie)`` order, (2)
 never leave a live kernel event below an executed horizon, (3) apply
 the exact same batch sequence as the reference interleaving, and (4)
-produce a result whose determinism fingerprint equals the in-process
+produce a result whose ``TimedFingerprint`` equals the in-process
 simulator oracle's.
 
 State-space control (DESIGN §13): choices are scripted as a DFS over
@@ -47,7 +47,7 @@ from collections import deque
 from itertools import permutations
 from typing import Any
 
-from repro.analysis.determinism import Fingerprint
+from repro.analysis.determinism import TimedFingerprint
 from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import Workload
 from repro.errors import ServeError
@@ -276,7 +276,7 @@ def explore_config(config: RunConfig, epochs: int = 3,
     Returns ``(violations, stats)`` with stats keys ``runs``,
     ``pruned``, ``budget_hit``, ``truncated``.
     """
-    oracle = Fingerprint.of(run_scheme(config, workload)[0])
+    oracle = TimedFingerprint.of(run_scheme(config, workload)[0])
     max_depth = 2 * epochs
     stack: list[tuple[int, ...]] = [()]
     seen: set[tuple[Any, ...]] = set()
@@ -322,11 +322,11 @@ def explore_config(config: RunConfig, epochs: int = 3,
                 config, prefix,
                 f"emitted {result.n_windows}/{coord.ctx.n_windows} "
                 f"windows"))
-        elif Fingerprint.of(result) != oracle:
+        elif diff := oracle.diff(TimedFingerprint.of(result)):
             violations.append(Violation(
                 config, prefix,
-                "result fingerprint diverged from the simulator "
-                "oracle"))
+                "result diverged from the simulator oracle: "
+                + "; ".join(diff)))
         if signature is not None:
             if signature in seen:
                 stats["pruned"] += 1

@@ -27,7 +27,7 @@ import sys
 
 from repro.api import compare, run
 from repro.core.runner import available_schemes
-from repro.errors import ConfigurationError
+from repro.errors import AggregationError, ConfigurationError
 from repro.metrics.report import format_si, format_table
 from repro.sweep import JOBS_ENV
 
@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent paced source clients per "
                               "local node (--load latency only)")
     serve_p.add_argument("--verify", action="store_true",
-                         help="also run the simulator and assert the "
-                              "serve fingerprint matches it")
+                         help="also run the simulator and assert its "
+                              "timed fingerprint equals the serve run's")
 
     # Listed for ``repro --help`` only: ``main`` hands these two to
     # the parsers that own their flags before this one runs.
@@ -224,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; a bad argument is one line on stderr, exit 2."""
     try:
         return _dispatch(sys.argv[1:] if argv is None else list(argv))
-    except ConfigurationError as exc:
+    except (ConfigurationError, AggregationError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 
@@ -332,7 +332,7 @@ def _dispatch(argv: list[str]) -> int:
         if args.verify:
             from repro.serve.harness import verify_against_simulator
             verify_against_simulator(config, report.result)
-            print("verified: serve fingerprint == simulator oracle")
+            print("verified: serve == simulator oracle (timed fingerprint)")
         return 0
 
     if args.command == "compare":

@@ -23,9 +23,9 @@ each worker that has a delivery or a timer below it ONE batched EPOCH
 frame, reads the replies once every frame is written (the workers are
 separate processes, so they execute concurrently), then replays the
 returned op batches in canonical ``(time, phase, rank)`` order.
-Results are fingerprint-identical to the oracle (emission order within
-an equal-key class is covered by the same invariance contract as the
-tie-break salt).  A fabric whose minimum link latency is zero has no
+Results, emission times included, are identical to the oracle's
+(emission order within an equal-key class is covered by the same
+invariance contract as the tie-break salt).  A fabric whose minimum link latency is zero has no
 lookahead: each round is then the single instant ``t0``, which still
 makes progress because every frame has at least 32 bytes and so
 arrives strictly after it was sent.

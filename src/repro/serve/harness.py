@@ -7,9 +7,9 @@ speaking the binary wire codec over TCP, and the report additionally
 carries wall-clock load-test observations (per-window latencies,
 sustained throughput).
 
-The per-window results and flow/byte counts are bit-identical to the
-simulator driver's for every scheme — the simulator is the oracle; the
-serve smoke tests and CI assert fingerprint equality on every run.
+The per-window results, emission times, flow/byte counts and busy time
+are bit-identical to the simulator driver's for every scheme; the
+simulator is the oracle ``verify_against_simulator`` checks against.
 """
 
 from __future__ import annotations
@@ -324,12 +324,12 @@ def _terminate(procs: dict[str, subprocess.Popen]) -> None:
 
 def verify_against_simulator(config: RunConfig,
                              result: RunResult) -> None:
-    """Raise unless the serve result matches the oracle bit-for-bit."""
+    """Raise unless the serve run's TimedFingerprint equals the oracle's."""
     # Imported here: repro.analysis imports this module (the model
     # checker), and worker start-up should not pay for the analyzers.
-    from repro.analysis.determinism import Fingerprint
-    sim_result, _ = run_scheme(config)
-    if Fingerprint.of(sim_result) != Fingerprint.of(result):
+    from repro.analysis.determinism import TimedFingerprint
+    oracle = TimedFingerprint.of(run_scheme(config)[0])
+    if diff := oracle.diff(TimedFingerprint.of(result)):
         raise ServeError(
             f"serve run of {config.scheme!r} diverged from the "
-            f"simulator oracle")
+            f"simulator oracle: {'; '.join(diff)}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.aggregates import available_aggregates, get_aggregate
-from repro.analysis.determinism import Fingerprint
+from repro.analysis.determinism import TimedFingerprint
 from repro.core.agg_index import RangeAggregateIndex, decomposition_width
 from repro.core.buffers import PositionBuffer
 from repro.core.context import SchemeContext
@@ -296,7 +296,7 @@ class TestSchemeBitIdentity:
                 topo, ctx, config.resolved_batch_size(),
                 config.saturated)
             assert result.n_windows == ctx.n_windows
-            return Fingerprint.of(result)
+            return TimedFingerprint.of(result)
 
         on = fingerprint()
         # Every scheme buffer is built through this one point.

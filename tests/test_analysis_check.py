@@ -20,7 +20,7 @@ from repro.analysis.explore import (ModelCoordinator, _Schedule,
                                     explore_config,
                                     phase_inversion_trace,
                                     synthetic_merge_violations)
-from repro.analysis.determinism import Fingerprint
+from repro.analysis.determinism import TimedFingerprint
 from repro.core.runner import run_scheme
 from repro.serve import merge
 
@@ -67,12 +67,11 @@ class TestAppliedOrder:
 class TestModelCoordinator:
     def test_model_run_matches_simulator_oracle(self):
         config = small_config("deco_sync", 2)
-        result, _ = run_scheme(config, None)
-        oracle = Fingerprint.of(result)
+        oracle = TimedFingerprint.of(run_scheme(config, None)[0])
         coord = ModelCoordinator(config)
         coord.run_model(_Schedule(()))
         from repro.serve.harness import _merge_results
-        assert Fingerprint.of(_merge_results(coord)) == oracle
+        assert TimedFingerprint.of(_merge_results(coord)) == oracle
         assert check_applied_order(coord.applied_log) is None
 
     def test_model_runs_the_production_loop(self):

@@ -9,6 +9,7 @@ ordering.
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,11 +17,11 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.determinism import (DEFAULT_SALTS,
                                         DeterminismViolation,
-                                        Fingerprint, check_all_schemes,
-                                        check_determinism,
-                                        fingerprint_run)
+                                        Fingerprint, TimedFingerprint,
+                                        check_all_schemes,
+                                        check_determinism)
 from repro.core.records import RunResult, WindowOutcome
-from repro.core.runner import RunConfig
+from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import default_cache
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -85,6 +86,7 @@ class TestFingerprint:
             index=0, result=value, emit_time=1.0,
             spans={0: (0, 10)}, up_flows=1))
         r.messages = 5
+        r.node_busy_s = {"root": 0.5}
         return r
 
     def test_equal_runs_equal_fingerprints(self):
@@ -110,6 +112,20 @@ class TestFingerprint:
         other.outcomes[0].emit_time = 99.0
         assert (Fingerprint.of(self._result())
                 == Fingerprint.of(other))
+
+    @pytest.mark.parametrize("projection", [Fingerprint, TimedFingerprint])
+    def test_diff_names_every_field(self, projection):
+        result = self._result()
+        result.queries = {"q0": {"fingerprint": "ab"}}
+        digest = projection.of(result)
+        for f in fields(digest):
+            value = getattr(digest, f.name)
+            # A keyed field keeps its length and key: only a payload moves.
+            moved = (value[:-1] + ((value[-1][0], "moved"),)
+                     if f.metadata.get("item") else "moved")
+            diff = digest.diff(replace(digest, **{f.name: moved}))
+            assert diff and all(line.startswith(f"{f.name}: ")
+                                for line in diff), (f.name, diff)
 
 
 class TestHarness:
@@ -139,8 +155,9 @@ class TestHarness:
         # under the guise of one config: seeds differ, so the harness
         # must flag the (synthetic) mismatch.
         config = small_config("central")
-        base, wl_a = fingerprint_run(config)
-        other, _ = fingerprint_run(small_config("central", seed=1))
+        base = Fingerprint.of(run_scheme(config)[0])
+        other = Fingerprint.of(run_scheme(small_config("central",
+                                                       seed=1))[0])
         assert base != other
         diff = base.diff(other)
         assert diff, "different seeds must produce a field-level diff"

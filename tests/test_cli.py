@@ -177,7 +177,9 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("bad", [
         ["--nodes", "0"], ["--queries", "sum:10:20"], ["--delta-m", "0"],
-        ["--rate-change", "-2"], ["--windows", "0"], ["--rate", "0"]])
+        ["--rate-change", "-2"], ["--windows", "0"], ["--rate", "0"],
+        ["--aggregate", "nope"], ["--aggregate", "quantile(2)"],
+        ["--aggregate", "quantile(x)"], ["--queries", "nope:100"]])
     @pytest.mark.parametrize("command", ["run", "serve"])
     def test_usage_error_without_traceback(self, capsys, command, bad):
         assert main([command, "central", *self.ARGS, *bad]) == 2

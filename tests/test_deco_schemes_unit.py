@@ -4,6 +4,7 @@ import pytest
 
 import repro.baselines  # noqa: F401 -- registers baseline schemes
 from repro.aggregates import Sum, get_aggregate
+from repro.analysis.determinism import TimedFingerprint
 from repro.core import RunConfig, run_scheme
 from repro.core.deco_async import (MAX_SPECULATION_AHEAD, SYNC_WINDOW,
                                    DecoAsyncRoot)
@@ -188,12 +189,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("scheme", ["deco_sync", "deco_async",
                                         "central"])
     def test_same_seed_same_results(self, scheme):
-        a, _ = run_scheme(RunConfig(scheme=scheme, n_nodes=2,
-                                    window_size=2_000, n_windows=10,
-                                    rate_per_node=10_000, seed=5))
-        b, _ = run_scheme(RunConfig(scheme=scheme, n_nodes=2,
-                                    window_size=2_000, n_windows=10,
-                                    rate_per_node=10_000, seed=5))
-        assert a.results == b.results
-        assert a.total_bytes == b.total_bytes
-        assert a.sim_time == b.sim_time
+        config = RunConfig(scheme=scheme, n_nodes=2, window_size=2_000,
+                           n_windows=10, rate_per_node=10_000, seed=5)
+        a, b = run_scheme(config)[0], run_scheme(config)[0]
+        assert TimedFingerprint.of(a) == TimedFingerprint.of(b)

@@ -10,6 +10,8 @@ off.  Hypothesis drives populations and admission
 points; the scheme-level tests compare full determinism fingerprints.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
-from repro.analysis.determinism import Fingerprint, check_determinism
+from repro.analysis.determinism import (TimedFingerprint,
+                                        check_determinism)
 from repro.analysis.fsm import assert_fsm_conformance
 from repro.core.multiquery import MultiQueryEngine
 from repro.core.query import Query, parse_query_spec
@@ -397,7 +400,7 @@ class TestSchemeFingerprints:
                 topo, ctx, config.resolved_batch_size(),
                 config.saturated)
             assert result.n_windows == ctx.n_windows
-            return Fingerprint.of(result)
+            return TimedFingerprint.of(result)
 
         on, off = fingerprint(True), fingerprint(False)
         assert on.queries, "no standing-query accounts in fingerprint"
@@ -405,16 +408,16 @@ class TestSchemeFingerprints:
 
     def test_fingerprint_unchanged_by_queries(self):
         """Standing queries are pure observers: the scheme's own
-        windows, bytes, and flows are untouched by admitting them."""
+        windows, emission times, bytes, flows and busy time are
+        untouched by admitting them."""
         bare, _ = run_scheme(RunConfig(scheme="deco_sync", **TINY))
         with_q, _ = run_scheme(
             RunConfig(scheme="deco_sync", queries=QUERIES, **TINY))
         assert not bare.queries
         assert set(with_q.queries) == {"q0", "q1", "q2", "q3",
                                        "q4", "q5", "q6", "q7"}
-        stripped = Fingerprint.of(with_q)
-        assert Fingerprint.of(bare) == type(stripped)(
-            **{**stripped.__dict__, "queries": ()})
+        assert TimedFingerprint.of(bare) == replace(
+            TimedFingerprint.of(with_q), queries=())
 
     def test_config_queries_admission_order(self):
         """Config queries admit stream-major: every local stream gets
@@ -485,14 +488,17 @@ class TestServeParity:
         """Worker-side query accounts merged from FINAL payloads are
         bit-identical to the simulator oracle's — also for a scheme
         (central) whose locals keep ingesting in the epoch the root
-        stops in: their feed is cut at the last applied item."""
-        from repro.serve.harness import run_scheme_served
+        stops in: their feed is cut at the last applied item.  The
+        whole run matches too, emission and busy times included."""
+        from repro.serve.harness import (run_scheme_served,
+                                         verify_against_simulator)
         config = RunConfig(scheme=scheme, queries=("sum:500",
                                                    "avg:300:100"),
                            **TINY)
         sim_result, _ = run_scheme(config)
         report = run_scheme_served(config)
         assert report.result.queries == sim_result.queries
+        verify_against_simulator(config, report.result)
 
     def test_runtime_admission_via_coordinator(self):
         """Runtime admissions broadcast after START land on every

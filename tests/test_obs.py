@@ -16,6 +16,7 @@ import pytest
 
 import repro.baselines  # noqa: F401
 import repro.core.workload as wl
+from repro.analysis.determinism import TimedFingerprint
 from repro.api import run
 from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import default_cache
@@ -45,16 +46,6 @@ def _config(scheme, **overrides):
     return RunConfig(**base)
 
 
-def _fingerprint(result):
-    return (result.scheme, result.results,
-            [o.emit_time for o in result.outcomes],
-            [o.spans for o in result.outcomes],
-            result.total_bytes, result.messages, result.sim_time,
-            result.correction_steps, result.prediction_errors,
-            result.retransmissions, result.recomputed_events,
-            result.node_busy_s)
-
-
 def _traced(scheme, **overrides):
     config = _config(scheme, **overrides)
     tracer = RunTracer()
@@ -70,13 +61,12 @@ class TestZeroInterference:
         baseline, workload = run_scheme(config)
         tracer = RunTracer()
         traced, _ = run_scheme(config, workload=workload, tracer=tracer)
-        assert _fingerprint(baseline) == _fingerprint(traced)
+        assert TimedFingerprint.of(baseline) == TimedFingerprint.of(traced)
         assert len(tracer.events) > 0
 
     def test_traced_fault_run_identical_rng_draws(self):
         """Tracing must not perturb the fault injector's RNG stream."""
-        stats = []
-        fingerprints = []
+        runs = []
         for trace in (False, True):
             config = _config("deco_sync", retransmit_timeout_s=0.02)
             tracer = RunTracer() if trace else None
@@ -85,11 +75,9 @@ class TestZeroInterference:
                 topo, drop_probability=0.2, seed=5)
             run_simulation(topo, ctx, config.resolved_batch_size(),
                            config.saturated)
-            stats.append((injector.stats.dropped,
-                          injector.stats.delayed))
-            fingerprints.append(_fingerprint(ctx.result))
-        assert stats[0] == stats[1]
-        assert fingerprints[0] == fingerprints[1]
+            runs.append((injector.stats.dropped, injector.stats.delayed,
+                         TimedFingerprint.of(ctx.result)))
+        assert runs[0] == runs[1]
 
     def test_config_trace_flag_equals_explicit_tracer(self):
         config = _config("deco_sync")
@@ -97,7 +85,7 @@ class TestZeroInterference:
         config_traced = _config("deco_sync")
         config_traced.trace = True
         flagged, _ = run_scheme(config_traced, workload=workload)
-        assert _fingerprint(plain) == _fingerprint(flagged)
+        assert TimedFingerprint.of(plain) == TimedFingerprint.of(flagged)
 
 
 class TestTracerRecording:
@@ -321,5 +309,5 @@ class TestSweepTracing:
     def test_tracing_does_not_change_sweep_results(self, spill_dir):
         plain = SweepExecutor(jobs=1).run(self._configs(trace=False))
         traced = SweepExecutor(jobs=1).run(self._configs(trace=True))
-        assert [_fingerprint(r) for r in plain] == \
-            [_fingerprint(r) for r in traced]
+        assert [TimedFingerprint.of(r) for r in plain] == \
+            [TimedFingerprint.of(r) for r in traced]

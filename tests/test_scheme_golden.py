@@ -1,11 +1,11 @@
 """Golden digests: every scheme's outcomes, times, bytes and counters.
 
-``determinism.Fingerprint`` leaves emission times out on purpose, and no
-other tier-1 test pins an absolute value, so a refactor that shifts both
-drivers equally would pass everything else.  These digests pin, per
-scheme and load shape, every window's result, emission time, spans and
-flow counts, the run's virtual end time, its counters, its byte and
-message totals and every node's busy time, to the last bit.
+Every other gate compares two runs, so a refactor that shifts both
+sides equally would pass them all.  These digests pin, per scheme and
+load shape, ``determinism.TimedFingerprint.hexdigest()``: every window's
+result, emission time, spans and flow counts, the run's virtual end
+time, its counters, its byte and message totals and every node's busy
+time, to the last bit.
 
 A digest changes only together with a CHANGES.md line saying which
 paper-visible number moved and why.  Never refresh one to make a
@@ -16,13 +16,11 @@ arithmetic, small-integer values stored as float64), so neither the RNG
 stream nor the summation order of the installed numpy can move a digest.
 """
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401 -- registers baseline schemes
+from repro.analysis.determinism import TimedFingerprint
 from repro.core import RunConfig, run_scheme
 from repro.core.runner import available_schemes, get_scheme
 from repro.core.workload import build_workload
@@ -63,26 +61,6 @@ def golden_config(scheme, saturated, **overrides):
                      window_size=WINDOW_SIZE, n_windows=N_WINDOWS,
                      saturated=saturated, delta_m=2, min_delta=2,
                      **overrides)
-
-
-def digest(result):
-    """SHA-256 over everything a run reports, floats as ``float.hex``."""
-    record = {
-        "outcomes": [
-            [o.index, float(o.result).hex(), float(o.emit_time).hex(),
-             sorted((a, s, e) for a, (s, e) in o.spans.items()),
-             o.corrected, o.up_flows, o.down_flows]
-            for o in result.outcomes],
-        "sim_time": float(result.sim_time).hex(),
-        "counters": [result.correction_steps, result.prediction_errors,
-                     result.recomputed_events, result.retransmissions],
-        "bytes": [result.bytes_up, result.bytes_down, result.bytes_peer],
-        "messages": result.messages,
-        "node_busy_s": {name: float(busy).hex()
-                        for name, busy in result.node_busy_s.items()},
-    }
-    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 #: Taken at the parent of the PR that made Deco_async extend the shared
@@ -146,7 +124,8 @@ def test_golden_digest(workload, scheme, load):
     if scheme in ("deco_sync", "deco_async"):
         # The rate steps must exercise the correction round.
         assert result.correction_steps >= 1
-    assert digest(result) == GOLDEN[scheme, load]
+    assert (TimedFingerprint.of(result).hexdigest()
+            == GOLDEN[scheme, load])
 
 
 def test_sync_retransmit_path_digest(workload):
@@ -164,7 +143,7 @@ def test_sync_retransmit_path_digest(workload):
     assert injector.stats.dropped > 0
     assert result.retransmissions > 0
     assert result.correction_steps >= 1
-    assert digest(result) == GOLDEN_SYNC_DROPS
+    assert TimedFingerprint.of(result).hexdigest() == GOLDEN_SYNC_DROPS
 
 
 @pytest.mark.parametrize("load", ["saturated", "paced"])
@@ -176,4 +155,5 @@ def test_async_does_not_inherit_sync_timers(workload, load):
         golden_config("deco_async", load == "saturated",
                       retransmit_timeout_s=0.02), workload)
     assert result.retransmissions == 0
-    assert digest(result) == GOLDEN["deco_async", load]
+    assert (TimedFingerprint.of(result).hexdigest()
+            == GOLDEN["deco_async", load])

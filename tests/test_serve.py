@@ -14,7 +14,6 @@ import re
 import numpy as np
 import pytest
 
-from repro.analysis.determinism import Fingerprint
 from repro.core.protocol import RawEvents
 from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.errors import ServeError, StreamError
@@ -23,6 +22,7 @@ from repro.runtime.api import ROOT_NAME
 from repro.serve import percentile, run_scheme_served
 from repro.runtime.serialization import WireFormat
 from repro.serve.coordinator import Coordinator
+from repro.serve.harness import verify_against_simulator
 from repro.serve.protocol import (config_from_json, config_to_json,
                                   outcome_from_json, outcome_to_json,
                                   sender_table)
@@ -181,17 +181,27 @@ class TestServeMatchesSimulator:
     @pytest.mark.parametrize("scheme", sorted(available_schemes()))
     def test_fingerprint_identity(self, scheme):
         config = tiny_config(scheme)
-        sim_result, _ = run_scheme(config)
-        report = run_scheme_served(config)
-        assert Fingerprint.of(report.result) == \
-            Fingerprint.of(sim_result)
+        verify_against_simulator(config, run_scheme_served(config).result)
+
+    @pytest.mark.parametrize("field", ["outcomes", "node_busy_s"])
+    def test_gate_sees_a_timing_only_difference(self, field):
+        # One ulp in one window's emission time or one node's busy
+        # time: nothing the salt-invariant Fingerprint compares moves.
+        config = tiny_config("deco_sync")
+        result, _ = run_scheme(config)
+        if field == "outcomes":
+            last = result.outcomes[-1]
+            last.emit_time = math.nextafter(last.emit_time, math.inf)
+        else:
+            busy = result.node_busy_s
+            busy[ROOT_NAME] = math.nextafter(busy[ROOT_NAME], math.inf)
+        with pytest.raises(ServeError, match=f"oracle: {field}: "):
+            verify_against_simulator(config, result)
 
     def test_paced_mode_identity_and_latency(self):
         config = tiny_config("deco_sync", saturated=False)
-        sim_result, _ = run_scheme(config)
         report = run_scheme_served(config)
-        assert Fingerprint.of(report.result) == \
-            Fingerprint.of(sim_result)
+        verify_against_simulator(config, report.result)
         assert not report.saturated
         lat = report.window_latencies_s()
         assert len(lat) == config.n_windows

@@ -14,6 +14,7 @@ import pytest
 
 import repro.core.workload as wl
 from repro.aggregates.registry import get_aggregate
+from repro.analysis.determinism import TimedFingerprint
 from repro.api import compare, compare_grid
 from repro.core.runner import RunConfig
 from repro.core.workload import WorkloadCache, WorkloadSpec
@@ -38,11 +39,6 @@ def _tiny_configs():
                   rate_per_node=10_000.0)
     return [RunConfig(scheme=scheme, seed=seed, **kwargs)
             for scheme in ("central", "deco_async") for seed in (0, 1)]
-
-
-def _fingerprint(result):
-    return (result.scheme, result.results, result.total_bytes,
-            result.messages, result.sim_time, result.correction_steps)
 
 
 class TestResolveJobs:
@@ -77,8 +73,8 @@ class TestSweepExecutor:
         configs = _tiny_configs()
         serial = SweepExecutor(jobs=1).run(configs)
         parallel = SweepExecutor(jobs=jobs).run(configs)
-        assert [_fingerprint(r) for r in serial] == \
-            [_fingerprint(r) for r in parallel]
+        assert [TimedFingerprint.of(r) for r in serial] == \
+            [TimedFingerprint.of(r) for r in parallel]
 
     def test_results_in_submission_order(self, spill_dir):
         configs = _tiny_configs()
@@ -135,9 +131,9 @@ class TestCompareParallel:
         for scheme in serial:
             a, b = serial[scheme], parallel[scheme]
             assert a.throughput == b.throughput
-            assert a.total_bytes == b.total_bytes
             assert a.correctness == b.correctness
-            assert a.result.results == b.result.results
+            assert TimedFingerprint.of(a.result) == \
+                TimedFingerprint.of(b.result)
 
     def test_compare_grid_orders_points(self, spill_dir):
         grids = compare_grid(

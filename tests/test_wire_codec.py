@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregates.algebraic import Moments, SumCount
-from repro.analysis.determinism import Fingerprint
+from repro.analysis.determinism import TimedFingerprint
 from repro.core import protocol
 from repro.core.protocol import (MESSAGE_TYPES, CorrectionReport,
                                  CorrectionRequest, FrontBuffer,
@@ -521,7 +521,7 @@ class TestSchemeBitIdentity:
                 topo, ctx, config.resolved_batch_size(),
                 config.saturated)
             assert result.n_windows == ctx.n_windows
-            return Fingerprint.of(result)
+            return TimedFingerprint.of(result)
 
         on, off = fingerprint(True), fingerprint(False)
         assert on == off, "\n".join(on.diff(off))
