@@ -42,7 +42,7 @@ def test_ablation_serialization_model(benchmark, record_table):
     record_table("ablation_serialization_model",
                  "Ablation: wire-format size model", HEADERS_MODEL, rows)
     # This assertion *is about* the string-expansion factor itself.
-    assert (3 * EVENT_BYTES[WireFormat.BINARY]  # decolint: disable=DL006
+    assert (3 * EVENT_BYTES[WireFormat.BINARY]
             == EVENT_BYTES[WireFormat.STRING])
     assert event_payload_size(10, WireFormat.STRING) == 720
 

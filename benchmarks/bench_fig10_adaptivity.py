@@ -58,6 +58,6 @@ def test_fig10_rate_change_sweep(benchmark, scale, record_table):
     for change in changes:
         for scheme in ("deco_mon", "deco_sync", "deco_async"):
             # Exact-correctness contract, not a float tolerance.
-            assert data[change][scheme].correctness == 1.0  # decolint: disable=DL003
+            assert data[change][scheme].correctness == 1.0
     assert data[largest]["approx"].correctness < \
         data[smallest]["approx"].correctness < 1.0

@@ -32,5 +32,5 @@ def test_fig10f_correctness_unstable(benchmark, scale, record_table):
     for _size, summaries in data.items():
         for scheme in ("deco_mon", "deco_sync", "deco_async"):
             # Exact-correctness contract, not a float tolerance.
-            assert summaries[scheme].correctness == 1.0  # decolint: disable=DL003
+            assert summaries[scheme].correctness == 1.0
         assert summaries["approx"].correctness < 1.0

@@ -26,7 +26,6 @@ Run directly (CI runs the reduced mode)::
 """
 # This harness *measures host wall-clock* by design — it times the
 # engine from outside the simulator.
-# decolint: disable-file=DL001
 
 import json
 import os

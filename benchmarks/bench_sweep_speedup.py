@@ -12,7 +12,6 @@ times faster, on a single core the table documents the pool overhead.
 """
 # This harness *measures host wall-clock* by design — it times the
 # simulator from outside rather than running inside it.
-# decolint: disable-file=DL001
 
 
 import os

@@ -25,7 +25,6 @@ Run directly (CI runs the reduced mode)::
 """
 # This harness *measures host wall-clock* by design — it times spill
 # loads from outside the simulator.
-# decolint: disable-file=DL001
 
 import json
 import os

@@ -22,7 +22,6 @@ step with a hard exit code)::
 """
 # This harness *measures host wall-clock* by design — it times the
 # simulator from outside rather than running inside it.
-# decolint: disable-file=DL001
 
 
 import sys

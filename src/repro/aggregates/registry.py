@@ -12,7 +12,7 @@ from repro.errors import AggregationError
 
 # Import-time registry: run code only reads it; `register` is a
 # user-facing extension point called before any run starts.
-_FACTORIES: dict[str, Callable[[], AggregateFunction]] = {  # decolint: disable=DL005
+_FACTORIES: dict[str, Callable[[], AggregateFunction]] = {
     "sum": Sum,
     "count": Count,
     "min": Min,

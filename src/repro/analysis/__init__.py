@@ -1,11 +1,9 @@
-"""``repro.analysis`` — deco-lint and the determinism contract.
+"""``repro.analysis`` — the runtime half of the determinism contract.
 
-Three enforcement layers for the reproduction's core invariant (every
-run is a single-threaded, reproducible computation):
+Enforcement layers for the reproduction's core invariant (every run is
+a single-threaded, reproducible computation); the static half, what
+source may say and where, is the row table of ``tests/test_layout.py``:
 
-* :mod:`repro.analysis.lint` / :mod:`repro.analysis.rules` — deco-lint,
-  the repo-specific AST rules run by ``repro lint`` and CI
-  (``repro lint --list-rules`` names them).
 * :mod:`repro.analysis.determinism` — the schedule-determinism harness:
   re-runs a config under permuted kernel tie-break salts and asserts
   bit-identical outcomes.

@@ -22,7 +22,8 @@ traced production merge of an epoch where phase decides the order,
 proving both layers catch the same defect.
 
 Exit codes: 0 clean, 1 violations found (inverted by
-``--expect-violations``), 2 usage errors.
+``--expect-violations``), 2 usage errors (an unreadable trace, or one
+with no causal serve events, included).
 """
 
 from __future__ import annotations
@@ -97,9 +98,18 @@ def run_explore(schemes: Sequence[str], nodes: Sequence[int],
 
 
 def run_trace(path: str) -> int:
-    """HB-analyze one JSONL serve trace; returns the violation count."""
+    """HB-analyze one JSONL serve trace; returns the violation count.
+
+    Raises :class:`OSError` for an unreadable path and
+    :class:`ValueError` for a file that is not a serve trace, including
+    one with no causal events: analyzing nothing must not pass.
+    """
     from repro.analysis.hb import analyze_jsonl
     report = analyze_jsonl(path)
+    if not report.n_events:
+        raise ValueError(f"{path}: no causal serve events; capture the "
+                         f"trace with `repro trace --runtime serve "
+                         f"--format jsonl`")
     print(f"{path}: {report.n_events} causal events across "
           f"{len(report.processes)} processes "
           f"({', '.join(report.processes)}), "
@@ -205,7 +215,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.seed_bug is not None:
                 total += run_bug_hb_canary(schemes[0], nodes[0])
         if args.trace is not None:
-            total += run_trace(args.trace)
+            try:
+                total += run_trace(args.trace)
+            except (OSError, ValueError) as exc:
+                print(f"repro check: {exc}", file=sys.stderr)
+                return 2
     finally:
         merge.SEED_BUG = previous
 

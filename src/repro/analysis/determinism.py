@@ -1,7 +1,7 @@
 """Schedule-determinism harness: the runtime half of the contract.
 
-The static rules (:mod:`repro.analysis.rules`) forbid the *sources* of
-nondeterminism that grep can see; this harness tests the property
+The layout rows of ``tests/test_layout.py`` forbid the *sources* of
+nondeterminism that an AST walk can see; this harness tests the property
 itself.  It runs one :class:`~repro.core.runner.RunConfig` several
 times under permuted kernel tie-break salts — each salt deterministically
 permutes the order in which *same-time* events execute (see

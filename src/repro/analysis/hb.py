@@ -306,6 +306,9 @@ def load_jsonl(path: str | Path) -> list[TraceEvent]:
                 raise ValueError(
                     f"{path}:{lineno}: undecodable JSONL line: "
                     f"{exc}") from None
+            if not isinstance(raw, dict):
+                raise ValueError(f"{path}:{lineno}: not a trace event "
+                                 f"(a JSON object): {line[:40]}")
             data = {key: value for key, value in raw.items()
                     if key not in ("kind", "t", "node", "dur")}
             try:

@@ -11,9 +11,6 @@ Subcommands:
 * ``serve`` — run one scheme on the serve runtime: every node a real
   OS process speaking the binary wire codec over TCP, results
   bit-identical to the simulator, plus wall-clock latency/throughput.
-* ``lint`` — run deco-lint, the repo-specific static-analysis pass
-  (``repro lint --list-rules`` names the rules; see
-  :mod:`repro.analysis.rules`).
 * ``check`` — the concurrency verifier: small-scope interleaving model
   checking of the serve run loop and happens-before analysis of captured
   serve traces (see :mod:`repro.analysis.check`).
@@ -31,13 +28,10 @@ from repro.errors import AggregationError, ConfigurationError
 from repro.metrics.report import format_si, format_table
 from repro.sweep import JOBS_ENV
 
-#: Experiment name -> (headers, rows-callable(scale)).  Written once,
-#: lazily, by ``_register_experiments`` in the CLI process — never from
-#: sweep workers.
-_EXPERIMENTS = {}  # decolint: disable=DL005
-
 
 def _register_experiments():
+    """Experiment name -> (headers, rows-callable(scale)); the figure
+    drivers import only when an experiment runs."""
     from repro.experiments import fig7, fig8, fig9, fig10, fig11, micro
 
     def rate_sweep_rows(maker):
@@ -55,7 +49,7 @@ def _register_experiments():
     windows = ["window size", "approx", "deco_mon", "deco_sync",
                "deco_async"]
     e2e = ["local nodes", "central", "scotty", "disco", "deco_async"]
-    _EXPERIMENTS.update({
+    return {
         "fig7a": (["approach", "throughput ev/s", "vs scotty"],
                   fig7.rows_fig7a),
         "fig7b": (["approach", "latency ms", "vs deco_async"],
@@ -80,7 +74,7 @@ def _register_experiments():
                     fig11.rows_fig11bc),
         "fig11d": (["raspberry pis", "central", "scotty", "disco",
                     "deco_async"], fig11.rows_fig11d),
-    })
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the simulator and assert its "
                               "timed fingerprint equals the serve run's")
 
-    # Listed for ``repro --help`` only: ``main`` hands these two to
-    # the parsers that own their flags before this one runs.
-    sub.add_parser("lint", help="run deco-lint (see --list-rules)")
+    # Listed for ``repro --help`` only: ``main`` hands it to the
+    # parser that owns its flags before this one runs.
     sub.add_parser(
         "check",
         help="concurrency verifier: interleaving model checking "
@@ -230,25 +223,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _experiment(name: str, scale: float) -> int:
-    _register_experiments()
+    if not 0 < scale < float("inf"):
+        raise ConfigurationError(
+            f"--scale must be a positive finite number, got {scale}")
+    experiments = _register_experiments()
     if name == "list":
-        for known in sorted(_EXPERIMENTS):
+        for known in sorted(experiments):
             print(known)
         return 0
-    if name not in _EXPERIMENTS:
+    if name not in experiments:
         print(f"unknown experiment {name!r}; try 'experiment list'",
               file=sys.stderr)
         return 2
-    headers, rows_fn = _EXPERIMENTS[name]
+    headers, rows_fn = experiments[name]
     print(f"== {name} (scale {scale}) ==")
     print(format_table(headers, rows_fn(scale)))
     return 0
 
 
 def _dispatch(argv: list[str]) -> int:
-    if argv[:1] == ["lint"]:
-        from repro.analysis.lint import main as lint_main
-        return lint_main(argv[1:])
     if argv[:1] == ["check"]:
         from repro.analysis.check import main as check_main
         return check_main(argv[1:])

@@ -428,9 +428,10 @@ class MultiQueryEngine:
             return
         # Reference path: with sharing disabled every standing query
         # pays its own buffer append, tree extension, and range lift —
-        # the per-query loop DL011 exists to flag, kept deliberately as
+        # the per-query loop the no-per-query-lifts layout row flags
+        # (it exempts this method by name), kept deliberately as
         # the bit-identity oracle for the shared path.
-        for pipe in self._query_pipes.get(stream, ()):  # decolint: disable=DL011
+        for pipe in self._query_pipes.get(stream, ()):
             buf = pipe.buffer
             buf.append(batch)
             end = buf.end

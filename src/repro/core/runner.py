@@ -50,7 +50,7 @@ class SchemeSpec:
 
 # Import-time registry: schemes register when their package imports;
 # run code only reads it, so workers cannot diverge.
-_SCHEMES: dict[str, SchemeSpec] = {}  # decolint: disable=DL005
+_SCHEMES: dict[str, SchemeSpec] = {}
 
 
 def register_scheme(spec: SchemeSpec) -> SchemeSpec:

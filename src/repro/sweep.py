@@ -70,7 +70,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
 # Deliberate per-worker cache: keyed by spill path, holding immutable
 # workloads — a hit returns bit-identical data to a regeneration, so
 # sharing across runs cannot change results.
-_WORKER_WORKLOADS: "OrderedDict[str, Workload]" = OrderedDict()  # decolint: disable=DL005
+_WORKER_WORKLOADS: "OrderedDict[str, Workload]" = OrderedDict()
 _WORKER_MEMO_CAPACITY = 4
 
 

@@ -84,8 +84,8 @@ _COUNT_MASK = (1 << 48) - 1
 # Import-time registry of named partial types (avg's SumCount, the
 # moment tuples of variance/stddev).  Written only at import, read on
 # every encode/decode.
-_NAMED_TYPES: list[type] = []  # decolint: disable=DL005
-_NAMED_TAGS: dict[type, int] = {}  # decolint: disable=DL005
+_NAMED_TYPES: list[type] = []
+_NAMED_TAGS: dict[type, int] = {}
 
 
 def register_partial_type(cls: type) -> type:

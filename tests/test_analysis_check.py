@@ -25,6 +25,23 @@ from repro.core.runner import run_scheme
 from repro.serve import merge
 
 
+def _written(tmp_path, text):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    return path
+
+
+def _simulator_trace(tmp_path):
+    """A ``repro trace`` JSONL capture without ``--runtime serve``."""
+    from repro.api import run
+    from repro.obs.exporters import write_jsonl
+    summary = run("deco_sync", n_nodes=2, window_size=400, n_windows=3,
+                  rate_per_node=20_000.0, seed=7, trace=True)
+    path = tmp_path / "sim.jsonl"
+    write_jsonl(path, summary.trace)
+    return path
+
+
 @pytest.fixture
 def seed_bug():
     """Activate the drop-phase merge bug for one test."""
@@ -184,3 +201,21 @@ class TestCli:
         assert main(["--trace", str(path)]) == 0
         assert "happens-before analysis: ok" in \
             capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: tmp / "missing.jsonl",
+        lambda tmp: tmp,
+        lambda tmp: _written(tmp, "not json\n"),
+        lambda tmp: _written(tmp, "[1, 2]\n"),
+        lambda tmp: _written(tmp, "{}\n"),
+        lambda tmp: _written(tmp, ""),
+        _simulator_trace,
+    ], ids=["missing", "directory", "not-json", "not-an-object",
+            "not-an-event", "empty", "simulator-trace"])
+    def test_trace_mode_rejects_what_it_cannot_analyze(self, tmp_path,
+                                                       capsys, make):
+        assert main(["--trace", str(make(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert "happens-before analysis" not in captured.out
+        assert captured.err.startswith("repro check: ")
+        assert captured.err.count("\n") == 1

@@ -169,10 +169,10 @@ class TestHarness:
 
 
 def test_import_loads_no_other_analysis_layer():
-    # Benchmarks import Fingerprint: no linter, model checker or serve.
+    # Benchmarks import Fingerprint: no model checker or serve.
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, repro.analysis.determinism; "
          "print(*sys.modules)"], capture_output=True, text=True).stdout
     assert "repro.analysis.determinism" in loaded
-    assert not re.findall(r"repro\.(analysis\.(rules|explore)|serve)\b",
+    assert not re.findall(r"repro\.(analysis\.explore|serve)\b",
                           loaded)

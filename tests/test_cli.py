@@ -90,10 +90,9 @@ class TestJobsFlag:
 
 
 class TestOwnedParsers:
-    """``lint`` and ``check`` parse their own command lines."""
+    """``check`` parses its own command line."""
 
-    @pytest.mark.parametrize("command, flag", [
-        ("lint", "--list-rules"), ("check", "--seed-bug")])
+    @pytest.mark.parametrize("command, flag", [("check", "--seed-bug")])
     def test_help_is_the_owning_parsers(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
@@ -101,6 +100,13 @@ class TestOwnedParsers:
         out = capsys.readouterr().out
         assert f"usage: repro {command}" in out
         assert flag in out
+
+    def test_lint_is_not_a_command(self, capsys):
+        # The source rules are rows of tests/test_layout.py.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -114,6 +120,14 @@ class TestExperiment:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+    def test_non_positive_scale_is_usage_error(self, capsys, scale):
+        # Not silently floored to the smallest workload.
+        assert main(["experiment", "fig7a", "--scale", scale]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --scale") and \
+            err.count("\n") == 1
 
     def test_experiment_runs_tiny(self, capsys):
         assert main(["experiment", "fig7a", "--scale", "0.05"]) == 0
