@@ -9,24 +9,19 @@ grow with the change rate with async > sync; every Deco scheme stays at
 """
 
 from repro.experiments import fig10
-from repro.experiments.config import ADAPTIVITY_SCHEMES
-
-HEADERS_RATE = ["rate change"] + list(ADAPTIVITY_SCHEMES)
-HEADERS_10C = ["rate change", "deco_sync corr/100w",
-               "deco_async corr/100w"]
 
 
 def test_fig10_rate_change_sweep(benchmark, scale, record_table):
     data = benchmark.pedantic(fig10.run_rate_change_sweep,
                               args=(scale,), rounds=1, iterations=1)
     record_table("fig10a", "Fig 10a: throughput vs rate change",
-                 HEADERS_RATE, fig10.rows_fig10a(data))
+                 fig10.HEADERS_RATE, fig10.rows_fig10a(data))
     record_table("fig10b", "Fig 10b: network bytes vs rate change",
-                 HEADERS_RATE, fig10.rows_fig10b(data))
+                 fig10.HEADERS_RATE, fig10.rows_fig10b(data))
     record_table("fig10c", "Fig 10c: corrections per 100 windows",
-                 HEADERS_10C, fig10.rows_fig10c(data))
+                 fig10.HEADERS_10C, fig10.rows_fig10c(data))
     record_table("fig10d", "Fig 10d: correctness vs rate change",
-                 HEADERS_RATE, fig10.rows_fig10d(data))
+                 fig10.HEADERS_RATE, fig10.rows_fig10d(data))
 
     changes = sorted(data)
     smallest, largest = changes[0], changes[-1]

@@ -7,16 +7,13 @@ correctness at every window size.
 """
 
 from repro.experiments import fig10
-from repro.experiments.config import ADAPTIVITY_SCHEMES
-
-HEADERS = ["window size"] + list(ADAPTIVITY_SCHEMES)
 
 
 def test_fig10e_throughput_vs_window(benchmark, scale, record_table):
     data = benchmark.pedantic(fig10.run_window_size_sweep,
                               args=(scale,), rounds=1, iterations=1)
     record_table("fig10e", "Fig 10e: throughput vs window size",
-                 HEADERS, fig10.rows_fig10e(data))
+                 fig10.HEADERS_WINDOW, fig10.rows_fig10e(data))
     sizes = sorted(data)
     async_thr = [data[s]["deco_async"].throughput for s in sizes]
     # Deco benefits from larger windows.
@@ -28,7 +25,7 @@ def test_fig10f_correctness_unstable(benchmark, scale, record_table):
                               args=(scale, 0.5), rounds=1, iterations=1)
     record_table("fig10f",
                  "Fig 10f: correctness vs window size (50% change)",
-                 HEADERS, fig10.rows_fig10f(data))
+                 fig10.HEADERS_WINDOW, fig10.rows_fig10f(data))
     for _size, summaries in data.items():
         for scheme in ("deco_mon", "deco_sync", "deco_async"):
             # Exact-correctness contract, not a float tolerance.

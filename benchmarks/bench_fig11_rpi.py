@@ -6,19 +6,13 @@ has the lowest latency and scales linearly with added Pis.
 """
 
 from repro.experiments import fig11
-from repro.experiments.config import END_TO_END_SCHEMES
-
-HEADERS_11A = ["approach", "throughput ev/s"]
-HEADERS_11BC = ["approach", "bandwidth MB/s", "latency ms"]
-HEADERS_11D = ["raspberry pis"] + [f"{s} ev/s"
-                                   for s in END_TO_END_SCHEMES]
 
 
 def test_fig11a_throughput(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig11.rows_fig11a, args=(scale,),
                               rounds=1, iterations=1)
     record_table("fig11a", "Fig 11a: Pi-cluster throughput",
-                 HEADERS_11A, rows)
+                 fig11.HEADERS_11A, rows)
     by_name = {r[0]: float(r[1].replace(",", "")) for r in rows}
     assert by_name["deco_async"] == max(by_name.values())
     # Weaker nodes: every absolute number sits well below the Xeon runs.
@@ -29,7 +23,7 @@ def test_fig11bc_network_and_latency(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig11.rows_fig11bc, args=(scale,),
                               rounds=1, iterations=1)
     record_table("fig11bc", "Fig 11b/c: Pi-cluster bandwidth + latency",
-                 HEADERS_11BC, rows)
+                 fig11.HEADERS_11BC, rows)
     by_name = {r[0]: (float(r[1]), float(r[2])) for r in rows}
     # The centralized baselines saturate the 1 GbE line (the paper's
     # 49 MB/s sustained); Deco_async uses a small fraction of it.
@@ -46,7 +40,7 @@ def test_fig11d_scalability(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig11.rows_fig11d, args=(scale,),
                               rounds=1, iterations=1)
     record_table("fig11d", "Fig 11d: throughput vs Raspberry Pi count",
-                 HEADERS_11D, rows)
+                 fig11.HEADERS_11D, rows)
     deco = [float(r[-1].replace(",", "")) for r in rows]
     scotty = [float(r[2].replace(",", "")) for r in rows]
     assert deco[-1] > 3 * deco[0]  # linear-ish scaling

@@ -6,17 +6,13 @@ more than Central/Scotty; total traffic grows linearly with node count.
 """
 
 from repro.experiments import fig8
-from repro.experiments.fig8 import SCHEMES
-
-HEADERS_8A = ["approach", "total bytes", "saving vs central"]
-HEADERS_8B = ["local nodes"] + [f"{s} bytes" for s in SCHEMES]
 
 
 def test_fig8a_single_local_node(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig8.rows_fig8a, args=(scale,),
                               rounds=1, iterations=1)
     record_table("fig8a", "Fig 8a: network bytes, 1 local node",
-                 HEADERS_8A, rows)
+                 fig8.HEADERS_8A, rows)
     by_name = {r[0]: int(r[1].replace(",", "")) for r in rows}
     # Paper shape: Deco_async saves the vast majority of bytes; Disco's
     # strings cost ~3x Central.
@@ -29,7 +25,7 @@ def test_fig8b_multi_node(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig8.rows_fig8b, args=(scale,),
                               rounds=1, iterations=1)
     record_table("fig8b", "Fig 8b: network bytes vs node count",
-                 HEADERS_8B, rows)
+                 fig8.HEADERS_8B, rows)
     central = [int(r[1].replace(",", "")) for r in rows]
     deco = [int(r[-1].replace(",", "")) for r in rows]
     nodes = [r[0] for r in rows]

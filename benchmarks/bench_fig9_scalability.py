@@ -6,10 +6,7 @@ flat; Deco_async's latency rises slowly, the others' stays constant.
 """
 
 from repro.experiments import fig9
-from repro.experiments.config import END_TO_END_SCHEMES
 
-HEADERS_9A = ["local nodes"] + [f"{s} ev/s" for s in END_TO_END_SCHEMES]
-HEADERS_9B = ["local nodes"] + [f"{s} ms" for s in END_TO_END_SCHEMES]
 NODE_COUNTS = (1, 2, 4, 8, 16, 32)
 LATENCY_NODE_COUNTS = (1, 2, 4, 8)
 
@@ -18,7 +15,7 @@ def test_fig9a_throughput_scaling(benchmark, scale, record_table):
     rows = benchmark.pedantic(fig9.rows_fig9a, args=(scale, NODE_COUNTS),
                               rounds=1, iterations=1)
     record_table("fig9a", "Fig 9a: throughput vs local node count",
-                 HEADERS_9A, rows)
+                 fig9.HEADERS_9A, rows)
     deco = [float(r[-1].replace(",", "")) for r in rows]
     scotty = [float(r[2].replace(",", "")) for r in rows]
     # Deco scales ~linearly through 8 nodes (allowing the slowdown).
@@ -35,7 +32,7 @@ def test_fig9b_latency_scaling(benchmark, scale, record_table):
                               args=(scale, LATENCY_NODE_COUNTS),
                               rounds=1, iterations=1)
     record_table("fig9b", "Fig 9b: latency vs local node count",
-                 HEADERS_9B, rows)
+                 fig9.HEADERS_9B, rows)
     central = [float(r[1]) for r in rows]
     deco = [float(r[-1]) for r in rows]
     # Centralized latency stays roughly constant per event volume;

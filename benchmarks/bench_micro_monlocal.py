@@ -8,13 +8,11 @@ EXPERIMENTS.md).
 
 from repro.experiments import micro
 
-HEADERS = ["approach", "window cycle ms", "vs deco_mon"]
-
 
 def test_micro_monlocal(benchmark, scale, record_table):
     rows = benchmark.pedantic(micro.rows_micro, args=(scale, 32),
                               rounds=1, iterations=1)
     record_table("micro", "Microbenchmark: Deco_mon vs Deco_monlocal "
-                 "(32 local nodes)", HEADERS, rows)
+                 "(32 local nodes)", micro.HEADERS_MICRO, rows)
     by_name = {r[0]: float(r[1]) for r in rows}
     assert by_name["deco_monlocal"] > 1.15 * by_name["deco_mon"]

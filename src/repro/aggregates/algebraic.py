@@ -110,9 +110,6 @@ class Variance(AggregateFunction):
             return math.nan
         return partial.m2 / partial.count
 
-    def partial_size_bytes(self, partial: Moments) -> int:
-        return 24
-
 
 class StdDev(Variance):
     """Population standard deviation (sqrt of :class:`Variance`)."""

@@ -158,15 +158,6 @@ class AggregateFunction(ABC):
         """Directly aggregate one batch (the centralized code path)."""
         return self.lower(self.lift(batch))
 
-    def partial_size_bytes(self, partial: Any) -> int:
-        """Wire size of a partial aggregate.
-
-        Decomposable partials are a constant few scalars; holistic
-        partials carry the collected values.  Overridden by holistic
-        functions.
-        """
-        return 16
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 

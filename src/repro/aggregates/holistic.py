@@ -50,9 +50,6 @@ class Quantile(AggregateFunction):
             return math.nan
         return float(np.quantile(partial, self.q))
 
-    def partial_size_bytes(self, partial: np.ndarray) -> int:
-        return 8 * len(partial)
-
     def __repr__(self) -> str:
         return f"Quantile(q={self.q:g})"
 

@@ -44,36 +44,25 @@ def _register_experiments():
             return maker(fig10.run_window_size_sweep(scale, change))
         return rows
 
-    adaptivity = ["rate change", "approx", "deco_mon", "deco_sync",
-                  "deco_async"]
-    windows = ["window size", "approx", "deco_mon", "deco_sync",
-               "deco_async"]
-    e2e = ["local nodes", "central", "scotty", "disco", "deco_async"]
     return {
-        "fig7a": (["approach", "throughput ev/s", "vs scotty"],
-                  fig7.rows_fig7a),
-        "fig7b": (["approach", "latency ms", "vs deco_async"],
-                  fig7.rows_fig7b),
-        "fig8a": (["approach", "total bytes", "saving vs central"],
-                  fig8.rows_fig8a),
-        "fig8b": (["local nodes", "central", "scotty", "disco",
-                   "deco_async"], fig8.rows_fig8b),
-        "fig9a": (e2e, fig9.rows_fig9a),
-        "fig9b": (e2e, fig9.rows_fig9b),
-        "micro": (["approach", "window cycle ms", "vs deco_mon"],
-                  micro.rows_micro),
-        "fig10a": (adaptivity, rate_sweep_rows(fig10.rows_fig10a)),
-        "fig10b": (adaptivity, rate_sweep_rows(fig10.rows_fig10b)),
-        "fig10c": (["rate change", "sync corr/100w", "async corr/100w"],
-                   rate_sweep_rows(fig10.rows_fig10c)),
-        "fig10d": (adaptivity, rate_sweep_rows(fig10.rows_fig10d)),
-        "fig10e": (windows, window_sweep_rows(fig10.rows_fig10e)),
-        "fig10f": (windows, window_sweep_rows(fig10.rows_fig10f, 0.5)),
-        "fig11a": (["approach", "throughput ev/s"], fig11.rows_fig11a),
-        "fig11bc": (["approach", "bandwidth MB/s", "latency ms"],
-                    fig11.rows_fig11bc),
-        "fig11d": (["raspberry pis", "central", "scotty", "disco",
-                    "deco_async"], fig11.rows_fig11d),
+        "fig7a": (fig7.HEADERS_7A, fig7.rows_fig7a),
+        "fig7b": (fig7.HEADERS_7B, fig7.rows_fig7b),
+        "fig8a": (fig8.HEADERS_8A, fig8.rows_fig8a),
+        "fig8b": (fig8.HEADERS_8B, fig8.rows_fig8b),
+        "fig9a": (fig9.HEADERS_9A, fig9.rows_fig9a),
+        "fig9b": (fig9.HEADERS_9B, fig9.rows_fig9b),
+        "micro": (micro.HEADERS_MICRO, micro.rows_micro),
+        "fig10a": (fig10.HEADERS_RATE, rate_sweep_rows(fig10.rows_fig10a)),
+        "fig10b": (fig10.HEADERS_RATE, rate_sweep_rows(fig10.rows_fig10b)),
+        "fig10c": (fig10.HEADERS_10C, rate_sweep_rows(fig10.rows_fig10c)),
+        "fig10d": (fig10.HEADERS_RATE, rate_sweep_rows(fig10.rows_fig10d)),
+        "fig10e": (fig10.HEADERS_WINDOW,
+                   window_sweep_rows(fig10.rows_fig10e)),
+        "fig10f": (fig10.HEADERS_WINDOW,
+                   window_sweep_rows(fig10.rows_fig10f, 0.5)),
+        "fig11a": (fig11.HEADERS_11A, fig11.rows_fig11a),
+        "fig11bc": (fig11.HEADERS_11BC, fig11.rows_fig11bc),
+        "fig11d": (fig11.HEADERS_11D, fig11.rows_fig11d),
     }
 
 

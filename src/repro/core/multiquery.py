@@ -8,12 +8,12 @@ buffer, its own event lifts, and its own
 :class:`~repro.core.agg_index.RangeAggregateIndex` — O(queries) copies
 of identical work.  This module shares the substrate instead:
 
-``QueryRegistry``
-    Admission/removal bookkeeping.  Registered :class:`~repro.core.
-    query.Query` specs are deduped per (stream, aggregate) by their
-    content-derived :attr:`~repro.core.query.Query.query_key` — two
-    identical specs admitted at the same position share one evaluation
-    and each still receives every window in its own account.
+Admission
+    Admitted :class:`~repro.core.query.Query` specs take ids ``q0, q1,
+    ...`` in admission order and are deduped per (stream, aggregate) by
+    their content-derived :attr:`~repro.core.query.Query.query_key` —
+    two identical specs admitted at the same position share one
+    evaluation and each still receives every window in its own account.
 
 Shared slice store (per ``(stream, aggregate)`` group)
     One :class:`~repro.core.buffers.PositionBuffer` + one partial tree
@@ -29,9 +29,9 @@ Event-driven emission
     Each group keeps a heap of its evaluations keyed ``(next window
     end, admission seq)``; a batch pops only the windows it closes —
     O(windows that close x log N), not O(registered queries).  A second,
-    lazily refreshed heap yields the eviction horizon; removal is lazy
-    deletion from both.  Cross-query emission order is in no
-    fingerprint: each account digests its own windows in index order.
+    lazily refreshed heap yields the eviction horizon.  Cross-query
+    emission order is in no fingerprint: each account digests its own
+    windows in index order.
 
 Bit-identity contract
     Every window value is ``fn.lower(buffer.lift_range(start, end))``
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from heapq import heappop, heappush, heapreplace
+from heapq import heappush, heapreplace
 from typing import Any
 
 from repro.aggregates.base import AggregateFunction
@@ -101,23 +101,17 @@ class QueryAccount:
     label: str
     query_key: str
     from_position: int
-    removed_at: int | None = None
     deduped_into: str | None = None
     windows: int = 0
     combines: int = 0
     edge_events: int = 0
     last_result: float | None = None
-    #: Retained ``(window_index, result)`` pairs when the engine was
-    #: built with ``keep_results=True`` (tests/benchmarks only).
-    results: list[tuple[int, float]] | None = None
     _digest: Any = field(default_factory=hashlib.sha256, repr=False)
 
     def record(self, index: int, result: float) -> None:
         self.windows += 1
         self.last_result = result
         self._digest.update(f"{index}:{result.hex()};".encode("ascii"))
-        if self.results is not None:
-            self.results.append((index, result))
 
     @property
     def fingerprint(self) -> str:
@@ -132,7 +126,6 @@ class QueryAccount:
             "label": self.label,
             "query_key": self.query_key,
             "from_position": self.from_position,
-            "removed_at": self.removed_at,
             "deduped_into": self.deduped_into,
             "windows": self.windows,
             "combines": self.combines,
@@ -151,8 +144,8 @@ class _QueryEval:
     step: int
     from_position: int
     next_window: int = 0
-    #: Empty once every subscriber was removed; the heaps drop such an
-    #: evaluation when it next reaches their head.
+    #: Every account admitted with this spec at this position; the
+    #: first is the owner, which pays for the evaluation.
     subscribers: list[QueryAccount] = field(default_factory=list)
 
     @property
@@ -170,7 +163,7 @@ class _StreamGroup:
         self.fn = fn
         self.buffer = PositionBuffer(
             base, fn, chunk_size=chunk_size, edge_memo=True)
-        #: Live evaluations keyed (query_key, from_position).
+        #: Evaluations keyed (query_key, from_position).
         self.evals: dict[tuple[str, int], _QueryEval] = {}
         #: Min-heap of ``(next window end, seq, evaluation)``: its head
         #: is the next window of the group to close.
@@ -179,36 +172,31 @@ class _StreamGroup:
         #: only grow, so a stored key is a lower bound of the true one
         #: and is refreshed only when it reaches the head.
         self.starts: list[tuple[int, int, _QueryEval]] = []
-        #: Next ``seq``: the heaps' deterministic tie-break.
-        self._admitted = 0
 
     def add(self, ekey: tuple[str, int], length: int,
             step: int) -> _QueryEval:
-        """Register the evaluation of one new (spec, position)."""
-        start = ekey[1]
+        """Register the evaluation of one new (spec, position); its
+        admission ordinal is the heaps' deterministic tie-break."""
+        start, seq = ekey[1], len(self.evals)
         ev = self.evals[ekey] = _QueryEval(length, step, start)
-        heappush(self.closing, (start + length, self._admitted, ev))
-        heappush(self.starts, (start, self._admitted, ev))
-        self._admitted += 1
+        heappush(self.closing, (start + length, seq, ev))
+        heappush(self.starts, (start, seq, ev))
         return ev
 
     def horizon(self, end: int) -> int:
-        """Min next window start over live evaluations, at most
-        ``end`` — everything before it can be evicted."""
+        """Min next window start over the evaluations, at most ``end``
+        — everything before it can be evicted."""
         starts = self.starts
         while starts:
             start, seq, ev = starts[0]
-            if not ev.subscribers:
-                heappop(starts)
-            elif start != ev.next_start:
-                heapreplace(starts, (ev.next_start, seq, ev))
-            else:
+            if start == ev.next_start:
                 return min(start, end)
+            heapreplace(starts, (ev.next_start, seq, ev))
         return end
 
     @property
     def slice_grid(self) -> int:
-        """Scotty-style union-of-edges slice size of the group's live
+        """Scotty-style union-of-edges slice size of the group's
         evaluations."""
         specs: list[TumblingCountWindow | SlidingCountWindow] = [
             SlidingCountWindow(ev.length, ev.step) if ev.step < ev.length
@@ -253,87 +241,45 @@ class _PrivatePipeline:
                 + self.next_window * self.step)
 
 
-class QueryRegistry:
-    """Admission-ordered registry of standing queries.
-
-    Pure bookkeeping (no storage): maps query ids to accounts, dedups
-    specs by :attr:`Query.query_key` per (stream, aggregate, admission
-    position), and hands out deterministic ids ``q0, q1, ...`` when the
-    caller does not name them.
-    """
-
-    def __init__(self) -> None:
-        self._accounts: dict[str, QueryAccount] = {}
-        self._next = 0
-
-    def new_qid(self) -> str:
-        qid = f"q{self._next}"
-        self._next += 1
-        return qid
-
-    def add(self, account: QueryAccount) -> None:
-        if account.qid in self._accounts:
-            raise ConfigurationError(
-                f"duplicate query id {account.qid!r}")
-        self._accounts[account.qid] = account
-
-    def get(self, qid: str) -> QueryAccount:
-        try:
-            return self._accounts[qid]
-        except KeyError:
-            raise ConfigurationError(f"unknown query id {qid!r}") from None
-
-    def accounts(self) -> dict[str, QueryAccount]:
-        """All accounts (including removed), admission order."""
-        return dict(self._accounts)
-
-    def __len__(self) -> int:
-        return len(self._accounts)
-
-
 class MultiQueryEngine:
     """Standing-query evaluator over per-node streams.
 
     Fed from each local behavior's ingest path (every scheme), the
     engine maintains one shared group per (stream, aggregate) — or one
     private pipeline per query with ``sharing=False`` — and emits every
-    completed window into the owning accounts.  Admission and removal
-    are positional: a query admitted at stream position ``p`` sees
+    completed window into the owning accounts.  Admission is
+    positional: a query admitted at stream position ``p`` sees
     exactly the windows ``[p + k*step, p + k*step + length)``, so
     the simulator and serve runtimes agree bit-for-bit.
     """
 
     def __init__(self, *, sharing: bool = True,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 tracer: Any = None,
-                 keep_results: bool = False) -> None:
+                 tracer: Any = None) -> None:
         self.sharing = sharing
         self.chunk_size = chunk_size
         self.tracer = tracer
-        self.keep_results = keep_results
-        self.registry = QueryRegistry()
+        #: Every admitted query's account, in admission order.
+        self._accounts: dict[str, QueryAccount] = {}
         #: Shared groups, stream -> aggregate name -> group.
         self._groups: dict[str, dict[str, _StreamGroup]] = {}
         self._query_pipes: dict[str, list[_PrivatePipeline]] = {}
-        #: Shared-mode reverse route: qid -> (aggregate name, eval key).
-        self._routes: dict[str, tuple[str, tuple[str, int]]] = {}
         self._stream_end: dict[str, int] = {}
         #: Heap heads examined by shared emission: one per window closed
-        #: (or removed evaluation dropped) plus one per group feed.
+        #: plus one per group feed.
         self.head_checks = 0
 
-    # -- admission / removal -----------------------------------------------
+    # -- admission ----------------------------------------------------------
 
     def admit(self, stream: str, query: Query | str, *,
-              at: int | None = None, qid: str | None = None) -> str:
+              at: int | None = None) -> str:
         """Register a standing query on ``stream``; returns its id.
 
         ``at`` is the absolute stream position the query's first window
         starts at — it must not precede the stream's current position
         (admission is forward-only, so both sharing modes and all
         runtimes see identical data).  Defaults to the current
-        position.  ``qid`` may be supplied for cross-process admission
-        (serve ops broadcast explicit ids so every worker agrees).
+        position.  Ids are ``q0, q1, ...`` in admission order.
         """
         if isinstance(query, str):
             query = parse_query_spec(query)
@@ -345,13 +291,10 @@ class MultiQueryEngine:
             raise ConfigurationError(
                 f"admission at {start} precedes stream position {pos}: "
                 "admission is forward-only")
-        qid = self.registry.new_qid() if qid is None else qid
-        account = QueryAccount(
+        qid = f"q{len(self._accounts)}"
+        account = self._accounts[qid] = QueryAccount(
             qid=qid, stream=stream, label=query.label,
             query_key=query.query_key, from_position=start)
-        if self.keep_results:
-            account.results = []
-        self.registry.add(account)
         if self.sharing:
             self._admit_shared(account, query, fn, length, step, start)
         else:
@@ -381,37 +324,6 @@ class MultiQueryEngine:
         else:
             account.deduped_into = ev.subscribers[0].qid
         ev.subscribers.append(account)
-        self._routes[account.qid] = (fn.name, ekey)
-
-    def remove(self, qid: str) -> QueryAccount:
-        """Stop a standing query; its account (and fingerprint over the
-        windows it did see) is retained.  Surviving queries' window
-        values are pure functions of their own spans, so removal never
-        perturbs them — it only relaxes the eviction horizon."""
-        account = self.registry.get(qid)
-        if account.removed_at is not None:
-            raise ConfigurationError(f"query {qid!r} already removed")
-        stream = account.stream
-        account.removed_at = self._stream_end.get(stream, 0)
-        if self.sharing:
-            agg, ekey = self._routes.pop(qid)
-            groups = self._groups[stream]
-            group = groups[agg]
-            ev = group.evals[ekey]
-            ev.subscribers = [a for a in ev.subscribers if a.qid != qid]
-            if not ev.subscribers:
-                # Lazy deletion: the heaps drop ``ev`` at their head.
-                del group.evals[ekey]
-            if not group.evals:
-                del groups[agg]
-        else:
-            pipes = self._query_pipes.get(stream, [])
-            self._query_pipes[stream] = [
-                p for p in pipes if p.account.qid != qid]
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.inc("mq_removed", stream)
-        return account
 
     # -- ingestion ----------------------------------------------------------
 
@@ -466,9 +378,6 @@ class MultiQueryEngine:
             if e > end:
                 break
             subscribers = ev.subscribers
-            if not subscribers:
-                heappop(closing)
-                continue
             value = float(fn.lower(buf.lift_range(e - ev.length, e)))
             # The owner pays what the lift just folded: parts minus one
             # combines and the head + tail remainder events (holistic
@@ -522,28 +431,25 @@ class MultiQueryEngine:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def n_active(self) -> int:
-        """Standing queries currently admitted and not removed."""
-        return sum(1 for a in self.registry.accounts().values()
-                   if a.removed_at is None)
-
     def account(self, qid: str) -> QueryAccount:
-        return self.registry.get(qid)
+        try:
+            return self._accounts[qid]
+        except KeyError:
+            raise ConfigurationError(f"unknown query id {qid!r}") from None
 
     def accounts(self) -> dict[str, QueryAccount]:
-        """All accounts (including removed), admission order."""
-        return self.registry.accounts()
+        """All accounts, admission order."""
+        return dict(self._accounts)
 
     def accounts_json(self) -> dict[str, dict[str, Any]]:
         """JSON-safe per-query accounts (``RunResult.queries``)."""
         return {qid: a.to_json()
-                for qid, a in self.registry.accounts().items()}
+                for qid, a in self._accounts.items()}
 
     def fingerprints(self) -> dict[str, str]:
         """Per-query result fingerprints (shared-vs-reference checks)."""
         return {qid: a.fingerprint
-                for qid, a in self.registry.accounts().items()}
+                for qid, a in self._accounts.items()}
 
     def stats(self) -> dict[str, Any]:
         """Engine-level storage statistics (benchmarks, tests)."""
@@ -557,5 +463,5 @@ class MultiQueryEngine:
 
     def __repr__(self) -> str:
         return (f"MultiQueryEngine(sharing={self.sharing}, "
-                f"queries={len(self.registry)}, "
+                f"queries={len(self._accounts)}, "
                 f"groups={sum(map(len, self._groups.values()))})")

@@ -136,8 +136,9 @@ class RunConfig:
     #: None disables timeouts (reliable fabric).
     retransmit_timeout_s: float | None = None
     #: Record a structured trace of this run (see :mod:`repro.obs`).
-    #: A plain bool so configs stay picklable — parallel sweep workers
-    #: build their own tracer and ship back a summary.  Not part of
+    #: A plain bool so configs stay JSON-able: its reader is the serve
+    #: worker, which the coordinator tells to trace, and which builds
+    #: its own tracer and ships the events back in FINAL.  Not part of
     #: :meth:`workload_key`: tracing never changes the workload.
     trace: bool = False
     #: Determinism contract: permutes the kernel's same-time event

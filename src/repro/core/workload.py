@@ -141,7 +141,6 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
                       rate_change: float = 0.01,
                       epoch_seconds: float = 1.0,
                       seed: int = 0, margin: float | None = None,
-                      value_sources: Sequence | None = None,
                       rates: Sequence[float] | None = None,
                       streams_per_node: int = 1) -> Workload:
     """Generate the evaluation's standard workload.
@@ -165,8 +164,9 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
     if len(rates) != n_nodes:
         raise ConfigurationError(
             f"got {len(rates)} rates for {n_nodes} nodes")
-    if min(rates) <= 0:
-        raise ConfigurationError(f"rates must be > 0, got {list(rates)}")
+    if not all(0 < rate < math.inf for rate in rates):
+        raise ConfigurationError(
+            f"rates must be finite and > 0, got {list(rates)}")
     total_rate = float(sum(rates))
     needed = n_windows * window_size
     if margin is None:
@@ -176,15 +176,12 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
     duration = needed * margin / total_rate + 2 * epoch_seconds
     streams = []
     for i, rate in enumerate(rates):
-        kwargs = {}
-        if value_sources is not None:
-            kwargs["value_source"] = value_sources[i]
         node_streams = []
         for j in range(streams_per_node):
             gen = RateChangeGenerator(
                 rate / streams_per_node, rate_change,
                 epoch_seconds=epoch_seconds,
-                seed=(seed * 1000 + i) * 31 + j, **kwargs)
+                seed=(seed * 1000 + i) * 31 + j)
             node_streams.append(gen.generate_seconds(duration))
         if streams_per_node == 1:
             streams.append(node_streams[0])
@@ -229,8 +226,8 @@ class WorkloadSpec:
     Hashable and deterministic: two equal specs generate bit-identical
     workloads (generation is driven entirely by these fields and the
     seeded RNG), which is what makes content-addressed caching sound.
-    Workloads built from explicit streams or custom ``value_sources``
-    have no spec and bypass the cache.
+    Workloads built from explicit streams have no spec and bypass the
+    cache.
     """
 
     n_nodes: int
@@ -242,14 +239,13 @@ class WorkloadSpec:
     seed: int = 0
     margin: float | None = None
     streams_per_node: int = 1
-    rates: tuple[float, ...] | None = None
 
     def key(self) -> str:
         """Stable content hash of the parameter tuple."""
         canon = repr((GENERATOR_VERSION, self.n_nodes, self.window_size,
                       self.n_windows, self.rate_per_node,
                       self.rate_change, self.epoch_seconds, self.seed,
-                      self.margin, self.streams_per_node, self.rates))
+                      self.margin, self.streams_per_node))
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def generate(self) -> Workload:
@@ -259,9 +255,7 @@ class WorkloadSpec:
             rate_per_node=self.rate_per_node,
             rate_change=self.rate_change,
             epoch_seconds=self.epoch_seconds, seed=self.seed,
-            margin=self.margin,
-            rates=list(self.rates) if self.rates is not None else None,
-            streams_per_node=self.streams_per_node)
+            margin=self.margin, streams_per_node=self.streams_per_node)
 
 
 #: Prefix of in-flight spill writes; a crashed writer leaves one of

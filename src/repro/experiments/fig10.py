@@ -76,6 +76,9 @@ def _per100(summary: RunSummary) -> float:
     return 100.0 * summary.correction_steps / measurable
 
 
+HEADERS_RATE = ["rate change"] + list(ADAPTIVITY_SCHEMES)
+
+
 def rows_fig10a(data) -> list[list]:
     """Rows: change, throughput per scheme (events/s)."""
     return [[f"{change * 100:g}%"]
@@ -88,6 +91,10 @@ def rows_fig10b(data) -> list[list]:
     return [[f"{change * 100:g}%"]
             + [f"{data[change][s].total_bytes:,}"
                for s in ADAPTIVITY_SCHEMES] for change in data]
+
+
+HEADERS_10C = ["rate change", "deco_sync corr/100w",
+               "deco_async corr/100w"]
 
 
 def rows_fig10c(data) -> list[list]:
@@ -103,6 +110,9 @@ def rows_fig10d(data) -> list[list]:
     return [[f"{change * 100:g}%"]
             + [f"{data[change][s].correctness:.4f}"
                for s in ADAPTIVITY_SCHEMES] for change in data]
+
+
+HEADERS_WINDOW = ["window size"] + list(ADAPTIVITY_SCHEMES)
 
 
 def rows_fig10e(data) -> list[list]:

@@ -66,11 +66,17 @@ def run_fig11_scalability(scale: float = 1.0, seed: int = 0,
     return dict(zip(counts, grids, strict=True))
 
 
+HEADERS_11A = ["approach", "throughput ev/s"]
+
+
 def rows_fig11a(scale: float = 1.0) -> list[list]:
     """Rows: approach, Pi-cluster throughput (events/s)."""
     summaries = run_fig11_throughput(scale)
     return [[name, f"{s.throughput:,.0f}"]
             for name, s in summaries.items()]
+
+
+HEADERS_11BC = ["approach", "bandwidth MB/s", "latency ms"]
 
 
 def rows_fig11bc(scale: float = 1.0) -> list[list]:
@@ -88,6 +94,9 @@ def rows_fig11bc(scale: float = 1.0) -> list[list]:
         rows.append([name, f"{bandwidth:.2f}",
                      f"{latency[name].latency_s * 1e3:.3f}"])
     return rows
+
+
+HEADERS_11D = ["raspberry pis"] + [f"{s} ev/s" for s in END_TO_END_SCHEMES]
 
 
 def rows_fig11d(scale: float = 1.0) -> list[list]:

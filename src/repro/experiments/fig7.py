@@ -42,6 +42,9 @@ def run_fig7b(scale: float = 1.0, seed: int = 0,
                    seed=seed, jobs=jobs, **common_kwargs())
 
 
+HEADERS_7A = ["approach", "throughput ev/s", "vs scotty"]
+
+
 def rows_fig7a(scale: float = 1.0) -> list[list]:
     """Table rows: approach, throughput (ev/s), speedup over Scotty."""
     summaries = run_fig7a(scale)
@@ -49,6 +52,9 @@ def rows_fig7a(scale: float = 1.0) -> list[list]:
     return [[name, f"{s.throughput:,.0f}",
              f"{s.throughput / scotty:.2f}x"]
             for name, s in summaries.items()]
+
+
+HEADERS_7B = ["approach", "latency ms", "vs deco_async"]
 
 
 def rows_fig7b(scale: float = 1.0) -> list[list]:

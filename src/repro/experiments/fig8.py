@@ -54,6 +54,9 @@ def run_fig8b(scale: float = 1.0, seed: int = 0,
     return dict(zip(NODE_COUNTS, grids, strict=True))
 
 
+HEADERS_8A = ["approach", "total bytes", "saving vs central"]
+
+
 def rows_fig8a(scale: float = 1.0) -> list[list]:
     """Rows: approach, total bytes, saving vs Central."""
     summaries = run_fig8a(scale)
@@ -61,6 +64,9 @@ def rows_fig8a(scale: float = 1.0) -> list[list]:
     return [[name, f"{s.total_bytes:,}",
              f"{network_saving(s.result, central.result) * 100:.1f}%"]
             for name, s in summaries.items()]
+
+
+HEADERS_8B = ["local nodes"] + [f"{s} bytes" for s in SCHEMES]
 
 
 def rows_fig8b(scale: float = 1.0) -> list[list]:

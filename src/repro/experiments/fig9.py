@@ -40,12 +40,18 @@ def run_fig9(scale: float = 1.0, mode: str = "throughput",
     return dict(zip(node_counts, grids, strict=True))
 
 
+HEADERS_9A = ["local nodes"] + [f"{s} ev/s" for s in END_TO_END_SCHEMES]
+
+
 def rows_fig9a(scale: float = 1.0, node_counts=NODE_COUNTS) -> list[list]:
     """Rows: node count, throughput per approach (events/s)."""
     data = run_fig9(scale, "throughput", node_counts)
     return [[n] + [f"{data[n][s].throughput:,.0f}"
                    for s in END_TO_END_SCHEMES]
             for n in data]
+
+
+HEADERS_9B = ["local nodes"] + [f"{s} ms" for s in END_TO_END_SCHEMES]
 
 
 def rows_fig9b(scale: float = 1.0, node_counts=NODE_COUNTS) -> list[list]:

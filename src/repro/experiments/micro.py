@@ -40,6 +40,9 @@ def cycle_ms(summary: RunSummary) -> float:
     return summary.result.window_size / summary.throughput * 1e3
 
 
+HEADERS_MICRO = ["approach", "window cycle ms", "vs deco_mon"]
+
+
 def rows_micro(scale: float = 1.0,
                n_nodes: int = N_LOCAL_NODES) -> list[list]:
     """Rows: approach, window cycle (ms), slowdown vs Deco_mon."""

@@ -12,8 +12,7 @@ without print-debugging the kernel:
   ``tracer.enabled`` so untraced runs are bit-identical and unmeasurably
   close in wall time to pre-observability builds.
 * Exporters emit JSONL, Chrome trace-event JSON (open in Perfetto), and
-  aligned summary tables; :class:`TraceSummary` is the picklable rollup
-  parallel sweep workers ship back to the parent.
+  aligned summary tables.
 
 Enable per run with ``repro.api.run(..., trace=True)``, the ``--trace``
 CLI flag, or the ``repro trace`` subcommand.
@@ -25,7 +24,6 @@ from repro.obs.events import (CPU, MSG_DELAY, MSG_DROP, MSG_RECV,
 from repro.obs.exporters import (event_to_dict, summary_table,
                                  to_chrome_trace, write_chrome_trace,
                                  write_jsonl)
-from repro.obs.summary import TraceSummary, merge_summaries
 from repro.obs.tracer import (GLOBAL_SCOPE, NULL_TRACER, NullTracer,
                               RunTracer, TraceFlag, resolve_tracer)
 
@@ -33,7 +31,6 @@ __all__ = [
     "CPU", "MSG_DELAY", "MSG_DROP", "MSG_RECV", "MSG_RETRANSMIT",
     "MSG_SEND", "QUEUE", "STATE", "WINDOW", "TraceEvent",
     "event_to_dict", "summary_table", "to_chrome_trace",
-    "write_chrome_trace", "write_jsonl", "TraceSummary",
-    "merge_summaries", "GLOBAL_SCOPE", "NULL_TRACER", "NullTracer",
-    "RunTracer", "TraceFlag", "resolve_tracer",
+    "write_chrome_trace", "write_jsonl", "GLOBAL_SCOPE", "NULL_TRACER",
+    "NullTracer", "RunTracer", "TraceFlag", "resolve_tracer",
 ]

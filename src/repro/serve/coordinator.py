@@ -227,11 +227,6 @@ class Coordinator:
         #: epochs — the global applied order the checker asserts on.
         self.applied_log: list[tuple[str, MergeKey]] | None = None
         self.finals: dict[str, dict[str, Any]] = {}
-        #: Standing-query admissions applied right after START (each a
-        #: ``(stream, spec, at)`` tuple; ``at`` may be None for "now").
-        #: The harness fills this from its ``admissions`` argument.
-        self.admissions: list[tuple[str, str, int | None]] = []
-        self._next_qid = 0
         self.wall_seconds = 0.0
         self._wall_start = 0.0
         # Causal instrumentation (active only when tracing): the
@@ -313,7 +308,7 @@ class Coordinator:
 
     def _rpc(self, name: str, kind: int,
              header: dict[str, Any]) -> None:
-        """One control round-trip (INJECT/START/QUERY): instruct, read
+        """One control round-trip (INJECT/START): instruct, read
         the op list, apply it."""
         self._send(name, kind, header)
         reply, blob = self._recv(name, framing.OPS)
@@ -377,31 +372,10 @@ class Coordinator:
             self._rpc(local_name(i), framing.INJECT, {"now": 0.0})
         for name in self.node_names:
             self._rpc(name, framing.START, {"now": 0.0})
-        for stream, spec, at in self.admissions:
-            self.admit_query(stream, spec, at)
         self._epoch_loop()
         for name in self.node_names:
             self._send(name, framing.FINISH, {"stop": self.stop_key})
             self.finals[name], _ = self._recv(name, framing.FINAL)
-
-    # -- standing-query ops ------------------------------------------------
-
-    def admit_query(self, stream: str, spec: str,
-                    at: int | None = None) -> str:
-        """Broadcast a standing-query admission; returns its id.
-
-        Every worker registers the query (so registries agree); only
-        the stream's owner feeds it and ships its account in FINAL.
-        Config-admitted queries take ids ``q<N>`` on the workers, so
-        runtime admissions use a disjoint ``rq<N>`` namespace.
-        """
-        qid = f"rq{self._next_qid}"
-        self._next_qid += 1
-        header = {"now": self.topo.sim.now, "qop": "admit",
-                  "stream": stream, "spec": spec, "qid": qid, "at": at}
-        for name in self.node_names:
-            self._rpc(name, framing.QUERY, dict(header))
-        return qid
 
     # -- epoch execution ---------------------------------------------------
 

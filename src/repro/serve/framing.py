@@ -54,8 +54,8 @@ INJECT = 3
 #: Coordinator -> worker: run the behaviour's start hook.
 START = 4
 #: Worker -> coordinator reply: the ordered op list one control
-#: dispatch (INJECT/START/QUERY) emitted, plus ``"n"`` as in EPOCH_OPS.
-#: (Kinds 5 and 6 are retired.)
+#: dispatch (INJECT/START) emitted, plus ``"n"`` as in EPOCH_OPS.
+#: (Kinds 5, 6 and 13 are retired.)
 OPS = 7
 #: Coordinator -> worker: the run is over; reply FINAL and exit.
 FINISH = 8
@@ -68,10 +68,6 @@ ERROR = 10
 EPOCH = 11
 #: Worker -> coordinator reply to EPOCH.
 EPOCH_OPS = 12
-#: Coordinator -> worker: standing-query admission/removal against the
-#: worker's multi-query engine (``{"qop": "admit"|"remove", ...}``);
-#: replied with an empty OPS frame.
-QUERY = 13
 
 _LEN = struct.Struct("<I")
 _HEAD = struct.Struct("<BI")

@@ -21,7 +21,6 @@ import socket
 import subprocess
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -232,25 +231,18 @@ def run_scheme_served(
         config: RunConfig,
         tracer: RunTracer | None = None,
         host: str = "127.0.0.1",
-        admissions: Sequence[tuple[str, str, int | None]] = (),
 ) -> ServeReport:
     """Run one scheme on a real-process cluster; returns the report.
 
     Spawns one worker process per node (root + locals), runs the
     coordinator over TCP on ``host`` (ephemeral port), and merges
     worker results into a :class:`RunResult` bit-identical to the
-    simulator driver's.
-
-    ``admissions`` are runtime standing-query admissions — ``(stream,
-    spec, at)`` triples the coordinator broadcasts to every worker
-    right after START, before any stream data flows (``at=None`` means
-    "from the node's current position").  Queries baked into
-    ``config.queries`` need no entry here; they are admitted by every
-    worker's own :func:`~repro.core.runner.make_context`.
+    simulator driver's.  Standing queries are ``config.queries``,
+    admitted by every worker's own
+    :func:`~repro.core.runner.make_context`.
     """
     transport = SocketTransport()
     coord = Coordinator(config, transport, tracer)
-    coord.admissions = list(admissions)
     procs: dict[str, subprocess.Popen] = {}
     listener = socket.create_server((host, 0))
     try:

@@ -185,7 +185,10 @@ class WorkerRuntime:
         self._item_counters: list[list[Any]] = []
         self._open_frame()
         if ctx.engine is not None:
-            self._own_engine(ctx.engine)
+            # Keep the engine here and stand in for it on the context:
+            # ``append`` is all a behaviour calls on ``ctx.engine``.
+            self.engine = ctx.engine
+            ctx.engine = cast("MultiQueryEngine", self)
         # Causal instrumentation (active only when tracing): own
         # program order, outgoing frame numbering, and the epoch round
         # ordinal the coordinator stamps on each EPOCH frame.
@@ -240,12 +243,6 @@ class WorkerRuntime:
 
     # -- standing-query feed (called from behaviours) ----------------------
 
-    def _own_engine(self, engine: MultiQueryEngine) -> None:
-        """Keep ``engine`` here and stand in for it on the context:
-        ``append`` is all a behaviour calls on ``ctx.engine``."""
-        self.engine = engine
-        self.ctx.engine = cast("MultiQueryEngine", self)
-
     def append(self, stream: str, events: EventBatch) -> None:
         """Hold one ingest-path engine append until its item applies.
 
@@ -283,7 +280,7 @@ class WorkerRuntime:
 
     def dispatch(self, kind: int, header: dict[str, Any]
                  ) -> tuple[list[list[Any]], bytes]:
-        """Execute one control instruction (INJECT/START/QUERY);
+        """Execute one control instruction (INJECT/START);
         returns (ops, blob).  A control dispatch is always applied in
         full, so it ends with a fresh stop-cut base."""
         self._open_frame()
@@ -305,8 +302,6 @@ class WorkerRuntime:
                           self.config.saturated,
                           sender=f"source-{self.local_index}",
                           sources=self.config.sources_per_node)
-        elif kind == framing.QUERY:
-            self._apply_query_op(header)
         else:
             raise ServeError(f"unexpected control frame kind {kind}")
         self._emit_outcomes(before, ("rpc",), -1)
@@ -329,28 +324,6 @@ class WorkerRuntime:
             self._causal(OP_EMIT, ref=":".join(map(str, ref)),
                          epoch=epoch, windows=",".join(
                              str(o.index) for o in emitted))
-
-    def _apply_query_op(self, header: dict[str, Any]) -> None:
-        """Admit or remove a standing query on this worker's engine.
-
-        The coordinator broadcasts QUERY frames to every worker with an
-        explicit query id, so all registries agree; each replica
-        registers the query, but only the stream's owner ever feeds its
-        engine and only the owner ships the account in FINAL.
-        """
-        from repro.core.multiquery import MultiQueryEngine
-        engine = self.engine
-        if engine is None:
-            engine = MultiQueryEngine(tracer=self.tracer)
-            self._own_engine(engine)
-        qop = header.get("qop")
-        if qop == "admit":
-            engine.admit(header["stream"], header["spec"],
-                         at=header.get("at"), qid=header.get("qid"))
-        elif qop == "remove":
-            engine.remove(header["qid"])
-        else:
-            raise ServeError(f"unknown query op {qop!r}")
 
     # -- epoch dispatch ----------------------------------------------------
 

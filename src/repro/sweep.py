@@ -38,8 +38,6 @@ from repro.core.runner import RunConfig, get_scheme, run_scheme
 from repro.core.workload import (Workload, WorkloadCache, WorkloadSpec,
                                  default_cache, load_workload_mmap)
 from repro.errors import ConfigurationError
-from repro.obs.summary import TraceSummary
-from repro.obs.tracer import RunTracer
 
 #: Environment variable setting the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -74,18 +72,12 @@ _WORKER_WORKLOADS: "OrderedDict[str, Workload]" = OrderedDict()
 _WORKER_MEMO_CAPACITY = 4
 
 
-def _run_one(config: RunConfig,
-             payload: str | Workload
-             ) -> tuple[RunResult, TraceSummary | None]:
+def _run_one(config: RunConfig, payload: str | Workload) -> RunResult:
     """Worker entry point: run one config over a shipped workload.
 
     ``payload`` is a spill-file path in a pool worker (it maps the
     pre-generated workload instead of regenerating it) and the
     in-memory :class:`Workload` itself on the in-process serial path.
-
-    Returns the run result plus a picklable
-    :class:`~repro.obs.summary.TraceSummary` when ``config.trace`` is
-    set (full event lists stay worker-side; only the rollup ships back).
     """
     if isinstance(payload, str):
         workload = _WORKER_WORKLOADS.get(payload)
@@ -98,11 +90,7 @@ def _run_one(config: RunConfig,
             _WORKER_WORKLOADS.move_to_end(payload)
     else:
         workload = payload
-    tracer = RunTracer() if config.trace else None
-    result, _ = run_scheme(config, workload, tracer)
-    summary = (TraceSummary.from_tracer(tracer, scheme=config.scheme)
-               if tracer is not None else None)
-    return result, summary
+    return run_scheme(config, workload)[0]
 
 
 class SweepExecutor:
@@ -119,10 +107,6 @@ class SweepExecutor:
                  cache: WorkloadCache | None = None):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache if cache is not None else default_cache()
-        #: Per-config trace rollups of the last sweep, aligned with the
-        #: submitted configs (``None`` for untraced runs).  Merge with
-        #: :func:`repro.obs.summary.merge_summaries` for a fleet view.
-        self.trace_summaries: list[TraceSummary | None] = []
 
     def run(self, configs: Sequence[RunConfig]) -> list[RunResult]:
         """Run every config; results in submission order."""
@@ -139,7 +123,6 @@ class SweepExecutor:
         which the metrics layer needs for correctness/latency.
         """
         configs = list(configs)
-        self.trace_summaries = []
         if not configs:
             return []
         # Fail fast on typo'd scheme names before spending seconds
@@ -153,28 +136,20 @@ class SweepExecutor:
             if spec not in workloads:
                 workloads[spec] = self.cache.get(spec)
         if self.jobs == 1 or len(configs) == 1:
-            out: list[tuple[RunResult, Workload]] = []
-            for config in configs:
-                workload = workloads[config.workload_key()]
-                result, summary = _run_one(config, workload)
-                self.trace_summaries.append(summary)
-                out.append((result, workload))
-            return out
-        # Ship workloads as spill paths: workers memmap the shared
-        # file — one page-cache copy for all of them.
-        payloads = {spec: str(self.cache.ensure_spilled(spec))
-                    for spec in workloads}
-        max_workers = min(self.jobs, len(configs))
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_one, config,
-                            payloads[config.workload_key()])
-                for config in configs]
-            results = []
-            for future in futures:
-                result, summary = future.result()
-                results.append(result)
-                self.trace_summaries.append(summary)
+            results = [_run_one(config, workloads[config.workload_key()])
+                       for config in configs]
+        else:
+            # Ship workloads as spill paths: workers memmap the shared
+            # file — one page-cache copy for all of them.
+            payloads = {spec: str(self.cache.ensure_spilled(spec))
+                        for spec in workloads}
+            max_workers = min(self.jobs, len(configs))
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                futures = [
+                    pool.submit(_run_one, config,
+                                payloads[config.workload_key()])
+                    for config in configs]
+                results = [future.result() for future in futures]
         return [(result, workloads[config.workload_key()])
                 for result, config in zip(results, configs,
                                           strict=True)]

@@ -105,16 +105,6 @@ class TestHolistic:
     def test_empty_is_nan(self):
         assert math.isnan(Median().lower(Median().identity()))
 
-    def test_partial_size_scales_with_values(self):
-        m = Median()
-        small = m.lift(value_batch([1.0]))
-        big = m.lift(value_batch(list(range(100))))
-        assert m.partial_size_bytes(big) > m.partial_size_bytes(small)
-
-    def test_decomposable_partial_size_constant(self):
-        s = Sum()
-        assert s.partial_size_bytes(s.lift(value_batch(range(1000)))) == 16
-
 
 class TestRegistry:
     def test_lookup_all(self):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from repro import cli
 from repro.cli import build_parser, main
 from repro.serve import harness
 from repro.sweep import JOBS_ENV
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 class TestSchemes:
@@ -129,6 +132,15 @@ class TestExperiment:
         assert err.startswith("repro: error: --scale") and \
             err.count("\n") == 1
 
+    @pytest.mark.parametrize("name", sorted(cli._register_experiments()))
+    def test_headers_match_committed_table(self, name):
+        """``repro experiment`` prints the committed table's header
+        row: the header line of ``benchmarks/results/<name>.txt``."""
+        headers, _ = cli._register_experiments()[name]
+        table = RESULTS / f"{name}.txt"
+        header_row = table.read_text().splitlines()[1]
+        assert re.split(r"  +", header_row.strip()) == headers
+
     def test_experiment_runs_tiny(self, capsys):
         assert main(["experiment", "fig7a", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
@@ -193,7 +205,8 @@ class TestBadArguments:
         ["--nodes", "0"], ["--queries", "sum:10:20"], ["--delta-m", "0"],
         ["--rate-change", "-2"], ["--windows", "0"], ["--rate", "0"],
         ["--aggregate", "nope"], ["--aggregate", "quantile(2)"],
-        ["--aggregate", "quantile(x)"], ["--queries", "nope:100"]])
+        ["--aggregate", "quantile(x)"], ["--queries", "nope:100"],
+        ["--rate", "nan"], ["--rate", "inf"]])
     @pytest.mark.parametrize("command", ["run", "serve"])
     def test_usage_error_without_traceback(self, capsys, command, bad):
         assert main([command, "central", *self.ARGS, *bad]) == 2

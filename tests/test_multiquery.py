@@ -1,10 +1,10 @@
-"""Shared multi-query engine: identity, dedup, admission/removal,
-heap-driven emission, and the bit-identity gate against the unshared
-reference (``MultiQueryEngine(sharing=False)``).
+"""Shared multi-query engine: identity, dedup, admission, heap-driven
+emission, and the bit-identity gate against the unshared reference
+(``MultiQueryEngine(sharing=False)``).
 
 The engine (``repro.core.multiquery``) must be invisible except for
 memory and host wall-clock: for every query population, every
-admission/removal point, and every scheme, each query's full result
+admission point, and every scheme, each query's full result
 stream is bit-identical with sharing on (the production path) or
 off.  Hypothesis drives populations and admission
 points; the scheme-level tests compare full determinism fingerprints.
@@ -51,13 +51,11 @@ def value_batch(rng, n, start=0):
                       np.arange(start, start + n))
 
 
-def feed_engine(specs, chunks, *, sharing, admissions=None,
-                removals=None):
+def feed_engine(specs, chunks, *, sharing, admissions=None):
     """Drive one engine lifetime; returns the engine.
 
     ``chunks`` is a list of batch sizes; ``admissions`` maps a chunk
-    index to extra specs admitted right before that chunk is fed;
-    ``removals`` maps a chunk index to qids removed there.
+    index to extra specs admitted right before that chunk is fed.
     """
     rng = np.random.default_rng(7)
     engine = MultiQueryEngine(sharing=sharing, chunk_size=64)
@@ -67,8 +65,6 @@ def feed_engine(specs, chunks, *, sharing, admissions=None,
     for i, n in enumerate(chunks):
         for spec in (admissions or {}).get(i, ()):
             engine.admit(STREAM, spec)
-        for qid in (removals or {}).get(i, ()):
-            engine.remove(qid)
         engine.append(STREAM, value_batch(rng, n, start=pos))
         pos += n
     return engine
@@ -141,14 +137,9 @@ class TestEngineBasics:
 
     def test_registry_errors(self):
         engine = MultiQueryEngine(sharing=True)
-        engine.admit(STREAM, "sum:64", qid="qx")
-        with pytest.raises(ConfigurationError):
-            engine.admit(STREAM, "avg:64", qid="qx")
-        with pytest.raises(ConfigurationError):
-            engine.remove("nope")
-        engine.remove("qx")
-        with pytest.raises(ConfigurationError):
-            engine.remove("qx")
+        engine.admit(STREAM, "sum:64")
+        with pytest.raises(ConfigurationError, match="unknown query id"):
+            engine.account("nope")
 
     def test_eviction_bounds_retention(self):
         engine = feed_engine(["sum:64:16"], [64] * 32, sharing=True)
@@ -161,7 +152,6 @@ class TestEngineBasics:
         engine = feed_engine(["sum:64", "avg:48:16"], [128],
                              sharing=True)
         assert "MultiQueryEngine" in repr(engine)
-        assert engine.n_active == 2
         stats = engine.stats()
         assert stats["sharing"] is True
         assert {g["aggregate"] for g in stats["groups"]} == \
@@ -169,16 +159,6 @@ class TestEngineBasics:
         grid = [g for g in stats["groups"]
                 if g["aggregate"] == "avg"][0]["slice_grid"]
         assert grid == 16
-
-    def test_slice_grid_follows_removal(self):
-        """The union-of-edges grid covers live evaluations only: a
-        removed query's edges leave it."""
-        engine = MultiQueryEngine(sharing=True)
-        engine.admit(STREAM, "sum:4096")
-        victim = engine.admit(STREAM, "sum:1000:24")
-        assert engine.stats()["groups"][0]["slice_grid"] == 8
-        engine.remove(victim)
-        assert engine.stats()["groups"][0]["slice_grid"] == 4096
 
     def test_head_checks_independent_of_query_count(self):
         """The scaling guard, as a count: a feed examines one heap head
@@ -251,54 +231,12 @@ class TestSharingBitIdentity:
         assert shared.account(late_qid).from_position == \
             sum(chunks[:at])
 
-    @pytest.mark.parametrize("sharing", [True, False])
-    def test_removal_leaves_survivors_bit_identical(self, sharing):
-        """Removing a query mid-run leaves every survivor's stream
-        bit-identical to a run that never saw the removed query."""
-        chunks = [96] * 6
-        with_removed = feed_engine(
-            ["sum:128", "avg:96:32"], chunks, sharing=sharing,
-            admissions={1: ["max:64:16"]}, removals={4: ["q2"]})
-        never_saw = feed_engine(["sum:128", "avg:96:32"], chunks,
-                                sharing=sharing)
-        survivors = {qid: fp
-                     for qid, fp in with_removed.fingerprints().items()
-                     if qid != "q2"}
-        assert survivors == never_saw.fingerprints()
-        removed = with_removed.account("q2")
-        assert removed.removed_at == 96 * 4
-        assert with_removed.n_active == 2
-
-    @given(specs=spec_lists, chunks=chunk_lists, data=st.data())
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_removal_points_fingerprint_identical(self, specs, chunks,
-                                                  data):
-        """Hypothesis over removal points: survivors match a run that
-        never admitted the victim, in both modes."""
-        at = data.draw(st.integers(min_value=0,
-                                   max_value=len(chunks) - 1))
-        victim = data.draw(st.integers(min_value=0,
-                                       max_value=len(specs) - 1))
-        removals = {at: [f"q{victim}"]}
-        for sharing in (True, False):
-            removed_run = feed_engine(specs, chunks, sharing=sharing,
-                                      removals=removals)
-            baseline = feed_engine(
-                [s for i, s in enumerate(specs) if i != victim],
-                chunks, sharing=sharing)
-            survivors = [
-                fp for qid, fp in removed_run.fingerprints().items()
-                if qid != f"q{victim}"]
-            assert survivors == list(baseline.fingerprints().values())
-
-
 #: One engine lifetime as a list of steps, mirrored onto a shared and
-#: an unshared engine: feeds of 1..5000 events, admissions from a small
-#: spec pool (so identical specs at one position dedupe) at the current
-#: position or ahead of it (the evaluation waits in the heap before its
-#: first window can close), and removals of a live query.  The whole
-#: pool is admitted at position 0 before the drawn steps run.
+#: an unshared engine: feeds of 1..5000 events and admissions from a
+#: small spec pool (so identical specs at one position dedupe) at the
+#: current position or ahead of it (the evaluation waits in the heap
+#: before its first window can close).  The whole pool is admitted at
+#: position 0 before the drawn steps run.
 lifetime_specs = st.builds(
     lambda aggs, shapes: [f"{aggs[i % len(aggs)]}:{shape}"
                           for i, shape in enumerate(shapes)],
@@ -319,9 +257,7 @@ lifetime_steps = st.lists(
             st.integers(min_value=1, max_value=200),
             st.integers(min_value=1, max_value=5000))),
         st.tuples(st.just("admit"), st.integers(min_value=0, max_value=3),
-                  st.sampled_from([0, 0, 37, 700])),
-        st.tuples(st.just("remove"), st.integers(min_value=0,
-                                                 max_value=50))),
+                  st.sampled_from([0, 0, 37, 700]))),
     min_size=2, max_size=12)
 
 
@@ -333,7 +269,7 @@ class TestEventDrivenEmission:
         rng = np.random.default_rng(7)
         shared = MultiQueryEngine(sharing=True, chunk_size=64)
         oracle = MultiQueryEngine(sharing=False, chunk_size=64)
-        live, pos = [], 0
+        admitted, pos = [], 0
         everything = [("admit", i, 0) for i in range(len(pool))]
         for step in (*everything, *steps):
             if step[0] == "admit":
@@ -341,23 +277,18 @@ class TestEventDrivenEmission:
                 qid = shared.admit(STREAM, spec, at=pos + step[2])
                 assert oracle.admit(STREAM, spec,
                                     at=pos + step[2]) == qid
-                live.append((qid, *spec.split(":")[:2]))
-            elif step[0] == "remove" and live:
-                qid = live.pop(step[1] % len(live))[0]
-                shared.remove(qid)
-                oracle.remove(qid)
-            elif step[0] == "feed":
+                admitted.append(spec.split(":")[:2])
+            else:
                 batch = value_batch(rng, step[1], start=pos)
                 pos += step[1]
                 shared.append(STREAM, batch)
                 oracle.append(STREAM, batch)
-                # Eviction keeps up: every live evaluation's next
-                # window ends past the stream, so no group holds as
-                # much as its longest live window (a removed one must
-                # not pin the horizon).
+                # Eviction keeps up: every evaluation's next window
+                # ends past the stream, so no group holds as much as
+                # its longest window.
                 for group in shared.stats()["groups"]:
                     longest = max(int(length)
-                                  for _, agg, length in live
+                                  for agg, length in admitted
                                   if agg == group["aggregate"])
                     assert group["retained"] < longest
         got, want = shared.accounts(), oracle.accounts()
@@ -369,9 +300,9 @@ class TestEventDrivenEmission:
                 == (ref.fingerprint, ref.windows, ref.last_result)
             classes.setdefault((acct.query_key, acct.from_position),
                                []).append(qid)
-        # A dedup class pays for each window once (whichever member
-        # owns the evaluation at the time); unshared, every member pays
-        # for its own, so the longest-lived member's bill is the total.
+        # A dedup class pays for each window once (its first member
+        # owns the evaluation); unshared, every member pays for its
+        # own, so any member's bill is the class total.
         for members in classes.values():
             for cost in ("combines", "edge_events"):
                 assert sum(getattr(got[q], cost) for q in members) == \
@@ -448,40 +379,6 @@ class TestSchemeFingerprints:
         assert_fsm_conformance("deco_sync", tracer)
 
 
-class TestServeQueryOps:
-    def test_worker_dispatch_query_ops(self):
-        """QUERY frames admit/remove against the worker's engine with
-        coordinator-chosen ids; FINAL ships only owned streams."""
-        from repro.serve import framing
-        from repro.serve.worker import WorkerRuntime
-        config = RunConfig(scheme="central", **TINY)
-        rt = WorkerRuntime("local-0", config)
-        assert rt.engine is None
-        ops, blob = rt.dispatch(framing.QUERY, {
-            "now": 0.0, "qop": "admit", "stream": "local-0",
-            "spec": "sum:256", "qid": "rq0", "at": None})
-        assert ops == [] and blob == b""
-        assert rt.engine is not None
-        assert rt.engine.account("rq0").from_position == 0
-        rt.dispatch(framing.QUERY, {
-            "now": 0.0, "qop": "admit", "stream": "local-1",
-            "spec": "sum:256", "qid": "rq1", "at": None})
-        payload = rt.final_payload(None)
-        assert set(payload["queries"]) == {"rq0"}
-        rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "remove",
-                                    "qid": "rq0"})
-        assert rt.engine.account("rq0").removed_at is not None
-
-    def test_worker_rejects_unknown_query_op(self):
-        from repro.errors import ServeError
-        from repro.serve import framing
-        from repro.serve.worker import WorkerRuntime
-        rt = WorkerRuntime("local-0", RunConfig(scheme="central",
-                                                **TINY))
-        with pytest.raises(ServeError, match="unknown query op"):
-            rt.dispatch(framing.QUERY, {"now": 0.0, "qop": "evict"})
-
-
 class TestServeParity:
     @pytest.mark.parametrize("scheme", ("deco_sync", "central"))
     def test_serve_accounts_match_simulator(self, scheme):
@@ -499,20 +396,3 @@ class TestServeParity:
         report = run_scheme_served(config)
         assert report.result.queries == sim_result.queries
         verify_against_simulator(config, report.result)
-
-    def test_runtime_admission_via_coordinator(self):
-        """Runtime admissions broadcast after START land on every
-        worker under the disjoint rq-namespace and produce windows."""
-        from repro.serve.harness import run_scheme_served
-        config = RunConfig(scheme="central", queries=("sum:500",),
-                           **TINY)
-        report = run_scheme_served(
-            config, admissions=[("local-1", "max:400:200", None)])
-        queries = report.result.queries
-        assert "rq0" in queries
-        assert queries["rq0"]["stream"] == "local-1"
-        assert queries["rq0"]["windows"] > 0
-        # Config queries are untouched by the runtime admission.
-        sim_result, _ = run_scheme(config)
-        assert {q: a for q, a in queries.items() if q != "rq0"} == \
-            sim_result.queries

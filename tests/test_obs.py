@@ -22,9 +22,9 @@ from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import default_cache
 from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        MSG_SEND, QUEUE, STATE, WINDOW, NullTracer,
-                       RunTracer, TraceSummary, event_to_dict,
-                       merge_summaries, resolve_tracer, summary_table,
-                       to_chrome_trace, write_chrome_trace, write_jsonl)
+                       RunTracer, event_to_dict, resolve_tracer,
+                       summary_table, to_chrome_trace,
+                       write_chrome_trace, write_jsonl)
 from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector
 from repro.sweep import SweepExecutor
@@ -200,33 +200,6 @@ class TestJsonlExporter:
 
 
 class TestSummaries:
-    def test_from_tracer_totals(self):
-        _, tracer = _traced("deco_sync")
-        summary = TraceSummary.from_tracer(tracer)
-        assert summary.scheme == "deco_sync"
-        assert summary.events == len(tracer.events)
-        assert summary.by_kind == tracer.counts_by_kind()
-
-    def test_merge_adds_and_maxes(self):
-        a = TraceSummary(scheme="s", events=3, by_kind={"cpu": 3},
-                         counters={("c", ""): 1.0},
-                         gauge_max={("g", "n"): 2.0})
-        b = TraceSummary(scheme="s", events=2, by_kind={"cpu": 2},
-                         counters={("c", ""): 4.0},
-                         gauge_max={("g", "n"): 1.0})
-        merged = a.merge(b)
-        assert merged.runs == 2
-        assert merged.events == 5
-        assert merged.by_kind == {"cpu": 5}
-        assert merged.counters == {("c", ""): 5.0}
-        assert merged.gauge_max == {("g", "n"): 2.0}
-
-    def test_merge_summaries_skips_none(self):
-        a = TraceSummary(events=1)
-        assert merge_summaries([None, a, None]).events == 1
-        assert merge_summaries([None, None]) is None
-        assert merge_summaries([]) is None
-
     def test_summary_table(self):
         _, tracer = _traced("deco_sync")
         table = summary_table(tracer)
@@ -287,24 +260,6 @@ class TestSweepTracing:
                       n_windows=5, rate_per_node=10_000.0, seed=seed,
                       trace=trace)
             for scheme in ("central", "deco_sync") for seed in (0, 1)]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_workers_ship_trace_summaries(self, spill_dir, jobs):
-        executor = SweepExecutor(jobs=jobs)
-        executor.run(self._configs(trace=True))
-        summaries = executor.trace_summaries
-        assert len(summaries) == 4
-        assert all(s is not None and s.events > 0 for s in summaries)
-        assert [s.scheme for s in summaries] == \
-            ["central", "central", "deco_sync", "deco_sync"]
-        merged = merge_summaries(summaries)
-        assert merged.runs == 4
-        assert merged.events == sum(s.events for s in summaries)
-
-    def test_untraced_sweep_ships_none(self, spill_dir):
-        executor = SweepExecutor(jobs=1)
-        executor.run(self._configs(trace=False))
-        assert executor.trace_summaries == [None] * 4
 
     def test_tracing_does_not_change_sweep_results(self, spill_dir):
         plain = SweepExecutor(jobs=1).run(self._configs(trace=False))

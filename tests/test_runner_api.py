@@ -95,6 +95,10 @@ class TestApi:
         with pytest.raises(ConfigurationError, match="mode"):
             run("central", mode="bogus")
 
+    def test_non_finite_rate_rejected(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            run("deco_sync", rate_per_node=float("nan"))
+
     def test_compare_shares_workload(self):
         # Byte accounting is exact in paced mode (saturated runs keep
         # forwarding while the last emission's burst drains).
