@@ -1,4 +1,4 @@
-"""Serve harness: spawn a real-process cluster, run it, merge results.
+"""Serve harness: fork a real-process cluster, run it, merge results.
 
 :func:`run_scheme_served` is the serve-runtime twin of
 :func:`repro.core.runner.run_scheme`: same :class:`RunConfig` in, same
@@ -7,6 +7,10 @@ speaking the binary wire codec over TCP, and the report additionally
 carries wall-clock load-test observations (per-window latencies,
 sustained throughput).
 
+Each run forks a fresh set of workers from the calling process, which
+has already imported everything they run, and waits for every one:
+their CPU is charged to the caller's ``RUSAGE_CHILDREN`` (DESIGN §11).
+
 The per-window results, emission times, flow/byte counts and busy time
 are bit-identical to the simulator driver's for every scheme; the
 simulator is the oracle ``verify_against_simulator`` checks against.
@@ -14,16 +18,17 @@ simulator is the oracle ``verify_against_simulator`` checks against.
 
 from __future__ import annotations
 
-import json
+import gc
 import math
-import os
+import multiprocessing
+import signal
 import socket
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
+from multiprocessing.process import BaseProcess
 from typing import Any
 
+from repro.analysis.determinism import TimedFingerprint
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import Workload
@@ -33,7 +38,8 @@ from repro.obs.tracer import RunTracer
 from repro.runtime.driver import collect
 from repro.serve.coordinator import (HANDSHAKE_TIMEOUT_S, Coordinator,
                                      SocketTransport, WindowSample)
-from repro.serve.protocol import SUMMED_FIELDS, config_to_json
+from repro.serve.protocol import SUMMED_FIELDS
+from repro.serve.worker import run_worker
 
 #: Seconds to wait for worker processes to exit after FINAL.
 SHUTDOWN_TIMEOUT_S = 15.0
@@ -107,25 +113,32 @@ class ServeReport:
                 "p99_s": percentile(lat, 0.99)}
 
 
-def worker_argv(host: str, port: int, node: str,
-                config: RunConfig) -> list[str]:
-    """Command line for one worker process."""
-    return [sys.executable, "-m", "repro.serve.worker",
-            "--host", host, "--port", str(port), "--node", node,
-            "--config", json.dumps(config_to_json(config))]
+def _worker_child(listener: socket.socket, host: str, port: int,
+                  node: str, config: RunConfig) -> None:
+    """A forked worker's body, left by ``os._exit`` (0 after FINAL, 1
+    with a traceback on stderr): never through the parent's frames or
+    ``atexit`` handlers.  Signals are reset so :func:`_terminate`'s
+    SIGTERM ends it whatever handler the caller installed."""
+    listener.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    run_worker(host, port, node, config)
 
 
-def worker_env() -> dict[str, str]:
-    """Worker process environment: parent env + this interpreter's
-    import path, so ``python -m repro.serve.worker`` resolves the same
-    package tree as the parent."""
-    env = dict(os.environ)
-    paths = [p for p in sys.path if p]
-    existing = env.get("PYTHONPATH")
-    if existing:
-        paths.append(existing)
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
+def _fork_worker(listener: socket.socket, host: str, node: str,
+                 config: RunConfig) -> BaseProcess:
+    """Fork one worker as a direct child (``multiprocessing`` flushes
+    stdio first).  The heap is frozen across the fork so the child's
+    collector never walks what it inherited (DESIGN §11)."""
+    proc = multiprocessing.get_context("fork").Process(
+        target=_worker_child, name=f"repro-serve-{node}",
+        args=(listener, host, listener.getsockname()[1], node, config))
+    gc.freeze()
+    try:
+        proc.start()
+    finally:
+        gc.unfreeze()
+    return proc
 
 
 def _merge_trace(tracer: RunTracer,
@@ -197,19 +210,21 @@ def _merge_results(coord: Coordinator) -> RunResult:
 
 def _accept_workers(listener: socket.socket,
                     transport: SocketTransport, names: list[str],
-                    procs: dict[str, subprocess.Popen]) -> None:
+                    procs: dict[str, BaseProcess]) -> None:
     """HELLO/ACK every node in ``names`` onto ``transport``.
 
     One loop bounded by the handshake deadline; between short accepts
     it polls the process table, so a worker that exits before
-    connecting (import error, bad argv, a port race) surfaces at once
-    instead of leaving the survivors orphaned until the deadline.
+    connecting (a bad identity, a port race, a body that returns
+    early) surfaces at once instead of leaving the survivors orphaned
+    until the deadline.  Any exit counts, 0 included: a worker exits
+    on its own only after FINAL.
     """
     deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
     listener.settimeout(0.05)
     while len(transport.socks) < len(names):
-        dead = {name: proc.returncode for name, proc in procs.items()
-                if proc.poll() is not None and proc.returncode != 0}
+        dead = {name: proc.exitcode for name, proc in procs.items()
+                if proc.exitcode is not None}
         if dead:
             details = ", ".join(f"{name} exited {code}"
                                 for name, code in sorted(dead.items()))
@@ -234,7 +249,7 @@ def run_scheme_served(
 ) -> ServeReport:
     """Run one scheme on a real-process cluster; returns the report.
 
-    Spawns one worker process per node (root + locals), runs the
+    Forks one worker process per node (root + locals), runs the
     coordinator over TCP on ``host`` (ephemeral port), and merges
     worker results into a :class:`RunResult` bit-identical to the
     simulator driver's.  Standing queries are ``config.queries``,
@@ -243,15 +258,12 @@ def run_scheme_served(
     """
     transport = SocketTransport()
     coord = Coordinator(config, transport, tracer)
-    procs: dict[str, subprocess.Popen] = {}
+    procs: dict[str, BaseProcess] = {}
     listener = socket.create_server((host, 0))
     try:
-        port = listener.getsockname()[1]
-        env = worker_env()
         for name in coord.node_names:
-            procs[name] = subprocess.Popen(
-                worker_argv(host, port, name, coord.worker_config),
-                env=env)
+            procs[name] = _fork_worker(listener, host, name,
+                                       coord.worker_config)
         _accept_workers(listener, transport, coord.node_names, procs)
         coord.run()
     except ServeError as exc:
@@ -260,8 +272,8 @@ def run_scheme_served(
         _terminate(procs)
         # Positive codes are genuine worker deaths; negative ones are
         # the SIGTERM we just sent to the survivors.
-        dead = {name: proc.returncode for name, proc in procs.items()
-                if proc.returncode is not None and proc.returncode > 0}
+        dead = {name: proc.exitcode for name, proc in procs.items()
+                if proc.exitcode is not None and proc.exitcode > 0}
         if dead:
             details = ", ".join(f"{name} exited {code}"
                                 for name, code in sorted(dead.items()))
@@ -277,15 +289,13 @@ def run_scheme_served(
     # Graceful shutdown: every worker replied FINAL and must now exit
     # cleanly on its own.
     for name, proc in procs.items():
-        try:
-            code = proc.wait(timeout=SHUTDOWN_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
+        proc.join(SHUTDOWN_TIMEOUT_S)
+        if proc.exitcode != 0:
             _terminate(procs)
             raise ServeError(
-                f"node {name!r} did not exit after FINAL") from None
-        if code != 0:
-            raise ServeError(
-                f"node {name!r} exited {code} after FINAL")
+                f"node {name!r} did not exit after FINAL"
+                if proc.exitcode is None
+                else f"node {name!r} exited {proc.exitcode} after FINAL")
     result = _merge_results(coord)
     if result.n_windows < coord.ctx.n_windows:
         raise ServeError(
@@ -300,26 +310,21 @@ def run_scheme_served(
         saturated=config.saturated, tracer=coord.tracer)
 
 
-def _terminate(procs: dict[str, subprocess.Popen]) -> None:
-    """Kill any still-running worker processes (cleanup path)."""
+def _terminate(procs: dict[str, BaseProcess]) -> None:
+    """Stop and reap every worker process (cleanup path)."""
     for proc in procs.values():
-        if proc.poll() is None:
+        if proc.exitcode is None:
             proc.terminate()
     for proc in procs.values():
-        if proc.poll() is None:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
+        proc.join(5.0)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join(5.0)
 
 
 def verify_against_simulator(config: RunConfig,
                              result: RunResult) -> None:
     """Raise unless the serve run's TimedFingerprint equals the oracle's."""
-    # Imported here: repro.analysis imports this module (the model
-    # checker), and worker start-up should not pay for the analyzers.
-    from repro.analysis.determinism import TimedFingerprint
     oracle = TimedFingerprint.of(run_scheme(config)[0])
     if diff := oracle.diff(TimedFingerprint.of(result)):
         raise ServeError(

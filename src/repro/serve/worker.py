@@ -14,24 +14,19 @@ had any, plus the time of its next pending timer.  The coordinator
 merges every worker's batches back into canonical global order, so
 fabric reservations are made in the order the simulator makes them.
 
-Run as a module::
-
-    python -m repro.serve.worker --host H --port P --node local-0 \
-        --config '<json>'
-
-Environment: ``REPRO_WORKLOAD_CACHE`` is honoured exactly as in the
-simulator (workers inherit the harness's environment).
+A worker is a child the harness forks from the calling process
+(:func:`repro.serve.harness.run_scheme_served`); the child's whole life
+is :func:`run_worker`.  It inherits the harness's imports, environment
+and process-wide workload cache, so ``REPRO_WORKLOAD_CACHE`` is
+honoured exactly as in the simulator.
 """
 
 from __future__ import annotations
 
-import argparse
 import bisect
 import heapq
-import json
 import math
 import socket
-import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, cast
 
@@ -49,8 +44,8 @@ from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
 from repro.serve import framing
 from repro.serve.merge import MergeKey, key_from_json, slot_key, timer_key
 from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
-                                  config_from_json, counters_snapshot,
-                                  outcome_to_json, sender_table)
+                                  counters_snapshot, outcome_to_json,
+                                  sender_table)
 from repro.wire.codec import MessageCodec
 
 if TYPE_CHECKING:
@@ -499,23 +494,10 @@ def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
             return
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve-worker",
-        description="one node process of a repro serve cluster")
-    parser.add_argument("--host", required=True)
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--node", required=True,
-                        help="node identity (root or local-<i>)")
-    parser.add_argument("--config", required=True,
-                        help="RunConfig as JSON (see serve.protocol)")
-    args = parser.parse_args(argv)
-    config = config_from_json(json.loads(args.config))
-    rt = WorkerRuntime(args.node, config)
-    with framing.connect_with_retry(args.host, args.port) as sock:
+def run_worker(host: str, port: int, node: str,
+               config: RunConfig) -> None:
+    """One worker's whole life: build node ``node``, connect to the
+    coordinator at ``host:port`` and serve until FINISH."""
+    rt = WorkerRuntime(node, config)
+    with framing.connect_with_retry(host, port) as sock:
         serve_forever(sock, rt)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

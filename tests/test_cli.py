@@ -198,8 +198,8 @@ class TestBadArguments:
     @pytest.fixture(autouse=True)
     def no_workers(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a repro.serve.worker was spawned")
-        monkeypatch.setattr(harness, "worker_argv", refuse)
+            raise AssertionError("a serve worker was forked")
+        monkeypatch.setattr(harness, "_fork_worker", refuse)
 
     @pytest.mark.parametrize("bad", [
         ["--nodes", "0"], ["--queries", "sum:10:20"], ["--delta-m", "0"],

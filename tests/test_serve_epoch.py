@@ -9,8 +9,6 @@ where each epoch is one event — the merged result's
 bit-identical to the in-process simulator's: concurrency must be free.
 """
 
-import time
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,8 +21,8 @@ from repro.serve import harness, run_scheme_served
 import repro.core  # noqa: F401  (registers deco_* schemes)
 import repro.baselines  # noqa: F401  (registers baselines)
 
-from tests.test_serve_failures import (crashing_worker_argv,
-                                       lingering_workers)
+from tests.test_serve_failures import (crash_before_handle,
+                                       wait_no_lingering_workers)
 
 
 def tiny_config(scheme, **overrides):
@@ -264,17 +262,13 @@ class TestEpochCrash:
         # Each worker hard-exits before replying to its third dispatch;
         # that lands inside an EPOCH frame, so the death
         # surfaces through the concurrent gather path.
-        monkeypatch.setattr(harness, "worker_argv",
-                            crashing_worker_argv(3))
+        crash_before_handle(monkeypatch, 3)
         with pytest.raises(ServeError) as excinfo:
             run_scheme_served(tiny_config("deco_sync"))
         message = str(excinfo.value)
         assert "died" in message
         assert "exited 1" in message
-        deadline = time.monotonic() + 10.0
-        while lingering_workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert lingering_workers() == []
+        wait_no_lingering_workers()
 
 
 class TestConcurrentSources:

@@ -8,8 +8,8 @@ must drain gracefully — every worker exits 0 on its own, no process
 left behind.
 """
 
+import os
 import socket
-import sys
 import threading
 import time
 
@@ -20,6 +20,7 @@ from repro.errors import ServeError
 from repro.serve import coordinator, framing, harness, run_scheme_served
 from repro.serve.coordinator import SocketTransport
 from repro.serve.framing import connect_with_retry
+from repro.serve.worker import WorkerRuntime
 
 import repro.core  # noqa: F401  (registers deco_* schemes)
 import repro.baselines  # noqa: F401  (registers baselines)
@@ -33,66 +34,65 @@ def tiny_config(scheme="deco_sync", **overrides):
 
 
 def lingering_workers():
-    """PIDs of serve worker processes still alive on this machine."""
-    import os
+    """PIDs of this process's children that are still running or not
+    yet reaped.
+
+    Serve workers are forked, so they carry this process's command
+    line; the parent link in ``/proc/<pid>/status`` is what tells them
+    apart.
+    """
+    tag = f"\nPPid:\t{os.getpid()}\n"
     pids = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
             continue
         try:
-            with open(f"/proc/{entry}/cmdline", "rb") as fh:
-                cmdline = fh.read()
+            with open(f"/proc/{entry}/status") as fh:
+                status = fh.read()
         except OSError:
             continue
-        if b"repro.serve.worker" in cmdline:
+        if tag in status:
             pids.append(int(entry))
     return pids
 
 
-CRASHING_WORKER = """
-import os, sys
-import repro.serve.worker as worker
-handle, left = worker.WorkerRuntime.handle, [int(sys.argv[1])]
-def crashing(self, kind, header, blob):
-    left[0] -= 1
-    if not left[0]:
-        # Die without replying, as a real crashed process would;
-        # os._exit skips atexit/socket teardown.
-        os._exit(1)
-    return handle(self, kind, header, blob)
-worker.WorkerRuntime.handle = crashing
-sys.exit(worker.main(sys.argv[2:]))
-"""
+def crash_before_handle(monkeypatch, n, node=None):
+    """Make each forked worker (or only ``node``) hard-exit before its
+    ``n``-th ``WorkerRuntime.handle``: forked children inherit the
+    patch.  The test process itself never exits through it."""
+    real, left, test_pid = WorkerRuntime.handle, [n], os.getpid()
+
+    def crashing(self, kind, header, blob):
+        if os.getpid() != test_pid and node in (None, self.node_name):
+            left[0] -= 1
+            if not left[0]:
+                # Die without replying, as a real crashed process
+                # would; os._exit skips atexit/socket teardown.
+                os._exit(1)
+        return real(self, kind, header, blob)
+
+    monkeypatch.setattr(WorkerRuntime, "handle", crashing)
 
 
-def crashing_worker_argv(n):
-    """A ``harness.worker_argv`` stand-in: the real worker, except that
-    it hard-exits before its ``n``-th ``WorkerRuntime.handle``."""
-    real_argv = harness.worker_argv
-
-    def argv(host, port, node, config):
-        _python, _m, _module, *args = real_argv(host, port, node, config)
-        return [sys.executable, "-c", CRASHING_WORKER, str(n), *args]
-
-    return argv
+def wait_no_lingering_workers():
+    deadline = time.monotonic() + 10.0
+    while lingering_workers() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert lingering_workers() == []
 
 
 class TestNodeCrash:
     def test_crash_mid_window_raises_and_cleans_up(self, monkeypatch):
         # Every worker self-destructs before replying to its third
         # dispatch (INJECT, START, first timer) — a crash mid-window.
-        monkeypatch.setattr(harness, "worker_argv",
-                            crashing_worker_argv(3))
+        crash_before_handle(monkeypatch, 3)
         with pytest.raises(ServeError) as excinfo:
             run_scheme_served(tiny_config())
         message = str(excinfo.value)
         assert "died" in message
         assert "exited 1" in message
         # The harness must have reaped or terminated every worker.
-        deadline = time.monotonic() + 10.0
-        while lingering_workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert lingering_workers() == []
+        wait_no_lingering_workers()
 
 
 class TestConnectRetry:
@@ -213,16 +213,13 @@ class TestHandshakeTimeout:
         junk.close()
 
 
-#: Stands in for ``python -m repro.serve.worker``: completes the
-#: handshake, then never answers a request.
-SILENT_WORKER = """
-import sys, time
-from repro.serve import framing
-sock = framing.connect_with_retry(sys.argv[1], int(sys.argv[2]))
-framing.send_frame(sock, framing.HELLO, {"node": sys.argv[3]})
-framing.recv_frame(sock)
-time.sleep(60)  # repro.serve.worker would reply here
-"""
+def silent_worker(host, port, node, config):
+    """Stands in for ``run_worker``: completes the handshake, then
+    never answers a request."""
+    sock = framing.connect_with_retry(host, port)
+    framing.send_frame(sock, framing.HELLO, {"node": node})
+    framing.recv_frame(sock)
+    time.sleep(60)  # run_worker would reply here
 
 
 class TestReplyDeadline:
@@ -230,24 +227,19 @@ class TestReplyDeadline:
         # local-0 is alive and connected but never replies to INJECT:
         # the read must hit its deadline, not hang the run.
         monkeypatch.setattr(framing, "REPLY_TIMEOUT_S", 0.5)
-        real_argv = harness.worker_argv
+        real_worker = harness.run_worker
 
-        def argv(host, port, node, config):
-            if node != "local-0":
-                return real_argv(host, port, node, config)
-            return [sys.executable, "-c", SILENT_WORKER, host,
-                    str(port), node]
+        def worker(host, port, node, config):
+            body = silent_worker if node == "local-0" else real_worker
+            body(host, port, node, config)
 
-        monkeypatch.setattr(harness, "worker_argv", argv)
+        monkeypatch.setattr(harness, "run_worker", worker)
         start = time.monotonic()
         with pytest.raises(ServeError, match="'local-0'.*hung.*timed out"):
             run_scheme_served(tiny_config())
         assert time.monotonic() - start < \
             coordinator.HANDSHAKE_TIMEOUT_S / 2
-        deadline = time.monotonic() + 10.0
-        while lingering_workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert lingering_workers() == []
+        wait_no_lingering_workers()
 
 
 class TestWorkerReadDeadline:
@@ -283,28 +275,42 @@ class TestSpawnFailure:
     def test_worker_dying_before_handshake_fails_fast(self,
                                                       monkeypatch):
         # A worker that exits before connecting (bad identity here;
-        # import errors and argv typos behave the same) must surface
-        # immediately — not after the full handshake timeout — and
-        # must not leave the sibling workers running.
-        from repro.serve import harness
-        from repro.serve.coordinator import HANDSHAKE_TIMEOUT_S
-        real_argv = harness.worker_argv
+        # a failing constructor or a port race behave the same) must
+        # surface immediately — not after the full handshake timeout —
+        # and must not leave the sibling workers running.
+        real_worker = harness.run_worker
 
-        def broken_argv(host, port, node, config):
-            argv = real_argv(host, port, node, config)
-            return [arg.replace("local-1", "local-99")
-                    for arg in argv]
+        def broken_worker(host, port, node, config):
+            real_worker(host, port, node.replace("local-1", "local-99"),
+                        config)
 
-        monkeypatch.setattr(harness, "worker_argv", broken_argv)
+        monkeypatch.setattr(harness, "run_worker", broken_worker)
         start = time.monotonic()
         with pytest.raises(ServeError, match="before handshake"):
             run_scheme_served(tiny_config())
         elapsed = time.monotonic() - start
-        assert elapsed < HANDSHAKE_TIMEOUT_S / 2
-        deadline = time.monotonic() + 10.0
-        while lingering_workers() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert lingering_workers() == []
+        assert elapsed < coordinator.HANDSHAKE_TIMEOUT_S / 2
+        wait_no_lingering_workers()
+
+    def test_worker_exiting_zero_before_handshake_fails_fast(
+            self, monkeypatch):
+        # A clean exit is no handshake either: a worker exits on its
+        # own only after FINAL, so exit 0 before connecting fails the
+        # run at once and names the code.
+        real_worker = harness.run_worker
+
+        def quitting_worker(host, port, node, config):
+            if node != "local-0":
+                real_worker(host, port, node, config)
+
+        monkeypatch.setattr(harness, "run_worker", quitting_worker)
+        start = time.monotonic()
+        with pytest.raises(ServeError, match="before handshake: "
+                           "local-0 exited 0"):
+            run_scheme_served(tiny_config())
+        elapsed = time.monotonic() - start
+        assert elapsed < coordinator.HANDSHAKE_TIMEOUT_S / 2
+        wait_no_lingering_workers()
 
 
 class TestGracefulShutdown:
@@ -313,4 +319,20 @@ class TestGracefulShutdown:
         # exits non-zero after FINAL; success means the drain worked.
         report = run_scheme_served(tiny_config("central"))
         assert report.result.n_windows == 3
+        assert lingering_workers() == []
+
+    def test_lingering_workers_sees_a_live_cluster(self, monkeypatch):
+        # The helper above must see every worker while a run is live,
+        # or each "no lingering worker" check would pass vacuously.
+        seen = []
+        real_run = coordinator.Coordinator.run
+
+        def run(self):
+            seen.append(lingering_workers())
+            real_run(self)
+
+        monkeypatch.setattr(coordinator.Coordinator, "run", run)
+        config = tiny_config("central")
+        run_scheme_served(config)
+        assert len(seen) == 1 and len(seen[0]) == config.n_nodes + 1
         assert lingering_workers() == []
