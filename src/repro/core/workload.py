@@ -29,15 +29,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Sequence
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Literal
 
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamError
-from repro.streams.batch import EventBatch
+from repro.streams.batch import (ID_DTYPE, TS_DTYPE, VALUE_DTYPE,
+                                 EventBatch)
 from repro.streams.event import TICKS_PER_SECOND, ticks_to_seconds
 from repro.streams.generator import RateChangeGenerator
-from repro.streams.merge import merge_batches
+from repro.streams.merge import merge_batches, require_ts_sorted
 
 if TYPE_CHECKING:
     from repro.aggregates.base import AggregateFunction
@@ -100,15 +101,55 @@ class Workload:
         return ticks_to_seconds(int(self.boundary_ts[window]))
 
 
+def _merge_cut(columns: Sequence[np.ndarray],
+               ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cut the stable timestamp merge of sorted ``columns`` after each
+    of ``ends`` events, by counting instead of merging.
+
+    For every end ``p`` at once, bisection over ticks finds the
+    smallest tick ``T`` with at least ``p`` events at or before it: the
+    merge's ``p``-th timestamp.  Column ``a`` then contributes its
+    events before ``T`` plus its share of the ties at ``T``, handed out
+    in column order until ``p`` is reached -- the stable merge's own tie
+    rule.  Costs O(len(ends) x len(columns) x log(tick range)) and no
+    per-event temporaries.  Returns the per-column counts, shape
+    ``(len(ends), len(columns))``, and ``T`` per end.
+    """
+    def counts(ticks: np.ndarray,
+               side: Literal["left", "right"]) -> np.ndarray:
+        return np.stack([np.searchsorted(ts, ticks, side)
+                         for ts in columns], axis=1)
+
+    held = [ts for ts in columns if len(ts)]
+    lo = np.full(len(ends), min(int(ts[0]) for ts in held) - 1)
+    hi = np.full(len(ends), max(int(ts[-1]) for ts in held))
+    # Invariant: fewer than ``ends`` events at or before ``lo``, at
+    # least ``ends`` at or before ``hi``.
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        enough = counts(mid, "right").sum(axis=1) >= ends
+        hi = np.where(enough, mid, hi)
+        lo = np.where(enough, lo, mid)
+    before = counts(hi, "left")
+    ties = counts(hi, "right") - before
+    short = (ends - before.sum(axis=1))[:, None]
+    ties_ahead = np.cumsum(ties, axis=1) - ties
+    return before + np.clip(short - ties_ahead, 0, ties), hi
+
+
 def build_workload(streams: Sequence[EventBatch], window_size: int,
                    n_windows: int | None = None) -> Workload:
     """Assemble a :class:`Workload` from concrete per-node streams.
 
-    Streams should extend a few windows *past* the last measured
-    boundary: prediction buffers and speculation reach beyond it, and a
-    scheme that runs out of events stalls (the runner raises a
-    diagnostic).  :func:`generate_workload` adds that margin
-    automatically.
+    Global window ``g`` is events ``[g*L, (g+1)*L)`` of the streams'
+    stable timestamp merge (:func:`~repro.streams.merge.merge_batches`,
+    ties to the lower stream index); the boundaries are cut from the
+    per-stream timestamps by counting, so building a workload holds no
+    copy of the merged stream.  Streams should extend a few windows
+    *past* the last measured boundary: prediction buffers and
+    speculation reach beyond it, and a scheme that runs out of events
+    stalls (the runner raises a diagnostic).  :func:`generate_workload`
+    adds that margin automatically.
     """
     if window_size <= 0:
         raise ConfigurationError(
@@ -116,21 +157,18 @@ def build_workload(streams: Sequence[EventBatch], window_size: int,
     streams = list(streams)
     if not streams:
         raise ConfigurationError("need at least one stream")
-    merged, source = merge_batches(streams)
-    available = len(merged) // window_size
+    require_ts_sorted(streams)
+    available = sum(len(s) for s in streams) // window_size
     if n_windows is None:
         n_windows = available
     if n_windows < 1 or n_windows > available:
         raise ConfigurationError(
             f"streams hold {available} complete windows of size "
             f"{window_size}; requested {n_windows}")
-    n_nodes = len(streams)
-    bounds = np.zeros((n_windows + 1, n_nodes), dtype=np.int64)
-    for g in range(n_windows):
-        chunk = source[g * window_size:(g + 1) * window_size]
-        bounds[g + 1] = bounds[g] + np.bincount(chunk, minlength=n_nodes)
-    boundary_ts = merged.ts[np.arange(1, n_windows + 1)
-                            * window_size - 1].copy()
+    ends = np.arange(1, n_windows + 1, dtype=np.int64) * window_size
+    counts, boundary_ts = _merge_cut([s.ts for s in streams], ends)
+    bounds = np.zeros((n_windows + 1, len(streams)), dtype=np.int64)
+    bounds[1:] = counts
     return Workload(streams=streams, window_size=window_size,
                     n_windows=n_windows, bounds=bounds,
                     boundary_ts=boundary_ts)
@@ -354,7 +392,8 @@ def save_workload_mmap(path: Path, workload: Workload) -> None:
         at = len(_WLM_MAGIC) + 4 + len(header)
         for _, arr, off in table:
             fh.write(b"\0" * (off - at))
-            fh.write(arr.tobytes())
+            # Straight from the array's buffer: no transient copy.
+            fh.write(arr.reshape(-1).view(np.uint8))
             at = off + arr.nbytes
 
     _atomic_write(Path(path), write)
@@ -388,39 +427,86 @@ def load_workload_mmap(path: Path) -> Workload:
     except ValueError as exc:
         raise StreamError(
             f"corrupt workload spill header in {path}: {exc}") from None
+    if not isinstance(header, dict):
+        raise StreamError(
+            f"corrupt workload spill header in {path}: not an object")
     if header.get("version") != _WLM_VERSION:
         raise StreamError(
             f"unsupported workload spill version "
             f"{header.get('version')} in {path}")
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        offset = entry["offset"]
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if offset % _WLM_ALIGN or offset + nbytes > mm.size:
-            raise StreamError(
-                f"corrupt workload spill entry {entry['name']!r} in "
-                f"{path}")
-        # A base-class view of the mapping, not a slice of the
-        # ``np.memmap`` subclass: every later slice of a stream would
-        # otherwise run numpy's Python-level ``memmap.__getitem__`` /
-        # ``__array_finalize__`` (~10x a plain slice).
-        arrays[entry["name"]] = np.ndarray(
-            shape, dtype=dtype, buffer=mm, offset=offset)
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise StreamError(
+            f"corrupt workload spill header in {path}: no array table")
+    arrays = dict(_spill_array(entry, mm, path) for entry in entries)
     try:
-        window_size, n_windows, n_nodes = arrays["meta"].tolist()
-        streams = [EventBatch._view(arrays[f"ids_{i}"],
-                                    arrays[f"values_{i}"],
-                                    arrays[f"ts_{i}"])
-                   for i in range(n_nodes)]
-        return Workload(streams=streams, window_size=int(window_size),
-                        n_windows=int(n_windows),
-                        bounds=arrays["bounds"],
-                        boundary_ts=arrays["boundary_ts"])
+        meta = arrays["meta"]
+        if meta.shape != (3,) or meta.dtype.kind != "i":
+            raise StreamError(
+                f"corrupt workload spill meta {meta.dtype.str}"
+                f"{list(meta.shape)} in {path}")
+        window_size, n_windows, n_nodes = meta.tolist()
+        streams = [_spill_stream(arrays, i, path) for i in range(n_nodes)]
+        bounds, boundary_ts = arrays["bounds"], arrays["boundary_ts"]
     except KeyError as exc:
         raise StreamError(
             f"workload spill {path} is missing array {exc}") from None
+    if bounds.shape != (n_windows + 1, n_nodes) \
+            or boundary_ts.shape != (n_windows,) \
+            or bounds.dtype != np.int64 or boundary_ts.dtype != TS_DTYPE:
+        raise StreamError(
+            f"workload spill {path} has bounds {bounds.dtype.str}"
+            f"{list(bounds.shape)} and boundary_ts "
+            f"{boundary_ts.dtype.str}{list(boundary_ts.shape)} for "
+            f"{n_windows} windows of {n_nodes} nodes")
+    return Workload(streams=streams, window_size=int(window_size),
+                    n_windows=int(n_windows), bounds=bounds,
+                    boundary_ts=boundary_ts)
+
+
+def _spill_array(entry: object, mm: np.ndarray,
+                 path: Path) -> tuple[str, np.ndarray]:
+    """One table-of-contents entry of a ``.wlm`` spill, validated (a
+    named numeric native-order array, non-negative dimensions, an
+    aligned offset inside the file) and mapped."""
+    bad = StreamError(f"corrupt workload spill entry {entry!r} in {path}")
+    if not isinstance(entry, dict):
+        raise bad
+    try:
+        name, dtype = entry["name"], np.dtype(entry["dtype"])
+        shape, offset = tuple(entry["shape"]), entry["offset"]
+    except (KeyError, TypeError, ValueError):
+        raise bad from None
+    if not isinstance(name, str) or dtype.kind not in "iuf" \
+            or not dtype.isnative \
+            or not all(type(n) is int and n >= 0 for n in shape) \
+            or type(offset) is not int or offset < 0 \
+            or offset % _WLM_ALIGN \
+            or offset + dtype.itemsize * math.prod(shape) > mm.size:
+        raise bad
+    # A base-class view of the mapping, not a slice of the
+    # ``np.memmap`` subclass: every later slice of a stream would
+    # otherwise run numpy's Python-level ``memmap.__getitem__`` /
+    # ``__array_finalize__`` (~10x a plain slice).
+    return name, np.ndarray(shape, dtype=dtype, buffer=mm, offset=offset)
+
+
+def _spill_stream(arrays: dict[str, np.ndarray], node: int,
+                  path: Path) -> EventBatch:
+    """Node ``node``'s stream of a mapped spill, its columns checked
+    here because ``EventBatch._view`` checks nothing."""
+    columns = (arrays[f"ids_{node}"], arrays[f"values_{node}"],
+               arrays[f"ts_{node}"])
+    dtypes = (ID_DTYPE, VALUE_DTYPE, TS_DTYPE)
+    if any(col.ndim != 1 or col.dtype != dtype
+           for col, dtype in zip(columns, dtypes)) \
+            or len({len(col) for col in columns}) != 1:
+        raise StreamError(
+            f"workload spill {path} stream {node} has columns of "
+            f"{[(c.dtype.str, c.shape) for c in columns]}; expected "
+            f"three equally long 1-d {ID_DTYPE.__name__}/"
+            f"{VALUE_DTYPE.__name__}/{TS_DTYPE.__name__} arrays")
+    return EventBatch._view(*columns)
 
 
 #: Current spill-file generation; part of every spill filename so a
@@ -495,9 +581,12 @@ class WorkloadCache:
             # Collect before allocating the next workload so a cold
             # miss does not stack it on top of a dead one.
             gc.collect()
-            workload = spec.generate()
+            save_workload_mmap(path, spec.generate())
             self.generated += 1
-            save_workload_mmap(path, workload)
+            # Hand back the mapping, exactly as a spill hit does: the
+            # heap copy dies here, and this process and every worker
+            # that maps the spill share one page-cache copy.
+            workload = load_workload_mmap(path)
         self._lru[key] = workload
         while len(self._lru) > self.capacity:
             self._lru.popitem(last=False)

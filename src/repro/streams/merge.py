@@ -2,9 +2,11 @@
 
 The global count-based window of size ``L`` comprises the first ``L``
 events of the merged stream in stable timestamp order (Section 3: windows
-use a stable sort; on ties at the window edge the first event wins).  The
-ground-truth window boundaries built on this order live in
-:func:`repro.core.workload.build_workload`.
+use a stable sort; on ties at the window edge the first event wins).
+:func:`repro.core.workload.build_workload` cuts the ground-truth window
+boundaries of this order by counting, without materialising it; the
+merge itself feeds a node with several sources and is the tests' oracle
+for that cut.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError, StreamError
 from repro.streams.batch import EventBatch
+
+
+def require_ts_sorted(batches: Sequence[EventBatch]) -> None:
+    """Raise :class:`StreamError` unless every batch is timestamp-sorted."""
+    for i, b in enumerate(batches):
+        if not b.is_ts_sorted():
+            raise StreamError(
+                f"input batch {i} is not timestamp-sorted; per-source "
+                f"streams must be in order")
 
 
 def merge_batches(
@@ -28,11 +39,7 @@ def merge_batches(
     """
     if not batches:
         raise ConfigurationError("merge_batches needs at least one batch")
-    for i, b in enumerate(batches):
-        if not b.is_ts_sorted():
-            raise StreamError(
-                f"input batch {i} is not timestamp-sorted; per-source "
-                f"streams must be in order")
+    require_ts_sorted(batches)
     combined = EventBatch.concat(list(batches))
     source = np.concatenate([
         np.full(len(b), i, dtype=np.int64) for i, b in enumerate(batches)

@@ -152,3 +152,70 @@ class TestMergeProperties:
         # Cumulative per-source boundaries never exceed stream lengths.
         for i, s in enumerate(streams):
             assert bounds[-1, i] <= len(s)
+
+
+def merge_oracle(streams, window_size, n_windows):
+    """``bounds`` / ``boundary_ts`` read off the materialised stable
+    merge: the definition :func:`build_workload` must reproduce."""
+    merged, source = merge_batches(streams)
+    bounds = np.zeros((n_windows + 1, len(streams)), dtype=np.int64)
+    for g in range(n_windows):
+        chunk = source[g * window_size:(g + 1) * window_size]
+        bounds[g + 1] = bounds[g] + np.bincount(chunk,
+                                                minlength=len(streams))
+    ends = np.arange(1, n_windows + 1) * window_size
+    return bounds, merged.ts[ends - 1].copy()
+
+
+@st.composite
+def tied_streams(draw):
+    """1-5 sorted streams, some empty, over so few distinct ticks that
+    window edges mostly fall inside runs of tied timestamps."""
+    top = draw(st.integers(min_value=0, max_value=6))
+    streams = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        ts = sorted(draw(st.lists(st.integers(min_value=0, max_value=top),
+                                  max_size=30)))
+        streams.append(batch_with_ts(ts, id_start=i * 1000))
+    return streams
+
+
+class TestCountedCutMatchesMerge:
+    """The bit-identity contract: counting gives the merge's table."""
+
+    @given(tied_streams(), st.integers(min_value=1, max_value=9),
+           st.data())
+    @settings(max_examples=300)
+    def test_bounds_and_boundary_ts_equal_oracle(self, streams, window,
+                                                 data):
+        available = sum(len(s) for s in streams) // window
+        assume(available >= 1)
+        n_windows = data.draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=available)))
+        wl = build_workload(streams, window, n_windows)
+        bounds, boundary_ts = merge_oracle(streams, window,
+                                           wl.n_windows)
+        assert wl.n_windows == (available if n_windows is None
+                                else n_windows)
+        for got, want in ((wl.bounds, bounds),
+                          (wl.boundary_ts, boundary_ts)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_generated_streams_equal_oracle(self):
+        streams = [RateChangeGenerator(300 + 100 * s, 0.5,
+                                       seed=s).generate(2000)
+                   for s in range(4)]
+        wl = build_workload(streams, 700)
+        bounds, boundary_ts = merge_oracle(streams, 700, wl.n_windows)
+        assert wl.bounds.tobytes() == bounds.tobytes()
+        assert wl.boundary_ts.tobytes() == boundary_ts.tobytes()
+
+    def test_unsorted_stream_rejected_as_merge_does(self):
+        streams = [batch_with_ts([1, 2, 3]), batch_with_ts([5, 3])]
+        with pytest.raises(StreamError) as merged:
+            merge_batches(streams)
+        with pytest.raises(StreamError) as built:
+            build_workload(streams, 1)
+        assert str(built.value) == str(merged.value)
+        assert "input batch 1 is not timestamp-sorted" in str(built.value)
