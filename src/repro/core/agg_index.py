@@ -77,7 +77,7 @@ class RangeAggregateIndex:
     raw events from the backing buffer (zero-copy when the range lies
     in one stored batch).  ``caching=False`` keeps the canonical
     decomposition but recomputes every node from raw events — the
-    bit-identical naive baseline of the A/B escape hatch.
+    bit-identical naive reference the tests compare against.
     """
 
     def __init__(self, fn: AggregateFunction,

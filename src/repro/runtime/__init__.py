@@ -23,12 +23,12 @@ from repro.runtime.api import (DEFAULT_LATENCY_S, ETHERNET_1G,
                                TimerHandle, local_name)
 from repro.runtime.node import (INTEL_XEON, RASPBERRY_PI_4B, Behavior,
                                 NodeMetrics, NodeProfile, RuntimeNode,
-                                Timeout)
+                                Sealed, Timeout)
 
 __all__ = [
     "DEFAULT_LATENCY_S", "ETHERNET_1G", "ETHERNET_25G",
     "PHASE_DELIVER", "PHASE_PROTOCOL", "PHASE_SOURCE", "ROOT_NAME",
     "TimerHandle", "local_name",
     "INTEL_XEON", "RASPBERRY_PI_4B", "Behavior", "NodeMetrics",
-    "NodeProfile", "RuntimeNode", "Timeout",
+    "NodeProfile", "RuntimeNode", "Sealed", "Timeout",
 ]

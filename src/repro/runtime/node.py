@@ -20,6 +20,7 @@ timing arithmetic.
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, Protocol
 
@@ -91,6 +92,28 @@ class Behavior(Protocol):
     def service_time(self, node: "RuntimeNode", msg: Any) -> float:
         """CPU seconds this message costs the receiving node."""
         ...  # pragma: no cover - protocol
+
+
+@dataclass(frozen=True, slots=True)
+class Sealed:
+    """A message in flight whose wire round trip waits for its handler.
+
+    The simulator's fabric hands a receiver this instead of a decoded
+    copy (see :meth:`repro.sim.network.Network.send`): ``msg`` is the
+    sender's message, its arrays made read-only; ``size`` is what the
+    link was charged; ``opener`` turns the pair into the copy the
+    behaviour handles.  Service time and trace labels read ``msg``,
+    whose fields equal the decoded copy's, so a message still queued
+    when the run stops is never coded.
+    """
+
+    msg: Any
+    size: int
+    opener: Callable[[Any, int], Any]
+
+    def open(self) -> Any:
+        """The receiver's copy: what survived the bytes."""
+        return self.opener(self.msg, self.size)
 
 
 @dataclass
@@ -171,13 +194,16 @@ class RuntimeNode(abc.ABC):
         """Called by the fabric when a message arrives at this node.
 
         The message waits for the CPU, occupies it for the behaviour's
-        service time, then the behaviour handles it.
+        service time, then the behaviour handles it.  A :class:`Sealed`
+        delivery is costed and labelled by the sender's message it
+        holds; it is opened only in :meth:`_handle`.
         """
         if self.crashed:
             return
         if self.behavior is None:
             raise SimulationError(f"node {self.name} has no behavior")
-        service = self.behavior.service_time(self, msg)
+        sent = msg.msg if isinstance(msg, Sealed) else msg
+        service = self.behavior.service_time(self, sent)
         if service < 0:
             raise SimulationError(
                 f"negative service time {service} on {self.name}")
@@ -197,13 +223,21 @@ class RuntimeNode(abc.ABC):
             tracer.gauge("queue_depth", self.name, self._queued)
             if service > 0:
                 tracer.event(ev.CPU, start, self.name, dur=service,
-                             label=type(msg).__name__)
+                             label=type(sent).__name__)
         self.schedule_at(done, lambda m=msg: self._handle(m))
 
     def _handle(self, msg: Any) -> None:
+        """Run the behaviour on a message whose service time elapsed.
+
+        A :class:`Sealed` delivery is opened here, after the crash
+        check, so the behaviour sees only the decoded copy and a
+        message a crashed node drops is never coded.
+        """
         self._queued -= 1
         if self.crashed:
             return
+        if isinstance(msg, Sealed):
+            msg = msg.open()
         self.metrics.messages += 1
         tracer = self.tracer
         if tracer.enabled:

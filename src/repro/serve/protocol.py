@@ -1,9 +1,11 @@
 """Shared serve-runtime protocol pieces: configs, ops, result transport.
 
 Everything that must mean the same thing on both sides of the control
-channel lives here: the JSON shape of a :class:`RunConfig` (shipped to
-workers on their command line), the op vocabulary workers emit back to
-the coordinator, and the JSON shape of a worker's final results.
+channel lives here: the JSON shape of a :class:`RunConfig` (an exact
+round trip; workers are forked and inherit the config object itself,
+so no config crosses a command line or a socket), the op vocabulary
+workers emit back to the coordinator, and the JSON shape of a worker's
+final results.
 
 Floats cross the channel as JSON numbers; Python's ``repr`` emits the
 shortest round-tripping form and ``json`` parses it back bit-exactly,

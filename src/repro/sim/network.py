@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import events as ev
-from repro.runtime import DEFAULT_LATENCY_S, ETHERNET_25G, PHASE_DELIVER
+from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_25G, PHASE_DELIVER,
+                           Sealed)
 from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
 
@@ -122,10 +123,11 @@ class Network:
         #: Optional fault hook: (src, dst, msg) -> extra delay seconds.
         self.delay_fn: Callable[..., float] | None = None
         #: Optional wire codec (``repro.wire.codec.MessageCodec``).
-        #: When set, every message is encoded to a binary frame and
-        #: delivered decoded; binary formats are then sized from the
-        #: actual frame instead of the structural model.  Installed by
-        #: the simulator driver (:func:`repro.runtime.driver.build_run`).
+        #: When set, every message is frozen when sent and round-trips
+        #: through one binary frame when its receiver handles it (see
+        #: :meth:`send`).  Installed by the simulator driver
+        #: (:func:`repro.runtime.driver.build_run`); ``None`` delivers
+        #: the sender's message as-is, the bit-identity reference.
         self.codec: MessageCodec | None = None
 
     # -- topology -----------------------------------------------------------
@@ -197,25 +199,25 @@ class Network:
     def send(self, src: str, dst: str, msg: Any) -> None:
         """Transmit ``msg`` from ``src`` to ``dst``.
 
-        With a codec installed the message is really encoded to one
-        binary frame here and the *decoded* copy is what gets
-        delivered, so receivers only ever see what survived the wire;
-        binary formats charge the link ``len(frame)``.  Without a codec
-        (or for the string-modelled Disco baseline) size comes from the
-        structural sizer — the two agree byte-for-byte because the
-        model derives from the frame layout.  The destination node's
-        ``deliver`` runs at the arrival time unless a failure hook
-        drops the message.
+        The link is charged the structural size from :attr:`sizer`;
+        for binary formats that is the frame's length byte for byte,
+        because the model derives from the frame layout.  With a codec
+        installed, the message's arrays are made read-only here and the
+        receiver is handed a :class:`~repro.runtime.node.Sealed`
+        delivery whose one wire round trip (:meth:`_open`) runs when
+        the receiver handles it: a frame that is dropped, sent to a
+        crashed node or still queued when the run stops is never
+        coded, and a queue holds the sender's views, not frame copies.
+        The failure hooks and the send-side trace events see the
+        sender's message, whose fields equal the decoded copy's.  The
+        destination node's ``deliver`` runs at the arrival time unless
+        a failure hook drops the message.
         """
         link = self.link(src, dst)
+        size = self.sizer(msg)
         codec = self.codec
         if codec is not None:
-            frame = codec.encode_message(msg)
-            size = (len(frame) if codec.sizes_from_frames
-                    else self.sizer(msg))
-            msg = codec.decode_message(frame)
-        else:
-            size = self.sizer(msg)
+            codec.freeze(msg)
         tracer = self.sim.tracer
         if self.drop_filter is not None and self.drop_filter(
                 src, dst, msg, size):
@@ -241,13 +243,15 @@ class Network:
                              msg=_msg_name(msg), extra_s=extra)
                 tracer.inc("messages_delayed", src)
 
+        delivery = msg if codec is None else Sealed(msg, size, self._open)
+
         def deliver() -> None:
             if extra > 0:
-                self.sim.schedule(extra, lambda: dst_node.deliver(msg),
+                self.sim.schedule(extra, lambda: dst_node.deliver(delivery),
                                   phase=PHASE_DELIVER,
                                   rank=(dst, src))
             else:
-                dst_node.deliver(msg)
+                dst_node.deliver(delivery)
 
         # Per-pair accounting; NIC-pair timing with cut-through
         # semantics: the receiver's NIC starts taking bytes one link
@@ -264,6 +268,23 @@ class Network:
         # the rank pins arrivals to *different* nodes at one instant.
         self.sim.schedule_at(arrival, deliver, phase=PHASE_DELIVER,
                              rank=(dst, src))
+
+    def _open(self, msg: Any, size: int) -> Any:
+        """The copy of a sealed ``msg`` its receiver handles.
+
+        Encodes the message to one binary frame, checks (binary
+        formats) that the frame is exactly the ``size`` its link was
+        charged, and decodes it, so receivers only ever see what
+        survived the bytes.
+        """
+        codec = self.codec
+        assert codec is not None
+        frame = codec.encode_message(msg)
+        if codec.sizes_from_frames and len(frame) != size:
+            raise SimulationError(
+                f"{type(msg).__name__} frame is {len(frame)} B but its "
+                f"link was charged {size} B")
+        return codec.decode_message(frame)
 
     # -- accounting --------------------------------------------------------------
 

@@ -9,12 +9,13 @@ returns :class:`EventBatch` views over the received buffer via
 ``np.frombuffer``: no per-event objects, no column copies.
 
 The simulator driver installs the codec on
-:attr:`repro.sim.network.Network.codec`, so every message through
-:meth:`~repro.sim.network.Network.send` is encoded, *sized from the
-actual frame* (binary formats), and delivered decoded; a fabric with
-``codec = None`` delivers messages as-is and sizes them by the
-structural model.  Both paths are bit-identical in results, flows,
-bytes, and determinism fingerprints: the codec frames a message from
+:attr:`repro.sim.network.Network.codec`: every message through
+:meth:`~repro.sim.network.Network.send` is frozen
+(:meth:`MessageCodec.freeze`), charged its structural size and, when
+its receiver handles it, encoded, checked against that charge (binary
+formats) and delivered decoded; a fabric with ``codec = None``
+delivers messages as-is.  Both paths are bit-identical in results,
+flows, bytes, and determinism fingerprints: the codec frames a message from
 the same :class:`~repro.core.protocol.Wire` declaration the model
 sizes it from, so ``len(encode_message(msg)) == sizeof_message(msg,
 BINARY)`` for every message (asserted in tests).
@@ -45,7 +46,8 @@ from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
                                WIRE_MAGIC, WIRE_SCALAR_BYTES,
                                WIRE_VERSION, append_columns,
                                decode_columns, decode_partial,
-                               encode_partial, frame_size)
+                               encode_partial, frame_size,
+                               freeze_partial)
 
 #: Frame type id of the bare-batch frame; protocol messages take their
 #: index in :data:`~repro.core.protocol.MESSAGE_TYPES` plus one.
@@ -58,6 +60,17 @@ _LAYOUTS: dict[type, tuple[int, Wire, struct.Struct]] = {
     cls: (i + 1, cls.WIRE, struct.Struct(
         "<" + cls.WIRE.kinds + "q" * len(cls.WIRE.optional)))
     for i, cls in enumerate(MESSAGE_TYPES)}
+
+
+def _layout(msg: Message) -> tuple[int, Wire, struct.Struct]:
+    """``msg``'s entry in :data:`_LAYOUTS`, or a :class:`StreamError`."""
+    try:
+        return _LAYOUTS[type(msg)]
+    except KeyError:
+        raise StreamError(
+            f"no wire frame for message type "
+            f"{type(msg).__name__}") from None
+
 
 #: The int64 ``window_index`` slot: its unpacker, and its byte offset
 #: in the frame of each message type that declares one.
@@ -87,8 +100,12 @@ class MessageCodec:
 
     def __init__(self, fmt: WireFormat = WireFormat.BINARY) -> None:
         self.fmt = fmt
-        #: Whether :meth:`repro.sim.network.Network.send` should charge
-        #: the link ``len(frame)`` instead of the structural model.
+        #: Whether a frame's length is its modelled size: true for
+        #: binary formats, whose structural model derives from the
+        #: frame layout.  The simulator's fabric charges every link the
+        #: model and, when this is set, checks each frame it opens at
+        #: handle time against that charge; the string-modelled Disco
+        #: baseline is charged its model and still round-trips binary.
         self.sizes_from_frames = fmt is WireFormat.BINARY
         self._sender_ids: dict[str, int] = {}
         self._sender_names: list[str] = []
@@ -130,14 +147,29 @@ class MessageCodec:
 
     # -- encode ------------------------------------------------------------
 
+    def freeze(self, msg: Message) -> None:
+        """Make every array ``msg`` carries read-only, in place.
+
+        Its event batches' columns (optional batches too) and any
+        ndarray in its partial.  The simulator's fabric freezes a
+        message when it is sent and codes it only when its receiver
+        handles it, so a sender that writes into a sent array fails at
+        the write instead of changing the bits the receiver decodes.
+        Raises :class:`StreamError` for a kind with no frame, as
+        :meth:`encode_message` does.
+        """
+        _, wire, _ = _layout(msg)
+        for name in (wire.batch, *wire.optional):
+            batch = getattr(msg, name) if name else None
+            if batch is not None:
+                for column in (batch.ids, batch.values, batch.ts):
+                    column.flags.writeable = False
+        if wire.partial is not None:
+            freeze_partial(getattr(msg, wire.partial))
+
     def encode_message(self, msg: Message) -> bytes:
         """One binary frame holding ``msg``, columns packed zero-copy."""
-        try:
-            msgtype, wire, packer = _LAYOUTS[type(msg)]
-        except KeyError:
-            raise StreamError(
-                f"no wire frame for message type "
-                f"{type(msg).__name__}") from None
+        msgtype, wire, packer = _layout(msg)
         values = [getattr(msg, name) for name in wire.slots]
         batches = [] if wire.batch is None else [getattr(msg, wire.batch)]
         for name in wire.optional:

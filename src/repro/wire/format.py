@@ -166,6 +166,15 @@ def encode_partial(partial: Any, out: bytearray) -> None:
         partial_wire_slots(partial)  # raises with the guidance message
 
 
+def freeze_partial(partial: Any) -> None:
+    """Make every ndarray in ``partial`` (tuples walked) read-only."""
+    if isinstance(partial, np.ndarray):
+        partial.flags.writeable = False
+    elif isinstance(partial, tuple):
+        for item in partial:
+            freeze_partial(item)
+
+
 def decode_partial(view: memoryview, offset: int,
                    end: int) -> tuple[Any, int]:
     """Decode one tagged partial at ``offset``; returns (partial, next).

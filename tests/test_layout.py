@@ -527,6 +527,20 @@ def _per_query_lifts(ctx: FileContext) -> Iterator[Hit]:
 
 
 #: Benchmark scripts whose job is to read the wall clock.
+#: The codec calls that make one wire round trip.
+ROUND_TRIP = frozenset({"encode_message", "decode_message"})
+
+
+def _round_trip_calls(ctx: FileContext) -> Iterator[Hit]:
+    """Calls of ``encode_message``/``decode_message``, by any
+    receiver."""
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call):
+            chain = dotted(node.func)
+            if chain and chain.rsplit(".", 1)[-1] in ROUND_TRIP:
+                yield node
+
+
 TIMING_SCRIPTS = tuple(f"benchmarks/{name}.py" for name in (
     "bench_lift_index", "bench_queries", "bench_sweep_speedup",
     "bench_wire_codec", "bench_workload_mmap", "trace_overhead_smoke",
@@ -628,6 +642,17 @@ ROWS = (
         "shared ingest buffer; a write through one corrupts every "
         "window sharing it, so copy first",
         ("benchmarks/x.py", "v = buf.get_range(0, 4)\nv[0] = 1\n")),
+    Row("round-trip-at-handle-time", ("src/repro/sim/",
+                                      "src/repro/runtime/"),
+        _round_trip_calls,
+        "a simulated message is coded when its receiver handles it: a "
+        "send-time round trip codes frames no receiver reads and fills "
+        "a saturated root's queue with frame copies",
+        ("src/repro/sim/network.py",
+         "def send(self, src, dst, msg):\n"
+         "    frame = self.codec.encode_message(msg)\n"),
+        # The opener a Sealed delivery calls from RuntimeNode._handle.
+        exempt=("src/repro/sim/network.py::_open",)),
     Row("no-per-query-lifts", ("src/repro/core/", "src/repro/baselines/"),
         _per_query_lifts,
         "N standing queries share one slice store and partial tree; a "
@@ -730,6 +755,13 @@ TRACE = "def f(tracer):\n    tracer.event('msg_send', 0.0, 'n')\n"
 QUERY_LIFT = ("def feed(self, batch):\n"
               "    for q in self.queries:\n"
               "        out = q.buffer.lift_range(0, 10)\n")
+NETWORK = "src/repro/sim/network.py"
+ENCODE_AT_SEND = ("def send(self, src, dst, msg):\n"
+                  "    frame = self.codec.encode_message(msg)\n"
+                  "    msg = self.codec.decode_message(frame)\n")
+OPEN = ("def _open(self, msg, size):\n"
+        "    frame = self.codec.encode_message(msg)\n"
+        "    return self.codec.decode_message(frame)\n")
 WIRE_FORMULA = ("WIRE_HEADER_BYTES = 32\n"
                 "def frame_size(n):\n"
                 "    return WIRE_HEADER_BYTES + 24 * n\n")
@@ -976,6 +1008,22 @@ CASES: dict[str, tuple[tuple[str, str, str, bool], ...]] = {
          QUERY_LIFT.replace("feed", "append"), False),
         ("exempts_only_that_function", "src/repro/core/multiquery.py",
          QUERY_LIFT, True),
+    ),
+    "round-trip-at-handle-time": (
+        ("fires_on_encode_at_send", NETWORK, ENCODE_AT_SEND, True),
+        ("fires_on_decode_anywhere_in_sim", SIM_PATH,
+         "def deliver(codec, frame):\n"
+         "    return codec.decode_message(frame)\n", True),
+        ("fires_in_runtime", "src/repro/runtime/node.py",
+         "def _handle(self, msg):\n"
+         "    msg = self.codec.decode_message(msg)\n", True),
+        ("the_opener_passes", NETWORK, OPEN, False),
+        ("exempts_only_the_network_opener", SIM_PATH, OPEN, True),
+        ("other_codec_calls_pass", NETWORK,
+         "def send(self, src, dst, msg):\n"
+         "    self.codec.freeze(msg)\n", False),
+        ("serve_is_out_of_scope", "src/repro/serve/worker.py",
+         ENCODE_AT_SEND, False),
     ),
 }
 

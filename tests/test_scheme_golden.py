@@ -16,6 +16,9 @@ arithmetic, small-integer values stored as float64), so neither the RNG
 stream nor the summation order of the installed numpy can move a digest.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core.runner import available_schemes, get_scheme
 from repro.core.workload import build_workload
 from repro.runtime import ROOT_NAME, local_name
 from repro.runtime.driver import build_run, run_simulation
+from repro.obs.tracer import RunTracer
 from repro.sim import MessageFaultInjector
 from repro.streams.batch import EventBatch
 
@@ -105,6 +109,29 @@ GOLDEN_SYNC_DROPS = (
     "8f7b153ac3df834f8be5c7364f25ba3eeb86ddae443d5ca0ba2e20df6c83028b")
 
 
+#: SHA-256 over a traced run's whole event stream (see
+#: :func:`trace_digest`), taken before the simulator's wire round trip
+#: moved from send time to handle time.  Pins what the fingerprints do
+#: not see: every trace label, including each CPU span's message class.
+GOLDEN_TRACE = {
+    ("central", "saturated"):
+        "12ba8c166257dc00603b9f19ed9b680ffb5e28a2af67b57bd0d36e2717d0d58b",
+    ("deco_async", "saturated"):
+        "2c154b3267079bb9e2a68489625f33a092ca5c6a6a5f058dbc9907283e524243",
+}
+
+
+def trace_digest(tracer):
+    """SHA-256 over every event's kind, time, node, duration and data,
+    in recording order (floats by their exact repr)."""
+    digest = hashlib.sha256()
+    for event in tracer.events:
+        digest.update(json.dumps(
+            [event.kind, event.time, event.node, event.dur, event.data],
+            sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def workload():
     return golden_workload()
@@ -157,3 +184,11 @@ def test_async_does_not_inherit_sync_timers(workload, load):
     assert result.retransmissions == 0
     assert (TimedFingerprint.of(result).hexdigest()
             == GOLDEN["deco_async", load])
+
+
+@pytest.mark.parametrize("scheme,load", sorted(GOLDEN_TRACE))
+def test_golden_trace(workload, scheme, load):
+    tracer = RunTracer()
+    run_scheme(golden_config(scheme, load == "saturated"), workload,
+               tracer=tracer)
+    assert trace_digest(tracer) == GOLDEN_TRACE[scheme, load]

@@ -31,11 +31,13 @@ from repro.core.protocol import (MESSAGE_TYPES, CorrectionReport,
                                  LocalWindowReport, Message, RateReport,
                                  RawEvents, ResendRequest, SourceBatch,
                                  StartWindow, WindowAssignment,
-                                 sizeof_message)
+                                 make_sizer, sizeof_message)
 from repro.core.runner import RunConfig
-from repro.errors import StreamError
+from repro.errors import SimulationError, StreamError
+from repro.runtime import INTEL_XEON
 from repro.runtime.driver import build_run, run_simulation
 from repro.runtime.serialization import WireFormat
+from repro.sim import Network, SimNode, Simulator
 from repro.streams.batch import EventBatch
 from repro.wire.codec import (MessageCodec, decode_batch, encode_batch,
                               read_envelope)
@@ -525,6 +527,111 @@ class TestSchemeBitIdentity:
 
         on, off = fingerprint(True), fingerprint(False)
         assert on == off, "\n".join(on.diff(off))
+
+
+class TestHandleTimeCoding:
+    """The simulator codes a message when its receiver handles it: a
+    frame still queued at the stop, dropped, or sent to a crashed node
+    is never encoded, a sent array is frozen, and every handled frame
+    is checked against the size its link was charged."""
+
+    @staticmethod
+    def pair():
+        sim = Simulator()
+        net = Network(sim, sizer=make_sizer(WireFormat.BINARY))
+        net.codec = MessageCodec()
+        received = []
+
+        class Keep:
+            def on_start(self, node):
+                pass
+
+            def on_message(self, node, msg):
+                received.append(msg)
+
+            def service_time(self, node, msg):
+                return 0.0
+
+        for name in ("local-0", "root"):
+            net.attach(SimNode(sim, name, INTEL_XEON, Keep()))
+        net.connect("local-0", "root")
+        return sim, net, received
+
+    @staticmethod
+    def run(saturated, **overrides):
+        config = RunConfig(scheme="central", saturated=saturated,
+                           **{**TINY, **overrides})
+        topo, ctx = build_run(config)
+        return topo, lambda: run_simulation(
+            topo, ctx, config.resolved_batch_size(), config.saturated)
+
+    @pytest.mark.parametrize("saturated", [True, False])
+    def test_only_handled_frames_are_coded(self, saturated):
+        topo, go = self.run(saturated)
+        go()
+        network = topo.network
+        handled = topo.root.metrics.messages
+        assert network.codec.frames_encoded == handled
+        if saturated:
+            # The root stops with raw-event frames still queued.
+            assert handled < network.total_messages()
+        else:
+            assert handled == network.total_messages()
+
+    def test_sent_arrays_are_frozen(self):
+        sim, net, received = self.pair()
+        parts = [EventBatch(np.arange(3), np.full(3, 1.5), np.arange(3)),
+                 EventBatch(np.arange(3, 5), np.full(2, 2.5),
+                            np.arange(3, 5))]
+        events = EventBatch.concat(parts)
+        assert events.values.flags.writeable
+        sent_bits = batch_bits(events)
+        msg = RawEvents(sender="local-0", window_index=0, events=events)
+        net.send("local-0", "root", msg)
+        for column in (events.ids, events.values, events.ts):
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            events.values[0] = 9.0
+        sim.run()
+        [got] = received
+        assert got is not msg
+        assert batch_bits(got.events) == sent_bits
+
+    def test_optional_batches_and_array_partials_are_frozen(self):
+        sim, net, received = self.pair()
+        fbuffer = EventBatch(np.arange(2), np.ones(2), np.arange(2))
+        partial = (np.array([1.0, 2.0]), 3)
+        msg = LocalWindowReport(
+            sender="local-0", window_index=1, epoch=0, partial=partial,
+            slice_count=0, event_rate=10.0, fbuffer=fbuffer)
+        net.send("local-0", "root", msg)
+        assert not fbuffer.ts.flags.writeable
+        assert not partial[0].flags.writeable
+        sim.run()
+        [got] = received
+        assert got.partial[0].tolist() == [1.0, 2.0]
+
+    def test_dropped_and_crashed_frames_are_never_coded(self):
+        sim, net, received = self.pair()
+        msg = StartWindow(sender="local-0", window_index=0, epoch=0)
+        net.drop_filter = lambda src, dst, m, size: True
+        net.send("local-0", "root", msg)
+        net.drop_filter = None
+        net.node("root").crash()
+        net.send("local-0", "root", msg)
+        sim.run()
+        assert received == []
+        assert net.codec.frames_encoded == 0
+
+    def test_charged_size_is_checked_at_handle_time(self):
+        topo, go = self.run(True)
+        network = topo.network
+        sizer = network.sizer
+        network.sizer = lambda msg: sizer(msg) - 1
+        with pytest.raises(SimulationError, match="RawEvents"):
+            go()
+        # The first handled frame raised: nothing else was coded.
+        assert network.codec.frames_encoded == 1
 
 
 class TestSizeModelDerivation:
