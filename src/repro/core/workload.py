@@ -19,8 +19,10 @@ boundaries serve two purposes:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Sequence
-from typing import IO, TYPE_CHECKING, Literal
+from typing import IO, TYPE_CHECKING, Any, Literal
 
 import numpy as np
 
@@ -137,6 +139,17 @@ def _merge_cut(columns: Sequence[np.ndarray],
     return before + np.clip(short - ties_ahead, 0, ties), hi
 
 
+def _window_ends(available: int, window_size: int,
+                 n_windows: int) -> np.ndarray:
+    """Merged-stream positions where each of ``n_windows`` windows
+    ends, given streams holding ``available`` complete windows."""
+    if n_windows < 1 or n_windows > available:
+        raise ConfigurationError(
+            f"streams hold {available} complete windows of size "
+            f"{window_size}; requested {n_windows}")
+    return np.arange(1, n_windows + 1, dtype=np.int64) * window_size
+
+
 def build_workload(streams: Sequence[EventBatch], window_size: int,
                    n_windows: int | None = None) -> Workload:
     """Assemble a :class:`Workload` from concrete per-node streams.
@@ -161,11 +174,7 @@ def build_workload(streams: Sequence[EventBatch], window_size: int,
     available = sum(len(s) for s in streams) // window_size
     if n_windows is None:
         n_windows = available
-    if n_windows < 1 or n_windows > available:
-        raise ConfigurationError(
-            f"streams hold {available} complete windows of size "
-            f"{window_size}; requested {n_windows}")
-    ends = np.arange(1, n_windows + 1, dtype=np.int64) * window_size
+    ends = _window_ends(available, window_size, n_windows)
     counts, boundary_ts = _merge_cut([s.ts for s in streams], ends)
     bounds = np.zeros((n_windows + 1, len(streams)), dtype=np.int64)
     bounds[1:] = counts
@@ -174,22 +183,18 @@ def build_workload(streams: Sequence[EventBatch], window_size: int,
                     boundary_ts=boundary_ts)
 
 
-def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
-                      rate_per_node: float = 100_000.0,
-                      rate_change: float = 0.01,
-                      epoch_seconds: float = 1.0,
-                      seed: int = 0, margin: float | None = None,
-                      rates: Sequence[float] | None = None,
-                      streams_per_node: int = 1) -> Workload:
-    """Generate the evaluation's standard workload.
-
-    Every local node ingests ``streams_per_node`` data streams (the
-    Section 3 model: "the number of streams connected to each local
-    node is also different"; ``f_a`` is the node's summed rate),
-    produced by generators co-located with the node.  ``rate_per_node``
-    is the node's *total* rate, split evenly over its streams; per-node
-    rates can be made heterogeneous via ``rates``.
-    """
+def _stream_sources(n_nodes: int, window_size: int, n_windows: int, *,
+                    rate_per_node: float = 100_000.0,
+                    rate_change: float = 0.01,
+                    epoch_seconds: float = 1.0,
+                    seed: int = 0, margin: float | None = None,
+                    rates: Sequence[float] | None = None,
+                    streams_per_node: int = 1,
+                    ) -> tuple[list[list[RateChangeGenerator]], float]:
+    """Every node's seeded source generators and the stream time they
+    all generate (see :func:`generate_workload`).  All of them start at
+    tick 0 with one epoch length and run equally long, so epoch ``k``
+    covers the same ticks in every stream."""
     if n_nodes < 1:
         raise ConfigurationError(f"need >= 1 node, got {n_nodes}")
     if n_windows < 1:
@@ -212,21 +217,51 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
         # global windows' worth of events beyond the measured ones.
         margin = 1.0 + max(0.1, 3.0 / n_windows)
     duration = needed * margin / total_rate + 2 * epoch_seconds
-    streams = []
-    for i, rate in enumerate(rates):
-        node_streams = []
-        for j in range(streams_per_node):
-            gen = RateChangeGenerator(
-                rate / streams_per_node, rate_change,
-                epoch_seconds=epoch_seconds,
-                seed=(seed * 1000 + i) * 31 + j)
-            node_streams.append(gen.generate_seconds(duration))
-        if streams_per_node == 1:
-            streams.append(node_streams[0])
-        else:
-            # The node observes its sources' stable timestamp merge.
-            merged, _ = merge_batches(node_streams)
-            streams.append(merged)
+    sources = [[RateChangeGenerator(rate / streams_per_node, rate_change,
+                                    epoch_seconds=epoch_seconds,
+                                    seed=(seed * 1000 + i) * 31 + j)
+                for j in range(streams_per_node)]
+               for i, rate in enumerate(rates)]
+    return sources, duration
+
+
+def _node_batch(parts: list[EventBatch]) -> EventBatch:
+    """What a node observes of its sources: their stable timestamp
+    merge."""
+    return parts[0] if len(parts) == 1 else merge_batches(parts)[0]
+
+
+def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
+                      rate_per_node: float = 100_000.0,
+                      rate_change: float = 0.01,
+                      epoch_seconds: float = 1.0,
+                      seed: int = 0, margin: float | None = None,
+                      rates: Sequence[float] | None = None,
+                      streams_per_node: int = 1) -> Workload:
+    """Generate the evaluation's standard workload in memory.
+
+    Every local node ingests ``streams_per_node`` data streams (the
+    Section 3 model: "the number of streams connected to each local
+    node is also different"; ``f_a`` is the node's summed rate),
+    produced by generators co-located with the node.  ``rate_per_node``
+    (default 100k events/s) is the node's *total* rate, split evenly
+    over its streams; per-node rates can be made heterogeneous via
+    ``rates``.  Each stream runs for the time the node rates need to
+    fill ``n_windows`` windows of ``window_size`` events times
+    ``margin`` (default ``1 + max(0.1, 3 / n_windows)``), plus two
+    epochs of ``epoch_seconds``, at ``rate_change``; ``seed`` seeds
+    every source.
+
+    The returned workload lives on the heap.  A cached workload never
+    does: :meth:`WorkloadCache.get` writes the same bytes straight to
+    its spill, epoch by epoch (:func:`spill_workload`), and maps them.
+    """
+    sources, duration = _stream_sources(
+        n_nodes, window_size, n_windows, rate_per_node=rate_per_node,
+        rate_change=rate_change, epoch_seconds=epoch_seconds, seed=seed,
+        margin=margin, rates=rates, streams_per_node=streams_per_node)
+    streams = [_node_batch([gen.generate_seconds(duration) for gen in gens])
+               for gens in sources]
     return build_workload(streams, window_size, n_windows)
 
 
@@ -287,13 +322,8 @@ class WorkloadSpec:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def generate(self) -> Workload:
-        """Generate the workload this spec describes (cache miss path)."""
-        return generate_workload(
-            self.n_nodes, self.window_size, self.n_windows,
-            rate_per_node=self.rate_per_node,
-            rate_change=self.rate_change,
-            epoch_seconds=self.epoch_seconds, seed=self.seed,
-            margin=self.margin, streams_per_node=self.streams_per_node)
+        """Generate the workload this spec describes, in memory."""
+        return generate_workload(**dataclasses.asdict(self))
 
 
 #: Prefix of in-flight spill writes; a crashed writer leaves one of
@@ -323,6 +353,11 @@ def _atomic_write(path: Path,
         raise
 
 
+def _column_names(node: int) -> tuple[str, str, str]:
+    """Spill array names of node ``node``'s ids, values and ts."""
+    return f"ids_{node}", f"values_{node}", f"ts_{node}"
+
+
 def _workload_arrays(workload: Workload) -> dict[str, np.ndarray]:
     """A workload's persistent arrays in deterministic order."""
     arrays = {
@@ -332,9 +367,9 @@ def _workload_arrays(workload: Workload) -> dict[str, np.ndarray]:
         "boundary_ts": workload.boundary_ts,
     }
     for i, stream in enumerate(workload.streams):
-        arrays[f"ids_{i}"] = stream.ids
-        arrays[f"values_{i}"] = stream.values
-        arrays[f"ts_{i}"] = stream.ts
+        arrays.update(zip(_column_names(i),
+                          (stream.ids, stream.values, stream.ts),
+                          strict=True))
     return arrays
 
 
@@ -361,40 +396,159 @@ def _align_up(n: int) -> int:
     return -(-n // _WLM_ALIGN) * _WLM_ALIGN
 
 
-def save_workload_mmap(path: Path, workload: Workload) -> None:
-    """Persist a workload as a mappable ``.wlm`` container (atomic)."""
-    arrays = {name: np.ascontiguousarray(arr)
-              for name, arr in _workload_arrays(workload).items()}
+#: One array of a ``.wlm`` container: name, dtype and shape.
+_WlmEntry = tuple[str, np.dtype[Any], tuple[int, ...]]
+
+
+def _wlm_layout(entries: Sequence[_WlmEntry],
+                ) -> tuple[bytes, dict[str, int], int]:
+    """Lay out a ``.wlm`` container of the named ``(dtype, shape)``
+    arrays, in order: the envelope (magic, header length, JSON header),
+    each array's absolute offset and the file's length."""
     # The header records absolute offsets, and offsets depend on the
     # header's own length — so reserve a whole span for the envelope
     # and grow it until the real header fits.
     span = 1024
     while True:
-        table = []
+        offsets: dict[str, int] = {}
         offset = _align_up(span)
-        for name, arr in arrays.items():
-            table.append((name, arr, offset))
-            offset = _align_up(offset + arr.nbytes)
+        for name, dtype, shape in entries:
+            offsets[name] = offset
+            end = offset + dtype.itemsize * math.prod(shape)
+            offset = _align_up(end)
         header = json.dumps({
             "version": _WLM_VERSION,
-            "arrays": [{"name": n, "dtype": a.dtype.str,
-                        "shape": list(a.shape), "offset": off}
-                       for n, a, off in table],
+            "arrays": [{"name": name, "dtype": dtype.str,
+                        "shape": list(shape), "offset": offsets[name]}
+                       for name, dtype, shape in entries],
         }).encode()
-        if len(_WLM_MAGIC) + 4 + len(header) <= span:
-            break
+        envelope = _WLM_MAGIC + len(header).to_bytes(4, "little") + header
+        if len(envelope) <= span:
+            return envelope, offsets, end
         span *= 2
 
+
+def _write_at(fh: IO[bytes], offset: int, arr: np.ndarray) -> None:
+    """Write ``arr``'s bytes at ``offset``, straight from its buffer."""
+    fh.seek(offset)
+    fh.write(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+
+
+def save_workload_mmap(path: Path, workload: Workload) -> None:
+    """Persist a workload as a mappable ``.wlm`` container (atomic)."""
+    arrays = _workload_arrays(workload)
+    envelope, offsets, end = _wlm_layout(
+        [(name, arr.dtype, arr.shape) for name, arr in arrays.items()])
+
     def write(fh: IO[bytes]) -> None:
-        fh.write(_WLM_MAGIC)
-        fh.write(len(header).to_bytes(4, "little"))
-        fh.write(header)
-        at = len(_WLM_MAGIC) + 4 + len(header)
-        for _, arr, off in table:
-            fh.write(b"\0" * (off - at))
-            # Straight from the array's buffer: no transient copy.
-            fh.write(arr.reshape(-1).view(np.uint8))
-            at = off + arr.nbytes
+        fh.write(envelope)
+        for name, arr in arrays.items():
+            _write_at(fh, offsets[name], arr)
+        # Padding is the sparse gaps' zeros; the file ends where its
+        # last array does.
+        fh.truncate(end)
+
+    _atomic_write(Path(path), write)
+
+
+#: Events per node that :func:`spill_workload` builds per step: whole
+#: epochs are grouped up to about this many, so short epochs do not
+#: pay a step's fixed cost each and a step's buffers stay small.
+_SPILL_STEP_EVENTS = 1 << 16
+
+
+def spill_workload(path: Path, spec: WorkloadSpec) -> None:
+    """Write ``spec``'s workload to ``path`` as a ``.wlm`` spill (atomic)
+    without holding it: byte for byte what
+    ``save_workload_mmap(path, spec.generate())`` writes.
+
+    A first pass draws every source's epoch rates
+    (:meth:`~repro.streams.generator.RateChangeGenerator.plan_seconds`),
+    which fixes each stream's length and so the container's layout.
+    The second pass builds a step of whole epochs at a time (one epoch,
+    or a few short ones): every node's ids, values and timestamps,
+    written at their final offsets, and the cut of the windows that end
+    in the step.  Epoch ``k`` covers the same ticks in every stream, so
+    the merged stream's events before a step are exactly the nodes'
+    events before it, and :func:`_merge_cut` over the step's timestamps
+    alone finds the window bounds of whole streams.  The bounds and
+    header go in last.  A node's step must be timestamp-sorted and lie
+    inside its epochs, else :class:`~repro.errors.StreamError`, as
+    :func:`build_workload` refuses an unsorted stream.
+    """
+    sources, duration = _stream_sources(**dataclasses.asdict(spec))
+    plans = [[gen.plan_seconds(duration) for gen in gens]
+             for gens in sources]
+    grid = plans[0][0]  # every plan's epochs start at the same ticks
+    # kept[k, a]: node a's events in epoch k.
+    kept = np.array([np.sum([plan.kept for plan in node_plans], axis=0)
+                     for node_plans in plans], dtype=np.int64).T
+    lengths = kept.sum(axis=0)
+    window_size, n_windows, n_nodes = (spec.window_size, spec.n_windows,
+                                       spec.n_nodes)
+    ends = _window_ends(int(lengths.sum()) // window_size, window_size,
+                        n_windows)
+    # Step edges: epoch indices where the busiest node's running event
+    # count crosses a multiple of the step size.
+    busiest = np.cumsum(kept.max(axis=1)) // _SPILL_STEP_EVENTS
+    edges = [0, *(np.flatnonzero(np.diff(busiest)) + 1).tolist(),
+             len(kept)]
+    step_total = np.cumsum(kept.sum(axis=1))[np.array(edges[1:]) - 1]
+    end_step = np.searchsorted(step_total, ends)
+    entries: list[_WlmEntry] = [
+        ("meta", np.dtype(np.int64), (3,)),
+        ("bounds", np.dtype(np.int64), (n_windows + 1, n_nodes)),
+        ("boundary_ts", np.dtype(TS_DTYPE), (n_windows,))]
+    for a, n in enumerate(lengths.tolist()):
+        entries += [(name, np.dtype(dtype), (n,)) for name, dtype
+                    in zip(_column_names(a),
+                           (ID_DTYPE, VALUE_DTYPE, TS_DTYPE), strict=True)]
+    envelope, offsets, end = _wlm_layout(entries)
+
+    def write(fh: IO[bytes]) -> None:
+        bounds = np.zeros((n_windows + 1, n_nodes), dtype=np.int64)
+        boundary_ts = np.zeros(n_windows, dtype=TS_DTYPE)
+        before = np.zeros(n_nodes, dtype=np.int64)  # events per node
+        for step, (k0, k1) in enumerate(itertools.pairwise(edges)):
+            first_tick = grid.starts[k0]
+            end_tick = grid.starts[k1 - 1] + grid.epoch_ticks
+            cut = np.flatnonzero(end_step == step)
+            step_columns = []
+            for a, (gens, node_plans) in enumerate(
+                    zip(sources, plans, strict=True)):
+                parts = []
+                for gen, plan in zip(gens, node_plans, strict=True):
+                    ids = plan.ids(k0, k1)
+                    parts.append(EventBatch._view(
+                        ids, gen.draw_values(len(ids)), plan.ts(k0, k1)))
+                batch = _node_batch(parts)
+                ts = batch.ts
+                if len(ts) and (ts[0] < first_tick or ts[-1] >= end_tick
+                                or np.any(ts[1:] < ts[:-1])):
+                    raise StreamError(
+                        f"stream {a} is not timestamp-sorted inside "
+                        f"epochs {k0}-{k1 - 1}; per-source streams must "
+                        f"be in order")
+                for name, col in zip(_column_names(a),
+                                     (batch.ids, batch.values, ts),
+                                     strict=True):
+                    _write_at(fh, offsets[name] + int(before[a])
+                              * col.itemsize, col)
+                if len(cut):
+                    step_columns.append(ts)
+            if len(cut):
+                counts, cut_ts = _merge_cut(
+                    step_columns, ends[cut] - int(before.sum()))
+                bounds[cut + 1] = before + counts
+                boundary_ts[cut] = cut_ts
+            before += kept[k0:k1].sum(axis=0)
+        meta = np.array([window_size, n_windows, n_nodes], dtype=np.int64)
+        for name, arr in (("meta", meta), ("bounds", bounds),
+                          ("boundary_ts", boundary_ts)):
+            _write_at(fh, offsets[name], arr)
+        fh.seek(0)
+        fh.write(envelope)
+        fh.truncate(end)
 
     _atomic_write(Path(path), write)
 
@@ -495,8 +649,7 @@ def _spill_stream(arrays: dict[str, np.ndarray], node: int,
                   path: Path) -> EventBatch:
     """Node ``node``'s stream of a mapped spill, its columns checked
     here because ``EventBatch._view`` checks nothing."""
-    columns = (arrays[f"ids_{node}"], arrays[f"values_{node}"],
-               arrays[f"ts_{node}"])
+    columns = tuple(arrays[name] for name in _column_names(node))
     dtypes = (ID_DTYPE, VALUE_DTYPE, TS_DTYPE)
     if any(col.ndim != 1 or col.dtype != dtype
            for col, dtype in zip(columns, dtypes)) \
@@ -578,14 +731,15 @@ class WorkloadCache:
             # A finished run's cyclic garbage pins workload-sized numpy
             # buffers, and the cycle collector cannot see them: its
             # thresholds count container objects, not array bytes.
-            # Collect before allocating the next workload so a cold
-            # miss does not stack it on top of a dead one.
+            # Collect before generating the next workload so a cold
+            # miss does not stack its epochs on top of a dead one.
             gc.collect()
-            save_workload_mmap(path, spec.generate())
+            spill_workload(path, spec)
             self.generated += 1
             # Hand back the mapping, exactly as a spill hit does: the
-            # heap copy dies here, and this process and every worker
-            # that maps the spill share one page-cache copy.
+            # workload was never on the heap, and this process and
+            # every worker that maps the spill share one page-cache
+            # copy.
             workload = load_workload_mmap(path)
         self._lru[key] = workload
         while len(self._lru) > self.capacity:
@@ -600,10 +754,10 @@ class WorkloadCache:
         cleanup): an in-memory hit alone does not prove the path that
         workers will map still exists.
         """
-        workload = self.get(spec)
+        self.get(spec)
         path = self.path(spec)
         if not path.exists():
-            save_workload_mmap(path, workload)
+            spill_workload(path, spec)
         return path
 
     def clear(self, spill: bool = False) -> None:

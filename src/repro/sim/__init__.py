@@ -5,8 +5,7 @@ from repro.sim.failures import (MessageFaultInjector, crash_node_at,
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.network import Link, LinkStats, Network
 from repro.sim.node import SimNode
-from repro.sim.topology import (StarTopology, build_rpi_star, build_star,
-                                peer_mesh)
+from repro.sim.topology import StarTopology, build_star, peer_mesh
 
 __all__ = [
     "Simulator",
@@ -17,7 +16,6 @@ __all__ = [
     "SimNode",
     "StarTopology",
     "build_star",
-    "build_rpi_star",
     "peer_mesh",
     "MessageFaultInjector",
     "crash_node_at",

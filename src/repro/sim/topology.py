@@ -1,10 +1,11 @@
 """Cluster topology builders.
 
 Deco's deployment is a star (Figure 1): data stream nodes feed local
-nodes, local nodes connect to one root node.  The builders here assemble
-that shape on the simulator with hardware profiles matching the paper's
-two testbeds (Intel Xeon cluster with 25 GbE; Raspberry Pi cluster with
-1 GbE and an Intel root).
+nodes, local nodes connect to one root node.  :func:`build_star`
+assembles that shape on the simulator; its defaults are the paper's
+Intel Xeon cluster with 25 GbE, and Fig. 11's Raspberry Pi cluster (Pi
+locals, 1 GbE, an Intel root) is the same star with the profiles and
+bandwidth of its run config (``experiments/fig11.py``).
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_1G, ETHERNET_25G,
-                           INTEL_XEON, RASPBERRY_PI_4B, ROOT_NAME,
-                           Behavior, NodeProfile, local_name)
+from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_25G, INTEL_XEON,
+                           ROOT_NAME, Behavior, NodeProfile, local_name)
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.node import SimNode
 
-__all__ = ["StarTopology", "build_star", "build_rpi_star", "peer_mesh"]
+__all__ = ["StarTopology", "build_star", "peer_mesh"]
 
 
 @dataclass
@@ -92,16 +92,6 @@ def build_star(n_locals: int, sizer: Callable[[Any], int], *,
         network.connect(node.name, ROOT_NAME)
         topo.locals.append(node)
     return topo
-
-
-def build_rpi_star(n_locals: int, sizer: Callable[[Any], int],
-                   **kwargs: Any) -> StarTopology:
-    """The Raspberry Pi testbed of Section 5.3: Pi local nodes with
-    1 GbE links and an Intel root node."""
-    kwargs.setdefault("root_profile", INTEL_XEON)
-    kwargs.setdefault("local_profile", RASPBERRY_PI_4B)
-    kwargs.setdefault("bandwidth", ETHERNET_1G)
-    return build_star(n_locals, sizer, **kwargs)
 
 
 def peer_mesh(topo: StarTopology, bandwidth: float | None = None,

@@ -10,10 +10,14 @@ reproduces that generator.
 Rates are re-drawn once per *epoch* of stream time (default one second):
 within an epoch, events are evenly spaced; across epochs, the rate is
 drawn uniformly from ``[base * (1 - change), base * (1 + change)]``.
+``generate_seconds`` draws all of a stretch's rates (its
+:class:`EpochPlan`) before its values, so the same stretch can also be
+built a few epochs at a time: the workload cache writes spills that way.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from typing import Protocol
 
@@ -58,6 +62,52 @@ class GaussianValues:
         return rng.normal(self.mean, self.std, size=n)
 
 
+def epoch_ts(start: int, count: int, epoch_ticks: int) -> np.ndarray:
+    """Timestamps of ``count`` events spaced evenly over the epoch
+    ``[start, start + epoch_ticks)``."""
+    offsets = np.arange(count, dtype=np.float64) * (epoch_ticks / count)
+    return start + offsets.astype(np.int64)
+
+
+class EpochPlan:
+    """A stretch of one stream, epoch by epoch, as its rate draws fix
+    it: each epoch's start tick, drawn event ``count`` and the events
+    ``kept`` before the stretch's end, with the stretch's first id.
+    Timestamps and ids are rebuilt from these for any range of epochs
+    (:meth:`ts`, :meth:`ids`); values are drawn separately.
+    """
+
+    def __init__(self, first_id: int, epoch_ticks: int,
+                 starts: list[int], counts: list[int],
+                 kept: list[int]) -> None:
+        self.epoch_ticks = epoch_ticks
+        self.starts = starts
+        self.counts = counts
+        self.kept = kept
+        #: Id of each epoch's first event, and one past the last.
+        self._first_ids = list(itertools.accumulate(kept,
+                                                    initial=first_id))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @property
+    def n_events(self) -> int:
+        return self._first_ids[-1] - self._first_ids[0]
+
+    def ts(self, k0: int, k1: int) -> np.ndarray:
+        """Timestamps of the kept events of epochs ``k0 .. k1 - 1``."""
+        return np.concatenate([
+            epoch_ts(self.starts[k], self.counts[k],
+                     self.epoch_ticks)[:self.kept[k]]
+            for k in range(k0, k1)])
+
+    def ids(self, k0: int, k1: int) -> np.ndarray:
+        """Ids of the kept events of epochs ``k0 .. k1 - 1``."""
+        return np.arange(self._first_ids[k0], self._first_ids[k1],
+                         dtype=np.int64)
+
+
 class RateChangeGenerator:
     """Generate one source's stream with a varying event rate.
 
@@ -100,20 +150,64 @@ class RateChangeGenerator:
 
     # -- internal ----------------------------------------------------------
 
-    def _draw_epoch(self) -> np.ndarray:
-        """Timestamps of one full epoch at a freshly drawn rate."""
+    def _draw_count(self) -> int:
+        """Events in the next epoch, at a freshly drawn rate."""
         low = self.base_rate * (1.0 - self.change_fraction)
         high = self.base_rate * (1.0 + self.change_fraction)
         rate = float(self._rng.uniform(low, high)) if high > low else low
-        count = max(1, int(round(rate * self.epoch_seconds)))
-        # Evenly spaced within the epoch, in [epoch_start, epoch_end).
-        offsets = (np.arange(count, dtype=np.float64)
-                   * (self._epoch_ticks / count))
-        ts = self._epoch_start_ts + offsets.astype(np.int64)
+        return max(1, int(round(rate * self.epoch_seconds)))
+
+    def _draw_epoch(self) -> np.ndarray:
+        """Timestamps of one full epoch at a freshly drawn rate."""
+        ts = epoch_ts(self._epoch_start_ts, self._draw_count(),
+                      self._epoch_ticks)
         self._epoch_start_ts += self._epoch_ticks
         return ts
 
     # -- public ------------------------------------------------------------
+
+    def draw_values(self, n: int) -> np.ndarray:
+        """The next ``n`` payload values.  Values come from the
+        generator's RNG after the rates drawn so far, so for the
+        built-in sources several draws give the bits of one."""
+        values = np.asarray(self.value_source.values(n, self._rng),
+                            dtype=np.float64)
+        if values.shape != (n,):
+            raise StreamError(
+                f"value source produced shape {values.shape} for "
+                f"{n} events")
+        return values
+
+    def plan_seconds(self, seconds: float) -> EpochPlan:
+        """Draw the rates of the next ``seconds`` of stream and claim
+        their ids, without building a column.
+
+        The plan's epochs hold exactly the timestamps and ids that
+        :meth:`generate_seconds` would return; their values are the
+        next :meth:`draw_values`.  Starts at an epoch boundary, so no
+        part-drawn epoch of :meth:`generate` may be pending.
+        """
+        if self._pending_ts is not None:
+            raise StreamError(
+                "plan_seconds needs an epoch boundary; generate() left "
+                "part of an epoch pending")
+        end_ts = self._epoch_start_ts + int(round(
+            seconds * TICKS_PER_SECOND))
+        starts, counts, kept = [], [], []
+        while self._epoch_start_ts < end_ts:
+            start, count = self._epoch_start_ts, self._draw_count()
+            self._epoch_start_ts += self._epoch_ticks
+            # The epoch's last timestamp, computed as ``epoch_ts`` does:
+            # only an epoch that reaches ``end_ts`` is built to be cut.
+            last = start + int((count - 1) * (self._epoch_ticks / count))
+            starts.append(start)
+            counts.append(count)
+            kept.append(count if last < end_ts else int(np.searchsorted(
+                epoch_ts(start, count, self._epoch_ticks), end_ts)))
+        plan = EpochPlan(self._next_id, self._epoch_ticks, starts, counts,
+                         kept)
+        self._next_id += plan.n_events
+        return plan
 
     def generate(self, n_events: int) -> EventBatch:
         """Generate the next ``n_events`` events of this stream."""
@@ -140,38 +234,25 @@ class RateChangeGenerator:
         ids = np.arange(self._next_id, self._next_id + n_events,
                         dtype=np.int64)
         self._next_id += n_events
-        values = np.asarray(self.value_source.values(n_events, self._rng),
-                            dtype=np.float64)
-        if values.shape != ids.shape:
-            raise StreamError(
-                f"value source produced shape {values.shape} for "
-                f"{n_events} events")
-        return EventBatch._view(ids, values, ts)
+        return EventBatch._view(ids, self.draw_values(n_events), ts)
 
     def generate_seconds(self, seconds: float) -> EventBatch:
         """Generate all events with timestamps in the next ``seconds``."""
         end_ts = self._epoch_start_ts + int(round(
             seconds * TICKS_PER_SECOND))
-        chunks = []
         # Emit any pending epoch tail first.
-        if self._pending_ts is not None:
-            chunks.append(self._pending_ts[self._pending_cursor:])
-            self._pending_ts = None
-        while self._epoch_start_ts < end_ts:
-            chunks.append(self._draw_epoch())
-        ts = (np.concatenate(chunks) if chunks
-              else np.empty(0, dtype=np.int64))
-        ts = ts[ts < end_ts]
-        n = len(ts)
-        ids = np.arange(self._next_id, self._next_id + n, dtype=np.int64)
-        self._next_id += n
-        values = np.asarray(self.value_source.values(n, self._rng),
-                            dtype=np.float64)
-        if values.shape != ids.shape:
-            raise StreamError(
-                f"value source produced shape {values.shape} for "
-                f"{n} events")
-        return EventBatch._view(ids, values, ts)
+        tail = (self._pending_ts[self._pending_cursor:]
+                if self._pending_ts is not None
+                else np.empty(0, dtype=np.int64))
+        self._pending_ts = None
+        tail = tail[tail < end_ts]
+        first_id = self._next_id
+        self._next_id += len(tail)
+        plan = self.plan_seconds(seconds)
+        ts = np.concatenate(
+            [tail, *(plan.ts(k, k + 1) for k in range(len(plan)))])
+        ids = np.arange(first_id, self._next_id, dtype=np.int64)
+        return EventBatch._view(ids, self.draw_values(len(ts)), ts)
 
     def batches(self, batch_size: int) -> Iterator[EventBatch]:
         """An infinite iterator of fixed-size batches."""

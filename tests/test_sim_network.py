@@ -7,9 +7,12 @@ from repro.runtime import (ETHERNET_1G, INTEL_XEON, RASPBERRY_PI_4B,
                            ROOT_NAME, local_name)
 from repro.runtime.serialization import (WireFormat, event_payload_size,
                                          message_size)
+from repro.core.runner import RunConfig
+from repro.experiments.fig11 import _rpi_kwargs
+from repro.runtime.driver import build_run
 from repro.sim import (MessageFaultInjector, Network, SimNode, Simulator,
-                       build_rpi_star, build_star, crash_node_at,
-                       peer_mesh, recover_node_at)
+                       build_star, crash_node_at, peer_mesh,
+                       recover_node_at)
 from repro.sim.network import Link
 
 
@@ -191,11 +194,18 @@ class TestTopology:
         assert all(n.behavior.started for n in topo.locals)
 
     def test_rpi_star_profiles(self):
-        topo = build_rpi_star(2, sizer=lambda m: 1)
+        """Fig. 11's Raspberry Pi testbed (Section 5.3) as the driver
+        builds it from the figure's config: Pi locals, an Intel root
+        and 1 GbE links both ways."""
+        config = RunConfig(scheme="central", n_nodes=2,
+                           **_rpi_kwargs(scale=0.01))
+        topo, _ = build_run(config)
         assert topo.root.profile == INTEL_XEON
-        assert topo.local(0).profile == RASPBERRY_PI_4B
-        link = topo.network.link(local_name(0), ROOT_NAME)
-        assert link.bandwidth == ETHERNET_1G
+        for i in range(2):
+            assert topo.local(i).profile == RASPBERRY_PI_4B
+            for src, dst in ((local_name(i), ROOT_NAME),
+                             (ROOT_NAME, local_name(i))):
+                assert topo.network.link(src, dst).bandwidth == ETHERNET_1G
 
     def test_peer_mesh(self):
         topo = build_star(3, sizer=lambda m: 1)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamError
 from repro.streams.event import TICKS_PER_SECOND
 from repro.streams.generator import (GaussianValues, RateChangeGenerator,
                                      UniformValues, replayed_offsets)
@@ -117,6 +119,51 @@ class TestValueSources:
     def test_gaussian_invalid(self):
         with pytest.raises(ConfigurationError):
             GaussianValues(0.0, -1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(source=st.sampled_from([UniformValues(), UniformValues(-3.0, 7.5),
+                                   GaussianValues(),
+                                   GaussianValues(10.0, 2.0)]),
+           seed=st.integers(0, 2**32 - 1),
+           chunks=st.lists(st.integers(0, 300), max_size=8))
+    def test_chunked_draws_equal_one_draw(self, source, seed, chunks):
+        """Spills draw a stream's values epoch by epoch; for the
+        built-in sources that gives the bits of one whole draw."""
+        whole = source.values(sum(chunks), np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        parts = [source.values(n, rng) for n in chunks]
+        assert np.concatenate([whole[:0], *parts]).tobytes() == \
+            whole.tobytes()
+
+
+class TestEpochPlan:
+    @pytest.mark.parametrize("change, epoch_seconds, seconds", [
+        (0.0, 1.0, 3.0), (0.3, 0.25, 2.6), (0.05, 1.7, 5.0)])
+    def test_plan_rebuilds_generate_seconds(self, change, epoch_seconds,
+                                            seconds):
+        """The plan's epochs hold exactly ``generate_seconds``'s
+        timestamps and ids, and its values are the next draw."""
+        whole = RateChangeGenerator(
+            900, change, epoch_seconds=epoch_seconds,
+            seed=5).generate_seconds(seconds)
+        gen = RateChangeGenerator(900, change, epoch_seconds=epoch_seconds,
+                                  seed=5)
+        plan = gen.plan_seconds(seconds)
+        assert plan.n_events == len(whole)
+        split = len(plan) // 2
+        for column, part in (("ts", plan.ts), ("ids", plan.ids)):
+            pieces = [part(0, split), part(split, len(plan))] if split \
+                else [part(0, len(plan))]
+            assert np.concatenate(pieces).tobytes() == \
+                getattr(whole, column).tobytes()
+        assert gen.draw_values(plan.n_events).tobytes() == \
+            whole.values.tobytes()
+
+    def test_plan_needs_an_epoch_boundary(self):
+        gen = RateChangeGenerator(100, seed=0)
+        gen.generate(10)
+        with pytest.raises(StreamError, match="epoch boundary"):
+            gen.plan_seconds(1.0)
 
 
 class TestReplayedOffsets:

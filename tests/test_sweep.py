@@ -85,13 +85,14 @@ class TestSweepExecutor:
     def test_sweep_generates_each_workload_once(self, tmp_path,
                                                 monkeypatch):
         calls = {"n": 0}
-        real = wl.generate_workload
+        real = wl.spill_workload
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(wl, "generate_workload", counting)
+        # A cache miss generates by writing the spill epoch by epoch.
+        monkeypatch.setattr(wl, "spill_workload", counting)
         cache = WorkloadCache(spill_dir=tmp_path / "c")
         configs = _tiny_configs()  # 2 schemes x 2 seeds -> 2 workloads
         distinct = {c.workload_key() for c in configs}
@@ -162,13 +163,14 @@ class TestWorkloadCache:
 
     def test_cache_hit_skips_generator(self, tmp_path, monkeypatch):
         calls = {"n": 0}
-        real = wl.generate_workload
+        real = wl.spill_workload
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(wl, "generate_workload", counting)
+        # A cache miss generates by writing the spill epoch by epoch.
+        monkeypatch.setattr(wl, "spill_workload", counting)
         cache = WorkloadCache(spill_dir=tmp_path)
         generated = cache.get(self.SPEC)
         cache.get(self.SPEC)
