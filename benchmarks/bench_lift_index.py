@@ -16,7 +16,8 @@ query:
 Indexed and uncached partials are asserted bit-identical per query (the
 A/B contract); the recorded speedup is ``naive / indexed``, which must
 reach :data:`MIN_SPEEDUP`.  Results go to ``BENCH_lift_index.json`` at
-the repo root so the perf trajectory is machine-readable.
+the repo root (``BENCH_lift_index.quick.json`` in reduced mode) so the
+perf trajectory is machine-readable.
 
 Run directly (CI runs the reduced mode)::
 
@@ -54,6 +55,10 @@ ROUNDS = 3
 
 OUT_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_lift_index.json"
+
+#: Where the reduced mode writes, so a smoke run never overwrites the
+#: committed full-mode record.
+QUICK_OUT_PATH = OUT_PATH.with_suffix(".quick.json")
 
 
 def quick_mode() -> bool:
@@ -184,13 +189,14 @@ def main() -> int:
         "worst_speedup_vs_naive": worst,
         "results": results,
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    out_path = QUICK_OUT_PATH if quick else OUT_PATH
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
     for fn_name, r in results.items():
         print(f"{fn_name:5s} indexed {r['indexed_s']:.3f}s  "
               f"uncached {r['uncached_s']:.3f}s  "
               f"naive {r['naive_s']:.3f}s  "
               f"speedup {r['speedup_vs_naive']:.1f}x")
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out_path}")
     if worst < floor:
         print(f"FAIL: worst speedup {worst:.2f}x < required "
               f"{floor}x", file=sys.stderr)

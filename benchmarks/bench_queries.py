@@ -16,8 +16,8 @@ modes (the A/B contract); the recorded speedup is
 mode is O(N) appends per batch, so it is measured only up to
 :data:`UNSHARED_CAP` queries — the cap is recorded in the payload and
 printed, never silent; shared mode runs the full curve.  Results go to
-``BENCH_queries.json`` at the repo root so the perf trajectory is
-machine-readable.
+``BENCH_queries.json`` at the repo root (``BENCH_queries.quick.json``
+in reduced mode) so the perf trajectory is machine-readable.
 
 Run directly (CI runs the reduced mode)::
 
@@ -62,6 +62,10 @@ STREAM = "local-0"
 
 OUT_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_queries.json"
+
+#: Where the reduced mode writes, so a smoke run never overwrites the
+#: committed full-mode record.
+QUICK_OUT_PATH = OUT_PATH.with_suffix(".quick.json")
 
 
 def quick_mode() -> bool:
@@ -202,8 +206,9 @@ def main() -> int:
         "shared_s_10k_over_1k": shared_ratio(curve, 10_000, 1000),
         "curve": curve,
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT_PATH}")
+    out_path = QUICK_OUT_PATH if quick else OUT_PATH
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {out_path}")
     if floor_speedup is None or floor_speedup < floor:
         print(f"FAIL: speedup at {FLOOR_N} queries "
               f"{floor_speedup} < required {floor}x",

@@ -14,8 +14,9 @@ per event (8-byte id + 8-byte value + 8-byte timestamp):
 Decoded columns are asserted bit-identical across both paths; the
 recorded speedup is ``per_event / columnar`` wall-clock for a full
 encode+decode pass, which must reach :data:`MIN_SPEEDUP`.  Results go
-to ``BENCH_wire_codec.json`` at the repo root so the perf trajectory
-is machine-readable.
+to ``BENCH_wire_codec.json`` at the repo root
+(``BENCH_wire_codec.quick.json`` in reduced mode) so the perf
+trajectory is machine-readable.
 
 Run directly (CI runs the reduced mode)::
 
@@ -53,6 +54,10 @@ ROUNDS = 3
 
 OUT_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_wire_codec.json"
+
+#: Where the reduced mode writes, so a smoke run never overwrites the
+#: committed full-mode record.
+QUICK_OUT_PATH = OUT_PATH.with_suffix(".quick.json")
 
 _EVENT = struct.Struct("<qdq")
 
@@ -170,12 +175,13 @@ def main() -> int:
         "columnar_mevents_per_s": round(
             events / best["columnar"] / 1e6, 2),
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    out_path = QUICK_OUT_PATH if quick else OUT_PATH
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"columnar {best['columnar']:.4f}s  "
           f"per_event {best['per_event']:.4f}s  "
           f"speedup {speedup:.1f}x  "
           f"({payload['columnar_mevents_per_s']:.1f} Mevents/s)")
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out_path}")
     if speedup < floor:
         print(f"FAIL: speedup {speedup:.2f}x < required {floor}x",
               file=sys.stderr)

@@ -16,7 +16,8 @@ in, not just promised).  Two spill formats of the same workload:
 Loaded workloads are asserted bit-identical across formats; the
 recorded speedup is ``npz / mmap`` total wall-clock, which must reach
 :data:`MIN_SPEEDUP`.  Results go to ``BENCH_workload_mmap.json`` at
-the repo root so the perf trajectory is machine-readable.
+the repo root (``BENCH_workload_mmap.quick.json`` in reduced mode) so
+the perf trajectory is machine-readable.
 
 Run directly (CI runs the reduced mode)::
 
@@ -57,6 +58,10 @@ ROUNDS = 3
 
 OUT_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_workload_mmap.json"
+
+#: Where the reduced mode writes, so a smoke run never overwrites the
+#: committed full-mode record.
+QUICK_OUT_PATH = OUT_PATH.with_suffix(".quick.json")
 
 
 def quick_mode() -> bool:
@@ -178,11 +183,12 @@ def main() -> int:
         "npz_s": round(best["npz"], 6),
         "speedup": round(speedup, 2),
     }
-    OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    out_path = QUICK_OUT_PATH if quick else OUT_PATH
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"mmap {best['mmap']:.4f}s  npz {best['npz']:.4f}s  "
           f"speedup {speedup:.1f}x  ({events} events x "
           f"{N_WORKERS} workers)")
-    print(f"wrote {OUT_PATH}")
+    print(f"wrote {out_path}")
     if speedup < floor:
         print(f"FAIL: speedup {speedup:.2f}x < required {floor}x",
               file=sys.stderr)

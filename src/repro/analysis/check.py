@@ -13,17 +13,8 @@ Two entry modes (at least one required):
   (:mod:`repro.analysis.hb`) of a captured serve trace
   (``repro trace --runtime serve --format jsonl``).
 
-``--seed-bug drop-phase`` flips the runtime into its known-broken
-merge variant (see :data:`repro.serve.merge.SEED_BUG`) for the
-verifier's own regression canary: with ``--expect-violations`` the
-exit code inverts, so CI asserts the checker *does* fire.  Under the
-seed bug, ``--explore`` additionally runs the HB analyzer over a
-traced production merge of an epoch where phase decides the order,
-proving both layers catch the same defect.
-
-Exit codes: 0 clean, 1 violations found (inverted by
-``--expect-violations``), 2 usage errors (an unreadable trace, or one
-with no causal serve events, included).
+Exit codes: 0 clean, 1 violations found, 2 usage errors (an
+unreadable trace, or one with no causal serve events, included).
 """
 
 from __future__ import annotations
@@ -62,13 +53,13 @@ def _parse_csv(text: str, kind: str) -> list[str]:
 
 
 def run_explore(schemes: Sequence[str], nodes: Sequence[int],
-                epochs: int, budget: int, bug: str | None) -> int:
+                epochs: int, budget: int) -> int:
     """Model-check every scheme × node count; returns found-violation
     count (printing findings and per-config stats as it goes)."""
     from repro.analysis.explore import (explore_config,
                                         synthetic_merge_violations)
     total = 0
-    synthetic = synthetic_merge_violations(bug)
+    synthetic = synthetic_merge_violations()
     print(f"synthetic merge scenarios: "
           f"{'ok' if not synthetic else f'{len(synthetic)} violations'}")
     for message in synthetic:
@@ -122,19 +113,6 @@ def run_trace(path: str) -> int:
     return len(report.violations)
 
 
-def run_bug_hb_canary(scheme: str, n_nodes: int) -> int:
-    """HB-analyze a traced phase-inversion merge under the active seed
-    bug (see :func:`repro.analysis.explore.phase_inversion_trace`)."""
-    from repro.analysis.explore import phase_inversion_trace
-    from repro.analysis.hb import analyze
-    report = analyze(phase_inversion_trace(small_config(scheme, n_nodes)))
-    print(f"hb analysis of seeded-bug merge trace ({scheme} "
-          f"n={n_nodes}): "
-          + ("ok" if report.ok
-             else f"{len(report.violations)} violations"))
-    return len(report.violations)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
@@ -160,14 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max model runs per config "
                              f"(default: {DEFAULT_BUDGET})")
-    parser.add_argument("--seed-bug", default=None,
-                        metavar="BUG",
-                        help="activate a deliberate runtime bug for "
-                             "verifier regression tests (known: "
-                             "drop-phase)")
-    parser.add_argument("--expect-violations", action="store_true",
-                        help="invert the exit code: fail if the "
-                             "checker finds NOTHING (CI canary mode)")
     return parser
 
 
@@ -176,15 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     if not args.explore and args.trace is None:
         print("repro check: nothing to do — pass --explore and/or "
               "--trace PATH", file=sys.stderr)
-        return 2
-
-    from repro.serve import merge
-
-    if args.seed_bug is not None and \
-            args.seed_bug not in merge.KNOWN_BUGS:
-        print(f"repro check: unknown --seed-bug {args.seed_bug!r}; "
-              f"known: {', '.join(merge.KNOWN_BUGS)}",
-              file=sys.stderr)
         return 2
     schemes = (_parse_csv(args.schemes, "scheme") if args.schemes
                else sorted(available_schemes()))
@@ -206,30 +167,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     total = 0
-    previous = merge.SEED_BUG
-    merge.SEED_BUG = args.seed_bug if args.seed_bug else previous
-    try:
-        if args.explore:
-            total += run_explore(schemes, nodes, args.epochs,
-                                 args.budget, merge.SEED_BUG)
-            if args.seed_bug is not None:
-                total += run_bug_hb_canary(schemes[0], nodes[0])
-        if args.trace is not None:
-            try:
-                total += run_trace(args.trace)
-            except (OSError, ValueError) as exc:
-                print(f"repro check: {exc}", file=sys.stderr)
-                return 2
-    finally:
-        merge.SEED_BUG = previous
-
-    if args.expect_violations:
-        if total:
-            print(f"expected violations found ({total}) — canary ok")
-            return 0
-        print("repro check: --expect-violations set but the checker "
-              "found nothing", file=sys.stderr)
-        return 1
+    if args.explore:
+        total += run_explore(schemes, nodes, args.epochs, args.budget)
+    if args.trace is not None:
+        try:
+            total += run_trace(args.trace)
+        except (OSError, ValueError) as exc:
+            print(f"repro check: {exc}", file=sys.stderr)
+            return 2
     return 1 if total else 0
 
 

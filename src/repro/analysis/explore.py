@@ -344,38 +344,16 @@ def explore_config(config: RunConfig, epochs: int = 3,
     return violations, stats
 
 
-def phase_inversion_trace(config: RunConfig) -> RunTracer:
-    """One traced production merge of a hand-built epoch in which only
-    the phase orders two workers' batches.
-
-    The HB analyzer's half of the ``drop-phase`` canary.  On a real run
-    phase never decides the merge: deliveries and source feeds have
-    only node-local effects, so every shipped batch is a
-    ``PHASE_PROTOCOL`` timer.  Here root's batch sorts first by rank
-    and local-0's by phase, so a merge that drops the phase applies
-    them out of canonical order, and the trace shows it.
-    """
-    tracer = RunTracer()
-    coord = Coordinator(config, _InProcessTransport({}), tracer)
-    root, local = coord.node_names[:2]
-    coord._merge_epoch({
-        root: ([{"ref": ["timer", 0], "k": [1.0, 1, ["a"]],
-                 "ops": []}], b""),
-        local: ([{"ref": ["timer", 0], "k": [1.0, 0, ["b"]],
-                  "ops": []}], b"")}, 2.0)
-    return tracer
-
-
 # -- synthetic merge scenarios -------------------------------------------------
 
-def synthetic_merge_violations(bug: str | None = None) -> list[str]:
+def synthetic_merge_violations() -> list[str]:
     """Drive the real :class:`EpochMerge` through hand-built scenarios.
 
     Abstract (no scheme, no kernel) scenarios chosen so every key
     component is load-bearing; run across *all* queue arrival
-    permutations.  A correct merge yields zero violations; the
-    ``drop-phase`` seeded bug is guaranteed to trip the cross-node
-    phase-inversion scenario.  A batch is written ``("slot", i)`` or
+    permutations.  A correct merge yields zero violations; a merge
+    that compares keys without their phase trips the cross-node
+    phase-order scenario.  A batch is written ``("slot", i)`` or
     ``("timer", seq, time, phase, rank)``.
     """
     violations: list[str] = []
@@ -392,8 +370,7 @@ def synthetic_merge_violations(bug: str | None = None) -> list[str]:
         for arrival in permutations(nodes):
             merge = EpochMerge(10.0, {n: i for i, n in
                                       enumerate(nodes)},
-                               {n: list(slot_keys[n]) for n in nodes},
-                               bug=bug)
+                               {n: list(slot_keys[n]) for n in nodes})
             queues = {n: deque(batch(r) for r in refs[n])
                       for n in arrival}
             applied: list[MergeKey] = []
@@ -438,7 +415,7 @@ def synthetic_merge_violations(bug: str | None = None) -> list[str]:
         {"a": [("slot", 0)], "b": [("slot", 0)]})
     # A timer batch at or past the horizon means a worker ran work the
     # epoch did not cover: a ServeError, not a silent merge.
-    merge = EpochMerge(10.0, {"a": 0}, {"a": []}, bug=bug)
+    merge = EpochMerge(10.0, {"a": 0}, {"a": []})
     try:
         merge.pop_next({"a": deque([batch(("timer", 3, 10.0, 1, []))])})
     except ServeError:

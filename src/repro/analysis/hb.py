@@ -10,8 +10,8 @@ so threading vector clocks along them reconstructs the full
 happens-before partial order from a trace alone, with no access to the
 live run.
 
-``analyze`` replays a trace (a live :class:`~repro.obs.tracer.
-RunTracer` or a JSONL export) and checks:
+``analyze_events`` replays a trace (a live :class:`~repro.obs.tracer.
+RunTracer`'s events or a JSONL export) and checks:
 
 * **merge-order** — the coordinator's ``op_apply`` stream must be
   strictly increasing in the canonical ``(time, phase, rank, class,
@@ -41,7 +41,6 @@ from typing import Any
 from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_APPLY, OP_EMIT, CAUSAL_KINDS,
                               TraceEvent)
-from repro.obs.tracer import RunTracer
 
 #: The canonical merge key reconstructed from an ``op_apply`` event.
 AppliedKey = tuple[float, int, tuple[str, ...], int, tuple[int, ...]]
@@ -268,13 +267,9 @@ def _check_window_writes(per: dict[str, list[_CausalEvent]],
                         max(a.event.time, b.event.time)))
 
 
-def analyze(tracer: RunTracer) -> HbReport:
-    """Reconstruct happens-before over a serve trace and check it."""
-    return analyze_events(tracer.events)
-
-
 def analyze_events(events: list[TraceEvent]) -> HbReport:
-    """:func:`analyze` over a bare event list (parsed or in-memory)."""
+    """Reconstruct happens-before over a serve trace's events (a live
+    tracer's, or parsed from JSONL) and check it."""
     violations: list[HbViolation] = []
     per = _causal_events(events)
     n_frames = _thread_clocks(per, violations)
@@ -323,5 +318,5 @@ def load_jsonl(path: str | Path) -> list[TraceEvent]:
 
 
 def analyze_jsonl(path: str | Path) -> HbReport:
-    """:func:`analyze` over a JSONL trace file."""
+    """:func:`analyze_events` over a JSONL trace file."""
     return analyze_events(load_jsonl(path))

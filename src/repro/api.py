@@ -42,7 +42,6 @@ from repro.sweep import SweepExecutor
 #: All schemes the evaluation compares, in the paper's order.
 ALL_SCHEMES = ("central", "scotty", "disco", "approx", "deco_mon",
                "deco_sync", "deco_async")
-DECO_SCHEMES = ("deco_mon", "deco_sync", "deco_async")
 
 
 @dataclass

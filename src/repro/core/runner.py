@@ -103,16 +103,13 @@ class RunConfig:
     rate_per_node: float = 100_000.0
     rate_change: float = 0.01
     epoch_seconds: float = 1.0
-    #: Data streams feeding each local node (Section 3's model; the
-    #: node's rate is the sum over its streams).
-    streams_per_node: int = 1
     #: Concurrent paced source clients per local node: the feeder
     #: splits each node's stream into this many strided substreams,
     #: each batching/delivering on its own timestamps (many-client load
     #: generation; see :func:`repro.runtime.feeder.inject_stream`).
-    #: Unlike :attr:`streams_per_node` this does not change the
-    #: generated workload — only the injection schedule — so it is not
-    #: part of :meth:`workload_key`.  Paced runs only.
+    #: This does not change the generated workload — only the
+    #: injection schedule — so it is not part of :meth:`workload_key`.
+    #: Paced runs only.
     sources_per_node: int = 1
     aggregate: str = "sum"
     delta_m: int = 1
@@ -172,7 +169,7 @@ class RunConfig:
             n_windows=self.n_windows, rate_per_node=self.rate_per_node,
             rate_change=self.rate_change,
             epoch_seconds=self.epoch_seconds, seed=self.seed,
-            margin=self.margin, streams_per_node=self.streams_per_node)
+            margin=self.margin)
 
     def resolved_batch_size(self) -> int:
         if self.batch_size is not None:

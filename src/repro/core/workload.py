@@ -40,7 +40,6 @@ from repro.streams.batch import (ID_DTYPE, TS_DTYPE, VALUE_DTYPE,
                                  EventBatch)
 from repro.streams.event import TICKS_PER_SECOND, ticks_to_seconds
 from repro.streams.generator import RateChangeGenerator
-from repro.streams.merge import merge_batches, require_ts_sorted
 
 if TYPE_CHECKING:
     from repro.aggregates.base import AggregateFunction
@@ -103,6 +102,15 @@ class Workload:
         return ticks_to_seconds(int(self.boundary_ts[window]))
 
 
+def require_ts_sorted(batches: Sequence[EventBatch]) -> None:
+    """Raise :class:`StreamError` unless every batch is timestamp-sorted."""
+    for i, b in enumerate(batches):
+        if not b.is_ts_sorted():
+            raise StreamError(
+                f"input batch {i} is not timestamp-sorted; per-source "
+                f"streams must be in order")
+
+
 def _merge_cut(columns: Sequence[np.ndarray],
                ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut the stable timestamp merge of sorted ``columns`` after each
@@ -155,14 +163,13 @@ def build_workload(streams: Sequence[EventBatch], window_size: int,
     """Assemble a :class:`Workload` from concrete per-node streams.
 
     Global window ``g`` is events ``[g*L, (g+1)*L)`` of the streams'
-    stable timestamp merge (:func:`~repro.streams.merge.merge_batches`,
-    ties to the lower stream index); the boundaries are cut from the
-    per-stream timestamps by counting, so building a workload holds no
-    copy of the merged stream.  Streams should extend a few windows
-    *past* the last measured boundary: prediction buffers and
-    speculation reach beyond it, and a scheme that runs out of events
-    stalls (the runner raises a diagnostic).  :func:`generate_workload`
-    adds that margin automatically.
+    stable timestamp merge (ties to the lower stream index); the
+    boundaries are cut from the per-stream timestamps by counting, so
+    building a workload holds no copy of the merged stream.  Streams
+    should extend a few windows *past* the last measured boundary:
+    prediction buffers and speculation reach beyond it, and a scheme
+    that runs out of events stalls (the runner raises a diagnostic).
+    :func:`generate_workload` adds that margin automatically.
     """
     if window_size <= 0:
         raise ConfigurationError(
@@ -189,19 +196,15 @@ def _stream_sources(n_nodes: int, window_size: int, n_windows: int, *,
                     epoch_seconds: float = 1.0,
                     seed: int = 0, margin: float | None = None,
                     rates: Sequence[float] | None = None,
-                    streams_per_node: int = 1,
-                    ) -> tuple[list[list[RateChangeGenerator]], float]:
-    """Every node's seeded source generators and the stream time they
-    all generate (see :func:`generate_workload`).  All of them start at
+                    ) -> tuple[list[RateChangeGenerator], float]:
+    """Every node's seeded generator and the stream time they all
+    generate (see :func:`generate_workload`).  All of them start at
     tick 0 with one epoch length and run equally long, so epoch ``k``
     covers the same ticks in every stream."""
     if n_nodes < 1:
         raise ConfigurationError(f"need >= 1 node, got {n_nodes}")
     if n_windows < 1:
         raise ConfigurationError(f"need >= 1 window, got {n_windows}")
-    if streams_per_node < 1:
-        raise ConfigurationError(
-            f"streams_per_node must be >= 1, got {streams_per_node}")
     if rates is None:
         rates = [rate_per_node] * n_nodes
     if len(rates) != n_nodes:
@@ -217,18 +220,11 @@ def _stream_sources(n_nodes: int, window_size: int, n_windows: int, *,
         # global windows' worth of events beyond the measured ones.
         margin = 1.0 + max(0.1, 3.0 / n_windows)
     duration = needed * margin / total_rate + 2 * epoch_seconds
-    sources = [[RateChangeGenerator(rate / streams_per_node, rate_change,
-                                    epoch_seconds=epoch_seconds,
-                                    seed=(seed * 1000 + i) * 31 + j)
-                for j in range(streams_per_node)]
+    sources = [RateChangeGenerator(rate, rate_change,
+                                   epoch_seconds=epoch_seconds,
+                                   seed=(seed * 1000 + i) * 31)
                for i, rate in enumerate(rates)]
     return sources, duration
-
-
-def _node_batch(parts: list[EventBatch]) -> EventBatch:
-    """What a node observes of its sources: their stable timestamp
-    merge."""
-    return parts[0] if len(parts) == 1 else merge_batches(parts)[0]
 
 
 def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
@@ -236,21 +232,17 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
                       rate_change: float = 0.01,
                       epoch_seconds: float = 1.0,
                       seed: int = 0, margin: float | None = None,
-                      rates: Sequence[float] | None = None,
-                      streams_per_node: int = 1) -> Workload:
+                      rates: Sequence[float] | None = None) -> Workload:
     """Generate the evaluation's standard workload in memory.
 
-    Every local node ingests ``streams_per_node`` data streams (the
-    Section 3 model: "the number of streams connected to each local
-    node is also different"; ``f_a`` is the node's summed rate),
-    produced by generators co-located with the node.  ``rate_per_node``
-    (default 100k events/s) is the node's *total* rate, split evenly
-    over its streams; per-node rates can be made heterogeneous via
-    ``rates``.  Each stream runs for the time the node rates need to
-    fill ``n_windows`` windows of ``window_size`` events times
-    ``margin`` (default ``1 + max(0.1, 3 / n_windows)``), plus two
-    epochs of ``epoch_seconds``, at ``rate_change``; ``seed`` seeds
-    every source.
+    Every local node ingests one data stream, produced by a generator
+    co-located with the node (Section 5).  ``rate_per_node`` (default
+    100k events/s) is each node's rate; per-node rates can be made
+    heterogeneous via ``rates``.  Each stream runs for the time the
+    node rates need to fill ``n_windows`` windows of ``window_size``
+    events times ``margin`` (default ``1 + max(0.1, 3 / n_windows)``),
+    plus two epochs of ``epoch_seconds``, at ``rate_change``; ``seed``
+    seeds every generator.
 
     The returned workload lives on the heap.  A cached workload never
     does: :meth:`WorkloadCache.get` writes the same bytes straight to
@@ -259,9 +251,8 @@ def generate_workload(n_nodes: int, window_size: int, n_windows: int, *,
     sources, duration = _stream_sources(
         n_nodes, window_size, n_windows, rate_per_node=rate_per_node,
         rate_change=rate_change, epoch_seconds=epoch_seconds, seed=seed,
-        margin=margin, rates=rates, streams_per_node=streams_per_node)
-    streams = [_node_batch([gen.generate_seconds(duration) for gen in gens])
-               for gens in sources]
+        margin=margin, rates=rates)
+    streams = [gen.generate_seconds(duration) for gen in sources]
     return build_workload(streams, window_size, n_windows)
 
 
@@ -311,14 +302,13 @@ class WorkloadSpec:
     epoch_seconds: float = 1.0
     seed: int = 0
     margin: float | None = None
-    streams_per_node: int = 1
 
     def key(self) -> str:
         """Stable content hash of the parameter tuple."""
         canon = repr((GENERATOR_VERSION, self.n_nodes, self.window_size,
                       self.n_windows, self.rate_per_node,
                       self.rate_change, self.epoch_seconds, self.seed,
-                      self.margin, self.streams_per_node))
+                      self.margin))
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def generate(self) -> Workload:
@@ -462,7 +452,7 @@ def spill_workload(path: Path, spec: WorkloadSpec) -> None:
     without holding it: byte for byte what
     ``save_workload_mmap(path, spec.generate())`` writes.
 
-    A first pass draws every source's epoch rates
+    A first pass draws every node's epoch rates
     (:meth:`~repro.streams.generator.RateChangeGenerator.plan_seconds`),
     which fixes each stream's length and so the container's layout.
     The second pass builds a step of whole epochs at a time (one epoch,
@@ -477,12 +467,10 @@ def spill_workload(path: Path, spec: WorkloadSpec) -> None:
     :func:`build_workload` refuses an unsorted stream.
     """
     sources, duration = _stream_sources(**dataclasses.asdict(spec))
-    plans = [[gen.plan_seconds(duration) for gen in gens]
-             for gens in sources]
-    grid = plans[0][0]  # every plan's epochs start at the same ticks
+    plans = [gen.plan_seconds(duration) for gen in sources]
+    grid = plans[0]  # every plan's epochs start at the same ticks
     # kept[k, a]: node a's events in epoch k.
-    kept = np.array([np.sum([plan.kept for plan in node_plans], axis=0)
-                     for node_plans in plans], dtype=np.int64).T
+    kept = np.array([plan.kept for plan in plans], dtype=np.int64).T
     lengths = kept.sum(axis=0)
     window_size, n_windows, n_nodes = (spec.window_size, spec.n_windows,
                                        spec.n_nodes)
@@ -514,15 +502,8 @@ def spill_workload(path: Path, spec: WorkloadSpec) -> None:
             end_tick = grid.starts[k1 - 1] + grid.epoch_ticks
             cut = np.flatnonzero(end_step == step)
             step_columns = []
-            for a, (gens, node_plans) in enumerate(
-                    zip(sources, plans, strict=True)):
-                parts = []
-                for gen, plan in zip(gens, node_plans, strict=True):
-                    ids = plan.ids(k0, k1)
-                    parts.append(EventBatch._view(
-                        ids, gen.draw_values(len(ids)), plan.ts(k0, k1)))
-                batch = _node_batch(parts)
-                ts = batch.ts
+            for a, (gen, plan) in enumerate(zip(sources, plans, strict=True)):
+                ids, ts = plan.ids(k0, k1), plan.ts(k0, k1)
                 if len(ts) and (ts[0] < first_tick or ts[-1] >= end_tick
                                 or np.any(ts[1:] < ts[:-1])):
                     raise StreamError(
@@ -530,7 +511,7 @@ def spill_workload(path: Path, spec: WorkloadSpec) -> None:
                         f"epochs {k0}-{k1 - 1}; per-source streams must "
                         f"be in order")
                 for name, col in zip(_column_names(a),
-                                     (batch.ids, batch.values, ts),
+                                     (ids, gen.draw_values(len(ids)), ts),
                                      strict=True):
                     _write_at(fh, offsets[name] + int(before[a])
                               * col.itemsize, col)

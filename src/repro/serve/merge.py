@@ -38,16 +38,6 @@ MergeKey = tuple[float, int, tuple[str, ...], int, tuple[int, ...]]
 #: ``"k"`` on a timer batch).
 BatchQueue = deque[dict[str, Any]]
 
-#: Test-only fault injection for the verifier's own regression tests
-#: (never set outside tests/CI canaries).  ``"drop-phase"`` removes the
-#: phase component from the *comparison* key — the canonical keys the
-#: merge reports stay truthful, so the model checker and the
-#: happens-before analyzer must both catch the resulting inversions.
-SEED_BUG: str | None = None
-
-#: The seed-bug values :func:`effective_key` understands.
-KNOWN_BUGS = ("drop-phase",)
-
 
 def slot_key(time: float, phase: int, rank: tuple[str, ...],
              pos: int) -> MergeKey:
@@ -68,37 +58,21 @@ def key_from_json(raw: list[Any]) -> MergeKey:
     return (time, phase, tuple(rank), cls, tuple(tie))
 
 
-def effective_key(key: MergeKey, bug: str | None) -> tuple[Any, ...]:
-    """The comparison key the merge actually sorts by.
-
-    Identity unless a test seeded a deliberate bug; keeping the
-    truncation here (and nowhere else) means one flag flips the whole
-    runtime into its known-broken variant for verifier regression
-    tests.
-    """
-    if bug == "drop-phase":
-        return (key[0], *key[2:])
-    return key
-
-
 class EpochMerge:
     """Head selection for one epoch replay.
 
     ``horizon`` is the epoch's exclusive bound: a worker may run only
     timers below it, so a timer batch at or past it is a bookkeeping
-    bug and raises.  The keys :meth:`pop_next` reports stay truthful
-    even under a seeded comparison bug.
+    bug and raises.
     """
 
-    __slots__ = ("horizon", "slot_keys", "_order", "_bug")
+    __slots__ = ("horizon", "slot_keys", "_order")
 
     def __init__(self, horizon: float, node_order: dict[str, int],
-                 slot_keys: dict[str, list[MergeKey]],
-                 bug: str | None = None) -> None:
+                 slot_keys: dict[str, list[MergeKey]]) -> None:
         self.horizon = horizon
         self.slot_keys = slot_keys
         self._order = node_order
-        self._bug = SEED_BUG if bug is None else bug
 
     def head_key(self, name: str, batch: dict[str, Any]) -> MergeKey:
         """The canonical key of one batch.
@@ -129,14 +103,12 @@ class EpochMerge:
         """
         best: str | None = None
         best_key: MergeKey | None = None
-        best_cmp: tuple[Any, ...] | None = None
         for name, queue in queues.items():
             if not queue:
                 continue
             key = self.head_key(name, queue[0])
-            cmp = effective_key(key, self._bug)
-            if best_cmp is None or cmp < best_cmp:
-                best, best_key, best_cmp = name, key, cmp
+            if best_key is None or key < best_key:
+                best, best_key = name, key
         if best is None or best_key is None:
             return None
         return best, queues[best].popleft(), best_key

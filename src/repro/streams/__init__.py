@@ -1,4 +1,4 @@
-"""Data stream substrate: events, batches, generators, merges, watermarks."""
+"""Data stream substrate: events, batches, generators, watermarks."""
 
 from repro.streams.batch import EventBatch
 from repro.streams.debs import (ReplayValues, SoccerTraceGenerator,
@@ -6,7 +6,6 @@ from repro.streams.debs import (ReplayValues, SoccerTraceGenerator,
 from repro.streams.event import Event, TICKS_PER_SECOND, ticks_to_seconds
 from repro.streams.generator import (GaussianValues, RateChangeGenerator,
                                      UniformValues, replayed_offsets)
-from repro.streams.merge import merge_batches
 from repro.streams.watermark import WatermarkTracker
 
 __all__ = [
@@ -21,6 +20,5 @@ __all__ = [
     "SoccerTraceGenerator",
     "ReplayValues",
     "replay_dataset",
-    "merge_batches",
     "WatermarkTracker",
 ]

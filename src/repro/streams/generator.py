@@ -18,7 +18,6 @@ built a few epochs at a time: the workload cache writes spills that way.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
 from typing import Protocol
 
 import numpy as np
@@ -253,14 +252,6 @@ class RateChangeGenerator:
             [tail, *(plan.ts(k, k + 1) for k in range(len(plan)))])
         ids = np.arange(first_id, self._next_id, dtype=np.int64)
         return EventBatch._view(ids, self.draw_values(len(ts)), ts)
-
-    def batches(self, batch_size: int) -> Iterator[EventBatch]:
-        """An infinite iterator of fixed-size batches."""
-        if batch_size <= 0:
-            raise ConfigurationError(
-                f"batch_size must be > 0, got {batch_size}")
-        while True:
-            yield self.generate(batch_size)
 
 
 def replayed_offsets(n_streams: int, dataset_len: int,

@@ -4,8 +4,8 @@ Covers the three tentpole claims: synthetic merge scenarios exercise
 the real :class:`~repro.serve.merge.EpochMerge` under every arrival
 permutation; the scripted DFS exhaustively verifies that epoch-mode
 serve merges to kernel-canonical order for real schemes at small
-scope; and the deliberately seeded ``drop-phase`` merge bug is caught
-— the checker's own regression canary.
+scope; and the ``drop-phase`` merge mutant (:mod:`tests.mutants`) is
+caught — the checker's own regression canary.
 """
 
 from dataclasses import replace
@@ -18,11 +18,11 @@ from repro.analysis.check import main, small_config
 from repro.analysis.explore import (ModelCoordinator, _Schedule,
                                     check_applied_order,
                                     explore_config,
-                                    phase_inversion_trace,
                                     synthetic_merge_violations)
 from repro.analysis.determinism import TimedFingerprint
 from repro.core.runner import run_scheme
-from repro.serve import merge
+from repro.serve.merge import EpochMerge
+from tests.mutants import drop_phase_pop_next, phase_inversion_trace
 
 
 def _written(tmp_path, text):
@@ -43,22 +43,17 @@ def _simulator_trace(tmp_path):
 
 
 @pytest.fixture
-def seed_bug():
-    """Activate the drop-phase merge bug for one test."""
-    previous = merge.SEED_BUG
-    merge.SEED_BUG = "drop-phase"
-    try:
-        yield
-    finally:
-        merge.SEED_BUG = previous
+def drop_phase(monkeypatch):
+    """Install the drop-phase merge mutant for one test."""
+    monkeypatch.setattr(EpochMerge, "pop_next", drop_phase_pop_next)
 
 
 class TestSyntheticScenarios:
     def test_clean_merge_has_no_violations(self):
         assert synthetic_merge_violations() == []
 
-    def test_drop_phase_bug_is_caught(self):
-        violations = synthetic_merge_violations("drop-phase")
+    def test_drop_phase_bug_is_caught(self, drop_phase):
+        violations = synthetic_merge_violations()
         assert violations
         assert any("phase" in v for v in violations)
 
@@ -144,13 +139,13 @@ class TestExplore:
         assert stats["runs"] <= 2
         assert stats["budget_hit"]
 
-    def test_seeded_bug_is_caught(self, seed_bug):
+    def test_seeded_bug_is_caught(self, drop_phase):
         # Every cross-node batch of a real run is a PHASE_PROTOCOL
         # timer, so the bug cannot move a real run; an epoch where the
         # phase decides must show it through the production merge.
-        from repro.analysis.hb import analyze
+        from repro.analysis.hb import analyze_events
         config = small_config("deco_sync", 2)
-        report = analyze(phase_inversion_trace(config))
+        report = analyze_events(phase_inversion_trace(config).events)
         assert [v.kind for v in report.violations] == ["merge-order"]
         violations, _ = explore_config(config, epochs=2, budget=60)
         assert violations == []
@@ -165,30 +160,21 @@ class TestCli:
         assert "synthetic merge scenarios: ok" in out
         assert "deco_sync n=2" in out
 
-    def test_seed_bug_canary(self, capsys):
-        rc = main(["--explore", "--schemes", "deco_sync", "--nodes",
-                   "2", "--epochs", "2", "--budget", "40",
-                   "--seed-bug", "drop-phase",
-                   "--expect-violations"])
-        assert rc == 0
-        assert "canary ok" in capsys.readouterr().out
-        # The fixture-free CLI path must restore the clean runtime.
-        assert merge.SEED_BUG is None
-
-    def test_expect_violations_without_findings_fails(self, capsys):
-        rc = main(["--explore", "--schemes", "deco_sync", "--nodes",
-                   "2", "--epochs", "1", "--budget", "10",
-                   "--expect-violations"])
-        assert rc == 1
+    def test_drop_phase_mutant_fails_the_cli(self, capsys,
+                                             monkeypatch):
+        argv = ["--explore", "--schemes", "deco_sync", "--nodes", "2",
+                "--epochs", "2", "--budget", "40"]
+        assert main(argv) == 0
+        assert "VIOLATION" not in capsys.readouterr().out
+        monkeypatch.setattr(EpochMerge, "pop_next", drop_phase_pop_next)
+        assert main(argv) == 1
+        assert "VIOLATION" in capsys.readouterr().out
 
     def test_no_mode_is_usage_error(self, capsys):
         assert main([]) == 2
 
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert main(["--explore", "--schemes", "nope"]) == 2
-
-    def test_unknown_seed_bug_is_usage_error(self, capsys):
-        assert main(["--explore", "--seed-bug", "nope"]) == 2
 
     def test_bad_nodes_is_usage_error(self, capsys):
         assert main(["--explore", "--nodes", "two"]) == 2

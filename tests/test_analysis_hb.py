@@ -2,7 +2,8 @@
 
 Synthetic traces exercise each violation kind in isolation; model
 traces from the epoch runtime anchor the analyzer on real event
-streams (clean run → ok, seeded merge bug → merge-order violations);
+streams (clean run → ok, the drop-phase merge mutant → merge-order
+violations);
 a JSONL round-trip covers the on-disk path used by
 ``repro check --trace``.
 """
@@ -12,15 +13,15 @@ import pytest
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.check import small_config
-from repro.analysis.explore import (ModelCoordinator, _Schedule,
-                                    phase_inversion_trace)
-from repro.analysis.hb import (analyze, analyze_events, analyze_jsonl,
+from repro.analysis.explore import ModelCoordinator, _Schedule
+from repro.analysis.hb import (analyze_events, analyze_jsonl,
                                applied_key, load_jsonl)
 from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
                               OP_APPLY, OP_EMIT, TraceEvent)
 from repro.obs.tracer import RunTracer
-from repro.serve import merge
 from repro.serve.harness import _merge_trace
+from repro.serve.merge import EpochMerge
+from tests.mutants import drop_phase_pop_next, phase_inversion_trace
 
 
 def model_trace(config):
@@ -140,22 +141,19 @@ class TestSyntheticTraces:
 
 class TestModelTraces:
     def test_clean_epoch_run_is_ok(self):
-        report = analyze(model_trace(small_config("deco_sync", 2)))
+        report = analyze_events(
+            model_trace(small_config("deco_sync", 2)).events)
         assert report.ok, [str(v) for v in report.violations]
         assert COORD_PROCESS in report.processes
         assert report.n_frames > 0
 
-    def test_seeded_bug_shows_merge_order_violations(self):
+    def test_seeded_bug_shows_merge_order_violations(self, monkeypatch):
         # A real run ships only PHASE_PROTOCOL timers, so the phase
         # decides only in the hand-built epoch of the canary trace.
         config = small_config("deco_sync", 2)
-        assert analyze(phase_inversion_trace(config)).ok
-        previous = merge.SEED_BUG
-        merge.SEED_BUG = "drop-phase"
-        try:
-            report = analyze(phase_inversion_trace(config))
-        finally:
-            merge.SEED_BUG = previous
+        assert analyze_events(phase_inversion_trace(config).events).ok
+        monkeypatch.setattr(EpochMerge, "pop_next", drop_phase_pop_next)
+        report = analyze_events(phase_inversion_trace(config).events)
         assert "merge-order" in kinds(report)
 
 
@@ -166,7 +164,7 @@ class TestJsonl:
         path = tmp_path / "run.jsonl"
         write_jsonl(path, tracer)
         loaded = load_jsonl(path)
-        direct = analyze(tracer)
+        direct = analyze_events(tracer.events)
         from_disk = analyze_jsonl(path)
         assert len(loaded) == len(tracer.events)
         assert from_disk.ok == direct.ok

@@ -95,7 +95,7 @@ class TestJobsFlag:
 class TestOwnedParsers:
     """``check`` parses its own command line."""
 
-    @pytest.mark.parametrize("command, flag", [("check", "--seed-bug")])
+    @pytest.mark.parametrize("command, flag", [("check", "--explore")])
     def test_help_is_the_owning_parsers(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])

@@ -68,18 +68,6 @@ class TestEndToEndExactness:
         for outcome in result.outcomes:
             assert outcome.events == params["window_size"]
 
-    @given(params=workload_parameters(),
-           k=st.integers(min_value=1, max_value=3))
-    @SLOW
-    def test_multi_stream_nodes(self, params, k):
-        """Section 3: each local node may ingest several data streams;
-        exactness is unaffected."""
-        config = RunConfig(scheme="deco_async", rate_per_node=10_000,
-                           delta_m=4, min_delta=2, streams_per_node=k,
-                           **params)
-        result, workload = run_scheme(config)
-        assert results_match(result, workload.reference_result(Sum()))
-
 
 class TestHandCraftedWorkloads:
     def make_stream(self, ts_list, start_id=0):

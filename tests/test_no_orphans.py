@@ -25,7 +25,6 @@ ALLOWED = {
     "sync_covers": "the slicing coverage predicate of Section 4.3.1",
     "register": "user extension point for custom aggregation functions",
     "latency_summary": "latency stats that count dropped windows",
-    "DECO_SCHEMES": "the Deco subset of ALL_SCHEMES that tests parametrize",
 }
 
 

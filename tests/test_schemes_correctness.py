@@ -9,12 +9,13 @@ import math
 import pytest
 
 from repro.aggregates import get_aggregate
-from repro.api import ALL_SCHEMES, DECO_SCHEMES, compare, run
+from repro.api import ALL_SCHEMES, compare, run
 from repro.core import RunConfig, run_scheme
 from repro.metrics import correctness, results_match
 
 EXACT_SCHEMES = ("central", "scotty", "disco", "deco_mon", "deco_sync",
                  "deco_async")
+DECO_SCHEMES = ("deco_mon", "deco_sync", "deco_async")
 
 
 def small_config(scheme, **overrides):

@@ -71,13 +71,6 @@ class TestRateChangeGenerator:
         b = gen.generate(10)
         assert b.first_ts >= a.last_ts
 
-    def test_batches_iterator(self):
-        gen = RateChangeGenerator(100, 0.0, seed=0)
-        it = gen.batches(64)
-        first, second = next(it), next(it)
-        assert len(first) == len(second) == 64
-        assert second.first_ts >= first.last_ts
-
     @pytest.mark.parametrize("kwargs", [
         {"base_rate": 0},
         {"base_rate": -5},
@@ -88,11 +81,6 @@ class TestRateChangeGenerator:
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             RateChangeGenerator(**kwargs)
-
-    def test_invalid_batch_size(self):
-        gen = RateChangeGenerator(10)
-        with pytest.raises(ConfigurationError):
-            next(gen.batches(0))
 
     def test_negative_n_events(self):
         with pytest.raises(ConfigurationError):

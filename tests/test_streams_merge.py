@@ -1,16 +1,44 @@
-"""Tests for stable merges and the ground-truth window splits built on
-them (:func:`repro.core.workload.build_workload`)."""
+"""The ground-truth window split (:func:`repro.core.workload.build_workload`)
+against its definition: the stable timestamp merge of the node streams.
+
+The program never materialises that merge; :func:`merge_batches` here
+is the oracle the counted cut is compared against.
+"""
+
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.workload import build_workload
+from repro.core.workload import build_workload, require_ts_sorted
 from repro.errors import ConfigurationError, StreamError
 from repro.streams.batch import EventBatch
 from repro.streams.generator import RateChangeGenerator
-from repro.streams.merge import merge_batches
+
+
+def merge_batches(
+        batches: Sequence[EventBatch]) -> tuple[EventBatch, np.ndarray]:
+    """Stably merge per-source batches by timestamp.
+
+    Returns the merged batch and a parallel ``source`` array giving, for
+    each merged position, the index of the contributing input batch.
+    Ties are broken by input order (stable), matching the paper's window
+    operator model.
+    """
+    if not batches:
+        raise ConfigurationError("merge_batches needs at least one batch")
+    require_ts_sorted(batches)
+    combined = EventBatch.concat(list(batches))
+    source = np.concatenate([
+        np.full(len(b), i, dtype=np.int64) for i, b in enumerate(batches)
+    ]) if len(combined) else np.empty(0, dtype=np.int64)
+    order = np.argsort(combined.ts, kind="stable")
+    merged = EventBatch._view(combined.ids[order],
+                              combined.values[order],
+                              combined.ts[order])
+    return merged, source[order]
 
 
 def batch_with_ts(ts, id_start=0):

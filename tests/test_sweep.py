@@ -203,8 +203,7 @@ class TestWorkloadCache:
         for tweak in (dict(n_nodes=3), dict(window_size=401),
                       dict(n_windows=5), dict(rate_per_node=9_999.0),
                       dict(rate_change=0.5), dict(seed=1),
-                      dict(margin=2.0), dict(streams_per_node=2),
-                      dict(epoch_seconds=0.5)):
+                      dict(margin=2.0), dict(epoch_seconds=0.5)):
             import dataclasses
             assert dataclasses.replace(base, **tweak).key() != base.key()
 

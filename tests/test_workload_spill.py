@@ -234,8 +234,7 @@ small_specs = st.builds(
     rate_change=st.sampled_from([0.0, 0.05, 0.5]),
     epoch_seconds=st.sampled_from([0.05, 0.3, 1.0, 1.7]),
     seed=st.integers(0, 50),
-    margin=st.one_of(st.none(), st.floats(0.5, 2.0)),
-    streams_per_node=st.integers(1, 2))
+    margin=st.one_of(st.none(), st.floats(0.5, 2.0)))
 
 
 class TestEpochWriter:
@@ -302,9 +301,7 @@ class TestEpochWriter:
         assert [p.name for p in tmp_path.iterdir()] == \
             [wl.spill_filename(spec.key())]
 
-    @pytest.mark.parametrize("streams_per_node", [1, 2])
-    def test_out_of_order_epoch_refused(self, tmp_path, monkeypatch,
-                                        streams_per_node):
+    def test_out_of_order_epoch_refused(self, tmp_path, monkeypatch):
         """An epoch whose timestamps run backwards is refused with
         ``StreamError`` by the epoch writer, as ``build_workload``
         refuses the whole unsorted stream, and no spill is left."""
@@ -312,8 +309,7 @@ class TestEpochWriter:
         monkeypatch.setattr(generator, "epoch_ts",
                             lambda *args: real_epoch_ts(*args)[::-1])
         spec = wl.WorkloadSpec(n_nodes=2, window_size=300, n_windows=4,
-                               rate_per_node=2_000.0,
-                               streams_per_node=streams_per_node)
+                               rate_per_node=2_000.0)
         with pytest.raises(StreamError, match="not timestamp-sorted"):
             spec.generate()
         with pytest.raises(StreamError, match="not timestamp-sorted"):
