@@ -7,11 +7,8 @@ a moving average and a linear-trend extrapolation on a drifting-rate
 workload.
 """
 
-import pytest
-
-from repro.core import RunConfig, run_scheme
+from repro.core import RunConfig
 from repro.core.prediction import PREDICTORS
-from repro.core.query import tumbling_count_query
 from repro.core.workload import generate_workload
 from repro.runtime.driver import build_run, run_simulation
 

@@ -15,9 +15,7 @@ exact.
 Run:  python examples/smart_factory.py
 """
 
-import numpy as np
-
-from repro.aggregates import Average, Max, Min, get_aggregate
+from repro.aggregates import get_aggregate
 from repro.core import RunConfig, run_scheme
 from repro.core.workload import build_workload
 from repro.metrics import correctness, per_window_correctness, \

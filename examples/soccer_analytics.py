@@ -11,7 +11,7 @@ the aggregation pushed down to the gateways by Deco.
 Run:  python examples/soccer_analytics.py
 """
 
-from repro.aggregates import Average, Max, get_aggregate
+from repro.aggregates import get_aggregate
 from repro.core import RunConfig, run_scheme
 from repro.core.workload import build_workload
 from repro.metrics import format_si, results_match

@@ -6,8 +6,7 @@ from repro.aggregates.base import (AggregateFunction, Decomposability,
                                    GrayKind)
 from repro.aggregates.distributive import Count, Max, Min, Sum
 from repro.aggregates.holistic import Median, Quantile
-from repro.aggregates.registry import (available_aggregates, get_aggregate,
-                                       register)
+from repro.aggregates.registry import available_aggregates, get_aggregate
 
 __all__ = [
     "AggregateFunction",
@@ -25,6 +24,5 @@ __all__ = [
     "Median",
     "Quantile",
     "get_aggregate",
-    "register",
     "available_aggregates",
 ]

@@ -10,8 +10,7 @@ from repro.aggregates.distributive import Count, Max, Min, Sum
 from repro.aggregates.holistic import Median, Quantile
 from repro.errors import AggregationError
 
-# Import-time registry: run code only reads it; `register` is a
-# user-facing extension point called before any run starts.
+#: The aggregation functions by name.
 _FACTORIES: dict[str, Callable[[], AggregateFunction]] = {
     "sum": Sum,
     "count": Count,
@@ -22,14 +21,6 @@ _FACTORIES: dict[str, Callable[[], AggregateFunction]] = {
     "stddev": StdDev,
     "median": Median,
 }
-
-
-def register(name: str,
-             factory: Callable[[], AggregateFunction]) -> None:
-    """Register a user-defined aggregation function under ``name``."""
-    if name in _FACTORIES:
-        raise AggregationError(f"aggregate {name!r} is already registered")
-    _FACTORIES[name] = factory
 
 
 def get_aggregate(name: str) -> AggregateFunction:

@@ -1,20 +1,14 @@
 """``repro check`` — the concurrency verifier front-end.
 
-Two entry modes (at least one required):
+``--explore`` (required) runs small-scope interleaving model checking
+(:mod:`repro.analysis.explore`): synthetic merge scenarios through the
+real :class:`~repro.serve.merge.EpochMerge`, then exhaustive DFS over
+epoch-boundary placements and reply arrival orders for every requested
+scheme × node count, asserting each interleaving merges to
+kernel-canonical order and matches the simulator oracle's
+``TimedFingerprint``.
 
-* ``--explore`` — small-scope interleaving model checking
-  (:mod:`repro.analysis.explore`): synthetic merge scenarios through
-  the real :class:`~repro.serve.merge.EpochMerge`, then exhaustive
-  DFS over epoch-boundary placements and reply arrival orders for
-  every requested scheme × node count, asserting each interleaving
-  merges to kernel-canonical order and matches the simulator oracle's
-  ``TimedFingerprint``.
-* ``--trace PATH`` — happens-before analysis
-  (:mod:`repro.analysis.hb`) of a captured serve trace
-  (``repro trace --runtime serve --format jsonl``).
-
-Exit codes: 0 clean, 1 violations found, 2 usage errors (an
-unreadable trace, or one with no causal serve events, included).
+Exit codes: 0 clean, 1 violations found, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -88,44 +82,14 @@ def run_explore(schemes: Sequence[str], nodes: Sequence[int],
     return total
 
 
-def run_trace(path: str) -> int:
-    """HB-analyze one JSONL serve trace; returns the violation count.
-
-    Raises :class:`OSError` for an unreadable path and
-    :class:`ValueError` for a file that is not a serve trace, including
-    one with no causal events: analyzing nothing must not pass.
-    """
-    from repro.analysis.hb import analyze_jsonl
-    report = analyze_jsonl(path)
-    if not report.n_events:
-        raise ValueError(f"{path}: no causal serve events; capture the "
-                         f"trace with `repro trace --runtime serve "
-                         f"--format jsonl`")
-    print(f"{path}: {report.n_events} causal events across "
-          f"{len(report.processes)} processes "
-          f"({', '.join(report.processes)}), "
-          f"{report.n_frames} matched frames")
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}")
-    print("happens-before analysis: "
-          + ("ok" if report.ok
-             else f"{len(report.violations)} violations"))
-    return len(report.violations)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description="concurrency verifier for the epoch serve "
-                    "runtime: small-scope interleaving model checking "
-                    "and happens-before trace analysis")
+                    "runtime: small-scope interleaving model checking")
     parser.add_argument("--explore", action="store_true",
                         help="exhaustively model-check epoch "
                              "interleavings at small scope")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="happens-before analysis of a JSONL "
-                             "serve trace (repro trace --runtime "
-                             "serve --format jsonl)")
     parser.add_argument("--schemes", default=None,
                         help="comma-separated schemes to explore "
                              "(default: all registered)")
@@ -143,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.explore and args.trace is None:
-        print("repro check: nothing to do — pass --explore and/or "
-              "--trace PATH", file=sys.stderr)
+    if not args.explore:
+        print("repro check: nothing to do — pass --explore",
+              file=sys.stderr)
         return 2
     schemes = (_parse_csv(args.schemes, "scheme") if args.schemes
                else sorted(available_schemes()))
@@ -166,16 +130,8 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    total = 0
-    if args.explore:
-        total += run_explore(schemes, nodes, args.epochs, args.budget)
-    if args.trace is not None:
-        try:
-            total += run_trace(args.trace)
-        except (OSError, ValueError) as exc:
-            print(f"repro check: {exc}", file=sys.stderr)
-            return 2
-    return 1 if total else 0
+    return 1 if run_explore(schemes, nodes, args.epochs,
+                            args.budget) else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,11 +27,10 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any
 
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, run_scheme
-from repro.core.workload import Workload, default_cache
+from repro.core.workload import Workload
 
 #: Salts used by default: 0 is the shipped ordering, the others
 #: scramble low/high seq bits in different patterns.
@@ -177,22 +176,3 @@ def check_determinism(config: RunConfig,
                 f"salt {salt:#x} (vs {salts[0]:#x}): {'; '.join(diff)}")
     assert baseline is not None
     return baseline
-
-
-def check_all_schemes(schemes: Sequence[str],
-                      salts: Sequence[int] = DEFAULT_SALTS,
-                      **config_kwargs: Any) -> dict[str, Fingerprint]:
-    """Determinism-check several schemes on one small config.
-
-    Shares the workload across schemes (same ``workload_key``).
-    Returns each scheme's fingerprint; raises on the first violation.
-    """
-    fingerprints: dict[str, Fingerprint] = {}
-    workload: Workload | None = None
-    for scheme in schemes:
-        config = RunConfig(scheme=scheme, **config_kwargs)
-        if workload is None:
-            workload = default_cache().get(config.workload_key())
-        fingerprints[scheme] = check_determinism(
-            config, salts=salts, workload=workload)
-    return fingerprints

@@ -51,7 +51,6 @@ from repro.analysis.determinism import TimedFingerprint
 from repro.core.runner import RunConfig, run_scheme
 from repro.core.workload import Workload
 from repro.errors import ServeError
-from repro.obs.tracer import RunTracer
 from repro.serve.coordinator import Coordinator
 from repro.serve.harness import _merge_results
 from repro.serve.merge import EpochMerge, MergeKey, slot_key
@@ -142,10 +141,9 @@ class ModelCoordinator(Coordinator):
     which :attr:`schedule` scripts.
     """
 
-    def __init__(self, config: RunConfig,
-                 tracer: RunTracer | None = None) -> None:
+    def __init__(self, config: RunConfig) -> None:
         workers: dict[str, WorkerRuntime] = {}
-        super().__init__(config, _InProcessTransport(workers), tracer)
+        super().__init__(config, _InProcessTransport(workers))
         for name in self.node_names:
             workers[name] = WorkerRuntime(name, self.worker_config,
                                           self.ctx.workload)
@@ -351,44 +349,38 @@ def synthetic_merge_violations() -> list[str]:
 
     Abstract (no scheme, no kernel) scenarios chosen so every key
     component is load-bearing; run across *all* queue arrival
-    permutations.  A correct merge yields zero violations; a merge
-    that compares keys without their phase trips the cross-node
-    phase-order scenario.  A batch is written ``("slot", i)`` or
-    ``("timer", seq, time, phase, rank)``.
+    permutations.  Each scenario states its canonical order by hand,
+    so a merge or a key function that drops or reorders a component
+    trips it.  A batch is written ``(node, "slot", i)`` or ``(node,
+    "timer", seq, time, phase, rank)``, listed in canonical order.
     """
     violations: list[str] = []
 
     def batch(ref: tuple[Any, ...]) -> dict[str, Any]:
-        if ref[0] == "slot":
-            return {"ref": ["slot", ref[1]], "ops": []}
-        return {"ref": ["timer", ref[1]], "k": list(ref[2:]), "ops": []}
+        if ref[1] == "slot":
+            return {"ref": ["slot", ref[2]], "ops": []}
+        return {"ref": ["timer", ref[2]], "k": list(ref[3:]), "ops": []}
 
     def run(name: str, slot_keys: dict[str, list[MergeKey]],
-            refs: dict[str, list[tuple[Any, ...]]]) -> None:
+            expect: list[tuple[Any, ...]]) -> None:
         nodes = sorted(slot_keys)
-        expect: list[MergeKey] | None = None
         for arrival in permutations(nodes):
             merge = EpochMerge(10.0, {n: i for i, n in
                                       enumerate(nodes)},
                                {n: list(slot_keys[n]) for n in nodes})
-            queues = {n: deque(batch(r) for r in refs[n])
+            queues = {n: deque(batch(r) for r in expect if r[0] == n)
                       for n in arrival}
-            applied: list[MergeKey] = []
+            applied: list[tuple[str, list[Any]]] = []
             while True:
                 popped = merge.pop_next(queues)
                 if popped is None:
                     break
-                applied.append(popped[2])
-            if applied != sorted(applied):
+                applied.append((popped[0], popped[1]["ref"]))
+            want = [(r[0], batch(r)["ref"]) for r in expect]
+            if applied != want:
                 violations.append(
-                    f"{name}: arrival {arrival} applied out of "
-                    f"canonical order: {applied}")
-            if expect is None:
-                expect = applied
-            elif applied != expect:
-                violations.append(
-                    f"{name}: arrival {arrival} applied a different "
-                    f"sequence than the first arrival order")
+                    f"{name}: arrival {arrival} applied {applied}, "
+                    f"canonical order is {want}")
 
     # Phase is load-bearing: same time, the phase-0 item on node 'b'
     # must beat the phase-1 item on node 'a' even though 'a' sorts
@@ -396,28 +388,29 @@ def synthetic_merge_violations() -> list[str]:
     run("cross-node phase order",
         {"a": [slot_key(1.0, 1, ("a",), 1)],
          "b": [slot_key(1.0, 0, ("b",), 0)]},
-        {"a": [("slot", 0)], "b": [("slot", 0)]})
+        [("b", "slot", 0), ("a", "slot", 0)])
     # Class is load-bearing: a timer at the same (time, phase, rank)
-    # as a shipped slot must lose the tie.
+    # as a shipped slot must lose the tie, even to a slot popped later
+    # than the timer's node order.
     run("slot beats same-key timer",
-        {"a": [slot_key(2.0, 1, (), 0)], "b": []},
-        {"a": [("slot", 0)], "b": [("timer", 7, 2.0, 1, [])]})
-    # Node order + the worker's own seq break timer/timer ties.
+        {"a": [], "b": [slot_key(2.0, 1, (), 5)]},
+        [("b", "slot", 0), ("a", "timer", 7, 2.0, 1, [])])
+    # Node order, then the worker's own seq, break timer/timer ties.
     run("timer tie-break",
         {"a": [slot_key(1.0, 0, (), 0)], "b": []},
-        {"a": [("slot", 0), ("timer", 5, 3.0, 1, []),
-               ("timer", 6, 3.0, 1, [])],
-         "b": [("timer", 1, 3.0, 1, [])]})
+        [("a", "slot", 0), ("a", "timer", 5, 3.0, 1, []),
+         ("a", "timer", 6, 3.0, 1, []), ("b", "timer", 1, 3.0, 1, [])])
     # Rank orders same-(time, phase) items across nodes.
     run("rank order",
         {"a": [slot_key(4.0, 1, ("x", "z"), 0)],
          "b": [slot_key(4.0, 1, ("x", "y"), 1)]},
-        {"a": [("slot", 0)], "b": [("slot", 0)]})
+        [("b", "slot", 0), ("a", "slot", 0)])
     # A timer batch at or past the horizon means a worker ran work the
     # epoch did not cover: a ServeError, not a silent merge.
     merge = EpochMerge(10.0, {"a": 0}, {"a": []})
     try:
-        merge.pop_next({"a": deque([batch(("timer", 3, 10.0, 1, []))])})
+        merge.pop_next({"a": deque([batch(("a", "timer", 3, 10.0, 1,
+                                           []))])})
     except ServeError:
         pass
     else:

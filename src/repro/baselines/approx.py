@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.baselines.central import CentralLocal, CentralRoot
 from repro.core.context import SchemeContext
 from repro.core.local import LocalBehaviorBase
 from repro.core.protocol import (LocalWindowReport, Message, RawEvents,

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "check",
         help="concurrency verifier: interleaving model checking "
-             "(--explore) and happens-before trace analysis (--trace)")
+             "(--explore)")
     return parser
 
 

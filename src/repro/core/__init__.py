@@ -15,8 +15,7 @@ from repro.core.runner import (RunConfig, SchemeSpec, available_schemes,
                                get_scheme, register_scheme, run_scheme)
 from repro.core.slicing import (async_layout, mon_local_sizes,
                                 sync_layout)
-from repro.core.verification import (async_global_check, async_node_ok,
-                                     sync_all_ok, sync_prediction_ok)
+from repro.core.verification import async_global_check, sync_prediction_ok
 from repro.core.workload import Workload, build_workload, \
     generate_workload
 
@@ -61,7 +60,5 @@ __all__ = [
     "async_layout",
     "mon_local_sizes",
     "sync_prediction_ok",
-    "sync_all_ok",
     "async_global_check",
-    "async_node_ok",
 ]

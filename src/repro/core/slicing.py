@@ -86,13 +86,6 @@ def async_layout(predicted: int, delta: int) -> AsyncLayout:
                        ebuffer_size=side)
 
 
-def sync_covers(layout: SyncLayout, predicted: int, delta: int) -> bool:
-    """Whether the sync layout spans every size the verification step can
-    accept (``[predicted - delta, predicted + delta)``, Eq. 5-6)."""
-    return (layout.slice_size <= max(0, predicted - delta)
-            and layout.total >= predicted + delta)
-
-
 def mon_local_sizes(rates: Sequence[float],
                     global_window: int) -> list[int]:
     """Section 4.1 split: local window sizes proportional to event rates.

@@ -13,16 +13,14 @@ earlier than the slice.  Deco_async verifies globally on the root
     l_global >= l_root,buffer + l_root,slice
     l_global <  l_root,buffer + l_root,slice + l-hat_root,buffer
 
-plus the per-node containment conditions that the global inequalities
-summarize (the root has the per-node actual sizes, Section 4.3.2).
+with the per-node containment conditions those inequalities summarize
+checked in :meth:`repro.core.deco_async.DecoAsyncRoot._verify_async`
+(the root has the per-node actual sizes, Section 4.3.2).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import NamedTuple
-
-from repro.core.slicing import AsyncLayout, SyncLayout
 
 
 def sync_prediction_ok(actual: int, predicted: int, delta: int) -> bool:
@@ -36,14 +34,6 @@ def sync_prediction_ok(actual: int, predicted: int, delta: int) -> bool:
     if delta == 0:
         return actual == predicted
     return predicted - delta <= actual < predicted + delta
-
-
-def sync_all_ok(actuals: Sequence[int], predicted: Sequence[int],
-                deltas: Sequence[int]) -> bool:
-    """Algorithm 3 line 4: every node's prediction must hold."""
-    return all(sync_prediction_ok(a, p, d)
-               for a, p, d in zip(actuals, predicted, deltas,
-                                  strict=True))
 
 
 class AsyncGlobalCheck(NamedTuple):
@@ -69,33 +59,3 @@ def async_global_check(global_window: int, root_slice: int,
                             prev_root_buffer=prev_root_buffer,
                             current_root_buffer=current_root_buffer,
                             ok=ok)
-
-
-def async_node_ok(actual_start: int, actual_end: int,
-                  speculative_start: int, layout: AsyncLayout,
-                  carried_from: int) -> bool:
-    """Per-node containment for one speculative async window.
-
-    The local node covered positions (in its own stream):
-
-    * ``[carried_from, speculative_start)`` — leftovers of earlier
-      Ebuffers already held in the root's previous root buffer,
-    * ``[speculative_start, speculative_start + fbuffer)`` — raw Fbuffer,
-    * slice — aggregated blindly, must lie fully inside the actual
-      window,
-    * Ebuffer — raw, must cover the actual window end.
-
-    Args:
-        actual_start / actual_end: The node's actual window span.
-        speculative_start: Where the local node believed the window
-            starts.
-        layout: The Fbuffer/slice/Ebuffer split it used.
-        carried_from: Start of raw coverage carried over at the root.
-    """
-    slice_start = speculative_start + layout.fbuffer_size
-    slice_end = slice_start + layout.slice_size
-    covered_end = speculative_start + layout.total
-    return (carried_from <= actual_start  # raw coverage reaches back
-            and actual_start <= slice_start  # slice starts inside window
-            and slice_end <= actual_end  # slice ends inside window
-            and actual_end <= covered_end)  # Ebuffer reaches the end

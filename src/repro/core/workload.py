@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import ConfigurationError, StreamError
 from repro.streams.batch import (ID_DTYPE, TS_DTYPE, VALUE_DTYPE,
                                  EventBatch)
-from repro.streams.event import TICKS_PER_SECOND, ticks_to_seconds
+from repro.streams.event import ticks_to_seconds
 from repro.streams.generator import RateChangeGenerator
 
 if TYPE_CHECKING:

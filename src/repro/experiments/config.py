@@ -10,7 +10,6 @@ scale, smaller values run the same code in milliseconds for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 #: Schemes in the paper's comparison order.
 END_TO_END_SCHEMES = ("central", "scotty", "disco", "deco_async")

@@ -54,7 +54,7 @@ def trigger_times(workload: Workload, batch_size: int) -> np.ndarray:
 #: Policies for windows a run never emitted (fault runs drop windows):
 #: ``"error"`` refuses to compute a distribution at all, ``"exclude"``
 #: measures survivors only (pair it with the dropped count from
-#: :func:`latency_summary`), ``"penalize"`` charges each dropped window
+#: :func:`dropped_windows`), ``"penalize"`` charges each dropped window
 #: the time from its completion trigger to the end of the run — a lower
 #: bound on its true latency that keeps tails honest.
 MISSING_POLICIES = ("error", "exclude", "penalize")
@@ -83,8 +83,8 @@ def window_latencies(result: RunResult, workload: Workload,
     run that silently lost windows would otherwise report a
     distribution over survivors only, biasing the percentiles low.
     Callers measuring fault runs must opt into ``"exclude"`` or
-    ``"penalize"`` explicitly (and should report the dropped count;
-    :func:`latency_summary` does both).
+    ``"penalize"`` explicitly (and should report the dropped count,
+    :func:`dropped_windows`).
     """
     if missing not in MISSING_POLICIES:
         raise ConfigurationError(
@@ -111,29 +111,6 @@ def window_latencies(result: RunResult, workload: Workload,
             f"no windows after skipping {skip_bootstrap} bootstrap "
             f"windows")
     return np.asarray([latencies[g] for g in sorted(latencies)])
-
-
-def latency_summary(result: RunResult, workload: Workload,
-                    batch_size: int, skip_bootstrap: int = 3,
-                    missing: str = "exclude") -> dict[str, float]:
-    """Latency stats that are explicit about dropped windows.
-
-    Returns mean/p50/p95/p99 (seconds) under the chosen
-    missing-window policy plus ``n_measured``/``n_dropped`` counts, so
-    a fault run can never present a survivors-only distribution as if
-    it were complete.
-    """
-    lat = window_latencies(result, workload, batch_size,
-                           skip_bootstrap, missing=missing)
-    dropped = dropped_windows(result, workload, skip_bootstrap)
-    return {
-        "mean_s": float(np.mean(lat)),
-        "p50_s": float(np.percentile(lat, 50)),
-        "p95_s": float(np.percentile(lat, 95)),
-        "p99_s": float(np.percentile(lat, 99)),
-        "n_measured": float(lat.size),
-        "n_dropped": float(len(dropped)),
-    }
 
 
 def percentile_latency(result: RunResult, workload: Workload,

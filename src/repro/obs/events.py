@@ -30,38 +30,13 @@ Kinds
     Protocol state transition (bootstrap handoff, verification failure,
     correction start/finish, Deco_async epoch rollback).
 
-Causal (serve) kinds
---------------------
+Serve kinds
+-----------
 
-The serve runtime additionally records *causal* events when tracing,
-for the happens-before analyzer (``repro check --trace``).  Every
-causal event carries ``seq`` — the recording process's own program
-order, monotonically increasing per process.  A merged serve trace is
-re-sorted by virtual time, which collapses concurrency, so ``seq`` (not
-``time``) is what carries intra-process order; cross-process order
-comes only from frame identity.
-
-``frame_send`` / ``frame_recv``
-    One control frame crossing the coordinator↔worker boundary.
-    ``data``: ``seq``, ``fseq`` (the sender's frame number — the causal
-    edge id), ``fkind`` (framing kind), and ``dst`` (send) / ``edge``
-    (recv: the sending process's name).  A recv with frame id
-    ``(edge, fseq)`` happens-after the matching send.
-``timer_sched`` / ``timer_fire``
-    A worker scheduling / firing one of its own timers.  ``data``:
-    ``seq``, ``token``, plus ``at`` on the schedule.
-``op_emit``
-    A worker finishing one executed item (slot or epoch-local timer)
-    and emitting its op batch.  ``data``: ``seq``, ``ref``
-    (``"slot:3"`` / ``"timer:7"``, or ``"rpc"`` for a control
-    dispatch), ``epoch`` (coordinator round ordinal, ``-1`` for a
-    control dispatch), ``windows``
-    (comma-joined window indices emitted by the item, often empty).
 ``op_apply``
-    The coordinator applying one merged op batch onto the kernel.
-    ``data``: ``seq``, ``src`` (worker), ``ref``/``epoch`` matching the
-    worker's ``op_emit``, the canonical merge key split into scalars
-    (``kt``/``kp``/``kr``/``kc``/``kb``), and ``windows``.
+    The serve coordinator applying one merged op batch onto the
+    kernel, recorded under :data:`COORD_PROCESS`.  ``data``: ``src``
+    (the worker whose batch it is).
 """
 
 from __future__ import annotations
@@ -78,19 +53,9 @@ CPU = "cpu"
 QUEUE = "queue"
 WINDOW = "window"
 STATE = "state"
-FRAME_SEND = "frame_send"
-FRAME_RECV = "frame_recv"
-TIMER_SCHED = "timer_sched"
-TIMER_FIRE = "timer_fire"
-OP_EMIT = "op_emit"
 OP_APPLY = "op_apply"
 
-#: The set of kinds carrying causal ``seq``/frame-id fields.
-CAUSAL_KINDS = frozenset((FRAME_SEND, FRAME_RECV, TIMER_SCHED,
-                          TIMER_FIRE, OP_EMIT, OP_APPLY))
-
-#: Process name the coordinator records causal events under (workers
-#: record under their node name).
+#: The node name the serve coordinator records its events under.
 COORD_PROCESS = "coordinator"
 
 

@@ -25,7 +25,7 @@ from repro.core.runner import RunConfig, SchemeSpec, make_context
 from repro.core.workload import Workload
 from repro.errors import SimulationError
 from repro.obs.tracer import RunTracer
-from repro.runtime.api import ROOT_NAME, local_name
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import NodeProfile
 from repro.sim.topology import StarTopology, build_star, peer_mesh

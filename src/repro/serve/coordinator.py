@@ -49,8 +49,7 @@ from repro.core.context import SchemeContext
 from repro.core.records import WindowOutcome
 from repro.core.runner import RunConfig, make_context
 from repro.errors import ConfigurationError, ServeError, StreamError
-from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
-                              OP_APPLY)
+from repro.obs.events import COORD_PROCESS, OP_APPLY
 from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME, local_name
 from repro.runtime.driver import (resolved_profiles, simulation_cap_s,
@@ -229,12 +228,6 @@ class Coordinator:
         self.finals: dict[str, dict[str, Any]] = {}
         self.wall_seconds = 0.0
         self._wall_start = 0.0
-        # Causal instrumentation (active only when tracing): the
-        # coordinator's own program order, its outgoing frame
-        # numbering, and the current epoch round ordinal.
-        self._causal_seq = 0
-        self._frame_seq = 0
-        self._epoch_idx = -1
 
     # -- control RPC -------------------------------------------------------
 
@@ -251,31 +244,17 @@ class Coordinator:
             slot_key(at, phase, rank, self._slot_pos))
         self._slot_pos += 1
 
-    def _causal(self, kind: str, **data: Any) -> None:
-        """Record one coordinator causal event (see repro.obs.events):
-        own program order via ``seq``, frame edges via ``fseq``."""
-        if self.tracer is None:
-            return
-        self._causal_seq += 1
-        self.tracer.event(kind, self.topo.sim.now, COORD_PROCESS,
-                          seq=self._causal_seq, **data)
-
     #: A transport fault: EOF or reset (the process died) or the reply
     #: deadline (it is alive but silent; ``exc`` reads "timed out").
     _LOST = "node {!r} process died or hung mid-run: {}"
 
     def _send(self, name: str, kind: int, header: dict[str, Any],
               blob: bytes | bytearray = b"") -> None:
-        """Write one request frame to ``name`` (``header`` is the
-        caller's to give away: a traced run tags it)."""
-        # FINISH/FINAL sit outside the causal model: FINAL *carries*
-        # the worker's trace.
+        """Write one request frame to ``name``."""
+        # FINISH and its FINAL are not counted: FINAL *carries* the
+        # worker's trace.
         if self.tracer is not None and kind != framing.FINISH:
             self.tracer.inc("serve_frames_sent", name)
-            self._frame_seq += 1
-            header["f"] = self._frame_seq
-            self._causal(FRAME_SEND, fseq=self._frame_seq, dst=name,
-                         fkind=kind)
         try:
             self.transport.send(name, kind, header, blob)
         except (ServeError, OSError) as exc:
@@ -299,11 +278,8 @@ class Coordinator:
         if "n" in reply:
             due = reply["n"]
             self._next_timer[name] = math.inf if due is None else due
-        # A traced worker tags every op reply (never its FINAL).
-        if self.tracer is not None and "f" in reply:
+        if self.tracer is not None and kind != framing.FINAL:
             self.tracer.inc("serve_frames_recv", name)
-            self._causal(FRAME_RECV, fseq=reply["f"], edge=name,
-                         fkind=kind)
         return reply, blob
 
     def _rpc(self, name: str, kind: int,
@@ -417,15 +393,13 @@ class Coordinator:
                 delay = self._wall_start + t0 - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            self._epoch_idx += 1
             horizon = min(self._pick_horizon(t0), end)
             self._collect_epoch(horizon)
             names = [n for n in self.node_names
                      if self._slots[n] or self._next_timer[n] < horizon]
             for name in names:
                 self._send(name, framing.EPOCH,
-                           {"h": horizon, "slots": self._slots[name],
-                            "e": self._epoch_idx},
+                           {"h": horizon, "slots": self._slots[name]},
                            self._blobs[name])
             replies: dict[str, tuple[list[dict[str, Any]], bytes]] = {}
             for name in self._reply_order(names):
@@ -496,16 +470,8 @@ class Coordinator:
                 self.applied_log.append((best, best_key))
             sim._now = best_key[0]
             if self.tracer is not None:
-                ref = batch["ref"]
-                self._causal(
-                    OP_APPLY, src=best, ref=f"{ref[0]}:{ref[1]}",
-                    epoch=self._epoch_idx,
-                    kt=best_key[0], kp=best_key[1],
-                    kr=",".join(best_key[2]), kc=best_key[3],
-                    kb=",".join(str(x) for x in best_key[4]),
-                    windows=",".join(
-                        str(op[1]["index"]) for op in batch["ops"]
-                        if op[0] == OP_OUTCOME))
+                self.tracer.event(OP_APPLY, best_key[0], COORD_PROCESS,
+                                  src=best)
             self._apply_ops(best, batch["ops"], blobs[best])
             if self._stop:
                 self.stop_key = best_key

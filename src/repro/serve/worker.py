@@ -27,14 +27,11 @@ import bisect
 import heapq
 import math
 import socket
-from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.runner import RunConfig, make_context
 from repro.core.workload import Workload
 from repro.errors import ServeError, SimulationError
-from repro.obs.events import (COORD_PROCESS, FRAME_RECV, FRAME_SEND,
-                              OP_EMIT, TIMER_FIRE, TIMER_SCHED)
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.api import (PHASE_PROTOCOL, ROOT_NAME, TimerHandle,
                                local_index, local_name)
@@ -184,21 +181,6 @@ class WorkerRuntime:
             # ``append`` is all a behaviour calls on ``ctx.engine``.
             self.engine = ctx.engine
             ctx.engine = cast("MultiQueryEngine", self)
-        # Causal instrumentation (active only when tracing): own
-        # program order, outgoing frame numbering, and the epoch round
-        # ordinal the coordinator stamps on each EPOCH frame.
-        self._causal_seq = 0
-        self._frame_seq = 0
-        self._epoch_idx = -1
-
-    def _causal(self, kind: str, **data: Any) -> None:
-        """Record one causal event (see :mod:`repro.obs.events`):
-        ``seq`` carries this process's program order."""
-        if not self.tracer.enabled:
-            return
-        self._causal_seq += 1
-        self.tracer.event(kind, self.now, self.node_name,
-                          seq=self._causal_seq, **data)
 
     # -- timers and ops (called from ServeNode) ----------------------------
 
@@ -208,8 +190,6 @@ class WorkerRuntime:
         self._next_seq += 1
         handle = _ServeTimer(callback)
         heapq.heappush(self._heap, (time, phase, rank, seq, handle))
-        if self.tracer.enabled:
-            self._causal(TIMER_SCHED, token=seq, at=time)
         return handle
 
     def _head(self) -> _Entry | None:
@@ -282,9 +262,6 @@ class WorkerRuntime:
         self.ops = []
         self.opblob = bytearray()
         self.now = header.get("now", self.now)
-        if self.tracer.enabled and "f" in header:
-            self._causal(FRAME_RECV, fseq=header["f"],
-                         edge=COORD_PROCESS, fkind=kind)
         before = len(self.ctx.result.outcomes)
         if kind == framing.START:
             self.node.start()
@@ -299,26 +276,19 @@ class WorkerRuntime:
                           sources=self.config.sources_per_node)
         else:
             raise ServeError(f"unexpected control frame kind {kind}")
-        self._emit_outcomes(before, ("rpc",), -1)
+        self._emit_outcomes(before)
         self._open_frame()
         return self.ops, bytes(self.opblob)
 
-    def _emit_outcomes(self, before: int, ref: Sequence[Any],
-                       epoch: int) -> None:
+    def _emit_outcomes(self, before: int) -> None:
         """Close one executed item: its window emissions become ops.
 
         Detected by result delta: behaviours append outcomes to the
         shared result record exactly as on the simulator, so no scheme
-        code needs serve-specific hooks.  Only an item that ships a
-        batch is recorded as emitted.
+        code needs serve-specific hooks.
         """
-        emitted = self.ctx.result.outcomes[before:]
-        for outcome in emitted:
+        for outcome in self.ctx.result.outcomes[before:]:
             self.ops.append([OP_OUTCOME, outcome_to_json(outcome)])
-        if self.tracer.enabled and self.ops:
-            self._causal(OP_EMIT, ref=":".join(map(str, ref)),
-                         epoch=epoch, windows=",".join(
-                             str(o.index) for o in emitted))
 
     # -- epoch dispatch ----------------------------------------------------
 
@@ -347,10 +317,6 @@ class WorkerRuntime:
             raise ServeError(
                 f"delivery at {slots[-1][0]} shipped past the epoch "
                 f"horizon {horizon}")
-        self._epoch_idx = header.get("e", -1)
-        if self.tracer.enabled and "f" in header:
-            self._causal(FRAME_RECV, fseq=header["f"],
-                         edge=COORD_PROCESS, fkind=framing.EPOCH)
         self.stop_requested = False
         self.opblob = bytearray()
         result = self.ctx.result
@@ -386,10 +352,8 @@ class WorkerRuntime:
                 # Consumed, as the kernel marks an executing event: a
                 # late cancel() is a no-op.
                 handle.cancelled = True
-                if self.tracer.enabled:
-                    self._causal(TIMER_FIRE, token=seq)
                 handle.callback()
-            self._emit_outcomes(before, ref, self._epoch_idx)
+            self._emit_outcomes(before)
             self._item_keys.append(key)
             self._item_counters.append(self._counters())
             if self.ops:
@@ -419,11 +383,6 @@ class WorkerRuntime:
             rkind = framing.OPS
             reply = {"ops": ops}
         reply["n"] = self.next_timer()
-        if self.tracer.enabled:
-            self._frame_seq += 1
-            reply["f"] = self._frame_seq
-            self._causal(FRAME_SEND, fseq=self._frame_seq,
-                         dst=COORD_PROCESS, fkind=rkind)
         return rkind, reply, rblob
 
     def final_payload(self, stop: MergeKey | None) -> dict[str, Any]:

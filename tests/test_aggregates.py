@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from repro.aggregates import (AggregateFunction, Average, Count,
                               Decomposability, GrayKind, Max, Median, Min,
                               Quantile, StdDev, Sum, Variance,
-                              available_aggregates, get_aggregate,
-                              register)
+                              available_aggregates, get_aggregate)
 from repro.aggregates.base import equal_width_rows
 from repro.errors import AggregationError
 from repro.streams.batch import EventBatch
@@ -123,15 +122,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(AggregationError, match="unknown aggregate"):
             get_aggregate("frobnicate")
-
-    def test_register_and_conflict(self):
-        class First(Sum):
-            name = "first"
-
-        register("first_testonly", First)
-        assert isinstance(get_aggregate("first_testonly"), First)
-        with pytest.raises(AggregationError):
-            register("first_testonly", First)
 
 
 values_lists = st.lists(

@@ -21,31 +21,13 @@ from repro.analysis.explore import (ModelCoordinator, _Schedule,
                                     synthetic_merge_violations)
 from repro.analysis.determinism import TimedFingerprint
 from repro.core.runner import run_scheme
-from repro.serve.merge import EpochMerge
-from tests.mutants import drop_phase_pop_next, phase_inversion_trace
-
-
-def _written(tmp_path, text):
-    path = tmp_path / "trace.jsonl"
-    path.write_text(text)
-    return path
-
-
-def _simulator_trace(tmp_path):
-    """A ``repro trace`` JSONL capture without ``--runtime serve``."""
-    from repro.api import run
-    from repro.obs.exporters import write_jsonl
-    summary = run("deco_sync", n_nodes=2, window_size=400, n_windows=3,
-                  rate_per_node=20_000.0, seed=7, trace=True)
-    path = tmp_path / "sim.jsonl"
-    write_jsonl(path, summary.trace)
-    return path
+from tests.mutants import BY_NAME, install, phase_inversion_log
 
 
 @pytest.fixture
 def drop_phase(monkeypatch):
     """Install the drop-phase merge mutant for one test."""
-    monkeypatch.setattr(EpochMerge, "pop_next", drop_phase_pop_next)
+    install(BY_NAME["drop-phase"], monkeypatch)
 
 
 class TestSyntheticScenarios:
@@ -143,10 +125,9 @@ class TestExplore:
         # Every cross-node batch of a real run is a PHASE_PROTOCOL
         # timer, so the bug cannot move a real run; an epoch where the
         # phase decides must show it through the production merge.
-        from repro.analysis.hb import analyze_events
         config = small_config("deco_sync", 2)
-        report = analyze_events(phase_inversion_trace(config).events)
-        assert [v.kind for v in report.violations] == ["merge-order"]
+        assert check_applied_order(phase_inversion_log(config)) \
+            is not None
         violations, _ = explore_config(config, epochs=2, budget=60)
         assert violations == []
 
@@ -166,7 +147,7 @@ class TestCli:
                 "--epochs", "2", "--budget", "40"]
         assert main(argv) == 0
         assert "VIOLATION" not in capsys.readouterr().out
-        monkeypatch.setattr(EpochMerge, "pop_next", drop_phase_pop_next)
+        install(BY_NAME["drop-phase"], monkeypatch)
         assert main(argv) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
@@ -178,30 +159,3 @@ class TestCli:
 
     def test_bad_nodes_is_usage_error(self, capsys):
         assert main(["--explore", "--nodes", "two"]) == 2
-
-    def test_trace_mode(self, tmp_path, capsys):
-        from tests.test_analysis_hb import model_trace
-        from repro.obs.exporters import write_jsonl
-        path = tmp_path / "run.jsonl"
-        write_jsonl(path, model_trace(small_config("deco_sync", 2)))
-        assert main(["--trace", str(path)]) == 0
-        assert "happens-before analysis: ok" in \
-            capsys.readouterr().out
-
-    @pytest.mark.parametrize("make", [
-        lambda tmp: tmp / "missing.jsonl",
-        lambda tmp: tmp,
-        lambda tmp: _written(tmp, "not json\n"),
-        lambda tmp: _written(tmp, "[1, 2]\n"),
-        lambda tmp: _written(tmp, "{}\n"),
-        lambda tmp: _written(tmp, ""),
-        _simulator_trace,
-    ], ids=["missing", "directory", "not-json", "not-an-object",
-            "not-an-event", "empty", "simulator-trace"])
-    def test_trace_mode_rejects_what_it_cannot_analyze(self, tmp_path,
-                                                       capsys, make):
-        assert main(["--trace", str(make(tmp_path))]) == 2
-        captured = capsys.readouterr()
-        assert "happens-before analysis" not in captured.out
-        assert captured.err.startswith("repro check: ")
-        assert captured.err.count("\n") == 1

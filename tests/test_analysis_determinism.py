@@ -15,10 +15,7 @@ import pytest
 
 import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
-from repro.analysis.determinism import (DEFAULT_SALTS,
-                                        DeterminismViolation,
-                                        Fingerprint, TimedFingerprint,
-                                        check_all_schemes,
+from repro.analysis.determinism import (Fingerprint, TimedFingerprint,
                                         check_determinism)
 from repro.core.records import RunResult, WindowOutcome
 from repro.core.runner import RunConfig, run_scheme
@@ -137,14 +134,6 @@ class TestHarness:
     def test_monlocal_is_salt_invariant(self):
         check_determinism(small_config("deco_monlocal"),
                           workload=small_workload())
-
-    def test_all_schemes_share_workload(self):
-        fps = check_all_schemes(("central", "deco_sync"),
-                                salts=DEFAULT_SALTS[:2], **SMALL)
-        assert set(fps) == {"central", "deco_sync"}
-        # Both consumed the same events, so exact schemes agree.
-        assert (fps["central"].windows[0][1]
-                == fps["deco_sync"].windows[0][1])
 
     def test_paced_mode_is_salt_invariant(self):
         check_determinism(small_config("deco_async", saturated=False),

@@ -9,7 +9,7 @@ from repro.core.query import Query, parse_query_spec, tumbling_count_query
 from repro.core.workload import build_workload, generate_workload
 from repro.errors import ConfigurationError, WindowError
 from repro.streams.batch import EventBatch
-from repro.windows.base import SlidingCountWindow, TumblingCountWindow
+from repro.windows.base import SlidingCountWindow
 
 
 def make_batch(n, start_id=0):

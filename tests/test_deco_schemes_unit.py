@@ -3,7 +3,7 @@
 import pytest
 
 import repro.baselines  # noqa: F401 -- registers baseline schemes
-from repro.aggregates import Sum, get_aggregate
+from repro.aggregates import Sum
 from repro.analysis.determinism import TimedFingerprint
 from repro.core import RunConfig, run_scheme
 from repro.core.deco_async import (MAX_SPECULATION_AHEAD, SYNC_WINDOW,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import repro.baselines  # noqa: F401
 from repro.aggregates import Sum, get_aggregate
 from repro.core import RunConfig, run_scheme
-from repro.core.workload import build_workload, generate_workload
+from repro.core.workload import build_workload
 from repro.metrics import correctness, results_match
 from repro.streams.batch import EventBatch
 

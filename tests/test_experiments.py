@@ -4,8 +4,6 @@ The full-shape assertions live in benchmarks/; these tests keep every
 figure's code path exercised by the unit suite, quickly.
 """
 
-import pytest
-
 from repro.experiments import fig7, fig8, fig9, fig10, fig11, micro
 from repro.experiments.config import (ADAPTIVITY_SCHEMES,
                                       END_TO_END_SCHEMES, scaled)

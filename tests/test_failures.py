@@ -5,12 +5,11 @@ import pytest
 
 import repro.baselines  # noqa: F401
 from repro.aggregates import Sum
-from repro.core import RunConfig, run_scheme
+from repro.core import RunConfig
 from repro.errors import SimulationError
 from repro.metrics import results_match
 from repro.runtime import ROOT_NAME, local_name
-from repro.runtime.driver import (build_run, inject_sources,
-                                  run_simulation)
+from repro.runtime.driver import build_run, run_simulation
 from repro.sim import (MessageFaultInjector, crash_node_at,
                        recover_node_at)
 

@@ -1,12 +1,10 @@
 """Paper footnote 2: non-decomposable aggregates fall back to
 centralized aggregation, transparently, for every Deco scheme."""
 
-import math
-
 import pytest
 
 import repro.baselines  # noqa: F401
-from repro.aggregates import Median, Quantile, get_aggregate
+from repro.aggregates import get_aggregate
 from repro.core import RunConfig, run_scheme
 from repro.baselines.central import CentralLocal, CentralRoot
 from repro.metrics import results_match

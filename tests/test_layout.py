@@ -542,7 +542,8 @@ def _round_trip_calls(ctx: FileContext) -> Iterator[Hit]:
 
 
 TIMING_SCRIPTS = tuple(f"benchmarks/{name}.py" for name in (
-    "bench_lift_index", "bench_queries", "bench_sweep_speedup",
+    "bench_lift_index", "bench_oracle_mutants", "bench_queries",
+    "bench_sweep_speedup",
     "bench_wire_codec", "bench_workload_mmap", "trace_overhead_smoke",
     "e2e/e2ebench/measure", "e2e/e2ebench/probes", "e2e/e2ebench/spans",
     "e2e/e2ebench/workloads/multiquery_fanout",
@@ -622,8 +623,7 @@ ROWS = (
         "and breaks serial/parallel bit-identity; only registries "
         "written at import time are exempt",
         ("src/repro/obs/x.py", "def f(x=[]):\n    return x\n"),
-        exempt=("src/repro/aggregates/registry.py::_FACTORIES",
-                "src/repro/core/runner.py::_SCHEMES",
+        exempt=("src/repro/core/runner.py::_SCHEMES",
                 "src/repro/sweep.py::_WORKER_WORKLOADS",
                 "src/repro/wire/format.py::_NAMED_TAGS",
                 "src/repro/wire/format.py::_NAMED_TYPES")),

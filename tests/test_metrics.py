@@ -1,7 +1,5 @@
 """Tests for the metrics layer."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -216,18 +214,6 @@ class TestLatency:
         from repro.metrics import dropped_windows
         result, _ = self._faulty_result()
         assert dropped_windows(result, self.workload) == [4]
-
-    def test_latency_summary_reports_dropped_count(self):
-        from repro.metrics import latency_summary
-        result, _ = self._faulty_result()
-        summary = latency_summary(result, self.workload, 64)
-        assert summary["n_dropped"] == 1
-        assert summary["n_measured"] == 2
-        assert summary["mean_s"] == pytest.approx(0.01)
-        penalized = latency_summary(result, self.workload, 64,
-                                    missing="penalize")
-        assert penalized["n_measured"] == 3
-        assert penalized["p99_s"] > summary["p99_s"]
 
 
 class TestNetworkMetrics:

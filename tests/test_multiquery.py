@@ -21,12 +21,10 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.determinism import (TimedFingerprint,
                                         check_determinism)
-from repro.analysis.fsm import assert_fsm_conformance
 from repro.core.multiquery import MultiQueryEngine
 from repro.core.query import Query, parse_query_spec
 from repro.core.runner import RunConfig, run_scheme
 from repro.errors import ConfigurationError
-from repro.obs.tracer import RunTracer
 from repro.runtime.api import local_name
 from repro.runtime.driver import build_run, run_simulation
 from repro.streams.batch import EventBatch
@@ -371,17 +369,21 @@ class TestSchemeFingerprints:
             RunConfig(scheme="deco_async", queries=QUERIES, **TINY))
         assert fp.queries
 
-    def test_fsm_conformance_with_queries(self):
-        """The protocol FSM is untouched by standing queries."""
-        tracer = RunTracer()
-        run_scheme(RunConfig(scheme="deco_sync", queries=QUERIES,
-                             trace=True, **TINY), tracer=tracer)
-        assert_fsm_conformance("deco_sync", tracer)
+
+#: Central with one local's feed running past the stop: its first
+#: item after the stop appends events a stop cut off by one item would
+#: feed the engine.
+STOP_CUT = dict(n_nodes=2, window_size=400, n_windows=4,
+                rate_per_node=20_000.0, rate_change=0.2, seed=3)
 
 
 class TestServeParity:
-    @pytest.mark.parametrize("scheme", ("deco_sync", "central"))
-    def test_serve_accounts_match_simulator(self, scheme):
+    @pytest.mark.parametrize("scheme,queries,shape", [
+        ("deco_sync", ("sum:500", "avg:300:100"), TINY),
+        ("central", ("sum:500", "avg:300:100"), TINY),
+        ("central", ("sum:97",), STOP_CUT),
+    ], ids=["deco_sync", "central", "central-stop-cut"])
+    def test_serve_accounts_match_simulator(self, scheme, queries, shape):
         """Worker-side query accounts merged from FINAL payloads are
         bit-identical to the simulator oracle's — also for a scheme
         (central) whose locals keep ingesting in the epoch the root
@@ -389,9 +391,7 @@ class TestServeParity:
         whole run matches too, emission and busy times included."""
         from repro.serve.harness import (run_scheme_served,
                                          verify_against_simulator)
-        config = RunConfig(scheme=scheme, queries=("sum:500",
-                                                   "avg:300:100"),
-                           **TINY)
+        config = RunConfig(scheme=scheme, queries=queries, **shape)
         sim_result, _ = run_scheme(config)
         report = run_scheme_served(config)
         assert report.result.queries == sim_result.queries

@@ -17,15 +17,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
 
 #: Public names kept without an outside caller, each for a stated reason.
-ALLOWED = {
-    "check_all_schemes": "verifier entry point, run from tests and by hand",
-    "assert_fsm_conformance": "verifier entry point, run from tests",
-    "sync_all_ok": "Deco_sync's verification predicate (Section 4.3.1)",
-    "async_node_ok": "Deco_async's verification predicate (Section 4.3.2)",
-    "sync_covers": "the slicing coverage predicate of Section 4.3.1",
-    "register": "user extension point for custom aggregation functions",
-    "latency_summary": "latency stats that count dropped windows",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _bound(stmt: ast.stmt) -> set[str]:
@@ -85,16 +77,10 @@ def orphans() -> dict[str, list[str]]:
 def test_every_public_name_has_a_caller_outside_tests():
     found = orphans()
     assert not found, (
-        "public names used only by tests (delete them, or add them to "
-        "ALLOWED with a reason):\n"
+        "public names used only by tests (delete them):\n"
         + "\n".join(f"  {mod}: {', '.join(names)}"
                     for mod, names in sorted(found.items())))
 
 
 def test_allowlist_stays_small_and_live():
-    assert len(ALLOWED) <= 10
-    defined: set[str] = set()
-    for path in SRC.rglob("*.py"):
-        for stmt in _parse(path).body:
-            defined |= _bound(stmt)
-    assert ALLOWED.keys() <= defined, ALLOWED.keys() - defined
+    assert not ALLOWED, "a public name without a caller is deleted"

@@ -19,7 +19,6 @@ import repro.core.workload as wl
 from repro.analysis.determinism import TimedFingerprint
 from repro.api import run
 from repro.core.runner import RunConfig, run_scheme
-from repro.core.workload import default_cache
 from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        MSG_SEND, QUEUE, STATE, WINDOW, NullTracer,
                        RunTracer, event_to_dict, resolve_tracer,

@@ -125,7 +125,6 @@ class TestStallDiagnostics:
     def test_stalled_scheme_raises(self):
         """A scheme that cannot finish reports a diagnostic error
         rather than silently returning fewer windows."""
-        from repro.core.context import SchemeContext
         from repro.errors import SimulationError
 
         class DeadRoot:

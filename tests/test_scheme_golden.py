@@ -50,14 +50,25 @@ def stepped_stream(node, segments):
     return EventBatch(i, values, ts)
 
 
-def golden_workload():
+#: Added to every value of the wide workload: each node's window sum
+#: stays below 2**53, so every lift is exact whatever order numpy sums
+#: in, while a window's total passes it, so the order the root combines
+#: per-node partials in shows in the result bits.
+WIDE_OFFSET = 5e12
+
+
+def golden_workload(offset=0.0):
     """Three nodes, two rate steps each, large enough (2.5x and more)
     that both predicting schemes mispredict."""
-    return build_workload([
+    streams = [
         stepped_stream(0, [(6_000, 100), (7_000, 40), (9_000, 250)]),
         stepped_stream(1, [(9_000, 100), (4_000, 300), (12_000, 60)]),
         stepped_stream(2, [(22_000, 100)]),
-    ], WINDOW_SIZE, N_WINDOWS)
+    ]
+    if offset:
+        streams = [EventBatch(b.ids, b.values + offset, b.ts)
+                   for b in streams]
+    return build_workload(streams, WINDOW_SIZE, N_WINDOWS)
 
 
 def golden_config(scheme, saturated, **overrides):
@@ -109,6 +120,21 @@ GOLDEN_SYNC_DROPS = (
     "8f7b153ac3df834f8be5c7364f25ba3eeb86ddae443d5ca0ba2e20df6c83028b")
 
 
+#: The predicting schemes on ``golden_workload(WIDE_OFFSET)``: pins the
+#: node order in which the root combines reports, which integer sums
+#: below 2**53 cannot see.
+GOLDEN_WIDE = {
+    ("deco_sync", "saturated"):
+        "21326c7576da76ec9af9bdd949805ee508f4cd66f71984457ff4e88017444c85",
+    ("deco_sync", "paced"):
+        "6de9b963ce51ff88e1eb416d382f2b2a611d8bca075121427da17d20bb236935",
+    ("deco_async", "saturated"):
+        "fa66f09e470c25976d8092388c839c1d241bf3877053be453c94769eb39ddf39",
+    ("deco_async", "paced"):
+        "7921eb82a3a85c2cc1f9b9e0d10d08741f638f6fa3df5412d6fa17998d402624",
+}
+
+
 #: SHA-256 over a traced run's whole event stream (see
 #: :func:`trace_digest`), taken before the simulator's wire round trip
 #: moved from send time to handle time.  Pins what the fingerprints do
@@ -155,17 +181,23 @@ def test_golden_digest(workload, scheme, load):
             == GOLDEN[scheme, load])
 
 
-def test_sync_retransmit_path_digest(workload):
-    """Section 4.3.4 under a seeded drop schedule: the timeout,
-    duplicate-assignment and rebroadcast paths are pinned too."""
+def sync_drops_run(workload):
+    """Deco_sync, saturated, with every root<->local message dropped
+    at probability 0.2 (seed 5); returns (result, injector)."""
     config = golden_config("deco_sync", True, retransmit_timeout_s=0.02)
     topo, ctx = build_run(config, workload)
     pairs = {(ROOT_NAME, local_name(a)) for a in range(N_NODES)}
     pairs |= {(local_name(a), ROOT_NAME) for a in range(N_NODES)}
     injector = MessageFaultInjector(topo, drop_probability=0.2,
                                     pairs=pairs, seed=5)
-    result = run_simulation(topo, ctx, config.resolved_batch_size(),
-                            config.saturated)
+    return run_simulation(topo, ctx, config.resolved_batch_size(),
+                          config.saturated), injector
+
+
+def test_sync_retransmit_path_digest(workload):
+    """Section 4.3.4 under a seeded drop schedule: the timeout,
+    duplicate-assignment and rebroadcast paths are pinned too."""
+    result, injector = sync_drops_run(workload)
     assert result.n_windows == N_WINDOWS
     assert injector.stats.dropped > 0
     assert result.retransmissions > 0
@@ -184,6 +216,22 @@ def test_async_does_not_inherit_sync_timers(workload, load):
     assert result.retransmissions == 0
     assert (TimedFingerprint.of(result).hexdigest()
             == GOLDEN["deco_async", load])
+
+
+def test_wide_workload_lifts_are_exact():
+    wide = golden_workload(WIDE_OFFSET)
+    per_node = np.diff(wide.bounds, axis=0)
+    top = max(float(np.max(s.values)) for s in wide.streams)
+    assert int(per_node.max()) * top < 2**53
+    assert WINDOW_SIZE * WIDE_OFFSET > 2**53
+
+
+@pytest.mark.parametrize("scheme,load", sorted(GOLDEN_WIDE))
+def test_golden_wide_digest(scheme, load):
+    result, _ = run_scheme(golden_config(scheme, load == "saturated"),
+                           golden_workload(WIDE_OFFSET))
+    assert (TimedFingerprint.of(result).hexdigest()
+            == GOLDEN_WIDE[scheme, load])
 
 
 @pytest.mark.parametrize("scheme,load", sorted(GOLDEN_TRACE))

@@ -239,8 +239,7 @@ class TestServeTracing:
     @pytest.mark.parametrize("scheme", ["deco_sync", "central"])
     def test_msg_sends_equal_the_simulators(self, scheme):
         """The fabric routes unopened frames, yet traces every send as
-        the simulator does: what ``repro check --trace`` and the scheme
-        FSMs replay."""
+        the simulator does."""
         def sends(tracer):
             return [(e.time, e.node, e.data["dst"], e.data["msg"],
                      e.data["window"], e.data["size"])
