@@ -34,8 +34,8 @@ def sweep_floor(scale):
                       rate_per_node=10_000, rate_change=0.002,
                       epoch_seconds=1.0, delta_m=4, min_delta=floor,
                       seed=9)
-        rows.append([floor, summary.correction_steps,
-                     f"{summary.total_bytes:,}"])
+        rows.append([floor, summary.result.correction_steps,
+                     f"{summary.result.total_bytes:,}"])
     return rows
 
 
@@ -49,8 +49,8 @@ def sweep_placement(scale):
                       rate_per_node=50_000, rate_change=0.05,
                       epoch_seconds=0.05, delta_m=4, min_delta=4,
                       seed=9)
-        rows.append([label, summary.correction_steps,
-                     f"{summary.total_bytes:,}"])
+        rows.append([label, summary.result.correction_steps,
+                     f"{summary.result.total_bytes:,}"])
     return rows
 
 

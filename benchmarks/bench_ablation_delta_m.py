@@ -24,8 +24,8 @@ def sweep(scale):
                       rate_per_node=50_000, rate_change=0.2,
                       epoch_seconds=0.05, delta_m=m, min_delta=2,
                       seed=9)
-        rows.append([m, summary.correction_steps,
-                     f"{summary.total_bytes:,}",
+        rows.append([m, summary.result.correction_steps,
+                     f"{summary.result.total_bytes:,}",
                      f"{summary.throughput:,.0f}"])
     return rows
 

@@ -33,7 +33,8 @@ def e2e_rows(scale):
                       mode="latency", seed=3)
     events = n_windows * window
     return [[f"{name} ({'string' if name == 'disco' else 'binary'})",
-             f"{s.total_bytes:,}", f"{s.total_bytes / events:.1f}"]
+             f"{s.result.total_bytes:,}",
+             f"{s.result.total_bytes / events:.1f}"]
             for name, s in results.items()]
 
 

@@ -37,14 +37,16 @@ def test_fig10_rate_change_sweep(benchmark, scale, record_table):
 
     # 10b: sync/async network cost grows with the change rate; Deco_mon
     # stays minimal like Approx.
-    assert data[largest]["deco_async"].total_bytes > \
-        data[smallest]["deco_async"].total_bytes
-    assert data[largest]["deco_mon"].total_bytes < \
-        0.05 * data[largest]["deco_async"].total_bytes
+    assert data[largest]["deco_async"].result.total_bytes > \
+        data[smallest]["deco_async"].result.total_bytes
+    assert data[largest]["deco_mon"].result.total_bytes < \
+        0.05 * data[largest]["deco_async"].result.total_bytes
 
     # 10c: corrections grow with the change rate; async >= sync overall.
-    sync_c = [data[c]["deco_sync"].correction_steps for c in changes]
-    async_c = [data[c]["deco_async"].correction_steps for c in changes]
+    sync_c = [data[c]["deco_sync"].result.correction_steps
+              for c in changes]
+    async_c = [data[c]["deco_async"].result.correction_steps
+               for c in changes]
     assert sync_c[-1] > sync_c[0]
     assert sum(async_c) >= sum(sync_c)
 

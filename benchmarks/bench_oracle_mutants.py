@@ -13,8 +13,9 @@ drives raises.  The checkers, and the scope each runs at here:
   and standing-query results against the unshared engine; reduced
   from ``tests/test_schemes_correctness.py``'s grid.
 * ``salt``: ``check_determinism`` over four tie-break salts, for every
-  scheme, paced Deco_async and Deco_async with standing queries, at
-  full scope.
+  scheme, paced Deco_async, paced Central with two source clients per
+  node whose batches tie at the same instant, and Deco_async with
+  standing queries, at full scope.
 * ``serve``: real TCP serve runs checked by
   ``verify_against_simulator`` (and their query accounts), on four
   configs; reduced from the serve tests.
@@ -52,6 +53,8 @@ from repro.runtime.driver import build_run, run_simulation
 from repro.serve import framing
 from repro.serve.harness import run_scheme_served, verify_against_simulator
 from tests.mutants import MUTANTS, Mutant, install
+from tests.test_analysis_determinism import (PAIRED_CLIENTS,
+                                             paired_ts_workload)
 from tests.test_analysis_determinism import SMALL as SALT_SMALL
 from tests.test_multiquery import QUERIES, STOP_CUT, TINY
 from tests.test_schemes_correctness import small_config
@@ -136,6 +139,9 @@ def check_salt() -> str | None:
                              **TINY))
     for config in configs:
         check_determinism(config)
+    check_determinism(RunConfig(scheme="central", **PAIRED_CLIENTS,
+                                **SALT_SMALL),
+                      workload=paired_ts_workload())
     return None
 
 

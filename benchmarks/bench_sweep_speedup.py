@@ -50,8 +50,8 @@ def test_sweep_speedup(benchmark, scale, record_table):
         for name in serial[n]:
             assert serial[n][name].throughput == \
                 parallel[n][name].throughput
-            assert serial[n][name].total_bytes == \
-                parallel[n][name].total_bytes
+            assert serial[n][name].result.total_bytes == \
+                parallel[n][name].result.total_bytes
             assert serial[n][name].correctness == \
                 parallel[n][name].correctness
 

@@ -34,15 +34,16 @@ def main():
     for name, summary in results.items():
         print(f"{name:<12} "
               f"{format_si(summary.throughput, ' ev/s'):>16} "
-              f"{format_si(summary.total_bytes, 'B'):>12} "
+              f"{format_si(summary.result.total_bytes, 'B'):>12} "
               f"{summary.correctness:>8.4f} "
-              f"{summary.correction_steps:>12}")
+              f"{summary.result.correction_steps:>12}")
 
     central = results["central"]
     deco = results["deco_async"]
+    saving = 1 - deco.result.total_bytes / central.result.total_bytes
     print(f"\nDeco_async vs Central: "
           f"{deco.throughput / central.throughput:.1f}x throughput, "
-          f"{(1 - deco.total_bytes / central.total_bytes) * 100:.1f}% "
+          f"{saving * 100:.1f}% "
           f"less network traffic, identical results.")
 
     # Every emitted window matches the ground truth exactly.
@@ -60,7 +61,7 @@ def main():
                   n_windows=6, rate_per_node=20_000,
                   queries=("sum:1000", "avg:700:350"))
     print("\nStanding queries (2 per node, shared slice store):")
-    for qid, acct in sorted(summary.queries.items()):
+    for qid, acct in sorted(summary.result.queries.items()):
         print(f"  {qid}: {acct['stream']} {acct['label']:<12} "
               f"windows={acct['windows']:<4} "
               f"fingerprint={acct['fingerprint'][:12]}")

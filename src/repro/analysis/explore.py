@@ -145,8 +145,8 @@ class ModelCoordinator(Coordinator):
         workers: dict[str, WorkerRuntime] = {}
         super().__init__(config, _InProcessTransport(workers))
         for name in self.node_names:
-            workers[name] = WorkerRuntime(name, self.worker_config,
-                                          self.ctx.workload)
+            workers[name] = WorkerRuntime(name, config, self.ctx.workload,
+                                          self.tracer is not None)
         #: The in-process workers, whose timer heaps hold the pending
         #: work the coordinator's kernel does not.
         self.workers = workers

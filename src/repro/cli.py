@@ -6,14 +6,15 @@ Subcommands:
 * ``run`` — run one scheme and print its headline metrics.
 * ``compare`` — run several schemes over one workload and print a table.
 * ``experiment`` — regenerate one of the paper's figures.
-* ``trace`` — run one scheme with tracing and write the trace to disk
-  (Chrome trace-event JSON for Perfetto, or JSONL).
 * ``serve`` — run one scheme on the serve runtime: every node a real
   OS process speaking the binary wire codec over TCP, results
   bit-identical to the simulator, plus wall-clock latency/throughput.
 * ``check`` — the concurrency verifier: small-scope interleaving model
-  checking of the serve run loop and happens-before analysis of captured
-  serve traces (see :mod:`repro.analysis.check`).
+  checking of the serve run loop (see :mod:`repro.analysis.check`).
+
+``run`` and ``serve`` take ``--trace PATH``: record the run, print the
+per-node trace summary and write the trace to ``PATH`` — JSONL when it
+ends in ``.jsonl``, Chrome trace-event JSON (Perfetto) otherwise.
 """
 
 from __future__ import annotations
@@ -21,17 +22,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
-from repro.api import compare, run
-from repro.core.runner import available_schemes
+from repro.api import RunSummary, compare, make_config, run
+from repro.core.runner import RunConfig, available_schemes
 from repro.errors import AggregationError, ConfigurationError
+from repro.experiments.config import DELTA_M, MIN_DELTA
 from repro.metrics.report import format_si, format_table
+from repro.obs.tracer import RunTracer
 from repro.sweep import JOBS_ENV
+
+#: The parsed arguments that configure a run: every run flag's ``dest``
+#: is the :class:`RunConfig` field it sets (``mode`` is the load shape
+#: :func:`repro.api.make_config` takes).  A flag left unset is absent,
+#: so its field keeps the :class:`RunConfig` default.
+_CONFIG_KEYS = ({f.name for f in fields(RunConfig)} - {"scheme"}) | {"mode"}
 
 
 def _register_experiments():
-    """Experiment name -> (headers, rows-callable(scale)); the figure
-    drivers import only when an experiment runs."""
+    """Experiment name -> (headers, rows-callable(scale))."""
     from repro.experiments import fig7, fig8, fig9, fig10, fig11, micro
 
     def rate_sweep_rows(maker):
@@ -76,27 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("schemes", help="list registered schemes")
 
     def add_run_args(p, load_flag="--mode"):
-        p.add_argument("--nodes", type=int, default=2,
-                       help="local node count")
-        p.add_argument("--window", type=int, default=10_000,
-                       help="global count window size")
-        p.add_argument("--windows", type=int, default=10,
-                       help="number of global windows")
-        p.add_argument("--rate", type=float, default=100_000,
-                       help="events/s per local node")
-        p.add_argument("--rate-change", type=float, default=0.01,
+        unset = argparse.SUPPRESS
+        p.add_argument("--nodes", dest="n_nodes", type=int,
+                       default=unset, help="local node count")
+        p.add_argument("--window", dest="window_size", type=int,
+                       default=unset, help="global count window size")
+        p.add_argument("--windows", dest="n_windows", type=int,
+                       default=unset, help="number of global windows")
+        p.add_argument("--rate", dest="rate_per_node", type=float,
+                       default=unset, help="events/s per local node")
+        p.add_argument("--rate-change", type=float, default=unset,
                        help="rate-change fraction (0.01 = 1%%)")
-        p.add_argument("--aggregate", default="sum")
+        p.add_argument("--aggregate", default=unset)
         # ``serve`` names this --load; everywhere else it is --mode.
-        p.add_argument(load_flag, dest="load",
+        p.add_argument(load_flag, dest="mode",
                        choices=("throughput", "latency"),
-                       default="throughput",
+                       default=unset,
                        help="throughput = saturated input; latency = "
                             "paced arrivals")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--delta-m", type=int, default=4)
-        p.add_argument("--min-delta", type=int, default=4)
-        p.add_argument("--queries", action="append", default=None,
+        p.add_argument("--seed", type=int, default=unset)
+        p.add_argument("--delta-m", type=int, default=DELTA_M)
+        p.add_argument("--min-delta", type=int, default=MIN_DELTA)
+        p.add_argument("--queries", action="append", default=unset,
                        metavar="AGG:LEN[:STEP]",
                        help="admit a standing query on every local "
                             "stream (repeatable; e.g. --queries "
@@ -106,28 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "flag is the single-query degenerate case "
                             "of the same path")
 
+    def add_trace_arg(p):
+        p.add_argument("--trace", metavar="PATH", default=None,
+                       help="also record a trace, print its per-node "
+                            "summary and write it to PATH: JSONL if "
+                            "PATH ends in .jsonl, else Chrome "
+                            "trace-event JSON (Perfetto)")
+
     run_p = sub.add_parser("run", help="run one scheme")
     run_p.add_argument("scheme")
     add_run_args(run_p)
-    run_p.add_argument("--trace", metavar="PATH", default=None,
-                       help="also record a trace and write it to PATH "
-                            "as Chrome trace-event JSON (Perfetto)")
-
-    trace_p = sub.add_parser(
-        "trace", help="run one scheme with tracing; write the trace")
-    trace_p.add_argument("--scheme", required=True)
-    add_run_args(trace_p)
-    trace_p.add_argument("--out", default="trace.json",
-                         help="output path (default: trace.json)")
-    trace_p.add_argument("--format", choices=("chrome", "jsonl"),
-                         default="chrome",
-                         help="chrome = trace-event JSON for Perfetto; "
-                              "jsonl = one event per line")
-    trace_p.add_argument("--runtime", choices=("sim", "serve"),
-                         default="sim",
-                         help="sim = discrete-event simulator; serve = "
-                              "real node processes over TCP (identical "
-                              "results, real wall-clock spans)")
+    add_trace_arg(run_p)
 
     cmp_p = sub.add_parser("compare",
                            help="run several schemes, same workload")
@@ -150,12 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run one scheme as real node processes over TCP")
     serve_p.add_argument("scheme")
     add_run_args(serve_p, load_flag="--load")
-    serve_p.add_argument("--sources", type=int, default=1,
+    serve_p.add_argument("--sources", dest="sources_per_node", type=int,
+                         default=argparse.SUPPRESS,
                          help="concurrent paced source clients per "
                               "local node (--load latency only)")
     serve_p.add_argument("--verify", action="store_true",
                          help="also run the simulator and assert its "
                               "timed fingerprint equals the serve run's")
+    add_trace_arg(serve_p)
 
     # Listed for ``repro --help`` only: ``main`` hands it to the
     # parser that owns its flags before this one runs.
@@ -166,13 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_kwargs(args) -> dict:
-    return dict(n_nodes=args.nodes, window_size=args.window,
-                n_windows=args.windows, rate_per_node=args.rate,
-                rate_change=args.rate_change, aggregate=args.aggregate,
-                mode=args.load, seed=args.seed, delta_m=args.delta_m,
-                min_delta=args.min_delta,
-                queries=tuple(args.queries or ()))
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """The run flags that were given, keyed by what they configure."""
+    kwargs = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
+    if "queries" in kwargs:
+        kwargs["queries"] = tuple(kwargs["queries"])
+    return kwargs
 
 
 def _print_queries(queries: dict) -> None:
@@ -193,13 +193,30 @@ def _print_queries(queries: dict) -> None:
          "edge events", "fingerprint"], rows))
 
 
-def _summary_row(name: str, summary) -> list[str]:
+def _summary_row(summary: RunSummary) -> list[str]:
     metric = (format_si(summary.throughput, " ev/s")
               if summary.throughput is not None
               else f"{summary.latency_s * 1e3:.3f} ms")
-    return [name, metric, format_si(summary.total_bytes, "B"),
+    result = summary.result
+    return [result.scheme, metric, format_si(result.total_bytes, "B"),
             f"{summary.correctness:.4f}",
-            str(summary.correction_steps)]
+            str(result.correction_steps)]
+
+
+def _write_trace(path: str, tracer: RunTracer) -> None:
+    """Print a traced run's per-node summary and write its trace:
+    JSONL when ``path`` ends in ``.jsonl``, else Chrome trace-event
+    JSON."""
+    from repro.obs import summary_table, write_chrome_trace, write_jsonl
+    print()
+    print(summary_table(tracer))
+    if path.endswith(".jsonl"):
+        write_jsonl(path, tracer)
+        print(f"\ntrace: {path} ({len(tracer.events)} events, JSONL)")
+    else:
+        write_chrome_trace(path, tracer)
+        print(f"\ntrace: {path} ({len(tracer.events)} events; open in "
+              f"https://ui.perfetto.dev)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,62 +261,26 @@ def _dispatch(argv: list[str]) -> int:
     headers = ["scheme", "throughput/latency", "network", "correct",
                "corrections"]
     if args.command == "run":
-        summary = run(args.scheme, trace=bool(args.trace),
-                      **_run_kwargs(args))
-        print(format_table(headers,
-                           [_summary_row(args.scheme, summary)]))
-        _print_queries(summary.queries)
-        if args.trace:
-            from repro.obs import write_chrome_trace
-            path = write_chrome_trace(args.trace, summary.trace)
-            print(f"trace: {path} ({len(summary.trace.events)} events; "
-                  f"open in https://ui.perfetto.dev)")
-        return 0
-
-    if args.command == "trace":
-        from repro.obs import (summary_table, write_chrome_trace,
-                               write_jsonl)
-        if args.runtime == "serve":
-            from repro.api import _make_config, _summarize
-            from repro.obs.tracer import RunTracer
-            from repro.serve import run_scheme_served
-            tracer = RunTracer()
-            config = _make_config(args.scheme, **_run_kwargs(args))
-            report = run_scheme_served(config, tracer=tracer)
-            summary = _summarize(config, args.load, report.result,
-                                 report.workload)
-        else:
-            summary = run(args.scheme, trace=True, **_run_kwargs(args))
-            tracer = summary.trace
-        if args.format == "chrome":
-            path = write_chrome_trace(args.out, tracer)
-        else:
-            write_jsonl(args.out, tracer)
-            path = args.out
-        print(format_table(headers,
-                           [_summary_row(args.scheme, summary)]))
-        print()
-        print(summary_table(tracer))
-        print(f"\ntrace: {path} ({len(tracer.events)} events, "
-              f"format={args.format})")
-        if args.format == "chrome":
-            print("open in https://ui.perfetto.dev (or chrome://tracing)")
+        tracer = RunTracer() if args.trace else None
+        summary = run(args.scheme, tracer=tracer, **_run_kwargs(args))
+        print(format_table(headers, [_summary_row(summary)]))
+        _print_queries(summary.result.queries)
+        if tracer is not None:
+            _write_trace(args.trace, tracer)
         return 0
 
     if args.command == "serve":
-        from repro.api import _make_config
         from repro.serve import run_scheme_served
-        if args.sources < 1:
+        tracer = RunTracer() if args.trace else None
+        config = make_config(args.scheme, **_run_kwargs(args))
+        if config.sources_per_node < 1:
             raise ConfigurationError(
-                f"--sources must be >= 1, got {args.sources}")
-        if args.sources > 1 and args.load != "latency":
+                f"--sources must be >= 1, got {config.sources_per_node}")
+        if config.sources_per_node > 1 and config.saturated:
             raise ConfigurationError(
                 "--sources needs --load latency (paced arrivals); a "
                 "saturated feed has no arrival schedule to split")
-        config = _make_config(args.scheme,
-                              sources_per_node=args.sources,
-                              **_run_kwargs(args))
-        report = run_scheme_served(config)
+        report = run_scheme_served(config, tracer)
         pct = report.latency_percentiles()
         print(format_table(
             ["scheme", "windows", "wall s", "throughput ev/s",
@@ -315,14 +296,15 @@ def _dispatch(argv: list[str]) -> int:
             from repro.serve.harness import verify_against_simulator
             verify_against_simulator(config, report.result)
             print("verified: serve == simulator oracle (timed fingerprint)")
+        if tracer is not None:
+            _write_trace(args.trace, tracer)
         return 0
 
     if args.command == "compare":
         results = compare(args.schemes_list, jobs=args.jobs,
                           **_run_kwargs(args))
-        print(format_table(headers,
-                           [_summary_row(n, s)
-                            for n, s in results.items()]))
+        print(format_table(headers, [_summary_row(s)
+                                     for s in results.values()]))
         return 0
 
     if args.command == "experiment":

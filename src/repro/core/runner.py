@@ -1,19 +1,19 @@
-"""Scheme registry and run configuration.
+"""Scheme registry, run configuration and the simulated run.
 
 This module owns the *what* of a run — the registered schemes, the
 :class:`RunConfig` parameter set, and the shared context construction —
-while the *how* lives behind the runtime driver interface
-(:mod:`repro.runtime`):
+and the one definition of a simulated run, :func:`run_scheme`.  Two
+drivers execute a config:
 
-* :func:`repro.runtime.driver.run_scheme_simulated` executes a config
-  on the discrete-event simulator (the deterministic oracle), and
-* :mod:`repro.serve` executes the same config over real node processes
-  speaking the binary wire codec on TCP.
+* :func:`run_scheme` runs it on the discrete-event simulator (the
+  deterministic oracle), built from the steps in
+  :mod:`repro.runtime.driver` (``build_run``, ``run_simulation``,
+  ``release_run``), and
+* :func:`repro.serve.run_scheme_served` runs the same config over real
+  node processes speaking the binary wire codec on TCP.
 
-:func:`run_scheme` (the public entry used by the API, the examples, and
-every benchmark) dispatches to the simulator driver; the builder
-helpers (``build_run``, ``inject_sources``, ``run_simulation``, ...)
-live in :mod:`repro.runtime.driver`.
+A trace is requested one way on both: pass a
+:class:`~repro.obs.tracer.RunTracer` as ``tracer``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.context import SchemeContext
 from repro.core.query import tumbling_count_query
 from repro.core.records import RunResult
 from repro.core.workload import Workload, WorkloadSpec, default_cache
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs.tracer import NULL_TRACER, RunTracer
 from repro.runtime.api import DEFAULT_LATENCY_S, ETHERNET_25G
 from repro.runtime.node import INTEL_XEON, NodeProfile
@@ -132,12 +132,6 @@ class RunConfig:
     #: Retransmission timeout for the Section 4.3.4 failure model;
     #: None disables timeouts (reliable fabric).
     retransmit_timeout_s: float | None = None
-    #: Record a structured trace of this run (see :mod:`repro.obs`).
-    #: A plain bool so configs stay JSON-able: its reader is the serve
-    #: worker, which the coordinator tells to trace, and which builds
-    #: its own tracer and ships the events back in FINAL.  Not part of
-    #: :meth:`workload_key`: tracing never changes the workload.
-    trace: bool = False
     #: Determinism contract: permutes the kernel's same-time event
     #: ordering (see :class:`~repro.sim.kernel.Simulator`).  Results
     #: MUST be bit-identical for every salt; the schedule-determinism
@@ -188,18 +182,17 @@ class RunConfig:
 def make_context(config: RunConfig,
                  workload: Workload | None = None,
                  tracer: RunTracer | None = None
-                 ) -> tuple[SchemeSpec, SchemeContext, RunTracer | None]:
+                 ) -> tuple[SchemeSpec, SchemeContext]:
     """Resolve scheme + query + workload into a fresh run context.
 
     Shared by both drivers: the simulator builder
     (:func:`repro.runtime.driver.build_run`) and every serve worker
     construct their context through here, so the holistic-query
     fallback, the result record, and the wire format cannot diverge
-    between the oracle and the real runtime.
+    between the oracle and the real runtime.  ``tracer`` (None: the
+    null tracer) lands on ``ctx.tracer``.
     """
     spec = get_scheme(config.scheme)
-    if tracer is None and config.trace:
-        tracer = RunTracer()
     if workload is None:
         workload = default_cache().get(config.workload_key())
     query = tumbling_count_query(
@@ -232,19 +225,31 @@ def make_context(config: RunConfig,
             for spec_str in tuple(config.queries):
                 engine.admit(stream, spec_str, at=0)
         ctx.engine = engine
-    return spec, ctx, tracer
+    return spec, ctx
 
 
 def run_scheme(config: RunConfig,
                workload: Workload | None = None,
                tracer: RunTracer | None = None,
                ) -> tuple[RunResult, Workload]:
-    """Run one scheme over one workload; returns result + workload.
+    """Run one scheme on the simulator; returns result + workload.
 
-    Executes on the simulator driver (the oracle).  Tracing
-    (``config.trace`` or an explicit ``tracer``) records into the
-    tracer without touching the :class:`RunResult` — traced and
-    untraced runs produce identical results.
+    ``tracer`` records the run without touching the
+    :class:`RunResult`: traced and untraced runs produce identical
+    results.
     """
-    from repro.runtime.driver import run_scheme_simulated
-    return run_scheme_simulated(config, workload, tracer)
+    # Imported here, not at module top: the driver imports this module.
+    from repro.runtime.driver import build_run, release_run, run_simulation
+    topo, ctx = build_run(config, workload, tracer)
+    try:
+        result = run_simulation(topo, ctx, config.resolved_batch_size(),
+                                config.saturated,
+                                config.sources_per_node)
+    finally:
+        release_run(topo)
+    if result.n_windows < ctx.n_windows:
+        raise SimulationError(
+            f"scheme {config.scheme!r} stalled: emitted "
+            f"{result.n_windows}/{ctx.n_windows} windows "
+            f"(likely a protocol deadlock or insufficient stream data)")
+    return result, ctx.workload

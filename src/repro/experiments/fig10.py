@@ -73,7 +73,7 @@ def run_window_size_sweep(scale: float = 1.0, rate_change: float = 0.01,
 
 def _per100(summary: RunSummary) -> float:
     measurable = max(1, summary.result.n_windows - 3)
-    return 100.0 * summary.correction_steps / measurable
+    return 100.0 * summary.result.correction_steps / measurable
 
 
 HEADERS_RATE = ["rate change"] + list(ADAPTIVITY_SCHEMES)
@@ -89,7 +89,7 @@ def rows_fig10a(data) -> list[list]:
 def rows_fig10b(data) -> list[list]:
     """Rows: change, network bytes per scheme."""
     return [[f"{change * 100:g}%"]
-            + [f"{data[change][s].total_bytes:,}"
+            + [f"{data[change][s].result.total_bytes:,}"
                for s in ADAPTIVITY_SCHEMES] for change in data]
 
 

@@ -61,7 +61,7 @@ def rows_fig8a(scale: float = 1.0) -> list[list]:
     """Rows: approach, total bytes, saving vs Central."""
     summaries = run_fig8a(scale)
     central = summaries["central"]
-    return [[name, f"{s.total_bytes:,}",
+    return [[name, f"{s.result.total_bytes:,}",
              f"{network_saving(s.result, central.result) * 100:.1f}%"]
             for name, s in summaries.items()]
 
@@ -74,6 +74,6 @@ def rows_fig8b(scale: float = 1.0) -> list[list]:
     data = run_fig8b(scale)
     rows = []
     for n, summaries in data.items():
-        rows.append([n] + [f"{summaries[s].total_bytes:,}"
+        rows.append([n] + [f"{summaries[s].result.total_bytes:,}"
                            for s in SCHEMES])
     return rows

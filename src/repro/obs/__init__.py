@@ -14,8 +14,10 @@ without print-debugging the kernel:
 * Exporters emit JSONL, Chrome trace-event JSON (open in Perfetto), and
   aligned summary tables.
 
-Enable per run with ``repro.api.run(..., trace=True)``, the ``--trace``
-CLI flag, or the ``repro trace`` subcommand.
+A trace is requested one way: pass a :class:`RunTracer` as ``tracer``
+to :func:`repro.api.run`, :func:`repro.core.runner.run_scheme` or
+:func:`repro.serve.run_scheme_served` — or ``--trace PATH`` on
+``repro run`` / ``repro serve``, which does that and writes the file.
 """
 
 from repro.obs.events import (CPU, MSG_DELAY, MSG_DROP, MSG_RECV,
@@ -25,12 +27,12 @@ from repro.obs.exporters import (event_to_dict, summary_table,
                                  to_chrome_trace, write_chrome_trace,
                                  write_jsonl)
 from repro.obs.tracer import (GLOBAL_SCOPE, NULL_TRACER, NullTracer,
-                              RunTracer, TraceFlag, resolve_tracer)
+                              RunTracer)
 
 __all__ = [
     "CPU", "MSG_DELAY", "MSG_DROP", "MSG_RECV", "MSG_RETRANSMIT",
     "MSG_SEND", "QUEUE", "STATE", "WINDOW", "TraceEvent",
     "event_to_dict", "summary_table", "to_chrome_trace",
     "write_chrome_trace", "write_jsonl", "GLOBAL_SCOPE", "NULL_TRACER",
-    "NullTracer", "RunTracer", "TraceFlag", "resolve_tracer",
+    "NullTracer", "RunTracer",
 ]

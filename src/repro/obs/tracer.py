@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import ConfigurationError
 from repro.obs.events import TraceEvent
 
 #: Scope used for run-global counters.
@@ -121,34 +120,3 @@ class RunTracer:
         """All events of one kind, in record order."""
         return [event for event in self.events if event.kind == kind]
 
-
-#: The values a user-facing ``trace`` argument may take: the two
-#: literal booleans, ``None`` (same as ``False``), or an existing
-#: :class:`RunTracer` to collect into.  Anything else — including
-#: truthy stand-ins like ``1`` or ``"yes"`` — is a configuration error,
-#: never silently "tracing off".
-TraceFlag = bool | None | RunTracer
-
-
-def resolve_tracer(trace: TraceFlag) -> RunTracer | None:
-    """Normalize a user-facing ``trace`` argument (see :data:`TraceFlag`).
-
-    ``False``/``None`` -> ``None`` (meaning: use the null tracer);
-    ``True`` -> a fresh :class:`RunTracer`; a tracer instance passes
-    through.
-
-    Raises:
-        ConfigurationError: for any other value.  Truthy non-``True``
-            values used to be silently treated as "tracing off", which
-            turned typos like ``trace=1`` into missing traces instead
-            of errors.
-    """
-    if trace is None or trace is False:
-        return None
-    if trace is True:
-        return RunTracer()
-    if isinstance(trace, RunTracer):
-        return trace
-    raise ConfigurationError(
-        f"trace must be True, False, None, or a RunTracer; "
-        f"got {trace!r} ({type(trace).__name__})")

@@ -1,7 +1,8 @@
-"""The simulator driver: build a cluster, inject a workload, run, collect.
+"""The simulator driver's steps: build a cluster, inject, run, collect.
 
 This is the discrete-event implementation of the runtime interface —
-the deterministic oracle.  A run:
+the deterministic oracle.  :func:`repro.core.runner.run_scheme` chains
+these steps into one run, which:
 
 1. generates (or accepts) a :class:`~repro.core.workload.Workload`,
 2. builds the star topology with the scheme's behaviours and profiles
@@ -23,7 +24,6 @@ from repro.core.protocol import make_sizer
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, SchemeSpec, make_context
 from repro.core.workload import Workload
-from repro.errors import SimulationError
 from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME
 from repro.runtime.feeder import inject_stream
@@ -58,11 +58,10 @@ def build_run(config: RunConfig,
               ) -> tuple[StarTopology, SchemeContext]:
     """Construct the topology + context for a config (without running).
 
-    ``tracer`` overrides ``config.trace``: pass an existing
-    :class:`~repro.obs.tracer.RunTracer` to collect into it, or leave
-    both unset for the zero-overhead null tracer.
+    Pass a :class:`~repro.obs.tracer.RunTracer` to collect into it, or
+    leave ``tracer`` unset for the zero-overhead null tracer.
     """
-    spec, ctx, tracer = make_context(config, workload, tracer)
+    spec, ctx = make_context(config, workload, tracer)
     workload = ctx.workload
     root_profile, local_profile = resolved_profiles(config, spec)
     topo = build_star(
@@ -167,23 +166,3 @@ def release_run(topo: StarTopology) -> None:
         node.behavior = None
         node.network = None
         topo.network.detach(name)
-
-
-def run_scheme_simulated(config: RunConfig,
-                         workload: Workload | None = None,
-                         tracer: RunTracer | None = None,
-                         ) -> tuple[RunResult, Workload]:
-    """Run one scheme on the simulator; returns result + workload."""
-    topo, ctx = build_run(config, workload, tracer)
-    try:
-        result = run_simulation(topo, ctx, config.resolved_batch_size(),
-                                config.saturated,
-                                config.sources_per_node)
-    finally:
-        release_run(topo)
-    if result.n_windows < ctx.n_windows:
-        raise SimulationError(
-            f"scheme {config.scheme!r} stalled: emitted "
-            f"{result.n_windows}/{ctx.n_windows} windows "
-            f"(likely a protocol deadlock or insufficient stream data)")
-    return result, ctx.workload

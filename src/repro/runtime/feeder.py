@@ -53,8 +53,7 @@ def inject_stream(node: RuntimeNode, stream: EventBatch,
             raise ConfigurationError(
                 "concurrent sources require a paced run "
                 "(saturated mode is one closed loop per node)")
-        SourceFeeder(node, stream, len(stream), batch_size,
-                     sender).start()
+        SourceFeeder(node, stream, batch_size, sender).start()
     elif sources == 1:
         PacedSource(node, stream, batch_size, sender).arm()
     else:
@@ -118,10 +117,10 @@ class SourceFeeder:
     """
 
     def __init__(self, node: RuntimeNode, stream: EventBatch,
-                 limit: int, batch_size: int, sender: str) -> None:
+                 batch_size: int, sender: str) -> None:
         self._node = node
         self._stream = stream
-        self._limit = limit
+        self._limit = len(stream)
         self._batch_size = batch_size
         self._sender = sender
         self._pos = 0

@@ -42,7 +42,6 @@ import math
 import socket
 import time
 from collections import deque
-from dataclasses import replace
 from typing import Any, Protocol
 
 from repro.core.context import SchemeContext
@@ -157,12 +156,11 @@ class Coordinator:
         #: A :class:`SocketTransport` in every real run; the seam
         #: exists so the model checker can substitute in-process calls.
         self.transport = transport
-        spec, ctx, tracer = make_context(config, None, tracer)
+        spec, ctx = make_context(config, None, tracer)
         self.ctx: SchemeContext = ctx
+        #: The run's tracer (None: untraced).  Workers are told whether
+        #: it is set, and trace exactly when the coordinator does.
         self.tracer = tracer
-        #: What every worker runs.  Workers build their own tracer from
-        #: this, so they trace exactly when the coordinator does.
-        self.worker_config = replace(config, trace=tracer is not None)
         root_profile, local_profile = resolved_profiles(config, spec)
         n = ctx.workload.n_nodes
 

@@ -15,8 +15,8 @@ a protocol payload is encoded once and decoded once.
 
 The epoch round (DESIGN §12) in frame shapes::
 
-    EPOCH      {"h": horizon, "e": round, "slots": [[t, phase, rank,
-                pos, offset, length], ...]}          blob: wire frames
+    EPOCH      {"h": horizon, "slots": [[t, phase, rank, pos,
+                offset, length], ...]}               blob: wire frames
     EPOCH_OPS  {"batches": [{"ref": ["slot", i] | ["timer", seq],
                 "k": [t, phase, rank] (timers only), "ops": [...]}],
                 "n": next timer time | null}         blob: sent frames

@@ -31,7 +31,6 @@ from typing import Any
 from repro.analysis.determinism import TimedFingerprint
 from repro.core.records import RunResult
 from repro.core.runner import RunConfig, run_scheme
-from repro.core.workload import Workload
 from repro.errors import ServeError
 from repro.obs.events import TraceEvent
 from repro.obs.tracer import RunTracer
@@ -70,13 +69,11 @@ class ServeReport:
     """One serve run's merged results plus load-test observations."""
 
     result: RunResult
-    workload: Workload
     #: Wall-clock window observations in emission order.
     windows: list[WindowSample] = field(default_factory=list)
     wall_seconds: float = 0.0
     events_total: int = 0
     saturated: bool = True
-    tracer: RunTracer | None = None
 
     @property
     def throughput_eps(self) -> float:
@@ -114,7 +111,7 @@ class ServeReport:
 
 
 def _worker_child(listener: socket.socket, host: str, port: int,
-                  node: str, config: RunConfig) -> None:
+                  node: str, config: RunConfig, traced: bool) -> None:
     """A forked worker's body, left by ``os._exit`` (0 after FINAL, 1
     with a traceback on stderr): never through the parent's frames or
     ``atexit`` handlers.  Signals are reset so :func:`_terminate`'s
@@ -122,17 +119,18 @@ def _worker_child(listener: socket.socket, host: str, port: int,
     listener.close()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    run_worker(host, port, node, config)
+    run_worker(host, port, node, config, traced)
 
 
 def _fork_worker(listener: socket.socket, host: str, node: str,
-                 config: RunConfig) -> BaseProcess:
+                 config: RunConfig, traced: bool) -> BaseProcess:
     """Fork one worker as a direct child (``multiprocessing`` flushes
     stdio first).  The heap is frozen across the fork so the child's
     collector never walks what it inherited (DESIGN §11)."""
     proc = multiprocessing.get_context("fork").Process(
         target=_worker_child, name=f"repro-serve-{node}",
-        args=(listener, host, listener.getsockname()[1], node, config))
+        args=(listener, host, listener.getsockname()[1], node, config,
+              traced))
     gc.freeze()
     try:
         proc.start()
@@ -254,7 +252,9 @@ def run_scheme_served(
     worker results into a :class:`RunResult` bit-identical to the
     simulator driver's.  Standing queries are ``config.queries``,
     admitted by every worker's own
-    :func:`~repro.core.runner.make_context`.
+    :func:`~repro.core.runner.make_context`.  ``tracer`` collects the
+    coordinator's fabric events and every worker's own trace, merged
+    after FINAL.
     """
     transport = SocketTransport()
     coord = Coordinator(config, transport, tracer)
@@ -262,8 +262,8 @@ def run_scheme_served(
     listener = socket.create_server((host, 0))
     try:
         for name in coord.node_names:
-            procs[name] = _fork_worker(listener, host, name,
-                                       coord.worker_config)
+            procs[name] = _fork_worker(listener, host, name, config,
+                                       tracer is not None)
         _accept_workers(listener, transport, coord.node_names, procs)
         coord.run()
     except ServeError as exc:
@@ -301,13 +301,13 @@ def run_scheme_served(
         raise ServeError(
             f"scheme {config.scheme!r} stalled on the serve runtime: "
             f"emitted {result.n_windows}/{coord.ctx.n_windows} windows")
-    if coord.tracer is not None:
-        _merge_trace(coord.tracer, coord.finals)
+    if tracer is not None:
+        _merge_trace(tracer, coord.finals)
     return ServeReport(
-        result=result, workload=coord.ctx.workload,
-        windows=coord.windows, wall_seconds=coord.wall_seconds,
+        result=result, windows=coord.windows,
+        wall_seconds=coord.wall_seconds,
         events_total=sum(len(s) for s in coord.ctx.workload.streams),
-        saturated=config.saturated, tracer=coord.tracer)
+        saturated=config.saturated)
 
 
 def _terminate(procs: dict[str, BaseProcess]) -> None:

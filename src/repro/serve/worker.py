@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, cast
 from repro.core.runner import RunConfig, make_context
 from repro.core.workload import Workload
 from repro.errors import ServeError, SimulationError
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NULL_TRACER, RunTracer
 from repro.runtime.api import (PHASE_PROTOCOL, ROOT_NAME, TimerHandle,
                                local_index, local_name)
 from repro.runtime.driver import resolved_profiles
@@ -121,12 +121,14 @@ class WorkerRuntime:
     """
 
     def __init__(self, node_name: str, config: RunConfig,
-                 workload: Workload | None = None) -> None:
+                 workload: Workload | None = None,
+                 traced: bool = False) -> None:
         self.node_name = node_name
         self.config = config
-        spec, ctx, tracer = make_context(config, workload)
+        spec, ctx = make_context(config, workload,
+                                 RunTracer() if traced else None)
         self.ctx = ctx
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = ctx.tracer
         root_profile, local_profile = resolved_profiles(config, spec)
         # Construct every behaviour in the simulator's order (root,
         # then locals): constructors may touch shared context state,
@@ -454,9 +456,10 @@ def serve_forever(sock: socket.socket, rt: WorkerRuntime) -> None:
 
 
 def run_worker(host: str, port: int, node: str,
-               config: RunConfig) -> None:
-    """One worker's whole life: build node ``node``, connect to the
-    coordinator at ``host:port`` and serve until FINISH."""
-    rt = WorkerRuntime(node, config)
+               config: RunConfig, traced: bool) -> None:
+    """One worker's whole life: build node ``node`` (recording a trace
+    when ``traced``), connect to the coordinator at ``host:port`` and
+    serve until FINISH."""
+    rt = WorkerRuntime(node, config, traced=traced)
     with framing.connect_with_retry(host, port) as sock:
         serve_forever(sock, rt)

@@ -170,6 +170,9 @@ MUTANTS: tuple[Mutant, ...] = (
            ORDER,
            equivalent="a node's ingress NIC serializes its arrivals, so "
                       "two deliveries to one node never share an instant"),
+    Mutant("feeder-client-rank-dropped",
+           "repro.runtime.feeder:inject_stream", "(client,)", "()",
+           ORDER),
     Mutant("sync-combine-in-arrival-order",
            "repro.core.deco_sync:PredictingRoot._try_verify",
            "sorted(reports)", "reports", ARRIVAL),

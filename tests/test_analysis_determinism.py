@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import repro.baselines  # noqa: F401
@@ -19,7 +20,7 @@ from repro.analysis.determinism import (Fingerprint, TimedFingerprint,
                                         check_determinism)
 from repro.core.records import RunResult, WindowOutcome
 from repro.core.runner import RunConfig, run_scheme
-from repro.core.workload import default_cache
+from repro.core.workload import Workload, build_workload, default_cache
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
@@ -36,6 +37,26 @@ def small_config(scheme, **over):
 
 def small_workload(scheme="central"):
     return default_cache().get(small_config(scheme).workload_key())
+
+
+def paired_ts_workload() -> Workload:
+    """:func:`small_workload` with its timestamps repeated in pairs:
+    events ``2i`` and ``2i + 1`` of a stream share one timestamp.
+
+    Split over two paced source clients per node (``stream[k::2]``),
+    both clients then carry the same timestamps, so every batch of
+    one is due at the same instant as the matching batch of the other:
+    a same-instant cross-client tie that only the feeder's per-client
+    schedule rank orders.
+    """
+    streams = [type(s)(s.ids, s.values, np.repeat(s.ts[::2], 2)[:len(s)])
+               for s in small_workload().streams]
+    return build_workload(streams, SMALL["window_size"],
+                          SMALL["n_windows"])
+
+
+#: Paced, two source clients per node, over :func:`paired_ts_workload`.
+PAIRED_CLIENTS = dict(saturated=False, sources_per_node=2)
 
 
 class TestKernelSalt:
@@ -138,6 +159,11 @@ class TestHarness:
     def test_paced_mode_is_salt_invariant(self):
         check_determinism(small_config("deco_async", saturated=False),
                           workload=small_workload())
+
+    @pytest.mark.parametrize("scheme", ["central", "deco_async"])
+    def test_same_instant_clients_are_salt_invariant(self, scheme):
+        check_determinism(small_config(scheme, **PAIRED_CLIENTS),
+                          workload=paired_ts_workload())
 
     def test_violation_has_field_diff(self):
         # Force a divergence by comparing two *different* workloads

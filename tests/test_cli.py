@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.api import make_config
 from repro.cli import build_parser, main
+from repro.core.runner import RunConfig
+from repro.experiments.config import DELTA_M, MIN_DELTA
 from repro.serve import harness
 from repro.sweep import JOBS_ENV
 
@@ -176,14 +179,13 @@ class TestServe:
 
     def test_trace_runtime_serve(self, capsys, tmp_path):
         out = tmp_path / "serve_trace.json"
-        code = main(["trace", "--scheme", "deco_sync", "--nodes", "2",
+        code = main(["serve", "deco_sync", "--nodes", "2",
                      "--window", "400", "--windows", "3", "--rate",
-                     "20000", "--seed", "7", "--runtime", "serve",
-                     "--out", str(out)])
+                     "20000", "--seed", "7", "--trace", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "deco_sync" in printed
-        assert "root" in printed  # per-node summary table
+        assert "max queue" in printed  # per-node summary table
         import json
         payload = json.loads(out.read_text())
         assert payload["traceEvents"]
@@ -236,17 +238,22 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
+        # Unset run flags keep RunConfig's defaults; --delta-m and
+        # --min-delta default to the experiments' calibrated values.
         args = build_parser().parse_args(["run", "central"])
-        assert args.nodes == 2
-        assert args.load == "throughput"
+        config = make_config("central", **cli._run_kwargs(args))
+        assert config == RunConfig(scheme="central", delta_m=DELTA_M,
+                                   min_delta=MIN_DELTA)
+        assert config.n_nodes == 2
+        assert config.saturated  # throughput load
         assert args.delta_m == 4
 
     def test_serve_mode_flags(self):
         args = build_parser().parse_args(
             ["serve", "central", "--load", "latency",
              "--sources", "4"])
-        assert args.load == "latency"
-        assert args.sources == 4
+        assert args.mode == "latency"
+        assert args.sources_per_node == 4
         # ``serve`` has one run loop: no coordination-mode flag, and
         # the load shape is spelled --load there.
         with pytest.raises(SystemExit):

@@ -9,11 +9,20 @@ dotted part of ``name`` defined in that file.  A dotted module
 reference (``repro.core.workload.build_workload``) resolves the same
 way: its longest prefix that is a module under ``src/``, then each
 remaining part defined (or imported) in that module.  Fenced code
-blocks are commands, not references, and are skipped.
+blocks are commands, not references, and are skipped here.
+
+Every ``repro ...``, ``python -m repro ...`` or ``python -m repro.cli
+...`` line in those fenced blocks (and in the verify skill's, and on
+any line of the CI workflow) must parse with the CLI's own parser, so
+a renamed flag or a deleted subcommand cannot leave a stale command in
+the docs.
 """
 
 import ast
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -86,3 +95,74 @@ def test_every_dotted_module_reference_resolves(doc: str) -> None:
     assert refs, f"{doc} names no modules: the extraction broke"
     missing = [ref for ref in refs if not _module_resolves(ref)]
     assert not missing, f"{doc} names modules that do not exist: {missing}"
+
+
+# -- CLI commands in the docs ------------------------------------------------
+
+#: Where runnable ``repro`` command lines live: the fenced blocks of
+#: these docs, and every line of the CI workflow.
+CLI_DOCS = (*DOCS, ".claude/skills/verify/SKILL.md")
+WORKFLOW = ".github/workflows/ci.yml"
+FENCE = re.compile(r"^[ \t]*```[^\n]*\n(.*?)^[ \t]*```", re.M | re.S)
+#: The three ways a command line names the CLI.
+ENTRY_POINTS = (["python", "-m", "repro"], ["python", "-m", "repro.cli"],
+                ["repro"])
+#: Shell tokens that end a command's argument list.
+SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "2>&1"}
+
+
+def _cli_lines(text: str) -> list[list[str]]:
+    """The argv (after the entry point) of every ``repro`` command in
+    ``text``: continuation lines joined, comments and leading
+    ``VAR=value`` assignments (and a workflow's ``run:``) dropped."""
+    commands = []
+    for line in re.sub(r"\\\n", " ", text).splitlines():
+        tokens = shlex.split(line, comments=True)
+        while tokens and ("=" in tokens[0] or tokens[0] == "run:"):
+            tokens.pop(0)
+        for entry in ENTRY_POINTS:
+            if tokens[:len(entry)] == entry:
+                argv = tokens[len(entry):]
+                cut = [i for i, tok in enumerate(argv) if tok in SHELL_BREAKS]
+                commands.append(argv[:cut[0]] if cut else argv)
+                break
+    return commands
+
+
+def _doc_commands() -> list[tuple[str, list[str]]]:
+    found = [(doc, argv) for doc in CLI_DOCS
+             for block in FENCE.findall((ROOT / doc).read_text())
+             for argv in _cli_lines(block)]
+    found += [(WORKFLOW, argv)
+              for argv in _cli_lines((ROOT / WORKFLOW).read_text())]
+    return found
+
+
+def _parse_error(argv: list[str]) -> str | None:
+    """None when ``argv`` parses; else argparse's complaint.  ``check``
+    lines parse with :mod:`repro.analysis.check`'s own parser, as
+    :func:`repro.cli.main` hands them there."""
+    from repro.analysis import check
+    from repro.cli import build_parser
+    parser, args = ((check.build_parser(), argv[1:])
+                    if argv[:1] == ["check"] else (build_parser(), argv))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parser.parse_args(args)
+    except SystemExit:
+        return err.getvalue().strip().splitlines()[-1]
+    return None
+
+
+def test_docs_name_cli_commands() -> None:
+    docs = {doc for doc, _ in _doc_commands()}
+    assert docs == {*CLI_DOCS, WORKFLOW} - {"DESIGN.md"}, \
+        f"the command extraction broke: found commands only in {docs}"
+
+
+@pytest.mark.parametrize("doc", [*CLI_DOCS, WORKFLOW])
+def test_every_cli_command_parses(doc: str) -> None:
+    bad = [(" ".join(argv), why) for name, argv in _doc_commands()
+           if name == doc and (why := _parse_error(argv))]
+    assert not bad, f"{doc} shows commands the CLI rejects: {bad}"

@@ -15,26 +15,16 @@ import json
 import pytest
 
 import repro.baselines  # noqa: F401
-import repro.core.workload as wl
 from repro.analysis.determinism import TimedFingerprint
 from repro.api import run
 from repro.core.runner import RunConfig, run_scheme
 from repro.obs import (CPU, MSG_DROP, MSG_RECV, MSG_RETRANSMIT,
                        MSG_SEND, QUEUE, STATE, WINDOW, NullTracer,
-                       RunTracer, event_to_dict, resolve_tracer,
+                       RunTracer, event_to_dict,
                        summary_table, to_chrome_trace,
                        write_chrome_trace, write_jsonl)
 from repro.runtime.driver import build_run, run_simulation
 from repro.sim import MessageFaultInjector
-from repro.sweep import SweepExecutor
-
-
-@pytest.fixture
-def spill_dir(tmp_path, monkeypatch):
-    path = tmp_path / "spill"
-    monkeypatch.setenv(wl.SPILL_DIR_ENV, str(path))
-    monkeypatch.setattr(wl, "_DEFAULT_CACHE", None)
-    return path
 
 
 def _config(scheme, **overrides):
@@ -78,14 +68,6 @@ class TestZeroInterference:
                          TimedFingerprint.of(ctx.result)))
         assert runs[0] == runs[1]
 
-    def test_config_trace_flag_equals_explicit_tracer(self):
-        config = _config("deco_sync")
-        plain, workload = run_scheme(config)
-        config_traced = _config("deco_sync")
-        config_traced.trace = True
-        flagged, _ = run_scheme(config_traced, workload=workload)
-        assert TimedFingerprint.of(plain) == TimedFingerprint.of(flagged)
-
 
 class TestTracerRecording:
     def test_null_tracer_is_disabled_and_inert(self):
@@ -94,13 +76,6 @@ class TestTracerRecording:
         tracer.event("x", 0.0, "n")
         tracer.inc("c")
         tracer.gauge("g", "n", 1.0)  # all no-ops, nothing to assert on
-
-    def test_resolve_tracer(self):
-        assert resolve_tracer(False) is None
-        assert resolve_tracer(None) is None
-        assert isinstance(resolve_tracer(True), RunTracer)
-        existing = RunTracer()
-        assert resolve_tracer(existing) is existing
 
     def test_expected_event_kinds_present(self):
         _, tracer = _traced("deco_sync")
@@ -209,38 +184,29 @@ class TestApiAndCli:
     def test_api_trace_attaches_tracer(self):
         plain = run("deco_sync", n_nodes=2, window_size=1_000,
                     n_windows=6, rate_per_node=20_000.0, seed=1)
+        tracer = RunTracer()
         traced = run("deco_sync", n_nodes=2, window_size=1_000,
                      n_windows=6, rate_per_node=20_000.0, seed=1,
-                     trace=True)
-        assert plain.trace is None
-        assert isinstance(traced.trace, RunTracer)
+                     tracer=tracer)
+        assert tracer.events
+        assert tracer.meta["scheme"] == "deco_sync"
         assert traced.throughput == plain.throughput
-        assert traced.total_bytes == plain.total_bytes
-
-    def test_cli_trace_subcommand_writes_chrome_json(self, tmp_path,
-                                                     capsys):
-        from repro.cli import main
-        out = tmp_path / "trace.json"
-        code = main(["trace", "--scheme", "deco_sync", "--nodes", "2",
-                     "--window", "1000", "--windows", "6",
-                     "--rate", "20000", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert isinstance(doc["traceEvents"], list)
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        captured = capsys.readouterr().out
-        assert "perfetto" in captured.lower()
+        assert traced.result.total_bytes == plain.result.total_bytes
 
     def test_cli_trace_jsonl_format(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "trace.jsonl"
-        code = main(["trace", "--scheme", "central", "--nodes", "1",
+        code = main(["run", "central", "--nodes", "1",
                      "--window", "500", "--windows", "4",
-                     "--rate", "10000", "--out", str(out),
-                     "--format", "jsonl"])
+                     "--rate", "10000", "--trace", str(out)])
         assert code == 0
-        for line in out.read_text().splitlines():
+        lines = out.read_text().splitlines()
+        assert lines
+        for line in lines:
             json.loads(line)
+        printed = capsys.readouterr().out
+        assert "max queue" in printed  # per-node summary table
+        assert f"{len(lines)} events" in printed
 
     def test_cli_run_trace_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -249,19 +215,8 @@ class TestApiAndCli:
                      "--window", "1000", "--windows", "6",
                      "--rate", "20000", "--trace", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["traceEvents"]
-
-
-class TestSweepTracing:
-    def _configs(self, trace):
-        return [
-            RunConfig(scheme=scheme, n_nodes=2, window_size=800,
-                      n_windows=5, rate_per_node=10_000.0, seed=seed,
-                      trace=trace)
-            for scheme in ("central", "deco_sync") for seed in (0, 1)]
-
-    def test_tracing_does_not_change_sweep_results(self, spill_dir):
-        plain = SweepExecutor(jobs=1).run(self._configs(trace=False))
-        traced = SweepExecutor(jobs=1).run(self._configs(trace=True))
-        assert [TimedFingerprint.of(r) for r in plain] == \
-            [TimedFingerprint.of(r) for r in traced]
+        doc = json.loads(out.read_text())
+        assert any(e["ph"] == "X" for e in doc["traceEvents"])
+        printed = capsys.readouterr().out
+        assert "max queue" in printed  # per-node summary table
+        assert "perfetto" in printed.lower()

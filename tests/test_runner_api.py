@@ -107,8 +107,8 @@ class TestApi:
                           rate_per_node=10_000, mode="latency")
         assert results["central"].workload is results["scotty"].workload
         # Identical raw-forwarding protocols move identical bytes.
-        assert results["central"].total_bytes == \
-            results["scotty"].total_bytes
+        assert results["central"].result.total_bytes == \
+            results["scotty"].result.total_bytes
 
     def test_compare_empty_rejected(self):
         with pytest.raises(ConfigurationError):

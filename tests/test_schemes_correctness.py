@@ -163,17 +163,17 @@ class TestNetworkShape:
                           n_nodes=2, window_size=2_000, n_windows=15,
                           rate_per_node=10_000, rate_change=0.05,
                           seed=7, delta_m=4, min_delta=2)
-        assert results["deco_mon"].total_bytes < \
-            0.01 * results["central"].total_bytes
-        assert results["deco_async"].total_bytes < \
-            0.6 * results["central"].total_bytes
+        assert results["deco_mon"].result.total_bytes < \
+            0.01 * results["central"].result.total_bytes
+        assert results["deco_async"].result.total_bytes < \
+            0.6 * results["central"].result.total_bytes
 
     def test_disco_strings_cost_more(self):
         results = compare(["central", "disco"], n_nodes=2,
                           window_size=2_000, n_windows=10,
                           rate_per_node=10_000, seed=7)
-        assert results["disco"].total_bytes > \
-            2.5 * results["central"].total_bytes
+        assert results["disco"].result.total_bytes > \
+            2.5 * results["central"].result.total_bytes
 
 
 class TestMemoryBounds:

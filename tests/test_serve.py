@@ -222,7 +222,6 @@ class TestServeTracing:
         tracer = RunTracer()
         report = run_scheme_served(tiny_config("deco_sync"),
                                    tracer=tracer)
-        assert report.tracer is tracer
         assert tracer.meta["runtime"] == "serve"
         kinds = {e.kind for e in tracer.events}
         # Worker-side behaviour tracing made it back to the merged

@@ -213,7 +213,7 @@ class TestHandshakeTimeout:
         junk.close()
 
 
-def silent_worker(host, port, node, config):
+def silent_worker(host, port, node, config, traced):
     """Stands in for ``run_worker``: completes the handshake, then
     never answers a request."""
     sock = framing.connect_with_retry(host, port)
@@ -229,9 +229,9 @@ class TestReplyDeadline:
         monkeypatch.setattr(framing, "REPLY_TIMEOUT_S", 0.5)
         real_worker = harness.run_worker
 
-        def worker(host, port, node, config):
+        def worker(host, port, node, config, traced):
             body = silent_worker if node == "local-0" else real_worker
-            body(host, port, node, config)
+            body(host, port, node, config, traced)
 
         monkeypatch.setattr(harness, "run_worker", worker)
         start = time.monotonic()
@@ -280,9 +280,9 @@ class TestSpawnFailure:
         # and must not leave the sibling workers running.
         real_worker = harness.run_worker
 
-        def broken_worker(host, port, node, config):
+        def broken_worker(host, port, node, config, traced):
             real_worker(host, port, node.replace("local-1", "local-99"),
-                        config)
+                        config, traced)
 
         monkeypatch.setattr(harness, "run_worker", broken_worker)
         start = time.monotonic()
@@ -299,9 +299,9 @@ class TestSpawnFailure:
         # run at once and names the code.
         real_worker = harness.run_worker
 
-        def quitting_worker(host, port, node, config):
+        def quitting_worker(host, port, node, config, traced):
             if node != "local-0":
-                real_worker(host, port, node, config)
+                real_worker(host, port, node, config, traced)
 
         monkeypatch.setattr(harness, "run_worker", quitting_worker)
         start = time.monotonic()
