@@ -147,8 +147,8 @@ class ModelCoordinator(Coordinator):
         for name in self.node_names:
             workers[name] = WorkerRuntime(name, config, self.ctx.workload,
                                           self.tracer is not None)
-        #: The in-process workers, whose timer heaps hold the pending
-        #: work the coordinator's kernel does not.
+        #: The in-process workers, whose own kernels hold the pending
+        #: timers the coordinator's kernel does not.
         self.workers = workers
         self.applied_log = []
         # Model time is virtual only: a paced config differs in its
@@ -175,7 +175,7 @@ class ModelCoordinator(Coordinator):
         bound = super()._pick_horizon(t0)
         pending = {e.time for e in self.topo.sim.live_events()}
         for rt in self.workers.values():
-            pending.update(timer[0] for timer in rt.live_timers())
+            pending.update(e.time for e in rt.sim.live_events())
         times = sorted(t for t in pending if t0 < t < bound)
         candidates = [bound] + times
         if len(candidates) > MAX_HORIZONS:
@@ -226,8 +226,10 @@ class ModelCoordinator(Coordinator):
         kernel = tuple(sorted(
             (e.time, e.phase, e.rank, e.sort_seq)
             for e in self.topo.sim.live_events()))
-        timers = tuple((name, tuple(sorted(rt.live_timers())))
-                       for name, rt in self.workers.items())
+        timers = tuple(
+            (name, tuple(sorted((e.time, e.phase, e.rank, e.seq)
+                                for e in rt.sim.live_events())))
+            for name, rt in self.workers.items())
         return (tuple(self.applied_log), kernel, timers)
 
     def run_model(self, schedule: _Schedule) -> tuple[Any, ...] | None:

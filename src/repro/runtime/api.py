@@ -55,9 +55,9 @@ DEFAULT_LATENCY_S = 100e-6
 class TimerHandle(Protocol):
     """Handle for a scheduled callback; supports cancellation.
 
-    Both drivers return one from ``schedule``/``schedule_at``:
-    the simulator's :class:`~repro.sim.kernel.ScheduledEvent` and the
-    serve worker's local token handle satisfy it structurally.
+    ``schedule``/``schedule_at`` return one: the simulator's
+    :class:`~repro.sim.kernel.ScheduledEvent` satisfies it
+    structurally, on the serve worker's kernel as on the oracle's.
     """
 
     cancelled: bool

@@ -11,10 +11,10 @@ uses a single thread" (Section 5.1) — by scaling effective service time.
 the simulator and the serve runtime — queueing, occupancy arithmetic,
 send overhead, metrics — and leaves the driver-specific parts (clock,
 timer scheduling, network handoff, stop) abstract.  The simulator's
-:class:`~repro.sim.node.SimNode` and the serve worker's
-``ServeNode`` are the two concrete drivers; because they share these
-method bodies, the serve runtime cannot drift from the oracle's
-timing arithmetic.
+:class:`~repro.sim.node.SimNode` is the one concrete driver: the serve
+worker's ``ServeNode`` (a node on the worker's own kernel) and the
+coordinator's ``ProxyNode`` subclass it, so the serve runtime cannot
+drift from the oracle's timing arithmetic or timer order.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ The coordinator owns the fabric — the :class:`~repro.sim.network.
 Network` with its links and NIC reservations, and an event kernel that
 holds exactly the fabric's deliveries — plus the run loop.  Every node
 is a :class:`ProxyNode`: a delivery to it is forwarded to the real node
-process.  Timers never come here: each worker keeps all of its node's
-timers in one local heap and reports, with every reply, when its next
-one is due.  What crosses the control channel is what crosses nodes:
-deliveries out, and sends, outcomes and the stop back.  The fabric
+process.  Timers never come here: each worker runs its node on its
+own one-node kernel, which holds all of that node's timers, and
+reports with every reply when its next one is due.  What crosses the
+control channel is what crosses nodes: deliveries out, and sends,
+outcomes and the stop back.  The fabric
 carries wire frames, not messages: a send's frame is checked at its
 envelope (:func:`~repro.wire.codec.read_envelope`, CRC included),
 sized, routed and traced from it, and delivered as the sender's own
@@ -50,7 +51,7 @@ from repro.core.runner import RunConfig, make_context
 from repro.errors import ConfigurationError, ServeError, StreamError
 from repro.obs.events import COORD_PROCESS, OP_APPLY
 from repro.obs.tracer import RunTracer
-from repro.runtime.api import ROOT_NAME, local_name
+from repro.runtime.api import ROOT_NAME
 from repro.runtime.driver import (resolved_profiles, simulation_cap_s,
                                   stamp_run_meta)
 from repro.runtime.node import Behavior, NodeProfile
@@ -280,14 +281,6 @@ class Coordinator:
             self.tracer.inc("serve_frames_recv", name)
         return reply, blob
 
-    def _rpc(self, name: str, kind: int,
-             header: dict[str, Any]) -> None:
-        """One control round-trip (INJECT/START): instruct, read
-        the op list, apply it."""
-        self._send(name, kind, header)
-        reply, blob = self._recv(name, framing.OPS)
-        self._apply_ops(name, reply["ops"], memoryview(blob))
-
     def _apply_ops(self, name: str, ops: list[list[Any]],
                    blob: memoryview) -> None:
         """Apply one item's cross-node effects in emission order."""
@@ -340,12 +333,14 @@ class Coordinator:
 
     def run(self) -> None:
         """Init, run epochs to completion, collect FINAL payloads."""
-        # Replicate run_simulation's order exactly: inject every local
-        # stream (0..n-1), then start root, then start the locals.
-        for i in range(self.ctx.workload.n_nodes):
-            self._rpc(local_name(i), framing.INJECT, {"now": 0.0})
+        # One START per node, root first: a local feeds itself its
+        # source stream, then every node runs its start hook.  Only
+        # the start hooks' ops cross nodes, and they apply in
+        # run_simulation's order (root, then the locals).
         for name in self.node_names:
-            self._rpc(name, framing.START, {"now": 0.0})
+            self._send(name, framing.START, {})
+            reply, blob = self._recv(name, framing.OPS)
+            self._apply_ops(name, reply["ops"], memoryview(blob))
         self._epoch_loop()
         for name in self.node_names:
             self._send(name, framing.FINISH, {"stop": self.stop_key})

@@ -13,8 +13,12 @@ binary wire-codec frames verbatim, referenced from the header by
 the sender's bytes in EPOCH_OPS are the receiver's bytes in EPOCH, so
 a protocol payload is encoded once and decoded once.
 
-The epoch round (DESIGN §12) in frame shapes::
+The run (DESIGN §12) in frame shapes: one START per node, then epoch
+rounds, then one FINISH per node::
 
+    START      {}
+    OPS        {"ops": [...], "n": next timer time | null}
+                                                     blob: sent frames
     EPOCH      {"h": horizon, "slots": [[t, phase, rank, pos,
                 offset, length], ...]}               blob: wire frames
     EPOCH_OPS  {"batches": [{"ref": ["slot", i] | ["timer", seq],
@@ -49,13 +53,12 @@ from repro.errors import ServeError
 HELLO = 1
 #: Coordinator -> worker handshake reply.
 ACK = 2
-#: Coordinator -> local worker: inject the node's source stream.
-INJECT = 3
-#: Coordinator -> worker: run the behaviour's start hook.
+#: Coordinator -> worker, once per node: a local feeds itself its
+#: source stream, then the behaviour's start hook runs.
 START = 4
-#: Worker -> coordinator reply: the ordered op list one control
-#: dispatch (INJECT/START) emitted, plus ``"n"`` as in EPOCH_OPS.
-#: (Kinds 5, 6 and 13 are retired.)
+#: Worker -> coordinator reply to START: the ordered op list it
+#: emitted, plus ``"n"`` as in EPOCH_OPS.
+#: (Kinds 3, 5, 6 and 13 are retired.)
 OPS = 7
 #: Coordinator -> worker: the run is over; reply FINAL and exit.
 FINISH = 8

@@ -14,7 +14,7 @@ where ``class`` separates deliveries the coordinator shipped as slots
 pop position for slots or ``(node order, the worker's timer seq)`` for
 timers.  A slot's key is looked up from what the coordinator recorded
 when it shipped the slot; a timer's ``(time, phase, rank)`` arrives
-with its batch (``"k"``), since the worker's heap is the only place
+with its batch (``"k"``), since the worker's kernel is the only place
 that timer ever lived.
 
 This module is deliberately transport-free and is driven by *both* the

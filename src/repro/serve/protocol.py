@@ -28,8 +28,8 @@ from repro.runtime.node import NodeProfile
 #
 # Ops are the cross-node effects of one executed item, and nothing
 # else: timers never leave their worker (each keeps its node's timers
-# in one local heap), so an item whose effects are all node-local
-# ships no batch at all.  The coordinator applies an item's ops in
+# on its own one-node kernel), so an item whose effects are all
+# node-local ships no batch at all.  The coordinator applies an item's ops in
 # emission order — the order the equivalent simulator callback would
 # have made the same calls — so fabric reservations and delivery
 # sequence numbers match the oracle by construction.

@@ -2,15 +2,16 @@
 
 A worker owns exactly one node's *state* — its behaviour instance, its
 CPU-queue arithmetic (:class:`ServeNode`, a
-:class:`~repro.runtime.node.RuntimeNode` driver), its source feeder and
-every timer the node schedules, kept in one persistent local heap
-keyed ``(time, phase, rank, seq)`` — while the coordinator owns the
-shared virtual clock and the fabric.  The coordinator tells the worker
-how far it may run (one EPOCH frame: the horizon plus the deliveries
-below it, in canonical order); the worker runs its deliveries and its
-own timers below the horizon in one merged order, and replies with the
-cross-node effects (:mod:`repro.serve.protocol` ops) of each item that
-had any, plus the time of its next pending timer.  The coordinator
+:class:`~repro.sim.node.SimNode` on the worker's own
+:class:`~repro.sim.kernel.Simulator`), its source feeder and every
+timer the node schedules, all on that one-node kernel — while the
+coordinator owns the shared virtual clock and the fabric.  The
+coordinator tells the worker how far it may run (one EPOCH frame: the
+horizon plus the deliveries below it, in canonical order); the worker
+runs its deliveries and its own timers below the horizon in one merged
+order, and replies with the cross-node effects
+(:mod:`repro.serve.protocol` ops) of each item that had any, plus the
+time of its next pending timer.  The coordinator
 merges every worker's batches back into canonical global order, so
 fabric reservations are made in the order the simulator makes them.
 
@@ -24,17 +25,14 @@ honoured exactly as in the simulator.
 from __future__ import annotations
 
 import bisect
-import heapq
-import math
 import socket
 from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.runner import RunConfig, make_context
 from repro.core.workload import Workload
-from repro.errors import ServeError, SimulationError
+from repro.errors import ServeError
 from repro.obs.tracer import NULL_TRACER, RunTracer
-from repro.runtime.api import (PHASE_PROTOCOL, ROOT_NAME, TimerHandle,
-                               local_index, local_name)
+from repro.runtime.api import ROOT_NAME, local_index, local_name
 from repro.runtime.driver import resolved_profiles
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
@@ -43,6 +41,8 @@ from repro.serve.merge import MergeKey, key_from_json, slot_key, timer_key
 from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
                                   counters_snapshot, outcome_to_json,
                                   sender_table)
+from repro.sim.kernel import Simulator
+from repro.sim.node import SimNode
 from repro.wire.codec import MessageCodec
 
 if TYPE_CHECKING:
@@ -50,60 +50,24 @@ if TYPE_CHECKING:
     from repro.streams.batch import EventBatch
 
 
-class _ServeTimer:
-    """Worker-side handle mirroring a kernel :class:`ScheduledEvent`:
-    cancelling is lazy, the heap entry is dropped when it surfaces."""
+class ServeNode(SimNode):
+    """The serve driver: a :class:`~repro.sim.node.SimNode` on its
+    worker's one-node kernel.
 
-    __slots__ = ("callback", "cancelled")
-
-    def __init__(self, callback: Any) -> None:
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-#: One heap entry: ``(time, phase, rank, seq, handle)``; ``seq`` is
-#: unique, so handles are never compared.
-_Entry = tuple[float, int, tuple[str, ...], int, _ServeTimer]
-
-
-class ServeNode(RuntimeNode):
-    """The serve driver of :class:`~repro.runtime.node.RuntimeNode`.
-
-    The clock is the coordinator's virtual time (each executed item's
-    own time); timers go to the worker's heap and transmissions become
-    protocol ops instead of direct fabric calls.  All CPU-queue
-    arithmetic is the inherited driver-agnostic code, so timing cannot
-    drift from the simulator's.
+    Clock, timers and tracer are the simulator's own; only the two
+    cross-node effects differ: a transmission becomes a ``send`` op and
+    the stop a ``stop`` op, which the coordinator applies.  With no
+    fabric to attach to, ``send`` skips SimNode's attachment check.
     """
 
-    def __init__(self, name: str, profile: NodeProfile,
+    def __init__(self, sim: Simulator, name: str, profile: NodeProfile,
                  behavior: Behavior | None,
                  rt: "WorkerRuntime") -> None:
-        super().__init__(name, profile, behavior)
+        super().__init__(sim, name, profile, behavior)
         self._rt = rt
 
-    @property
-    def now(self) -> float:
-        return self._rt.now
-
-    @property
-    def tracer(self) -> Any:
-        return self._rt.tracer
-
-    def schedule_at(self, time: float, callback: Any,
-                    phase: int = PHASE_PROTOCOL,
-                    rank: tuple[str, ...] = ()) -> TimerHandle:
-        # Mirror the kernel's validation so a bad schedule fails with
-        # the same error on either driver.
-        if time < self._rt.now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now {self._rt.now}")
-        if not math.isfinite(time):
-            raise SimulationError(f"non-finite schedule time {time}")
-        return self._rt.add_timer(time, callback, phase, rank)
+    def send(self, dst: str, msg: Any) -> None:
+        RuntimeNode.send(self, dst, msg)
 
     def request_stop(self) -> None:
         self._rt.ops.append([OP_STOP])
@@ -145,21 +109,20 @@ class WorkerRuntime:
                             else local_index(node_name))
         profile = (root_profile if node_name == ROOT_NAME
                    else local_profile)
-        self.node = ServeNode(node_name, profile, behaviors[node_name],
-                              self)
+        #: The node's only timer store and clock.  Salt 0 whatever the
+        #: config's: restricted to one node, the kernel's sequence is
+        #: program order, which reproduces the simulator's order of
+        #: this node's timers.
+        self.sim = Simulator()
+        self.sim.tracer = self.tracer
+        self.node = ServeNode(self.sim, node_name, profile,
+                              behaviors[node_name], self)
         senders = sender_table(ctx.workload.n_nodes)
         #: This node's place in the sender table: the first half of
         #: its timers' merge tie-break.
         self.order = senders.index(node_name)
         self.codec = MessageCodec(spec.fmt)
         self.codec.seed_senders(senders)
-        self.now = 0.0
-        #: The node's only timer store, with lazy cancel.  Restricted to
-        #: one node, the kernel's global sequence is program order, so
-        #: ``seq`` reproduces the simulator's order of this node's
-        #: timers (salt 0).
-        self._heap: list[_Entry] = []
-        self._next_seq = 0
         # Per-item op buffer (reset for every executed item).
         self.ops: list[list[Any]] = []
         self.opblob = bytearray()
@@ -184,33 +147,7 @@ class WorkerRuntime:
             self.engine = ctx.engine
             ctx.engine = cast("MultiQueryEngine", self)
 
-    # -- timers and ops (called from ServeNode) ----------------------------
-
-    def add_timer(self, time: float, callback: Any, phase: int,
-                  rank: tuple[str, ...]) -> _ServeTimer:
-        seq = self._next_seq
-        self._next_seq += 1
-        handle = _ServeTimer(callback)
-        heapq.heappush(self._heap, (time, phase, rank, seq, handle))
-        return handle
-
-    def _head(self) -> _Entry | None:
-        """The earliest live timer entry (cancelled heads dropped)."""
-        heap = self._heap
-        while heap and heap[0][4].cancelled:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def next_timer(self) -> float | None:
-        """When this node's next live timer is due (None: none is)."""
-        head = self._head()
-        return None if head is None else head[0]
-
-    def live_timers(self) -> list[tuple[float, int, tuple[str, ...],
-                                        int]]:
-        """Every live timer as ``(time, phase, rank, seq)``, unordered."""
-        return [entry[:4] for entry in self._heap
-                if not entry[4].cancelled]
+    # -- ops (called from ServeNode) --------------------------------------
 
     def transmit(self, dst: str, msg: Any) -> None:
         frame = self.codec.encode_message(msg)
@@ -253,31 +190,27 @@ class WorkerRuntime:
         self._item_keys = []
         self._item_counters = [self._counters()]
 
-    # -- dispatch ----------------------------------------------------------
+    # -- start -------------------------------------------------------------
 
-    def dispatch(self, kind: int, header: dict[str, Any]
-                 ) -> tuple[list[list[Any]], bytes]:
-        """Execute one control instruction (INJECT/START);
-        returns (ops, blob).  A control dispatch is always applied in
-        full, so it ends with a fresh stop-cut base."""
+    def start(self) -> tuple[list[list[Any]], bytes]:
+        """Execute START; returns (ops, blob).
+
+        A local first feeds itself its source stream, then every node
+        runs its start hook, the simulator's per-node order.  START is
+        always applied in full, so it ends with a fresh stop-cut base.
+        """
         self._open_frame()
         self.ops = []
         self.opblob = bytearray()
-        self.now = header.get("now", self.now)
         before = len(self.ctx.result.outcomes)
-        if kind == framing.START:
-            self.node.start()
-        elif kind == framing.INJECT:
-            if self.local_index < 0:
-                raise ServeError("INJECT sent to the root node")
-            stream = self.ctx.workload.streams[self.local_index]
-            inject_stream(self.node, stream,
+        if self.local_index >= 0:
+            inject_stream(self.node,
+                          self.ctx.workload.streams[self.local_index],
                           self.config.resolved_batch_size(),
                           self.config.saturated,
                           sender=f"source-{self.local_index}",
                           sources=self.config.sources_per_node)
-        else:
-            raise ServeError(f"unexpected control frame kind {kind}")
+        self.node.start()
         self._emit_outcomes(before)
         self._open_frame()
         return self.ops, bytes(self.opblob)
@@ -302,14 +235,14 @@ class WorkerRuntime:
         The coordinator ships every delivery below the horizon ``h`` as
         a slot ``[time, phase, rank, pos, offset, length]`` in kernel
         pop order (``pos`` is the global pop position, the wire frame
-        is ``blob[offset:offset+length]``).  They merge with this
-        node's own timers below ``h`` by ``(time, phase, rank)``: only
-        the fabric schedules ``PHASE_DELIVER`` events, so a delivery
-        never ties a timer.  Each executed item with cross-node effects
-        becomes one batch: its ref (``["slot", i]`` or ``["timer",
-        seq]``, a timer adding ``"k": [time, phase, rank]``) and its
-        ordered ops.  An item with only node-local effects ships
-        nothing.
+        is ``blob[offset:offset+length]``).  They merge with the
+        timers on this node's kernel below ``h`` by ``(time, phase,
+        rank)``: only the fabric schedules ``PHASE_DELIVER`` events, so
+        a delivery never ties a timer.  Each executed item with
+        cross-node effects becomes one batch: its ref (``["slot", i]``
+        or ``["timer", seq]``, ``seq`` the kernel's, a timer adding
+        ``"k": [time, phase, rank]``) and its ordered ops.  An item
+        with only node-local effects ships nothing.
         """
         self._open_frame()
         slots = header["slots"]
@@ -322,39 +255,39 @@ class WorkerRuntime:
         self.stop_requested = False
         self.opblob = bytearray()
         result = self.ctx.result
+        sim = self.sim
         slot_keys = [slot_key(at, phase, tuple(rank), pos)
                      for at, phase, rank, pos, _, _ in slots]
         batches: list[dict[str, Any]] = []
         idx = 0
         while not self.stop_requested:
-            entry = self._head()
-            if entry is not None and not entry[0] < horizon:
-                entry = None
-            handle: _ServeTimer | None = None
+            event = sim.peek()
+            if event is not None and not event.time < horizon:
+                event = None
+            head = (None if event is None
+                    else (event.time, event.phase, event.rank))
             if idx < len(slots) and (
-                    entry is None or slot_keys[idx][:3] <= entry[:3]):
+                    head is None or slot_keys[idx][:3] <= head):
                 at, phase, rank, _, off, length = slots[idx]
                 ref: list[Any] = ["slot", idx]
                 key = slot_keys[idx]
                 idx += 1
-            elif entry is not None:
-                heapq.heappop(self._heap)
-                at, phase, rank, seq, handle = entry
-                ref = ["timer", seq]
-                key = timer_key(at, phase, rank, self.order, seq)
+            elif event is not None:
+                at, phase, rank = event.time, event.phase, event.rank
+                ref = ["timer", event.seq]
+                key = timer_key(at, phase, rank, self.order, event.seq)
             else:
                 break
             self.ops = []
-            self.now = at
             before = len(result.outcomes)
-            if handle is None:
+            if ref[0] == "slot":
+                # The clock steps to the delivery, as the coordinator's
+                # kernel stood when it popped it.
+                sim._now = at
                 self.node.deliver(self.codec.decode_message(
                     bytes(blob[off:off + length])))
             else:
-                # Consumed, as the kernel marks an executing event: a
-                # late cancel() is a no-op.
-                handle.cancelled = True
-                handle.callback()
+                sim.run(max_events=1)
             self._emit_outcomes(before)
             self._item_keys.append(key)
             self._item_counters.append(self._counters())
@@ -380,11 +313,14 @@ class WorkerRuntime:
             batches, rblob = self.dispatch_epoch(header, blob)
             rkind = framing.EPOCH_OPS
             reply: dict[str, Any] = {"batches": batches}
-        else:
-            ops, rblob = self.dispatch(kind, header)
+        elif kind == framing.START:
+            ops, rblob = self.start()
             rkind = framing.OPS
             reply = {"ops": ops}
-        reply["n"] = self.next_timer()
+        else:
+            raise ServeError(f"unexpected control frame kind {kind}")
+        event = self.sim.peek()
+        reply["n"] = None if event is None else event.time
         return rkind, reply, rblob
 
     def final_payload(self, stop: MergeKey | None) -> dict[str, Any]:

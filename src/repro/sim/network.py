@@ -61,14 +61,6 @@ class Link:
         self._busy_accum_s = 0.0
         self.stats = LinkStats()
 
-    def transmit(self, size_bytes: int,
-                 deliver: Callable[[], None]) -> float:
-        """Queue ``size_bytes`` on the link; returns the arrival time."""
-        arrival = self.reserve(size_bytes) + self.latency
-        self.record(size_bytes)
-        self.sim.schedule_at(arrival, deliver)
-        return arrival
-
     def reserve(self, size_bytes: int, not_before: float = 0.0) -> float:
         """Occupy the transmitter for ``size_bytes``; returns when the
         last byte leaves.  ``not_before`` delays the start (e.g. until

@@ -107,12 +107,12 @@ MUTANTS: tuple[Mutant, ...] = (
     # -- the worker: item order, stop cut, held appends ------------------
     Mutant("worker-timer-first",
            "repro.serve.worker:WorkerRuntime.dispatch_epoch",
-           "slot_keys[idx][:3] <= entry[:3]",
-           "slot_keys[idx][:3] > entry[:3]", APPLY),
+           "slot_keys[idx][:3] <= head",
+           "slot_keys[idx][:3] > head", APPLY),
     Mutant("worker-slot-tie-later",
            "repro.serve.worker:WorkerRuntime.dispatch_epoch",
-           "slot_keys[idx][:3] <= entry[:3]",
-           "slot_keys[idx][:3] < entry[:3]", APPLY,
+           "slot_keys[idx][:3] <= head",
+           "slot_keys[idx][:3] < head", APPLY,
            equivalent="only the fabric schedules PHASE_DELIVER events, "
                       "so a delivery never ties a timer"),
     Mutant("stop-cut-includes-next",

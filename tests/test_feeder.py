@@ -24,7 +24,6 @@ from repro.runtime import driver
 from repro.runtime.api import PHASE_SOURCE
 from repro.runtime.feeder import inject_stream
 from repro.runtime.node import INTEL_XEON
-from repro.serve import framing
 from repro.serve.worker import WorkerRuntime
 from repro.sim.kernel import Simulator
 from repro.sim.node import SimNode
@@ -181,9 +180,10 @@ class TestCountGuards:
     def test_worker_inject_holds_one_timer_per_client(self, sources):
         config = paced("deco_async", sources_per_node=sources)
         rt = WorkerRuntime("local-1", config)
-        ops, blob = rt.dispatch(framing.INJECT, {"now": 0.0})
+        ops, blob = rt.start()
         assert ops == [] and blob == b""
-        assert len(rt.live_timers()) == sources
+        feeds = [e for e in rt.sim.live_events() if e.phase == PHASE_SOURCE]
+        assert len(feeds) == sources
 
     def test_paced_run_keeps_a_few_live_events_per_node(self):
         config = paced("deco_async", n_nodes=4, window_size=4_000)

@@ -5,6 +5,7 @@ import pytest
 from repro.api import ALL_SCHEMES, RunSummary, compare, run
 from repro.core import RunConfig, available_schemes, get_scheme, \
     register_scheme, run_scheme
+from repro.core import runner
 from repro.core.runner import SchemeSpec
 from repro.errors import ConfigurationError
 
@@ -122,7 +123,7 @@ class TestApi:
 
 
 class TestStallDiagnostics:
-    def test_stalled_scheme_raises(self):
+    def test_stalled_scheme_raises(self, monkeypatch):
         """A scheme that cannot finish reports a diagnostic error
         rather than silently returning fewer windows."""
         from repro.errors import SimulationError
@@ -153,9 +154,12 @@ class TestStallDiagnostics:
             def service_time(self, node, msg):
                 return 0.0
 
-        register_scheme(SchemeSpec(name="dead_testonly",
-                                   root_cls=DeadRoot,
-                                   local_cls=DeadLocal))
+        # Registered for this test only: a scheme left behind would
+        # change every later test that iterates the registry.
+        monkeypatch.setitem(runner._SCHEMES, "dead_testonly",
+                            SchemeSpec(name="dead_testonly",
+                                       root_cls=DeadRoot,
+                                       local_cls=DeadLocal))
         with pytest.raises(SimulationError, match="stalled"):
             run_scheme(RunConfig(scheme="dead_testonly", n_nodes=1,
                                  window_size=100, n_windows=2,

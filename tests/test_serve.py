@@ -18,7 +18,7 @@ from repro.core.protocol import RawEvents
 from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.errors import ServeError, StreamError
 from repro.obs.tracer import RunTracer
-from repro.runtime.api import ROOT_NAME
+from repro.runtime.api import PHASE_SOURCE, ROOT_NAME
 from repro.serve import percentile, run_scheme_served
 from repro.runtime.serialization import WireFormat
 from repro.serve.coordinator import Coordinator
@@ -109,22 +109,29 @@ class TestWorkerRuntimeUnits:
             rt.dispatch_epoch(
                 {"h": 1.0, "slots": [[1.0, 1, [], 0, 0, 0]]}, b"")
 
-    def test_inject_to_root_rejected(self):
-        from repro.serve import framing
+    def test_root_start_feeds_no_source(self):
+        # Only a local's START feeds it a source stream.
         rt = WorkerRuntime(ROOT_NAME, tiny_config("deco_sync"))
-        with pytest.raises(ServeError, match="root"):
-            rt.dispatch(framing.INJECT, {"now": 0.0})
+        rt.start()
+        assert all(e.phase != PHASE_SOURCE for e in rt.sim.live_events())
+
+    def test_retired_control_kind_rejected(self):
+        # Kind 3 was INJECT, now folded into START.
+        rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
+        with pytest.raises(ServeError, match="unexpected control frame"):
+            rt.handle(3, {}, b"")
 
     def test_inject_keeps_timers_local(self):
-        # The feeder's timer stays in the worker's heap: the reply
+        # The feeder's timer stays on the worker's kernel: the reply
         # carries no op, only when the node's next timer is due.
         from repro.serve import framing
         rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
-        kind, reply, blob = rt.handle(framing.INJECT, {"now": 0.0}, b"")
+        kind, reply, blob = rt.handle(framing.START, {}, b"")
         assert kind == framing.OPS
         assert reply["ops"] == [] and blob == b""
         assert reply["n"] == 0.0
-        assert len(rt.live_timers()) == 1
+        feeds = [e for e in rt.sim.live_events() if e.phase == PHASE_SOURCE]
+        assert len(feeds) == 1
 
 
 class TestMalformedSendOp:

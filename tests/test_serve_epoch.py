@@ -138,8 +138,8 @@ class TestCrossNodeTrafficOnly:
 
     def test_only_cross_node_batches_are_applied(self, monkeypatch):
         tracer, _, applied = self.observed_run(monkeypatch)
-        # INJECT per local and START per node come first.
-        merged = applied[2 * 3 + 1:]
+        # One START per node (root and three locals) comes first.
+        merged = applied[3 + 1:]
         carrying = [tags for tags in merged
                     if tags & {"send", "outcome", "stop"}]
         assert tracer.counts_by_kind()["op_apply"] == len(merged) \
@@ -239,17 +239,23 @@ def fire_order(schedule_at, run, program):
 
 
 class TestWorkerTimerOrder:
+    @pytest.mark.parametrize("salt", [0, 0x5A5A],
+                             ids=["unsalted", "salted"])
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program=st.lists(TIMER_STEPS, max_size=24))
-    def test_worker_heap_fires_in_kernel_order(self, program):
+    def test_worker_kernel_fires_in_scheduling_order(self, salt,
+                                                      program):
         # One node's timers, ties on (time, phase, rank) included, fire
-        # in the same order from the worker's heap as from the kernel.
+        # through a worker's epoch in the order an unsalted kernel
+        # fires them: the worker's kernel stays at salt 0 whatever the
+        # config's salt, so its sequence is scheduling order.
         from repro.serve.worker import WorkerRuntime
         from repro.sim.kernel import Simulator
         sim = Simulator()
         expect = fire_order(sim.schedule_at, sim.run, program)
-        rt = WorkerRuntime("local-0", tiny_config("deco_sync"))
+        rt = WorkerRuntime("local-0",
+                           tiny_config("deco_sync", tiebreak_salt=salt))
         got = fire_order(
             rt.node.schedule_at,
             lambda: rt.dispatch_epoch({"h": 10.0, "slots": []}, b""),

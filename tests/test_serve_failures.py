@@ -84,7 +84,8 @@ def wait_no_lingering_workers():
 class TestNodeCrash:
     def test_crash_mid_window_raises_and_cleans_up(self, monkeypatch):
         # Every worker self-destructs before replying to its third
-        # dispatch (INJECT, START, first timer) — a crash mid-window.
+        # request (START, an epoch, then its second epoch) — a crash
+        # mid-window.
         crash_before_handle(monkeypatch, 3)
         with pytest.raises(ServeError) as excinfo:
             run_scheme_served(tiny_config())
@@ -179,7 +180,7 @@ class TestHandshakeTimeout:
             framing.recv_frame(late)
         # The first connection is the registered one and still
         # carries coordinator frames.
-        transport.send("local-0", framing.START, {"now": 0.0}, b"")
+        transport.send("local-0", framing.START, {}, b"")
         assert framing.recv_frame(first)[0] == framing.START
         for sock in [first, late, *rest, *transport.socks.values()]:
             sock.close()
@@ -224,7 +225,7 @@ def silent_worker(host, port, node, config, traced):
 
 class TestReplyDeadline:
     def test_silent_worker_fails_the_run_by_name(self, monkeypatch):
-        # local-0 is alive and connected but never replies to INJECT:
+        # local-0 is alive and connected but never replies to START:
         # the read must hit its deadline, not hang the run.
         monkeypatch.setattr(framing, "REPLY_TIMEOUT_S", 0.5)
         real_worker = harness.run_worker
