@@ -9,13 +9,12 @@ decomposable and Deco-friendly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.aggregates.base import (AggregateFunction, Decomposability,
-                                   GrayKind, equal_width_rows)
+from repro.aggregates.base import (AggregateFunction, Columns,
+                                   Decomposability, GrayKind)
 from repro.streams.batch import EventBatch
 
 
@@ -49,13 +48,19 @@ class Average(AggregateFunction):
             count += 1
         return SumCount(total, count)
 
-    def lift_ranges(self, batch: EventBatch, starts: Sequence[int],
-                    ends: Sequence[int]) -> list[Any]:
-        rows = equal_width_rows(batch, starts, ends)
-        if rows is None:
-            return super().lift_ranges(batch, starts, ends)
-        width = rows.shape[1]
-        return [SumCount(float(v), width) for v in rows.sum(axis=1)]
+    partial_type = SumCount
+
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        n, width = rows.shape
+        return (rows.sum(axis=1), np.full(n, width, dtype=np.int64))
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        return (left[0] + right[0], left[1] + right[1])
+
+    def lower_columns(self, partials: Columns) -> np.ndarray:
+        total, count = partials
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(count == 0, math.nan, total / count)
 
     def combine(self, left: SumCount, right: SumCount) -> SumCount:
         return SumCount(left.total + right.total, left.count + right.count)
@@ -93,6 +98,34 @@ class Variance(AggregateFunction):
         m2 = float(np.sum((batch.values - mean) ** 2))
         return Moments(n, mean, m2)
 
+    partial_type = Moments
+
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        n, width = rows.shape
+        mean = rows.mean(axis=1)
+        m2 = ((rows - mean[:, None]) ** 2).sum(axis=1)
+        return (np.full(n, width, dtype=np.int64), mean, m2)
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        # Chan et al.'s update term by term, in combine's order; an
+        # empty side yields the other side unchanged, as in combine.
+        lcount, lmean, lm2 = left
+        rcount, rmean, rm2 = right
+        count = lcount + rcount
+        delta = rmean - lmean
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = lmean + delta * rcount / count
+            m2 = lm2 + rm2 + delta * delta * lcount * rcount / count
+        lempty, rempty = lcount == 0, rcount == 0
+        return (count,
+                np.where(lempty, rmean, np.where(rempty, lmean, mean)),
+                np.where(lempty, rm2, np.where(rempty, lm2, m2)))
+
+    def lower_columns(self, partials: Columns) -> np.ndarray:
+        count, _, m2 = partials
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(count == 0, math.nan, m2 / count)
+
     def combine(self, left: Moments, right: Moments) -> Moments:
         if left.count == 0:
             return right
@@ -119,3 +152,6 @@ class StdDev(Variance):
     def lower(self, partial: Moments) -> float:
         variance = super().lower(partial)
         return math.sqrt(variance) if variance == variance else variance
+
+    def lower_columns(self, partials: Columns) -> np.ndarray:
+        return np.sqrt(super().lower_columns(partials))

@@ -12,6 +12,15 @@ Follows the two classifications the paper builds on (Section 2.3):
 
 Every function is expressed in lift / combine / lower form:
 ``lower(combine(lift(s1), lift(s2), ...)) == aggregate(s1 + s2 + ...)``.
+
+Decomposable functions also carry a *columnar kernel*: the same three
+steps over many partials at once, a partial batch held as one ndarray
+per partial field (:data:`Columns`).  Each kernel repeats its scalar
+counterpart's float operations in the same order, so column ``i`` of
+``combine_columns(a, b)`` has exactly the bits of ``combine(a_i, b_i)``
+(tests hold the two equal bit for bit); this is what lets
+:meth:`AggregateFunction.lift_ranges` and the multi-query engine's
+flush evaluate thousands of partials in a few numpy passes.
 """
 
 from __future__ import annotations
@@ -24,6 +33,11 @@ from typing import Any
 import numpy as np
 
 from repro.streams.batch import EventBatch
+
+#: A batch of partials as parallel columns, one array per partial
+#: field (``(total, count)`` for avg, ``(count, mean, m2)`` for
+#: variance, one column for the distributive functions).
+Columns = tuple[np.ndarray, ...]
 
 
 def equal_width_rows(batch: EventBatch, starts: Sequence[int],
@@ -120,13 +134,47 @@ class AggregateFunction(ABC):
         """Partial aggregates of several ``[start, end)`` slices.
 
         Equivalent to ``[lift(batch.slice_range(s, e)) ...]`` — and
-        bound to it bit-for-bit: overrides may batch the reductions
-        (one row-wise ndarray reduction instead of one call per range)
-        but must return exactly what the per-range lifts would.  The
-        chunk-tree index uses this to build many leaves per append.
+        bound to it bit-for-bit.  Equal-width contiguous ranges of a
+        decomposable function go through one :meth:`lift_rows` pass
+        (one row-wise ndarray reduction instead of one call per range);
+        anything else is lifted range by range.  The chunk-tree index
+        uses this to build many leaves per append.
         """
-        return [self.lift(batch.slice_range(int(s), int(e)))
-                for s, e in zip(starts, ends, strict=True)]
+        rows = (equal_width_rows(batch, starts, ends)
+                if self.is_decomposable else None)
+        if rows is None:
+            return [self.lift(batch.slice_range(int(s), int(e)))
+                    for s, e in zip(starts, ends, strict=True)]
+        return self.partials(self.lift_rows(rows))
+
+    # -- columnar kernel (decomposable functions only) ----------------------
+
+    #: The partial's ``NamedTuple`` type when it has several fields;
+    #: ``None`` for a one-column partial held as a plain scalar.
+    partial_type: Any = None
+
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        """Partials of each row of a C-contiguous ``(n, width)`` value
+        block, ``width >= 1``; row ``i`` equals ``lift`` of that row's
+        events bit for bit."""
+        raise NotImplementedError(f"{self.name} has no columnar kernel")
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        """Element-wise :meth:`combine` of two partial columns."""
+        raise NotImplementedError(f"{self.name} has no columnar kernel")
+
+    def lower_columns(self, partials: Columns) -> np.ndarray:
+        """Element-wise :meth:`lower`, as a float64 array.  The default
+        serves one-column partials that are their own result."""
+        return np.asarray(partials[0], dtype=np.float64)
+
+    def partials(self, columns: Columns) -> list[Any]:
+        """The scalar partials (what :meth:`lift` returns) held in
+        ``columns``, one per row."""
+        fields = [column.tolist() for column in columns]
+        if self.partial_type is None:
+            return fields[0]
+        return list(map(self.partial_type, *fields))
 
     # -- conveniences ------------------------------------------------------
 

@@ -14,11 +14,11 @@ checks them against.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from typing import Any
 
-from repro.aggregates.base import (AggregateFunction, Decomposability,
-                                   GrayKind, equal_width_rows)
+import numpy as np
+
+from repro.aggregates.base import (AggregateFunction, Columns,
+                                   Decomposability, GrayKind)
 from repro.streams.batch import EventBatch
 
 
@@ -41,14 +41,13 @@ class Sum(AggregateFunction):
             total += v
         return total
 
-    def lift_ranges(self, batch: EventBatch, starts: Sequence[int],
-                    ends: Sequence[int]) -> list[Any]:
-        rows = equal_width_rows(batch, starts, ends)
-        if rows is None:
-            return super().lift_ranges(batch, starts, ends)
-        # One row-wise pairwise-summation pass; bit-identical to
-        # summing each slice separately (see equal_width_rows).
-        return [float(v) for v in rows.sum(axis=1)]
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        # Row-wise pairwise summation visits each row's elements in
+        # the order a 1-d sum does (see equal_width_rows).
+        return (rows.sum(axis=1),)
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        return (left[0] + right[0],)
 
     def combine(self, left: float, right: float) -> float:
         return left + right
@@ -76,9 +75,11 @@ class Count(AggregateFunction):
             n += 1
         return n
 
-    def lift_ranges(self, batch: EventBatch, starts: Sequence[int],
-                    ends: Sequence[int]) -> list[Any]:
-        return [int(e - s) for s, e in zip(starts, ends, strict=True)]
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        return (np.full(rows.shape[0], rows.shape[1], dtype=np.int64),)
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        return (left[0] + right[0],)
 
     def combine(self, left: int, right: int) -> int:
         return left + right
@@ -107,12 +108,13 @@ class Min(AggregateFunction):
                 best = v
         return best
 
-    def lift_ranges(self, batch: EventBatch, starts: Sequence[int],
-                    ends: Sequence[int]) -> list[Any]:
-        rows = equal_width_rows(batch, starts, ends)
-        if rows is None:
-            return super().lift_ranges(batch, starts, ends)
-        return [float(v) for v in rows.min(axis=1)]
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        return (rows.min(axis=1),)
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        # np.where, not np.minimum: the scalar combine keeps ``left``
+        # on ties and NaN comparisons, which np.minimum does not.
+        return (np.where(left[0] <= right[0], left[0], right[0]),)
 
     def combine(self, left: float, right: float) -> float:
         return left if left <= right else right
@@ -141,12 +143,12 @@ class Max(AggregateFunction):
                 best = v
         return best
 
-    def lift_ranges(self, batch: EventBatch, starts: Sequence[int],
-                    ends: Sequence[int]) -> list[Any]:
-        rows = equal_width_rows(batch, starts, ends)
-        if rows is None:
-            return super().lift_ranges(batch, starts, ends)
-        return [float(v) for v in rows.max(axis=1)]
+    def lift_rows(self, rows: np.ndarray) -> Columns:
+        return (rows.max(axis=1),)
+
+    def combine_columns(self, left: Columns, right: Columns) -> Columns:
+        # np.where, not np.maximum (see Min.combine_columns).
+        return (np.where(left[0] >= right[0], left[0], right[0]),)
 
     def combine(self, left: float, right: float) -> float:
         return left if left >= right else right

@@ -24,6 +24,15 @@ tests compare against) the same node partials are recomputed from raw
 events through the same recursion, so window results, flows, bytes,
 and determinism fingerprints are bit-identical with caching on or off.
 Caching can only change *host* wall-clock, never a partial's bits.
+Only tree nodes are cached: a sub-chunk remainder is lifted from the
+raw events each time a range needs it.
+
+:func:`fold_windows` is the same decomposition for many windows at
+once, over one contiguous value store: remainders gathered into
+row blocks, leaves and parents built level by level, and every
+window's parts folded left to right in numpy columns through the
+aggregate's columnar kernel, bit-identical to :meth:`lift_range`
+window by window.  The multi-query engine's flush is its caller.
 
 Non-decomposable (holistic) functions must not use the tree — their
 partials are the collected values, so caching them would duplicate the
@@ -36,7 +45,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.aggregates.base import AggregateFunction
+import numpy as np
+
+from repro.aggregates.base import AggregateFunction, Columns
 from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
 
@@ -70,6 +81,120 @@ def decomposition_width(start: int, end: int,
     return n
 
 
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each positive entry (exact below 2**53)."""
+    return np.frexp(x)[1].astype(np.int64)
+
+
+def fold_windows(fn: AggregateFunction, values: np.ndarray, base: int,
+                 starts: np.ndarray, ends: np.ndarray,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE,
+                 ) -> tuple[Columns, np.ndarray, np.ndarray]:
+    """Partials of many non-empty ``[start, end)`` windows over one
+    contiguous float64 value store, in one columnar pass.
+
+    ``values[i]`` is the event at absolute position ``base + i`` and
+    every window lies inside the store.  Each window's partial is
+    bit-for-bit :meth:`RangeAggregateIndex.lift_range`'s: the same
+    head remainder, canonical power-of-two interior cover and tail
+    remainder; leaves lifted from aligned chunks and parents combined
+    from their two children; parts folded left to right seeded with the
+    first part (``combine_many``'s order), column by column through
+    ``fn``'s columnar kernel.  Remainders are gathered into
+    C-contiguous ``(n, width)`` rows, one block per distinct width.
+
+    Returns ``(partials, parts, edge_events)``: the partial columns,
+    the number of parts each window folded, and its head + tail
+    remainder length.
+    """
+    size = chunk_size
+    head_end = np.minimum(ends, -(-starts // size) * size)
+    tail_start = np.maximum(head_end, ends // size * size)
+    has_head = starts < head_end
+    has_tail = tail_start < ends
+    # One table holds every part a window folds: the remainder
+    # partials, then the tree level by level.
+    lo = np.concatenate([starts[has_head], tail_start[has_tail]])
+    widths = np.concatenate([head_end[has_head], ends[has_tail]]) - lo
+    order = np.argsort(widths, kind="stable")
+    cuts = np.flatnonzero(np.diff(widths[order])) + 1
+    pieces: list[Columns] = []
+    for group in np.split(order, cuts):
+        if len(group):
+            offsets = (lo[group] - base)[:, None]
+            pieces.append(fn.lift_rows(
+                values[offsets + np.arange(widths[group[0]])]))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    n_heads = int(has_head.sum())
+    head_row = np.full(len(starts), -1, dtype=np.int64)
+    head_row[has_head] = rank[:n_heads]
+    tail_row = np.full(len(starts), -1, dtype=np.int64)
+    tail_row[has_tail] = rank[n_heads:]
+    # Level k holds the nodes [first, first + count) of chunk runs of
+    # 2**k, at table rows [level_row[k], level_row[k] + count).
+    first = -(-base // size)
+    count = (base + len(values)) // size - first
+    level_row: list[int] = []
+    level_first: list[int] = []
+    row = len(order)
+    if count > 0:
+        at = first * size - base
+        level = fn.lift_rows(
+            values[at:at + count * size].reshape(count, size))
+        while True:
+            pieces.append(level)
+            level_row.append(row)
+            level_first.append(first)
+            row += count
+            parent = -(-first // 2)
+            skip = 2 * parent - first
+            pairs = (count - skip) // 2
+            if pairs <= 0:
+                break
+            stop = skip + 2 * pairs
+            level = fn.combine_columns(
+                tuple(c[skip:stop:2] for c in level),
+                tuple(c[skip + 1:stop:2] for c in level))
+            first, count = parent, pairs
+    table = tuple(np.concatenate(column) for column in zip(*pieces))
+    rows_at = np.array(level_row, dtype=np.int64)
+    first_at = np.array(level_first, dtype=np.int64)
+    # The cover walk, one step per part for every window at once: the
+    # largest aligned block at c0 that fits in [c0, c1).
+    columns = [head_row]
+    c0, c1 = head_end // size, tail_start // size
+    while True:
+        active = c0 < c1
+        if not active.any():
+            break
+        top = 1 << (_bit_length(np.where(active, c1 - c0, 1)) - 1)
+        block = np.where(c0 == 0, top, np.minimum(c0 & -c0, top))
+        k = _bit_length(block) - 1
+        columns.append(np.where(
+            active, rows_at[k] + (c0 >> k) - first_at[k], -1))
+        c0 = np.where(active, c0 + block, c0)
+    columns.append(tail_row)
+    acc = tuple(np.empty(len(starts), dtype=c.dtype) for c in table)
+    started = np.zeros(len(starts), dtype=bool)
+    parts = np.zeros(len(starts), dtype=np.int64)
+    for rows in columns:
+        present = rows >= 0
+        seed = present & ~started
+        for a, c in zip(acc, table, strict=True):
+            a[seed] = c[rows[seed]]
+        more = present & started
+        if more.any():
+            folded = fn.combine_columns(
+                tuple(a[more] for a in acc),
+                tuple(c[rows[more]] for c in table))
+            for a, f in zip(acc, folded, strict=True):
+                a[more] = f
+        started |= present
+        parts += present
+    return acc, parts, (head_end - starts) + (ends - tail_start)
+
+
 class RangeAggregateIndex:
     """Power-of-two tree of combined partials over aligned chunks.
 
@@ -84,8 +209,7 @@ class RangeAggregateIndex:
                  fetch: Callable[[int, int], EventBatch],
                  *, base: int = 0,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 caching: bool = True,
-                 edge_memo: bool = False) -> None:
+                 caching: bool = True) -> None:
         if chunk_size <= 0 or chunk_size & (chunk_size - 1):
             raise ConfigurationError(
                 f"chunk_size must be a positive power of two, got "
@@ -94,21 +218,6 @@ class RangeAggregateIndex:
         self.chunk_size = chunk_size
         self.caching = caching
         self._fetch = fetch
-        #: Optional memo of sub-chunk remainder lifts, per chunk, keyed
-        #: ``(start, end)``.  A remainder lift is a pure function of its
-        #: span, so the memo changes host wall-clock only — when many
-        #: standing queries share one stream, their window edges repeat
-        #: and the multi-query slice store asks for the memo so each
-        #: edge slice is lifted once.  Evicted chunk by chunk with the
-        #: leaves.
-        self._edges: dict[int, dict[tuple[int, int], Any]] | None = \
-            {} if edge_memo and caching else None
-        #: With an edge memo only: per completed chunk, the event block
-        #: :meth:`extend` fetched for it and that block's absolute start
-        #: — an edge miss slices it instead of going back to ``fetch``.
-        self._blocks: dict[int, tuple[EventBatch, int]] = {}
-        #: Lowest chunk whose memo and block are not yet evicted.
-        self._edge_floor = base // chunk_size
         #: Per-level node partials; ``_levels[k][i]`` covers chunk run
         #: ``[i * 2**k, (i + 1) * 2**k)``.
         self._levels: list[dict[int, Any]] = [{}]
@@ -122,12 +231,6 @@ class RangeAggregateIndex:
         self.nodes_evicted = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.edge_hits = 0
-        self.edge_misses = 0
-        #: Parts folded / sub-chunk remainder events lifted by the most
-        #: recent :meth:`lift_range` — what that call cost its caller.
-        self.last_width = 0
-        self.last_edge_events = 0
 
     # -- maintenance -------------------------------------------------------
 
@@ -160,10 +263,6 @@ class RangeAggregateIndex:
                     self.fn.lift_ranges(block, starts, ends),
                     start=first):
                 self._set_leaf(c, partial)
-        if self._edges is not None:
-            held = (block, first * size)
-            for c in range(first, first + n_new):
-                self._blocks[c] = held
         self._next_leaf = first + n_new
 
     def _set_leaf(self, chunk: int, partial: Any) -> None:
@@ -198,14 +297,6 @@ class RangeAggregateIndex:
         if not self.caching:
             return
         span = self.chunk_size
-        if self._edges is not None:
-            # A partly released chunk still serves the remainders at or
-            # after ``position``; only chunks wholly before it go.
-            whole = position // span
-            for i in range(self._edge_floor, whole):
-                self._edges.pop(i, None)
-                self._blocks.pop(i, None)
-            self._edge_floor = max(self._edge_floor, whole)
         for level, nodes in enumerate(self._levels):
             floor = -(-position // span)
             old = self._floors[level]
@@ -230,14 +321,13 @@ class RangeAggregateIndex:
         """
         fn = self.fn
         if end <= start:
-            self.last_width = self.last_edge_events = 0
             return fn.identity()
         size = self.chunk_size
         head_end = min(end, -(-start // size) * size)
         tail_start = max(head_end, (end // size) * size)
         parts: list[Any] = []
         if start < head_end:
-            parts.append(self._edge_lift(start, head_end))
+            parts.append(fn.lift(self._fetch(start, head_end)))
         c0, c1 = head_end // size, tail_start // size
         levels = self._levels
         n_levels = len(levels)
@@ -257,39 +347,9 @@ class RangeAggregateIndex:
             parts.append(node)
             c0 += block
         if tail_start < end:
-            parts.append(self._edge_lift(tail_start, end))
+            parts.append(fn.lift(self._fetch(tail_start, end)))
         self.cache_hits += hits
-        self.last_width = len(parts)
-        self.last_edge_events = (head_end - start) + (end - tail_start)
         return fn.combine_many(parts)
-
-    def _edge_lift(self, start: int, end: int) -> Any:
-        """Sub-chunk remainder lift, memoized when the index carries an
-        edge memo (identical bits either way — the lift is pure).  A
-        remainder lies inside one chunk by construction, so a miss
-        slices that chunk's resident block; only a chunk that never
-        completed here (the trailing one, or the one the index was
-        based inside) goes back to ``fetch``."""
-        edges = self._edges
-        if edges is None:
-            return self.fn.lift(self._fetch(start, end))
-        chunk = start // self.chunk_size
-        memo = edges.get(chunk)
-        if memo is None:
-            memo = edges[chunk] = {}
-        partial = memo.get((start, end))
-        if partial is None:
-            held = self._blocks.get(chunk)
-            if held is None:
-                events = self._fetch(start, end)
-            else:
-                events = held[0].slice_range(start - held[1],
-                                             end - held[1])
-            partial = memo[start, end] = self.fn.lift(events)
-            self.edge_misses += 1
-        else:
-            self.edge_hits += 1
-        return partial
 
     def _node(self, level: int, idx: int) -> Any:
         """One node's partial: cached, or recomputed through the same
@@ -313,11 +373,6 @@ class RangeAggregateIndex:
     def nodes_cached(self) -> int:
         """Nodes currently held (memory-bound checks in tests)."""
         return sum(len(nodes) for nodes in self._levels)
-
-    @property
-    def edges_cached(self) -> int:
-        """Edge-slice partials currently memoized."""
-        return sum(len(memo) for memo in (self._edges or {}).values())
 
     def __repr__(self) -> str:
         return (f"RangeAggregateIndex(fn={self.fn.name!r}, "

@@ -38,16 +38,13 @@ class PositionBuffer:
     indexed :meth:`lift_range`; position-only users (tests, generic
     stores) may omit it.  ``use_index=False`` keeps the canonical
     chunked decomposition but recomputes every partial from raw events
-    (the bit-identical naive reference).  ``edge_memo`` asks the index
-    to memoize sub-chunk remainder lifts (the multi-query slice store,
-    where many windows repeat the same edges).
+    (the bit-identical naive reference).
     """
 
     def __init__(self, base: int = 0,
                  fn: AggregateFunction | None = None, *,
                  use_index: bool = True,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 edge_memo: bool = False) -> None:
+                 chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         self._base = base  # absolute position of the first retained event
         self._batches: list[EventBatch] = []
         #: Absolute start position of each stored batch (bisect key).
@@ -66,7 +63,7 @@ class PositionBuffer:
             self._index = RangeAggregateIndex(
                 fn, lambda start, end: fetch()(start, end),
                 base=base, chunk_size=chunk_size,
-                caching=use_index, edge_memo=edge_memo)
+                caching=use_index)
 
     # -- state --------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""Shared multi-query engine: one slice store + partial tree per
-(stream, aggregate) serving thousands of standing queries.
+"""Shared multi-query engine: one value store per (stream, aggregate)
+serving thousands of standing queries.
 
 The paper evaluates one query at a time; real IoT serving multiplexes
 thousands of *standing queries* (different lengths, slides, aggregates)
@@ -15,54 +15,69 @@ Admission
     two identical specs admitted at the same position share one
     evaluation and each still receives every window in its own account.
 
-Shared slice store (per ``(stream, aggregate)`` group)
-    One :class:`~repro.core.buffers.PositionBuffer` + one partial tree
-    answers ``lift_range`` for *every* query of the group.  Aligned
-    chunks are computed once in the tree; the sub-chunk remainders —
-    the *union of all registered windows' edges* — land in a shared
-    edge-slice memo (:mod:`repro.core.agg_index`'s ``edge_memo``), so
-    each edge slice is lifted once no matter how many windows touch it.
-    The grid those edges live on is the Scotty-style
-    :func:`~repro.windows.slicer.union_slice_size` of the group.
+Shared value store (per ``(stream, aggregate)`` group)
+    One contiguous float64 store of the group's retained values, plus
+    the windows that have closed but are not yet evaluated.  A flush
+    evaluates all of them at once with
+    :func:`~repro.core.agg_index.fold_windows`: remainders gathered
+    into rows per distinct width, chunk leaves and their parents built
+    once for the whole store, and every window's canonical cover
+    folded column by column through the aggregate's columnar kernel.
+    The group's Scotty-style
+    :func:`~repro.windows.slicer.union_slice_size` is reported by
+    :meth:`MultiQueryEngine.stats`.
 
-Event-driven emission
+Event-driven emission and deferred flushes
     Each group keeps a heap of its evaluations keyed ``(next window
     end, admission seq)``; a batch pops only the windows it closes —
-    O(windows that close x log N), not O(registered queries).  A second,
-    lazily refreshed heap yields the eviction horizon.  Cross-query
-    emission order is in no fingerprint: each account digests its own
-    windows in index order.
+    O(windows that close x log N), not O(registered queries) — and
+    queues them.  A group flushes once its store holds more than twice
+    its longest window, and every read (:meth:`~MultiQueryEngine.account`,
+    ``accounts``, ``accounts_json``, ``fingerprints``, ``stats``)
+    flushes every group first, so deferral is never visible.  After a
+    flush the store is evicted up to the min next window start (a
+    second, lazily refreshed heap), which leaves less than one longest
+    window.  Cross-query emission order is in no fingerprint: each
+    account digests its own windows in index order.
 
 Bit-identity contract
-    Every window value is ``fn.lower(buffer.lift_range(start, end))``
-    where the decomposition and combine association are pure functions
-    of ``(start, end, chunk_size)`` — never of what other queries are
-    registered or what happens to be memoized.  The reference
-    ``MultiQueryEngine(sharing=False)`` runs each query as a fully
-    independent pipeline (private buffer, private tree, no dedup, no
-    edge memo) and computes the *same* decomposition, so per-query
-    results and fingerprints are bit-identical to the shared engine's;
-    sharing changes only memory and host wall-clock.
+    Every window value is bit-for-bit
+    ``fn.lower(buffer.lift_range(start, end))``: the decomposition and
+    combine association are pure functions of ``(start, end,
+    chunk_size)`` — never of what other queries are registered or how
+    the flushes fall — and each columnar kernel repeats its scalar
+    ``lift``/``combine``/``lower`` float operations in the same order.
+    The reference ``MultiQueryEngine(sharing=False)`` runs each query
+    as a fully independent pipeline (private buffer, private tree, no
+    dedup, one scalar lift per window), so per-query results and
+    fingerprints are bit-identical to the shared engine's; sharing
+    changes only memory and host wall-clock.
 
 Cost accounting
     Each admitted query owns a :class:`QueryAccount`: windows emitted,
     a streaming result fingerprint, and the combine/edge-lift cost its
-    evaluation actually paid.  A deduped duplicate pays nothing
-    (``deduped_into`` names the owning query); under the unshared
-    reference it pays full freight — the delta *is* the sharing
-    benefit.  When a tracer is enabled the same quantities surface as
-    ``mq_*`` counters scoped per query id.
+    evaluation actually paid (the fold's parts minus one and its head +
+    tail remainder length per window).  A deduped duplicate pays
+    nothing (``deduped_into`` names the owning query); under the
+    unshared reference it pays full freight — the delta *is* the
+    sharing benefit.  When a tracer is enabled the same quantities
+    surface as ``mq_*`` counters scoped per query id, complete after a
+    read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from heapq import heappush, heapreplace
 from typing import Any
 
+import numpy as np
+
 from repro.aggregates.base import AggregateFunction
-from repro.core.agg_index import DEFAULT_CHUNK_SIZE, decomposition_width
+from repro.core.agg_index import (DEFAULT_CHUNK_SIZE, decomposition_width,
+                                  fold_windows)
 from repro.core.buffers import PositionBuffer
 from repro.core.query import Query, parse_query_spec
 from repro.errors import ConfigurationError
@@ -83,6 +98,27 @@ def _aggregate_of(query: Query) -> AggregateFunction:
     if not isinstance(agg, AggregateFunction):  # pragma: no cover
         raise ConfigurationError(f"unresolved aggregate {agg!r}")
     return agg
+
+
+class _AccountRecord:
+    """An account's JSON record, held as this class's instance
+    ``__dict__``: instance dicts of one class share a single key table
+    (PEP 412), so a record costs ~190 B where a dict literal of its 11
+    keys costs ~470 B.  A result holds one record per standing query,
+    and callers keep many results (sweeps keep every cell, the
+    benchmark harness every round)."""
+
+    qid: str
+    stream: str
+    label: str
+    query_key: str
+    from_position: int
+    deduped_into: str | None
+    windows: int
+    combines: int
+    edge_events: int
+    last_result: float | None
+    fingerprint: str
 
 
 @dataclass
@@ -120,19 +156,19 @@ class QueryAccount:
         return str(self._digest.hexdigest())
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "qid": self.qid,
-            "stream": self.stream,
-            "label": self.label,
-            "query_key": self.query_key,
-            "from_position": self.from_position,
-            "deduped_into": self.deduped_into,
-            "windows": self.windows,
-            "combines": self.combines,
-            "edge_events": self.edge_events,
-            "last_result": self.last_result,
-            "fingerprint": self.fingerprint,
-        }
+        record = _AccountRecord()
+        record.qid = self.qid
+        record.stream = self.stream
+        record.label = self.label
+        record.query_key = self.query_key
+        record.from_position = self.from_position
+        record.deduped_into = self.deduped_into
+        record.windows = self.windows
+        record.combines = self.combines
+        record.edge_events = self.edge_events
+        record.last_result = self.last_result
+        record.fingerprint = self.fingerprint
+        return vars(record)
 
 
 @dataclass
@@ -154,15 +190,26 @@ class _QueryEval:
 
 
 class _StreamGroup:
-    """Shared storage for one (stream, aggregate): one buffer, one
-    partial tree, one edge-slice memo, many evaluations."""
+    """Shared storage for one (stream, aggregate): one contiguous value
+    store and the windows it owes, many evaluations."""
 
     def __init__(self, stream: str, fn: AggregateFunction, *,
-                 base: int, chunk_size: int) -> None:
+                 base: int) -> None:
         self.stream = stream
         self.fn = fn
-        self.buffer = PositionBuffer(
-            base, fn, chunk_size=chunk_size, edge_memo=True)
+        #: Absolute stream position of ``store[0]``.
+        self.base = base
+        #: Retained values from ``base`` on; what was fed since the last
+        #: flush waits in ``fed`` until the flush concatenates it.
+        self.store = np.empty(0, dtype=np.float64)
+        self.fed: list[np.ndarray] = []
+        self.end = base
+        #: Longest registered window: the store flushes once it holds
+        #: more than twice this many events.
+        self.longest = 0
+        #: Closed windows not yet evaluated, in closing order, as
+        #: ``(evaluation, window index)``.
+        self.pending: list[tuple[_QueryEval, int]] = []
         #: Evaluations keyed (query_key, from_position).
         self.evals: dict[tuple[str, int], _QueryEval] = {}
         #: Min-heap of ``(next window end, seq, evaluation)``: its head
@@ -181,18 +228,19 @@ class _StreamGroup:
         ev = self.evals[ekey] = _QueryEval(length, step, start)
         heappush(self.closing, (start + length, seq, ev))
         heappush(self.starts, (start, seq, ev))
+        self.longest = max(self.longest, length)
         return ev
 
-    def horizon(self, end: int) -> int:
-        """Min next window start over the evaluations, at most ``end``
-        — everything before it can be evicted."""
+    def horizon(self) -> int:
+        """Min next window start over the evaluations, at most the
+        stream end — everything before it can be evicted."""
         starts = self.starts
         while starts:
             start, seq, ev = starts[0]
             if start == ev.next_start:
-                return min(start, end)
+                return min(start, self.end)
             heapreplace(starts, (ev.next_start, seq, ev))
-        return end
+        return self.end
 
     @property
     def slice_grid(self) -> int:
@@ -205,21 +253,14 @@ class _StreamGroup:
         return union_slice_size(specs)
 
     def stats(self) -> dict[str, Any]:
-        index = self.buffer.index
-        out: dict[str, Any] = {
+        return {
             "stream": self.stream,
             "aggregate": self.fn.name,
             "queries": sum(len(e.subscribers) for e in self.evals.values()),
             "evals": len(self.evals),
             "slice_grid": self.slice_grid,
-            "retained": self.buffer.retained,
-            "edge_slices": 0 if index is None else index.edges_cached,
+            "retained": self.end - self.base,
         }
-        if index is not None:
-            out["nodes_cached"] = index.nodes_cached
-            out["edge_hits"] = index.edge_hits
-            out["edge_misses"] = index.edge_misses
-        return out
 
 
 class _PrivatePipeline:
@@ -246,8 +287,9 @@ class MultiQueryEngine:
 
     Fed from each local behavior's ingest path (every scheme), the
     engine maintains one shared group per (stream, aggregate) — or one
-    private pipeline per query with ``sharing=False`` — and emits every
-    completed window into the owning accounts.  Admission is
+    private pipeline per query with ``sharing=False`` — and books every
+    completed window into the owning accounts (shared groups at their
+    next flush; every read flushes first).  Admission is
     positional: a query admitted at stream position ``p`` sees
     exactly the windows ``[p + k*step, p + k*step + length)``, so
     the simulator and serve runtimes agree bit-for-bit.
@@ -291,12 +333,15 @@ class MultiQueryEngine:
             raise ConfigurationError(
                 f"admission at {start} precedes stream position {pos}: "
                 "admission is forward-only")
-        qid = f"q{len(self._accounts)}"
+        # Interned: every run of a query set names its accounts with
+        # the same strings, so the results of many runs share them.
+        qid = sys.intern(f"q{len(self._accounts)}")
         account = self._accounts[qid] = QueryAccount(
-            qid=qid, stream=stream, label=query.label,
-            query_key=query.query_key, from_position=start)
+            qid=qid, stream=sys.intern(stream),
+            label=sys.intern(query.label),
+            query_key=sys.intern(query.query_key), from_position=start)
         if self.sharing:
-            self._admit_shared(account, query, fn, length, step, start)
+            self._admit_shared(account, fn, length, step)
         else:
             pipe = _PrivatePipeline(
                 account, fn, length=length, step=step, base=pos,
@@ -307,17 +352,16 @@ class MultiQueryEngine:
             tracer.inc("mq_admitted", stream)
         return qid
 
-    def _admit_shared(self, account: QueryAccount, query: Query,
-                      fn: AggregateFunction, length: int, step: int,
-                      start: int) -> None:
+    def _admit_shared(self, account: QueryAccount,
+                      fn: AggregateFunction, length: int,
+                      step: int) -> None:
         stream = account.stream
         groups = self._groups.setdefault(stream, {})
         group = groups.get(fn.name)
         if group is None:
             group = groups[fn.name] = _StreamGroup(
-                stream, fn, base=self._stream_end.get(stream, 0),
-                chunk_size=self.chunk_size)
-        ekey = (query.query_key, start)
+                stream, fn, base=self._stream_end.get(stream, 0))
+        ekey = (account.query_key, account.from_position)
         ev = group.evals.get(ekey)
         if ev is None:
             ev = group.add(ekey, length, step)
@@ -362,46 +406,82 @@ class MultiQueryEngine:
                 buf.release_before(horizon)
 
     def _feed_group(self, group: _StreamGroup, batch: EventBatch) -> None:
-        """Append to the group's slice store and emit, in ``(end,
-        admission)`` order, every window the batch closes."""
-        buf = group.buffer
-        buf.append(batch)
-        end = buf.end
-        fn = group.fn
-        index = buf.index
+        """Append to the group's store and queue, in ``(end,
+        admission)`` order, every window the batch closes; flush once
+        the store holds more than twice the longest window."""
+        group.fed.append(batch.values)
+        group.end = end = group.end + len(batch)
         closing = group.closing
-        tracer = self.tracer
+        pending = group.pending
         checks = 0
         while closing:
             checks += 1
             e, seq, ev = closing[0]
             if e > end:
                 break
-            subscribers = ev.subscribers
-            value = float(fn.lower(buf.lift_range(e - ev.length, e)))
-            # The owner pays what the lift just folded: parts minus one
-            # combines and the head + tail remainder events (holistic
-            # windows re-lift their whole span).
-            if index is None:
-                combines, edge_events = 0, ev.length
-            else:
-                combines = index.last_width - 1
-                edge_events = index.last_edge_events
-            owner = subscribers[0]
-            owner.combines += combines
-            owner.edge_events += edge_events
-            if tracer is not None and tracer.enabled:
-                tracer.inc("mq_combines", owner.qid, combines)
-            for account in subscribers:
-                account.record(ev.next_window, value)
-                if tracer is not None and tracer.enabled:
-                    tracer.inc("mq_windows", account.qid)
+            pending.append((ev, ev.next_window))
             ev.next_window += 1
             heapreplace(closing, (e + ev.step, seq, ev))
         self.head_checks += checks
-        horizon = group.horizon(end)
-        if horizon > buf.base:
-            buf.release_before(horizon)
+        if end - group.base > 2 * group.longest:
+            self._flush(group)
+
+    def _flush(self, group: _StreamGroup) -> None:
+        """Evaluate every pending window of the group in one columnar
+        pass, book each into its subscribers (the owner pays what the
+        fold cost), and evict the store up to the group's horizon."""
+        if group.fed:
+            group.store = np.concatenate([group.store, *group.fed])
+            group.fed.clear()
+        pending = group.pending
+        if pending:
+            fn = group.fn
+            starts = np.array(
+                [ev.from_position + index * ev.step
+                 for ev, index in pending], dtype=np.int64)
+            lengths = np.array([ev.length for ev, _ in pending],
+                               dtype=np.int64)
+            ends = starts + lengths
+            if fn.is_decomposable:
+                partials, parts, edges = fold_windows(
+                    fn, group.store, group.base, starts, ends,
+                    self.chunk_size)
+                results = fn.lower_columns(partials).tolist()
+                combines = (parts - 1).tolist()
+                edge_events = edges.tolist()
+            else:
+                # Holistic windows re-lift their whole span.
+                store, base = group.store, group.base
+                results = [float(fn.lower(store[s - base:e - base]))
+                           for s, e in zip(starts.tolist(),
+                                           ends.tolist())]
+                combines = [0] * len(pending)
+                edge_events = lengths.tolist()
+            tracer = self.tracer
+            for (ev, index), value, paid, edge in zip(
+                    pending, results, combines, edge_events, strict=True):
+                subscribers = ev.subscribers
+                owner = subscribers[0]
+                owner.combines += paid
+                owner.edge_events += edge
+                if tracer is not None and tracer.enabled:
+                    tracer.inc("mq_combines", owner.qid, paid)
+                for account in subscribers:
+                    account.record(index, value)
+                    if tracer is not None and tracer.enabled:
+                        tracer.inc("mq_windows", account.qid)
+            pending.clear()
+        horizon = group.horizon()
+        if horizon > group.base:
+            group.store = group.store[horizon - group.base:]
+            group.base = horizon
+
+    def _flush_all(self) -> None:
+        """Evaluate every window closed so far (each read does this
+        first, so deferral is never visible)."""
+        for groups in self._groups.values():
+            for group in groups.values():
+                self._flush(group)
 
     def _charge(self, account: QueryAccount, start: int, end: int,
                 fn: AggregateFunction) -> None:
@@ -432,6 +512,7 @@ class MultiQueryEngine:
     # -- introspection ------------------------------------------------------
 
     def account(self, qid: str) -> QueryAccount:
+        self._flush_all()
         try:
             return self._accounts[qid]
         except KeyError:
@@ -439,20 +520,24 @@ class MultiQueryEngine:
 
     def accounts(self) -> dict[str, QueryAccount]:
         """All accounts, admission order."""
+        self._flush_all()
         return dict(self._accounts)
 
     def accounts_json(self) -> dict[str, dict[str, Any]]:
         """JSON-safe per-query accounts (``RunResult.queries``)."""
+        self._flush_all()
         return {qid: a.to_json()
                 for qid, a in self._accounts.items()}
 
     def fingerprints(self) -> dict[str, str]:
         """Per-query result fingerprints (shared-vs-reference checks)."""
+        self._flush_all()
         return {qid: a.fingerprint
                 for qid, a in self._accounts.items()}
 
     def stats(self) -> dict[str, Any]:
         """Engine-level storage statistics (benchmarks, tests)."""
+        self._flush_all()
         return {
             "sharing": self.sharing,
             "groups": [g.stats() for groups in self._groups.values()

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from collections.abc import Callable
 
 from repro.core.context import SchemeContext
-from repro.core.query import tumbling_count_query
+from repro.core.query import parse_query_spec, tumbling_count_query
 from repro.core.records import RunResult
 from repro.core.workload import Workload, WorkloadSpec, default_cache
 from repro.errors import ConfigurationError, SimulationError
@@ -220,10 +220,11 @@ def make_context(config: RunConfig,
         from repro.core.multiquery import MultiQueryEngine
         from repro.runtime.api import local_name
         engine = MultiQueryEngine(tracer=ctx.tracer)
+        queries = [parse_query_spec(spec) for spec in config.queries]
         for i in range(workload.n_nodes):
             stream = local_name(i)
-            for spec_str in tuple(config.queries):
-                engine.admit(stream, spec_str, at=0)
+            for standing in queries:
+                engine.admit(stream, standing, at=0)
         ctx.engine = engine
     return spec, ctx
 

@@ -228,16 +228,19 @@ MUTANTS: tuple[Mutant, ...] = (
                       "reference index, which only tests build"),
     # -- multi-query emission --------------------------------------------
     Mutant("mq-owner-only",
-           "repro.core.multiquery:MultiQueryEngine._feed_group",
+           "repro.core.multiquery:MultiQueryEngine._flush",
            "for account in subscribers:\n    pass",
            "for account in subscribers[:1]:\n    pass", RESULT),
     Mutant("mq-window-one-short",
-           "repro.core.multiquery:MultiQueryEngine._feed_group",
-           "buf.lift_range(e - ev.length, e)",
-           "buf.lift_range(e - ev.length + 1, e)", RESULT),
+           "repro.core.multiquery:MultiQueryEngine._flush",
+           "starts + lengths", "starts + lengths - 1", RESULT),
     Mutant("mq-slide-by-length",
-           "repro.core.multiquery:MultiQueryEngine._feed_group",
-           "(e + ev.step, seq, ev)", "(e + ev.length, seq, ev)", RESULT),
+           "repro.core.multiquery:MultiQueryEngine._flush",
+           "index * ev.step", "index * ev.length", RESULT),
+    Mutant("mq-fold-remainder-one-short",
+           "repro.core.agg_index:fold_windows",
+           "np.arange(widths[group[0]])",
+           "np.arange(widths[group[0]] - 1)", RESULT),
 )
 
 BY_NAME = {mutant.name: mutant for mutant in MUTANTS}

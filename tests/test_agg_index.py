@@ -19,7 +19,8 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.aggregates import available_aggregates, get_aggregate
 from repro.analysis.determinism import TimedFingerprint
-from repro.core.agg_index import RangeAggregateIndex, decomposition_width
+from repro.core.agg_index import (RangeAggregateIndex, decomposition_width,
+                                  fold_windows)
 from repro.core.buffers import PositionBuffer
 from repro.core.context import SchemeContext
 from repro.core.runner import RunConfig
@@ -30,6 +31,8 @@ from repro.streams.batch import EventBatch
 #: Every registered aggregate plus a parameterized quantile; holistic
 #: entries exercise the non-decomposable fallback path.
 AGGREGATE_NAMES = (*available_aggregates(), "quantile(0.9)")
+DECOMPOSABLE_NAMES = tuple(name for name in AGGREGATE_NAMES
+                           if get_aggregate(name).is_decomposable)
 
 #: Small chunk so modest streams span several tree levels.
 CHUNK = 16
@@ -109,22 +112,17 @@ class TestIndexedLiftProperty:
     @PROPERTY
     @given(script=buffer_scripts())
     def test_on_off_bit_identity_and_oracle(self, name, script):
-        """Indexed lifts equal the cache-off run bit-for-bit — with or
-        without the edge memo and its chunk-resident blocks — and the
+        """Indexed lifts equal the cache-off run bit-for-bit, and the
         per-event ``scalar_lift`` oracle within 1e-9."""
         seed, ops = script
         fn = get_aggregate(name)
         on = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK)
         off = PositionBuffer(fn=fn, use_index=False, chunk_size=CHUNK)
-        memo = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK,
-                              edge_memo=True)
         oracle = PositionBuffer(fn=fn)  # raw events for scalar_lift
         got_on = run_script(on, seed, ops)
         got_off = run_script(off, seed, ops)
         assert [(r, bits(p)) for r, p in got_on] == \
             [(r, bits(p)) for r, p in got_off]
-        assert [(r, bits(p)) for r, p in run_script(memo, seed, ops)] \
-            == [(r, bits(p)) for r, p in got_off]
         run_script(oracle, seed, [op for op in ops
                                   if op[0] != "release"])
         for (start, end), partial in got_on:
@@ -135,6 +133,40 @@ class TestIndexedLiftProperty:
             else:
                 assert math.isclose(got, want, rel_tol=1e-9,
                                     abs_tol=1e-7)
+
+    @pytest.mark.parametrize("name", DECOMPOSABLE_NAMES)
+    @PROPERTY
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           base=st.integers(min_value=0, max_value=3 * CHUNK),
+           size=st.integers(min_value=1, max_value=12 * CHUNK),
+           data=st.data())
+    def test_fold_windows_matches_lift_range(self, name, seed, base,
+                                             size, data):
+        """The columnar fold of many windows over one value store is
+        ``lift_range`` of each window bit for bit, with the same part
+        count and remainder length."""
+        fn = get_aggregate(name)
+        buf = PositionBuffer(base, fn=fn, chunk_size=CHUNK)
+        buf.append(value_batch(np.random.default_rng(seed), size,
+                               start=base))
+        spans = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=size - 1),
+                      st.integers(min_value=1, max_value=size)),
+            min_size=1, max_size=20))
+        starts = np.array([base + a for a, _ in spans], dtype=np.int64)
+        ends = np.array([base + max(a + 1, b) for a, b in spans],
+                        dtype=np.int64)
+        partials, parts, edges = fold_windows(
+            fn, buf.get_range(base, base + size).values, base, starts,
+            ends, CHUNK)
+        for i, (start, end) in enumerate(zip(starts.tolist(),
+                                             ends.tolist())):
+            want = buf.lift_range(start, end)
+            assert bits(fn.partials(partials)[i]) == bits(want)
+            assert parts[i] == decomposition_width(start, end, CHUNK)
+            head_end = min(end, -(-start // CHUNK) * CHUNK)
+            tail_start = max(head_end, end // CHUNK * CHUNK)
+            assert edges[i] == (head_end - start) + (end - tail_start)
 
     @PROPERTY
     @given(script=buffer_scripts())
@@ -186,40 +218,6 @@ class TestIndexMechanics:
         fresh.append(buf.get_range(60 * CHUNK, 64 * CHUNK))
         assert bits(live) == bits(fresh.lift_range(60 * CHUNK,
                                                    64 * CHUNK))
-
-    def test_edge_memo_blocks_and_per_chunk_eviction(self):
-        rng = np.random.default_rng(4)
-        fn = get_aggregate("sum")
-        plain = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK)
-        memo = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK,
-                              edge_memo=True)
-        for n in (7, 3 * CHUNK, 11):  # no-, multi- and one-leaf appends
-            batch = value_batch(rng, n, start=plain.end)
-            plain.append(batch)
-            memo.append(batch)
-        # Only an index with an edge memo keeps the leaf blocks.
-        assert plain.index._blocks == {}
-        assert sorted(memo.index._blocks) == [0, 1, 2, 3]
-        start, end = 5, 4 * CHUNK + 1
-        for buf in (plain, memo):
-            assert bits(buf.lift_range(start, end)) == \
-                bits(plain.lift_range(start, end))
-            assert buf.index.last_width == \
-                decomposition_width(start, end, CHUNK)
-            assert buf.index.last_edge_events == (CHUNK - 5) + 1
-        # Head from chunk 0's block, tail from the incomplete chunk 4.
-        assert (memo.index.edge_misses, memo.index.edge_hits) == (2, 0)
-        memo.lift_range(start, end)
-        assert (memo.index.edge_misses, memo.index.edge_hits) == (2, 2)
-        assert memo.index.edges_cached == 2
-        # A partly released chunk still serves the remainders past the
-        # release point; chunks wholly before it take memo and block
-        # with them.
-        memo.release_before(CHUNK + 3)
-        assert sorted(memo.index._blocks) == [1, 2, 3]
-        assert memo.index.edges_cached == 1
-        assert bits(memo.lift_range(CHUNK + 5, 2 * CHUNK)) == \
-            bits(fn.lift(plain.get_range(CHUNK + 5, 2 * CHUNK)))
 
     def test_holistic_functions_bypass_the_index(self):
         buf = PositionBuffer(fn=get_aggregate("median"))

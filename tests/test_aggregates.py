@@ -12,6 +12,7 @@ from repro.aggregates import (AggregateFunction, Average, Count,
                               Quantile, StdDev, Sum, Variance,
                               available_aggregates, get_aggregate)
 from repro.aggregates.base import equal_width_rows
+from repro.core.agg_index import DEFAULT_CHUNK_SIZE
 from repro.errors import AggregationError
 from repro.streams.batch import EventBatch
 
@@ -231,6 +232,72 @@ class TestLiftRanges:
         rows = equal_width_rows(batch, [0, 5, 10], [5, 10, 15])
         assert rows is not None and rows.shape == (3, 5)
         assert np.shares_memory(rows, batch.values)
+
+
+#: Values a kernel must treat exactly as the scalar path does.
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf)
+
+
+@st.composite
+def value_rows(draw):
+    """An ``(n, width)`` value block, width 1 to two index chunks:
+    uniform values, a tie-heavy mix of +-0.0 and +-1.0, or signed
+    zeros only, with +-0.0 and +-inf sprinkled in."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=1,
+                             max_value=2 * DEFAULT_CHUNK_SIZE))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**16)))
+    pool = draw(st.sampled_from([None, (0.0, -0.0, 1.0, -1.0),
+                                 (0.0, -0.0)]))
+    rows = (rng.uniform(-1e3, 1e3, (n, width)) if pool is None
+            else rng.choice(np.array(pool), (n, width)))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        rows[draw(st.integers(min_value=0, max_value=n - 1)),
+             draw(st.integers(min_value=0, max_value=width - 1))] = \
+            draw(st.sampled_from(SPECIAL_VALUES))
+    return rows
+
+
+def to_columns(fn, partials):
+    """Scalar partials as the kernel's columns (inverse of
+    ``fn.partials``)."""
+    fields = ([partials] if fn.partial_type is None
+              else [list(f) for f in zip(*partials)])
+    return tuple(np.array(f) for f in fields)
+
+
+class TestColumnarKernels:
+    """Each decomposable aggregate's columnar kernel is its scalar
+    ``lift`` / ``combine`` / ``lower`` bit for bit — the contract the
+    multi-query engine's flush rests on."""
+
+    # inf - inf is NaN on both paths; numpy warns about it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fn", DECOMPOSABLE, ids=lambda f: f.name)
+    @given(left=value_rows(), right=value_rows(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_scalar_path(self, fn, left, right, data):
+        n = min(len(left), len(right))
+        lifted = [fn.partials(fn.lift_rows(np.ascontiguousarray(rows[:n])))
+                  for rows in (left, right)]
+        for rows, got in zip((left, right), lifted):
+            assert partial_key(got) == partial_key(
+                [fn.lift(value_batch(row)) for row in rows[:n]])
+        # An identity partial on either side takes combine's
+        # empty-side branch.
+        empty = data.draw(st.lists(st.integers(min_value=0,
+                                               max_value=2 * n - 1),
+                                   max_size=2))
+        for k in empty:
+            lifted[k // n][k % n] = fn.identity()
+        a, b = lifted
+        combined = fn.combine_columns(to_columns(fn, a),
+                                      to_columns(fn, b))
+        want = [fn.combine(x, y) for x, y in zip(a, b)]
+        assert partial_key(fn.partials(combined)) == partial_key(want)
+        assert partial_key(fn.lower_columns(combined).tolist()) == \
+            partial_key([float(fn.lower(p)) for p in want])
 
 
 def partial_key(partials):

@@ -25,6 +25,7 @@ from repro.core.multiquery import MultiQueryEngine
 from repro.core.query import Query, parse_query_spec
 from repro.core.runner import RunConfig, run_scheme
 from repro.errors import ConfigurationError
+from repro.obs.tracer import RunTracer
 from repro.runtime.api import local_name
 from repro.runtime.driver import build_run, run_simulation
 from repro.streams.batch import EventBatch
@@ -141,10 +142,13 @@ class TestEngineBasics:
 
     def test_eviction_bounds_retention(self):
         engine = feed_engine(["sum:64:16"], [64] * 32, sharing=True)
-        stats = engine.stats()["groups"][0]
-        # The buffer never retains much past one window length.
-        assert stats["retained"] <= 64 + 64
-        assert stats["edge_slices"] <= 16
+        (group,) = engine._groups[STREAM].values()
+        # Between reads the store holds at most twice the longest
+        # window plus the batch that crossed that bound ...
+        assert group.end - group.base <= 2 * 64 + 64
+        # ... and a read flushes it down to less than one window.
+        assert engine.stats()["groups"][0]["retained"] < 64
+        assert not group.pending
 
     def test_stats_and_repr(self):
         engine = feed_engine(["sum:64", "avg:48:16"], [128],
@@ -189,6 +193,7 @@ class TestEngineBasics:
 #: holistic aggregates.
 spec_lists = st.lists(
     st.sampled_from(["sum:96", "sum:128:32", "avg:80:16", "max:64",
+                     "min:88:24", "count:72:40", "stddev:104:24",
                      "variance:112:48", "median:72:24", "sum:96"]),
     min_size=1, max_size=5)
 
@@ -229,6 +234,39 @@ class TestSharingBitIdentity:
         assert shared.account(late_qid).from_position == \
             sum(chunks[:at])
 
+    @given(specs=spec_lists, chunks=chunk_lists)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_deferred_flush_is_invisible(self, specs, chunks):
+        """Windows are evaluated in deferred flushes, and every read
+        flushes first: reading ``stats()`` after every feed and
+        reading only at the end give the same accounts and the same
+        ``mq_*`` tracer counters."""
+        def lifetime(read_every_feed):
+            rng = np.random.default_rng(7)
+            tracer = RunTracer()
+            engine = MultiQueryEngine(chunk_size=64, tracer=tracer)
+            for spec in specs:
+                engine.admit(STREAM, spec)
+            pos = 0
+            for n in chunks:
+                engine.append(STREAM, value_batch(rng, n, start=pos))
+                pos += n
+                if read_every_feed:
+                    engine.stats()
+            # The closing read comes first: tracer counters are
+            # complete once a read has flushed.
+            accounts = engine.accounts_json()
+            return accounts, {key: value
+                              for key, value in tracer.counters.items()
+                              if key[0].startswith("mq_")}
+
+        eager, deferred = lifetime(True), lifetime(False)
+        assert eager == deferred
+        shortest = min(int(spec.split(":")[1]) for spec in specs)
+        assert any(a["windows"] for a in deferred[0].values()) == \
+            (sum(chunks) >= shortest)
+
 #: One engine lifetime as a list of steps, mirrored onto a shared and
 #: an unshared engine: feeds of 1..5000 events and admissions from a
 #: small spec pool (so identical specs at one position dedupe) at the
@@ -239,7 +277,8 @@ lifetime_specs = st.builds(
     lambda aggs, shapes: [f"{aggs[i % len(aggs)]}:{shape}"
                           for i, shape in enumerate(shapes)],
     # One or two aggregates per lifetime, so queries share groups.
-    st.lists(st.sampled_from(["sum", "avg", "max", "median"]),
+    st.lists(st.sampled_from(["sum", "avg", "max", "min", "count",
+                              "stddev", "median"]),
              min_size=1, max_size=2),
     st.lists(
         st.builds(
