@@ -109,7 +109,9 @@ def replay(fn, n_events: int, ops, *, mode: str, seed: int):
     else:
         buf = PositionBuffer(fn=fn, use_index=(mode == "indexed"))
     # Feed in source-sized batches up front; the replay then measures
-    # pure query/release cost (appends are identical across modes).
+    # query/release cost, including every index node build, since the
+    # index builds a node on its first read (appends are identical
+    # across modes and build nothing).
     feed = 4096
     for at in range(0, n_events, feed):
         stop = min(at + feed, n_events)

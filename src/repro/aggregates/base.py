@@ -138,7 +138,7 @@ class AggregateFunction(ABC):
         decomposable function go through one :meth:`lift_rows` pass
         (one row-wise ndarray reduction instead of one call per range);
         anything else is lifted range by range.  The chunk-tree index
-        uses this to build many leaves per append.
+        uses this to lift the leaves a read is missing.
         """
         rows = (equal_width_rows(batch, starts, ends)
                 if self.is_decomposable else None)

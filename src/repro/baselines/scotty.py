@@ -13,16 +13,15 @@ and process events" (Section 5).  Concretely, versus Central:
   send/receive/process stages overlap.
 
 For count-based windows Scotty still aggregates centrally — it gains
-nothing from extra local nodes (Fig. 9a).
+nothing from extra local nodes (Fig. 9a).  Only the cost model differs
+from Central: window results come from :class:`CentralRoot`'s exact
+spans, and the slicing itself is modelled in ``service_time`` through
+the two factors below, so no slice partials are computed.
 """
 
 from __future__ import annotations
 
 from repro.baselines.central import CentralLocal, CentralRoot
-from repro.core.context import SchemeContext
-from repro.runtime.node import RuntimeNode
-from repro.windows.slicer import CountSlicer
-from repro.windows.base import TumblingCountWindow
 
 
 class ScottyLocal(CentralLocal):
@@ -30,21 +29,9 @@ class ScottyLocal(CentralLocal):
 
 
 class ScottyRoot(CentralRoot):
-    """Incremental slicing aggregation at the root."""
+    """Incremental slicing aggregation at the root, as a cost model."""
 
     #: Incremental fold of each arriving event into the open slice.
     RAW_EVENT_FACTOR = 1.0
     #: Window end only combines the already-computed slice partials.
     EMIT_BURST_FACTOR = 0.0
-
-    def __init__(self, ctx: SchemeContext):
-        super().__init__(ctx)
-        # The slicer tracks sharing statistics; window results still come
-        # from the exact ground-truth spans (arrival order at the root is
-        # modelled as timestamp order, Section 5's Central ground truth).
-        self.slicer = CountSlicer(
-            TumblingCountWindow(ctx.window_size), self.fn)
-
-    def handle(self, node: RuntimeNode, msg) -> None:
-        self.slicer.add(msg.events)
-        super().handle(node, msg)

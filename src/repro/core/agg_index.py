@@ -11,11 +11,16 @@ is that decomposable functions let partials be computed once and
 
 Structure: the stream is cut into aligned *chunks* of
 ``chunk_size`` events (a power of two).  Level-0 nodes are the lifted
-partials of completed chunks; a level-``k`` node is
+partials of chunks; a level-``k`` node is
 ``combine(left child, right child)`` over an aligned run of ``2**k``
 chunks.  A range query decomposes into at most ``2*log2(n_chunks)``
-precomputed nodes plus two sub-chunk remainder lifts, combined
-left-to-right — no event arrays are copied for the interior.
+nodes plus two sub-chunk remainder lifts, combined left-to-right — no
+event arrays are copied for the interior.  Appending events builds
+nothing: a node is built on its first read (the missing leaves lifted
+in one row-wise pass per contiguous run of chunks, the parents through
+the same recursion the uncached reference runs) and held until the
+buffer releases its start, so a buffer that is never queried holds no
+node and a queried one only the nodes its windows reach.
 
 Bit-identity contract: the decomposition and the combine association
 depend only on ``(start, end)`` and ``chunk_size`` — never on what
@@ -42,7 +47,9 @@ buffer.  :class:`~repro.core.buffers.PositionBuffer` gates on
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
+from itertools import groupby
 from typing import Any
 
 import numpy as np
@@ -196,19 +203,21 @@ def fold_windows(fn: AggregateFunction, values: np.ndarray, base: int,
 
 
 class RangeAggregateIndex:
-    """Power-of-two tree of combined partials over aligned chunks.
+    """Power-of-two tree of combined partials over aligned chunks,
+    built on demand.
 
     The index does not own event storage: ``fetch(start, end)`` reads
     raw events from the backing buffer (zero-copy when the range lies
-    in one stored batch).  ``caching=False`` keeps the canonical
-    decomposition but recomputes every node from raw events — the
-    bit-identical naive reference the tests compare against.
+    in one stored batch).  A node is built the first time a query's
+    cover reaches it and held until :meth:`release_before` passes its
+    start.  ``caching=False`` keeps the canonical decomposition but
+    recomputes every node from raw events — the bit-identical naive
+    reference the tests compare against.
     """
 
     def __init__(self, fn: AggregateFunction,
                  fetch: Callable[[int, int], EventBatch],
-                 *, base: int = 0,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
+                 *, chunk_size: int = DEFAULT_CHUNK_SIZE,
                  caching: bool = True) -> None:
         if chunk_size <= 0 or chunk_size & (chunk_size - 1):
             raise ConfigurationError(
@@ -220,94 +229,30 @@ class RangeAggregateIndex:
         self._fetch = fetch
         #: Per-level node partials; ``_levels[k][i]`` covers chunk run
         #: ``[i * 2**k, (i + 1) * 2**k)``.
-        self._levels: list[dict[int, Any]] = [{}]
-        #: Lowest per-level index not yet evicted (indices only grow,
-        #: so eviction pops a contiguous prefix — amortized O(1)).
-        self._floors: list[int] = [0]
-        #: Next chunk index awaiting completion.
-        self._next_leaf = -(-base // chunk_size)
+        self._levels: list[dict[int, Any]] = []
+        #: ``(start position, level, index)`` of every held node, a
+        #: min-heap on the start, so eviction pops exactly the nodes it
+        #: drops.
+        self._held: list[tuple[int, int, int]] = []
         # -- host-side statistics (never affect results) --
         self.nodes_built = 0
         self.nodes_evicted = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- maintenance -------------------------------------------------------
-
-    def extend(self, end: int) -> None:
-        """Absorb appended events: build leaves for every chunk that is
-        now complete (``(c + 1) * chunk_size <= end``) and bubble
-        parent nodes up while both children exist.
-
-        Multi-chunk appends fetch the whole new-chunk block once and
-        lift all leaves through the aggregate's batched
-        :meth:`~repro.aggregates.base.AggregateFunction.lift_ranges`
-        kernel (one row-wise reduction), which is bit-identical to
-        lifting each chunk separately — the per-leaf partials that land
-        in the tree are the same either way.
-        """
-        if not self.caching:
-            return
-        size = self.chunk_size
-        first = self._next_leaf
-        n_new = end // size - first
-        if n_new <= 0:
-            return
-        block = self._fetch(first * size, (first + n_new) * size)
-        if n_new == 1:
-            self._set_leaf(first, self.fn.lift(block))
-        else:
-            starts = [i * size for i in range(n_new)]
-            ends = [(i + 1) * size for i in range(n_new)]
-            for c, partial in enumerate(
-                    self.fn.lift_ranges(block, starts, ends),
-                    start=first):
-                self._set_leaf(c, partial)
-        self._next_leaf = first + n_new
-
-    def _set_leaf(self, chunk: int, partial: Any) -> None:
-        levels = self._levels
-        levels[0][chunk] = partial
-        self.nodes_built += 1
-        level, idx = 0, chunk
-        # Chunks complete left-to-right, so a parent is buildable
-        # exactly when its *right* child lands and the left sibling is
-        # still cached (not evicted past).
-        while idx & 1:
-            sibling = levels[level].get(idx - 1)
-            if sibling is None:
-                break
-            partial = self.fn.combine(sibling, partial)
-            level += 1
-            idx >>= 1
-            if level == len(levels):
-                levels.append({})
-                self._floors.append(0)
-            levels[level][idx] = partial
-            self.nodes_built += 1
 
     def release_before(self, position: int) -> None:
         """Evict every node whose span starts before ``position``.
 
         Mirrors buffer eviction: a node overlapping released positions
         can never be requested again (queries start at or after the
-        buffer base), so it is dropped.  Floors only advance, so each
-        node index is visited at most once over the buffer's lifetime.
+        buffer base), so it is dropped.  Each held node is popped once,
+        so eviction costs what was built, whatever the released range.
         """
-        if not self.caching:
-            return
-        span = self.chunk_size
-        for level, nodes in enumerate(self._levels):
-            floor = -(-position // span)
-            old = self._floors[level]
-            if floor > old:
-                for i in range(old, floor):
-                    if nodes.pop(i, None) is not None:
-                        self.nodes_evicted += 1
-                self._floors[level] = floor
-            span <<= 1
-        self._next_leaf = max(self._next_leaf,
-                              -(-position // self.chunk_size))
+        held = self._held
+        while held and held[0][0] < position:
+            _, level, idx = heapq.heappop(held)
+            del self._levels[level][idx]
+            self.nodes_evicted += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -329,50 +274,82 @@ class RangeAggregateIndex:
         if start < head_end:
             parts.append(fn.lift(self._fetch(start, head_end)))
         c0, c1 = head_end // size, tail_start // size
-        levels = self._levels
-        n_levels = len(levels)
-        hits = 0
+        cover: list[tuple[int, int]] = []
         while c0 < c1:
             # Largest aligned block starting at c0 that fits in [c0, c1).
             block = c0 & -c0 if c0 else 1 << ((c1 - c0).bit_length() - 1)
             while c0 + block > c1:
                 block >>= 1
             level = block.bit_length() - 1
-            node = (levels[level].get(c0 >> level)
-                    if level < n_levels else None)
-            if node is None:
-                node = self._node(level, c0 >> level)
-            else:
-                hits += 1
-            parts.append(node)
+            cover.append((level, c0 >> level))
             c0 += block
+        if self.caching:
+            self._lift_leaves(cover)
+        parts.extend(self._node(level, idx) for level, idx in cover)
         if tail_start < end:
             parts.append(fn.lift(self._fetch(tail_start, end)))
-        self.cache_hits += hits
         return fn.combine_many(parts)
 
+    def _lift_leaves(self, cover: list[tuple[int, int]]) -> None:
+        """Build every leaf missing under the ``cover`` nodes with one
+        fetch and one :meth:`~repro.aggregates.base.AggregateFunction.
+        lift_ranges` pass per contiguous run of chunks (bit-equal to
+        lifting each chunk alone), so a first read does not fetch its
+        chunks one at a time."""
+        levels = self._levels
+        leaves = levels[0] if levels else {}
+        # A held node's whole subtree is held (a child never starts
+        # before its parent, so it is evicted no earlier).  Cover nodes
+        # ascend, so ``missing`` does.
+        missing = [c for level, idx in cover
+                   if level >= len(levels) or idx not in levels[level]
+                   for c in range(idx << level, (idx + 1) << level)
+                   if c not in leaves]
+        size = self.chunk_size
+        for _, run in groupby(enumerate(missing), lambda p: p[1] - p[0]):
+            chunks = [c for _, c in run]
+            offsets = range(0, len(chunks) * size, size)
+            block = self._fetch(chunks[0] * size, (chunks[-1] + 1) * size)
+            for c, partial in zip(chunks, self.fn.lift_ranges(
+                    block, offsets, [o + size for o in offsets])):
+                self._hold(0, c, partial)
+
     def _node(self, level: int, idx: int) -> Any:
-        """One node's partial: cached, or recomputed through the same
-        recursion (identical bits either way)."""
+        """One node's partial: a leaf lifts its chunk, a parent combines
+        its two children.  A caching index builds each node once,
+        through this recursion, and holds it; the reference recomputes
+        it every time (identical bits either way)."""
         if self.caching and level < len(self._levels):
             partial = self._levels[level].get(idx)
             if partial is not None:
-                self.cache_hits += 1
                 return partial
-            self.cache_misses += 1
         if level == 0:
             size = self.chunk_size
-            return self.fn.lift(self._fetch(idx * size,
-                                            (idx + 1) * size))
-        return self.fn.combine(self._node(level - 1, 2 * idx),
-                               self._node(level - 1, 2 * idx + 1))
+            partial = self.fn.lift(self._fetch(idx * size,
+                                               (idx + 1) * size))
+        else:
+            left = self._node(level - 1, 2 * idx)
+            right = self._node(level - 1, 2 * idx + 1)
+            partial = self.fn.combine(left, right)
+        if self.caching:
+            self._hold(level, idx, partial)
+        return partial
+
+    def _hold(self, level: int, idx: int, partial: Any) -> None:
+        levels = self._levels
+        while len(levels) <= level:
+            levels.append({})
+        levels[level][idx] = partial
+        heapq.heappush(self._held,
+                       ((idx << level) * self.chunk_size, level, idx))
+        self.nodes_built += 1
 
     # -- introspection -----------------------------------------------------
 
     @property
     def nodes_cached(self) -> int:
         """Nodes currently held (memory-bound checks in tests)."""
-        return sum(len(nodes) for nodes in self._levels)
+        return len(self._held)
 
     def __repr__(self) -> str:
         return (f"RangeAggregateIndex(fn={self.fn.name!r}, "

@@ -7,12 +7,14 @@ contiguous event runs addressed by absolute stream position, supports
 range extraction, and releases verified prefixes (the paper's bounded
 memory argument, Sections 4.3.1-4.3.2).
 
-When bound to an aggregate function, the buffer also maintains a
+When bound to an aggregate function, the buffer also holds a
 :class:`~repro.core.agg_index.RangeAggregateIndex` so
 :meth:`PositionBuffer.lift_range` answers range aggregations from
-precomputed partials in O(log n) combines instead of re-lifting
-O(range) events — see :mod:`repro.core.agg_index` for the structure
-and the bit-identity contract between cached and uncached partials.
+tree partials in O(log n) combines instead of re-lifting O(range)
+events.  Appends do not touch the index: its nodes are built by the
+reads that reach them and dropped by :meth:`release_before` — see
+:mod:`repro.core.agg_index` for the structure and the bit-identity
+contract between cached and uncached partials.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ class PositionBuffer:
             fetch = weakref.WeakMethod(self.get_range)
             self._index = RangeAggregateIndex(
                 fn, lambda start, end: fetch()(start, end),
-                base=base, chunk_size=chunk_size,
-                caching=use_index)
+                chunk_size=chunk_size, caching=use_index)
 
     # -- state --------------------------------------------------------------
 
@@ -96,8 +97,6 @@ class PositionBuffer:
         self._starts.append(self._base + self._length)
         self._batches.append(batch)
         self._length += len(batch)
-        if self._index is not None:
-            self._index.extend(self._base + self._length)
 
     def release_before(self, position: int) -> int:
         """Drop events before absolute ``position``; returns #dropped.
@@ -172,10 +171,10 @@ class PositionBuffer:
         """Partial aggregate of ``[start, end)`` under the bound ``fn``.
 
         Decomposable functions go through the range-aggregation index
-        (O(log n) combines over precomputed partials, no event-array
-        copies); non-decomposable/holistic functions fall back to a
-        direct lift of the extracted range.  Results are bit-identical
-        whether or not the index caches.
+        (O(log n) combines over tree partials, each built on its first
+        read; no event-array copies); non-decomposable/holistic
+        functions fall back to a direct lift of the extracted range.
+        Results are bit-identical whether or not the index caches.
         """
         fn = self.fn
         if fn is None:

@@ -24,7 +24,7 @@ Shared value store (per ``(stream, aggregate)`` group)
     once for the whole store, and every window's canonical cover
     folded column by column through the aggregate's columnar kernel.
     The group's Scotty-style
-    :func:`~repro.windows.slicer.union_slice_size` is reported by
+    :func:`~repro.windows.base.union_slice_size` is reported by
     :meth:`MultiQueryEngine.stats`.
 
 Event-driven emission and deferred flushes
@@ -82,8 +82,8 @@ from repro.core.buffers import PositionBuffer
 from repro.core.query import Query, parse_query_spec
 from repro.errors import ConfigurationError
 from repro.streams.batch import EventBatch
-from repro.windows.base import SlidingCountWindow, TumblingCountWindow
-from repro.windows.slicer import union_slice_size
+from repro.windows.base import (SlidingCountWindow, TumblingCountWindow,
+                                union_slice_size)
 
 def _count_window(query: Query) -> tuple[int, int]:
     """(length, step) of a count-window query."""

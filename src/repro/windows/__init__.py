@@ -1,11 +1,8 @@
-"""Count window specs and Scotty-style slicing."""
+"""Count window specs."""
 
 from repro.windows.base import SlidingCountWindow, TumblingCountWindow
-from repro.windows.slicer import CountSlicer, WindowResult
 
 __all__ = [
     "TumblingCountWindow",
     "SlidingCountWindow",
-    "CountSlicer",
-    "WindowResult",
 ]

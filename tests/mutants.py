@@ -212,9 +212,9 @@ MUTANTS: tuple[Mutant, ...] = (
            "values.append(max(len(batch) - 1, 0))", RESULT),
     # -- the agg_index combine -------------------------------------------
     Mutant("index-parent-right-twice",
-           "repro.core.agg_index:RangeAggregateIndex._set_leaf",
-           "self.fn.combine(sibling, partial)",
-           "self.fn.combine(partial, partial)", RESULT),
+           "repro.core.agg_index:RangeAggregateIndex._node",
+           "self.fn.combine(left, right)",
+           "self.fn.combine(right, right)", RESULT),
     Mutant("index-drops-last-part",
            "repro.core.agg_index:RangeAggregateIndex.lift_range",
            "fn.combine_many(parts)", "fn.combine_many(parts[:-1])",
@@ -222,10 +222,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("index-recompute-left-twice",
            "repro.core.agg_index:RangeAggregateIndex._node",
            "self._node(level - 1, 2 * idx + 1)",
-           "self._node(level - 1, 2 * idx)", RESULT,
-           equivalent="a caching index holds every node a query can "
-                      "reach; the recursion runs only in the uncached "
-                      "reference index, which only tests build"),
+           "self._node(level - 1, 2 * idx)", RESULT),
     # -- multi-query emission --------------------------------------------
     Mutant("mq-owner-only",
            "repro.core.multiquery:MultiQueryEngine._flush",

@@ -185,18 +185,54 @@ class TestIndexMechanics:
                                 lambda s, e: EventBatch.empty(),
                                 chunk_size=48)
 
-    def test_cache_hits_on_repeated_queries(self):
+    def test_append_builds_no_node(self):
+        rng = np.random.default_rng(0)
+        buf = PositionBuffer(fn=get_aggregate("sum"), use_index=True,
+                             chunk_size=CHUNK)
+        for _ in range(8):
+            buf.append(value_batch(rng, 5 * CHUNK, start=buf.end))
+        assert buf.index.nodes_built == 0
+        assert buf.index.nodes_cached == 0
+
+    def test_first_query_builds_only_its_cover(self):
         rng = np.random.default_rng(0)
         buf = PositionBuffer(fn=get_aggregate("sum"), use_index=True,
                              chunk_size=CHUNK)
         buf.append(value_batch(rng, 40 * CHUNK))
-        buf.lift_range(0, 40 * CHUNK)
+        start, end = 3 * CHUNK + 5, 21 * CHUNK + 2
+        first = buf.lift_range(start, end)
         index = buf.index
-        assert index.cache_misses == 0
-        hits = index.cache_hits
-        assert hits > 0
-        buf.lift_range(0, 40 * CHUNK)
-        assert index.cache_hits == 2 * hits
+        # Interior chunks [4, 21) are covered by [4, 8) [8, 16) [16, 20)
+        # [20, 21): trees of 4, 8, 4 and 1 leaves, 7 + 15 + 7 + 1 nodes.
+        assert index.nodes_built == 30
+        again = buf.lift_range(start, end)  # all hits: builds nothing
+        assert bits(again) == bits(first)
+        assert index.nodes_built == 30
+        # No node outside the cover was built: none starts before it.
+        buf.release_before(4 * CHUNK)
+        assert index.nodes_evicted == 0
+
+    def test_sliding_queries_keep_the_cache_bounded(self):
+        rng = np.random.default_rng(1)
+        window = 8 * CHUNK
+        buf = PositionBuffer(fn=get_aggregate("avg"), use_index=True,
+                             chunk_size=CHUNK)
+        off = PositionBuffer(fn=get_aggregate("avg"), use_index=False,
+                             chunk_size=CHUNK)
+        for step in range(64):
+            batch = value_batch(rng, CHUNK + step % 3, start=buf.end)
+            buf.append(batch)
+            off.append(batch)
+            start = max(buf.base, buf.end - window)
+            assert bits(buf.lift_range(start, buf.end)) == \
+                bits(off.lift_range(start, off.end))
+            buf.release_before(start)
+            off.release_before(start)
+            # Every held node lies in the live range, which spans at
+            # most 9 chunks: at most 2 * 9 - 1 aligned nodes.
+            assert buf.index.nodes_cached <= 17
+        assert buf.index.nodes_evicted == \
+            buf.index.nodes_built - buf.index.nodes_cached > 0
 
     def test_release_evicts_and_bounds_cache(self):
         rng = np.random.default_rng(1)
@@ -208,6 +244,8 @@ class TestIndexMechanics:
         buf.release_before(60 * CHUNK)
         assert buf.index.nodes_evicted > 0
         assert buf.index.nodes_cached < before
+        assert buf.index.nodes_cached == \
+            buf.index.nodes_built - buf.index.nodes_evicted
         with pytest.raises(WindowError):
             buf.lift_range(0, 64 * CHUNK)  # head was released
         # The live suffix still answers, bit-identical to a fresh lift.
@@ -305,3 +343,18 @@ class TestSchemeBitIdentity:
             buf.index is not None and buf.index.caching
             for buf in uncached)
         assert on == off, "\n".join(on.diff(off))
+
+    @pytest.mark.parametrize("scheme", ("central", "scotty", "disco"))
+    def test_forwarding_locals_build_no_node(self, scheme):
+        """A local that only forwards raw events never reads its index,
+        so its buffer builds no node, while the root's buffers do."""
+        # Windows of several chunks per node, so the root's reads do
+        # reach tree nodes.
+        config = RunConfig(scheme=scheme, **dict(TINY, window_size=8000))
+        topo, ctx = build_run(config)
+        run_simulation(topo, ctx, config.resolved_batch_size(),
+                       config.saturated)
+        for i in range(topo.n_locals):
+            assert topo.local(i).behavior.buffer.index.nodes_built == 0
+        assert sum(buf.index.nodes_built
+                   for buf in topo.root.behavior.raw) > 0
