@@ -37,15 +37,16 @@ class CentralLocal(LocalBehaviorBase):
         return node.profile.message_overhead_s
 
     def on_events(self, node: RuntimeNode) -> None:
-        batch = self.buffer.get_range(self._forwarded, self.available)
-        if len(batch) == 0:
-            return
+        start, end = self._forwarded, self.buffer.end
+        batch = self.buffer.get_range(start, end)
+        if end <= start:
+            return  # get_range returned the empty batch
         # send_up would double-charge serialization (it is this message's
         # service time already), so send directly.
         node.send(ROOT_NAME, RawEvents(sender=node.name, window_index=-1,
                                        events=batch))
-        self._forwarded = self.available
-        self.buffer.release_before(self._forwarded)
+        self._forwarded = end
+        self.buffer.release_before(end)
 
 
 class CentralRoot(RootBehaviorBase):

@@ -92,11 +92,12 @@ class PositionBuffer:
 
     def append(self, batch: EventBatch) -> None:
         """Append events arriving in stream order."""
-        if len(batch) == 0:
+        n = len(batch)
+        if n == 0:
             return
         self._starts.append(self._base + self._length)
         self._batches.append(batch)
-        self._length += len(batch)
+        self._length += n
 
     def release_before(self, position: int) -> int:
         """Drop events before absolute ``position``; returns #dropped.
@@ -110,19 +111,21 @@ class PositionBuffer:
             return 0
         drop = min(position - self._base, self._length)
         new_base = self._base + drop
-        i = self._head
         batches, starts = self._batches, self._starts
-        while (i < len(batches)
-               and starts[i] + len(batches[i]) <= new_base):
-            i += 1
+        n = len(batches)
+        if drop == self._length:
+            i = n  # every held batch goes
+        else:
+            i = self._head
+            while i < n and starts[i] + len(batches[i]) <= new_base:
+                i += 1
         self._head = i
-        if i < len(batches) and starts[i] < new_base:
+        if i < n and starts[i] < new_base:
             batches[i] = batches[i].drop(new_base - starts[i])
             starts[i] = new_base
         self._base = new_base
         self._length -= drop
-        if (self._head > _COMPACT_THRESHOLD
-                and self._head * 2 >= len(batches)):
+        if i > _COMPACT_THRESHOLD and i * 2 >= n:
             del batches[:self._head]
             del starts[:self._head]
             self._head = 0

@@ -17,6 +17,7 @@ from repro.core.context import SchemeContext
 from repro.core.protocol import Message, SourceBatch, raw_event_count
 from repro.runtime.node import RuntimeNode
 from repro.runtime.api import ROOT_NAME, local_name
+from repro.streams.batch import EventBatch
 from repro.streams.event import TICKS_PER_SECOND
 from repro.streams.watermark import WatermarkTracker
 
@@ -60,8 +61,14 @@ class LocalBehaviorBase:
         # the previous rate report (Section 4.3.3).
         self._rate_mark_count = 0
         self._rate_mark_ts: int | None = None
-        self._last_event_ts: int | None = None
+        #: The latest ingested batch: its last timestamp is read only
+        #: when a rate is taken, not on every ingest.
+        self._last_events: EventBatch | None = None
         self._last_rate = 0.0
+        workload = ctx.workload
+        #: The steady-state retention budget (fixed for the run).
+        self._budget = self.BACKPRESSURE_WINDOWS * max(
+            1, workload.window_size // workload.n_nodes)
 
     # -- Behaviour protocol -------------------------------------------------
 
@@ -85,9 +92,7 @@ class LocalBehaviorBase:
         backpressure can never deadlock the bootstrap) — holding more
         would only pile un-aggregated raw events onto the root.
         """
-        workload = self.ctx.workload
-        per_node = max(1, workload.window_size // workload.n_nodes)
-        return self.BACKPRESSURE_WINDOWS * per_node
+        return self._budget
 
     def bootstrap_budget(self, n_bootstrap_windows: int) -> int:
         """Retention budget while centrally forwarding the first
@@ -117,12 +122,13 @@ class LocalBehaviorBase:
 
     def _ingest(self, node: RuntimeNode, msg: SourceBatch) -> None:
         events = msg.events
-        if len(events) == 0:
+        n = len(events)
+        if n == 0:
             return
         if self._rate_mark_ts is None:
             self._rate_mark_ts = events.first_ts
-        self._last_event_ts = events.last_ts
-        self._rate_mark_count += len(events)
+        self._last_events = events
+        self._rate_mark_count += n
         self.buffer.append(events)
         engine = self.ctx.engine
         if engine is not None:
@@ -131,7 +137,7 @@ class LocalBehaviorBase:
             # self.buffer, so backpressure and scheme results are
             # untouched by however many queries are registered.
             engine.append(self.stream, events)
-        node.account_events(len(events))
+        node.account_events(n)
         self.on_events(node)
 
     def on_events(self, node: RuntimeNode) -> None:
@@ -154,16 +160,17 @@ class LocalBehaviorBase:
         event rate and sends [it] to the root node" (Section 4.3.3); the
         measurement interval is from the previous report to now.
         """
-        if (self._rate_mark_ts is None or self._last_event_ts is None
+        if (self._rate_mark_ts is None or self._last_events is None
                 or self._rate_mark_count == 0):
             return self._last_rate
-        span_ticks = self._last_event_ts - self._rate_mark_ts
+        last_ts = self._last_events.last_ts
+        span_ticks = last_ts - self._rate_mark_ts
         if span_ticks <= 0:
             return self._last_rate
         rate = self._rate_mark_count * TICKS_PER_SECOND / span_ticks
         self._last_rate = rate
         self._rate_mark_count = 0
-        self._rate_mark_ts = self._last_event_ts
+        self._rate_mark_ts = last_ts
         return rate
 
     def lift_range(self, start: int, end: int) -> Any:

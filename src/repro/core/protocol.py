@@ -15,6 +15,7 @@ declaration and one :data:`MESSAGE_TYPES` entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any, ClassVar
@@ -251,23 +252,32 @@ MESSAGE_TYPES: tuple[type[Message], ...] = (
     CorrectionRequest, StartWindow)
 
 
+#: Each registered message class's wire declaration (by exact type).
+_WIRES: dict[type, Wire] = {cls: cls.WIRE for cls in MESSAGE_TYPES}
+
+
 def wire_of(msg: Message) -> Wire:
     """The wire declaration of a registered message."""
-    cls = type(msg)
-    if cls not in MESSAGE_TYPES:
-        raise TypeError(f"unknown message type {cls.__name__}")
-    return cls.WIRE
+    try:
+        return _WIRES[type(msg)]
+    except KeyError:
+        raise TypeError(
+            f"unknown message type {type(msg).__name__}") from None
 
 
-def raw_event_count(msg: Message) -> int:
-    """Raw events a message carries, over all its batches."""
-    wire = wire_of(msg)
+def _event_count(msg: Message, wire: Wire) -> int:
+    """Raw events ``msg`` carries over all the batches ``wire`` names."""
     total = 0 if wire.batch is None else len(getattr(msg, wire.batch))
     for name in wire.optional:
         batch = getattr(msg, name)
         if batch is not None:
             total += len(batch)
     return total
+
+
+def raw_event_count(msg: Message) -> int:
+    """Raw events a message carries, over all its batches."""
+    return _event_count(msg, wire_of(msg))
 
 
 def sizeof_message(msg: Message,
@@ -286,14 +296,13 @@ def sizeof_message(msg: Message,
     n_scalars = len(wire.slots) + len(wire.optional)
     if wire.partial is not None:
         n_scalars += partial_wire_slots(getattr(msg, wire.partial))
-    return message_size(n_events=raw_event_count(msg),
-                        n_scalars=n_scalars, fmt=fmt)
+    return message_size(_event_count(msg, wire), n_scalars, fmt)
 
 
 def make_sizer(
         fmt: WireFormat = WireFormat.BINARY) -> Callable[[Any], int]:
     """A ``msg -> bytes`` sizer bound to one wire format."""
-    return lambda msg: sizeof_message(msg, fmt)
+    return functools.partial(sizeof_message, fmt=fmt)
 
 
 def trace_fields(msg: Message) -> dict:

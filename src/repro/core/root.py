@@ -47,6 +47,9 @@ class RootBehaviorBase:
         self.fn = ctx.query.aggregate
         self.result = ctx.result
         self.watermark = WatermarkTracker()
+        #: ``workload.bounds`` as Python ints, for the per-message
+        #: completeness check of :meth:`aggregate_raw_window`.
+        self._bounds: list[list[int]] = ctx.workload.bounds.tolist()
         #: Index of the next window to emit (strictly in order).
         self.next_emit = 0
         #: Set by a root when it stops accepting raw events (the switch
@@ -125,12 +128,12 @@ class RootBehaviorBase:
         partial over them, or None while some node's forwarded events
         end short of its span.
         """
-        # Checked on every raw message: cheap, and stops at the first
-        # node that is short.
-        ends = self.workload.bounds[window + 1]
-        if not all(self.raw[a].end >= ends[a]
-                   for a in range(self.n_nodes)):
-            return None
+        # Checked on every raw message: cheap (Python ints, no numpy
+        # scalar compares), and stops at the first node that is short.
+        raw = self.raw
+        for a, end in enumerate(self._bounds[window + 1]):
+            if raw[a].end < end:
+                return None
         spans = self.actual_spans(window)
         partial = self.fn.identity()
         for a, (start, end) in spans.items():

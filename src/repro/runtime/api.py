@@ -60,7 +60,10 @@ class TimerHandle(Protocol):
     structurally, on the serve worker's kernel as on the oracle's.
     """
 
-    cancelled: bool
+    @property
+    def cancelled(self) -> bool:
+        """Whether the callback was cancelled or has already run."""
+        ...  # pragma: no cover - protocol
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""

@@ -74,14 +74,15 @@ class PacedSource:
     node resumes at the stream position the clock has reached.
     """
 
-    __slots__ = ("_node", "_stream", "_batch_size", "_sender", "_rank",
-                 "_pos", "_msg")
+    __slots__ = ("_node", "_stream", "_limit", "_batch_size", "_sender",
+                 "_rank", "_pos", "_msg")
 
     def __init__(self, node: RuntimeNode, stream: EventBatch,
                  batch_size: int, sender: str,
                  rank: tuple[str, ...] = ()) -> None:
         self._node = node
         self._stream = stream
+        self._limit = len(stream)
         self._batch_size = batch_size
         self._sender = sender
         self._rank = rank
@@ -91,7 +92,7 @@ class PacedSource:
     def arm(self) -> None:
         """Slice the next batch and schedule its delivery."""
         start = self._pos
-        limit = len(self._stream)
+        limit = self._limit
         if start >= limit:
             return
         self._pos = end = min(start + self._batch_size, limit)
@@ -132,7 +133,8 @@ class SourceFeeder:
     RETRY_S = 50e-6
 
     def _feed(self) -> None:
-        if self._pos >= self._limit:
+        pos = self._pos
+        if pos >= self._limit:
             return
         node = self._node
         behavior = node.behavior
@@ -143,8 +145,8 @@ class SourceFeeder:
             node.schedule(self.RETRY_S, self._feed,
                           phase=PHASE_SOURCE)
             return
-        end = min(self._pos + self._batch_size, self._limit)
-        batch = self._stream.slice_range(self._pos, end)
+        end = min(pos + self._batch_size, self._limit)
+        batch = self._stream.slice_range(pos, end)
         self._pos = end
         node.deliver(SourceBatch(sender=self._sender, events=batch))
         # The node's CPU frees exactly when this batch's handler ran;

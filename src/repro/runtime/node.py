@@ -22,7 +22,8 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Protocol
+from functools import partial
+from typing import Any, NamedTuple, Protocol
 
 from repro.errors import SimulationError
 from repro.obs import events as ev
@@ -94,26 +95,23 @@ class Behavior(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass(frozen=True, slots=True)
-class Sealed:
+class Sealed(NamedTuple):
     """A message in flight whose wire round trip waits for its handler.
 
     The simulator's fabric hands a receiver this instead of a decoded
     copy (see :meth:`repro.sim.network.Network.send`): ``msg`` is the
     sender's message, its arrays made read-only; ``size`` is what the
     link was charged; ``opener`` turns the pair into the copy the
-    behaviour handles.  Service time and trace labels read ``msg``,
-    whose fields equal the decoded copy's, so a message still queued
-    when the run stops is never coded.
+    behaviour handles, called by :meth:`RuntimeNode._handle`.  Service
+    time and trace labels read ``msg``, whose fields equal the decoded
+    copy's, so a message still queued when the run stops is never
+    coded.  An internal record of the simulator, not a protocol
+    message: a named tuple, built once per delivery.
     """
 
     msg: Any
     size: int
     opener: Callable[[Any, int], Any]
-
-    def open(self) -> Any:
-        """The receiver's copy: what survived the bytes."""
-        return self.opener(self.msg, self.size)
 
 
 @dataclass
@@ -138,6 +136,8 @@ class RuntimeNode(abc.ABC):
                  behavior: Behavior | None = None) -> None:
         self.name = name
         self.profile = profile
+        #: Pipeline threads dividing every CPU charge (at least one).
+        self._threads = max(1, profile.threads)
         self.behavior = behavior
         self._cpu_free_at = 0.0
         self._queued = 0
@@ -200,31 +200,35 @@ class RuntimeNode(abc.ABC):
         """
         if self.crashed:
             return
-        if self.behavior is None:
+        behavior = self.behavior
+        if behavior is None:
             raise SimulationError(f"node {self.name} has no behavior")
         sent = msg.msg if isinstance(msg, Sealed) else msg
-        service = self.behavior.service_time(self, sent)
+        service = behavior.service_time(self, sent)
         if service < 0:
             raise SimulationError(
                 f"negative service time {service} on {self.name}")
         # Pipeline threads overlap stages; model as a service speed-up
         # bounded by the profile's thread count.
-        service /= max(1, self.profile.threads)
-        start = max(self.now, self._cpu_free_at)
+        service /= self._threads
+        now = self.now
+        free = self._cpu_free_at
+        start = free if free > now else now
         done = start + service
         self._cpu_free_at = done
-        self._queued += 1
-        self.metrics.max_queue = max(self.metrics.max_queue, self._queued)
-        self.metrics.busy_s += service
+        queued = self._queued = self._queued + 1
+        metrics = self.metrics
+        if queued > metrics.max_queue:
+            metrics.max_queue = queued
+        metrics.busy_s += service
         tracer = self.tracer
         if tracer.enabled:
-            tracer.event(ev.QUEUE, self.now, self.name,
-                         depth=self._queued)
-            tracer.gauge("queue_depth", self.name, self._queued)
+            tracer.event(ev.QUEUE, now, self.name, depth=queued)
+            tracer.gauge("queue_depth", self.name, queued)
             if service > 0:
                 tracer.event(ev.CPU, start, self.name, dur=service,
                              label=type(sent).__name__)
-        self.schedule_at(done, lambda m=msg: self._handle(m))
+        self.schedule_at(done, partial(self._handle, msg))
 
     def _handle(self, msg: Any) -> None:
         """Run the behaviour on a message whose service time elapsed.
@@ -237,16 +241,18 @@ class RuntimeNode(abc.ABC):
         if self.crashed:
             return
         if isinstance(msg, Sealed):
-            msg = msg.open()
+            sent, size, opener = msg
+            msg = opener(sent, size)
         self.metrics.messages += 1
         tracer = self.tracer
         if tracer.enabled:
-            tracer.event(ev.MSG_RECV, self.now, self.name,
+            now = self.now
+            tracer.event(ev.MSG_RECV, now, self.name,
                          msg=type(msg).__name__,
                          window=getattr(msg, "window_index", None))
             # Dequeue sample: no gauge call — the depth maximum is
             # always established on the enqueue side in deliver().
-            tracer.event(ev.QUEUE, self.now, self.name,
+            tracer.event(ev.QUEUE, now, self.name,
                          depth=self._queued)
             tracer.inc("messages_received", self.name)
         assert self.behavior is not None
@@ -262,8 +268,10 @@ class RuntimeNode(abc.ABC):
         """
         if duration < 0:
             raise SimulationError(f"negative occupy duration {duration}")
-        duration /= max(1, self.profile.threads)
-        start = max(self.now, self._cpu_free_at)
+        duration /= self._threads
+        now = self.now
+        free = self._cpu_free_at
+        start = free if free > now else now
         done = start + duration
         self._cpu_free_at = done
         self.metrics.busy_s += duration
@@ -290,9 +298,8 @@ class RuntimeNode(abc.ABC):
             # The (src, dst) rank makes same-instant sends from
             # different nodes reserve the receiver's NIC in canonical
             # order — a salt-invariant contention outcome.
-            self.schedule_at(
-                done, lambda: self._transmit(dst, msg),
-                rank=(self.name, dst))
+            self.schedule_at(done, partial(self._transmit, dst, msg),
+                             rank=(self.name, dst))
         else:
             self._transmit(dst, msg)
 

@@ -75,5 +75,12 @@ def message_size(n_events: int = 0, n_scalars: int = 0,
     """
     if n_scalars < 0:
         raise ConfigurationError(f"n_scalars must be >= 0, got {n_scalars}")
-    return (HEADER_BYTES[fmt] + event_payload_size(n_events, fmt)
-            + n_scalars * SCALAR_BYTES[fmt])
+    if n_events < 0:
+        raise ConfigurationError(f"n_events must be >= 0, got {n_events}")
+    header, event, scalar = _MODEL[fmt]
+    return header + n_events * event + n_scalars * scalar
+
+
+#: ``(header, event, scalar)`` bytes per format, read once per message.
+_MODEL = {fmt: (HEADER_BYTES[fmt], EVENT_BYTES[fmt], SCALAR_BYTES[fmt])
+          for fmt in WireFormat}

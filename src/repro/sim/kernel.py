@@ -8,9 +8,10 @@ whole cluster run is a single-threaded, reproducible computation.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable, Iterator
+from heapq import heappop, heappush
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
@@ -18,36 +19,73 @@ from repro.runtime.api import PHASE_PROTOCOL
 
 __all__ = ["ScheduledEvent", "Simulator"]
 
+_INF = math.inf
 
-class ScheduledEvent:
-    """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "seq", "phase", "rank", "sort_seq", "callback",
-                 "cancelled", "_sim")
+class ScheduledEvent(list[Any]):
+    """Handle for a scheduled callback; supports cancellation.
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[[], None],
-                 sim: "Simulator | None" = None,
-                 sort_seq: int | None = None,
-                 phase: int = PHASE_PROTOCOL,
-                 rank: tuple[str, ...] = ()) -> None:
-        self.time = time
-        self.seq = seq
-        self.phase = phase
-        #: Canonical same-(time, phase) ordering key.  Events carrying
-        #: a rank run after unranked ones and sort by the rank itself
-        #: (e.g. network sends by ``(src, dst)``), making their mutual
-        #: order — and everything downstream of shared-resource
-        #: contention — independent of insertion order.
-        self.rank = rank
-        #: Tie-break rank among equal-(time, phase) events.  Equals
-        #: ``seq`` normally; a :class:`Simulator` with a nonzero
-        #: ``tiebreak_salt`` permutes it (see the determinism contract
-        #: in :mod:`repro.analysis.determinism`).
-        self.sort_seq = seq if sort_seq is None else sort_seq
-        self.callback = callback
-        self.cancelled = False
-        self._sim = sim
+    The handle is its own heap entry, ``[time, phase, rank, sort_seq,
+    callback, seq, simulator]``: a list, so every heap comparison runs
+    in C, and ``sort_seq`` is unique, so nothing past it is ever
+    compared.  One object per scheduled event, built by one call;
+    running or cancelling it clears the callback slot.
+    """
+
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        """Absolute simulation time the callback runs at."""
+        time: float = self[0]
+        return time
+
+    @property
+    def phase(self) -> int:
+        """Scheduling domain ordering same-time events (see
+        :meth:`Simulator.schedule_at`)."""
+        phase: int = self[1]
+        return phase
+
+    @property
+    def rank(self) -> tuple[str, ...]:
+        """Canonical same-(time, phase) ordering key.
+
+        Events carrying a rank run after unranked ones and sort by the
+        rank itself (e.g. network sends by ``(src, dst)``), making
+        their mutual order — and everything downstream of
+        shared-resource contention — independent of insertion order.
+        """
+        rank: tuple[str, ...] = self[2]
+        return rank
+
+    @property
+    def sort_seq(self) -> int:
+        """Tie-break rank among equal-(time, phase, rank) events.
+
+        Equals :attr:`seq` normally; a :class:`Simulator` with a
+        nonzero ``tiebreak_salt`` permutes it (see the determinism
+        contract in :mod:`repro.analysis.determinism`).
+        """
+        sort_seq: int = self[3]
+        return sort_seq
+
+    @property
+    def callback(self) -> Callable[[], None] | None:
+        """The callback, or None once the event ran or was cancelled."""
+        callback: Callable[[], None] | None = self[4]
+        return callback
+
+    @property
+    def seq(self) -> int:
+        """Insertion sequence number within the owning simulator."""
+        seq: int = self[5]
+        return seq
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the event was cancelled or has already run."""
+        return self[4] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
@@ -57,10 +95,9 @@ class ScheduledEvent:
         counter is decremented immediately so :meth:`Simulator.pending`
         stays O(1).
         """
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._live -= 1
+        if self[4] is not None:
+            self[4] = None
+            self[6]._live -= 1
 
 
 class Simulator:
@@ -84,12 +121,8 @@ class Simulator:
                 f"tiebreak_salt must be >= 0, got {tiebreak_salt}")
         self.tiebreak_salt = tiebreak_salt
         self._now = 0.0
-        #: Heap of ``(time, phase, rank, sort_seq, event)`` entries:
-        #: native tuples, so every heap comparison runs in C, and
-        #: ``sort_seq`` is unique, so the events themselves are never
-        #: compared.
-        self._queue: list[tuple[float, int, tuple[str, ...], int,
-                                ScheduledEvent]] = []
+        #: Heap of :class:`ScheduledEvent` entries.
+        self._queue: list[ScheduledEvent] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -129,17 +162,20 @@ class Simulator:
         events that contend for a shared resource.  The tie-break salt
         only permutes within an equal (time, phase, rank) class.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < now {self._now}")
-        if not math.isfinite(time):
+        now = self._now
+        # One range test on the hot path: NaN fails every comparison,
+        # -inf is in the past and +inf is not below _INF.
+        if not now <= time < _INF:
+            if time < now:
+                raise SimulationError(
+                    f"cannot schedule at {time} < now {now}")
             raise SimulationError(f"non-finite schedule time {time}")
-        sort_seq = self._seq ^ self.tiebreak_salt
-        event = ScheduledEvent(time, self._seq, callback, self,
-                               sort_seq=sort_seq, phase=phase, rank=rank)
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (time, phase, rank, sort_seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        sort_seq = seq ^ self.tiebreak_salt
+        event = ScheduledEvent((time, phase, rank, sort_seq, callback, seq,
+                                self))
+        heappush(self._queue, event)
         self._live += 1
         return event
 
@@ -156,34 +192,38 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        # Hot loop: hoist bound/global lookups out of the per-event
+        # Hot loop: hoist attribute lookups out of the per-event
         # iteration (the kernel executes millions of events per run).
         queue = self._queue
-        heappop = heapq.heappop
+        horizon = _INF if until is None else until
+        limit = _INF if max_events is None else max_events
         try:
             while queue and not self._stopped:
-                event = queue[0][4]
-                if event.cancelled:
-                    heappop(queue)
+                event = heappop(queue)
+                callback = event[4]
+                if callback is None:
                     continue
-                if until is not None and event.time > until:
-                    self._now = until
+                time = event[0]
+                if time > horizon:
+                    # Not due: put it back (keys are unique, so the
+                    # heap's pop order is unchanged).
+                    heappush(queue, event)
+                    self._now = horizon
                     break
-                heappop(queue)
                 self._live -= 1
                 # Consumed: a late cancel() on this handle must be a
                 # no-op, not a second live-counter decrement.
-                event.cancelled = True
-                self._now = event.time
-                event.callback()
-                self.events_executed += 1
+                event[4] = None
+                self._now = time
+                callback()
                 executed += 1
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     break
             else:
                 if until is not None and not self._stopped:
                     self._now = max(self._now, until)
         finally:
+            self.events_executed += executed
             self._running = False
         return self._now
 
@@ -196,16 +236,15 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            event = queue[0][4]
-            if not event.cancelled:
+            event = queue[0]
+            if event[4] is not None:
                 return event
-            heapq.heappop(queue)
+            heappop(queue)
         return None
 
     def live_events(self) -> Iterator[ScheduledEvent]:
         """Every live scheduled event, in no particular order."""
-        return (entry[4] for entry in self._queue
-                if not entry[4].cancelled)
+        return (event for event in self._queue if event[4] is not None)
 
     def clear(self) -> None:
         """Drop every scheduled event (teardown of a finished run).
@@ -213,8 +252,8 @@ class Simulator:
         The dropped events are marked cancelled, so a handle someone
         still holds stays inert and ``pending()`` consistent.
         """
-        for entry in self._queue:
-            entry[4].cancelled = True
+        for event in self._queue:
+            event[4] = None
         self._queue.clear()
         self._live = 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, SimulationError
@@ -67,10 +68,11 @@ class Link:
         the message has crossed an upstream stage)."""
         if size_bytes < 0:
             raise SimulationError(f"negative message size {size_bytes}")
-        start = max(self.sim.now, self._tx_free_at, not_before)
-        done = start + size_bytes / self.bandwidth
+        start = max(self.sim._now, self._tx_free_at, not_before)
+        busy = size_bytes / self.bandwidth
+        done = start + busy
         self._tx_free_at = done
-        self._busy_accum_s += size_bytes / self.bandwidth
+        self._busy_accum_s += busy
         return done
 
     def record(self, size_bytes: int) -> None:
@@ -203,7 +205,10 @@ class Network:
         The failure hooks and the send-side trace events see the
         sender's message, whose fields equal the decoded copy's.  The
         destination node's ``deliver`` runs at the arrival time unless
-        a failure hook drops the message.
+        a failure hook drops the message; only a :attr:`delay_fn` that
+        returns a positive delay adds a kernel event (the re-schedule
+        at arrival), so the arrival event is a ``functools.partial``
+        of ``deliver`` otherwise.
         """
         link = self.link(src, dst)
         size = self.sizer(msg)
@@ -236,14 +241,10 @@ class Network:
                 tracer.inc("messages_delayed", src)
 
         delivery = msg if codec is None else Sealed(msg, size, self._open)
-
-        def deliver() -> None:
-            if extra > 0:
-                self.sim.schedule(extra, lambda: dst_node.deliver(delivery),
-                                  phase=PHASE_DELIVER,
-                                  rank=(dst, src))
-            else:
-                dst_node.deliver(delivery)
+        deliver: Callable[[], Any] = partial(dst_node.deliver, delivery)
+        if extra > 0:
+            deliver = partial(self.sim.schedule, extra, deliver,
+                              phase=PHASE_DELIVER, rank=(dst, src))
 
         # Per-pair accounting; NIC-pair timing with cut-through
         # semantics: the receiver's NIC starts taking bytes one link
@@ -251,8 +252,9 @@ class Network:
         # single message pays serialization once, while concurrent
         # senders still contend for the receiver's line rate.
         link.record(size)
-        egress_done = self._egress[src].reserve(size)
-        egress_start = egress_done - size / self._egress[src].bandwidth
+        egress = self._egress[src]
+        egress_done = egress.reserve(size)
+        egress_start = egress_done - size / egress.bandwidth
         arrival = self._ingress[dst].reserve(
             size, not_before=egress_start + link.latency)
         # PHASE_DELIVER: an arrival coinciding with a handler

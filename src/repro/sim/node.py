@@ -35,7 +35,7 @@ class SimNode(RuntimeNode):
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.sim.now
+        return self.sim._now
 
     @property
     def tracer(self) -> Any:
@@ -46,8 +46,7 @@ class SimNode(RuntimeNode):
                     phase: int = PHASE_PROTOCOL,
                     rank: tuple[str, ...] = ()) -> ScheduledEvent:
         """Schedule ``callback`` on the kernel at absolute ``time``."""
-        return self.sim.schedule_at(time, callback, phase=phase,
-                                    rank=rank)
+        return self.sim.schedule_at(time, callback, phase, rank)
 
     def request_stop(self) -> None:
         """Stop the kernel's run loop (root emission complete)."""
@@ -58,7 +57,7 @@ class SimNode(RuntimeNode):
         # an unattached node is a wiring bug worth a direct traceback.
         if self.network is None:
             raise SimulationError(f"node {self.name} is not attached")
-        super().send(dst, msg)
+        RuntimeNode.send(self, dst, msg)
 
     def _transmit(self, dst: str, msg: Any) -> None:
         if self.network is None:

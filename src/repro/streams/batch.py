@@ -149,7 +149,7 @@ class EventBatch:
         Returns views into this batch's columns (no data copies); the
         full-span slice returns ``self``.
         """
-        if start <= 0 and stop >= len(self):
+        if start <= 0 and stop >= len(self.ids):
             return self
         return EventBatch._view(self.ids[start:stop],
                                 self.values[start:stop],
@@ -173,16 +173,18 @@ class EventBatch:
     @property
     def first_ts(self) -> int:
         """Timestamp of the first event (arrival order)."""
-        if len(self) == 0:
+        ts = self.ts
+        if len(ts) == 0:
             raise StreamError("first_ts of an empty batch")
-        return int(self.ts[0])
+        return int(ts[0])
 
     @property
     def last_ts(self) -> int:
         """Timestamp of the last event (arrival order)."""
-        if len(self) == 0:
+        ts = self.ts
+        if len(ts) == 0:
             raise StreamError("last_ts of an empty batch")
-        return int(self.ts[-1])
+        return int(ts[-1])
 
 
 #: The module-wide empty batch returned by :meth:`EventBatch.empty`

@@ -38,13 +38,16 @@ import struct
 import zlib
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.core.protocol import MESSAGE_TYPES, Message, Wire
 from repro.errors import StreamError
 from repro.runtime.serialization import WireFormat, message_size
 from repro.streams.batch import EventBatch
-from repro.wire.format import (HEADER_STRUCT, WIRE_HEADER_BYTES,
-                               WIRE_MAGIC, WIRE_SCALAR_BYTES,
-                               WIRE_VERSION, append_columns,
+from repro.wire.format import (HEADER_STRUCT, WIRE_EVENT_BYTES,
+                               WIRE_HEADER_BYTES, WIRE_MAGIC,
+                               WIRE_SCALAR_BYTES, WIRE_VERSION,
+                               append_columns,
                                decode_columns, decode_partial,
                                encode_partial, frame_size,
                                freeze_partial)
@@ -162,8 +165,9 @@ class MessageCodec:
         for name in (wire.batch, *wire.optional):
             batch = getattr(msg, name) if name else None
             if batch is not None:
-                for column in (batch.ids, batch.values, batch.ts):
-                    column.flags.writeable = False
+                batch.ids.setflags(write=False)
+                batch.values.setflags(write=False)
+                batch.ts.setflags(write=False)
         if wire.partial is not None:
             freeze_partial(getattr(msg, wire.partial))
 
@@ -171,40 +175,27 @@ class MessageCodec:
         """One binary frame holding ``msg``, columns packed zero-copy."""
         msgtype, wire, packer = _layout(msg)
         values = [getattr(msg, name) for name in wire.slots]
-        batches = [] if wire.batch is None else [getattr(msg, wire.batch)]
+        columns: list[np.ndarray] = []
+        if wire.batch is not None:
+            append_columns(getattr(msg, wire.batch), columns)
         for name in wire.optional:
             batch = getattr(msg, name)
             if batch is None:
                 values.append(_ABSENT)
             else:
                 values.append(len(batch))
-                batches.append(batch)
+                append_columns(batch, columns)
         scalars = packer.pack(*values)
         if wire.partial is not None:
             scalars = bytearray(scalars)
             encode_partial(getattr(msg, wire.partial), scalars)
-        return self._frame(msgtype, self._sender_id(msg.sender),
-                           scalars, batches)
-
-    def _frame(self, msgtype: int, sender_id: int,
-               scalars: bytearray | bytes,
-               batches: list[EventBatch]) -> bytes:
-        parts: list[bytes] = [bytes(scalars)]
-        n_events = 0
-        for batch in batches:
-            n_events += len(batch)
-            append_columns(batch, parts)
-        crc = 0
-        payload_len = 0
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-            payload_len += len(part)
-        header = HEADER_STRUCT.pack(
-            WIRE_MAGIC, WIRE_VERSION, msgtype, len(scalars) // 8,
-            sender_id, n_events, payload_len, crc)
+        sender_id = self._sender_ids.get(msg.sender)
+        if sender_id is None:
+            sender_id = self._sender_id(msg.sender)
+        header, payload_len = _header(msgtype, sender_id, scalars, columns)
         self.frames_encoded += 1
         self.bytes_framed += WIRE_HEADER_BYTES + payload_len
-        return b"".join([header, *parts])
+        return b"".join([header, scalars, *columns])
 
     # -- decode ------------------------------------------------------------
 
@@ -213,10 +204,17 @@ class MessageCodec:
         cls, sender_id, view, scalars_end, n_events = \
             _parse_message_header(buf)
         _, wire, packer = _LAYOUTS[cls]
-        sender = self._sender_name(sender_id)
+        # Restored as unpickling restores an instance, into its dict:
+        # the frame holds every field (tests/test_wire_codec.py pins
+        # that each kind declares all of them and has no
+        # __post_init__), so the frozen dataclass's per-field __init__
+        # is skipped.
+        msg = object.__new__(cls)
+        fields = vars(msg)
+        fields["sender"] = self._sender_name(sender_id)
         at = WIRE_HEADER_BYTES + packer.size
         values = packer.unpack_from(view, WIRE_HEADER_BYTES)
-        fields = dict(zip(wire.slots, values))
+        fields.update(zip(wire.slots, values))
         if wire.partial is not None:
             fields[wire.partial], at = decode_partial(view, at,
                                                       scalars_end)
@@ -237,16 +235,16 @@ class MessageCodec:
         col_at = scalars_end
         if wire.batch is not None:
             fields[wire.batch], col_at = decode_columns(
-                view, col_at, n_events - claimed)
+                buf, col_at, n_events - claimed)
         for name, length in zip(wire.optional, lengths):
             if length == _ABSENT:
                 fields[name] = None
             else:
-                fields[name], col_at = decode_columns(view, col_at, length)
+                fields[name], col_at = decode_columns(buf, col_at, length)
         _scalars_done(at, scalars_end)
         if col_at != len(buf):
             raise StreamError("frame length mismatch after columns")
-        return cls(sender, **fields)
+        return msg
 
     # -- introspection -----------------------------------------------------
 
@@ -301,27 +299,39 @@ def read_envelope(buf: bytes | memoryview) -> Envelope:
 
 def encode_batch(batch: EventBatch) -> bytes:
     """One bare columnar frame holding a batch (no message semantics)."""
-    parts: list[bytes] = []
-    append_columns(batch, parts)
-    crc = 0
-    payload_len = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-        payload_len += len(part)
-    header = HEADER_STRUCT.pack(WIRE_MAGIC, WIRE_VERSION, FRAME_BATCH,
-                                0, _NO_SENDER, len(batch), payload_len,
-                                crc)
-    return b"".join([header, *parts])
+    columns: list[np.ndarray] = []
+    append_columns(batch, columns)
+    header, _ = _header(FRAME_BATCH, _NO_SENDER, b"", columns)
+    return b"".join([header, *columns])
+
+
+def _header(msgtype: int, sender_id: int, scalars: bytearray | bytes,
+            columns: list[np.ndarray]) -> tuple[bytes, int]:
+    """The packed header of a frame whose payload is ``scalars`` then
+    the event ``columns`` (three per batch), and the payload's length.
+
+    The CRC runs over the parts in place, without joining them, and
+    the event count is what the columns hold.
+    """
+    crc = zlib.crc32(scalars)
+    column_bytes = 0
+    for column in columns:
+        crc = zlib.crc32(column, crc)
+        column_bytes += column.nbytes
+    header = HEADER_STRUCT.pack(
+        WIRE_MAGIC, WIRE_VERSION, msgtype, len(scalars) // 8, sender_id,
+        column_bytes // WIRE_EVENT_BYTES, len(scalars) + column_bytes, crc)
+    return header, len(scalars) + column_bytes
 
 
 def decode_batch(buf: bytes) -> EventBatch:
     """Decode a bare batch frame into zero-copy column views."""
-    msgtype, _, view, col_at, n_events = _parse_header(buf)
+    msgtype, _, _, col_at, n_events = _parse_header(buf)
     if msgtype != FRAME_BATCH:
         raise StreamError(
             f"expected a batch frame, got frame type {msgtype}")
     _scalars_done(WIRE_HEADER_BYTES, col_at)
-    batch, col_at = decode_columns(view, col_at, n_events)
+    batch, col_at = decode_columns(buf, col_at, n_events)
     if col_at != len(buf):
         raise StreamError("frame length mismatch after columns")
     return batch

@@ -224,16 +224,30 @@ def decode_partial(view: memoryview, offset: int,
 
 # -- event columns -------------------------------------------------------------
 
-def append_columns(batch: EventBatch, parts: list[bytes]) -> None:
-    """Append one batch's three column byte blocks to ``parts``."""
+def append_columns(batch: EventBatch, parts: list[np.ndarray]) -> None:
+    """Append one batch's three columns to ``parts``, in frame order.
+
+    The columns go in as contiguous arrays, not byte copies: the frame
+    is built by one ``bytes.join`` over them (and their CRC taken from
+    them) through the buffer protocol, so each event byte is copied
+    once.  A strided column (a client substream) is made contiguous
+    first; an empty batch appends nothing.
+    """
     if len(batch) == 0:
         return
-    parts.append(np.ascontiguousarray(batch.ids).tobytes())
-    parts.append(np.ascontiguousarray(batch.values).tobytes())
-    parts.append(np.ascontiguousarray(batch.ts).tobytes())
+    parts.append(np.ascontiguousarray(batch.ids))
+    parts.append(np.ascontiguousarray(batch.values))
+    parts.append(np.ascontiguousarray(batch.ts))
 
 
-def decode_columns(view: memoryview, offset: int,
+#: Column dtypes as dtype objects: ``np.frombuffer`` resolves a scalar
+#: type on every call, a dtype object it takes as is.
+_ID_DTYPE = np.dtype(ID_DTYPE)
+_VALUE_DTYPE = np.dtype(VALUE_DTYPE)
+_TS_DTYPE = np.dtype(TS_DTYPE)
+
+
+def decode_columns(buf: bytes | memoryview, offset: int,
                    n: int) -> tuple[EventBatch, int]:
     """Zero-copy batch decode at ``offset``; returns (batch, next).
 
@@ -244,9 +258,9 @@ def decode_columns(view: memoryview, offset: int,
     if n == 0:
         return EventBatch.empty(), offset
     nbytes = 8 * n
-    ids = np.frombuffer(view, ID_DTYPE, n, offset)
-    values = np.frombuffer(view, VALUE_DTYPE, n, offset + nbytes)
-    ts = np.frombuffer(view, TS_DTYPE, n, offset + 2 * nbytes)
+    ids = np.frombuffer(buf, _ID_DTYPE, n, offset)
+    values = np.frombuffer(buf, _VALUE_DTYPE, n, offset + nbytes)
+    ts = np.frombuffer(buf, _TS_DTYPE, n, offset + 2 * nbytes)
     return EventBatch._view(ids, values, ts), offset + 3 * nbytes
 
 

@@ -161,8 +161,8 @@ MUTANTS: tuple[Mutant, ...] = (
            "(self.name, dst)", "()", ORDER),
     Mutant("kernel-rank-ignored",
            "repro.sim.kernel:Simulator.schedule_at",
-           "(time, phase, rank, sort_seq, event)",
-           "(time, phase, (), sort_seq, event)", ORDER),
+           "(time, phase, rank, sort_seq, callback, seq, self)",
+           "(time, phase, (), sort_seq, callback, seq, self)", ORDER),
     Mutant("delivery-rank-dropped", "repro.sim.network:Network.send",
            "self.sim.schedule_at(arrival, deliver, phase=PHASE_DELIVER, "
            "rank=(dst, src))",

@@ -137,12 +137,20 @@ class TestSimulator:
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="cannot schedule at"):
             sim.schedule_at(1.0, lambda: None)
+        # -inf is in the past, whatever the clock reads.
+        with pytest.raises(SimulationError, match="cannot schedule at"):
+            Simulator().schedule_at(float("-inf"), lambda: None)
 
     def test_non_finite_time_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_at(float("inf"), lambda: None)
+        """+inf and NaN fail the one range test schedule_at makes
+        (NaN fails every comparison), and nothing is scheduled."""
+        for bad in (float("inf"), float("nan")):
+            sim = Simulator()
+            with pytest.raises(SimulationError, match="non-finite"):
+                sim.schedule_at(bad, lambda: None)
+            assert sim.pending() == 0 and sim.peek() is None
 
     def test_stop(self):
         sim = Simulator()

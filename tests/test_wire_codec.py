@@ -229,6 +229,14 @@ class TestDeclarations:
         assert sorted(name for name in declared if name) == sorted(
             f.name for f in dataclasses.fields(cls) if f.name != "sender")
 
+    @pytest.mark.parametrize("cls", MESSAGE_TYPES)
+    def test_decoder_may_skip_init(self, cls):
+        """The decoder restores a message's fields into its instance
+        dict, as unpickling does, without running ``__init__``: sound
+        only while no kind validates or derives a field there."""
+        assert not hasattr(cls, "__post_init__")
+        assert "__slots__" not in vars(cls)
+
 
 def golden_corpus():
     """A fixed, seeded corpus: every message kind, every partial shape,
@@ -298,6 +306,34 @@ def golden_corpus():
     return corpus
 
 
+def golden_batches():
+    """A fixed, seeded corpus of bare batches: empty, one event, NaN and
+    ±inf values, int64 extremes, and a strided view (a client
+    substream, whose columns are not contiguous)."""
+    state = [23]
+
+    def i64():
+        # The same MMIX LCG as golden_corpus, on its own seed.
+        state[0] = (state[0] * 6364136223846793005
+                    + 1442695040888963407) % 2 ** 64
+        return state[0] - 2 ** 63
+
+    def batch(n):
+        return EventBatch(np.array([i64() for _ in range(n)], np.int64),
+                          np.array([i64() / 2 ** 40 for _ in range(n)],
+                                   np.float64),
+                          np.array([i64() for _ in range(n)], np.int64))
+
+    extremes = EventBatch(
+        np.array([-(2 ** 63), 2 ** 63 - 1, 0], np.int64),
+        np.array([float("nan"), float("inf"), float("-inf")], np.float64),
+        np.array([2 ** 63 - 1, -(2 ** 63), 1], np.int64))
+    strided = batch(11)[1::3]
+    assert not strided.ids.flags.c_contiguous
+    return [EventBatch.empty(), batch(1), batch(7), extremes, strided,
+            batch(64)]
+
+
 class TestGoldenFrames:
     def test_wire_layout_is_pinned(self):
         """Bytes on the wire are a measured result (Fig. 8): the frames
@@ -312,6 +348,15 @@ class TestGoldenFrames:
         assert hashlib.sha256(frames).hexdigest() == (
             "63d32ec5874548601ed794e360685e90"
             "b9e83d6a8db70bead23a60217b75e46f")
+
+    def test_batch_frames_are_pinned(self):
+        """Bare batch frames share the column writer with message
+        frames; the seeded batch corpus hashes to the digest taken
+        when it was added."""
+        frames = b"".join(encode_batch(b) for b in golden_batches())
+        assert hashlib.sha256(frames).hexdigest() == (
+            "d31e50be3a3fdd031b5c5189599cec69"
+            "090c4d88db4a3d21e976dbae91cb2ea6")
 
 
 class TestBatchFrames:
