@@ -23,8 +23,6 @@ real node processes (the simulator is the oracle — DESIGN §11).
 
 from __future__ import annotations
 
-from typing import Protocol
-
 PHASE_PROTOCOL = 0
 PHASE_DELIVER = 1
 PHASE_SOURCE = 2
@@ -51,20 +49,3 @@ ETHERNET_1G = 1e9 / 8
 #: A LAN-scale propagation + switching latency.
 DEFAULT_LATENCY_S = 100e-6
 
-
-class TimerHandle(Protocol):
-    """Handle for a scheduled callback; supports cancellation.
-
-    ``schedule``/``schedule_at`` return one: the simulator's
-    :class:`~repro.sim.kernel.ScheduledEvent` satisfies it
-    structurally, on the serve worker's kernel as on the oracle's.
-    """
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the callback was cancelled or has already run."""
-        ...  # pragma: no cover - protocol
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (idempotent)."""
-        ...  # pragma: no cover - protocol

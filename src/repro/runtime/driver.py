@@ -1,14 +1,14 @@
 """The simulator driver's steps: build a cluster, inject, run, collect.
 
-This is the discrete-event implementation of the runtime interface —
-the deterministic oracle.  :func:`repro.core.runner.run_scheme` chains
+Every node on one kernel, sending through the simulator's
+:class:`~repro.sim.network.Network` — the deterministic oracle.  :func:`repro.core.runner.run_scheme` chains
 these steps into one run, which:
 
 1. generates (or accepts) a :class:`~repro.core.workload.Workload`,
 2. builds the star topology with the scheme's behaviours and profiles
    (:func:`build_run`),
 3. injects each node's stream as :class:`SourceBatch` deliveries via
-   the driver-agnostic feeder (:mod:`repro.runtime.feeder`),
+   the feeder (:mod:`repro.runtime.feeder`),
 4. runs the simulation and packages a :class:`RunResult`.
 
 The serve runtime (:mod:`repro.serve`) reuses steps 1-3's *structure*

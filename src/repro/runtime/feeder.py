@@ -1,11 +1,12 @@
-"""Driver-agnostic source injection.
+"""Source injection onto a node's kernel.
 
-Both drivers feed each local node's stream the same way — *paced*
-(arrival time = event time, for latency measurement) or *saturated*
-(backpressured feeder, for sustainable-throughput measurement) — built
-only on the :class:`~repro.runtime.node.RuntimeNode` interface, so the
-injection schedule (and with it every downstream event order) is
-identical under the simulator and the serve runtime.
+Each local node's stream is fed the same way — *paced* (arrival time =
+event time, for latency measurement) or *saturated* (backpressured
+feeder, for sustainable-throughput measurement) — as timers of the
+:class:`~repro.runtime.node.RuntimeNode` it feeds.  The simulator and a
+serve worker both call :func:`inject_stream` on that one node class, so
+the injection schedule (and with it every downstream event order) is
+identical under either fabric.
 """
 
 from __future__ import annotations

@@ -1,33 +1,36 @@
-"""Runtime nodes: the CPU cost model shared by both drivers.
+"""Runtime nodes: the one node class and its CPU cost model.
 
-A node is a single-server queue on top of a runtime driver: each
+A node is a single-server queue on the simulator's kernel: each
 delivered message occupies the node for a service time derived from its
 hardware profile and the message's content, then the node's behaviour
 callback runs.  ``threads`` models pipeline parallelism — Scotty "uses
 separate threads to send, receive, and process events" while Disco "only
 uses a single thread" (Section 5.1) — by scaling effective service time.
 
-:class:`RuntimeNode` holds everything that must be *identical* between
-the simulator and the serve runtime — queueing, occupancy arithmetic,
-send overhead, metrics — and leaves the driver-specific parts (clock,
-timer scheduling, network handoff, stop) abstract.  The simulator's
-:class:`~repro.sim.node.SimNode` is the one concrete driver: the serve
-worker's ``ServeNode`` (a node on the worker's own kernel) and the
-coordinator's ``ProxyNode`` subclass it, so the serve runtime cannot
-drift from the oracle's timing arithmetic or timer order.
+:class:`RuntimeNode` is the one node implementation.  Its clock, timers,
+tracer and stop are its :class:`~repro.sim.kernel.Simulator`'s, and a
+transmission goes to the :class:`~repro.sim.network.Network` it is
+attached to.  The serve runtime runs the same class on each worker's
+own kernel: the worker's ``ServeNode`` overrides only the transmission
+and the stop, and the coordinator's ``ProxyNode`` only the delivery,
+so the serve runtime cannot drift from the oracle's timing arithmetic
+or timer order.
 """
 
 from __future__ import annotations
 
-import abc
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Any, NamedTuple, Protocol
 
 from repro.errors import SimulationError
 from repro.obs import events as ev
-from repro.runtime.api import PHASE_PROTOCOL, TimerHandle
+from repro.runtime.api import PHASE_PROTOCOL
+
+if TYPE_CHECKING:
+    from repro.sim.kernel import ScheduledEvent, Simulator
+    from repro.sim.network import Network
 
 
 @dataclass(frozen=True)
@@ -124,16 +127,19 @@ class NodeMetrics:
     max_queue: int = 0
 
 
-class RuntimeNode(abc.ABC):
+class RuntimeNode:
     """A cluster node: single-server CPU queue plus a behaviour.
 
-    Driver-agnostic: subclasses supply the clock (:attr:`now`), timer
-    scheduling (:meth:`schedule_at`), the network handoff
-    (:meth:`_transmit`), and run termination (:meth:`request_stop`).
+    Clock, timers, tracer and stop belong to ``sim``; sends leave
+    through the :class:`~repro.sim.network.Network` that
+    :meth:`~repro.sim.network.Network.attach` sets as :attr:`network`.
     """
 
-    def __init__(self, name: str, profile: NodeProfile,
+    def __init__(self, sim: Simulator, name: str, profile: NodeProfile,
                  behavior: Behavior | None = None) -> None:
+        self.sim = sim
+        #: The fabric this node sends through (set by Network.attach).
+        self.network: Network | None = None
         self.name = name
         self.profile = profile
         #: Pipeline threads dividing every CPU charge (at least one).
@@ -148,40 +154,28 @@ class RuntimeNode(abc.ABC):
         return (f"{type(self).__name__}({self.name!r}, "
                 f"profile={self.profile.name!r})")
 
-    # -- driver interface --------------------------------------------------
+    # -- clock and timers --------------------------------------------------
 
     @property
-    @abc.abstractmethod
     def now(self) -> float:
-        """Current runtime time in seconds (the shared virtual clock)."""
+        """Current simulation time in seconds."""
+        return self.sim._now
 
-    @property
-    @abc.abstractmethod
-    def tracer(self) -> Any:
-        """The run's observability sink (see :mod:`repro.obs`)."""
-
-    @abc.abstractmethod
     def schedule_at(self, time: float, callback: Any,
                     phase: int = PHASE_PROTOCOL,
-                    rank: tuple[str, ...] = ()) -> TimerHandle:
-        """Run ``callback`` at absolute runtime ``time``."""
-
-    @abc.abstractmethod
-    def request_stop(self) -> None:
-        """Ask the driver to end the run (root emission complete)."""
-
-    @abc.abstractmethod
-    def _transmit(self, dst: str, msg: Any) -> None:
-        """Hand ``msg`` to the fabric for transmission to ``dst``."""
+                    rank: tuple[str, ...] = ()) -> ScheduledEvent:
+        """Run ``callback`` on the kernel at absolute ``time``."""
+        return self.sim.schedule_at(time, callback, phase, rank)
 
     def schedule(self, delay: float, callback: Any,
                  phase: int = PHASE_PROTOCOL,
-                 rank: tuple[str, ...] = ()) -> TimerHandle:
-        """Run ``callback`` after ``delay`` seconds of runtime time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        return self.schedule_at(self.now + delay, callback, phase=phase,
-                                rank=rank)
+                 rank: tuple[str, ...] = ()) -> ScheduledEvent:
+        """Run ``callback`` after ``delay`` seconds of simulated time."""
+        return self.sim.schedule(delay, callback, phase, rank)
+
+    def request_stop(self) -> None:
+        """Stop the kernel's run loop (root emission complete)."""
+        self.sim.stop()
 
     def start(self) -> None:
         """Run the behaviour's start hook."""
@@ -211,7 +205,8 @@ class RuntimeNode(abc.ABC):
         # Pipeline threads overlap stages; model as a service speed-up
         # bounded by the profile's thread count.
         service /= self._threads
-        now = self.now
+        sim = self.sim
+        now = sim._now
         free = self._cpu_free_at
         start = free if free > now else now
         done = start + service
@@ -221,14 +216,14 @@ class RuntimeNode(abc.ABC):
         if queued > metrics.max_queue:
             metrics.max_queue = queued
         metrics.busy_s += service
-        tracer = self.tracer
+        tracer = sim.tracer
         if tracer.enabled:
             tracer.event(ev.QUEUE, now, self.name, depth=queued)
             tracer.gauge("queue_depth", self.name, queued)
             if service > 0:
                 tracer.event(ev.CPU, start, self.name, dur=service,
                              label=type(sent).__name__)
-        self.schedule_at(done, partial(self._handle, msg))
+        sim.schedule_at(done, partial(self._handle, msg))
 
     def _handle(self, msg: Any) -> None:
         """Run the behaviour on a message whose service time elapsed.
@@ -244,9 +239,10 @@ class RuntimeNode(abc.ABC):
             sent, size, opener = msg
             msg = opener(sent, size)
         self.metrics.messages += 1
-        tracer = self.tracer
+        sim = self.sim
+        tracer = sim.tracer
         if tracer.enabled:
-            now = self.now
+            now = sim._now
             tracer.event(ev.MSG_RECV, now, self.name,
                          msg=type(msg).__name__,
                          window=getattr(msg, "window_index", None))
@@ -269,13 +265,14 @@ class RuntimeNode(abc.ABC):
         if duration < 0:
             raise SimulationError(f"negative occupy duration {duration}")
         duration /= self._threads
-        now = self.now
+        sim = self.sim
+        now = sim._now
         free = self._cpu_free_at
         start = free if free > now else now
         done = start + duration
         self._cpu_free_at = done
         self.metrics.busy_s += duration
-        tracer = self.tracer
+        tracer = sim.tracer
         if tracer.enabled and duration > 0:
             tracer.event(ev.CPU, start, self.name, dur=duration,
                          label=label)
@@ -291,17 +288,49 @@ class RuntimeNode(abc.ABC):
         that work completes — which is what makes wide fan-outs (e.g.
         Deco_monlocal's peer exchange) pay an O(n) sender cost.
         """
+        # Fail at the call site, not at the deferred transmit event: a
+        # node that sends through a Network it was never attached to is
+        # a wiring bug worth a direct traceback.
+        if (self.network is None
+                and type(self)._transmit is RuntimeNode._transmit):
+            raise SimulationError(f"node {self.name} is not attached")
         if self.crashed:
             return
         done = self.occupy(self.profile.message_overhead_s, label="send")
-        if done > self.now:
+        sim = self.sim
+        if done > sim._now:
             # The (src, dst) rank makes same-instant sends from
             # different nodes reserve the receiver's NIC in canonical
             # order — a salt-invariant contention outcome.
-            self.schedule_at(done, partial(self._transmit, dst, msg),
-                             rank=(self.name, dst))
+            sim.schedule_at(done, partial(self._transmit, dst, msg),
+                            rank=(self.name, dst))
         else:
             self._transmit(dst, msg)
+
+    def _transmit(self, dst: str, msg: Any) -> None:
+        """Hand ``msg`` to the attached fabric for ``dst``."""
+        network = self.network
+        if network is None:
+            raise SimulationError(f"node {self.name} is not attached")
+        network.send(self.name, dst, msg)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def crash(self) -> None:
+        """Fail-stop this node; it silently drops everything afterwards."""
+        self.crashed = True
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.event(ev.STATE, self.sim._now, self.name,
+                         transition="crash")
+
+    def recover(self) -> None:
+        """Restart a crashed node (state is the behaviour's concern)."""
+        self.crashed = False
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.event(ev.STATE, self.sim._now, self.name,
+                         transition="recover")
 
     # -- accounting --------------------------------------------------------
 
@@ -326,17 +355,17 @@ class RuntimeNode(abc.ABC):
 
 
 class Timeout:
-    """A restartable timeout built on the runtime driver.
+    """A restartable timeout on a node's kernel.
 
     Deco sets "timeouts for all local windows to deal with delayed
     events and missing messages" (Section 4.3.4); this helper gives the
-    nodes a timer they can arm, re-arm, and cancel — on either driver.
+    nodes a timer they can arm, re-arm, and cancel.
     """
 
     def __init__(self, node: RuntimeNode, callback: Any) -> None:
         self._node = node
         self._callback = callback
-        self._handle: TimerHandle | None = None
+        self._handle: ScheduledEvent | None = None
 
     @property
     def armed(self) -> bool:

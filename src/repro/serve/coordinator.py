@@ -54,13 +54,12 @@ from repro.obs.tracer import RunTracer
 from repro.runtime.api import ROOT_NAME
 from repro.runtime.driver import (resolved_profiles, simulation_cap_s,
                                   stamp_run_meta)
-from repro.runtime.node import Behavior, NodeProfile
+from repro.runtime.node import Behavior, NodeProfile, RuntimeNode
 from repro.serve import framing
 from repro.serve.merge import EpochMerge, MergeKey, slot_key
 from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
                                   outcome_from_json, sender_table)
 from repro.sim.kernel import Simulator
-from repro.sim.node import SimNode
 from repro.sim.topology import StarTopology, build_star, peer_mesh
 from repro.wire.codec import Envelope, read_envelope
 
@@ -116,7 +115,7 @@ class SocketTransport:
         return framing.recv_frame(self.socks[name])
 
 
-class ProxyNode(SimNode):
+class ProxyNode(RuntimeNode):
     """Coordinator-side stand-in for a worker's node.
 
     Attached to the real :class:`~repro.sim.network.Network` so link

@@ -2,7 +2,7 @@
 
 A worker owns exactly one node's *state* — its behaviour instance, its
 CPU-queue arithmetic (:class:`ServeNode`, a
-:class:`~repro.sim.node.SimNode` on the worker's own
+:class:`~repro.runtime.node.RuntimeNode` on the worker's own
 :class:`~repro.sim.kernel.Simulator`), its source feeder and every
 timer the node schedules, all on that one-node kernel — while the
 coordinator owns the shared virtual clock and the fabric.  The
@@ -42,7 +42,6 @@ from repro.serve.protocol import (OP_OUTCOME, OP_SEND, OP_STOP,
                                   counters_snapshot, outcome_to_json,
                                   sender_table)
 from repro.sim.kernel import Simulator
-from repro.sim.node import SimNode
 from repro.wire.codec import MessageCodec
 
 if TYPE_CHECKING:
@@ -50,14 +49,13 @@ if TYPE_CHECKING:
     from repro.streams.batch import EventBatch
 
 
-class ServeNode(SimNode):
-    """The serve driver: a :class:`~repro.sim.node.SimNode` on its
-    worker's one-node kernel.
+class ServeNode(RuntimeNode):
+    """A :class:`~repro.runtime.node.RuntimeNode` on its worker's
+    one-node kernel.
 
     Clock, timers and tracer are the simulator's own; only the two
     cross-node effects differ: a transmission becomes a ``send`` op and
-    the stop a ``stop`` op, which the coordinator applies.  With no
-    fabric to attach to, ``send`` skips SimNode's attachment check.
+    the stop a ``stop`` op, which the coordinator applies.
     """
 
     def __init__(self, sim: Simulator, name: str, profile: NodeProfile,
@@ -65,9 +63,6 @@ class ServeNode(SimNode):
                  rt: "WorkerRuntime") -> None:
         super().__init__(sim, name, profile, behavior)
         self._rt = rt
-
-    def send(self, dst: str, msg: Any) -> None:
-        RuntimeNode.send(self, dst, msg)
 
     def request_stop(self) -> None:
         self._rt.ops.append([OP_STOP])

@@ -8,6 +8,7 @@ so the failure-handling paths of the schemes can be exercised.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,8 +41,10 @@ class MessageFaultInjector:
             raise ConfigurationError(
                 f"delay_probability must be in [0, 1], got "
                 f"{delay_probability}")
-        if delay_s < 0:
-            raise ConfigurationError(f"delay_s must be >= 0, got {delay_s}")
+        # NaN fails every comparison and inf is not below inf.
+        if not 0.0 <= delay_s < math.inf:
+            raise ConfigurationError(
+                f"delay_s must be finite and >= 0, got {delay_s}")
         self.drop_probability = drop_probability
         self.delay_probability = delay_probability
         self.delay_s = delay_s

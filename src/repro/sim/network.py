@@ -16,9 +16,8 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import events as ev
 from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_25G, PHASE_DELIVER,
-                           Sealed)
+                           RuntimeNode, Sealed)
 from repro.sim.kernel import Simulator
-from repro.sim.node import SimNode
 
 if TYPE_CHECKING:
     from repro.wire.codec import MessageCodec
@@ -108,7 +107,7 @@ class Network:
         self.sizer = sizer
         self.default_bandwidth = default_bandwidth
         self.default_latency = default_latency
-        self._nodes: dict[str, SimNode] = {}
+        self._nodes: dict[str, RuntimeNode] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self._egress: dict[str, Link] = {}
         self._ingress: dict[str, Link] = {}
@@ -126,8 +125,8 @@ class Network:
 
     # -- topology -----------------------------------------------------------
 
-    def attach(self, node: SimNode,
-               nic_bandwidth: float | None = None) -> SimNode:
+    def attach(self, node: RuntimeNode,
+               nic_bandwidth: float | None = None) -> RuntimeNode:
         """Register a node with the fabric and provision its NIC."""
         if node.name in self._nodes:
             raise ConfigurationError(f"duplicate node name {node.name!r}")
@@ -148,7 +147,7 @@ class Network:
             raise ConfigurationError(
                 f"unknown node {name!r}") from None
 
-    def node(self, name: str) -> SimNode:
+    def node(self, name: str) -> RuntimeNode:
         """Look up a node by name."""
         try:
             return self._nodes[name]
@@ -156,7 +155,7 @@ class Network:
             raise ConfigurationError(
                 f"unknown node {name!r}") from None
 
-    def nodes(self) -> dict[str, SimNode]:
+    def nodes(self) -> dict[str, RuntimeNode]:
         """All attached nodes by name."""
         return dict(self._nodes)
 

@@ -16,10 +16,10 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.runtime import (DEFAULT_LATENCY_S, ETHERNET_25G, INTEL_XEON,
-                           ROOT_NAME, Behavior, NodeProfile, local_name)
+                           ROOT_NAME, Behavior, NodeProfile, RuntimeNode,
+                           local_name)
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.node import SimNode
 
 __all__ = ["StarTopology", "build_star", "peer_mesh"]
 
@@ -30,15 +30,15 @@ class StarTopology:
 
     sim: Simulator
     network: Network
-    root: SimNode
-    locals: list[SimNode] = field(default_factory=list)
+    root: RuntimeNode
+    locals: list[RuntimeNode] = field(default_factory=list)
 
     @property
     def n_locals(self) -> int:
         """Number of local nodes currently in the topology."""
         return len(self.locals)
 
-    def local(self, i: int) -> SimNode:
+    def local(self, i: int) -> RuntimeNode:
         """Local node by index."""
         return self.locals[i]
 
@@ -57,7 +57,7 @@ def build_star(n_locals: int, sizer: Callable[[Any], int], *,
                root_behavior: Behavior | None = None,
                local_behavior_factory: Callable[[int], Behavior] | None = None,
                tiebreak_salt: int = 0,
-               node_factory: Callable[..., SimNode] = SimNode
+               node_factory: Callable[..., RuntimeNode] = RuntimeNode
                ) -> StarTopology:
     """Build a star cluster of one root and ``n_locals`` local nodes.
 
@@ -71,7 +71,7 @@ def build_star(n_locals: int, sizer: Callable[[Any], int], *,
         tiebreak_salt: Same-time event-order permutation salt for the
             determinism contract (see :class:`~repro.sim.kernel.
             Simulator`); results must not depend on it.
-        node_factory: ``(sim, name, profile, behavior) -> SimNode``;
+        node_factory: ``(sim, name, profile, behavior) -> RuntimeNode``;
             lets the serve coordinator wire the same fabric over proxy
             nodes so the topology (and thus every link/NIC reservation)
             cannot differ from the simulator's.

@@ -1,16 +1,18 @@
 """Failure-model tests (Section 4.3.4): drops, delays, crashes and
 timeouts."""
 
+import math
+
 import pytest
 
 import repro.baselines  # noqa: F401
 from repro.aggregates import Sum
 from repro.core import RunConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.metrics import results_match
 from repro.runtime import ROOT_NAME, local_name
 from repro.runtime.driver import build_run, run_simulation
-from repro.sim import (MessageFaultInjector, crash_node_at,
+from repro.sim import (MessageFaultInjector, build_star, crash_node_at,
                        recover_node_at)
 
 
@@ -74,6 +76,17 @@ class TestDelayedMessages:
                              delay_s=0.002, seed=3)
         result, workload = run_to_completion(config, topo, ctx)
         assert results_match(result, workload.reference_result(Sum()))
+
+
+    @pytest.mark.parametrize("delay_s", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay_s):
+        """A NaN delay would be counted but never applied, an infinite
+        one would fail inside the kernel: both fail at construction."""
+        topo = build_star(2, sizer=lambda msg: 1)
+        with pytest.raises(ConfigurationError, match="delay_s"):
+            MessageFaultInjector(topo, delay_probability=0.5,
+                                 delay_s=delay_s)
+        assert topo.network.delay_fn is None
 
 
 class TestCrashRecovery:

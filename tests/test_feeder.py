@@ -23,10 +23,9 @@ from repro.core.runner import RunConfig, available_schemes, run_scheme
 from repro.runtime import driver
 from repro.runtime.api import PHASE_SOURCE
 from repro.runtime.feeder import inject_stream
-from repro.runtime.node import INTEL_XEON
+from repro.runtime.node import INTEL_XEON, RuntimeNode
 from repro.serve.worker import WorkerRuntime
 from repro.sim.kernel import Simulator
-from repro.sim.node import SimNode
 from repro.streams.batch import EventBatch
 from repro.streams.event import ticks_to_seconds
 
@@ -74,7 +73,7 @@ def deliveries(inject, salt, crash):
     ``(down_at, up_at)`` window in seconds."""
     sim = Simulator(tiebreak_salt=salt)
     recorder = Recorder()
-    node = SimNode(sim, "local-0", INTEL_XEON, recorder)
+    node = RuntimeNode(sim, "local-0", INTEL_XEON, recorder)
     inject(node)
     if crash is not None:
         # Ranked, so a zero-length window is crash-then-recover under

@@ -104,6 +104,24 @@ def _sim_imports(ctx: FileContext) -> Iterator[Hit]:
             yield node
 
 
+def _node_layers(ctx: FileContext) -> Iterator[Hit]:
+    """Imports of ``repro.sim.node`` anywhere, and of :mod:`abc` (its
+    ``ABC`` and ``abstractmethod``) under ``src/repro/runtime/``."""
+    runtime = ctx.path.startswith("src/repro/runtime/")
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [f"{node.module}.{alias.name}"
+                       for alias in node.names]
+        else:
+            continue
+        if any(re.match(r"repro\.sim\.node(\.|$)", m)
+               or (runtime and re.match(r"abc(\.|$)", m))
+               for m in modules):
+            yield node
+
+
 #: Calls (resolved through imports) that block on the host OS, and by
 #: suffix any framing-layer or coordinator-transport transfer.
 BLOCKING_EXACT = frozenset({
@@ -574,6 +592,12 @@ ROWS = (
         r"\.npz|np\.savez|REPRO_SERVE_CRASH_AFTER|for existing importers",
         "one .wlm spill format, no crash env hook, no re-export layer",
         ("src/repro/core/x.py", "np.savez(path, ids=ids)\n")),
+    Row("one-node-class", EVERYWHERE, _node_layers,
+        "RuntimeNode is the one node class, on the simulator's kernel: "
+        "no abstract driver interface above it, no sim-side subclass "
+        "beside it",
+        ("src/repro/runtime/node.py",
+         "import abc\nclass RuntimeNode(abc.ABC):\n    pass\n")),
     Row("one-timeout", ("src/repro/",), r"^class Timeout",
         "runtime/node.py holds the one Timeout both drivers use",
         ("src/repro/sim/kernel.py", "class Timeout:\n    pass\n"),
@@ -792,6 +816,24 @@ CASES: dict[str, tuple[tuple[str, str, str, bool], ...]] = {
         # A comment exempts nothing.
         ("suppression", CORE_PATH,
          "import repro.sim  # decolint: disable=DL007\n", True),
+    ),
+    "one-node-class": (
+        ("abc_base_fires_in_runtime", "src/repro/runtime/node.py",
+         "import abc\nclass RuntimeNode(abc.ABC):\n    pass\n", True),
+        ("abstractmethod_import_fires", "src/repro/runtime/x.py",
+         "from abc import ABC, abstractmethod\n", True),
+        ("sim_node_import_fires", "src/repro/serve/worker.py",
+         "from repro.sim.node import SimNode\n", True),
+        ("sim_node_package_import_fires", SIM_PATH,
+         "from repro.sim import node\n", True),
+        ("sim_node_module_import_fires", SCRIPT_PATH,
+         "import repro.sim.node\n", True),
+        ("collections_abc_passes", "src/repro/runtime/node.py",
+         "from collections.abc import Callable\n", False),
+        ("abc_outside_runtime_passes", "src/repro/aggregates/base.py",
+         "from abc import ABC, abstractmethod\n", False),
+        ("other_sim_imports_pass", "src/repro/serve/worker.py",
+         SIM_IMPORT, False),
     ),
     "repro-env-at-bootstrap": (
         ("environ_get_fires", COORD, ENV_GET, True),

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import INTEL_XEON, Timeout
+from repro.runtime import INTEL_XEON, RuntimeNode, Timeout
 from repro.sim.kernel import Simulator
-from repro.sim.node import SimNode
 
 
 class TestSimulator:
@@ -176,12 +175,12 @@ class TestSimulator:
 
 
 class TestTimeout:
-    """The Section 4.3.4 timer, on the simulator's node driver."""
+    """The Section 4.3.4 timer, on a node's kernel."""
 
     @staticmethod
     def node():
         sim = Simulator()
-        return sim, SimNode(sim, "n", INTEL_XEON)
+        return sim, RuntimeNode(sim, "n", INTEL_XEON)
 
     def test_fires(self):
         sim, node = self.node()

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import (ETHERNET_1G, INTEL_XEON, RASPBERRY_PI_4B,
-                           ROOT_NAME, local_name)
+                           ROOT_NAME, RuntimeNode, local_name)
 from repro.runtime.serialization import (WireFormat, event_payload_size,
                                          message_size)
 from repro.core.runner import RunConfig
 from repro.experiments.fig11 import _rpi_kwargs
 from repro.runtime.driver import build_run
-from repro.sim import (MessageFaultInjector, Network, SimNode, Simulator,
+from repro.sim import (MessageFaultInjector, Network, Simulator,
                        build_star, crash_node_at, peer_mesh,
                        recover_node_at)
 from repro.sim.network import Link
@@ -46,8 +46,8 @@ def two_node_net(service=0.0, bandwidth=1000.0, latency=0.1,
     sim = Simulator()
     net = Network(sim, sizer=lambda msg: size,
                   default_bandwidth=bandwidth, default_latency=latency)
-    a = net.attach(SimNode(sim, "a", profile, Recorder(service)))
-    b = net.attach(SimNode(sim, "b", profile, Recorder(service)))
+    a = net.attach(RuntimeNode(sim, "a", profile, Recorder(service)))
+    b = net.attach(RuntimeNode(sim, "b", profile, Recorder(service)))
     net.connect("a", "b")
     return sim, net, a, b
 
@@ -93,7 +93,7 @@ class TestLink:
             net.send("b", "missing", "x")
 
 
-class TestSimNode:
+class TestRuntimeNode:
     def test_service_time_queues_cpu(self):
         sim, net, a, b = two_node_net(service=1.0, bandwidth=1e12,
                                       latency=0.0)
@@ -132,16 +132,16 @@ class TestSimNode:
 
     def test_unattached_send_rejected(self):
         sim = Simulator()
-        n = SimNode(sim, "x", INTEL_XEON, Recorder())
+        n = RuntimeNode(sim, "x", INTEL_XEON, Recorder())
         with pytest.raises(SimulationError):
             n.send("y", 1)
 
     def test_duplicate_name_rejected(self):
         sim = Simulator()
         net = Network(sim, sizer=lambda m: 1)
-        net.attach(SimNode(sim, "a", INTEL_XEON))
+        net.attach(RuntimeNode(sim, "a", INTEL_XEON))
         with pytest.raises(ConfigurationError):
-            net.attach(SimNode(sim, "a", INTEL_XEON))
+            net.attach(RuntimeNode(sim, "a", INTEL_XEON))
 
     def test_negative_service_rejected(self):
         sim, net, a, b = two_node_net()

@@ -34,10 +34,10 @@ from repro.core.protocol import (MESSAGE_TYPES, CorrectionReport,
                                  make_sizer, sizeof_message)
 from repro.core.runner import RunConfig
 from repro.errors import SimulationError, StreamError
-from repro.runtime import INTEL_XEON
+from repro.runtime import INTEL_XEON, RuntimeNode
 from repro.runtime.driver import build_run, run_simulation
 from repro.runtime.serialization import WireFormat
-from repro.sim import Network, SimNode, Simulator
+from repro.sim import Network, Simulator
 from repro.streams.batch import EventBatch
 from repro.wire.codec import (MessageCodec, decode_batch, encode_batch,
                               read_envelope)
@@ -598,7 +598,7 @@ class TestHandleTimeCoding:
                 return 0.0
 
         for name in ("local-0", "root"):
-            net.attach(SimNode(sim, name, INTEL_XEON, Keep()))
+            net.attach(RuntimeNode(sim, name, INTEL_XEON, Keep()))
         net.connect("local-0", "root")
         return sim, net, received
 
