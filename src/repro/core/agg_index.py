@@ -13,24 +13,23 @@ Structure: the stream is cut into aligned *chunks* of
 ``chunk_size`` events (a power of two).  Level-0 nodes are the lifted
 partials of chunks; a level-``k`` node is
 ``combine(left child, right child)`` over an aligned run of ``2**k``
-chunks.  A range query decomposes into at most ``2*log2(n_chunks)``
-nodes plus two sub-chunk remainder lifts, combined left-to-right — no
-event arrays are copied for the interior.  Appending events builds
-nothing: a node is built on its first read (the missing leaves lifted
-in one row-wise pass per contiguous run of chunks, the parents through
-the same recursion the uncached reference runs) and held until the
-buffer releases its start, so a buffer that is never queried holds no
-node and a queried one only the nodes its windows reach.
+chunks.  A range query decomposes (:func:`decompose`) into at most
+``2*log2(n_chunks)`` nodes plus two sub-chunk remainder lifts, combined
+left-to-right.  The index reads only values, a view when one stored
+batch holds the range.  Appending events builds nothing: a node is
+built on its first read (the missing leaves lifted in one ``lift_rows``
+pass per contiguous run of chunks, the parents combined from their two
+children) and held until the buffer releases its start, so a buffer
+that is never queried holds no node and a queried one only the nodes
+its windows reach.
 
 Bit-identity contract: the decomposition and the combine association
 depend only on ``(start, end)`` and ``chunk_size`` — never on what
-happens to be cached.  With ``caching=False`` (the reference the
-tests compare against) the same node partials are recomputed from raw
-events through the same recursion, so window results, flows, bytes,
-and determinism fingerprints are bit-identical with caching on or off.
-Caching can only change *host* wall-clock, never a partial's bits.
-Only tree nodes are cached: a sub-chunk remainder is lifted from the
-raw events each time a range needs it.
+happens to be held — and ``lift_rows`` is bit-equal to ``lift`` row
+by row, so a partial's bits do not depend on which reads came first.
+The tests hold every lift, and whole runs' fingerprints, to
+:func:`fold_windows` over the same values.  Only tree nodes are held:
+a remainder is lifted from the values each time a range needs it.
 
 :func:`fold_windows` is the same decomposition for many windows at
 once, over one contiguous value store: remainders gathered into
@@ -40,7 +39,7 @@ aggregate's columnar kernel, bit-identical to :meth:`lift_range`
 window by window.  The multi-query engine's flush is its caller.
 
 Non-decomposable (holistic) functions must not use the tree — their
-partials are the collected values, so caching them would duplicate the
+partials are the collected values, so holding them would duplicate the
 buffer.  :class:`~repro.core.buffers.PositionBuffer` gates on
 ``fn.is_decomposable`` and falls back to a direct lift.
 """
@@ -56,36 +55,48 @@ import numpy as np
 
 from repro.aggregates.base import AggregateFunction, Columns
 from repro.errors import ConfigurationError
-from repro.streams.batch import EventBatch
 
 #: Aligned-chunk width of the index, in events.  Power of two so node
 #: spans nest exactly; 512 keeps leaf lifts comfortably vectorized
 #: while bounding the sub-chunk remainder work of a query.
 DEFAULT_CHUNK_SIZE = 512
 
-def decomposition_width(start: int, end: int,
-                        chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
-    """Number of parts :meth:`RangeAggregateIndex.lift_range` folds for
-    ``[start, end)`` — the per-query combine cost of one window.
-
-    Pure arithmetic mirror of the decomposition loop (head remainder +
-    power-of-two interior cover + tail remainder); used by the
-    multi-query engine's cost accounting without touching any partials.
-    """
-    if end <= start:
-        return 0
+def decompose(start: int, end: int,
+              chunk_size: int = DEFAULT_CHUNK_SIZE,
+              ) -> tuple[int, list[tuple[int, int]], int]:
+    """``(head_end, cover, tail_start)`` of ``[start, end)``: the
+    sub-chunk head ``[start, head_end)`` and tail ``[tail_start, end)``
+    remainders (empty when their bounds meet) and the ``(level,
+    index)`` nodes covering the aligned interior in position order,
+    each the largest aligned block that fits.  :func:`fold_windows`
+    walks the same cover in columns."""
     size = chunk_size
     head_end = min(end, -(-start // size) * size)
     tail_start = max(head_end, (end // size) * size)
-    n = int(start < head_end) + int(tail_start < end)
     c0, c1 = head_end // size, tail_start // size
+    cover: list[tuple[int, int]] = []
     while c0 < c1:
         block = c0 & -c0 if c0 else 1 << ((c1 - c0).bit_length() - 1)
         while c0 + block > c1:
             block >>= 1
-        n += 1
+        level = block.bit_length() - 1
+        cover.append((level, c0 >> level))
         c0 += block
-    return n
+    return head_end, cover, tail_start
+
+
+def decomposition_cost(start: int, end: int,
+                       chunk_size: int = DEFAULT_CHUNK_SIZE,
+                       ) -> tuple[int, int]:
+    """``(parts, edge_events)`` of ``[start, end)``: the parts
+    :meth:`RangeAggregateIndex.lift_range` folds and its head + tail
+    remainder length, as :func:`fold_windows` counts them per window.
+    """
+    if end <= start:
+        return 0, 0
+    head_end, cover, tail_start = decompose(start, end, chunk_size)
+    parts = int(start < head_end) + len(cover) + int(tail_start < end)
+    return parts, (head_end - start) + (end - tail_start)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:
@@ -207,29 +218,25 @@ class RangeAggregateIndex:
     built on demand.
 
     The index does not own event storage: ``fetch(start, end)`` reads
-    raw events from the backing buffer (zero-copy when the range lies
-    in one stored batch).  A node is built the first time a query's
-    cover reaches it and held until :meth:`release_before` passes its
-    start.  ``caching=False`` keeps the canonical decomposition but
-    recomputes every node from raw events — the bit-identical naive
-    reference the tests compare against.
+    the values of a range from the backing buffer (zero-copy when the
+    range lies in one stored batch).  A node is built the first time a
+    query's cover reaches it and held until :meth:`release_before`
+    passes its start.
     """
 
     def __init__(self, fn: AggregateFunction,
-                 fetch: Callable[[int, int], EventBatch],
-                 *, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 caching: bool = True) -> None:
+                 fetch: Callable[[int, int], np.ndarray],
+                 *, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size <= 0 or chunk_size & (chunk_size - 1):
             raise ConfigurationError(
                 f"chunk_size must be a positive power of two, got "
                 f"{chunk_size}")
         self.fn = fn
         self.chunk_size = chunk_size
-        self.caching = caching
         self._fetch = fetch
-        #: Per-level node partials; ``_levels[k][i]`` covers chunk run
+        #: Held node partials; node ``(k, i)`` covers chunk run
         #: ``[i * 2**k, (i + 1) * 2**k)``.
-        self._levels: list[dict[int, Any]] = []
+        self._nodes: dict[tuple[int, int], Any] = {}
         #: ``(start position, level, index)`` of every held node, a
         #: min-heap on the start, so eviction pops exactly the nodes it
         #: drops.
@@ -251,95 +258,70 @@ class RangeAggregateIndex:
         held = self._held
         while held and held[0][0] < position:
             _, level, idx = heapq.heappop(held)
-            del self._levels[level][idx]
+            del self._nodes[level, idx]
             self.nodes_evicted += 1
 
     # -- queries -----------------------------------------------------------
 
     def lift_range(self, start: int, end: int) -> Any:
-        """Partial aggregate of ``[start, end)``.
-
-        Decomposes the range into sub-chunk head/tail remainders plus
-        the canonical power-of-two node cover of the aligned interior,
-        then folds the parts left-to-right.  The decomposition is a
-        pure function of ``(start, end)`` — caching never changes it.
-        """
+        """Partial aggregate of ``[start, end)``: the head remainder,
+        the cover's nodes (built if missing) and the tail remainder of
+        :func:`decompose`, folded left-to-right."""
         fn = self.fn
         if end <= start:
             return fn.identity()
-        size = self.chunk_size
-        head_end = min(end, -(-start // size) * size)
-        tail_start = max(head_end, (end // size) * size)
+        head_end, cover, tail_start = decompose(start, end,
+                                                self.chunk_size)
         parts: list[Any] = []
         if start < head_end:
-            parts.append(fn.lift(self._fetch(start, head_end)))
-        c0, c1 = head_end // size, tail_start // size
-        cover: list[tuple[int, int]] = []
-        while c0 < c1:
-            # Largest aligned block starting at c0 that fits in [c0, c1).
-            block = c0 & -c0 if c0 else 1 << ((c1 - c0).bit_length() - 1)
-            while c0 + block > c1:
-                block >>= 1
-            level = block.bit_length() - 1
-            cover.append((level, c0 >> level))
-            c0 += block
-        if self.caching:
-            self._lift_leaves(cover)
+            parts.append(self._lift(start, head_end))
+        self._lift_leaves(cover)
         parts.extend(self._node(level, idx) for level, idx in cover)
         if tail_start < end:
-            parts.append(fn.lift(self._fetch(tail_start, end)))
+            parts.append(self._lift(tail_start, end))
         return fn.combine_many(parts)
+
+    def _lift(self, start: int, end: int) -> Any:
+        """A remainder's partial, lifted from its values as one row."""
+        fn = self.fn
+        return fn.partials(fn.lift_rows(
+            self._fetch(start, end).reshape(1, end - start)))[0]
 
     def _lift_leaves(self, cover: list[tuple[int, int]]) -> None:
         """Build every leaf missing under the ``cover`` nodes with one
-        fetch and one :meth:`~repro.aggregates.base.AggregateFunction.
-        lift_ranges` pass per contiguous run of chunks (bit-equal to
-        lifting each chunk alone), so a first read does not fetch its
-        chunks one at a time."""
-        levels = self._levels
-        leaves = levels[0] if levels else {}
+        fetch and one ``lift_rows`` pass per contiguous run of chunks,
+        so a first read does not fetch its chunks one at a time."""
+        nodes = self._nodes
         # A held node's whole subtree is held (a child never starts
         # before its parent, so it is evicted no earlier).  Cover nodes
         # ascend, so ``missing`` does.
-        missing = [c for level, idx in cover
-                   if level >= len(levels) or idx not in levels[level]
+        missing = [c for level, idx in cover if (level, idx) not in nodes
                    for c in range(idx << level, (idx + 1) << level)
-                   if c not in leaves]
+                   if (0, c) not in nodes]
         size = self.chunk_size
+        fn = self.fn
         for _, run in groupby(enumerate(missing), lambda p: p[1] - p[0]):
             chunks = [c for _, c in run]
-            offsets = range(0, len(chunks) * size, size)
-            block = self._fetch(chunks[0] * size, (chunks[-1] + 1) * size)
-            for c, partial in zip(chunks, self.fn.lift_ranges(
-                    block, offsets, [o + size for o in offsets])):
+            values = self._fetch(chunks[0] * size,
+                                 (chunks[-1] + 1) * size)
+            for c, partial in zip(chunks, fn.partials(fn.lift_rows(
+                    values.reshape(len(chunks), size)))):
                 self._hold(0, c, partial)
 
     def _node(self, level: int, idx: int) -> Any:
-        """One node's partial: a leaf lifts its chunk, a parent combines
-        its two children.  A caching index builds each node once,
-        through this recursion, and holds it; the reference recomputes
-        it every time (identical bits either way)."""
-        if self.caching and level < len(self._levels):
-            partial = self._levels[level].get(idx)
-            if partial is not None:
-                return partial
-        if level == 0:
-            size = self.chunk_size
-            partial = self.fn.lift(self._fetch(idx * size,
-                                               (idx + 1) * size))
-        else:
+        """One node's partial: held ones are read back, a missing
+        parent combines its two children and is held.  Every leaf under
+        a cover node is built by :meth:`_lift_leaves` first."""
+        partial = self._nodes.get((level, idx))
+        if partial is None:
             left = self._node(level - 1, 2 * idx)
             right = self._node(level - 1, 2 * idx + 1)
             partial = self.fn.combine(left, right)
-        if self.caching:
             self._hold(level, idx, partial)
         return partial
 
     def _hold(self, level: int, idx: int, partial: Any) -> None:
-        levels = self._levels
-        while len(levels) <= level:
-            levels.append({})
-        levels[level][idx] = partial
+        self._nodes[level, idx] = partial
         heapq.heappush(self._held,
                        ((idx << level) * self.chunk_size, level, idx))
         self.nodes_built += 1
@@ -353,5 +335,4 @@ class RangeAggregateIndex:
 
     def __repr__(self) -> str:
         return (f"RangeAggregateIndex(fn={self.fn.name!r}, "
-                f"chunk={self.chunk_size}, caching={self.caching}, "
-                f"nodes={self.nodes_cached})")
+                f"chunk={self.chunk_size}, nodes={self.nodes_cached})")

@@ -12,9 +12,8 @@ When bound to an aggregate function, the buffer also holds a
 :meth:`PositionBuffer.lift_range` answers range aggregations from
 tree partials in O(log n) combines instead of re-lifting O(range)
 events.  Appends do not touch the index: its nodes are built by the
-reads that reach them and dropped by :meth:`release_before` — see
-:mod:`repro.core.agg_index` for the structure and the bit-identity
-contract between cached and uncached partials.
+reads that reach them (through :meth:`PositionBuffer.get_values`) and
+dropped by :meth:`release_before` — see :mod:`repro.core.agg_index`.
 """
 
 from __future__ import annotations
@@ -23,10 +22,12 @@ import weakref
 from bisect import bisect_right
 from typing import Any
 
+import numpy as np
+
 from repro.aggregates.base import AggregateFunction
 from repro.core.agg_index import DEFAULT_CHUNK_SIZE, RangeAggregateIndex
 from repro.errors import WindowError
-from repro.streams.batch import EventBatch
+from repro.streams.batch import VALUE_DTYPE, EventBatch
 
 #: Compact the released head of the batch lists once it exceeds this
 #: many entries *and* at least half the list (amortized O(1) per batch).
@@ -38,14 +39,11 @@ class PositionBuffer:
 
     ``fn`` binds the buffer to the run's aggregate function and enables
     indexed :meth:`lift_range`; position-only users (tests, generic
-    stores) may omit it.  ``use_index=False`` keeps the canonical
-    chunked decomposition but recomputes every partial from raw events
-    (the bit-identical naive reference).
+    stores) may omit it.
     """
 
     def __init__(self, base: int = 0,
                  fn: AggregateFunction | None = None, *,
-                 use_index: bool = True,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         self._base = base  # absolute position of the first retained event
         self._batches: list[EventBatch] = []
@@ -58,13 +56,13 @@ class PositionBuffer:
         self.fn = fn
         self._index: RangeAggregateIndex | None = None
         if fn is not None and fn.is_decomposable:
-            # The index reads raw events back through a weak reference:
+            # The index reads values back through a weak reference:
             # buffer <-> index must not be a cycle, or a dropped buffer
             # pins its event runs until the cycle collector runs.
-            fetch = weakref.WeakMethod(self.get_range)
+            fetch = weakref.WeakMethod(self.get_values)
             self._index = RangeAggregateIndex(
                 fn, lambda start, end: fetch()(start, end),
-                chunk_size=chunk_size, caching=use_index)
+                chunk_size=chunk_size)
 
     # -- state --------------------------------------------------------------
 
@@ -135,13 +133,11 @@ class PositionBuffer:
 
     # -- access ----------------------------------------------------------------
 
-    def get_range(self, start: int, end: int) -> EventBatch:
-        """Events at absolute positions ``[start, end)``.
-
-        Returns a zero-copy view when the range lies inside one stored
-        batch; spanning ranges concatenate views.  Raises
-        :class:`WindowError` when the range is not fully held —
-        callers must check :attr:`end` (availability) first.
+    def _pieces(self, start: int, end: int,
+                ) -> list[tuple[EventBatch, int, int]]:
+        """``(batch, lo, hi)`` for each stored batch that holds part of
+        ``[start, end)``, in order.  Raises :class:`WindowError` when
+        the range is not fully held — callers check :attr:`end` first.
         """
         if start < self._base:
             raise WindowError(
@@ -151,33 +147,58 @@ class PositionBuffer:
             raise WindowError(
                 f"range end {end} beyond available {self.end}")
         if end <= start:
-            return EventBatch.empty()
-        starts = self._starts
+            return []
+        batches, starts = self._batches, self._starts
         i = bisect_right(starts, start, lo=self._head) - 1
-        first = self._batches[i]
-        offset = starts[i]
-        if end <= offset + len(first):
-            # Zero-copy fast path: one stored batch covers the range.
-            return first.slice_range(start - offset, end - offset)
-        parts: list[EventBatch] = []
+        batch, offset = batches[i], starts[i]
+        if end <= offset + len(batch):  # the common case: one batch
+            return [(batch, start - offset, end - offset)]
+        pieces = []
         pos = start
         while pos < end:
-            batch = self._batches[i]
+            batch = batches[i]
             offset = starts[i]
             hi = min(len(batch), end - offset)
-            parts.append(batch.slice_range(pos - offset, hi))
+            pieces.append((batch, pos - offset, hi))
             pos = offset + hi
             i += 1
-        return EventBatch.concat(parts)
+        return pieces
+
+    def get_range(self, start: int, end: int) -> EventBatch:
+        """Events at absolute positions ``[start, end)``.
+
+        Returns a zero-copy view when the range lies inside one stored
+        batch; spanning ranges concatenate views.  Raises
+        :class:`WindowError` when the range is not fully held.
+        """
+        pieces = self._pieces(start, end)
+        if len(pieces) == 1:
+            batch, lo, hi = pieces[0]
+            return batch.slice_range(lo, hi)
+        return EventBatch.concat([batch.slice_range(lo, hi)
+                                  for batch, lo, hi in pieces])
+
+    def get_values(self, start: int, end: int) -> np.ndarray:
+        """Values at ``[start, end)``: a view when one stored batch
+        holds the range, else one copy of the values alone (ids and
+        timestamps are not copied).  Raises as :meth:`get_range` does.
+        """
+        pieces = self._pieces(start, end)
+        if len(pieces) == 1:
+            batch, lo, hi = pieces[0]
+            return batch.values[lo:hi]
+        if not pieces:
+            return np.empty(0, dtype=VALUE_DTYPE)
+        return np.concatenate([batch.values[lo:hi]
+                               for batch, lo, hi in pieces])
 
     def lift_range(self, start: int, end: int) -> Any:
         """Partial aggregate of ``[start, end)`` under the bound ``fn``.
 
         Decomposable functions go through the range-aggregation index
         (O(log n) combines over tree partials, each built on its first
-        read; no event-array copies); non-decomposable/holistic
-        functions fall back to a direct lift of the extracted range.
-        Results are bit-identical whether or not the index caches.
+        read); non-decomposable/holistic functions fall back to a
+        direct lift of the extracted range.
         """
         fn = self.fn
         if fn is None:
@@ -189,7 +210,7 @@ class PositionBuffer:
         if start < self._base or end > self.end:
             # Surface the same diagnostics as get_range before the
             # decomposition touches any chunk.
-            self.get_range(start, end)
+            self._pieces(start, end)
         return self._index.lift_range(start, end)
 
     def has_range(self, start: int, end: int) -> bool:

@@ -55,7 +55,7 @@ class SchemeContext:
 
         Root and local behaviours build their raw-event buffers through
         this one point so the whole run shares one buffer policy (and
-        a test can substitute the uncached reference for all of them).
+        a test can substitute a reference lift for all of them).
         Scheme buffers are never shared with the multi-query engine's
         slice store — sharing them would couple standing queries into
         ``retained``-driven backpressure and change scheme results.

@@ -76,7 +76,7 @@ from typing import Any
 import numpy as np
 
 from repro.aggregates.base import AggregateFunction
-from repro.core.agg_index import (DEFAULT_CHUNK_SIZE, decomposition_width,
+from repro.core.agg_index import (DEFAULT_CHUNK_SIZE, decomposition_cost,
                                   fold_windows)
 from repro.core.buffers import PositionBuffer
 from repro.core.query import Query, parse_query_spec
@@ -488,12 +488,8 @@ class MultiQueryEngine:
         """Book one window lift to ``account`` (unshared oracle:
         recomputed from the span, not read back from the index)."""
         if fn.is_decomposable:
-            width = decomposition_width(start, end, self.chunk_size)
-            combines = max(0, width - 1)
-            size = self.chunk_size
-            head_end = min(end, -(-start // size) * size)
-            tail_start = max(head_end, (end // size) * size)
-            edge = (head_end - start) + (end - tail_start)
+            parts, edge = decomposition_cost(start, end, self.chunk_size)
+            combines = max(0, parts - 1)
         else:
             # Holistic windows re-lift their whole span.
             combines = 0

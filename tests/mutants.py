@@ -223,6 +223,12 @@ MUTANTS: tuple[Mutant, ...] = (
            "repro.core.agg_index:RangeAggregateIndex._node",
            "self._node(level - 1, 2 * idx + 1)",
            "self._node(level - 1, 2 * idx)", RESULT),
+    Mutant("values-drop-last-piece",
+           "repro.core.buffers:PositionBuffer.get_values",
+           "np.concatenate([batch.values[lo:hi] for batch, lo, hi in "
+           "pieces])",
+           "np.concatenate([batch.values[lo:hi] for batch, lo, hi in "
+           "pieces[:-1]])", RESULT),
     # -- multi-query emission --------------------------------------------
     Mutant("mq-owner-only",
            "repro.core.multiquery:MultiQueryEngine._flush",

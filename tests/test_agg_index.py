@@ -2,10 +2,11 @@
 
 The index (``repro.core.agg_index``) must be invisible except for host
 wall-clock: for every registered aggregate, every append/release/query
-interleaving, and every scheme, results are bit-identical with partial
-caching on (the production path) or off (``use_index=False``, the
-uncached reference).  Hypothesis drives the interleavings; the
-scheme-level test compares full determinism fingerprints.
+interleaving, and every scheme, results are bit-identical to the fold
+reference (``tests/lift_reference.py``: each lift computed by
+``fold_windows`` from the buffer's values, no node held).  Hypothesis
+drives the interleavings; the scheme-level test compares full
+determinism fingerprints.
 """
 
 import math
@@ -19,7 +20,7 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.aggregates import available_aggregates, get_aggregate
 from repro.analysis.determinism import TimedFingerprint
-from repro.core.agg_index import (RangeAggregateIndex, decomposition_width,
+from repro.core.agg_index import (RangeAggregateIndex, decomposition_cost,
                                   fold_windows)
 from repro.core.buffers import PositionBuffer
 from repro.core.context import SchemeContext
@@ -27,6 +28,7 @@ from repro.core.runner import RunConfig
 from repro.errors import ConfigurationError, WindowError
 from repro.runtime.driver import build_run, run_simulation
 from repro.streams.batch import EventBatch
+from tests.lift_reference import ReferenceBuffer
 
 #: Every registered aggregate plus a parameterized quantile; holistic
 #: entries exercise the non-decomposable fallback path.
@@ -112,17 +114,17 @@ class TestIndexedLiftProperty:
     @PROPERTY
     @given(script=buffer_scripts())
     def test_on_off_bit_identity_and_oracle(self, name, script):
-        """Indexed lifts equal the cache-off run bit-for-bit, and the
+        """Indexed lifts equal the fold reference bit-for-bit, and the
         per-event ``scalar_lift`` oracle within 1e-9."""
         seed, ops = script
         fn = get_aggregate(name)
-        on = PositionBuffer(fn=fn, use_index=True, chunk_size=CHUNK)
-        off = PositionBuffer(fn=fn, use_index=False, chunk_size=CHUNK)
+        on = PositionBuffer(fn=fn, chunk_size=CHUNK)
+        ref = ReferenceBuffer(fn=fn, chunk_size=CHUNK)
         oracle = PositionBuffer(fn=fn)  # raw events for scalar_lift
         got_on = run_script(on, seed, ops)
-        got_off = run_script(off, seed, ops)
+        got_ref = run_script(ref, seed, ops)
         assert [(r, bits(p)) for r, p in got_on] == \
-            [(r, bits(p)) for r, p in got_off]
+            [(r, bits(p)) for r, p in got_ref]
         run_script(oracle, seed, [op for op in ops
                                   if op[0] != "release"])
         for (start, end), partial in got_on:
@@ -157,23 +159,20 @@ class TestIndexedLiftProperty:
         ends = np.array([base + max(a + 1, b) for a, b in spans],
                         dtype=np.int64)
         partials, parts, edges = fold_windows(
-            fn, buf.get_range(base, base + size).values, base, starts,
-            ends, CHUNK)
+            fn, buf.get_values(base, base + size), base, starts, ends,
+            CHUNK)
         for i, (start, end) in enumerate(zip(starts.tolist(),
                                              ends.tolist())):
             want = buf.lift_range(start, end)
             assert bits(fn.partials(partials)[i]) == bits(want)
-            assert parts[i] == decomposition_width(start, end, CHUNK)
-            head_end = min(end, -(-start // CHUNK) * CHUNK)
-            tail_start = max(head_end, end // CHUNK * CHUNK)
-            assert edges[i] == (head_end - start) + (end - tail_start)
+            assert (parts[i], edges[i]) == \
+                decomposition_cost(start, end, CHUNK)
 
     @PROPERTY
     @given(script=buffer_scripts())
     def test_count_exact_under_interleaving(self, script):
         seed, ops = script
-        buf = PositionBuffer(fn=get_aggregate("count"),
-                             use_index=True, chunk_size=CHUNK)
+        buf = PositionBuffer(fn=get_aggregate("count"), chunk_size=CHUNK)
         for (start, end), partial in run_script(buf, seed, ops):
             assert partial == float(end - start)
 
@@ -182,13 +181,12 @@ class TestIndexMechanics:
     def test_chunk_size_must_be_power_of_two(self):
         with pytest.raises(ConfigurationError):
             RangeAggregateIndex(get_aggregate("sum"),
-                                lambda s, e: EventBatch.empty(),
+                                lambda s, e: np.empty(0),
                                 chunk_size=48)
 
     def test_append_builds_no_node(self):
         rng = np.random.default_rng(0)
-        buf = PositionBuffer(fn=get_aggregate("sum"), use_index=True,
-                             chunk_size=CHUNK)
+        buf = PositionBuffer(fn=get_aggregate("sum"), chunk_size=CHUNK)
         for _ in range(8):
             buf.append(value_batch(rng, 5 * CHUNK, start=buf.end))
         assert buf.index.nodes_built == 0
@@ -196,8 +194,7 @@ class TestIndexMechanics:
 
     def test_first_query_builds_only_its_cover(self):
         rng = np.random.default_rng(0)
-        buf = PositionBuffer(fn=get_aggregate("sum"), use_index=True,
-                             chunk_size=CHUNK)
+        buf = PositionBuffer(fn=get_aggregate("sum"), chunk_size=CHUNK)
         buf.append(value_batch(rng, 40 * CHUNK))
         start, end = 3 * CHUNK + 5, 21 * CHUNK + 2
         first = buf.lift_range(start, end)
@@ -215,19 +212,17 @@ class TestIndexMechanics:
     def test_sliding_queries_keep_the_cache_bounded(self):
         rng = np.random.default_rng(1)
         window = 8 * CHUNK
-        buf = PositionBuffer(fn=get_aggregate("avg"), use_index=True,
-                             chunk_size=CHUNK)
-        off = PositionBuffer(fn=get_aggregate("avg"), use_index=False,
-                             chunk_size=CHUNK)
+        buf = PositionBuffer(fn=get_aggregate("avg"), chunk_size=CHUNK)
+        ref = ReferenceBuffer(fn=get_aggregate("avg"), chunk_size=CHUNK)
         for step in range(64):
             batch = value_batch(rng, CHUNK + step % 3, start=buf.end)
             buf.append(batch)
-            off.append(batch)
+            ref.append(batch)
             start = max(buf.base, buf.end - window)
             assert bits(buf.lift_range(start, buf.end)) == \
-                bits(off.lift_range(start, off.end))
+                bits(ref.lift_range(start, ref.end))
             buf.release_before(start)
-            off.release_before(start)
+            ref.release_before(start)
             # Every held node lies in the live range, which spans at
             # most 9 chunks: at most 2 * 9 - 1 aligned nodes.
             assert buf.index.nodes_cached <= 17
@@ -236,8 +231,7 @@ class TestIndexMechanics:
 
     def test_release_evicts_and_bounds_cache(self):
         rng = np.random.default_rng(1)
-        buf = PositionBuffer(fn=get_aggregate("sum"), use_index=True,
-                             chunk_size=CHUNK)
+        buf = PositionBuffer(fn=get_aggregate("sum"), chunk_size=CHUNK)
         buf.append(value_batch(rng, 64 * CHUNK))
         buf.lift_range(0, 64 * CHUNK)
         before = buf.index.nodes_cached
@@ -250,9 +244,8 @@ class TestIndexMechanics:
             buf.lift_range(0, 64 * CHUNK)  # head was released
         # The live suffix still answers, bit-identical to a fresh lift.
         live = buf.lift_range(60 * CHUNK, 64 * CHUNK)
-        fresh = PositionBuffer(fn=get_aggregate("sum"),
-                               use_index=False, chunk_size=CHUNK,
-                               base=60 * CHUNK)
+        fresh = ReferenceBuffer(fn=get_aggregate("sum"),
+                                chunk_size=CHUNK, base=60 * CHUNK)
         fresh.append(buf.get_range(60 * CHUNK, 64 * CHUNK))
         assert bits(live) == bits(fresh.lift_range(60 * CHUNK,
                                                    64 * CHUNK))
@@ -281,6 +274,37 @@ class TestZeroCopyPaths:
         buf.append(batch)
         view = buf.get_range(10, 60)
         assert np.shares_memory(view.values, batch.values)
+
+    def test_get_values_within_one_batch_is_a_view(self):
+        batch = value_batch(np.random.default_rng(4), 100)
+        buf = PositionBuffer()
+        buf.append(batch)
+        values = buf.get_values(10, 60)
+        assert np.shares_memory(values, batch.values)
+        assert np.array_equal(values, batch.values[10:60])
+
+    def test_get_values_matches_get_range_across_batches(self):
+        rng = np.random.default_rng(8)
+        buf = PositionBuffer()
+        for n in (7, 1, 30, 12, 5):
+            buf.append(value_batch(rng, n, start=buf.end))
+        buf.release_before(3)  # splits the first stored batch
+        for start in range(buf.base, buf.end + 1):
+            for end in range(start, buf.end + 1):
+                want = buf.get_range(start, end).values
+                got = buf.get_values(start, end)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_get_values_rejects_what_is_not_held(self):
+        buf = PositionBuffer(base=10)
+        buf.append(value_batch(np.random.default_rng(9), 20, start=10))
+        buf.release_before(15)
+        for start, end in ((14, 20), (15, 31), (0, 40)):
+            with pytest.raises(WindowError):
+                buf.get_range(start, end)
+            with pytest.raises(WindowError):
+                buf.get_values(start, end)
 
     def test_concat_single_batch_is_identity(self):
         batch = value_batch(np.random.default_rng(5), 8)
@@ -312,21 +336,27 @@ TINY = dict(n_nodes=2, window_size=800, n_windows=3,
             rate_per_node=20_000.0, rate_change=0.05)
 
 
+#: Aggregates the whole-run gate replays: one distributive and two
+#: algebraic functions, whose partials are one, two and three fields.
+FINGERPRINT_AGGREGATES = ("sum", "avg", "variance")
+
+
 class TestSchemeBitIdentity:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
     def test_fingerprint_invariant_under_index_toggle(self, scheme,
                                                       monkeypatch):
         """The acceptance gate: window results, spans, flows, bytes and
-        message counts are bit-identical with the index on or off."""
-        uncached = []
+        message counts are bit-identical whether every scheme buffer
+        lifts through its index or through the fold reference."""
+        references = []
 
         def reference_buffer(self, fn=None, base=0):
-            buf = PositionBuffer(base, fn, use_index=False)
-            uncached.append(buf)
+            buf = ReferenceBuffer(base, fn)
+            references.append(buf)
             return buf
 
-        def fingerprint():
-            config = RunConfig(scheme=scheme, **TINY)
+        def fingerprint(aggregate):
+            config = RunConfig(scheme=scheme, aggregate=aggregate, **TINY)
             topo, ctx = build_run(config)
             result = run_simulation(
                 topo, ctx, config.resolved_batch_size(),
@@ -334,15 +364,16 @@ class TestSchemeBitIdentity:
             assert result.n_windows == ctx.n_windows
             return TimedFingerprint.of(result)
 
-        on = fingerprint()
+        indexed = [fingerprint(a) for a in FINGERPRINT_AGGREGATES]
         # Every scheme buffer is built through this one point.
         monkeypatch.setattr(SchemeContext, "new_buffer",
                             reference_buffer)
-        off = fingerprint()
-        assert uncached and not any(
-            buf.index is not None and buf.index.caching
-            for buf in uncached)
-        assert on == off, "\n".join(on.diff(off))
+        for aggregate, on in zip(FINGERPRINT_AGGREGATES, indexed):
+            off = fingerprint(aggregate)
+            assert on == off, f"{aggregate}: " + "\n".join(on.diff(off))
+        # The reference runs lifted through the fold, never the index.
+        assert sum(buf.folds for buf in references) > 0
+        assert not any(buf.index.nodes_built for buf in references)
 
     @pytest.mark.parametrize("scheme", ("central", "scotty", "disco"))
     def test_forwarding_locals_build_no_node(self, scheme):

@@ -466,7 +466,7 @@ def _wire_size_arithmetic(ctx: FileContext) -> Iterator[Hit]:
 
 #: Methods whose return values alias their receiver's buffer.
 VIEW_PRODUCERS = frozenset({
-    "_view", "get_range", "lift_range", "lift_ranges",
+    "_view", "get_range", "get_values", "lift_range", "lift_ranges",
 })
 #: ndarray methods that mutate the receiver in place.
 NDARRAY_MUTATORS = frozenset({
